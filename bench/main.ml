@@ -195,6 +195,33 @@ let component_tests () =
                 ~where:Storage.Expr.(Col 2 = Const (Storage.Value.Text tag))
                 ())))
   in
+  let mvcc_range_after_insert =
+    (* TPC-C order-line shape: each iteration installs a key past the
+       end, then range-scans the 20 keys just below it, so every scan
+       follows a fresh key. The store restarts from 10k keys every 100k
+       inserts to bound its memory. *)
+    let install store i =
+      Storage.Mvcc.install store [| Storage.Value.Int i |] ~version:0
+        (Some [| Storage.Value.Int i |])
+    in
+    let fresh () =
+      let store = Storage.Mvcc.create () in
+      for i = 0 to 9_999 do
+        install store i
+      done;
+      store
+    in
+    let store = ref (fresh ()) and next = ref 10_000 in
+    Test.make ~name:"mvcc range scan after fresh-key insert"
+      (Staged.stage (fun () ->
+           if !next >= 110_000 then begin
+             store := fresh ();
+             next := 10_000
+           end;
+           install !store !next;
+           incr next;
+           Storage.Mvcc.iter_keys_range !store ~lo:[| Storage.Value.Int (!next - 20) |] ignore))
+  in
   let small = writeset_of_size 4 and big = writeset_of_size 64 in
   let ws_conflict =
     Test.make ~name:"writeset conflict check (4 vs 64)"
@@ -232,7 +259,10 @@ let component_tests () =
            Sim.Engine.run engine))
   in
   Test.make_grouped ~name:"components"
-    [ mvcc_point_read; txn_update; index_select; ws_conflict; checker; sim_events ]
+    [
+      mvcc_point_read; mvcc_range_after_insert; txn_update; index_select; ws_conflict; checker;
+      sim_events;
+    ]
 
 (* Certification conflict check, Linear log scan vs Keyed index probe,
    with the requesting snapshot 1 / 100 / 10k versions behind a

@@ -31,10 +31,13 @@ module Key_tbl = Hashtbl.Make (struct
     for i = 0 to Array.length k - 1 do
       (* Ints hash as themselves: primary keys are typically dense, so
          the identity is uniform under the table's power-of-two masking
-         and skips a generic-hash call per element per probe. *)
+         and skips a generic-hash call per element per probe. An
+         integral float equals the int of the same value under
+         [equal], so it must hash as that int too. *)
       let hv =
         match Array.unsafe_get k i with
         | Value.Int x -> x
+        | Value.Float x when Float.is_integer x -> int_of_float x
         | Value.Text s -> Hashtbl.hash s
         | v -> Value.hash v
       in
@@ -43,27 +46,27 @@ module Key_tbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
+module Key_set = Set.Make (Key_order)
+
 type version = { version : int; row : Value.t array option }
 
-(* The key directory for ordered scans is a sorted array rebuilt lazily:
-   installing a brand-new key only invalidates it, and the next ordered
-   access pays one collect-and-sort over the whole table. Point
-   reads/updates (the hot path) never touch it; workloads that
-   interleave fresh-key inserts with range scans re-sort per scan, which
-   is the deliberate trade — bulk load of n keys went from n log n map
-   rebalancing allocations to zero. *)
+(* The ordered key directory is built on the first ordered access and
+   kept up to date from then on: a brand-new key costs one O(log n) set
+   insertion. Point reads/updates (the hot path) never touch it, and a
+   table that is never scanned never builds it, so bulk load allocates
+   nothing for it. *)
 type t = {
   chains : version list ref Key_tbl.t;
-  mutable dir : key array option;  (* sorted ascending; [None] = stale *)
+  mutable dir : Key_set.t option;  (* [None] until the first ordered access *)
 }
 
 let create () = { chains = Key_tbl.create 256; dir = None }
 
 let install t key ~version row =
   match Key_tbl.find_opt t.chains key with
-  | None ->
+  | None -> (
     Key_tbl.add t.chains key (ref [ { version; row } ]);
-    t.dir <- None
+    match t.dir with Some d -> t.dir <- Some (Key_set.add key d) | None -> ())
   | Some chain -> begin
     match !chain with
     | { version = newest; _ } :: _ when newest >= version ->
@@ -92,82 +95,57 @@ let key_count t = Key_tbl.length t.chains
 let version_count t =
   Key_tbl.fold (fun _ chain acc -> acc + List.length !chain) t.chains 0
 
-(* Rebuild (or reuse) the sorted key directory. *)
 let dir t =
   match t.dir with
   | Some d -> d
   | None ->
-    let d = Array.make (Key_tbl.length t.chains) [||] in
-    let i = ref 0 in
-    Key_tbl.iter
-      (fun key _ ->
-        d.(!i) <- key;
-        incr i)
-      t.chains;
-    Array.sort Key_order.compare d;
+    let d = Key_set.of_list (Key_tbl.fold (fun key _ acc -> key :: acc) t.chains []) in
     t.dir <- Some d;
     d
 
-let iter_keys_ordered t f = Array.iter f (dir t)
+let iter_keys_ordered t f = Key_set.iter f (dir t)
 
 let iter_keys_range t ?lo ?hi f =
   let d = dir t in
-  let n = Array.length d in
-  (* First index holding a key >= lo. *)
-  let start =
-    match lo with
-    | None -> 0
-    | Some lo ->
-      let rec bs l r =
-        if l >= r then l
-        else
-          let m = (l + r) / 2 in
-          if Key_order.compare d.(m) lo < 0 then bs (m + 1) r else bs l m
-      in
-      bs 0 n
-  in
-  let rec go i =
-    if i < n then begin
-      let key = d.(i) in
+  let rec go seq =
+    match seq () with
+    | Seq.Cons (key, rest) -> (
       match hi with
       | Some hi when Key_order.compare key hi > 0 -> ()
       | Some _ | None ->
         f key;
-        go (i + 1)
-    end
+        go rest)
+    | Seq.Nil -> ()
   in
-  go start
+  go (match lo with None -> Key_set.to_seq d | Some lo -> Key_set.to_seq_from lo d)
 
 let fold_visible t ~at ~init ~f =
-  Array.fold_left
-    (fun acc key ->
-      match read t key ~at with None -> acc | Some row -> f acc key row)
-    init (dir t)
+  Key_set.fold
+    (fun key acc -> match read t key ~at with None -> acc | Some row -> f acc key row)
+    (dir t) init
 
 let fold_chains t ~init ~f =
-  Array.fold_left
-    (fun acc key ->
+  Key_set.fold
+    (fun key acc ->
       match Key_tbl.find_opt t.chains key with
       | None -> acc
       | Some chain -> f acc key (List.map (fun { version; row } -> (version, row)) !chain))
-    init (dir t)
+    (dir t) init
 
 let gc t ~keep_after =
   let removed = ref 0 in
-  Key_tbl.iter
-    (fun _ chain ->
-      (* Keep every version newer than the horizon, plus the newest one at
-         or below it (still visible to snapshots above the horizon). *)
-      let rec trim kept = function
-        | [] -> List.rev kept
-        | ({ version; _ } as v) :: rest ->
-          if version > keep_after then trim (v :: kept) rest
-          else begin
-            removed := !removed + List.length rest;
-            List.rev (v :: kept)
-          end
-      in
-      chain := trim [] !chain)
-    t.chains;
+  (* Keep every version newer than the horizon, plus the newest one at or
+     below it (still visible to snapshots above the horizon). A chain
+     with nothing older than that comes back physically unchanged, and
+     otherwise only the kept prefix is copied. *)
+  let rec trim = function
+    | ({ version; _ } as v) :: rest as versions when version > keep_after ->
+      let kept = trim rest in
+      if kept == rest then versions else v :: kept
+    | ([] | [ _ ]) as versions -> versions
+    | v :: rest ->
+      removed := !removed + List.length rest;
+      [ v ]
+  in
+  Key_tbl.iter (fun _ chain -> chain := trim !chain) t.chains;
   !removed
-

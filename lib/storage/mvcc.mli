@@ -36,6 +36,16 @@ val key_count : t -> int
 val version_count : t -> int
 (** Total stored versions across all keys. *)
 
+(** {2 Ordered access}
+
+    [iter_keys_ordered], [iter_keys_range], [fold_visible] and
+    [fold_chains] read an ordered key directory. The first ordered
+    access on a store builds it in O(n log n) for n keys; from then on
+    each {!install} of a brand-new key adds O(log n), and a range
+    visiting k keys costs O(log n + k). A store that is never scanned
+    never builds it. Each call walks the directory as it stood when the
+    call began, so keys installed by the callback are not visited. *)
+
 val iter_keys_ordered : t -> (key -> unit) -> unit
 (** All keys in ascending key order (visibility not checked). *)
 

@@ -159,6 +159,8 @@ let test_mvcc_gc () =
   done;
   let removed = Mvcc.gc m ~keep_after:7 in
   Alcotest.(check int) "dropped versions 1..6" 6 removed;
+  Alcotest.(check int) "second pass drops nothing" 0 (Mvcc.gc m ~keep_after:7);
+  Alcotest.(check int) "versions 7..10 kept" 4 (Mvcc.version_count m);
   (* Version 7 must survive: it is the visible row for snapshot 7. *)
   (match Mvcc.read m k ~at:7 with
   | Some row -> Alcotest.(check int) "snapshot 7 intact" 7 (Value.as_int row.(0))
@@ -172,9 +174,39 @@ let test_mvcc_ordered_iteration () =
   List.iter
     (fun i -> Mvcc.install m [| vi i |] ~version:0 (Some [| vi i |]))
     [ 5; 1; 3; 2; 4 ];
-  let keys = ref [] in
-  Mvcc.iter_keys_ordered m (fun k -> keys := Value.as_int k.(0) :: !keys);
-  Alcotest.(check (list int)) "ascending key order" [ 1; 2; 3; 4; 5 ] (List.rev !keys)
+  let ordered () =
+    let keys = ref [] in
+    Mvcc.iter_keys_ordered m (fun k -> keys := Value.as_int k.(0) :: !keys);
+    List.rev !keys
+  in
+  let range ?lo ?hi () =
+    let keys = ref [] in
+    Mvcc.iter_keys_range m ?lo ?hi (fun k -> keys := Value.as_int k.(0) :: !keys);
+    List.rev !keys
+  in
+  Alcotest.(check (list int)) "ascending key order" [ 1; 2; 3; 4; 5 ] (ordered ());
+  (* Keys installed after the first ordered access must show up in the
+     next one, in order. *)
+  List.iter
+    (fun i -> Mvcc.install m [| vi i |] ~version:1 (Some [| vi i |]))
+    [ 7; 0; 6 ];
+  Mvcc.install m [| vi 3 |] ~version:1 None;
+  Alcotest.(check (list int)) "new keys after a scan" [ 0; 1; 2; 3; 4; 5; 6; 7 ] (ordered ());
+  Alcotest.(check (list int)) "range over new keys" [ 5; 6 ]
+    (range ~lo:[| vi 5 |] ~hi:[| vi 6 |] ())
+
+(* Keys equal under [Key_order] share one chain: an integral float key
+   finds, and extends, the row stored under the int of the same value. *)
+let test_mvcc_int_float_keys () =
+  let m = Mvcc.create () in
+  let tag key ~at = Option.map (fun row -> Value.as_text row.(1)) (Mvcc.read m key ~at) in
+  Mvcc.install m [| vi 3; vi 7 |] ~version:1 (Some [| vi 3; vt "int" |]);
+  Alcotest.(check (option string)) "float key reads the int key's row" (Some "int")
+    (tag [| Value.Float 3.0; vi 7 |] ~at:1);
+  Mvcc.install m [| Value.Float 3.0; vi 7 |] ~version:2 (Some [| vi 3; vt "float" |]);
+  Alcotest.(check int) "one chain" 1 (Mvcc.key_count m);
+  Alcotest.(check (option string)) "int key reads the float install" (Some "float")
+    (tag [| vi 3; vi 7 |] ~at:2)
 
 (* --- Writeset --- *)
 
@@ -653,6 +685,108 @@ let prop_mvcc_matches_model =
       end;
       !ok)
 
+(* Differential test for the ordered key directory: random interleavings
+   of installs (fresh keys, existing keys, tombstones), gc and every
+   ordered access, each checked against an oracle that sorts the list
+   of keys written so far. *)
+type dir_op =
+  | Put of Mvcc.key * int option
+  | Gc of int  (* horizon, as a percentage of the current version *)
+  | Ordered
+  | Range of Mvcc.key option * Mvcc.key option * int option  (* lo, hi, limit *)
+  | Visible of int  (* snapshot, as a percentage between horizon and version *)
+  | Chains
+
+let dir_op_gen =
+  let open QCheck.Gen in
+  let key = map2 (fun a b -> [| vi a; vi b |]) (int_range 0 5) (int_range 0 5) in
+  (* A bound is a whole key or a one-column prefix. *)
+  let bound = option (oneof [ key; map (fun a -> [| vi a |]) (int_range 0 6) ]) in
+  frequency
+    [
+      (6, map2 (fun k p -> Put (k, p)) key (option (int_range 0 99)));
+      (1, map (fun pct -> Gc pct) (int_range 0 100));
+      (1, return Ordered);
+      (3, map3 (fun lo hi limit -> Range (lo, hi, limit)) bound bound (option (int_range 0 4)));
+      (1, map (fun pct -> Visible pct) (int_range 0 100));
+      (1, return Chains);
+    ]
+
+let print_dir_op =
+  let key k = Format.asprintf "[%a]" (Format.pp_print_array ~pp_sep:Format.pp_print_space Value.pp) k in
+  let opt f = function None -> "-" | Some x -> f x in
+  function
+  | Put (k, p) -> Printf.sprintf "put %s %s" (key k) (opt string_of_int p)
+  | Gc pct -> Printf.sprintf "gc %d%%" pct
+  | Ordered -> "ordered"
+  | Range (lo, hi, limit) ->
+    Printf.sprintf "range %s..%s limit %s" (opt key lo) (opt key hi) (opt string_of_int limit)
+  | Visible pct -> Printf.sprintf "visible %d%%" pct
+  | Chains -> "chains"
+
+let prop_mvcc_ordered_directory =
+  let open QCheck in
+  Test.make ~name:"mvcc ordered directory agrees with sorted oracle" ~count:200
+    (make ~print:(Print.list print_dir_op) Gen.(list_size (int_range 0 60) dir_op_gen))
+    (fun ops ->
+      let store = Mvcc.create () in
+      (* Oracle: every key written so far, with its versions newest first. *)
+      let chains : (Mvcc.key * (int * int option) list) list ref = ref [] in
+      let version = ref 0 and horizon = ref 0 in
+      let sorted () = List.sort (fun (a, _) (b, _) -> Mvcc.Key_order.compare a b) !chains in
+      List.for_all
+        (function
+          | Put (key, payload) ->
+            incr version;
+            Mvcc.install store key ~version:!version (Option.map (fun p -> [| vi p |]) payload);
+            let prior = Option.value ~default:[] (List.assoc_opt key !chains) in
+            chains := (key, (!version, payload) :: prior) :: List.remove_assoc key !chains;
+            true
+          | Gc pct ->
+            horizon := max !horizon (!version * pct / 100);
+            ignore (Mvcc.gc store ~keep_after:!horizon);
+            true
+          | Ordered ->
+            let got = ref [] in
+            Mvcc.iter_keys_ordered store (fun k -> got := k :: !got);
+            List.rev !got = List.map fst (sorted ())
+          | Range (lo, hi, limit) ->
+            (* Stop early the way [Table.scan_with]'s [limit] does: by
+               raising out of the callback. *)
+            let limit = Option.value limit ~default:max_int in
+            let got = ref [] and n = ref 0 in
+            (try
+               Mvcc.iter_keys_range store ?lo ?hi (fun k ->
+                   if !n >= limit then raise Exit;
+                   incr n;
+                   got := k :: !got)
+             with Exit -> ());
+            let cmp = Mvcc.Key_order.compare in
+            let in_range k =
+              Option.fold ~none:true ~some:(fun lo -> cmp k lo >= 0) lo
+              && Option.fold ~none:true ~some:(fun hi -> cmp k hi <= 0) hi
+            in
+            List.rev !got
+            = List.filteri (fun i _ -> i < limit) (List.filter in_range (List.map fst (sorted ())))
+          | Visible pct ->
+            let at = !horizon + ((!version - !horizon) * pct / 100) in
+            let got =
+              Mvcc.fold_visible store ~at ~init:[] ~f:(fun acc k row ->
+                  (k, Value.as_int row.(0)) :: acc)
+            in
+            let visible (k, versions) =
+              match List.find_opt (fun (v, _) -> v <= at) versions with
+              | Some (_, Some p) -> Some (k, p)
+              | Some (_, None) | None -> None
+            in
+            List.rev got = List.filter_map visible (sorted ())
+          | Chains ->
+            let got =
+              Mvcc.fold_chains store ~init:[] ~f:(fun acc k chain -> (k, fst (List.hd chain)) :: acc)
+            in
+            List.rev got = List.map (fun (k, versions) -> (k, fst (List.hd versions))) (sorted ()))
+        ops)
+
 (* --- Codec and checkpoints --- *)
 
 let value_gen =
@@ -830,8 +964,9 @@ let suites =
         Alcotest.test_case "stale install rejected" `Quick test_mvcc_rejects_stale_install;
         Alcotest.test_case "gc" `Quick test_mvcc_gc;
         Alcotest.test_case "ordered iteration" `Quick test_mvcc_ordered_iteration;
+        Alcotest.test_case "int and float keys share a chain" `Quick test_mvcc_int_float_keys;
       ]
-      @ qsuite [ prop_mvcc_matches_model ] );
+      @ qsuite [ prop_mvcc_matches_model; prop_mvcc_ordered_directory ] );
     ( "storage.writeset",
       [
         Alcotest.test_case "conflicts" `Quick test_writeset_conflicts;
