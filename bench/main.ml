@@ -329,6 +329,50 @@ let intern_tests () =
              ignore (Storage.Intern.find intern ~table:"bench" ~key:probe_key)));
     ]
 
+(* A transaction's update statements as the replica runs them: after
+   each statement, early certification probes the writes so far against
+   the queued refresh writesets (8 here, on keys the statements never
+   touch, so nothing aborts); commit then builds the writeset. The cost
+   grows linearly in the statement count when the probe reuses the ids
+   resolved at buffer time, and quadratically when every probe rebuilds
+   and re-interns the whole writeset. *)
+let early_cert_tests () =
+  let open Bechamel in
+  let db = bench_fixture () in
+  let replica =
+    Core.Replica.create (Sim.Engine.create ()) Core.Config.default ~rng:(Util.Rng.create 1)
+      ~id:0 db
+  in
+  for v = 1 to 8 do
+    Core.Replica.receive_refresh replica ~version:v
+      ~ws:
+        (Storage.Writeset.of_entries ~intern:(Storage.Database.intern db)
+           (List.init 4 (fun i ->
+                {
+                  Storage.Writeset.ws_table = "bench";
+                  ws_key = [| Storage.Value.Int (9_000 + (4 * v) + i) |];
+                  ws_op = Storage.Writeset.Delete;
+                })))
+  done;
+  let statements n =
+    Test.make
+      ~name:
+        (Printf.sprintf "writeset + early-cert probe after each of %d update statements" n)
+      (Staged.stage (fun () ->
+           let txn = Core.Replica.begin_txn replica ~tid:1 in
+           for s = 0 to n - 1 do
+             ignore
+               (Storage.Txn.update_key txn ~table:"bench"
+                  ~key:[| Storage.Value.Int (7 * s) |]
+                  ~set:[ ("val", Storage.Expr.i 1) ]);
+             if not (Core.Replica.early_certify replica txn) then
+               failwith "unexpected conflict"
+           done;
+           ignore (Storage.Txn.writeset txn);
+           Core.Replica.finish_txn replica ~tid:1))
+  in
+  Test.make_grouped ~name:"early certification" [ statements 10; statements 30 ]
+
 (* Flat Bytes-based encoding vs the boxed Buffer codec, round-tripping
    the same logical payload; plus a full runlog-record append into the
    flat sink (the chaos-soak hot path). *)
@@ -413,6 +457,7 @@ let run_bechamel () =
   report "Component micro-benchmarks (Bechamel)" (component_tests ());
   report "Certification index micro-benchmarks (Bechamel)" (certification_tests ());
   report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
+  report "Early certification per statement (Bechamel)" (early_cert_tests ());
   report "Flat vs boxed codec (Bechamel)" (codec_tests ())
 
 let () =

@@ -111,23 +111,23 @@ let notify_commit t ~version =
    returns — added when a refresh writeset is queued, kept while a
    parallel group holds it in [applying], removed when it leaves the
    pending set (applied serially, published, or dropped by a crash). *)
-let add_pending_keys t ws =
-  let intern = Storage.Database.intern t.db in
+let cids t ws = Storage.Writeset.cids ws ~intern:(Storage.Database.intern t.db)
+
+let add_pending_keys t kids =
   Array.iter
     (fun kid ->
       Util.Tables.Itbl.replace t.pending_keys kid
         (1 + Option.value (Util.Tables.Itbl.find_opt t.pending_keys kid) ~default:0))
-    (Storage.Writeset.cids ws ~intern)
+    kids
 
 let remove_pending_keys t ws =
-  let intern = Storage.Database.intern t.db in
   Array.iter
     (fun kid ->
       match Util.Tables.Itbl.find_opt t.pending_keys kid with
       | Some 1 -> Util.Tables.Itbl.remove t.pending_keys kid
       | Some n when n > 1 -> Util.Tables.Itbl.replace t.pending_keys kid (n - 1)
       | Some _ | None -> assert false (* refcount out of sync with the pending set *))
-    (Storage.Writeset.cids ws ~intern)
+    (cids t ws)
 
 (* --- Conflict-aware parallel refresh application ---------------------
 
@@ -425,12 +425,10 @@ let pending_refresh_writesets t =
 let early_certify t txn =
   (not t.cfg.Config.early_certification)
   ||
-  (* Probe the transaction's keys against the pending-key index —
-     O(|writeset|) however deep the refresh backlog, where the previous
-     [List.exists Writeset.conflicts] scanned every pending writeset. *)
-  let ws = Storage.Txn.writeset txn in
-  let kids = Storage.Writeset.cids ws ~intern:(Storage.Database.intern t.db) in
-  not (Array.exists (fun kid -> Util.Tables.Itbl.mem t.pending_keys kid) kids)
+  (* Probe the write buffer's conflict ids against the pending-key
+     index: O(writes so far) however deep the refresh backlog, and no
+     writeset is built until commit. *)
+  not (Storage.Txn.exists_write_id txn (Util.Tables.Itbl.mem t.pending_keys))
 
 let finish_txn t ~tid = Itbl.remove t.active tid
 
@@ -483,18 +481,18 @@ let enqueue_refresh_batch t items =
            must never clobber — is dropped here. Refresh delivery is
            thereby idempotent; versions are the sequence numbers. *)
         if version > v_local t && not (Itbl.mem t.slots version) then begin
+          let kids = cids t ws in
           (* Early certification: abort active local transactions whose
-             partial writesets conflict with an incoming refresh writeset. *)
+             partial writesets conflict with an incoming refresh
+             writeset — each probes its own write table with the
+             refresh's ids. *)
           if t.cfg.Config.early_certification then
             Itbl.iter
               (fun _ (txn, flag) ->
-                if
-                  (not !flag)
-                  && (not (Storage.Txn.is_read_only txn))
-                  && Storage.Writeset.conflicts (Storage.Txn.writeset txn) ws
-                then flag := true)
+                if (not !flag) && Array.exists (Storage.Txn.writes_id txn) kids then
+                  flag := true)
               t.active;
-          add_pending_keys t ws;
+          add_pending_keys t kids;
           Itbl.replace t.slots version (Refresh { ws; trace })
         end)
       items;
@@ -561,7 +559,7 @@ let recover t ~missed =
   List.iter
     (fun (version, ws) ->
       if version > v_local t then begin
-        if not (Itbl.mem t.slots version) then add_pending_keys t ws;
+        if not (Itbl.mem t.slots version) then add_pending_keys t (cids t ws);
         Itbl.replace t.slots version (Refresh { ws; trace = None })
       end)
     missed;

@@ -50,17 +50,10 @@ let install_entries t ws ~version =
         | Some table -> table
         | None -> invalid_arg ("Database.apply: unknown table " ^ entry.Writeset.ws_table)
       in
-      let installed =
-        match Table.latest_version table ~key:entry.Writeset.ws_key with
-        | Some newest -> newest >= version
-        | None -> false
+      let row =
+        match entry.Writeset.ws_op with Writeset.Put row -> Some row | Delete -> None
       in
-      if not installed then begin
-        let row =
-          match entry.Writeset.ws_op with Writeset.Put row -> Some row | Delete -> None
-        in
-        Table.install table ~key:entry.Writeset.ws_key ~version row
-      end)
+      ignore (Table.install_if_newer table ~key:entry.Writeset.ws_key ~version row))
     (Writeset.entries ws)
 
 let apply t ws ~version =

@@ -5,7 +5,9 @@
     table. The certification and refresh-apply hot paths key their hash
     tables by these ids ({!Util.Tables.Itbl}) instead of boxed
     (string, value-array) pairs, eliminating tuple allocation and
-    polymorphic hashing from every conflict probe.
+    polymorphic hashing from every conflict probe. Keys compare by
+    {!Mvcc.Key_hashed}, the store's own key equality: [[|Int 3|]] and
+    [[|Float 3.0|]] name one row, so they share one id.
 
     One intern table serves one replication group: ids from different
     tables are not comparable. {!Writeset.t} records which table built

@@ -21,7 +21,7 @@ end
    the boxed representation on every probe, and equality via
    [Key_order.compare] keeps the same int/float coercions the ordered
    directory uses. *)
-module Key_tbl = Hashtbl.Make (struct
+module Key_hashed = struct
   type t = key
 
   let equal a b = Key_order.compare a b = 0
@@ -44,7 +44,9 @@ module Key_tbl = Hashtbl.Make (struct
       h := (!h * 31) + hv
     done;
     !h land max_int
-end)
+end
+
+module Key_tbl = Hashtbl.Make (Key_hashed)
 
 module Key_set = Set.Make (Key_order)
 
@@ -62,18 +64,29 @@ type t = {
 
 let create () = { chains = Key_tbl.create 256; dir = None }
 
-let install t key ~version row =
+let install_if_newer t key ~version row =
   match Key_tbl.find_opt t.chains key with
-  | None -> (
+  | None ->
     Key_tbl.add t.chains key (ref [ { version; row } ]);
-    match t.dir with Some d -> t.dir <- Some (Key_set.add key d) | None -> ())
-  | Some chain -> begin
+    (match t.dir with Some d -> t.dir <- Some (Key_set.add key d) | None -> ());
+    true
+  | Some chain -> (
     match !chain with
-    | { version = newest; _ } :: _ when newest >= version ->
-      invalid_arg
-        (Printf.sprintf "Mvcc.install: version %d not above newest %d" version newest)
-    | versions -> chain := { version; row } :: versions
-  end
+    | { version = newest; _ } :: _ when newest >= version -> false
+    | versions ->
+      chain := { version; row } :: versions;
+      true)
+
+let latest_version t key =
+  match Key_tbl.find_opt t.chains key with
+  | None -> None
+  | Some chain -> ( match !chain with [] -> None | { version; _ } :: _ -> Some version)
+
+let install t key ~version row =
+  if not (install_if_newer t key ~version row) then
+    invalid_arg
+      (Printf.sprintf "Mvcc.install: version %d not above newest %d" version
+         (Option.get (latest_version t key)))
 
 let read t key ~at =
   match Key_tbl.find_opt t.chains key with
@@ -84,11 +97,6 @@ let read t key ~at =
       | { version; row } :: rest -> if version <= at then row else visible rest
     in
     visible !chain
-
-let latest_version t key =
-  match Key_tbl.find_opt t.chains key with
-  | None -> None
-  | Some chain -> ( match !chain with [] -> None | { version; _ } :: _ -> Some version)
 
 let key_count t = Key_tbl.length t.chains
 

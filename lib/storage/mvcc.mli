@@ -15,6 +15,16 @@ module Key_order : sig
   val compare : t -> t -> int
 end
 
+(** Key hashing and equality for {!key}s, agreeing with {!Key_order}:
+    keys equal under [Key_order.compare] (an [Int] and the integral
+    [Float] of the same value) hash alike. The chain table, the
+    conflict-id table ({!Intern}) and the writeset index all use it,
+    so a row, its conflict id and its writeset entry mean the same
+    key. *)
+module Key_hashed : Hashtbl.HashedType with type t = key
+
+module Key_tbl : Hashtbl.S with type key = key
+
 type t
 
 val create : unit -> t
@@ -22,6 +32,11 @@ val create : unit -> t
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
     [version] is not greater than the key's newest version. *)
+
+val install_if_newer : t -> key -> version:int -> Value.t array option -> bool
+(** Redo install: like {!install} when [version] is above the key's
+    newest version, and a no-op returning [false] otherwise. One chain
+    lookup either way. *)
 
 val read : t -> key -> at:int -> Value.t array option
 (** Visible row at snapshot [at], or [None] if absent/deleted. *)

@@ -31,16 +31,28 @@ let index_insert sec key value =
   in
   Hashtbl.replace bucket key ()
 
-let install t ~key ~version row =
-  Mvcc.install t.store key ~version row;
-  match row with
+let index_row t key = function
   | None -> ()
   | Some row ->
     List.iter (fun sec -> index_insert sec key row.(sec.sec_column)) t.secondaries
 
+let install t ~key ~version row =
+  Mvcc.install t.store key ~version row;
+  index_row t key row
+
+let install_if_newer t ~key ~version row =
+  let installed = Mvcc.install_if_newer t.store key ~version row in
+  if installed then index_row t key row;
+  installed
+
 let read t ~key ~at = Mvcc.read t.store key ~at
 
 let latest_version t ~key = Mvcc.latest_version t.store key
+
+let index_entries t ~column =
+  match List.find_opt (fun sec -> sec.sec_column = column) t.secondaries with
+  | None -> 0
+  | Some sec -> Hashtbl.fold (fun _ bucket acc -> acc + Hashtbl.length bucket) sec.entries 0
 
 let has_index t ~column = List.exists (fun sec -> sec.sec_column = column) t.secondaries
 

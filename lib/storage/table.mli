@@ -16,6 +16,11 @@ val name : t -> string
 val install : t -> key:Mvcc.key -> version:int -> Value.t array option -> unit
 (** Install a row version (or tombstone) at [version]. *)
 
+val install_if_newer : t -> key:Mvcc.key -> version:int -> Value.t array option -> bool
+(** {!Mvcc.install_if_newer}: install unless the key already has a
+    version at or above [version], updating the secondary indexes only
+    when it installs. Returns whether it installed. *)
+
 val read : t -> key:Mvcc.key -> at:int -> Value.t array option
 
 val latest_version : t -> key:Mvcc.key -> int option
@@ -25,6 +30,10 @@ val index_lookup : t -> column:int -> value:Value.t -> at:int -> (Mvcc.key * Val
     Raises [Invalid_argument] if the column has no index. *)
 
 val has_index : t -> column:int -> bool
+
+val index_entries : t -> column:int -> int
+(** Number of (value, key) entries in the secondary index on [column]
+    (0 without one). Entries are never removed, so this only grows. *)
 
 val scan :
   t -> at:int -> ?where:(Value.t array -> bool) -> ?limit:int -> unit ->

@@ -7,12 +7,13 @@ type cost = {
 type buffered = Bput of Value.t array | Bdelete
 
 (* One buffered record write. The table/key pair is kept for writeset
-   extraction; lookups go through the group intern table's dense ids, so
-   probing the buffer never allocates a tuple key or polymorphically
-   hashes a value array. *)
+   extraction. The record's conflict id is resolved once, on the first
+   write, and kept here: lookups, early certification and the writeset
+   all reuse it, so nothing re-interns a key the buffer already holds. *)
 type wcell = {
   w_table : string;
   w_key : Mvcc.key;
+  w_cid : int;  (* conflict id under the database's intern table *)
   mutable w_op : buffered;
 }
 
@@ -21,10 +22,6 @@ type t = {
   snapshot : int;
   writes : wcell Util.Tables.Itbl.t;  (* conflict id -> cell *)
   mutable write_order : wcell list;  (* reversed first-write order *)
-  mutable ws_cache : Writeset.t option;
-      (* memoized [writeset]: early certification probes an active
-         transaction's partial writeset once per incoming refresh, and
-         commit reuses the final build; any new write invalidates it *)
   mutable scanned : int;
   mutable read : int;
   mutable written : int;
@@ -40,7 +37,6 @@ let begin_at db ~snapshot =
     snapshot;
     writes = Util.Tables.Itbl.create 8;
     write_order = [];
-    ws_cache = None;
     scanned = 0;
     read = 0;
     written = 0;
@@ -66,10 +62,9 @@ let buffer t table key op =
   (match Util.Tables.Itbl.find_opt t.writes kid with
   | Some cell -> cell.w_op <- op
   | None ->
-    let cell = { w_table = table; w_key = key; w_op = op } in
+    let cell = { w_table = table; w_key = key; w_cid = kid; w_op = op } in
     Util.Tables.Itbl.add t.writes kid cell;
     t.write_order <- cell :: t.write_order);
-  t.ws_cache <- None;
   t.written <- t.written + 1
 
 (* The write buffer's view of one record, if any. Read-only-so-far
@@ -287,24 +282,28 @@ let delete_key t ~table:table_name ~key =
     buffer t table_name key Bdelete;
     true
 
+(* The cells are already one per record, each holding its latest op, so
+   the writeset is a straight copy: entries in first-write order and
+   their ids, with no second interning or dedup pass. *)
 let writeset t =
-  match t.ws_cache with
-  | Some ws -> ws
-  | None ->
-    let entries =
-      List.rev_map
-        (fun cell ->
-          let ws_op =
-            match cell.w_op with
-            | Bput row -> Writeset.Put row
-            | Bdelete -> Writeset.Delete
-          in
-          { Writeset.ws_table = cell.w_table; ws_key = cell.w_key; ws_op })
-        t.write_order
-    in
-    let ws = Writeset.of_entries ~intern:(Database.intern t.db) entries in
-    t.ws_cache <- Some ws;
-    ws
+  let cids = Array.make (Util.Tables.Itbl.length t.writes) 0 in
+  let i = ref (Array.length cids) in
+  let entries =
+    List.fold_left
+      (fun acc cell ->
+        decr i;
+        cids.(!i) <- cell.w_cid;
+        let ws_op =
+          match cell.w_op with Bput row -> Writeset.Put row | Bdelete -> Writeset.Delete
+        in
+        { Writeset.ws_table = cell.w_table; ws_key = cell.w_key; ws_op } :: acc)
+      [] t.write_order
+  in
+  Writeset.of_resolved ~intern:(Database.intern t.db) entries cids
+
+let writes_id t kid = Util.Tables.Itbl.mem t.writes kid
+
+let exists_write_id t f = List.exists (fun cell -> f cell.w_cid) t.write_order
 
 let is_read_only t = t.write_order = []
 

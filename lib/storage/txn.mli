@@ -75,9 +75,26 @@ val delete_key : t -> table:string -> key:Mvcc.key -> bool
 (** {2 Commit} *)
 
 val writeset : t -> Writeset.t
-(** Buffered writes in first-write order. Empty for read-only txns. *)
+(** Buffered writes in first-write order, one entry per record holding
+    its last write, with the buffer's conflict ids ({!Writeset.cids}
+    against {!Database.intern}). Empty for read-only txns. O(writes):
+    each call builds a fresh writeset. *)
 
 val is_read_only : t -> bool
+
+(** {2 Conflict ids}
+
+    Each buffered record's conflict id under the database's
+    {!Database.intern} table, resolved once when the record is first
+    written. Early certification probes these directly instead of
+    building a writeset after every statement. *)
+
+val writes_id : t -> int -> bool
+(** Whether the transaction has buffered a write to the record with
+    this conflict id. *)
+
+val exists_write_id : t -> (int -> bool) -> bool
+(** Whether [f] holds for the conflict id of some buffered record. *)
 
 val validate : t -> bool
 (** First-committer-wins check against the current database state: true

@@ -10,9 +10,20 @@ type entry = {
   ws_op : op;
 }
 
+(* (table, key) pairs under the store's key equality ({!Mvcc.Key_hashed}),
+   so the foreign path below and the interned ids agree on which writes
+   collide. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = string * Value.t array
+
+  let equal (ta, ka) (tb, kb) = String.equal ta tb && Mvcc.Key_hashed.equal ka kb
+
+  let hash (table, key) = ((Hashtbl.hash table * 31) + Mvcc.Key_hashed.hash key) land max_int
+end)
+
 type t = {
   items : entry list;  (* insertion order *)
-  mutable index : (string * Value.t array, entry) Hashtbl.t option;
+  mutable index : entry Pair_tbl.t option;
       (* tuple-keyed probe index, built on first demand: the interned
          paths never need it, so the common case pays nothing *)
   card : int;  (* |items|, precomputed: [cardinal] sits on the certifier hot path *)
@@ -23,8 +34,8 @@ type t = {
 let empty = { items = []; index = None; card = 0; kids = [||]; origin = None }
 
 let build_index items =
-  let index = Hashtbl.create ((2 * List.length items) + 1) in
-  List.iter (fun e -> Hashtbl.replace index (e.ws_table, e.ws_key) e) items;
+  let index = Pair_tbl.create ((2 * List.length items) + 1) in
+  List.iter (fun e -> Pair_tbl.replace index (e.ws_table, e.ws_key) e) items;
   index
 
 let index t =
@@ -68,19 +79,22 @@ let of_entries ?intern entries =
     }
   | None ->
     let index = build_index entries in
-    let seen = Hashtbl.create 16 in
+    let seen = Pair_tbl.create 16 in
     let items =
       List.filter_map
         (fun e ->
           let k = (e.ws_table, e.ws_key) in
-          if Hashtbl.mem seen k then None
+          if Pair_tbl.mem seen k then None
           else begin
-            Hashtbl.add seen k ();
-            Some (Hashtbl.find index k)
+            Pair_tbl.add seen k ();
+            Some (Pair_tbl.find index k)
           end)
         entries
     in
-    { items; index = Some index; card = Hashtbl.length seen; kids = [||]; origin = None }
+    { items; index = Some index; card = Pair_tbl.length seen; kids = [||]; origin = None }
+
+let of_resolved ~intern items cids =
+  { items; index = None; card = Array.length cids; kids = cids; origin = Some intern }
 
 let is_empty t = t.items = []
 
@@ -117,7 +131,7 @@ let tables t =
       end)
     t.items
 
-let mem t ~table ~key = Hashtbl.mem (index t) (table, key)
+let mem t ~table ~key = Pair_tbl.mem (index t) (table, key)
 
 let keys t = List.map (fun e -> (e.ws_table, e.ws_key)) t.items
 
@@ -141,7 +155,7 @@ let conflicts a b =
       (* Probe the smaller set against the larger one's hash index. *)
       let small, large = if a.card <= b.card then (a, b) else (b, a) in
       let ix = index large in
-      List.exists (fun e -> Hashtbl.mem ix (e.ws_table, e.ws_key)) small.items
+      List.exists (fun e -> Pair_tbl.mem ix (e.ws_table, e.ws_key)) small.items
 
 let size_bytes t =
   List.fold_left

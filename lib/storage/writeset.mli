@@ -27,6 +27,13 @@ val of_entries : ?intern:Intern.t -> entry list -> t
     passes the group's shared table so every conflict probe downstream
     runs over ints. *)
 
+val of_resolved : intern:Intern.t -> entry list -> int array -> t
+(** [of_resolved ~intern entries cids]: a writeset whose conflict ids
+    are already resolved. [cids.(i)] is the id under [intern] of the
+    [i]th entry, and the entries name distinct records. No interning or dedup pass runs; the caller
+    ({!Txn.writeset}, whose write buffer holds one cell and one id per
+    record) guarantees both. *)
+
 val is_empty : t -> bool
 
 val entries : t -> entry list
@@ -54,6 +61,9 @@ val cids : t -> intern:Intern.t -> int array
     [intern], assigning fresh ids as needed. *)
 
 val mem : t -> table:string -> key:Value.t array -> bool
+(** Keys compare by {!Mvcc.Key_hashed}, as everywhere else: [[|Int 3|]]
+    and [[|Float 3.0|]] are one record, in {!of_entries}' superseding,
+    in [mem] and in {!conflicts}. *)
 
 val keys : t -> (string * Value.t array) list
 (** The conflict keys: every (table, primary key) the writeset touches,

@@ -13,15 +13,17 @@ let small_config =
     hiccup_interval_ms = 0.0;
   }
 
-let ws_on table key =
-  Storage.Writeset.of_entries
+let ws_at ?intern table key =
+  Storage.Writeset.of_entries ?intern
     [
       {
         Storage.Writeset.ws_table = table;
-        ws_key = [| Storage.Value.Int key |];
-        ws_op = Storage.Writeset.Put [| Storage.Value.Int key |];
+        ws_key = [| key |];
+        ws_op = Storage.Writeset.Put [| key |];
       };
     ]
+
+let ws_on table key = ws_at table (Storage.Value.Int key)
 
 let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f =
   let engine = Sim.Engine.create () in
@@ -117,15 +119,40 @@ let test_failover_rebuilds_index () =
       | Core.Certifier.Commit _ -> ()
       | _ -> Alcotest.fail "clean writer aborted after failover")
 
+(* [[|Int 3|]] and [[|Float 3.0|]] are one row in the store, so two
+   concurrent writers of them conflict: whichever index, and whether or
+   not the writesets carry the group's ids, the second one aborts. *)
+let test_int_float_keys_conflict () =
+  List.iter
+    (fun (config, interned) ->
+      with_certifier ~config (fun c ->
+          let intern = if interned then Some (Core.Certifier.intern c) else None in
+          (match
+             Core.Certifier.certify c ~origin:0 ~snapshot:0
+               ~ws:(ws_at ?intern "t" (Storage.Value.Int 3))
+           with
+          | Core.Certifier.Commit _ -> ()
+          | _ -> Alcotest.fail "first writer aborted");
+          match
+            Core.Certifier.certify c ~origin:1 ~snapshot:0
+              ~ws:(ws_at ?intern "t" (Storage.Value.Float 3.0))
+          with
+          | Core.Certifier.Abort -> ()
+          | _ -> Alcotest.fail "concurrent float-key writer of the same row certified"))
+    [
+      (keyed_config, true); (keyed_config, false); (linear_config, true);
+      (linear_config, false);
+    ]
+
 (* --- Linear ≡ Keyed differential property ----------------------------- *)
 
 type op =
-  | Certify of int * int * int  (* origin, key, staleness *)
+  | Certify of int * Storage.Value.t * int  (* origin, key, staleness *)
   | Truncate of int  (* keep the last [window] versions *)
   | Failover
 
 let pp_op = function
-  | Certify (o, k, s) -> Printf.sprintf "Certify(%d,%d,%d)" o k s
+  | Certify (o, k, s) -> Printf.sprintf "Certify(%d,%s,%d)" o (Storage.Value.to_string k) s
   | Truncate w -> Printf.sprintf "Truncate(%d)" w
   | Failover -> "Failover"
 
@@ -142,10 +169,7 @@ let run_ops ?(interned = false) ~index ops =
   let out = ref [] in
   with_certifier ~config (fun c ->
       let ws_for key =
-        if interned then
-          Storage.Writeset.of_entries ~intern:(Core.Certifier.intern c)
-            (Storage.Writeset.entries (ws_on "t" key))
-        else ws_on "t" key
+        if interned then ws_at ~intern:(Core.Certifier.intern c) "t" key else ws_at "t" key
       in
       List.iter
         (fun op ->
@@ -182,7 +206,14 @@ let op_gen =
         ( 10,
           map3
             (fun o k s -> Certify (o, k, s))
-            (int_bound 2) (int_bound 15) (int_bound 30) );
+            (int_bound 2)
+            (* Integral-float keys name the same rows as the ints. *)
+            (oneof
+               [
+                 map (fun k -> Storage.Value.Int k) (int_bound 15);
+                 map (fun k -> Storage.Value.Float (float_of_int k)) (int_bound 15);
+               ])
+            (int_bound 30) );
         (1, map (fun w -> Truncate w) (int_bound 8));
         (1, return Failover);
       ])
@@ -328,6 +359,7 @@ let suites =
           test_prune_drops_index_entries;
         Alcotest.test_case "failover rebuilds index from the log" `Quick
           test_failover_rebuilds_index;
+        Alcotest.test_case "int and float keys conflict" `Quick test_int_float_keys_conflict;
         QCheck_alcotest.to_alcotest prop_linear_equals_keyed;
         QCheck_alcotest.to_alcotest prop_interned_is_representation_only;
       ] );

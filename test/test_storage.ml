@@ -264,6 +264,27 @@ let test_writeset_tables () =
   Alcotest.(check (list string)) "tables in first-write order" [ "b"; "a" ]
     (Writeset.tables ws)
 
+(* An [Int] key and the integral [Float] of the same value are one row
+   in the store, so they must be one record to a writeset and one
+   conflict id too, on the interned and the foreign path alike. *)
+let test_writeset_int_float_keys () =
+  let at key = { Writeset.ws_table = "t"; ws_key = [| key |]; ws_op = Writeset.Delete } in
+  let int_ws = Writeset.of_entries [ at (vi 3) ]
+  and float_ws = Writeset.of_entries [ at (Value.Float 3.0) ] in
+  Alcotest.(check bool) "foreign conflicts" true (Writeset.conflicts int_ws float_ws);
+  Alcotest.(check bool) "mem" true
+    (Writeset.mem int_ws ~table:"t" ~key:[| Value.Float 3.0 |]);
+  Alcotest.(check int) "one record" 1
+    (Writeset.cardinal (Writeset.of_entries [ at (vi 3); at (Value.Float 3.0) ]));
+  let intern = Intern.create () in
+  Alcotest.(check int) "one conflict id"
+    (Intern.id intern ~table:"t" ~key:[| vi 3 |])
+    (Intern.id intern ~table:"t" ~key:[| Value.Float 3.0 |]);
+  Alcotest.(check bool) "interned conflicts" true
+    (Writeset.conflicts
+       (Writeset.of_entries ~intern [ at (vi 3) ])
+       (Writeset.of_entries ~intern [ at (Value.Float 3.0) ]))
+
 (* --- Txn --- *)
 
 let test_txn_read_your_writes () =
@@ -613,6 +634,35 @@ let test_database_replay_is_redo_idempotent () =
   Alcotest.(check int) "partially installed row intact" 999 (balance_of db 1);
   Alcotest.(check int) "missing row installed by replay" 777 (balance_of db 2)
 
+(* Redo at an installed version is a no-op, even when the replayed row
+   differs: the chain, the version count and the secondary index (the
+   [owner] column) all stay as the first install left them. *)
+let test_database_reapply_leaves_state () =
+  let db = fresh_db () in
+  let accounts = Database.table db "accounts" in
+  let put owner =
+    Writeset.of_entries [ entry "accounts" 4 (Writeset.Put [| vi 4; vt owner; vi 1 |]) ]
+  in
+  let state () =
+    ( Table.fold_chains accounts ~init:[] ~f:(fun acc key chain -> (key, chain) :: acc),
+      Table.version_count accounts,
+      Table.index_entries accounts ~column:1 )
+  in
+  Database.apply_unpublished db (put "dave") ~version:1;
+  let installed = state () in
+  Database.apply_unpublished db (put "erin") ~version:1;
+  Database.apply db (put "erin") ~version:1;
+  Alcotest.(check bool) "chains, version count and index unchanged" true
+    (state () = installed);
+  Alcotest.(check int) "no index entry for the replayed row" 0
+    (List.length (Table.index_lookup accounts ~column:1 ~value:(vt "erin") ~at:1));
+  Alcotest.(check bool) "install_if_newer skips the installed version" false
+    (Table.install_if_newer accounts ~key:[| vi 4 |] ~version:1 None);
+  Alcotest.(check bool) "install_if_newer skips an older version" false
+    (Table.install_if_newer accounts ~key:[| vi 4 |] ~version:0 None);
+  Alcotest.(check bool) "install_if_newer installs a newer version" true
+    (Table.install_if_newer accounts ~key:[| vi 4 |] ~version:2 None)
+
 let test_database_gc () =
   let db = fresh_db () in
   for _ = 1 to 5 do
@@ -935,6 +985,121 @@ let prop_txn_atomic_transfer =
         transfers;
       total db = before)
 
+(* Differential: a transaction's writeset, built from its write buffer
+   and the ids resolved at buffer time, equals [Writeset.of_entries]
+   over the same writes; and the id-probing early-certification
+   predicates (a buffer against pending refresh keys, a refresh against
+   a buffer) decide exactly as [Writeset.conflicts] does. Writes hit
+   overlapping keys in two tables; refresh writesets mix int and
+   integral-float keys, interned and foreign. *)
+type txn_op =
+  | Insert of string * int
+  | Put_row of string * int
+  | Update of string * int
+  | Delete_key of string * int
+
+let txn_tables = [ "accounts"; "audit" ]
+
+let txn_op_gen =
+  let open QCheck.Gen in
+  let target = pair (oneofl txn_tables) (int_range 1 5) in
+  oneof
+    [
+      map (fun (t, k) -> Insert (t, k)) target;
+      map (fun (t, k) -> Put_row (t, k)) target;
+      map (fun (t, k) -> Update (t, k)) target;
+      map (fun (t, k) -> Delete_key (t, k)) target;
+    ]
+
+let print_txn_op = function
+  | Insert (t, k) -> Printf.sprintf "insert %s %d" t k
+  | Put_row (t, k) -> Printf.sprintf "put %s %d" t k
+  | Update (t, k) -> Printf.sprintf "update %s %d" t k
+  | Delete_key (t, k) -> Printf.sprintf "delete %s %d" t k
+
+(* A refresh writeset: (table, key, as an integral float?) triples, and
+   whether it is built against the group's intern table. *)
+let refresh_gen =
+  QCheck.Gen.(
+    pair (list_size (int_range 0 4) (triple (oneofl txn_tables) (int_range 1 7) bool)) bool)
+
+let print_refresh (keys, interned) =
+  Printf.sprintf "%s{%s}"
+    (if interned then "interned" else "foreign")
+    (String.concat ","
+       (List.map
+          (fun (t, k, f) -> Printf.sprintf "%s:%d%s" t k (if f then ".0" else ""))
+          keys))
+
+let prop_txn_writeset_matches_of_entries =
+  let open QCheck in
+  Test.make ~name:"txn writeset and id probes agree with of_entries and conflicts" ~count:200
+    (make
+       ~print:(fun (ops, refreshes) ->
+         String.concat "; " (List.map print_txn_op ops)
+         ^ " | "
+         ^ String.concat "; " (List.map print_refresh refreshes))
+       Gen.(
+         pair (list_size (int_range 0 25) txn_op_gen) (list_size (int_range 0 4) refresh_gen)))
+    (fun (ops, refreshes) ->
+      let db = fresh_db () in
+      ignore (Database.create_table db { accounts_schema with Schema.table_name = "audit" });
+      Database.load db "audit"
+        [ [| vi 2; vt "carol"; vi 20 |]; [| vi 4; vt "dan"; vi 40 |] ];
+      let intern = Database.intern db in
+      let txn = Txn.begin_ db in
+      let written = ref [] in
+      let record table k op =
+        written := { Writeset.ws_table = table; ws_key = [| vi k |]; ws_op = op } :: !written
+      in
+      let current table k = Option.get (Txn.get txn ~table ~key:[| vi k |]) in
+      List.iter
+        (function
+          | Insert (table, k) ->
+            if Result.is_ok (Txn.insert txn ~table [| vi k; vt "new"; vi k |]) then
+              record table k (Writeset.Put (current table k))
+          | Put_row (table, k) ->
+            ignore (Txn.put txn ~table [| vi k; vt "put"; vi (10 * k) |]);
+            record table k (Writeset.Put (current table k))
+          | Update (table, k) ->
+            if
+              Txn.update_key txn ~table ~key:[| vi k |]
+                ~set:[ ("balance", Expr.(Col 2 + i 1)) ]
+            then record table k (Writeset.Put (current table k))
+          | Delete_key (table, k) ->
+            if Txn.delete_key txn ~table ~key:[| vi k |] then record table k Writeset.Delete)
+        ops;
+      let ws = Txn.writeset txn in
+      let oracle = Writeset.of_entries ~intern (List.rev !written) in
+      let refresh_ws (keys, interned) =
+        let entries =
+          List.map
+            (fun (table, k, as_float) ->
+              let key = if as_float then Value.Float (float_of_int k) else vi k in
+              { Writeset.ws_table = table; ws_key = [| key |]; ws_op = Writeset.Delete })
+            keys
+        in
+        if interned then Writeset.of_entries ~intern entries else Writeset.of_entries entries
+      in
+      let refreshes = List.map refresh_ws refreshes in
+      let pending = Util.Tables.Itbl.create 16 in
+      List.iter
+        (fun r ->
+          Array.iter
+            (fun kid -> Util.Tables.Itbl.replace pending kid ())
+            (Writeset.cids r ~intern))
+        refreshes;
+      Writeset.entries ws = Writeset.entries oracle
+      && Writeset.cids ws ~intern = Writeset.cids oracle ~intern
+      && Writeset.cardinal ws = Writeset.cardinal oracle
+      && Txn.exists_write_id txn (Util.Tables.Itbl.mem pending)
+         = List.exists (Writeset.conflicts ws) refreshes
+      && List.for_all
+           (fun r ->
+             Array.exists (Txn.writes_id txn) (Writeset.cids r ~intern)
+             = ((not (Txn.is_read_only txn)) && Writeset.conflicts ws r))
+           refreshes)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -973,6 +1138,8 @@ let suites =
         Alcotest.test_case "supersede" `Quick test_writeset_supersede;
         Alcotest.test_case "tables" `Quick test_writeset_tables;
         Alcotest.test_case "conflict keys" `Quick test_writeset_keys;
+        Alcotest.test_case "int and float keys are one record" `Quick
+          test_writeset_int_float_keys;
       ] );
     ( "storage.txn",
       [
@@ -987,7 +1154,7 @@ let suites =
         Alcotest.test_case "read-only writeset empty" `Quick test_txn_read_only_writeset_empty;
         Alcotest.test_case "cost accounting" `Quick test_txn_cost_accounting;
       ]
-      @ qsuite [ prop_txn_atomic_transfer ] );
+      @ qsuite [ prop_txn_atomic_transfer; prop_txn_writeset_matches_of_entries ] );
     ( "storage.query",
       [
         Alcotest.test_case "exec and table-set" `Quick test_query_exec_and_tableset;
@@ -1007,6 +1174,8 @@ let suites =
           test_database_unpublished_invisible_until_publish;
         Alcotest.test_case "replay is redo-idempotent" `Quick
           test_database_replay_is_redo_idempotent;
+        Alcotest.test_case "re-apply leaves chain and index" `Quick
+          test_database_reapply_leaves_state;
         Alcotest.test_case "gc accounting" `Quick test_database_gc;
       ] );
     ( "storage.codec",
