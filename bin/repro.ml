@@ -828,32 +828,48 @@ let bench_cmd =
         (const bench $ quick_arg $ seed_arg $ bench_out_arg $ bench_check_arg
         $ bench_threshold_arg $ jobs_arg))
 
-(* --- report: the run-health observatory on a demo run --- *)
+(* --- the instrumented demo run: report and the default command --- *)
+
+let demo_mix = Workload.Tpcw.Shopping
+
+(* A TPC-W shopping-mix run, fine mode, 4 replicas, 40 clients, with the
+   run-health observatory attached. The think time is shorter than the
+   benchmark default so the demo trace is dense enough to be
+   interesting. [tune] adjusts the config; an invalid result is
+   returned as a usage error before anything is built. *)
+let demo_run ?(tracing = false) ~tune quick seed k =
+  let config = tune { (with_seed seed Core.Config.tpcw) with Core.Config.replicas = 4 } in
+  match Core.Config.validate config with
+  | Error msg -> `Error (true, msg)
+  | Ok () ->
+    let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
+    let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
+    let cluster =
+      Core.Cluster.create ~config ~tracing ~mode:Core.Consistency.Fine
+        ~schemas:Workload.Tpcw.schemas ~load:(Workload.Tpcw.load params) ()
+    in
+    for sid = 0 to 39 do
+      Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
+        (Workload.Tpcw.workload params demo_mix ~sid)
+    done;
+    let ts = Core.Cluster.start_observatory cluster in
+    Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
+    Core.Cluster.stop_observatory cluster ts;
+    k cluster ts
 
 let report quick seed window json_file =
-  let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
-  let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
-  let mix = Workload.Tpcw.Shopping in
-  let config = { (with_seed seed Core.Config.tpcw) with Core.Config.replicas = 4 } in
-  let cluster =
-    Core.Cluster.create ~config ~mode:Core.Consistency.Fine
-      ~schemas:Workload.Tpcw.schemas
-      ~load:(Workload.Tpcw.load params) ()
+  let tune c =
+    match window with None -> c | Some w -> { c with Core.Config.obs_window_ms = w }
   in
-  for sid = 0 to 39 do
-    Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
-      (Workload.Tpcw.workload params mix ~sid)
-  done;
-  let ts = Core.Cluster.start_observatory ?window_ms:window cluster in
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-  Core.Cluster.stop_observatory cluster ts;
+  demo_run ~tune quick seed @@ fun cluster ts ->
   print_string
     (Experiments.Report.health
        ~title:
          (Printf.sprintf "run health: TPC-W %s mix, fine mode, seed %d, %.0fms windows"
-          (Workload.Tpcw.mix_name mix) seed (Obs.Timeseries.window_ms ts))
+          (Workload.Tpcw.mix_name demo_mix) seed (Obs.Timeseries.window_ms ts))
        ts);
   Format.printf "@.%a@." Core.Metrics.pp_summary (Core.Cluster.metrics cluster);
+  Format.printf "@.Registry:@.%a@." Obs.Registry.pp (Core.Cluster.registry cluster);
   match json_file with
   | None -> `Ok ()
   | Some file -> (
@@ -864,7 +880,7 @@ let report quick seed window json_file =
     with Sys_error e -> `Error (false, Printf.sprintf "cannot write %s: %s" file e))
 
 let report_window_arg =
-  let doc = "Observatory window span in virtual ms (default: Config.obs_window_ms)." in
+  let doc = "Observatory window span in virtual ms, > 0 (default: Config.obs_window_ms)." in
   Arg.(value & opt (some float) None & info [ "window" ] ~docv:"MS" ~doc)
 
 let report_json_arg =
@@ -877,79 +893,36 @@ let report_cmd =
        ~doc:
          "Run an instrumented TPC-W demo with the run-health observatory on and \
           print the windowed health report (throughput, latency percentiles, \
-          staleness, certifier and detector activity)")
+          staleness, certifier and detector activity) and the metric registry")
     Term.(ret (const report $ quick_arg $ seed_arg $ report_window_arg $ report_json_arg))
-
-(* --- trace / telemetry: an instrumented demo run (default command) --- *)
 
 let trace_file_arg =
   let doc =
     "Run an instrumented TPC-W demo and write its trace as Chrome trace-event JSON to \
-     $(docv) (load it in chrome://tracing or ui.perfetto.dev)."
+     $(docv), with the observatory's windows as counter tracks (load it in \
+     chrome://tracing or ui.perfetto.dev)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let telemetry_arg =
-  let doc =
-    "Sample resource utilization during the demo run and print the counter/gauge \
-     registry and sampler summaries."
-  in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
-
-let trace_run trace_file telemetry quick seed cert_batch apply_parallelism =
-  if trace_file = None && not telemetry then `Help (`Pager, None)
-  else begin
-    let warmup_ms, measure_ms = if quick then (500.0, 2_000.0) else (1_000.0, 5_000.0) in
-    (* Shorter think time than the benchmark default so the demo trace is
-       dense enough to be interesting. *)
-    let params = { Workload.Tpcw.default with Workload.Tpcw.think_mean_ms = 300.0 } in
-    let mix = Workload.Tpcw.Shopping in
-    let config =
-      {
-        (with_seed seed Core.Config.tpcw) with
-        Core.Config.replicas = 4;
-        cert_batch;
-        apply_parallelism;
-      }
-    in
-    let cluster =
-      Core.Cluster.create ~config
-        ~tracing:(trace_file <> None)
-        ~mode:Core.Consistency.Fine ~schemas:Workload.Tpcw.schemas
-        ~load:(Workload.Tpcw.load params) ()
-    in
-    for sid = 0 to 39 do
-      Core.Client.spawn cluster ~sid ~rng:(Core.Cluster.rng cluster)
-        (Workload.Tpcw.workload params mix ~sid)
-    done;
-    let sampler =
-      if telemetry then Some (Core.Cluster.start_telemetry cluster) else None
-    in
-    Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-    Option.iter Obs.Sampler.stop sampler;
+let trace_run trace_file quick seed cert_batch apply_parallelism =
+  match trace_file with
+  | None -> `Help (`Pager, None)
+  | Some file ->
+    let tune c = { c with Core.Config.cert_batch; apply_parallelism } in
+    demo_run ~tracing:true ~tune quick seed @@ fun cluster ts ->
     let m = Core.Cluster.metrics cluster in
     Printf.printf
       "TPC-W %s mix, fine mode, 4 replicas, 40 clients, %.1fs measured: %.0f TPS, %.2f \
        ms mean response\n"
-      (Workload.Tpcw.mix_name mix) (measure_ms /. 1000.0)
+      (Workload.Tpcw.mix_name demo_mix) (Core.Metrics.window_ms m /. 1000.0)
       (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m);
-    (match sampler with
-    | Some s ->
-      Core.Cluster.update_gauges cluster;
-      Format.printf "@.Registry:@.%a@." Obs.Registry.pp (Core.Cluster.registry cluster);
-      Format.printf "@.Sampler (every %.0f ms):@.%a@." (Obs.Sampler.interval_ms s)
-        Obs.Sampler.pp s
-    | None -> ());
-    match (trace_file, Core.Cluster.trace cluster) with
-    | Some file, Some trace -> (
-      try
-        Obs.Export.write_chrome_trace ?sampler trace ~file;
-        Printf.printf "Wrote %d spans (%d dropped) to %s\n" (Obs.Trace.length trace)
-          (Obs.Trace.dropped trace) file;
-        `Ok ()
-      with Sys_error e -> `Error (false, Printf.sprintf "cannot write trace: %s" e))
-    | _ -> `Ok ()
-  end
+    let trace = Option.get (Core.Cluster.trace cluster) in
+    (try
+       Obs.Export.write_chrome_trace ~timeseries:ts trace ~file;
+       Printf.printf "Wrote %d spans (%d dropped) to %s\n" (Obs.Trace.length trace)
+         (Obs.Trace.dropped trace) file;
+       `Ok ()
+     with Sys_error e -> `Error (false, Printf.sprintf "cannot write trace: %s" e))
 
 let trace_cert_batch_arg =
   let doc = "Certification batch cap for the demo run (1 = unbatched)." in
@@ -962,7 +935,7 @@ let trace_apply_parallelism_arg =
 let trace_term =
   Term.ret
     Term.(
-      const trace_run $ trace_file_arg $ telemetry_arg $ quick_arg $ seed_arg
+      const trace_run $ trace_file_arg $ quick_arg $ seed_arg
       $ trace_cert_batch_arg $ trace_apply_parallelism_arg)
 
 (* --- all --- *)

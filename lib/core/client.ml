@@ -47,9 +47,7 @@ let run_transaction cluster ~sid ~rng ~budget request =
       (Obs.Registry.counter (Cluster.registry cluster) "txn.retry_exhausted")
   in
   let give_up_budget () =
-    Metrics.record_retry_budget_exhausted (Cluster.metrics cluster);
-    Obs.Registry.incr
-      (Obs.Registry.counter (Cluster.registry cluster) "txn.retry_budget_exhausted")
+    Metrics.record_retry_budget_exhausted (Cluster.metrics cluster)
   in
   (* Capped jittered exponential backoff before retry number
      [tries] (1-based). With the base at 0 (the default) there is

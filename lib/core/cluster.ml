@@ -3,6 +3,9 @@ let log_src =
 
 module Log = (val Logs.src_log log_src)
 
+type probe_kind = Gauge | Total
+
+type probe = { name : string; kind : probe_kind; read : unit -> float }
 
 type t = {
   engine : Sim.Engine.t;
@@ -29,8 +32,9 @@ type t = {
   c_commit : Obs.Registry.counter;
   c_commit_ro : Obs.Registry.counter;
   c_abort : Obs.Registry.counter;
-  c_shed : Obs.Registry.counter;
-  c_deadline : Obs.Registry.counter;
+  mutable probes : (probe * Obs.Registry.gauge) array;
+      (* the probe table with each entry's registry gauge; filled once
+         the record exists, since the readers close over it *)
   shed_tids : (int, unit) Hashtbl.t;
       (* every tid refused with [Transaction.Overloaded] — the chaos
          zombie-commit checker asserts none of them appears in the
@@ -141,6 +145,104 @@ let recover_lb t k =
      its peer from fresh silence, not from the outage it slept through. *)
   t.lb_heard.(k) <- Sim.Engine.now t.engine
 
+(* --- the probe table -------------------------------------------------
+
+   Every cluster-level reading is declared here, once. A [Gauge] is an
+   instantaneous level; a [Total] is a monotonic source. The registry
+   holds one gauge per entry ({!update_gauges}); the observatory reads a
+   gauge at each window close and turns a total into a per-window delta
+   counter ({!start_observatory}). *)
+
+(* Staleness of replica [r] as the version oracle sees it: how many
+   committed versions [v_system] is ahead of the replica's applied
+   [v_local]. The observatory's headline consistency gauge. *)
+let replica_lag t r =
+  Stdlib.max 0 (Load_balancer.v_system (active_lb t) - Replica.v_local r)
+
+let max_lag t =
+  Array.fold_left (fun acc r -> Stdlib.max acc (replica_lag t r)) 0 t.replicas
+
+let probe_table t =
+  let of_int kind name read = { name; kind; read = (fun () -> float_of_int (read ())) } in
+  let gauge = of_int Gauge and total = of_int Total in
+  let cpu name r =
+    [
+      gauge (name ^ ".busy") (fun () -> Sim.Resource.busy r);
+      gauge (name ^ ".queue") (fun () -> Sim.Resource.queue_length r);
+      { name = name ^ ".util"; kind = Gauge; read = (fun () -> Sim.Resource.utilization r) };
+    ]
+  in
+  let c = t.certifier in
+  let per_replica i r =
+    let name key = Printf.sprintf "replica%d.%s" i key in
+    [
+      gauge (name "refresh_queue") (fun () -> Replica.pending_refresh r);
+      gauge (name "active_txns") (fun () -> Replica.active_local r);
+      gauge (name "v_local") (fun () -> Replica.v_local r);
+      gauge (name "lag") (fun () -> replica_lag t r);
+      gauge (name "watermark") (fun () -> Certifier.watermark c ~replica:i);
+      gauge (name "lb_active") (fun () -> Load_balancer.active (active_lb t) ~replica:i);
+    ]
+    @ cpu (name "cpu") (Replica.cpu r)
+  in
+  List.concat (Array.to_list (Array.mapi per_replica t.replicas))
+  @ [
+      (* Consistency and log gauges. *)
+      gauge "v_system" (fun () -> Load_balancer.v_system (active_lb t));
+      gauge "replicas.lag.max" (fun () -> max_lag t);
+      gauge "refresh_queue.total" (fun () ->
+          Array.fold_left (fun acc r -> acc + Replica.pending_refresh r) 0 t.replicas);
+      gauge "lb.session_floors" (fun () -> Load_balancer.session_count (active_lb t));
+      gauge "certifier.log_size" (fun () -> Certifier.log_size c);
+      gauge "certifier.log_base" (fun () -> Certifier.log_base c);
+      gauge "certifier.watermark.min" (fun () -> Certifier.min_watermark c);
+      gauge "certifier.index_size" (fun () -> Certifier.index_size c);
+      gauge "certifier.epoch" (fun () -> Certifier.current_epoch c);
+      gauge "certifier.standby_lag" (fun () -> Certifier.standby_lag c);
+      gauge "lb.epoch" (fun () -> t.lb_epoch);
+      (* Overload levels: flat zero unless an overload knob is on. *)
+      gauge "certifier.backlog" (fun () -> Certifier.backlog c);
+      gauge "lb.admitted" (fun () -> Load_balancer.admitted (active_lb t));
+    ]
+  @ cpu "certifier.cpu" (Certifier.cpu c)
+  @ [
+      total "certifier.decisions" (fun () ->
+          let commits, aborts = Certifier.decisions c in
+          commits + aborts);
+      total "net.retransmits" (fun () -> Sim.Network.retransmits t.network);
+      total "certifier.retransmits" (fun () -> Certifier.retransmits c);
+      (* Failure detector and HA events. *)
+      total "detector.suspect" (fun () -> lb_sum t Load_balancer.suspect_events);
+      total "detector.dead" (fun () -> lb_sum t Load_balancer.failover_events);
+      total "detector.reprovision" (fun () -> t.reprovisions);
+      total "certifier.evictions" (fun () -> Certifier.evictions c);
+      total "certifier.promotions" (fun () -> Certifier.promotions c);
+      total "certifier.fenced" (fun () -> Certifier.fenced c);
+      total "certifier.elections" (fun () -> Certifier.elections c);
+      total "certifier.vote_denials" (fun () -> Certifier.vote_denials c);
+      total "certifier.lease_expiries" (fun () -> Certifier.lease_expiries c);
+      total "lb.takeovers" (fun () -> t.lb_takeovers);
+      total "lb.fenced" (fun () -> t.lb_fenced);
+      total "lb.cert_fenced" (fun () -> lb_sum t Load_balancer.cert_fenced);
+      (* Overload protection (docs/PROTOCOL.md, "Overload & admission
+         control"): zero unless a protection knob is on and fires. *)
+      total "certifier.shed" (fun () -> Certifier.shed c);
+      total "certifier.expired" (fun () -> Certifier.expired c);
+      total "txn.shed" (fun () -> Metrics.shed t.metrics);
+      total "txn.deadline_expired" (fun () -> Metrics.deadline_expired t.metrics);
+      total "txn.retry_budget_exhausted" (fun () ->
+          Metrics.retry_budget_exhausted t.metrics);
+    ]
+  @
+  match t.faults with
+  | None -> []
+  | Some f ->
+    [
+      total "fault.drops" (fun () -> Sim.Faults.drops f);
+      total "fault.duplicates" (fun () -> Sim.Faults.duplicates f);
+      total "fault.delays" (fun () -> Sim.Faults.delays f);
+    ]
+
 let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_536)
     ?faults ~mode ~schemas ~load () =
   (match Config.validate config with
@@ -190,16 +292,13 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
   | Some f ->
     Certifier.set_faults certifier f;
     Array.iter (fun r -> Replica.set_faults r f) replicas;
-    (* Every injected fault becomes a metric and a registry counter. *)
+    (* Every injected fault becomes a window-scoped metric. *)
     Sim.Faults.on_event f (fun ev ->
-        let kind, name =
-          match ev with
-          | Sim.Faults.Dropped _ -> (`Drop, "fault.drop")
-          | Sim.Faults.Duplicated _ -> (`Duplicate, "fault.duplicate")
-          | Sim.Faults.Delayed _ -> (`Delay, "fault.delay")
-        in
-        Metrics.note_fault metrics kind;
-        Obs.Registry.incr (Obs.Registry.counter registry name)));
+        Metrics.note_fault metrics
+          (match ev with
+          | Sim.Faults.Dropped _ -> `Drop
+          | Sim.Faults.Duplicated _ -> `Duplicate
+          | Sim.Faults.Delayed _ -> `Delay)));
   let t =
     {
       engine;
@@ -222,10 +321,9 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       obs;
       registry;
       c_commit = Obs.Registry.counter registry "txn.commit";
-      c_commit_ro = Obs.Registry.counter registry "txn.commit_read_only";
+      c_commit_ro = Obs.Registry.counter registry "txn.commit_ro";
       c_abort = Obs.Registry.counter registry "txn.abort";
-      c_shed = Obs.Registry.counter registry "txn.shed";
-      c_deadline = Obs.Registry.counter registry "txn.deadline_expired";
+      probes = [||];
       shed_tids = Hashtbl.create 64;
       next_tid = 0;
       log = Check.Runlog.Sink.create ();
@@ -323,19 +421,17 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
           let now = Sim.Engine.now engine in
           let lb = active_lb t in
           Load_balancer.sweep lb ~now;
-          (* Mirror detector transitions into metrics/registry. Summed
-             over instances so the cursors stay monotone across an LB
+          (* Mirror detector transitions into metrics. Summed over
+             instances so the cursors stay monotone across an LB
              takeover. *)
           let suspects = lb_sum t Load_balancer.suspect_events in
           for _ = t.seen_suspects + 1 to suspects do
-            Metrics.note_suspect metrics;
-            Obs.Registry.incr (Obs.Registry.counter registry "detector.suspect")
+            Metrics.note_suspect metrics
           done;
           t.seen_suspects <- suspects;
           let failovers = lb_sum t Load_balancer.failover_events in
           for _ = t.seen_failovers + 1 to failovers do
-            Metrics.note_failover metrics;
-            Obs.Registry.incr (Obs.Registry.counter registry "detector.dead")
+            Metrics.note_failover metrics
           done;
           t.seen_failovers <- failovers;
           (* Mirror retransmission work (stop-and-wait re-sends plus the
@@ -371,8 +467,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                        reprovision via checkpoint state transfer. *)
                     t.reprovisions <- t.reprovisions + 1;
                     Metrics.note_failover metrics;
-                    Obs.Registry.incr
-                      (Obs.Registry.counter registry "detector.reprovision");
                     crash_replica t id;
                     recover_replica t id
                   end
@@ -505,7 +599,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                 t.lb_active <- k;
                 t.lb_takeovers <- t.lb_takeovers + 1;
                 Metrics.note_lb_takeover metrics;
-                Obs.Registry.incr (Obs.Registry.counter registry "lb.takeover");
                 Log.info (fun m ->
                     m "[%.3f] LB instance %d took over routing (epoch %d, floor v%d)"
                       (Sim.Engine.now engine) k epoch floor);
@@ -516,6 +609,9 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
             loop ()))
       lbs
   end;
+  t.probes <-
+    Array.of_list
+      (List.map (fun p -> (p, Obs.Registry.gauge registry p.name)) (probe_table t));
   t
 
 let engine t = t.engine
@@ -542,208 +638,29 @@ let reprovisions t = t.reprovisions
 
 (* --- telemetry ----------------------------------------------------- *)
 
-(* Staleness of replica [r] as the version oracle sees it: how many
-   committed versions [v_system] is ahead of the replica's applied
-   [v_local]. The observatory's headline consistency gauge. *)
-let replica_lag t r =
-  Stdlib.max 0 (Load_balancer.v_system (active_lb t) - Replica.v_local r)
-
-let max_lag t =
-  Array.fold_left (fun acc r -> Stdlib.max acc (replica_lag t r)) 0 t.replicas
+let probes t = Array.to_list (Array.map fst t.probes)
 
 let update_gauges t =
-  let refresh_total = ref 0 in
-  Array.iteri
-    (fun i r ->
-      let pending = Replica.pending_refresh r in
-      refresh_total := !refresh_total + pending;
-      let name key = Printf.sprintf "replica%d.%s" i key in
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "refresh_queue"))
-        (float_of_int pending);
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "active_txns"))
-        (float_of_int (Replica.active_local r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "v_local"))
-        (float_of_int (Replica.v_local r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "lag"))
-        (float_of_int (replica_lag t r));
-      Obs.Registry.set (Obs.Registry.gauge t.registry (name "watermark"))
-        (float_of_int (Certifier.watermark t.certifier ~replica:i)))
-    t.replicas;
-  Obs.Registry.set (Obs.Registry.gauge t.registry "refresh_queue.total")
-    (float_of_int !refresh_total);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "replicas.lag.max")
-    (float_of_int (max_lag t));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.log_base")
-    (float_of_int (Certifier.log_base t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.session_floors")
-    (float_of_int (Load_balancer.session_count (active_lb t)));
+  Array.iter (fun (p, g) -> Obs.Registry.set g (p.read ())) t.probes;
   Metrics.set_health t.metrics
     ~lag_max:(float_of_int (max_lag t))
     ~cert_log:(Certifier.log_size t.certifier)
     ~watermark_horizon:(Certifier.log_base t.certifier)
-    ~epoch:(Certifier.current_epoch t.certifier);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.log_size")
-    (float_of_int (Certifier.log_size t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.queue")
-    (float_of_int (Sim.Resource.queue_length (Certifier.cpu t.certifier)));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.watermark.min")
-    (float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.index_size")
-    (float_of_int (Certifier.index_size t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "net.retransmits")
-    (float_of_int (Sim.Network.retransmits t.network));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.retransmits")
-    (float_of_int (Certifier.retransmits t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.evictions")
-    (float_of_int (Certifier.evictions t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.epoch")
-    (float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.fenced")
-    (float_of_int (Certifier.fenced t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.promotions")
-    (float_of_int (Certifier.promotions t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.standby_lag")
-    (float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.elections")
-    (float_of_int (Certifier.elections t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.vote_denials")
-    (float_of_int (Certifier.vote_denials t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.lease_expiries")
-    (float_of_int (Certifier.lease_expiries t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.cert_fenced")
-    (float_of_int (lb_cert_fenced t));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.suspects")
-    (float_of_int (lb_sum t Load_balancer.suspect_events));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.failovers")
-    (float_of_int (lb_sum t Load_balancer.failover_events));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.takeovers")
-    (float_of_int t.lb_takeovers);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.epoch")
-    (float_of_int t.lb_epoch);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.fenced")
-    (float_of_int t.lb_fenced);
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.backlog")
-    (float_of_int (Certifier.backlog t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.shed")
-    (float_of_int (Certifier.shed t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "certifier.expired")
-    (float_of_int (Certifier.expired t.certifier));
-  Obs.Registry.set
-    (Obs.Registry.gauge t.registry "lb.admitted")
-    (float_of_int (Load_balancer.admitted (active_lb t)));
-  match t.faults with
-  | None -> ()
-  | Some f ->
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.drops")
-      (float_of_int (Sim.Faults.drops f));
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.duplicates")
-      (float_of_int (Sim.Faults.duplicates f));
-    Obs.Registry.set
-      (Obs.Registry.gauge t.registry "faults.delays")
-      (float_of_int (Sim.Faults.delays f))
-
-let attach_probes t sampler =
-  Array.iteri
-    (fun i r ->
-      let name key = Printf.sprintf "replica%d.%s" i key in
-      Obs.Sampler.add_resource sampler ~name:(name "cpu") (Replica.cpu r);
-      Obs.Sampler.add sampler ~name:(name "refresh_queue") (fun () ->
-          float_of_int (Replica.pending_refresh r));
-      Obs.Sampler.add sampler ~name:(name "active_txns") (fun () ->
-          float_of_int (Replica.active_local r));
-      Obs.Sampler.add sampler ~name:(name "lag") (fun () ->
-          float_of_int (replica_lag t r));
-      Obs.Sampler.add sampler ~name:(name "lb_active") (fun () ->
-          float_of_int (Load_balancer.active (active_lb t) ~replica:i)))
-    t.replicas;
-  Obs.Sampler.add sampler ~name:"replicas.lag.max" (fun () ->
-      float_of_int (max_lag t));
-  Obs.Sampler.add_resource sampler ~name:"certifier.cpu" (Certifier.cpu t.certifier);
-  Obs.Sampler.add sampler ~name:"certifier.log_size" (fun () ->
-      float_of_int (Certifier.log_size t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.log_base" (fun () ->
-      float_of_int (Certifier.log_base t.certifier));
-  Obs.Sampler.add sampler ~name:"lb.session_floors" (fun () ->
-      float_of_int (Load_balancer.session_count (active_lb t)));
-  Obs.Sampler.add sampler ~name:"certifier.watermark.min" (fun () ->
-      float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.index_size" (fun () ->
-      float_of_int (Certifier.index_size t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.epoch" (fun () ->
-      float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Sampler.add sampler ~name:"certifier.standby_lag" (fun () ->
-      float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Sampler.add sampler ~name:"net.retransmits" (fun () ->
-      float_of_int (Sim.Network.retransmits t.network));
-  (* Overload channels: backlog depth, admitted in-flight and the shed /
-     deadline counters — flat zero lines unless an overload knob is on. *)
-  Obs.Sampler.add sampler ~name:"certifier.backlog" (fun () ->
-      float_of_int (Certifier.backlog t.certifier));
-  Obs.Sampler.add sampler ~name:"lb.admitted" (fun () ->
-      float_of_int (Load_balancer.admitted (active_lb t)));
-  Obs.Sampler.add sampler ~name:"txn.shed" (fun () ->
-      float_of_int (Metrics.shed t.metrics));
-  Obs.Sampler.add sampler ~name:"txn.deadline_expired" (fun () ->
-      float_of_int (Metrics.deadline_expired t.metrics));
-  (match t.faults with
-  | None -> ()
-  | Some f ->
-    Obs.Sampler.add sampler ~name:"faults.drops" (fun () ->
-        float_of_int (Sim.Faults.drops f)));
-  (* Keep the registry's gauges fresh on the same cadence. *)
-  Obs.Sampler.add sampler ~name:"v_system" (fun () ->
-      update_gauges t;
-      float_of_int (Load_balancer.v_system (active_lb t)))
-
-let start_telemetry ?interval_ms t =
-  let sampler = Obs.Sampler.create ?interval_ms t.engine in
-  attach_probes t sampler;
-  Obs.Sampler.start sampler;
-  sampler
+    ~epoch:(Certifier.current_epoch t.certifier)
 
 (* --- the run-health observatory ------------------------------------
 
    Windowed time series over the whole cluster: transaction outcomes
-   stream in through the Metrics outcome observer; rate counters over
-   monotonic sources (certifier decisions, retransmissions, faults,
-   detector and HA events) are mirrored as deltas at each window close;
-   consistency gauges (staleness, GC horizon, session floors, epoch)
-   are read at the same instant. Everything here only reads simulation
-   state — no RNG draw, no protocol event — so an observed run is
-   bit-identical to a blind one. *)
+   stream in through the Metrics outcome observer; the probe table's
+   totals are mirrored as per-window deltas and its gauges are read at
+   each window close, right after the registry gauges are refreshed.
+   Everything here only reads simulation state — no RNG draw, no
+   protocol event — so an observed run is bit-identical to a blind
+   one. *)
 
-let start_observatory ?window_ms t =
-  let window_ms = Option.value window_ms ~default:t.cfg.Config.obs_window_ms in
+let start_observatory t =
   let ts =
-    Obs.Timeseries.create ~window_ms
+    Obs.Timeseries.create ~window_ms:t.cfg.Config.obs_window_ms
       ~buckets_per_decade:t.cfg.Config.obs_hist_buckets_per_decade t.engine
   in
   (* Outcome stream -> windowed counters + latency distributions. *)
@@ -792,9 +709,11 @@ let start_observatory ?window_ms t =
                tier_channels
          end
          else Obs.Timeseries.bump c_abort));
-  (* Monotonic sources -> per-window deltas, mirrored at window close. *)
+  (* Probe table -> gauges read at window close, totals mirrored as
+     per-window deltas. The registry refresh rides the same close. *)
   let delta name read =
     let c = Obs.Timeseries.counter ts name in
+    let read () = int_of_float (read ()) in
     let seen = ref (read ()) in
     fun () ->
       let v = read () in
@@ -802,73 +721,17 @@ let start_observatory ?window_ms t =
       seen := v
   in
   let mirrors =
-    [
-      delta "certifier.decisions" (fun () ->
-          let commits, aborts = Certifier.decisions t.certifier in
-          commits + aborts);
-      delta "net.retransmits" (fun () ->
-          Sim.Network.retransmits t.network + Certifier.retransmits t.certifier);
-      delta "detector.suspect" (fun () -> lb_sum t Load_balancer.suspect_events);
-      delta "detector.dead" (fun () -> lb_sum t Load_balancer.failover_events);
-      delta "certifier.promotions" (fun () -> Certifier.promotions t.certifier);
-      delta "certifier.fenced" (fun () -> Certifier.fenced t.certifier);
-      delta "certifier.elections" (fun () -> Certifier.elections t.certifier);
-      delta "certifier.vote_denials" (fun () -> Certifier.vote_denials t.certifier);
-      delta "certifier.lease_expiries" (fun () ->
-          Certifier.lease_expiries t.certifier);
-      delta "lb.takeovers" (fun () -> t.lb_takeovers);
-      (* Overload-protection channels (docs/PROTOCOL.md, "Overload &
-         admission control"): zero-rate (and absent from rendered
-         reports) unless a protection knob is on and actually fires. *)
-      delta "txn.shed" (fun () -> Metrics.shed t.metrics);
-      delta "txn.deadline_expired" (fun () -> Metrics.deadline_expired t.metrics);
-      delta "txn.retry_budget_exhausted" (fun () ->
-          Metrics.retry_budget_exhausted t.metrics);
-    ]
-    @
-    match t.faults with
-    | None -> []
-    | Some f ->
-      [
-        delta "fault.drops" (fun () -> Sim.Faults.drops f);
-        delta "fault.duplicates" (fun () -> Sim.Faults.duplicates f);
-        delta "fault.delays" (fun () -> Sim.Faults.delays f);
-      ]
+    List.filter_map
+      (fun p ->
+        match p.kind with
+        | Gauge ->
+          Obs.Timeseries.add_probe ts ~name:p.name p.read;
+          None
+        | Total -> Some (delta p.name p.read))
+      (probes t)
   in
   Obs.Timeseries.add_pre_close ts (fun () -> List.iter (fun m -> m ()) mirrors);
-  (* Consistency gauges, sampled at window close (also refreshes the
-     registry gauges and the Metrics health snapshot). *)
-  Obs.Timeseries.add_probe ts ~name:"v_system" (fun () ->
-      update_gauges t;
-      float_of_int (Load_balancer.v_system (active_lb t)));
-  Array.iteri
-    (fun i r ->
-      Obs.Timeseries.add_probe ts
-        ~name:(Printf.sprintf "replica%d.lag" i)
-        (fun () -> float_of_int (replica_lag t r)))
-    t.replicas;
-  Obs.Timeseries.add_probe ts ~name:"replicas.lag.max" (fun () ->
-      float_of_int (max_lag t));
-  Obs.Timeseries.add_probe ts ~name:"certifier.log_size" (fun () ->
-      float_of_int (Certifier.log_size t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.log_base" (fun () ->
-      float_of_int (Certifier.log_base t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.watermark.min" (fun () ->
-      float_of_int (Certifier.min_watermark t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.epoch" (fun () ->
-      float_of_int (Certifier.current_epoch t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"certifier.standby_lag" (fun () ->
-      float_of_int (Certifier.standby_lag t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"lb.session_floors" (fun () ->
-      float_of_int (Load_balancer.session_count (active_lb t)));
-  Obs.Timeseries.add_probe ts ~name:"certifier.backlog" (fun () ->
-      float_of_int (Certifier.backlog t.certifier));
-  Obs.Timeseries.add_probe ts ~name:"lb.admitted" (fun () ->
-      float_of_int (Load_balancer.admitted (active_lb t)));
-  Obs.Timeseries.add_probe ts ~name:"refresh_queue.total" (fun () ->
-      Array.fold_left
-        (fun acc r -> acc +. float_of_int (Replica.pending_refresh r))
-        0.0 t.replicas);
+  Obs.Timeseries.add_pre_close ts (fun () -> update_gauges t);
   Obs.Timeseries.start ts;
   ts
 
@@ -1037,7 +900,6 @@ let submit t ~sid (req : Transaction.request) =
      All gates are off by default (see Config). *)
   let shed_abort retry_after_ms =
     Metrics.record_shed t.metrics;
-    Obs.Registry.incr t.c_shed;
     Hashtbl.replace t.shed_tids tid ();
     Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
       ~size_bytes:32;
@@ -1149,10 +1011,7 @@ let submit t ~sid (req : Transaction.request) =
   in
   match Replica.await_version ?deadline replica v_start with
   | Error reason ->
-    if now () >= txn_deadline then begin
-      Metrics.record_deadline_expired t.metrics;
-      Obs.Registry.incr t.c_deadline
-    end;
+    if now () >= txn_deadline then Metrics.record_deadline_expired t.metrics;
     abort ~finish:false reason
   | Ok () -> (
     Metrics.stage_exit mtxn Metrics.Version;
@@ -1210,7 +1069,6 @@ let submit t ~sid (req : Transaction.request) =
         (* The deadline passed while statements ran: drop the update
            before it ever reaches the certifier. *)
         Metrics.record_deadline_expired t.metrics;
-        Obs.Registry.incr t.c_deadline;
         abort Transaction.Timeout
       end
       else begin
@@ -1249,7 +1107,6 @@ let submit t ~sid (req : Transaction.request) =
           (* Refused by the bounded certifier backlog: surfaced to the
              client exactly like an LB shed, with the same hint. *)
           Metrics.record_shed t.metrics;
-          Obs.Registry.incr t.c_shed;
           Hashtbl.replace t.shed_tids tid ();
           abort
             (Transaction.Overloaded
@@ -1257,7 +1114,6 @@ let submit t ~sid (req : Transaction.request) =
         | Certifier.Expired ->
           (* Its deadline passed while it queued at the certifier. *)
           Metrics.record_deadline_expired t.metrics;
-          Obs.Registry.incr t.c_deadline;
           abort Transaction.Timeout
         | Certifier.Commit { version; epoch; global_commit = _ }
           when

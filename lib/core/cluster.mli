@@ -31,8 +31,9 @@ val create :
 
     [faults] builds a {!Sim.Faults} plan against the cluster's engine;
     the plan is attached to the network and to every component's
-    service-time model (gray slowdowns), and every injected fault event
-    is mirrored into {!metrics} and the {!registry}. The plan owns its
+    service-time model (gray slowdowns), every injected fault event is
+    mirrored into {!metrics}, and the plan's totals join the {!probes}
+    as [fault.*]. The plan owns its
     own RNG, so attaching an all-{!Sim.Faults.clean} plan leaves the
     run's event stream bit-identical to no plan at all. Pair with
     [Config.reliable] (see {!Config.hardened}) so the protocol actually
@@ -92,38 +93,36 @@ val trace : t -> Obs.Trace.t option
 
 val registry : t -> Obs.Registry.t
 (** Named counters (commits, read-only commits, aborts, exhausted
-    retries) and gauges; always live — counters cost one increment. *)
+    retries) and one gauge per {!probes} entry; always live — counters
+    cost one increment. *)
+
+type probe_kind = Gauge | Total
+(** Whether a probe reads an instantaneous level or a monotonic total. *)
+
+type probe = { name : string; kind : probe_kind; read : unit -> float }
+(** One entry of the cluster's probe table. *)
+
+val probes : t -> probe list
+(** The probe table: every cluster gauge and monotonic total, declared
+    once under one distinct name. Per-replica entries are [replicaN.*];
+    [fault.*] entries exist only when a fault plan is attached. Both
+    {!update_gauges} and {!start_observatory} are derived from it. *)
 
 val update_gauges : t -> unit
-(** Refresh the registry's gauges (refresh-queue depths, active
-    transactions, per-replica staleness, certifier log size / base /
-    queue, session floors) from current state, and record the
+(** Set each {!probes} entry's registry gauge from current state (a
+    total's gauge holds its running value), and record the
     {!Metrics.health} snapshot. *)
 
-val attach_probes : t -> Obs.Sampler.t -> unit
-(** Register the standard probe set on a sampler: per-replica CPU
-    (busy/queue/utilization), refresh queue, active transactions and LB
-    in-flight count; certifier CPU and log size; [v_system]. The
-    [v_system] probe also calls {!update_gauges} each tick. *)
-
-val start_telemetry : ?interval_ms:float -> t -> Obs.Sampler.t
-(** Convenience: create a sampler on the cluster engine, attach the
-    standard probes and start it. *)
-
-val start_observatory : ?window_ms:float -> t -> Obs.Timeseries.t
+val start_observatory : t -> Obs.Timeseries.t
 (** Start the run-health observatory: a windowed {!Obs.Timeseries}
-    (window span from [window_ms], default [Config.obs_window_ms]) fed
-    by three channels — the {!Metrics} outcome observer (commit /
-    read-only commit / abort counts plus response-time and per-stage
-    latency histograms), per-window deltas of monotonic sources
-    (certifier decisions, retransmissions, fault injections, detector
-    and HA events), and consistency gauges read at each window close
-    (per-replica staleness [v_system - v_local] and its max, certifier
-    log length and GC horizon, watermark minimum, session-floor count,
-    epoch, standby lag, refresh backlog). The gauge pass also refreshes
-    {!registry} gauges and the {!Metrics.health} snapshot. The
-    observatory only reads state: an observed run executes the same
-    events as a blind one (pinned by the determinism tests). *)
+    ([Config.obs_window_ms] windows) fed by three channels — the
+    {!Metrics} outcome observer (commit / read-only commit / abort
+    counts plus response-time and per-stage latency histograms), a
+    per-window delta counter per {!probes} total, and a window gauge per
+    {!probes} gauge read at each window close. Every window close also
+    calls {!update_gauges}. The observatory only reads state: an
+    observed run executes the same events as a blind one (pinned by the
+    determinism tests). *)
 
 val stop_observatory : t -> Obs.Timeseries.t -> unit
 (** Stop the observatory's window process, flush the final partial

@@ -255,6 +255,10 @@ let validate c =
       c.retry_budget_per_s
   else if c.deadline_ms < 0.0 then
     err "deadline must be > 0, or 0 to disable (got %g ms)" c.deadline_ms
+  else if c.obs_window_ms <= 0.0 then
+    err "obs-window must be > 0 (got %g ms)" c.obs_window_ms
+  else if c.obs_hist_buckets_per_decade <= 0 then
+    err "obs-hist-buckets-per-decade must be > 0 (got %d)" c.obs_hist_buckets_per_decade
   else Ok ()
 
 let pp ppf c =

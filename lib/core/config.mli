@@ -194,11 +194,12 @@ type t = {
   obs_window_ms : float;
       (** time-series window span in virtual ms ({!Obs.Timeseries});
           every windowed rate, latency summary and health gauge is
-          aggregated per window of this size *)
+          aggregated per window of this size; must be > 0 *)
   obs_hist_buckets_per_decade : int;
       (** resolution of the observatory's log-bucketed latency
           histograms ({!Util.Histogram.Log}): relative quantile error is
-          bounded by [10^(1/(2n)) - 1] (~2.9% at the default 40) *)
+          bounded by [10^(1/(2n)) - 1] (~2.9% at the default 40); must
+          be > 0 *)
   (* mixed-consistency read tiers (docs/CONSISTENCY.md). Off by
      default: with [read_tiers = false] every request runs under the
      cluster's write mode and the tier machinery allocates nothing —

@@ -74,6 +74,9 @@ let health ?(title = "run health") (ts : Obs.Timeseries.t) =
     let gauge w name =
       Option.value (Obs.Timeseries.gauge_value w name) ~default:0.0
     in
+    (* Network stop-and-wait re-sends plus the certifier's refresh
+       repair: one retransmission column. *)
+    let retransmits w = count w "net.retransmits" + count w "certifier.retransmits" in
     let dist_p w name pick =
       match Obs.Timeseries.summary_of w name with
       | None -> 0.0
@@ -94,7 +97,7 @@ let health ?(title = "run health") (ts : Obs.Timeseries.t) =
             fmt_f (dist_p w "response" (fun s -> s.Obs.Timeseries.p95));
             fmt_f (dist_p w "response" (fun s -> s.Obs.Timeseries.p99));
             fmt_f (Obs.Timeseries.rate_per_sec w "certifier.decisions");
-            string_of_int (count w "net.retransmits");
+            string_of_int (retransmits w);
             fmt_f (gauge w "replicas.lag.max");
             fmt_f (gauge w "certifier.log_size");
             fmt_f (gauge w "certifier.log_base");
@@ -125,7 +128,7 @@ let health ?(title = "run health") (ts : Obs.Timeseries.t) =
     spark "p99" (fun w -> dist_p w "response" (fun s -> s.Obs.Timeseries.p99));
     spark "lag.max" (fun w -> gauge w "replicas.lag.max");
     spark "aborts" (fun w -> float_of_int (count w "txn.abort"));
-    spark "retransmits" (fun w -> float_of_int (count w "net.retransmits"));
+    spark "retransmits" (fun w -> float_of_int (retransmits w));
     spark "faults" (fun w ->
         float_of_int
           (count w "fault.drops" + count w "fault.duplicates"

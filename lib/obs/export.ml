@@ -1,6 +1,6 @@
 (* Chrome trace-event export: load the file in chrome://tracing or
-   https://ui.perfetto.dev. Spans become complete ("X") events, sampler
-   series become counter ("C") events, and metadata events name one
+   https://ui.perfetto.dev. Spans become complete ("X") events, time
+   series windows become counter ("C") events, and metadata events name one
    process per component with one thread per replica. *)
 
 let telemetry_pid = 5
@@ -57,21 +57,6 @@ let metadata_events spans =
   in
   procs @ thrs
 
-let counter_events (sampler : Sampler.t) =
-  List.concat_map
-    (fun (s : Sampler.series) ->
-      Array.to_list s.Sampler.points
-      |> List.map (fun (time_ms, value) ->
-             Json.Obj
-               [
-                 ("name", Json.Str s.Sampler.name);
-                 ("ph", Json.Str "C");
-                 ("ts", Json.Num (us time_ms));
-                 ("pid", Json.Num (float_of_int telemetry_pid));
-                 ("args", Json.Obj [ ("value", Json.Num value) ]);
-               ]))
-    (Sampler.series sampler)
-
 (* Each closed window becomes one "C" event per channel, stamped at the
    window's end: counters as windowed rates (per second of virtual
    time), gauges as read, distributions as their p99. *)
@@ -108,20 +93,12 @@ let telemetry_process_name =
       ("args", Json.Obj [ ("name", Json.Str "telemetry") ]);
     ]
 
-let chrome_json ?sampler ?timeseries trace =
+let chrome_json ?timeseries trace =
   let spans = Trace.spans trace in
-  let sampler_events =
-    match sampler with None -> [] | Some s -> counter_events s
-  in
-  let timeseries_events =
-    match timeseries with
-    | None -> []
-    | Some ts -> timeseries_counter_events ts
-  in
   let counters =
-    match sampler_events @ timeseries_events with
-    | [] -> []
-    | events -> telemetry_process_name :: events
+    match Option.map timeseries_counter_events timeseries with
+    | None | Some [] -> []
+    | Some events -> telemetry_process_name :: events
   in
   Json.Obj
     [
@@ -129,14 +106,13 @@ let chrome_json ?sampler ?timeseries trace =
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-let chrome_trace ?sampler ?timeseries trace =
-  Json.to_string (chrome_json ?sampler ?timeseries trace)
+let chrome_trace ?timeseries trace = Json.to_string (chrome_json ?timeseries trace)
 
-let write_chrome_trace ?sampler ?timeseries trace ~file =
+let write_chrome_trace ?timeseries trace ~file =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome_trace ?sampler ?timeseries trace))
+    (fun () -> output_string oc (chrome_trace ?timeseries trace))
 
 let timeseries_json (ts : Timeseries.t) =
   let window (w : Timeseries.window) =

@@ -3,16 +3,15 @@
     The JSON loads in [chrome://tracing] or {{:https://ui.perfetto.dev}
     Perfetto}: components render as processes (load balancer, replicas,
     certifier, clients), replicas as threads, spans as nested slices,
-    and sampler series as counter tracks. *)
+    and time-series windows as counter tracks. *)
 
-val chrome_json : ?sampler:Sampler.t -> ?timeseries:Timeseries.t -> Trace.t -> Json.t
-(** The trace as a [{"traceEvents": [...]}] document; pass [sampler]
-    and/or [timeseries] to include their series as counter events. *)
+val chrome_json : ?timeseries:Timeseries.t -> Trace.t -> Json.t
+(** The trace as a [{"traceEvents": [...]}] document; pass [timeseries]
+    to include its windows as counter events. *)
 
-val chrome_trace : ?sampler:Sampler.t -> ?timeseries:Timeseries.t -> Trace.t -> string
+val chrome_trace : ?timeseries:Timeseries.t -> Trace.t -> string
 
-val write_chrome_trace :
-  ?sampler:Sampler.t -> ?timeseries:Timeseries.t -> Trace.t -> file:string -> unit
+val write_chrome_trace : ?timeseries:Timeseries.t -> Trace.t -> file:string -> unit
 
 val timeseries_json : Timeseries.t -> Json.t
 (** The windowed series as a standalone document:

@@ -16,7 +16,7 @@
 
     Recording costs one hash-free mutation on the hot path; window
     rollover is driven by a simulation process ({!start}) that wakes
-    once per window, like {!Sampler}. Nothing here draws randomness or
+    once per window. Nothing here draws randomness or
     perturbs protocol events, so an instrumented run is bit-identical
     in outcome to an uninstrumented one, and two instrumented runs with
     the same seed produce identical series (both are pinned by tests). *)

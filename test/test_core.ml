@@ -314,7 +314,8 @@ let observatory_run () =
   let params = { Workload.Microbench.tables = 4; rows = 200; update_types = 2 } in
   let cluster =
     Core.Cluster.create
-      ~config:{ small_config with Core.Config.hiccup_interval_ms = 700.0 }
+      ~config:
+        { small_config with Core.Config.hiccup_interval_ms = 700.0; obs_window_ms = 100.0 }
       ~tracing:false ~mode:Core.Consistency.Fine
       ~schemas:(Workload.Microbench.schemas params)
       ~load:(Workload.Microbench.load params)
@@ -322,7 +323,7 @@ let observatory_run () =
   in
   Core.Client.spawn_many cluster ~n:12 ~first_sid:0
     (Workload.Microbench.workload params);
-  let ts = Core.Cluster.start_observatory ~window_ms:100.0 cluster in
+  let ts = Core.Cluster.start_observatory cluster in
   Core.Cluster.run_for cluster ~warmup_ms:200.0 ~measure_ms:1_500.0;
   Core.Cluster.stop_observatory cluster ts;
   let m = Core.Cluster.metrics cluster in
@@ -395,6 +396,77 @@ let test_observatory_channels_populated () =
   Alcotest.(check bool) "v_system gauge advanced" true (gauge "v_system" > 0.0);
   Alcotest.(check bool) "lag gauge sane" true (gauge "replicas.lag.max" >= 0.0);
   Alcotest.(check bool) "cert log gauge sane" true (gauge "certifier.log_size" >= 0.0)
+
+let test_probe_table_coverage () =
+  (* Every probe-table entry reaches both sinks under its one name. The
+     cluster carries every optional source — a fault plan, a standby LB
+     and a certifier standby — so the table is at its widest. *)
+  let params = { Workload.Microbench.tables = 4; rows = 200; update_types = 2 } in
+  let cluster =
+    Core.Cluster.create
+      ~config:
+        {
+          small_config with
+          Core.Config.lb_standby = true;
+          certifier_standbys = 1;
+          obs_window_ms = 100.0;
+        }
+      ~faults:(fun e -> Sim.Faults.create ~seed:5 e)
+      ~mode:Core.Consistency.Fine
+      ~schemas:(Workload.Microbench.schemas params)
+      ~load:(Workload.Microbench.load params)
+      ()
+  in
+  Core.Client.spawn_many cluster ~n:6 ~first_sid:0 (Workload.Microbench.workload params);
+  let ts = Core.Cluster.start_observatory cluster in
+  Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:300.0;
+  Core.Cluster.stop_observatory cluster ts;
+  Core.Cluster.update_gauges cluster;
+  let probes = Core.Cluster.probes cluster in
+  let names = List.map (fun (p : Core.Cluster.probe) -> p.Core.Cluster.name) probes in
+  Alcotest.(check int) "table names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " in the table") true (List.mem name names))
+    [ "replica2.cpu.util"; "certifier.cpu.queue"; "fault.drops"; "lb.takeovers" ];
+  let registry = Core.Cluster.registry cluster in
+  List.iter
+    (fun (p : Core.Cluster.probe) ->
+      let name = p.Core.Cluster.name in
+      Alcotest.(check bool) (name ^ " registered") true
+        (Obs.Registry.find registry name <> None);
+      Alcotest.(check (float 0.0))
+        (name ^ " is a current registry gauge")
+        (p.Core.Cluster.read ())
+        (Obs.Registry.gauge_value (Obs.Registry.gauge registry name)))
+    probes;
+  let windows = Obs.Timeseries.windows ts in
+  Alcotest.(check bool) "windows recorded" true (List.length windows >= 4);
+  let last = List.nth windows (List.length windows - 1) in
+  List.iter
+    (fun (p : Core.Cluster.probe) ->
+      let name = p.Core.Cluster.name in
+      match p.Core.Cluster.kind with
+      | Core.Cluster.Gauge ->
+        Alcotest.(check bool) (name ^ " is a window gauge") true
+          (List.mem_assoc name last.Obs.Timeseries.gauges)
+      | Core.Cluster.Total ->
+        Alcotest.(check bool) (name ^ " is a window counter") true
+          (List.mem_assoc name last.Obs.Timeseries.counters))
+    probes;
+  List.iter
+    (fun (w : Obs.Timeseries.window) ->
+      let listed =
+        List.map fst w.Obs.Timeseries.counters
+        @ List.map fst w.Obs.Timeseries.gauges
+        @ List.map fst w.Obs.Timeseries.dists
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "window %d lists each name once" w.Obs.Timeseries.seq)
+        (List.length listed)
+        (List.length (List.sort_uniq compare listed)))
+    windows
 
 (* --- Certifier unit tests (driven directly, inside a process) --- *)
 
@@ -523,6 +595,8 @@ let suites =
           test_observatory_series_deterministic;
         Alcotest.test_case "observatory channels populated" `Quick
           test_observatory_channels_populated;
+        Alcotest.test_case "probe table feeds registry and observatory" `Quick
+          test_probe_table_coverage;
         Alcotest.test_case "tracing is zero-overhead" `Quick test_tracing_zero_overhead;
       ] );
     ( "core.certifier",

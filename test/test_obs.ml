@@ -1,6 +1,6 @@
 (* Tests for the observability subsystem: span buffer, registry,
-   sampler, JSON codec, and the Chrome trace-event exporter fed by a
-   real traced cluster run. *)
+   windowed time series, JSON codec, and the Chrome trace-event exporter
+   fed by a real traced cluster run. *)
 
 let mk_trace () =
   let engine = Sim.Engine.create () in
@@ -85,37 +85,6 @@ let test_registry_counters_and_gauges () =
   Alcotest.check_raises "kind clash rejected"
     (Invalid_argument "Registry.gauge: \"commits\" is a counter") (fun () ->
       ignore (Obs.Registry.gauge r "commits"))
-
-(* --- Sampler --- *)
-
-let test_sampler_periodic_series () =
-  let engine = Sim.Engine.create () in
-  let s = Obs.Sampler.create ~interval_ms:10.0 engine in
-  Obs.Sampler.add s ~name:"clock" (fun () -> Sim.Engine.now engine);
-  Obs.Sampler.start s;
-  Sim.Engine.schedule engine ~delay:35.0 (fun () -> Obs.Sampler.stop s);
-  Sim.Engine.run engine;
-  (* Samples on start and then every 10 ms; the stop at t=35 lets the
-     t=40 wake-up exit the loop so a horizonless run can drain. *)
-  match Obs.Sampler.series s with
-  | [ { Obs.Sampler.name; points } ] ->
-    Alcotest.(check string) "series name" "clock" name;
-    Alcotest.(check (list (float 1e-9)))
-      "one sample per interval" [ 0.0; 10.0; 20.0; 30.0 ]
-      (Array.to_list (Array.map fst points));
-    Alcotest.(check (list (float 1e-9)))
-      "probe read at sample time" [ 0.0; 10.0; 20.0; 30.0 ]
-      (Array.to_list (Array.map snd points))
-  | l -> Alcotest.failf "expected 1 series, got %d" (List.length l)
-
-let test_sampler_resource_probes () =
-  let engine = Sim.Engine.create () in
-  let s = Obs.Sampler.create engine in
-  let r = Sim.Resource.create engine ~servers:2 in
-  Obs.Sampler.add_resource s ~name:"cpu" r;
-  Alcotest.(check (list string)) "busy/queue/util probes" [ "cpu.busy"; "cpu.queue"; "cpu.util" ]
-    (List.map (fun (ser : Obs.Sampler.series) -> ser.Obs.Sampler.name)
-       (Obs.Sampler.series s))
 
 (* --- Timeseries (windowed run-health telemetry) --- *)
 
@@ -373,11 +342,6 @@ let suites =
     ( "obs.registry",
       [ Alcotest.test_case "counters and gauges" `Quick test_registry_counters_and_gauges ]
     );
-    ( "obs.sampler",
-      [
-        Alcotest.test_case "periodic series" `Quick test_sampler_periodic_series;
-        Alcotest.test_case "resource probes" `Quick test_sampler_resource_probes;
-      ] );
     ( "obs.timeseries",
       [
         Alcotest.test_case "windows and channels" `Quick

@@ -102,7 +102,13 @@ let test_overload_config_validation () =
   rejected "retry budget with no refill"
     { base_config with Core.Config.retry_budget = 4.0; retry_budget_per_s = 0.0 };
   rejected "negative deadline"
-    { base_config with Core.Config.deadline_ms = -10.0 }
+    { base_config with Core.Config.deadline_ms = -10.0 };
+  rejected "zero observatory window"
+    { base_config with Core.Config.obs_window_ms = 0.0 };
+  rejected "negative observatory window"
+    { base_config with Core.Config.obs_window_ms = -250.0 };
+  rejected "no histogram buckets"
+    { base_config with Core.Config.obs_hist_buckets_per_decade = 0 }
 
 (* --- Admission shedding: refusals, hints, zero zombies ---------------- *)
 
