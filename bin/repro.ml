@@ -168,11 +168,16 @@ let batch quick seed cert_batch apply_parallelism clients costs =
         Option.value apply_parallelism ~default:b.Core.Config.apply_parallelism;
     }
   in
-  let points =
-    Experiments.Batch_sweep.run ~config:(with_seed seed config) ~batched ~params
-      ~clients ~update_points ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Batch_sweep.render points)
+  let config = with_seed seed config in
+  match Core.Config.validate (batched config) with
+  | Error msg -> `Error (true, msg)
+  | Ok () ->
+    let points =
+      Experiments.Batch_sweep.run ~config ~batched ~params ~clients ~update_points
+        ~warmup_ms ~measure_ms ()
+    in
+    print_string (Experiments.Batch_sweep.render points);
+    `Ok ()
 
 let batch_cmd =
   Cmd.v
@@ -181,68 +186,46 @@ let batch_cmd =
          "Measure group certification + conflict-aware parallel refresh apply \
           against the unbatched pipeline")
     Term.(
-      const batch $ quick_arg $ seed_arg $ cert_batch_arg $ apply_parallelism_arg
-      $ clients_arg $ costs_arg)
-
-(* --- certindex: host cost of the certification conflict check --- *)
-
-let certindex quick versions ws_rows jobs =
-  let versions = if quick then min versions 2_000 else versions in
-  let stalenesses =
-    List.filter (fun s -> s <= versions) Experiments.Cert_index.default_stalenesses
-  in
-  let points = Experiments.Cert_index.run ~versions ~ws_rows ~stalenesses ~jobs () in
-  print_string (Experiments.Cert_index.render points)
-
-let certindex_cmd =
-  let versions =
-    let doc = "Committed versions in the certifier log fixture." in
-    Arg.(value & opt int 10_000 & info [ "versions" ] ~docv:"N" ~doc)
-  in
-  let ws_rows =
-    let doc = "Rows per writeset (both the committed and the probing ones)." in
-    Arg.(value & opt int 4 & info [ "ws-rows" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "certindex"
-       ~doc:
-         "Measure the host CPU cost of Linear vs Keyed certification as the \
-          requesting snapshot falls behind (the simulated protocol is \
-          decision-identical either way)")
-    Term.(const certindex $ quick_arg $ versions $ ws_rows $ jobs_arg)
+      ret
+        (const batch $ quick_arg $ seed_arg $ cert_batch_arg $ apply_parallelism_arg
+        $ clients_arg $ costs_arg))
 
 (* --- ablations --- *)
 
 let ablation which quick =
   let measure_ms = if quick then 3_000.0 else 6_000.0 in
-  let run name =
-    match name with
-    | "apply" ->
+  let run = function
+    | `Apply ->
       print_string
         (Experiments.Ablation.render ~title:"Ablation: writeset shipping vs re-execution"
            (Experiments.Ablation.apply_vs_reexec ~measure_ms ()))
-    | "span" ->
+    | `Span ->
       print_string
         (Experiments.Ablation.render ~title:"Ablation: table-set granularity"
            (Experiments.Ablation.table_span ~measure_ms ()))
-    | "early-cert" ->
+    | `Early_cert ->
       print_string
         (Experiments.Ablation.render ~title:"Ablation: early certification"
            (Experiments.Ablation.early_certification ~measure_ms ()))
-    | "routing" ->
+    | `Routing ->
       print_string
         (Experiments.Ablation.render ~title:"Ablation: load-balancer routing"
            (Experiments.Ablation.routing ~measure_ms ()))
-    | other -> Printf.eprintf "unknown ablation %S\n" other
   in
   match which with
-  | "all" -> List.iter run [ "apply"; "span"; "early-cert"; "routing" ]
-  | name -> run name
+  | `All -> List.iter run [ `Apply; `Span; `Early_cert; `Routing ]
+  | (`Apply | `Span | `Early_cert | `Routing) as name -> run name
 
 let ablation_cmd =
   let which =
     let doc = "Which ablation: apply, span, early-cert, routing, or all." in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"NAME" ~doc)
+    let names =
+      [
+        ("apply", `Apply); ("span", `Span); ("early-cert", `Early_cert);
+        ("routing", `Routing); ("all", `All);
+      ]
+    in
+    Arg.(value & pos 0 (enum names) `All & info [] ~docv:"NAME" ~doc)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the design-choice ablation benchmarks")
@@ -716,118 +699,6 @@ let tiers_cmd =
           contract on the run log")
     Term.(ret (const tiers $ quick_arg $ seed_arg $ tiers_clients_arg $ jobs_arg))
 
-(* --- bench: the committed baseline and its regression gate --- *)
-
-(* `--check` with no FILE picks the newest committed baseline: the
-   highest-numbered BENCH_<n>.json in the working directory (the
-   in-tree convention — BENCH_6.json is the pre-optimization reference,
-   the highest number is the current gate). *)
-let newest_baseline () =
-  let number name =
-    if String.length name > 11
-       && String.sub name 0 6 = "BENCH_"
-       && Filename.check_suffix name ".json"
-    then int_of_string_opt (String.sub name 6 (String.length name - 11))
-    else None
-  in
-  Array.fold_left
-    (fun best name ->
-      match (number name, best) with
-      | Some n, Some (bn, _) when n > bn -> Some (n, name)
-      | Some n, None -> Some (n, name)
-      | _ -> best)
-    None (Sys.readdir ".")
-
-let bench quick seed out check_file threshold jobs =
-  let quick = quick || Sys.getenv_opt "REPRO_BENCH_QUICK" = Some "1" in
-  let check_file =
-    match check_file with
-    | Some "auto" -> (
-      match newest_baseline () with
-      | Some (_, name) ->
-        Printf.printf "auto-selected baseline %s (highest-numbered BENCH_*.json)\n" name;
-        Ok (Some name)
-      | None -> Error "no BENCH_*.json baseline found in the working directory")
-    | other -> Ok other
-  in
-  match check_file with
-  | Error e -> `Error (false, e)
-  | Ok check_file -> (
-  match check_file with
-  | None ->
-    let r = Experiments.Bench.run ~quick ~seed ~jobs () in
-    print_string (Experiments.Bench.render r);
-    (match out with
-    | None -> `Ok ()
-    | Some file -> (
-      try
-        Experiments.Bench.save r ~file;
-        Printf.printf "wrote %s\n" file;
-        `Ok ()
-      with Sys_error e -> `Error (false, Printf.sprintf "cannot write %s: %s" file e)))
-  | Some file -> (
-    match Experiments.Bench.load ~file with
-    | Error e -> `Error (false, Printf.sprintf "cannot load baseline %s: %s" file e)
-    | Ok baseline ->
-      (* The gate re-runs the sweep at the baseline's own scale and seed,
-         so `repro bench --check FILE` needs no other flags to agree with
-         however the baseline was generated. *)
-      let r =
-        Experiments.Bench.run ~quick:baseline.Experiments.Bench.quick
-          ~seed:baseline.Experiments.Bench.seed ~jobs ()
-      in
-      print_string (Experiments.Bench.render r);
-      (match Experiments.Bench.compare_runs ~baseline ~current:r ~threshold with
-      | [] ->
-        Printf.printf "regression gate: ok against %s (threshold %.0f%%)\n" file
-          (100.0 *. threshold);
-        `Ok ()
-      | problems ->
-        List.iter (fun p -> Printf.eprintf "REGRESSION: %s\n" p) problems;
-        `Error
-          ( false,
-            Printf.sprintf "%d headline regression(s) against %s"
-              (List.length problems) file ))))
-
-let bench_out_arg =
-  let doc = "Also write the sweep as JSON to $(docv) (the committed baseline format)." in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-
-let bench_check_arg =
-  let doc =
-    "Regression gate: re-run the sweep at the baseline's scale and seed and fail \
-     if any headline metric (TPS, p99 response, certifier decisions/sec) regressed \
-     beyond the threshold. With no $(docv), auto-selects the highest-numbered \
-     BENCH_*.json in the working directory and prints which one."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "auto") (some string) None
-    & info [ "check" ] ~docv:"FILE" ~doc)
-
-let bench_threshold_arg =
-  let doc = "Relative regression threshold for $(b,--check) (fraction)." in
-  Arg.(value & opt float 0.15 & info [ "threshold" ] ~docv:"FRACTION" ~doc)
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the pinned-seed bench sweep (four consistency configurations), \
-          optionally writing or checking the committed JSON baseline"
-       ~man:
-         [
-           `S Manpage.s_environment;
-           `P
-             "REPRO_BENCH_QUICK=1 shrinks the measurement windows like $(b,--quick) \
-              (ignored under $(b,--check), which always follows the baseline's \
-              scale).";
-         ])
-    Term.(
-      ret
-        (const bench $ quick_arg $ seed_arg $ bench_out_arg $ bench_check_arg
-        $ bench_threshold_arg $ jobs_arg))
-
 (* --- the instrumented demo run: report and the default command --- *)
 
 let demo_mix = Workload.Tpcw.Shopping
@@ -946,7 +817,7 @@ let all quick seed =
   fig4 quick seed;
   fig56 quick seed;
   fig7 quick seed;
-  ablation "all" quick
+  ablation `All quick
 
 let all_cmd =
   Cmd.v
@@ -959,9 +830,8 @@ let () =
   let group =
     Cmd.group ~default:trace_term info
       [
-        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; batch_cmd; certindex_cmd;
+        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; batch_cmd;
         ablation_cmd; ycsb_cmd; tpcc_cmd; check_cmd; chaos_cmd; overload_cmd; tiers_cmd;
-        bench_cmd;
         report_cmd;
         all_cmd;
       ]

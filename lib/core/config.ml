@@ -198,6 +198,10 @@ let batched c = { c with cert_batch = 8; apply_parallelism = c.cpus_per_replica 
 let validate c =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
   if c.replicas < 1 then err "replicas must be >= 1 (got %d)" c.replicas
+  else if c.cert_batch < 1 then
+    err "cert-batch must be >= 1 (1 = unbatched; got %d)" c.cert_batch
+  else if c.apply_parallelism < 1 then
+    err "apply-parallelism must be >= 1 (1 = serial apply; got %d)" c.apply_parallelism
   else if c.certifier_standbys < 0 then
     err "certifier-standbys must be >= 0 (got %d)" c.certifier_standbys
   else if c.standby_ack_quorum > c.certifier_standbys then

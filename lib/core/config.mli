@@ -361,7 +361,8 @@ val hardened : t -> t
 
 val validate : t -> (unit, string) result
 (** Reject nonsensical settings with a human-readable reason instead of
-    silently clamping or failing at runtime: an ack quorum larger than
+    silently clamping or failing at runtime: a certification batch cap
+    or apply-lane count below 1, an ack quorum larger than
     the standby count (no commit could ever release), zero or negative
     lease/heartbeat/election intervals, a standby-LB suspicion window
     that does not exceed the push period. {!Cluster.create} runs this

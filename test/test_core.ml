@@ -267,6 +267,82 @@ let check_golden (c, r, v, f) =
   Alcotest.(check int) "golden certified version" golden_version v;
   Alcotest.(check int) "golden database contents" golden_fingerprint f
 
+(* The paper's four-configuration comparison on the micro-benchmark:
+   seed 42, 4 replicas, 40 clients, 20 tables x 2,000 rows with 5 update
+   types (25% update transactions, Fig. 4's case where the modes
+   separate), 500 ms warm-up then 3,000 ms measured. One row per mode in
+   [Consistency.all] order: committed, aborted, TPS, p50 and p99
+   response (ms), certifier decisions in the window. Virtual time is
+   deterministic per seed, so every value is pinned exactly: any change
+   is a protocol change. To re-pin after a deliberate one, paste the
+   rows the failing test prints and record the delta in CHANGES.md. *)
+let golden_sweep =
+  [
+    (Core.Consistency.Eager, 26736, 5, 8912., 2.1207436744271035, 59.270760421615705, 6638);
+    ( Core.Consistency.Coarse, 35672, 12, 11890.666666666666, 2.6212818076000985,
+      9.1354729705140016, 8885 );
+    (Core.Consistency.Fine, 34560, 24, 11520., 2.2811881503475888, 10.886752209601582, 8592);
+    ( Core.Consistency.Session, 36533, 35, 12177.666666666666, 2.3436385947256895,
+      9.6244491654493913, 9106 );
+  ]
+
+let sweep_row mode =
+  let params = { Workload.Microbench.tables = 20; rows = 2_000; update_types = 5 } in
+  let cluster =
+    Core.Cluster.create
+      ~config:{ Core.Config.default with Core.Config.replicas = 4 }
+      ~mode
+      ~schemas:(Workload.Microbench.schemas params)
+      ~load:(Workload.Microbench.load params)
+      ()
+  in
+  Core.Client.spawn_many cluster ~n:40 ~first_sid:0 (Workload.Microbench.workload params);
+  let decided () =
+    let c, a = Core.Certifier.decisions (Core.Cluster.certifier cluster) in
+    c + a
+  in
+  let engine = Core.Cluster.engine cluster in
+  let m = Core.Cluster.metrics cluster in
+  let start = Sim.Engine.now engine in
+  Sim.Engine.run engine ~until:(start +. 500.0);
+  Core.Metrics.reset_window m;
+  let decided0 = decided () in
+  Sim.Engine.run engine ~until:(start +. 3_500.0);
+  ( mode,
+    Core.Metrics.committed m,
+    Core.Metrics.aborted m,
+    Core.Metrics.throughput_tps m,
+    Core.Metrics.percentile_response_ms m 50.0,
+    Core.Metrics.percentile_response_ms m 99.0,
+    decided () - decided0 )
+
+let test_four_mode_sweep_matches_golden () =
+  let measured = List.map sweep_row Core.Consistency.all in
+  let float_lit x =
+    let s = Printf.sprintf "%.17g" x in
+    if String.contains s '.' || String.contains s 'e' then s else s ^ "."
+  in
+  if measured <> golden_sweep then begin
+    print_endline "measured rows:";
+    List.iter
+      (fun (mode, committed, aborted, tps, p50, p99, decisions) ->
+        Printf.printf "    (Core.Consistency.%s, %d, %d, %s, %s, %s, %d);\n"
+          (String.capitalize_ascii (Core.Consistency.to_string mode))
+          committed aborted (float_lit tps) (float_lit p50) (float_lit p99) decisions)
+      measured
+  end;
+  List.iter2
+    (fun (mode, committed', aborted', tps', p50', p99', decisions')
+         (_, committed, aborted, tps, p50, p99, decisions) ->
+      let name = Core.Consistency.to_string mode in
+      Alcotest.(check int) (name ^ " committed") committed' committed;
+      Alcotest.(check int) (name ^ " aborted") aborted' aborted;
+      Alcotest.(check (float 0.0)) (name ^ " TPS") tps' tps;
+      Alcotest.(check (float 0.0)) (name ^ " p50 response") p50' p50;
+      Alcotest.(check (float 0.0)) (name ^ " p99 response") p99' p99;
+      Alcotest.(check int) (name ^ " certifier decisions") decisions' decisions)
+    golden_sweep measured
+
 let test_unbatched_matches_golden () =
   Alcotest.(check int) "default cert_batch" 1 Core.Config.default.Core.Config.cert_batch;
   Alcotest.(check int) "default apply_parallelism" 1
@@ -589,6 +665,8 @@ let suites =
           test_clean_fault_plan_matches_golden;
         Alcotest.test_case "linear cert index matches golden baseline" `Quick
           test_linear_index_matches_golden;
+        Alcotest.test_case "four-mode sweep matches golden" `Quick
+          test_four_mode_sweep_matches_golden;
         Alcotest.test_case "observatory run matches golden baseline" `Quick
           test_observatory_zero_overhead;
         Alcotest.test_case "observatory series deterministic" `Quick

@@ -126,11 +126,6 @@ let test_replicate_aggregates () =
     true
     (agg.Experiments.Runner.tps_rel_dev < 0.05)
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
-  scan 0
-
 (* --- Report sparklines --- *)
 
 let test_sparkline () =
@@ -142,123 +137,6 @@ let test_sparkline () =
   (* A tiny nonzero value must stay visible. *)
   let t = Experiments.Report.sparkline [ 0.001; 8.0 ] in
   Alcotest.(check bool) "nonzero never blank" true (t.[0] <> ' ')
-
-(* --- Bench baseline + regression gate --- *)
-
-let bench_point mode tps =
-  {
-    Experiments.Bench.mode;
-    committed = int_of_float (tps *. 3.0);
-    aborted = 10;
-    tps;
-    p50_ms = 2.0;
-    p99_ms = 8.0;
-    cert_decisions_per_sec = tps /. 4.0;
-  }
-
-let bench_run () =
-  {
-    Experiments.Bench.schema_version = Experiments.Bench.schema_version;
-    seed = 42;
-    replicas = 4;
-    clients = 40;
-    warmup_ms = 500.0;
-    measure_ms = 3_000.0;
-    quick = false;
-    points =
-      List.map
-        (fun (m, tps) -> bench_point m tps)
-        (List.combine Core.Consistency.all [ 9_000.0; 12_000.0; 11_500.0; 12_200.0 ]);
-    sim_events = 2_000_000;
-    wall_s = 2.5;
-    sim_events_per_sec = 800_000.0;
-  }
-
-let test_bench_gate_passes_identical () =
-  let r = bench_run () in
-  Alcotest.(check (list string)) "identical runs pass the gate" []
-    (Experiments.Bench.compare_runs ~baseline:r ~current:r ~threshold:0.15)
-
-let test_bench_gate_flags_injected_regression () =
-  (* The acceptance scenario: inflate the baseline TPS by 25% so the
-     current run reads as a 20% throughput regression in every mode —
-     the 15% gate must flag all four. *)
-  let current = bench_run () in
-  let baseline =
-    {
-      current with
-      Experiments.Bench.points =
-        List.map
-          (fun (p : Experiments.Bench.point) ->
-            { p with Experiments.Bench.tps = p.tps *. 1.25 })
-          current.Experiments.Bench.points;
-    }
-  in
-  let problems =
-    Experiments.Bench.compare_runs ~baseline ~current ~threshold:0.15
-  in
-  Alcotest.(check int) "one finding per mode" 4 (List.length problems);
-  List.iter
-    (fun msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "finding names the metric: %s" msg)
-        true
-        (contains_substring msg "TPS regressed 20.0%"))
-    problems
-
-let test_bench_gate_flags_p99_and_shape () =
-  let base = bench_run () in
-  (* p99 is a higher-is-worse metric. *)
-  let slow =
-    {
-      base with
-      Experiments.Bench.points =
-        List.map
-          (fun (p : Experiments.Bench.point) ->
-            { p with Experiments.Bench.p99_ms = p.p99_ms *. 1.5 })
-          base.Experiments.Bench.points;
-    }
-  in
-  Alcotest.(check int) "p99 regressions flagged" 4
-    (List.length (Experiments.Bench.compare_runs ~baseline:base ~current:slow ~threshold:0.15));
-  (* Parameter drift is a gate failure even with identical numbers. *)
-  let drifted = { base with Experiments.Bench.seed = 43 } in
-  Alcotest.(check bool) "seed drift flagged" true
-    (Experiments.Bench.compare_runs ~baseline:base ~current:drifted ~threshold:0.15 <> []);
-  let missing =
-    { base with Experiments.Bench.points = List.tl base.Experiments.Bench.points }
-  in
-  Alcotest.(check bool) "missing mode flagged" true
-    (List.exists
-       (fun m -> contains_substring m "missing")
-       (Experiments.Bench.compare_runs ~baseline:base ~current:missing ~threshold:0.15))
-
-let test_bench_json_roundtrip () =
-  let r = bench_run () in
-  match Experiments.Bench.of_json (Experiments.Bench.to_json r) with
-  | Ok r' -> Alcotest.(check bool) "print/parse round-trips" true (r' = r)
-  | Error e -> Alcotest.failf "bench json did not parse back: %s" e
-
-let test_bench_quick_sweep () =
-  (* One real (quick) sweep end to end: all four modes produce traffic,
-     the certifier is exercised, and the run passes its own gate. *)
-  let r = Experiments.Bench.run ~quick:true () in
-  Alcotest.(check int) "four configurations" 4 (List.length r.Experiments.Bench.points);
-  List.iter
-    (fun (p : Experiments.Bench.point) ->
-      let name = Core.Consistency.to_string p.Experiments.Bench.mode in
-      Alcotest.(check bool) (name ^ " commits flowed") true (p.Experiments.Bench.tps > 100.0);
-      Alcotest.(check bool)
-        (name ^ " certifier decided")
-        true
-        (p.Experiments.Bench.cert_decisions_per_sec > 0.0);
-      Alcotest.(check bool) (name ^ " p99 >= p50") true
-        (p.Experiments.Bench.p99_ms >= p.Experiments.Bench.p50_ms))
-    r.Experiments.Bench.points;
-  Alcotest.(check (list string)) "self-comparison passes" []
-    (Experiments.Bench.compare_runs ~baseline:r ~current:r ~threshold:0.15);
-  Alcotest.(check bool) "render mentions the sweep" true
-    (contains_substring (Experiments.Bench.render r) "bench sweep")
 
 (* --- Chaos health-timeline artifact --- *)
 
@@ -350,17 +228,6 @@ let suites =
           test_map_jobs_order_and_results;
         Alcotest.test_case "chaos matrix digests identical at -j 4" `Quick
           test_parallel_chaos_matrix_identical;
-      ] );
-    ( "experiments.bench",
-      [
-        Alcotest.test_case "gate passes identical runs" `Quick
-          test_bench_gate_passes_identical;
-        Alcotest.test_case "gate flags 20% TPS regression" `Quick
-          test_bench_gate_flags_injected_regression;
-        Alcotest.test_case "gate flags p99 and shape drift" `Quick
-          test_bench_gate_flags_p99_and_shape;
-        Alcotest.test_case "baseline json round-trips" `Quick test_bench_json_roundtrip;
-        Alcotest.test_case "quick sweep end to end" `Quick test_bench_quick_sweep;
         Alcotest.test_case "chaos health artifact shape" `Quick
           test_chaos_health_json_shape;
       ] );

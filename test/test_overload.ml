@@ -80,6 +80,10 @@ let test_overload_config_validation () =
       retry_budget_per_s = 2.0;
       deadline_ms = 500.0;
     };
+  rejected "zero certification batch cap"
+    { base_config with Core.Config.cert_batch = 0 };
+  rejected "zero apply lanes"
+    { base_config with Core.Config.apply_parallelism = 0 };
   rejected "negative admission limit"
     { base_config with Core.Config.admission_limit = -1 };
   rejected "negative admission rate"
