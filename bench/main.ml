@@ -6,8 +6,9 @@
 
    Part 2 runs Bechamel micro-benchmarks of the core building blocks
    (certifier conflict check, writeset application, MVCC reads, query
-   execution, history checking) so component-level regressions are
-   visible independently of the system experiments.
+   execution, history checking, building the initial database) so
+   component-level regressions are visible independently of the system
+   experiments.
 
    Set REPRO_QUICK=1 for a fast pass with smaller sweeps, and
    REPRO_BENCH_ONLY=1 to skip Part 1 and run only the Bechamel
@@ -472,6 +473,29 @@ let codec_tests () =
   Test.make_grouped ~name:"codec"
     [ boxed_roundtrip; flat_roundtrip; sink_append ]
 
+(* Version 0 of the paper's micro-benchmark database (40 tables x 10k
+   rows): loading it, which validates, keys and installs every row,
+   against the structural copy each further replica of a cluster
+   starts from. *)
+let initial_database_tests () =
+  let open Bechamel in
+  let params = Workload.Microbench.default in
+  let load () =
+    let db = Storage.Database.create () in
+    List.iter
+      (fun schema -> ignore (Storage.Database.create_table db schema))
+      (Workload.Microbench.schemas params);
+    Workload.Microbench.load params db;
+    db
+  in
+  let loaded = load () in
+  Test.make_grouped ~name:"initial database"
+    [
+      Test.make ~name:"load 40 x 10k rows" (Staged.stage (fun () -> ignore (load ())));
+      Test.make ~name:"copy of the loaded database"
+        (Staged.stage (fun () -> ignore (Storage.Database.copy loaded)));
+    ]
+
 let run_bechamel () =
   let open Bechamel in
   let benchmark test =
@@ -501,7 +525,8 @@ let run_bechamel () =
   report "Certification index micro-benchmarks (Bechamel)" (certification_tests ());
   report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
   report "Early certification per statement (Bechamel)" (early_cert_tests ());
-  report "Flat vs boxed codec (Bechamel)" (codec_tests ())
+  report "Flat vs boxed codec (Bechamel)" (codec_tests ());
+  report "Initial database: load vs copy (Bechamel)" (initial_database_tests ())
 
 let () =
   say "Reproduction benchmarks — 'Strongly consistent replication for a bargain'";

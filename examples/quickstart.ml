@@ -12,8 +12,8 @@ let () =
           ("stock", Storage.Value.Tint) ]
       ~key:[ "sku" ] ()
   in
-  (* 2. Create the replicated cluster: every replica gets a copy of the
-        database; the [load] callback populates each copy identically. *)
+  (* 2. Create the replicated cluster: the [load] callback populates the
+        initial database once, and every replica starts from a copy. *)
   let config =
     { Core.Config.default with replicas = 3; gc_interval_ms = 0.0; hiccup_interval_ms = 0.0 }
   in

@@ -279,11 +279,15 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       [| lb0; Load_balancer.create ~rng:(Util.Rng.split rng) config ~mode |]
     else [| lb0 |]
   in
+  (* Version 0 is loaded and validated once; every other replica starts
+     from a structural copy, which shares the rows and keeps the bucket
+     layout a fresh load would build. *)
+  let initial = Storage.Database.create ~intern () in
+  List.iter (fun schema -> ignore (Storage.Database.create_table initial schema)) schemas;
+  load initial;
   let replicas =
     Array.init config.Config.replicas (fun id ->
-        let db = Storage.Database.create ~intern () in
-        List.iter (fun schema -> ignore (Storage.Database.create_table db schema)) schemas;
-        load db;
+        let db = if id = 0 then initial else Storage.Database.copy initial in
         Replica.create ?obs ~metrics engine config ~rng:(Util.Rng.split rng) ~id db)
   in
   let registry = Obs.Registry.create () in

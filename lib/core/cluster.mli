@@ -19,10 +19,13 @@ val create :
   load:(Storage.Database.t -> unit) ->
   unit ->
   t
-(** Build a cluster: every replica gets the schemas and is populated by
-    [load]. Spawns the per-replica sequencer processes and, if
-    configured, the MVCC vacuum process. Raises [Invalid_argument] when
-    the configuration fails {!Config.validate}.
+(** Build a cluster. [load] runs once, populating version 0 of a
+    database with the [schemas]; that database is replica 0's, and
+    every other replica starts from a {!Storage.Database.copy} of it.
+    A loader must therefore only populate the database it is given
+    (every in-tree loader does). Spawns the per-replica sequencer
+    processes and, if configured, the MVCC vacuum process. Raises
+    [Invalid_argument] when the configuration fails {!Config.validate}.
 
     With [~tracing:true] (default [false]) the cluster owns an
     {!Obs.Trace.t} and every component emits spans into it; virtual

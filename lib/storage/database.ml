@@ -17,6 +17,11 @@ let create ?intern () =
 
 let intern t = t.intern
 
+let copy t =
+  let tables = Hashtbl.copy t.tables in
+  Hashtbl.filter_map_inplace (fun _ table -> Some (Table.copy table)) tables;
+  { t with tables }
+
 let create_table t schema =
   let name = schema.Schema.table_name in
   if Hashtbl.mem t.tables name then

@@ -17,6 +17,13 @@ val intern : t -> Intern.t
 (** The intern table writesets extracted from this database ({!Txn.writeset})
     resolve their conflict ids against. *)
 
+val copy : t -> t
+(** An independent database with the same tables, contents, indexes and
+    version ({!Table.copy}), sharing the original's intern table. Applying
+    writesets or {!gc} to one leaves the other unchanged. Costs O(keys +
+    index entries) and shares every row: a cluster builds its initial
+    database once and gives each further replica a copy. *)
+
 val create_table : t -> Schema.t -> Table.t
 (** Raises [Invalid_argument] if a table with that name exists. *)
 

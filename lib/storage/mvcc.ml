@@ -64,6 +64,15 @@ type t = {
 
 let create () = { chains = Key_tbl.create 256; dir = None }
 
+(* Keys, version records and rows are immutable, so a copy shares them
+   and the persistent directory; only the table and each chain's [ref]
+   are fresh. [Key_tbl.copy] keeps the bucket layout, so the copy
+   iterates in the original's order. *)
+let copy t =
+  let chains = Key_tbl.copy t.chains in
+  Key_tbl.filter_map_inplace (fun _ chain -> Some (ref !chain)) chains;
+  { chains; dir = t.dir }
+
 let install_if_newer t key ~version row =
   match Key_tbl.find_opt t.chains key with
   | None ->

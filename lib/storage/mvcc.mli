@@ -29,6 +29,12 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent store with the same contents: installs and {!gc} on
+    either side do not show in the other. Keys, rows and the ordered
+    directory are shared (all immutable); the chain table and each
+    chain's head are copied, in O(keys) with no rehashing. *)
+
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
     [version] is not greater than the key's newest version. *)

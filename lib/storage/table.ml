@@ -1,6 +1,16 @@
+(* Index values resolve under the store's value equality, like keys do
+   in {!Mvcc.Key_tbl}: an [Int] and the integral [Float] of the same
+   value are one index entry. *)
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
 type secondary = {
   sec_column : int;
-  entries : (Value.t, (Mvcc.key, unit) Hashtbl.t) Hashtbl.t;
+  entries : unit Mvcc.Key_tbl.t Value_tbl.t;
 }
 
 type t = {
@@ -12,9 +22,17 @@ type t = {
 let create schema =
   let secondaries =
     Array.to_list schema.Schema.indexed
-    |> List.map (fun sec_column -> { sec_column; entries = Hashtbl.create 256 })
+    |> List.map (fun sec_column -> { sec_column; entries = Value_tbl.create 256 })
   in
   { schema; store = Mvcc.create (); secondaries }
+
+let copy_secondary sec =
+  let entries = Value_tbl.copy sec.entries in
+  Value_tbl.filter_map_inplace (fun _ bucket -> Some (Mvcc.Key_tbl.copy bucket)) entries;
+  { sec with entries }
+
+let copy t =
+  { t with store = Mvcc.copy t.store; secondaries = List.map copy_secondary t.secondaries }
 
 let schema t = t.schema
 
@@ -22,14 +40,14 @@ let name t = t.schema.Schema.table_name
 
 let index_insert sec key value =
   let bucket =
-    match Hashtbl.find_opt sec.entries value with
+    match Value_tbl.find_opt sec.entries value with
     | Some bucket -> bucket
     | None ->
-      let bucket = Hashtbl.create 4 in
-      Hashtbl.add sec.entries value bucket;
+      let bucket = Mvcc.Key_tbl.create 4 in
+      Value_tbl.add sec.entries value bucket;
       bucket
   in
-  Hashtbl.replace bucket key ()
+  Mvcc.Key_tbl.replace bucket key ()
 
 let index_row t key = function
   | None -> ()
@@ -52,7 +70,8 @@ let latest_version t ~key = Mvcc.latest_version t.store key
 let index_entries t ~column =
   match List.find_opt (fun sec -> sec.sec_column = column) t.secondaries with
   | None -> 0
-  | Some sec -> Hashtbl.fold (fun _ bucket acc -> acc + Hashtbl.length bucket) sec.entries 0
+  | Some sec ->
+    Value_tbl.fold (fun _ bucket acc -> acc + Mvcc.Key_tbl.length bucket) sec.entries 0
 
 let has_index t ~column = List.exists (fun sec -> sec.sec_column = column) t.secondaries
 
@@ -62,10 +81,10 @@ let index_lookup t ~column ~value ~at =
     invalid_arg
       (Printf.sprintf "Table.index_lookup: no index on %s column %d" (name t) column)
   | Some sec -> begin
-    match Hashtbl.find_opt sec.entries value with
+    match Value_tbl.find_opt sec.entries value with
     | None -> []
     | Some bucket ->
-      Hashtbl.fold
+      Mvcc.Key_tbl.fold
         (fun key () acc ->
           match Mvcc.read t.store key ~at with
           | Some row when Value.equal row.(column) value -> (key, row) :: acc

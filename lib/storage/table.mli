@@ -3,11 +3,18 @@
     Secondary indexes are value -> key-set maps maintained on version
     install (PostgreSQL-style: index entries are never removed on update;
     readers re-check visibility and the predicate against the base row,
-    and {!Mvcc.gc} keeps chains short). *)
+    and {!Mvcc.gc} keeps chains short). Index values compare under
+    {!Value.equal} and keys under {!Mvcc.Key_hashed}, so an [Int] and
+    the integral [Float] of the same value are one entry. *)
 
 type t
 
 val create : Schema.t -> t
+
+val copy : t -> t
+(** An independent table with the same contents ({!Mvcc.copy}); the
+    secondary indexes are copied too, so writes to either table never
+    show in the other's index. *)
 
 val schema : t -> Schema.t
 

@@ -73,33 +73,12 @@ let schema i =
 
 let schemas p = List.init p.tables schema
 
-(* The initial row set is identical for every table and every replica,
-   and MVCC updates install fresh version arrays rather than mutating
-   rows in place — so one physical copy per row count serves every load
-   (a bench run loads tables × replicas × modes copies; building the
-   rows each time dominated setup allocation). Guarded for the parallel
-   run driver. *)
-let initial_rows_cache : (int, Storage.Value.t array list) Hashtbl.t = Hashtbl.create 4
-let initial_rows_lock = Mutex.create ()
-
-let initial_rows n =
-  Mutex.lock initial_rows_lock;
-  let rows =
-    match Hashtbl.find_opt initial_rows_cache n with
-    | Some rows -> rows
-    | None ->
-      let rows =
-        List.init n (fun i ->
-            [| Storage.Value.Int i; Storage.Value.Int (i * 17 mod 97); Storage.Value.Text pad |])
-      in
-      Hashtbl.add initial_rows_cache n rows;
-      rows
-  in
-  Mutex.unlock initial_rows_lock;
-  rows
-
 let load p db =
-  let rows = initial_rows p.rows in
+  (* Every table starts with the same rows, so one list serves them all. *)
+  let rows =
+    List.init p.rows (fun i ->
+        [| Storage.Value.Int i; Storage.Value.Int (i * 17 mod 97); Storage.Value.Text pad |])
+  in
   for t = 0 to p.tables - 1 do
     Storage.Database.load db (table_name t) rows
   done

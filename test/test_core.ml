@@ -373,6 +373,41 @@ let test_linear_index_matches_golden () =
   let tweak c = { c with Core.Config.cert_index = Core.Config.Linear } in
   check_golden (determinism_run ~tweak ~tracing:false ())
 
+(* [load] builds version 0 once per cluster; every replica starts with
+   its own database holding exactly what a fresh load holds. *)
+let test_initial_database_loaded_once () =
+  let fresh = Storage.Database.create () in
+  List.iter
+    (fun schema -> ignore (Storage.Database.create_table fresh schema))
+    (Workload.Microbench.schemas micro_params);
+  Workload.Microbench.load micro_params fresh;
+  let expected = Storage.Database.fingerprint fresh ~at:0 in
+  List.iter
+    (fun replicas ->
+      let loads = ref 0 in
+      let cluster =
+        Core.Cluster.create ~config:{ small_config with replicas } ~mode:Core.Consistency.Session
+          ~schemas:(Workload.Microbench.schemas micro_params)
+          ~load:(fun db ->
+            incr loads;
+            Workload.Microbench.load micro_params db)
+          ()
+      in
+      let db i = Core.Replica.database (Core.Cluster.replica cluster i) in
+      Alcotest.(check int) (Printf.sprintf "%d replicas: one load" replicas) 1 !loads;
+      for i = 0 to replicas - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "%d replicas: replica %d fingerprint" replicas i)
+          expected
+          (Storage.Database.fingerprint (db i) ~at:0);
+        if i > 0 then
+          Alcotest.(check bool)
+            (Printf.sprintf "%d replicas: replica %d has its own database" replicas i)
+            true
+            (db i != db 0)
+      done)
+    [ 1; 4; 8 ]
+
 let test_tracing_zero_overhead () =
   (* Tracing only observes: an instrumented run must be bit-identical in
      virtual time and outcome to the plain run, down to the response-time
@@ -676,6 +711,8 @@ let suites =
         Alcotest.test_case "probe table feeds registry and observatory" `Quick
           test_probe_table_coverage;
         Alcotest.test_case "tracing is zero-overhead" `Quick test_tracing_zero_overhead;
+        Alcotest.test_case "initial database loaded once" `Quick
+          test_initial_database_loaded_once;
       ] );
     ( "core.certifier",
       [

@@ -367,6 +367,41 @@ let test_txn_select_predicate_and_index () =
   in
   Alcotest.(check int) "scan predicate" 2 (List.length rich)
 
+(* An indexed column answers an equality under the store's value
+   equality, exactly like a scan of an unindexed twin: [Float 3.0]
+   finds the row holding [Int 3]. Re-keying a row through its integral
+   float key updates the same index entry rather than adding one. *)
+let test_txn_index_value_equality () =
+  let make name indexes =
+    Schema.make ~name ~columns:[ ("id", Value.Tint); ("c", Value.Tint) ] ~indexes ~key:[ "id" ] ()
+  in
+  let indexed = make "indexed" [ "c" ] and plain = make "plain" [] in
+  let db = Database.create () in
+  List.iter
+    (fun schema ->
+      ignore (Database.create_table db schema);
+      Database.load db schema.Schema.table_name [ [| vi 1; vi 3 |]; [| vi 2; vi 4 |] ])
+    [ indexed; plain ];
+  let ids table =
+    let txn = Txn.begin_ db in
+    Txn.select txn ~table ~where:Expr.(col indexed "c" = Const (Value.Float 3.0)) ()
+    |> List.map (fun r -> Value.as_int r.(0))
+  in
+  Alcotest.(check (list int)) "unindexed scan" [ 1 ] (ids "plain");
+  Alcotest.(check (list int)) "index lookup agrees with the scan" [ 1 ] (ids "indexed");
+  Database.apply db
+    (Writeset.of_entries
+       [
+         {
+           Writeset.ws_table = "indexed";
+           ws_key = [| Value.Float 1.0 |];
+           ws_op = Writeset.Put [| Value.Float 1.0; vi 3 |];
+         };
+       ])
+    ~version:1;
+  Alcotest.(check int) "float-keyed rewrite is the same index entry" 2
+    (Table.index_entries (Database.table db "indexed") ~column:1)
+
 let test_txn_select_overlays_writes () =
   let db = fresh_db () in
   let txn = Txn.begin_ db in
@@ -1100,6 +1135,146 @@ let prop_txn_writeset_matches_of_entries =
              = ((not (Txn.is_read_only txn)) && Writeset.conflicts ws r))
            refreshes)
 
+(* --- Database.copy differential test ---
+
+   Two indexed tables, one with an int key and one with a composite
+   key. Writes carry ints and integral floats mixed, in keys and in the
+   indexed column: they are one key and one index value to the store. *)
+
+let copy_schemas =
+  [
+    Schema.make ~name:"flat"
+      ~columns:[ ("id", Value.Tint); ("tag", Value.Tint); ("v", Value.Tint) ]
+      ~indexes:[ "tag" ] ~key:[ "id" ] ();
+    Schema.make ~name:"pair"
+      ~columns:[ ("a", Value.Tint); ("b", Value.Tint); ("tag", Value.Tint); ("v", Value.Tint) ]
+      ~indexes:[ "tag" ] ~key:[ "a"; "b" ] ();
+  ]
+
+let copy_fresh () =
+  let db = Database.create () in
+  List.iter (fun schema -> ignore (Database.create_table db schema)) copy_schemas;
+  Database.load db "flat" (List.init 8 (fun i -> [| vi i; vi (i mod 3); vi 0 |]));
+  Database.load db "pair"
+    (List.concat
+       (List.init 3 (fun a -> List.init 3 (fun b -> [| vi a; vi b; vi (a * b mod 3); vi 0 |]))));
+  db
+
+type copy_write = {
+  composite : bool;  (* the "pair" table *)
+  k : int * int;
+  as_float : bool;  (* key and tag as integral floats *)
+  tag : int option;  (* [None] deletes *)
+}
+
+type copy_op =
+  | Write of copy_write list
+  | Vacuum of int  (* gc horizon, percent of the current version *)
+
+let copy_write_gen =
+  QCheck.Gen.(
+    map
+      (fun (composite, k, as_float, tag) -> { composite; k; as_float; tag })
+      (quad bool (pair (int_range 0 9) (int_range 0 3)) bool (option (int_range 0 3))))
+
+(* Each step runs on the copy and its fresh twin ([true]) or on the
+   original and its own fresh twin ([false]). *)
+let copy_step_gen =
+  QCheck.Gen.(
+    pair bool
+      (frequency
+         [
+           (4, map (fun ws -> Write ws) (list_size (int_range 1 3) copy_write_gen));
+           (1, map (fun pct -> Vacuum pct) (int_range 0 100));
+         ]))
+
+let print_copy_step (on_copy, op) =
+  let side = if on_copy then "copy" else "orig" in
+  match op with
+  | Vacuum pct -> Printf.sprintf "%s:gc%d%%" side pct
+  | Write ws ->
+    Printf.sprintf "%s:{%s}" side
+      (String.concat ","
+         (List.map
+            (fun w ->
+              Printf.sprintf "%s(%d,%d)%s=%s"
+                (if w.composite then "pair" else "flat")
+                (fst w.k) (snd w.k)
+                (if w.as_float then ".0" else "")
+                (match w.tag with Some t -> string_of_int t | None -> "del"))
+            ws))
+
+let copy_apply db = function
+  | Vacuum pct -> ignore (Database.gc db ~keep_after:(Database.version db * pct / 100))
+  | Write ws ->
+    let version = Database.version db + 1 in
+    let entry w =
+      let num x = if w.as_float then Value.Float (float_of_int x) else vi x in
+      let a, b = w.k in
+      let key = if w.composite then [| num a; num b |] else [| num a |] in
+      let op =
+        match w.tag with
+        | None -> Writeset.Delete
+        | Some tag -> Writeset.Put (Array.append key [| num tag; vi version |])
+      in
+      { Writeset.ws_table = (if w.composite then "pair" else "flat"); ws_key = key; ws_op = op }
+    in
+    Database.apply db (Writeset.of_entries (List.map entry ws)) ~version
+
+(* Everything a reader can see of a database, at a few snapshots. *)
+let copy_observe db =
+  let top = Database.version db in
+  let ats = List.sort_uniq compare [ 0; top / 2; top ] in
+  let ranges =
+    [
+      (Some [| vi 2 |], Some [| vi 6 |]);
+      (Some [| Value.Float 1.0 |], None);
+      (None, Some [| vi 1; vi 2 |]);
+    ]
+  in
+  let table name =
+    let t = Database.table db name in
+    let column = (Table.schema t).Schema.indexed.(0) in
+    ( Table.fold_chains t ~init:[] ~f:(fun acc key chain -> (key, chain) :: acc),
+      Table.version_count t,
+      Table.index_entries t ~column,
+      List.map
+        (fun at ->
+          ( List.map (fun (lo, hi) -> Table.range_scan t ~at ?lo ?hi ()) ranges,
+            List.concat_map
+              (fun tag ->
+                [
+                  Table.index_lookup t ~column ~value:(vi tag) ~at;
+                  Table.index_lookup t ~column ~value:(Value.Float (float_of_int tag)) ~at;
+                ])
+              [ 0; 1; 2; 3 ] ))
+        ats )
+  in
+  ( top,
+    List.map (fun at -> Database.fingerprint db ~at) ats,
+    Database.total_versions db,
+    List.map table [ "flat"; "pair" ] )
+
+let prop_database_copy_is_independent =
+  let open QCheck in
+  Test.make ~name:"copy agrees with a fresh load and leaves the original alone" ~count:200
+    (make
+       ~print:(fun (scan, steps) ->
+         Printf.sprintf "scan before copy=%b; %s" scan
+           (String.concat "; " (List.map print_copy_step steps)))
+       Gen.(pair bool (list_size (int_range 0 20) copy_step_gen)))
+    (fun (scan_before_copy, steps) ->
+      let a = copy_fresh () and a_twin = copy_fresh () in
+      (* A fingerprint walks the ordered directory, building it. *)
+      if scan_before_copy then ignore (Database.fingerprint a ~at:0);
+      let b = Database.copy a and c = copy_fresh () in
+      List.iter
+        (fun (on_copy, op) ->
+          if on_copy then (copy_apply b op; copy_apply c op)
+          else (copy_apply a op; copy_apply a_twin op))
+        steps;
+      copy_observe b = copy_observe c && copy_observe a = copy_observe a_twin)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -1149,6 +1324,7 @@ let suites =
         Alcotest.test_case "snapshot stability" `Quick test_txn_snapshot_stability;
         Alcotest.test_case "insert and delete" `Quick test_txn_insert_delete;
         Alcotest.test_case "select with index" `Quick test_txn_select_predicate_and_index;
+        Alcotest.test_case "index uses value equality" `Quick test_txn_index_value_equality;
         Alcotest.test_case "select overlays writes" `Quick test_txn_select_overlays_writes;
         Alcotest.test_case "update with predicate" `Quick test_txn_update_where;
         Alcotest.test_case "read-only writeset empty" `Quick test_txn_read_only_writeset_empty;
@@ -1177,7 +1353,8 @@ let suites =
         Alcotest.test_case "re-apply leaves chain and index" `Quick
           test_database_reapply_leaves_state;
         Alcotest.test_case "gc accounting" `Quick test_database_gc;
-      ] );
+      ]
+      @ qsuite [ prop_database_copy_is_independent ] );
     ( "storage.codec",
       [
         Alcotest.test_case "writeset roundtrip + size" `Quick test_codec_writeset_roundtrip;
