@@ -740,7 +740,8 @@ let report quick seed window json_file =
           (Workload.Tpcw.mix_name demo_mix) seed (Obs.Timeseries.window_ms ts))
        ts);
   Format.printf "@.%a@." Core.Metrics.pp_summary (Core.Cluster.metrics cluster);
-  Format.printf "@.Registry:@.%a@." Obs.Registry.pp (Core.Cluster.registry cluster);
+  Format.printf "@.Catalog (gauges now, nonzero window totals):@.%a@." Core.Cluster.pp_catalog
+    cluster;
   match json_file with
   | None -> `Ok ()
   | Some file -> (
@@ -764,7 +765,8 @@ let report_cmd =
        ~doc:
          "Run an instrumented TPC-W demo with the run-health observatory on and \
           print the windowed health report (throughput, latency percentiles, \
-          staleness, certifier and detector activity) and the metric registry")
+          staleness, certifier and detector activity), the transaction summary and the \
+          metric catalog")
     Term.(ret (const report $ quick_arg $ seed_arg $ report_window_arg $ report_json_arg))
 
 let trace_file_arg =

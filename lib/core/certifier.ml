@@ -151,8 +151,6 @@ let node_version t k = (node t k).cn_version
 
 let node_epoch t k = (node t k).cn_epoch
 
-let node_crashed t k = (node t k).cn_crashed
-
 let node_acked t k = (node t k).cn_acked
 
 let set_faults t faults = t.faults <- Some faults
@@ -348,9 +346,7 @@ let min_watermark t =
    to the promotion point of the epoch that superseded it and rejoins
    the group as a standby. *)
 
-let note_fenced t =
-  t.fenced <- t.fenced + 1;
-  match t.metrics with Some m -> Metrics.note_fenced m | None -> ()
+let note_fenced t = t.fenced <- t.fenced + 1
 
 (* The log position a member on [from_epoch] must truncate to before
    adopting a later epoch: the base of the first promotion after its
@@ -598,9 +594,7 @@ let votes_needed t =
   let q_eff = if q <= 0 then !standby_voters else min q !standby_voters in
   max majority (!standby_voters - q_eff + 1)
 
-let note_vote_denial t =
-  t.vote_denials <- t.vote_denials + 1;
-  match t.metrics with Some m -> Metrics.note_vote_denial m | None -> ()
+let note_vote_denial t = t.vote_denials <- t.vote_denials + 1
 
 (* One vote round run by suspecting standby [k]. Ballots travel as
    fire-and-forget messages (a partitioned or crashed voter simply never
@@ -623,7 +617,6 @@ let run_election t k =
   in
   let my_version = sb.cn_version in
   t.elections <- t.elections + 1;
-  (match t.metrics with Some m -> Metrics.note_election m | None -> ());
   (* The candidate votes for itself (and thereby refuses any concurrent
      candidate for the same target). *)
   sb.cn_vote_epoch <- target;
@@ -740,7 +733,6 @@ let lease_loop t =
           then begin
             n.cn_caught_up <- false;
             t.lease_expiries <- t.lease_expiries + 1;
-            (match t.metrics with Some m -> Metrics.note_lease_expiry m | None -> ());
             (* The quorum wait recomputes its need over the shrunken
                voter set: this is what unblocks the stalled release. *)
             Sim.Condition.broadcast t.repl_done

@@ -334,8 +334,6 @@ val node_version : t -> int -> int
 
 val node_epoch : t -> int -> int
 
-val node_crashed : t -> int -> bool
-
 val node_acked : t -> int -> int
 (** Highest log position member [k] has acknowledged to a primary. *)
 

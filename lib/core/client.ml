@@ -41,14 +41,8 @@ let budget_take (cfg : Config.t) engine = function
 let run_transaction cluster ~sid ~rng ~budget request =
   let engine = Cluster.engine cluster in
   let cfg = Cluster.config cluster in
-  let give_up () =
-    Metrics.record_retry_exhausted (Cluster.metrics cluster);
-    Obs.Registry.incr
-      (Obs.Registry.counter (Cluster.registry cluster) "txn.retry_exhausted")
-  in
-  let give_up_budget () =
-    Metrics.record_retry_budget_exhausted (Cluster.metrics cluster)
-  in
+  let give_up () = Metrics.record_retry_exhausted (Cluster.metrics cluster) in
+  let give_up_budget () = Cluster.note_retry_budget_exhausted cluster in
   (* Capped jittered exponential backoff before retry number
      [tries] (1-based). With the base at 0 (the default) there is
      no sleep and no RNG draw — the retry loop is event-identical

@@ -28,25 +28,19 @@ type t = {
   replicas : Replica.t array;
   metrics : Metrics.t;
   obs : Obs.Trace.t option;
-  registry : Obs.Registry.t;
-  c_commit : Obs.Registry.counter;
-  c_commit_ro : Obs.Registry.counter;
-  c_abort : Obs.Registry.counter;
-  mutable probes : (probe * Obs.Registry.gauge) array;
-      (* the probe table with each entry's registry gauge; filled once
-         the record exists, since the readers close over it *)
+  mutable probes : probe array;
+      (* filled once the record exists, since the readers close over it *)
   shed_tids : (int, unit) Hashtbl.t;
-      (* every tid refused with [Transaction.Overloaded] — the chaos
-         zombie-commit checker asserts none of them appears in the
-         commit log; empty unless an overload knob is on *)
+      (* every tid refused with [Transaction.Overloaded] (the [txn.shed]
+         total) — the chaos zombie-commit checker asserts none of them
+         appears in the commit log; empty unless an overload knob is on *)
+  mutable deadline_expired : int;
+  mutable budget_exhausted : int;  (* transactions given up on an empty retry budget *)
   mutable next_tid : int;
   log : Check.Runlog.Sink.t;  (* flat append-order store of commit records *)
-  (* monotonic-counter cursors for mirroring deltas into Metrics *)
-  mutable seen_net_retransmits : int;
-  mutable seen_cert_retransmits : int;
-  mutable seen_suspects : int;
-  mutable seen_failovers : int;
   mutable reprovisions : int;
+      (* replicas re-seeded by state transfer after the failure detector
+         saw them return from beyond log repair *)
 }
 
 let request_bytes (req : Transaction.request) =
@@ -148,10 +142,11 @@ let recover_lb t k =
 (* --- the probe table -------------------------------------------------
 
    Every cluster-level reading is declared here, once. A [Gauge] is an
-   instantaneous level; a [Total] is a monotonic source. The registry
-   holds one gauge per entry ({!update_gauges}); the observatory reads a
-   gauge at each window close and turns a total into a per-window delta
-   counter ({!start_observatory}). *)
+   instantaneous level; a [Total] is a monotonic source. Three sinks read
+   the table: [Metrics] windows every total against a baseline taken at
+   [reset_window], the observatory reads each gauge at window close and
+   turns each total into a per-window delta ({!start_observatory}), and
+   {!pp_catalog} prints both. *)
 
 (* Staleness of replica [r] as the version oracle sees it: how many
    committed versions [v_system] is ahead of the replica's applied
@@ -224,14 +219,15 @@ let probe_table t =
       total "lb.takeovers" (fun () -> t.lb_takeovers);
       total "lb.fenced" (fun () -> t.lb_fenced);
       total "lb.cert_fenced" (fun () -> lb_sum t Load_balancer.cert_fenced);
+      total "replicas.fenced" (fun () ->
+          Array.fold_left (fun acc r -> acc + Replica.fenced_refreshes r) 0 t.replicas);
       (* Overload protection (docs/PROTOCOL.md, "Overload & admission
          control"): zero unless a protection knob is on and fires. *)
       total "certifier.shed" (fun () -> Certifier.shed c);
       total "certifier.expired" (fun () -> Certifier.expired c);
-      total "txn.shed" (fun () -> Metrics.shed t.metrics);
-      total "txn.deadline_expired" (fun () -> Metrics.deadline_expired t.metrics);
-      total "txn.retry_budget_exhausted" (fun () ->
-          Metrics.retry_budget_exhausted t.metrics);
+      total "txn.shed" (fun () -> Hashtbl.length t.shed_tids);
+      total "txn.deadline_expired" (fun () -> t.deadline_expired);
+      total "txn.retry_budget_exhausted" (fun () -> t.budget_exhausted);
     ]
   @
   match t.faults with
@@ -290,19 +286,11 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
         let db = if id = 0 then initial else Storage.Database.copy initial in
         Replica.create ?obs ~metrics engine config ~rng:(Util.Rng.split rng) ~id db)
   in
-  let registry = Obs.Registry.create () in
   (match faults with
   | None -> ()
   | Some f ->
     Certifier.set_faults certifier f;
-    Array.iter (fun r -> Replica.set_faults r f) replicas;
-    (* Every injected fault becomes a window-scoped metric. *)
-    Sim.Faults.on_event f (fun ev ->
-        Metrics.note_fault metrics
-          (match ev with
-          | Sim.Faults.Dropped _ -> `Drop
-          | Sim.Faults.Duplicated _ -> `Duplicate
-          | Sim.Faults.Delayed _ -> `Delay)));
+    Array.iter (fun r -> Replica.set_faults r f) replicas);
   let t =
     {
       engine;
@@ -323,18 +311,12 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       replicas;
       metrics;
       obs;
-      registry;
-      c_commit = Obs.Registry.counter registry "txn.commit";
-      c_commit_ro = Obs.Registry.counter registry "txn.commit_ro";
-      c_abort = Obs.Registry.counter registry "txn.abort";
       probes = [||];
       shed_tids = Hashtbl.create 64;
+      deadline_expired = 0;
+      budget_exhausted = 0;
       next_tid = 0;
       log = Check.Runlog.Sink.create ();
-      seen_net_retransmits = 0;
-      seen_cert_retransmits = 0;
-      seen_suspects = 0;
-      seen_failovers = 0;
       reprovisions = 0;
     }
   in
@@ -425,27 +407,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
           let now = Sim.Engine.now engine in
           let lb = active_lb t in
           Load_balancer.sweep lb ~now;
-          (* Mirror detector transitions into metrics. Summed over
-             instances so the cursors stay monotone across an LB
-             takeover. *)
-          let suspects = lb_sum t Load_balancer.suspect_events in
-          for _ = t.seen_suspects + 1 to suspects do
-            Metrics.note_suspect metrics
-          done;
-          t.seen_suspects <- suspects;
-          let failovers = lb_sum t Load_balancer.failover_events in
-          for _ = t.seen_failovers + 1 to failovers do
-            Metrics.note_failover metrics
-          done;
-          t.seen_failovers <- failovers;
-          (* Mirror retransmission work (stop-and-wait re-sends plus the
-             certifier's refresh repair) as deltas. *)
-          let net_retx = Sim.Network.retransmits network in
-          Metrics.note_retransmits metrics (net_retx - t.seen_net_retransmits);
-          t.seen_net_retransmits <- net_retx;
-          let cert_retx = Certifier.retransmits certifier in
-          Metrics.note_retransmits metrics (cert_retx - t.seen_cert_retransmits);
-          t.seen_cert_retransmits <- cert_retx;
           Array.iter
             (fun r ->
               let id = Replica.id r in
@@ -470,7 +431,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                        the log was truncated past its position):
                        reprovision via checkpoint state transfer. *)
                     t.reprovisions <- t.reprovisions + 1;
-                    Metrics.note_failover metrics;
                     crash_replica t id;
                     recover_replica t id
                   end
@@ -602,7 +562,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
                 t.lb_epoch <- epoch;
                 t.lb_active <- k;
                 t.lb_takeovers <- t.lb_takeovers + 1;
-                Metrics.note_lb_takeover metrics;
                 Log.info (fun m ->
                     m "[%.3f] LB instance %d took over routing (epoch %d, floor v%d)"
                       (Sim.Engine.now engine) k epoch floor);
@@ -613,9 +572,12 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
             loop ()))
       lbs
   end;
-  t.probes <-
-    Array.of_list
-      (List.map (fun p -> (p, Obs.Registry.gauge registry p.name)) (probe_table t));
+  t.probes <- Array.of_list (probe_table t);
+  Array.iter
+    (fun p ->
+      if p.kind = Total then
+        Metrics.add_total metrics p.name (fun () -> int_of_float (p.read ())))
+    t.probes;
   t
 
 let engine t = t.engine
@@ -624,43 +586,43 @@ let mode t = Load_balancer.mode (active_lb t)
 let metrics t = t.metrics
 let certifier t = t.certifier
 let load_balancer t = active_lb t
-let lb_instance t k = t.lbs.(k)
-let lb_count t = Array.length t.lbs
 let lb_active_index t = t.lb_active
 let lb_epoch t = t.lb_epoch
 let lb_is_crashed t k = t.lb_crashed.(k)
 let lb_takeovers t = t.lb_takeovers
 let lb_fenced t = t.lb_fenced
-let lb_cert_fenced t = lb_sum t Load_balancer.cert_fenced
 let replica t i = t.replicas.(i)
 let rng t = Util.Rng.split t.rng
 let trace t = t.obs
-let registry t = t.registry
 let network t = t.network
 let faults t = t.faults
-let reprovisions t = t.reprovisions
 
 (* --- telemetry ----------------------------------------------------- *)
 
-let probes t = Array.to_list (Array.map fst t.probes)
+let probes t = Array.to_list t.probes
 
-let update_gauges t =
-  Array.iter (fun (p, g) -> Obs.Registry.set g (p.read ())) t.probes;
-  Metrics.set_health t.metrics
-    ~lag_max:(float_of_int (max_lag t))
-    ~cert_log:(Certifier.log_size t.certifier)
-    ~watermark_horizon:(Certifier.log_base t.certifier)
-    ~epoch:(Certifier.current_epoch t.certifier)
+let pp_catalog ppf t =
+  let line name v =
+    if Float.is_integer v then Format.fprintf ppf "%-32s %12.0f@," name v
+    else Format.fprintf ppf "%-32s %12.3f@," name v
+  in
+  Format.fprintf ppf "@[<v>";
+  Array.iter (fun p -> if p.kind = Gauge then line p.name (p.read ())) t.probes;
+  List.iter
+    (fun (name, n) -> if n <> 0 then line name (float_of_int n))
+    (Metrics.totals t.metrics);
+  Format.fprintf ppf "@]"
+
+let note_retry_budget_exhausted t = t.budget_exhausted <- t.budget_exhausted + 1
 
 (* --- the run-health observatory ------------------------------------
 
    Windowed time series over the whole cluster: transaction outcomes
    stream in through the Metrics outcome observer; the probe table's
-   totals are mirrored as per-window deltas and its gauges are read at
-   each window close, right after the registry gauges are refreshed.
-   Everything here only reads simulation state — no RNG draw, no
-   protocol event — so an observed run is bit-identical to a blind
-   one. *)
+   totals become per-window deltas and its gauges are read at each
+   window close. Everything here only reads simulation state — no RNG
+   draw, no protocol event — so an observed run is bit-identical to a
+   blind one. *)
 
 let start_observatory t =
   let ts =
@@ -713,8 +675,8 @@ let start_observatory t =
                tier_channels
          end
          else Obs.Timeseries.bump c_abort));
-  (* Probe table -> gauges read at window close, totals mirrored as
-     per-window deltas. The registry refresh rides the same close. *)
+  (* Probe table -> gauges read at window close, totals as per-window
+     deltas. *)
   let delta name read =
     let c = Obs.Timeseries.counter ts name in
     let read () = int_of_float (read ()) in
@@ -724,7 +686,7 @@ let start_observatory t =
       Obs.Timeseries.bump c ~by:(v - !seen);
       seen := v
   in
-  let mirrors =
+  let deltas =
     List.filter_map
       (fun p ->
         match p.kind with
@@ -734,8 +696,7 @@ let start_observatory t =
         | Total -> Some (delta p.name p.read))
       (probes t)
   in
-  Obs.Timeseries.add_pre_close ts (fun () -> List.iter (fun m -> m ()) mirrors);
-  Obs.Timeseries.add_pre_close ts (fun () -> update_gauges t);
+  Obs.Timeseries.add_pre_close ts (fun () -> List.iter (fun d -> d ()) deltas);
   Obs.Timeseries.start ts;
   ts
 
@@ -862,7 +823,6 @@ let submit t ~sid (req : Transaction.request) =
     Metrics.txn_abort mtxn
       ~slug:(Transaction.abort_slug reason)
       ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-    Obs.Registry.incr t.c_abort;
     Log.debug (fun m ->
         m "[%.3f] T%d aborted before dispatch: %a" (now ()) tid
           Transaction.pp_abort_reason reason);
@@ -903,7 +863,6 @@ let submit t ~sid (req : Transaction.request) =
      zombie-commit checker can prove a shed transaction never commits.
      All gates are off by default (see Config). *)
   let shed_abort retry_after_ms =
-    Metrics.record_shed t.metrics;
     Hashtbl.replace t.shed_tids tid ();
     Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
       ~size_bytes:32;
@@ -989,7 +948,6 @@ let submit t ~sid (req : Transaction.request) =
     Metrics.txn_abort mtxn
       ~slug:(Transaction.abort_slug reason)
       ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-    Obs.Registry.incr t.c_abort;
     Log.debug (fun m ->
         m "[%.3f] T%d aborted: %a" (now ()) tid Transaction.pp_abort_reason reason);
     Transaction.Aborted { reason; response_ms = now () -. begin_time }
@@ -1015,7 +973,7 @@ let submit t ~sid (req : Transaction.request) =
   in
   match Replica.await_version ?deadline replica v_start with
   | Error reason ->
-    if now () >= txn_deadline then Metrics.record_deadline_expired t.metrics;
+    if now () >= txn_deadline then t.deadline_expired <- t.deadline_expired + 1;
     abort ~finish:false reason
   | Ok () -> (
     Metrics.stage_exit mtxn Metrics.Version;
@@ -1061,7 +1019,6 @@ let submit t ~sid (req : Transaction.request) =
         Metrics.txn_commit mtxn ~read_only:true
           ~tier:(Consistency.tier_slug req.Transaction.tier)
           ~staleness;
-        Obs.Registry.incr t.c_commit_ro;
         record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:None
           ~epoch:(Certifier.current_epoch t.certifier)
           ~lb_epoch:route_epoch ~tier:req.Transaction.tier
@@ -1072,7 +1029,7 @@ let submit t ~sid (req : Transaction.request) =
       else if now () > txn_deadline then begin
         (* The deadline passed while statements ran: drop the update
            before it ever reaches the certifier. *)
-        Metrics.record_deadline_expired t.metrics;
+        t.deadline_expired <- t.deadline_expired + 1;
         abort Transaction.Timeout
       end
       else begin
@@ -1110,14 +1067,13 @@ let submit t ~sid (req : Transaction.request) =
         | Certifier.Overloaded ->
           (* Refused by the bounded certifier backlog: surfaced to the
              client exactly like an LB shed, with the same hint. *)
-          Metrics.record_shed t.metrics;
           Hashtbl.replace t.shed_tids tid ();
           abort
             (Transaction.Overloaded
                { retry_after_ms = t.cfg.Config.shed_retry_after_ms })
         | Certifier.Expired ->
           (* Its deadline passed while it queued at the certifier. *)
-          Metrics.record_deadline_expired t.metrics;
+          t.deadline_expired <- t.deadline_expired + 1;
           abort Transaction.Timeout
         | Certifier.Commit { version; epoch; global_commit = _ }
           when
@@ -1127,7 +1083,6 @@ let submit t ~sid (req : Transaction.request) =
              primary for a version past the promotion point is not part
              of the surviving history. The certifier normally converts
              these to aborts itself, so this arm is belt-and-braces. *)
-          Metrics.note_fenced t.metrics;
           abort Transaction.Certification_conflict
         | Certifier.Commit { version; epoch; global_commit } -> (
           (* Stages: sync (wait for predecessors) then commit; the
@@ -1157,7 +1112,6 @@ let submit t ~sid (req : Transaction.request) =
             let stages = Metrics.txn_stages mtxn in
             Metrics.txn_commit mtxn ~read_only:false
               ~args:[ ("version", string_of_int version) ];
-            Obs.Registry.incr t.c_commit;
             record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:(Some version)
               ~epoch ~lb_epoch:route_epoch ~tier:Consistency.Strong
               ~table_set:req.Transaction.table_set ~ws
@@ -1175,7 +1129,6 @@ let run_for t ~warmup_ms ~measure_ms =
   let start = Sim.Engine.now t.engine in
   Sim.Engine.run t.engine ~until:(start +. warmup_ms);
   Metrics.reset_window t.metrics;
-  Obs.Registry.reset t.registry;
   Check.Runlog.Sink.clear t.log;
   Sim.Engine.run t.engine ~until:(start +. warmup_ms +. measure_ms)
 

@@ -34,13 +34,16 @@ val create :
 
     [faults] builds a {!Sim.Faults} plan against the cluster's engine;
     the plan is attached to the network and to every component's
-    service-time model (gray slowdowns), every injected fault event is
-    mirrored into {!metrics}, and the plan's totals join the {!probes}
-    as [fault.*]. The plan owns its
-    own RNG, so attaching an all-{!Sim.Faults.clean} plan leaves the
-    run's event stream bit-identical to no plan at all. Pair with
+    service-time model (gray slowdowns), and the plan's counters join
+    the {!probes} as [fault.*] totals. The plan owns its own RNG, so
+    attaching an all-{!Sim.Faults.clean} plan leaves the run's event
+    stream bit-identical to no plan at all. Pair with
     [Config.reliable] (see {!Config.hardened}) so the protocol actually
-    retransmits and detects failures under the plan. *)
+    retransmits and detects failures under the plan.
+
+    Every [Total] entry of {!probes} is registered with {!metrics}
+    ({!Metrics.add_total}), so its window count is readable as
+    [Metrics.total (metrics t) name]. *)
 
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t
@@ -49,12 +52,6 @@ val metrics : t -> Metrics.t
 val certifier : t -> Certifier.t
 val load_balancer : t -> Load_balancer.t
 (** The {e currently active} LB instance (see {!lb_active_index}). *)
-
-val lb_instance : t -> int -> Load_balancer.t
-(** LB instance [k] (0 = initial active, 1 = standby); test hook. *)
-
-val lb_count : t -> int
-(** 2 when [Config.lb_standby], else 1. *)
 
 val lb_active_index : t -> int
 (** Which instance clients currently route to. *)
@@ -73,9 +70,6 @@ val lb_fenced : t -> int
     and response relays whose dispatching instance was deposed
     mid-flight. *)
 
-val lb_cert_fenced : t -> int
-(** {!Load_balancer.cert_fenced} summed over instances. *)
-
 val replica : t -> int -> Replica.t
 val rng : t -> Util.Rng.t
 (** A generator split from the cluster seed, for workload use. *)
@@ -85,19 +79,10 @@ val network : t -> Sim.Network.t
 val faults : t -> Sim.Faults.t option
 (** The materialized fault plan, if the cluster was built with one. *)
 
-val reprovisions : t -> int
-(** Replicas re-seeded by checkpoint state transfer after the failure
-    detector saw them return from beyond log repair. *)
-
 (** {2 Observability} *)
 
 val trace : t -> Obs.Trace.t option
 (** The cluster's trace context; [Some] iff created with [~tracing:true]. *)
-
-val registry : t -> Obs.Registry.t
-(** Named counters (commits, read-only commits, aborts, exhausted
-    retries) and one gauge per {!probes} entry; always live — counters
-    cost one increment. *)
 
 type probe_kind = Gauge | Total
 (** Whether a probe reads an instantaneous level or a monotonic total. *)
@@ -108,13 +93,18 @@ type probe = { name : string; kind : probe_kind; read : unit -> float }
 val probes : t -> probe list
 (** The probe table: every cluster gauge and monotonic total, declared
     once under one distinct name. Per-replica entries are [replicaN.*];
-    [fault.*] entries exist only when a fault plan is attached. Both
-    {!update_gauges} and {!start_observatory} are derived from it. *)
+    [fault.*] entries exist only when a fault plan is attached. Every
+    sink is derived from it: the {!Metrics} window totals, the
+    observatory ({!start_observatory}) and {!pp_catalog}. *)
 
-val update_gauges : t -> unit
-(** Set each {!probes} entry's registry gauge from current state (a
-    total's gauge holds its running value), and record the
-    {!Metrics.health} snapshot. *)
+val pp_catalog : Format.formatter -> t -> unit
+(** The catalog, one entry per line: every gauge's current reading,
+    then every total whose window count ({!Metrics.totals}) is nonzero. *)
+
+val note_retry_budget_exhausted : t -> unit
+(** A client gave a transaction up on an empty retry budget
+    ([Config.retry_budget]); the source of the
+    [txn.retry_budget_exhausted] total. *)
 
 val start_observatory : t -> Obs.Timeseries.t
 (** Start the run-health observatory: a windowed {!Obs.Timeseries}
@@ -122,10 +112,9 @@ val start_observatory : t -> Obs.Timeseries.t
     {!Metrics} outcome observer (commit / read-only commit / abort
     counts plus response-time and per-stage latency histograms), a
     per-window delta counter per {!probes} total, and a window gauge per
-    {!probes} gauge read at each window close. Every window close also
-    calls {!update_gauges}. The observatory only reads state: an
-    observed run executes the same events as a blind one (pinned by the
-    determinism tests). *)
+    {!probes} gauge read at each window close. The observatory only
+    reads state: an observed run executes the same events as a blind
+    one (pinned by the determinism tests). *)
 
 val stop_observatory : t -> Obs.Timeseries.t -> unit
 (** Stop the observatory's window process, flush the final partial
@@ -139,8 +128,9 @@ val submit : t -> sid:int -> Transaction.request -> Transaction.outcome
 (** {2 Run orchestration} *)
 
 val run_for : t -> warmup_ms:float -> measure_ms:float -> unit
-(** Advance virtual time by [warmup_ms], reset the metrics window (and
-    discard any recorded log), then advance by [measure_ms]. *)
+(** Advance virtual time by [warmup_ms], reset the metrics window
+    ({!Metrics.reset_window}, which also rebases every window total) and
+    discard any recorded log, then advance by [measure_ms]. *)
 
 val records : t -> Check.Runlog.record list
 (** Committed-transaction records collected in the current window

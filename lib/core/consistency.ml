@@ -102,5 +102,3 @@ let tier_of_string s =
     | Some i when String.sub s 0 i = "bounded" ->
       parse_bound (String.sub s (i + 1) (String.length s - i - 1))
     | Some _ | None -> Error (Printf.sprintf "unknown read tier %S" s))
-
-let pp_tier ppf t = Format.pp_print_string ppf (tier_to_string t)

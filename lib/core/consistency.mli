@@ -78,5 +78,3 @@ val tier_to_string : read_tier -> string
 
 val tier_of_string : string -> (read_tier, string) result
 (** Parse {!tier_to_string}'s formats (case-insensitive). *)
-
-val pp_tier : Format.formatter -> read_tier -> unit

@@ -204,8 +204,6 @@ let start_version t ~sid ~table_set =
 let note_applied t ~replica ~version =
   if version > t.applied.(replica) then t.applied.(replica) <- version
 
-let applied_version t ~replica = t.applied.(replica)
-
 (* Prune [vs_history] entries older than the retention window. Runs
    every 1024 appends so the per-commit cost is amortized O(1); the
    newest pruned version becomes [vs_base]. *)

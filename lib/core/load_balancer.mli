@@ -143,9 +143,6 @@ val note_applied : t -> replica:int -> version:int -> unit
     balancer's view is a lower bound on the replica's true progress —
     staleness-aware routing can only over-wait, never under-wait. *)
 
-val applied_version : t -> replica:int -> int
-(** Last applied version reported by the replica (0 until heard from). *)
-
 val tier_floor : t -> sid:int -> tier:Consistency.read_tier -> now:float -> int
 (** The snapshot floor a tiered read must reach: 0 for [Eventual], the
     session's floor for [Causal], and [max] of the version-lag and

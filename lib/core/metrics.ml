@@ -29,11 +29,6 @@ type t = {
   mutable updates : int;
   mutable aborted : int;
   mutable retry_exhausted : int;
-  (* overload protection (docs/PROTOCOL.md, "Overload & admission
-     control") *)
-  mutable shed : int;
-  mutable retry_budget_exhausted : int;
-  mutable deadline_expired : int;
   mutable max_queue_depth : int;
   response : Util.Stats.t;
   stage_sums : float array;  (* over all committed txns *)
@@ -43,34 +38,20 @@ type t = {
   mutable cert_batched_txns : int;
   mutable apply_groups : int;
   mutable apply_group_txns : int;
-  mutable apply_group_lanes : int;
   (* per-reason abort breakdown (keys are Transaction.abort_slug values) *)
   aborts_by_reason : int Stbl.t;
-  (* fault-injection and hardened-layer counters *)
-  mutable fault_drops : int;
-  mutable fault_duplicates : int;
-  mutable fault_delays : int;
-  mutable retransmits : int;
-  mutable suspects : int;
-  mutable failovers : int;
-  (* certifier high availability *)
-  mutable promotions : int;
-  mutable fenced : int;
   outage_windows : Util.Stats.t;  (* commit-outage span per promotion, ms *)
-  (* consensus-grade control plane *)
-  mutable elections : int;
-  mutable vote_denials : int;
-  mutable lease_expiries : int;
-  mutable lb_takeovers : int;
+  (* the cluster's monotonic totals, each with its count at window start *)
+  mutable totals : total list;
   (* per-read-tier breakdown (docs/CONSISTENCY.md): keyed by
      Consistency.tier_slug; populated only for read-only commits, so it
      stays empty in runs that never commit a read *)
   tiers : tier_stat Stbl.t;
   (* per-outcome observer (the run-health observatory); None = zero cost *)
   mutable observer : (outcome -> unit) option;
-  (* consistency health gauges, refreshed by the cluster's gauge pass *)
-  mutable health : health option;
 }
+
+and total = { name : string; read : unit -> int; mutable base : int }
 
 and tier_stat = {
   mutable tier_n : int;
@@ -87,13 +68,6 @@ and outcome = {
   out_staleness : int;  (* versions behind V_system at response; reads only *)
 }
 
-and health = {
-  lag_max : float;
-  cert_log : int;
-  watermark_horizon : int;
-  epoch : int;
-}
-
 let create engine =
   {
     engine;
@@ -102,9 +76,6 @@ let create engine =
     updates = 0;
     aborted = 0;
     retry_exhausted = 0;
-    shed = 0;
-    retry_budget_exhausted = 0;
-    deadline_expired = 0;
     max_queue_depth = 0;
     response = Util.Stats.create ();
     stage_sums = Array.make stage_count 0.0;
@@ -113,32 +84,31 @@ let create engine =
     cert_batched_txns = 0;
     apply_groups = 0;
     apply_group_txns = 0;
-    apply_group_lanes = 0;
     aborts_by_reason = Stbl.create 8;
-    fault_drops = 0;
-    fault_duplicates = 0;
-    fault_delays = 0;
-    retransmits = 0;
-    suspects = 0;
-    failovers = 0;
-    promotions = 0;
-    fenced = 0;
     outage_windows = Util.Stats.create ();
-    elections = 0;
-    vote_denials = 0;
-    lease_expiries = 0;
-    lb_takeovers = 0;
+    totals = [];
     tiers = Stbl.create 4;
     observer = None;
-    health = None;
   }
 
 let set_observer t obs = t.observer <- obs
 
-let set_health t ~lag_max ~cert_log ~watermark_horizon ~epoch =
-  t.health <- Some { lag_max; cert_log; watermark_horizon; epoch }
+(* --- Window totals ---------------------------------------------------
 
-let health t = t.health
+   A total is a monotonic source owned elsewhere (certifier, network,
+   fault plan, ...). Its window count is its reading minus its reading
+   at window start, so the window needs no copy of the counter. *)
+
+let add_total t name read = t.totals <- t.totals @ [ { name; read; base = read () } ]
+
+let window_count w = w.read () - w.base
+
+let total t name =
+  match List.find_opt (fun w -> String.equal w.name name) t.totals with
+  | Some w -> window_count w
+  | None -> 0
+
+let totals t = List.map (fun w -> (w.name, window_count w)) t.totals
 
 let reset_window t =
   t.window_start <- Sim.Engine.now t.engine;
@@ -146,9 +116,6 @@ let reset_window t =
   t.updates <- 0;
   t.aborted <- 0;
   t.retry_exhausted <- 0;
-  t.shed <- 0;
-  t.retry_budget_exhausted <- 0;
-  t.deadline_expired <- 0;
   t.max_queue_depth <- 0;
   Util.Stats.clear t.response;
   Array.fill t.stage_sums 0 stage_count 0.0;
@@ -157,31 +124,18 @@ let reset_window t =
   t.cert_batched_txns <- 0;
   t.apply_groups <- 0;
   t.apply_group_txns <- 0;
-  t.apply_group_lanes <- 0;
   Stbl.reset t.aborts_by_reason;
-  t.fault_drops <- 0;
-  t.fault_duplicates <- 0;
-  t.fault_delays <- 0;
-  t.retransmits <- 0;
-  t.suspects <- 0;
-  t.failovers <- 0;
-  t.promotions <- 0;
-  t.fenced <- 0;
   Util.Stats.clear t.outage_windows;
-  t.elections <- 0;
-  t.vote_denials <- 0;
-  t.lease_expiries <- 0;
-  t.lb_takeovers <- 0;
+  List.iter (fun w -> w.base <- w.read ()) t.totals;
   Stbl.reset t.tiers
 
 let note_cert_batch t ~size =
   t.cert_batches <- t.cert_batches + 1;
   t.cert_batched_txns <- t.cert_batched_txns + size
 
-let note_apply_group t ~size ~lanes =
+let note_apply_group t ~size =
   t.apply_groups <- t.apply_groups + 1;
-  t.apply_group_txns <- t.apply_group_txns + size;
-  t.apply_group_lanes <- t.apply_group_lanes + lanes
+  t.apply_group_txns <- t.apply_group_txns + size
 
 let cert_batches t = t.cert_batches
 
@@ -194,10 +148,6 @@ let apply_groups t = t.apply_groups
 let mean_apply_group t =
   if t.apply_groups = 0 then 0.0
   else float_of_int t.apply_group_txns /. float_of_int t.apply_groups
-
-let mean_apply_lanes t =
-  if t.apply_groups = 0 then 0.0
-  else float_of_int t.apply_group_lanes /. float_of_int t.apply_groups
 
 (* --- The per-transaction stage clock -------------------------------
 
@@ -330,47 +280,11 @@ let aborts_by_reason t =
   |> List.sort (fun (ka, a) (kb, b) ->
          match compare (b : int) a with 0 -> compare ka kb | c -> c)
 
-let note_fault t kind =
-  match kind with
-  | `Drop -> t.fault_drops <- t.fault_drops + 1
-  | `Duplicate -> t.fault_duplicates <- t.fault_duplicates + 1
-  | `Delay -> t.fault_delays <- t.fault_delays + 1
+let note_promotion t ~outage_ms = Util.Stats.add t.outage_windows outage_ms
 
-let note_retransmits t n = t.retransmits <- t.retransmits + n
-
-let note_suspect t = t.suspects <- t.suspects + 1
-
-let note_failover t = t.failovers <- t.failovers + 1
-
-let note_promotion t ~outage_ms =
-  t.promotions <- t.promotions + 1;
-  Util.Stats.add t.outage_windows outage_ms
-
-let note_fenced t = t.fenced <- t.fenced + 1
-
-let note_election t = t.elections <- t.elections + 1
-
-let note_vote_denial t = t.vote_denials <- t.vote_denials + 1
-
-let note_lease_expiry t = t.lease_expiries <- t.lease_expiries + 1
-
-let note_lb_takeover t = t.lb_takeovers <- t.lb_takeovers + 1
-
-let promotions t = t.promotions
-let fenced t = t.fenced
-let elections t = t.elections
-let vote_denials t = t.vote_denials
-let lease_expiries t = t.lease_expiries
-let lb_takeovers t = t.lb_takeovers
-let outage_windows t = t.outage_windows
 let outage_max_ms t = Util.Stats.max_value t.outage_windows
 
-let fault_drops t = t.fault_drops
-let fault_duplicates t = t.fault_duplicates
-let fault_delays t = t.fault_delays
-let retransmits t = t.retransmits
-let suspects t = t.suspects
-let failovers t = t.failovers
+let retransmits t = total t "net.retransmits" + total t "certifier.retransmits"
 
 let notify ?(tier = "strong") ?(staleness = 0) txn ~committed ~read_only =
   match txn.m.observer with
@@ -408,21 +322,14 @@ let txn_abort ?slug txn ~reason =
 
 let record_retry_exhausted t = t.retry_exhausted <- t.retry_exhausted + 1
 
-let record_shed t = t.shed <- t.shed + 1
-
-let record_retry_budget_exhausted t =
-  t.retry_budget_exhausted <- t.retry_budget_exhausted + 1
-
-let record_deadline_expired t = t.deadline_expired <- t.deadline_expired + 1
-
 let note_queue_depth t depth =
   if depth > t.max_queue_depth then t.max_queue_depth <- depth
 
-let shed t = t.shed
+let shed t = total t "txn.shed"
 
-let retry_budget_exhausted t = t.retry_budget_exhausted
+let retry_budget_exhausted t = total t "txn.retry_budget_exhausted"
 
-let deadline_expired t = t.deadline_expired
+let deadline_expired t = total t "txn.deadline_expired"
 
 let max_queue_depth t = t.max_queue_depth
 
@@ -500,29 +407,13 @@ let pp_summary ppf t =
     Format.fprintf ppf "aborts:";
     List.iter (fun (slug, n) -> Format.fprintf ppf " %s=%d" slug n) reasons;
     Format.fprintf ppf "@,");
-  if
-    t.fault_drops + t.fault_duplicates + t.fault_delays + t.retransmits + t.suspects
-    + t.failovers
-    > 0
-  then
-    Format.fprintf ppf
-      "faults: drops=%d dups=%d delays=%d retransmits=%d suspects=%d failovers=%d@,"
-      t.fault_drops t.fault_duplicates t.fault_delays t.retransmits t.suspects
-      t.failovers;
-  if t.promotions + t.fenced > 0 then
-    Format.fprintf ppf
-      "certifier HA: promotions=%d fenced=%d outage mean=%.1fms max=%.1fms@,"
-      t.promotions t.fenced
+  if Util.Stats.count t.outage_windows > 0 then
+    Format.fprintf ppf "commit outages: %d, mean %.1fms max %.1fms@,"
+      (Util.Stats.count t.outage_windows)
       (Util.Stats.mean t.outage_windows)
       (Util.Stats.max_value t.outage_windows);
-  if t.elections + t.vote_denials + t.lease_expiries + t.lb_takeovers > 0 then
-    Format.fprintf ppf
-      "control plane: elections=%d vote_denials=%d lease_expiries=%d lb_takeovers=%d@,"
-      t.elections t.vote_denials t.lease_expiries t.lb_takeovers;
-  if t.shed + t.retry_budget_exhausted + t.deadline_expired + t.max_queue_depth > 0 then
-    Format.fprintf ppf
-      "overload: shed=%d retry_budget_exhausted=%d deadline_expired=%d max_queue=%d@,"
-      t.shed t.retry_budget_exhausted t.deadline_expired t.max_queue_depth;
+  if t.max_queue_depth > 0 then
+    Format.fprintf ppf "max queue depth %d@," t.max_queue_depth;
   (* The tier table always carries read-only commits under "strong";
      print the breakdown only once a weaker class shows up, so runs
      without tiered traffic keep the classic summary. *)
@@ -535,10 +426,4 @@ let pp_summary ppf t =
           (tier_percentile_response_ms t slug 95.0)
           (tier_mean_staleness t slug) (tier_max_staleness t slug))
       (tier_slugs t);
-  (match t.health with
-  | None -> ()
-  | Some h ->
-    Format.fprintf ppf
-      "health: lag.max=%.0f cert.log=%d watermark.horizon=%d epoch=%d@," h.lag_max
-      h.cert_log h.watermark_horizon h.epoch);
   Format.fprintf ppf "@]"

@@ -31,15 +31,6 @@ type outcome = {
           time; meaningful for read-only commits, 0 otherwise *)
 }
 
-(** A point-in-time consistency health snapshot, refreshed by the
-    cluster's gauge pass and echoed by {!pp_summary}. *)
-type health = {
-  lag_max : float;  (** max over replicas of [v_system - v_local] *)
-  cert_log : int;  (** certifier log length (entries kept) *)
-  watermark_horizon : int;  (** watermark-GC horizon (log base version) *)
-  epoch : int;  (** current certifier epoch *)
-}
-
 val create : Sim.Engine.t -> t
 
 val set_observer : t -> (outcome -> unit) option -> unit
@@ -47,12 +38,27 @@ val set_observer : t -> (outcome -> unit) option -> unit
     costs nothing on the transaction path; the observatory installs a
     function that feeds its windowed counters and histograms. *)
 
-val set_health : t -> lag_max:float -> cert_log:int -> watermark_horizon:int -> epoch:int -> unit
-
-val health : t -> health option
-
 val reset_window : t -> unit
-(** Start (or restart) the measurement window; discards prior samples. *)
+(** Start (or restart) the measurement window; discards prior samples
+    and rebases every {!add_total} source. *)
+
+(** {2 Window totals}
+
+    Counts whose source is a monotonic counter elsewhere — the
+    [Total] entries of {!Cluster.probes}, which {!Cluster.create}
+    registers here. A window count is the source's reading minus its
+    reading at window start; nothing is copied or mirrored. *)
+
+val add_total : t -> string -> (unit -> int) -> unit
+(** [add_total t name read] registers a monotonic source under its
+    catalog name; its window count starts at 0 now. *)
+
+val total : t -> string -> int
+(** The named total's count this window; 0 for an unregistered name
+    (e.g. [fault.*] without a fault plan). *)
+
+val totals : t -> (string * int) list
+(** Every registered total's count this window, in registration order. *)
 
 val record_commit :
   ?tier:string ->
@@ -74,29 +80,23 @@ val record_retry_exhausted : t -> unit
 (** {2 Overload protection (docs/PROTOCOL.md, "Overload & admission
     control")}
 
-    All four counters stay 0 unless an overload knob is enabled. *)
-
-val record_shed : t -> unit
-(** A request was refused with {!Transaction.Overloaded} (LB admission,
-    apply-lag governor, or the bounded certifier backlog). *)
-
-val record_retry_budget_exhausted : t -> unit
-(** A client's retry token bucket ran dry and it gave the transaction
-    up instead of retrying ([Config.retry_budget]). *)
-
-val record_deadline_expired : t -> unit
-(** A stage dropped a transaction whose [Config.deadline_ms] deadline
-    had already passed. *)
+    All four counts stay 0 unless an overload knob is enabled. The
+    first three are window totals of the cluster's [txn.*] sources. *)
 
 val note_queue_depth : t -> int -> unit
 (** Report an observed queue depth (certifier backlog, admitted
     in-flight); the window keeps the maximum. *)
 
 val shed : t -> int
+(** Requests refused with {!Transaction.Overloaded} (LB admission,
+    apply-lag governor, or the bounded certifier backlog). *)
 
 val retry_budget_exhausted : t -> int
+(** Transactions a client gave up on an empty retry budget
+    ([Config.retry_budget]). *)
 
 val deadline_expired : t -> int
+(** Transactions dropped past their [Config.deadline_ms] deadline. *)
 
 val max_queue_depth : t -> int
 (** Largest queue depth reported this window; 0 when never reported. *)
@@ -112,7 +112,7 @@ val max_queue_depth : t -> int
 
 val note_cert_batch : t -> size:int -> unit
 
-val note_apply_group : t -> size:int -> lanes:int -> unit
+val note_apply_group : t -> size:int -> unit
 
 val cert_batches : t -> int
 
@@ -123,9 +123,6 @@ val apply_groups : t -> int
 
 val mean_apply_group : t -> float
 (** Mean writesets installed per apply group; 0 when idle. *)
-
-val mean_apply_lanes : t -> float
-(** Mean concurrent conflict lanes per apply group; 0 when idle. *)
 
 (** {2 The per-transaction stage clock}
 
@@ -162,9 +159,6 @@ val txn_stages : txn -> float array
 (** The per-stage durations accumulated so far (indexed by
     {!stage_index}); the array the outcome carries. *)
 
-val txn_response_ms : txn -> float
-(** Virtual time elapsed since {!txn_begin}. *)
-
 val txn_commit :
   ?args:(string * string) list ->
   ?tier:string ->
@@ -181,76 +175,20 @@ val txn_abort : ?slug:string -> txn -> reason:string -> unit
     [reason] is the human-readable form (span arg); [slug] the stable
     identifier for the per-reason breakdown. *)
 
-(** {2 Fault accounting}
-
-    Counters fed by the cluster's fault-plan observer and hardened
-    message layer (docs/FAULTS.md); all zero in fault-free runs. *)
-
-val note_fault : t -> [ `Drop | `Duplicate | `Delay ] -> unit
-
-val note_retransmits : t -> int -> unit
-(** Add newly observed retransmissions (the cluster polls monotonic
-    network/certifier counters and reports deltas). *)
-
-val note_suspect : t -> unit
-(** The LB failure detector marked a replica suspect. *)
-
-val note_failover : t -> unit
-(** A replica was declared dead (routing failover), or reprovisioned. *)
+(** {2 Certifier failover} *)
 
 val note_promotion : t -> outage_ms:float -> unit
-(** A certifier standby promoted itself (or was promoted); [outage_ms]
-    is the span since the deposed primary was last known good — the
-    commit-outage window the failover closed. *)
-
-val note_fenced : t -> unit
-(** A stale-epoch certifier message (refresh batch, repair stream,
-    replication push or decision) was rejected by an epoch fence. *)
-
-val note_election : t -> unit
-(** A suspecting standby started a vote round (won or not). *)
-
-val note_vote_denial : t -> unit
-(** A voter refused a candidate (log behind, stale target epoch, vote
-    already granted elsewhere, or learner). *)
-
-val note_lease_expiry : t -> unit
-(** The voter liveness lease demoted an unresponsive voter to learner
-    ([Config.voter_lease_ms]). *)
-
-val note_lb_takeover : t -> unit
-(** The standby load balancer deposed a silent active LB and took over
-    routing ([Config.lb_standby]). *)
-
-val promotions : t -> int
-
-val fenced : t -> int
-
-val elections : t -> int
-
-val vote_denials : t -> int
-
-val lease_expiries : t -> int
-
-val lb_takeovers : t -> int
-
-val outage_windows : t -> Util.Stats.t
-(** Per-promotion commit-outage spans (ms). *)
+(** A certifier standby promoted itself; [outage_ms] is the span since
+    the deposed primary was last known good — the commit-outage window
+    the failover closed. (The promotion itself is counted by the
+    [certifier.promotions] total.) *)
 
 val outage_max_ms : t -> float
 (** Largest outage window closed by a promotion; 0 when none. *)
 
-val fault_drops : t -> int
-
-val fault_duplicates : t -> int
-
-val fault_delays : t -> int
-
 val retransmits : t -> int
-
-val suspects : t -> int
-
-val failovers : t -> int
+(** Retransmissions this window: the [net.retransmits] (stop-and-wait
+    re-sends) plus [certifier.retransmits] (refresh repair) totals. *)
 
 (** {2 Reading results} *)
 
@@ -294,9 +232,6 @@ val aborts_by_reason : t -> (string * int) list
     land under ["strong"], so the four classes are directly comparable
     within one run. Empty until a read commits. *)
 
-val tier_slugs : t -> string list
-(** Tiers with at least one read-only commit, sorted. *)
-
 val tier_committed : t -> string -> int
 
 val tier_mean_response_ms : t -> string -> float
@@ -309,3 +244,6 @@ val tier_mean_staleness : t -> string -> float
 val tier_max_staleness : t -> string -> float
 
 val pp_summary : Format.formatter -> t -> unit
+(** The transaction part of a run: throughput, aborts by reason,
+    response time, the stage breakdown, read tiers, commit outages and
+    the deepest queue. {!Cluster.pp_catalog} prints the rest. *)

@@ -240,7 +240,7 @@ let apply_refresh_group t ~first run =
     bucketize p (partition_lanes ~intern:(Storage.Database.intern t.db) run)
   in
   (match t.metrics with
-  | Some m -> Metrics.note_apply_group m ~size:(List.length run) ~lanes:(List.length lanes)
+  | Some m -> Metrics.note_apply_group m ~size:(List.length run)
   | None -> ());
   let group_span =
     match t.obs with

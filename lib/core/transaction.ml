@@ -70,11 +70,3 @@ let abort_slug = function
 let abort_is_transient = function
   | Replica_failure | Timeout | Overloaded _ -> true
   | Certification_conflict | Early_certification | Statement_error _ -> false
-
-let pp_outcome ppf = function
-  | Committed { commit_version; snapshot; response_ms; _ } ->
-    Format.fprintf ppf "committed%s (snapshot v%d, %.2fms)"
-      (match commit_version with Some v -> Printf.sprintf " at v%d" v | None -> " read-only")
-      snapshot response_ms
-  | Aborted { reason; response_ms } ->
-    Format.fprintf ppf "aborted: %a (%.2fms)" pp_abort_reason reason response_ms

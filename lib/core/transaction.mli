@@ -77,5 +77,3 @@ val abort_is_transient : abort_reason -> bool
     retries are still capped by the per-client retry {e budget}
     ([Config.retry_budget]) when one is configured, and an [Overloaded]
     retry waits out the shed's [retry_after_ms] hint first. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

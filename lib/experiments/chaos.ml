@@ -151,54 +151,45 @@ type result = {
       (** virtual time the post-heal drain took until the cluster both
           progressed and caught up (the full drain span when wedged) *)
   digest : string;
-  drops : int;
-  duplicates : int;
-  delays : int;
-  retransmits : int;
-  suspects : int;
-  failovers : int;
-  reprovisions : int;
-  evictions : int;
-  promotions : int;  (** automatic certifier promotions *)
-  fenced : int;  (** stale-epoch certifier messages/decisions rejected *)
+  totals : (string * int) list;  (** the catalog's window totals *)
   epoch : int;  (** final certifier epoch *)
-  elections : int;  (** certifier vote rounds started *)
-  vote_denials : int;  (** ballots refused by voters *)
-  lease_expiries : int;  (** voters demoted to learner by the liveness lease *)
-  lb_takeovers : int;  (** standby-LB routing takeovers *)
-  lb_fenced : int;  (** stale-LB-epoch pushes/relays rejected *)
   lb_epoch : int;  (** final LB routing epoch *)
   divergent_log_entries : int;
       (** versions whose writeset differs between two certifier group
           members' retained logs (must be 0: same version, same decision
           on every surviving copy) *)
   outage_max_ms : float;  (** widest commit-outage window a promotion closed *)
-  shed : int;  (** requests refused [Overloaded] (LB, governor, certifier) *)
-  deadline_expired : int;  (** transactions dropped past their deadline *)
-  retry_budget_exhausted : int;  (** clients that gave up on an empty budget *)
   max_queue_depth : int;  (** deepest backlog/admitted depth observed *)
   zombie_commits : int;
       (** committed-log records whose tid was also shed — must be 0:
           a refused transaction may never commit *)
 }
 
+let total r name = Option.value ~default:0 (List.assoc_opt name r.totals)
+
+(* Stale-epoch certifier traffic rejected anywhere: at the certifier
+   group, at the replicas and at the load balancer. *)
+let fenced r =
+  total r "certifier.fenced" + total r "replicas.fenced" + total r "lb.cert_fenced"
+
 let ok r =
+  let promotions = total r "certifier.promotions" in
   (not r.wedged)
   && r.duplicate_commit_versions = 0
   && r.divergent_log_entries = 0
   && List.for_all (fun (_, n) -> n = 0) r.violations
   (* The cert-failover plan exists to exercise automatic promotion: a
      run where no standby ever took over proves nothing. *)
-  && (r.plan <> CertFailover || r.promotions >= 1)
+  && (r.plan <> CertFailover || promotions >= 1)
   (* Likewise, a control-plane run must see both halves actually fail
      over: at least one safe election-backed promotion AND at least one
      standby-LB takeover. *)
-  && (r.plan <> ControlPlane || (r.promotions >= 1 && r.lb_takeovers >= 1))
+  && (r.plan <> ControlPlane || (promotions >= 1 && total r "lb.takeovers" >= 1))
   (* A shed transaction may never also commit, whatever the plan. *)
   && r.zombie_commits = 0
   (* An overload run where nothing was ever refused proves nothing: the
      open-loop load is sized beyond capacity, so protection must bite. *)
-  && (r.plan <> Overload || r.shed > 0)
+  && (r.plan <> Overload || total r "txn.shed" > 0)
 
 (* The per-mode checker battery: first-committer-wins (no lost or
    double-committed writes under GSI) and epoch fencing (commit versions
@@ -457,34 +448,11 @@ let soak ?config ?(params = default_params) ?(clients = 12) ?(tiers = false)
     wedged = not (progressed && caught_up);
     wedge_drain_ms;
     digest = Check.Runlog.digest records;
-    drops = Core.Metrics.fault_drops metrics;
-    duplicates = Core.Metrics.fault_duplicates metrics;
-    delays = Core.Metrics.fault_delays metrics;
-    retransmits = Core.Metrics.retransmits metrics;
-    suspects = Core.Metrics.suspects metrics;
-    failovers = Core.Metrics.failovers metrics;
-    reprovisions = Core.Cluster.reprovisions cluster;
-    evictions = Core.Certifier.evictions (Core.Cluster.certifier cluster);
-    promotions = Core.Certifier.promotions (Core.Cluster.certifier cluster);
-    fenced =
-      Core.Certifier.fenced (Core.Cluster.certifier cluster)
-      + Array.fold_left
-          (fun acc i -> acc + Core.Replica.fenced_refreshes (Core.Cluster.replica cluster i))
-          0
-          (Array.init replicas Fun.id)
-      + Core.Cluster.lb_cert_fenced cluster;
+    totals = Core.Metrics.totals metrics;
     epoch = Core.Certifier.current_epoch (Core.Cluster.certifier cluster);
     divergent_log_entries = divergent_log_entries (Core.Cluster.certifier cluster);
     outage_max_ms = Core.Metrics.outage_max_ms metrics;
-    elections = Core.Certifier.elections (Core.Cluster.certifier cluster);
-    vote_denials = Core.Certifier.vote_denials (Core.Cluster.certifier cluster);
-    lease_expiries = Core.Certifier.lease_expiries (Core.Cluster.certifier cluster);
-    lb_takeovers = Core.Cluster.lb_takeovers cluster;
-    lb_fenced = Core.Cluster.lb_fenced cluster;
     lb_epoch = Core.Cluster.lb_epoch cluster;
-    shed = Core.Metrics.shed metrics;
-    deadline_expired = Core.Metrics.deadline_expired metrics;
-    retry_budget_exhausted = Core.Metrics.retry_budget_exhausted metrics;
     max_queue_depth = Core.Metrics.max_queue_depth metrics;
     zombie_commits =
       List.fold_left
@@ -505,6 +473,7 @@ let reproducible ?config ?params ?clients ?tiers ?protections ?offered_tps ~mode
 
 let pp_result ppf r =
   let viol = List.fold_left (fun acc (_, n) -> acc + n) 0 r.violations in
+  let n = total r in
   Format.fprintf ppf
     "%-7s %-13s seed=%-4d %s  committed=%-5d aborted=%-4d violations=%d%s%s%s  \
      drain=%.0fms  faults: drop=%d dup=%d delay=%d retx=%d suspects=%d failovers=%d \
@@ -522,21 +491,24 @@ let pp_result ppf r =
      else "")
     (if r.wedged then " WEDGED" else "")
     r.wedge_drain_ms
-    r.drops r.duplicates r.delays r.retransmits r.suspects r.failovers r.reprovisions
-    r.evictions
+    (n "fault.drops") (n "fault.duplicates") (n "fault.delays")
+    (n "net.retransmits" + n "certifier.retransmits")
+    (n "detector.suspect") (n "detector.dead") (n "detector.reprovision")
+    (n "certifier.evictions")
     (if r.epoch > 0 then
        Printf.sprintf " epoch=%d promotions=%d fenced=%d outage_max=%.0fms" r.epoch
-         r.promotions r.fenced r.outage_max_ms
+         (n "certifier.promotions") (fenced r) r.outage_max_ms
      else "")
-    (if r.elections + r.lb_takeovers + r.lease_expiries > 0 then
+    (if n "certifier.elections" + n "lb.takeovers" + n "certifier.lease_expiries" > 0 then
        Printf.sprintf " elections=%d denials=%d leases=%d lb_takeovers=%d lb_fenced=%d"
-         r.elections r.vote_denials r.lease_expiries r.lb_takeovers r.lb_fenced
+         (n "certifier.elections") (n "certifier.vote_denials")
+         (n "certifier.lease_expiries") (n "lb.takeovers") (n "lb.fenced")
      else "")
-    (if r.shed + r.deadline_expired + r.retry_budget_exhausted + r.zombie_commits > 0
-     then
-       Printf.sprintf " shed=%d expired=%d budget_out=%d max_queue=%d zombies=%d"
-         r.shed r.deadline_expired r.retry_budget_exhausted r.max_queue_depth
-         r.zombie_commits
+    (let shed = n "txn.shed" and expired = n "txn.deadline_expired"
+     and budget_out = n "txn.retry_budget_exhausted" in
+     if shed + expired + budget_out + r.zombie_commits > 0 then
+       Printf.sprintf " shed=%d expired=%d budget_out=%d max_queue=%d zombies=%d" shed
+         expired budget_out r.max_queue_depth r.zombie_commits
      else "")
     (String.sub r.digest 0 12)
 
@@ -563,44 +535,19 @@ let result_json r =
       ("divergent_log_entries", num r.divergent_log_entries);
       ("wedged", Obs.Json.Bool r.wedged);
       ("wedge_drain_ms", Obs.Json.Num r.wedge_drain_ms);
-      ( "faults",
-        counts
-          [
-            ("drops", r.drops);
-            ("duplicates", r.duplicates);
-            ("delays", r.delays);
-          ] );
-      ("retransmits", num r.retransmits);
-      ("suspects", num r.suspects);
-      ("failovers", num r.failovers);
-      ("reprovisions", num r.reprovisions);
-      ("evictions", num r.evictions);
-      ("promotions", num r.promotions);
-      ("fenced", num r.fenced);
+      ("totals", counts r.totals);
       ("epoch", num r.epoch);
-      ("elections", num r.elections);
-      ("vote_denials", num r.vote_denials);
-      ("lease_expiries", num r.lease_expiries);
-      ("lb_takeovers", num r.lb_takeovers);
-      ("lb_fenced", num r.lb_fenced);
       ("lb_epoch", num r.lb_epoch);
       ("outage_max_ms", Obs.Json.Num r.outage_max_ms);
-      ( "overload",
-        counts
-          [
-            ("shed", r.shed);
-            ("deadline_expired", r.deadline_expired);
-            ("retry_budget_exhausted", r.retry_budget_exhausted);
-            ("max_queue_depth", r.max_queue_depth);
-            ("zombie_commits", r.zombie_commits);
-          ] );
+      ("max_queue_depth", num r.max_queue_depth);
+      ("zombie_commits", num r.zombie_commits);
       ("digest", Obs.Json.Str r.digest);
     ]
 
 let health_json results =
   Obs.Json.Obj
     [
-      ("schema_version", Obs.Json.Num 1.0);
+      ("schema_version", Obs.Json.Num 2.0);
       ("runs", Obs.Json.Arr (List.map result_json results));
     ]
 

@@ -74,42 +74,27 @@ type result = {
           (sampled at 1/20th-drain granularity; the full drain span when
           wedged) *)
   digest : string;  (** {!Check.Runlog.digest} of the measured window *)
-  drops : int;
-  duplicates : int;
-  delays : int;
-  retransmits : int;
-  suspects : int;
-  failovers : int;
-  reprovisions : int;
-  evictions : int;
-  promotions : int;  (** automatic certifier promotions *)
-  fenced : int;
-      (** stale-epoch certifier messages/decisions rejected, summed over
-          certifier, replicas and load balancer *)
+  totals : (string * int) list;
+      (** every {!Core.Cluster.probes} total's count over the run
+          (measured window plus drain), keyed by catalog name
+          ({!Core.Metrics.totals}); read with {!total} *)
   epoch : int;  (** final certifier epoch (0 when no failover happened) *)
-  elections : int;  (** certifier vote rounds started *)
-  vote_denials : int;  (** votes refused (stale log, old ballot, busy) *)
-  lease_expiries : int;
-      (** partitioned voters demoted out of the ack quorum by lease *)
-  lb_takeovers : int;  (** standby-LB routing takeovers *)
-  lb_fenced : int;  (** stale-LB-epoch pushes/relays rejected *)
   lb_epoch : int;  (** final LB routing epoch (0 when no takeover) *)
   divergent_log_entries : int;
       (** versions whose writeset differs between two certifier group
           members' retained logs (must be 0) *)
   outage_max_ms : float;
       (** widest commit-outage window an automatic promotion closed *)
-  shed : int;
-      (** requests refused with {!Core.Transaction.Overloaded} — LB
-          admission, apply-lag governor, or certifier backlog *)
-  deadline_expired : int;  (** transactions dropped past their deadline *)
-  retry_budget_exhausted : int;
-      (** clients that gave a transaction up on an empty retry budget *)
   max_queue_depth : int;
       (** deepest certifier backlog / admitted-in-flight depth observed *)
   zombie_commits : int;
       (** committed records whose tid was also shed (must be 0) *)
 }
+
+val total : result -> string -> int
+(** [total r name] is the run's count for catalog total [name] (e.g.
+    ["fault.drops"], ["certifier.promotions"], ["txn.shed"]); 0 when the
+    cluster had no such entry. *)
 
 val ok : result -> bool
 (** No checker violations, no duplicate commit versions, no divergent
@@ -117,6 +102,15 @@ val ok : result -> bool
     {!CertFailover}, at least one automatic promotion; under
     {!ControlPlane}, at least one automatic promotion and one LB
     takeover; under {!Overload}, at least one shed. *)
+
+val build_plan :
+  plan -> seed:int -> duration_ms:float -> replicas:int -> Sim.Engine.t -> Sim.Faults.t
+(** The fault plan a soak attaches ([Core.Cluster.create ~faults]):
+    derived only from [seed] and [duration_ms], every window closed by
+    [0.75 * duration_ms]. *)
+
+val default_params : Workload.Microbench.params
+(** The microbench a soak loads and drives when none is given. *)
 
 val default_config : seed:int -> Core.Config.t
 (** The config a soak runs under when none is given: a hardened
@@ -189,8 +183,8 @@ val pp_result : Format.formatter -> result -> unit
 val health_json : result list -> Obs.Json.t
 (** The per-mode health timeline artifact: one object per run (plan,
     seed, verdict, commit/abort counts, violation counts by checker,
-    faults injected, retransmissions, detector and HA events,
-    wedge-drain time, digest) under a versioned envelope. CI uploads
+    the catalog's window totals under ["totals"], wedge-drain time,
+    digest) under a versioned envelope ([schema_version] 2). CI uploads
     this when a soak fails. *)
 
 val write_health : result list -> file:string -> unit

@@ -7,11 +7,6 @@ let spec ?(drop = 0.0) ?(duplicate = 0.0) ?(delay = 0.0) ?(delay_ms = 0.0) () =
 
 type drop_reason = [ `Random | `Partition | `Script ]
 
-type event =
-  | Dropped of { src : int; dst : int; reason : drop_reason }
-  | Duplicated of { src : int; dst : int }
-  | Delayed of { src : int; dst : int; by_ms : float }
-
 let any = min_int + 1
 
 (* [b = []] means "everyone not in [a]". *)
@@ -33,7 +28,6 @@ type t = {
   scripted : (int * int, int ref) Hashtbl.t;
   mutable cuts : cut list;
   mutable windows : window list;
-  mutable observer : (event -> unit) option;
   mutable drops : int;
   mutable duplicates : int;
   mutable delays : int;
@@ -48,7 +42,6 @@ let create ?(seed = 0) engine =
     scripted = Hashtbl.create 4;
     cuts = [];
     windows = [];
-    observer = None;
     drops = 0;
     duplicates = 0;
     delays = 0;
@@ -75,8 +68,6 @@ let slowdown t ~node =
       if w.node = node && now >= w.w_from && now < w.w_until then acc *. w.factor
       else acc)
     1.0 t.windows
-
-let on_event t f = t.observer <- Some f
 
 (* [Network.unspecified] (min_int) and the [any] wildcard are sentinels,
    not nodes: they belong to no group, so a message with an untagged
@@ -106,31 +97,26 @@ let find_spec t ~src ~dst =
 
 type verdict = Deliver | Drop of drop_reason | Duplicate | Delay of float
 
-let emit t ev = match t.observer with Some f -> f ev | None -> ()
-
-let note_drop t ~src ~dst reason =
+let note_drop t reason =
   t.drops <- t.drops + 1;
-  emit t (Dropped { src; dst; reason });
   Drop reason
 
 let judge t ~src ~dst =
   match Hashtbl.find_opt t.scripted (src, dst) with
   | Some r when !r > 0 ->
       decr r;
-      note_drop t ~src ~dst `Script
+      note_drop t `Script
   | _ ->
-      if partitioned t ~src ~dst then note_drop t ~src ~dst `Partition
+      if partitioned t ~src ~dst then note_drop t `Partition
       else
         let s = find_spec t ~src ~dst in
         if s.drop > 0.0 && Util.Rng.float t.rng 1.0 < s.drop then
-          note_drop t ~src ~dst `Random
+          note_drop t `Random
         else if s.duplicate > 0.0 && Util.Rng.float t.rng 1.0 < s.duplicate then (
           t.duplicates <- t.duplicates + 1;
-          emit t (Duplicated { src; dst });
           Duplicate)
         else if s.delay > 0.0 && Util.Rng.float t.rng 1.0 < s.delay then (
           t.delays <- t.delays + 1;
-          emit t (Delayed { src; dst; by_ms = s.delay_ms });
           Delay s.delay_ms)
         else Deliver
 

@@ -38,11 +38,6 @@ val spec :
 
 type drop_reason = [ `Random | `Partition | `Script ]
 
-type event =
-  | Dropped of { src : int; dst : int; reason : drop_reason }
-  | Duplicated of { src : int; dst : int }
-  | Delayed of { src : int; dst : int; by_ms : float }
-
 val any : int
 (** Wildcard node id for link rules: [set_link ~src:any ~dst:3] applies
     to every tagged message addressed to node 3. *)
@@ -83,10 +78,6 @@ val slow : t -> node:int -> factor:float -> from_ms:float -> until_ms:float -> u
 val slowdown : t -> node:int -> float
 (** The node's current service-time multiplier (1.0 outside any window). *)
 
-val on_event : t -> (event -> unit) -> unit
-(** Observer invoked synchronously for every injected fault (counters,
-    trace instants). At most one; later calls replace it. *)
-
 type verdict =
   | Deliver
   | Drop of drop_reason
@@ -96,7 +87,7 @@ type verdict =
 val judge : t -> src:int -> dst:int -> verdict
 (** Decide one message's fate (called by {!Network}): scripted drops,
     then partitions, then the link spec's probabilistic draws. Updates
-    the counters and fires {!on_event}. *)
+    the counters below. *)
 
 val drops : t -> int
 

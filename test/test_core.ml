@@ -508,31 +508,37 @@ let test_observatory_channels_populated () =
   Alcotest.(check bool) "lag gauge sane" true (gauge "replicas.lag.max" >= 0.0);
   Alcotest.(check bool) "cert log gauge sane" true (gauge "certifier.log_size" >= 0.0)
 
-let test_probe_table_coverage () =
-  (* Every probe-table entry reaches both sinks under its one name. The
-     cluster carries every optional source — a fault plan, a standby LB
-     and a certifier standby — so the table is at its widest. *)
+(* A cluster carrying every optional probe source — a fault plan, a
+   standby LB and a certifier standby — so the probe table is at its
+   widest. *)
+let widest_cluster ?(tune = Fun.id) ?(faults = fun e -> Sim.Faults.create ~seed:5 e) () =
   let params = { Workload.Microbench.tables = 4; rows = 200; update_types = 2 } in
   let cluster =
     Core.Cluster.create
       ~config:
-        {
-          small_config with
-          Core.Config.lb_standby = true;
-          certifier_standbys = 1;
-          obs_window_ms = 100.0;
-        }
-      ~faults:(fun e -> Sim.Faults.create ~seed:5 e)
-      ~mode:Core.Consistency.Fine
+        (tune
+           {
+             small_config with
+             Core.Config.lb_standby = true;
+             certifier_standbys = 1;
+             obs_window_ms = 100.0;
+           })
+      ~faults ~mode:Core.Consistency.Fine
       ~schemas:(Workload.Microbench.schemas params)
       ~load:(Workload.Microbench.load params)
       ()
   in
   Core.Client.spawn_many cluster ~n:6 ~first_sid:0 (Workload.Microbench.workload params);
+  cluster
+
+let test_probe_table_coverage () =
+  (* Every probe-table entry reaches every sink under its one name: each
+     total is a Metrics window total and an observatory window counter,
+     each gauge a window gauge, and the catalog prints them. *)
+  let cluster = widest_cluster () in
   let ts = Core.Cluster.start_observatory cluster in
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:300.0;
   Core.Cluster.stop_observatory cluster ts;
-  Core.Cluster.update_gauges cluster;
   let probes = Core.Cluster.probes cluster in
   let names = List.map (fun (p : Core.Cluster.probe) -> p.Core.Cluster.name) probes in
   Alcotest.(check int) "table names distinct" (List.length names)
@@ -541,17 +547,30 @@ let test_probe_table_coverage () =
     (fun name ->
       Alcotest.(check bool) (name ^ " in the table") true (List.mem name names))
     [ "replica2.cpu.util"; "certifier.cpu.queue"; "fault.drops"; "lb.takeovers" ];
-  let registry = Core.Cluster.registry cluster in
+  Alcotest.(check (list string))
+    "every total, and only totals, is a window total in table order"
+    (List.filter_map
+       (fun (p : Core.Cluster.probe) ->
+         if p.Core.Cluster.kind = Core.Cluster.Total then Some p.Core.Cluster.name
+         else None)
+       probes)
+    (List.map fst (Core.Metrics.totals (Core.Cluster.metrics cluster)));
+  let catalog = Format.asprintf "%a" Core.Cluster.pp_catalog cluster in
+  let lines = String.split_on_char '\n' catalog in
+  let printed name =
+    List.exists
+      (fun l ->
+        match String.split_on_char ' ' l with first :: _ -> first = name | [] -> false)
+      lines
+  in
   List.iter
     (fun (p : Core.Cluster.probe) ->
       let name = p.Core.Cluster.name in
-      Alcotest.(check bool) (name ^ " registered") true
-        (Obs.Registry.find registry name <> None);
-      Alcotest.(check (float 0.0))
-        (name ^ " is a current registry gauge")
-        (p.Core.Cluster.read ())
-        (Obs.Registry.gauge_value (Obs.Registry.gauge registry name)))
+      if p.Core.Cluster.kind = Core.Cluster.Gauge then
+        Alcotest.(check bool) (name ^ " printed in the catalog") true (printed name))
     probes;
+  Alcotest.(check bool) "catalog prints a nonzero total" true
+    (printed "certifier.decisions");
   let windows = Obs.Timeseries.windows ts in
   Alcotest.(check bool) "windows recorded" true (List.length windows >= 4);
   let last = List.nth windows (List.length windows - 1) in
@@ -578,6 +597,47 @@ let test_probe_table_coverage () =
         (List.length listed)
         (List.length (List.sort_uniq compare listed)))
     windows
+
+let test_window_totals_rebase () =
+  (* After [reset_window], every registered total's window count is its
+     probe reading minus the reading at the reset — exact at any instant,
+     with no sweep tick or event hook in between. A lossy plan makes the
+     fault, retransmission and detector totals move. *)
+  let faults e =
+    let f = Sim.Faults.create ~seed:5 e in
+    Sim.Faults.set_default f (Sim.Faults.spec ~drop:0.05 ~duplicate:0.02 ~delay:0.02 ());
+    f
+  in
+  let cluster = widest_cluster ~tune:Core.Config.hardened ~faults () in
+  let engine = Core.Cluster.engine cluster and m = Core.Cluster.metrics cluster in
+  let totals =
+    List.filter
+      (fun (p : Core.Cluster.probe) -> p.Core.Cluster.kind = Core.Cluster.Total)
+      (Core.Cluster.probes cluster)
+  in
+  let reading (p : Core.Cluster.probe) = int_of_float (p.Core.Cluster.read ()) in
+  Sim.Engine.run engine ~until:150.0;
+  Core.Metrics.reset_window m;
+  let at_reset = List.map (fun p -> (p.Core.Cluster.name, reading p)) totals in
+  List.iter
+    (fun until ->
+      Sim.Engine.run engine ~until;
+      List.iter
+        (fun (p : Core.Cluster.probe) ->
+          let name = p.Core.Cluster.name in
+          Alcotest.(check int)
+            (Printf.sprintf "%s at %.0fms" name until)
+            (reading p - List.assoc name at_reset)
+            (Core.Metrics.total m name))
+        totals)
+    [ 150.0; 333.0; 600.0 ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " moved") true (Core.Metrics.total m name > 0))
+    [ "certifier.decisions"; "fault.drops"; "net.retransmits" ];
+  Alcotest.(check int) "retransmits sum the two retransmission totals"
+    (Core.Metrics.total m "net.retransmits" + Core.Metrics.total m "certifier.retransmits")
+    (Core.Metrics.retransmits m)
 
 (* --- Certifier unit tests (driven directly, inside a process) --- *)
 
@@ -708,8 +768,10 @@ let suites =
           test_observatory_series_deterministic;
         Alcotest.test_case "observatory channels populated" `Quick
           test_observatory_channels_populated;
-        Alcotest.test_case "probe table feeds registry and observatory" `Quick
+        Alcotest.test_case "probe table feeds sinks" `Quick
           test_probe_table_coverage;
+        Alcotest.test_case "window totals rebase at reset" `Quick
+          test_window_totals_rebase;
         Alcotest.test_case "tracing is zero-overhead" `Quick test_tracing_zero_overhead;
         Alcotest.test_case "initial database loaded once" `Quick
           test_initial_database_loaded_once;

@@ -152,7 +152,7 @@ let test_chaos_health_json_shape () =
     | Ok doc -> doc
     | Error e -> Alcotest.failf "health artifact is not valid JSON: %s" e
   in
-  Alcotest.(check (option (float 1e-9))) "versioned envelope" (Some 1.0)
+  Alcotest.(check (option (float 1e-9))) "versioned envelope" (Some 2.0)
     (Option.bind (Obs.Json.member "schema_version" doc) Obs.Json.to_float);
   match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list with
   | Some [ run ] ->
@@ -165,10 +165,12 @@ let test_chaos_health_json_shape () =
     Alcotest.(check bool) "digest present" true (str "digest" <> None);
     Alcotest.(check bool) "drain time present" true
       (match num "wedge_drain_ms" with Some d -> d >= 0.0 | None -> false);
-    Alcotest.(check bool) "fault counters nested" true
-      (match Obs.Json.member "faults" run with
-      | Some f -> Obs.Json.member "drops" f <> None
-      | None -> false)
+    let totals = Obs.Json.member "totals" run in
+    let total name = Option.bind (Option.bind totals (Obs.Json.member name)) Obs.Json.to_float in
+    Alcotest.(check (option (float 0.0))) "fault totals keyed by catalog name" (Some 0.0)
+      (total "fault.drops");
+    Alcotest.(check bool) "certifier decisions counted" true
+      (match total "certifier.decisions" with Some n -> n > 0.0 | None -> false)
   | Some rs -> Alcotest.failf "expected 1 run object, got %d" (List.length rs)
   | None -> Alcotest.fail "no runs array"
 

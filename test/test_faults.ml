@@ -339,7 +339,8 @@ let test_lossy_refresh_repair_and_dedup () =
   let cluster = run_hardened ~plan Core.Consistency.Session in
   let metrics = Core.Cluster.metrics cluster in
   Alcotest.(check bool) "faults actually fired" true
-    (Core.Metrics.fault_drops metrics > 50 && Core.Metrics.fault_duplicates metrics > 20);
+    (Core.Metrics.total metrics "fault.drops" > 50
+    && Core.Metrics.total metrics "fault.duplicates" > 20);
   Alcotest.(check bool) "repair retransmitted" true (Core.Metrics.retransmits metrics > 0);
   Alcotest.(check bool) "throughput survived" true
     (Core.Metrics.committed metrics > 100);
@@ -383,9 +384,9 @@ let test_partition_suspects_then_recovers () =
   let cluster = run_hardened ~plan ~measure_ms:2_500.0 Core.Consistency.Coarse in
   let metrics = Core.Cluster.metrics cluster in
   Alcotest.(check bool) "partitioned replica was suspected" true
-    (Core.Metrics.suspects metrics >= 1);
+    (Core.Metrics.total metrics "detector.suspect" >= 1);
   Alcotest.(check bool) "declared dead (800ms > dead_after)" true
-    (Core.Metrics.failovers metrics >= 1);
+    (Core.Metrics.total metrics "detector.dead" >= 1);
   Alcotest.(check bool) "cluster kept committing" true
     (Core.Metrics.committed metrics > 200);
   Alcotest.(check int) "no client gave up" 0 (Core.Metrics.retry_exhausted metrics);
@@ -466,10 +467,15 @@ let test_backoff_defaults_off_and_works_when_on () =
     (Core.Metrics.committed (Core.Cluster.metrics cluster) > 100)
 
 let test_abort_reason_breakdown () =
-  (* Unit-level: the per-reason abort table sorts by count and the fault
-     counters render in the summary. *)
+  (* Unit-level: the per-reason abort table sorts by count and renders
+     in the summary, and a registered total counts only what its source
+     gained since the window opened. *)
   let e = Sim.Engine.create () in
   let m = Core.Metrics.create e in
+  let retransmits = ref 3 in
+  Core.Metrics.add_total m "net.retransmits" (fun () -> !retransmits);
+  Core.Metrics.add_total m "fault.drops" (fun () -> 0);
+  retransmits := 5;
   Core.Metrics.reset_window m;
   for _ = 1 to 3 do Core.Metrics.record_abort ~slug:"certification" m done;
   Core.Metrics.record_abort ~slug:"timeout" m;
@@ -479,10 +485,13 @@ let test_abort_reason_breakdown () =
     [ ("certification", 3); ("timeout", 1) ]
     (Core.Metrics.aborts_by_reason m);
   Alcotest.(check int) "unslugged still counted in total" 5 (Core.Metrics.aborted m);
-  Core.Metrics.note_fault m `Drop;
-  Core.Metrics.note_fault m `Duplicate;
-  Core.Metrics.note_retransmits m 7;
-  Core.Metrics.note_suspect m;
+  retransmits := 12;
+  Alcotest.(check (list (pair string int)))
+    "window totals in registration order"
+    [ ("net.retransmits", 7); ("fault.drops", 0) ]
+    (Core.Metrics.totals m);
+  Alcotest.(check int) "retransmits read the window total" 7 (Core.Metrics.retransmits m);
+  Alcotest.(check int) "unregistered total reads 0" 0 (Core.Metrics.total m "fault.delays");
   let rendered = Format.asprintf "%a" Core.Metrics.pp_summary m in
   let contains sub =
     let n = String.length rendered and k = String.length sub in
@@ -490,7 +499,8 @@ let test_abort_reason_breakdown () =
     at 0
   in
   Alcotest.(check bool) "summary lists abort reasons" true (contains "certification=3");
-  Alcotest.(check bool) "summary lists fault counters" true (contains "retransmits=7")
+  Core.Metrics.reset_window m;
+  Alcotest.(check int) "reset rebases the total" 0 (Core.Metrics.retransmits m)
 
 (* --- commit_local vs in-flight refresh apply ------------------------
 
@@ -583,7 +593,8 @@ let test_chaos_soak_smoke () =
   Alcotest.(check bool)
     (Format.asprintf "chaos run ok: %a" Experiments.Chaos.pp_result r)
     true (Experiments.Chaos.ok r);
-  Alcotest.(check bool) "faults were injected" true (r.Experiments.Chaos.drops > 0);
+  Alcotest.(check bool) "faults were injected" true
+    (Experiments.Chaos.total r "fault.drops" > 0);
   Alcotest.(check bool) "same seed, same runlog digest" true same
 
 let test_chaos_clean_plan_soak () =
@@ -596,8 +607,44 @@ let test_chaos_clean_plan_soak () =
   Alcotest.(check bool)
     (Format.asprintf "clean soak ok: %a" Experiments.Chaos.pp_result r)
     true (Experiments.Chaos.ok r);
-  Alcotest.(check int) "no drops" 0 r.Experiments.Chaos.drops;
-  Alcotest.(check int) "no duplicates" 0 r.Experiments.Chaos.duplicates
+  Alcotest.(check int) "no drops" 0 (Experiments.Chaos.total r "fault.drops");
+  Alcotest.(check int) "no duplicates" 0 (Experiments.Chaos.total r "fault.duplicates")
+
+let test_lossy_soak_fault_totals () =
+  (* The chaos lossy plan, driven as a soak drives it (run_for with no
+     warm-up): the window's fault.* totals are exactly what the plan's
+     own counters gained after the window opened — no event hook, no
+     copy. *)
+  let seed = 2 and duration_ms = 800.0 in
+  let config = Experiments.Chaos.default_config ~seed in
+  let cluster =
+    Core.Cluster.create ~config
+      ~faults:
+        (Experiments.Chaos.build_plan Experiments.Chaos.Lossy ~seed ~duration_ms
+           ~replicas:config.Core.Config.replicas)
+      ~mode:Core.Consistency.Fine
+      ~schemas:(Workload.Microbench.schemas Experiments.Chaos.default_params)
+      ~load:(Workload.Microbench.load Experiments.Chaos.default_params)
+      ()
+  in
+  Core.Client.spawn_many cluster ~n:12 ~first_sid:0
+    (Workload.Microbench.workload Experiments.Chaos.default_params);
+  let f = Option.get (Core.Cluster.faults cluster) in
+  let counters () = [ Sim.Faults.drops f; Sim.Faults.duplicates f; Sim.Faults.delays f ] in
+  let engine = Core.Cluster.engine cluster and m = Core.Cluster.metrics cluster in
+  (* [run_for ~warmup_ms:0.0], with the counters read at the reset. *)
+  Sim.Engine.run engine ~until:0.0;
+  Core.Metrics.reset_window m;
+  let at_open = counters () in
+  Sim.Engine.run engine ~until:duration_ms;
+  let window =
+    List.map (fun name -> Core.Metrics.total m name)
+      [ "fault.drops"; "fault.duplicates"; "fault.delays" ]
+  in
+  Alcotest.(check (list int)) "fault totals = plan counters since the window opened"
+    (List.map2 ( - ) (counters ()) at_open)
+    window;
+  Alcotest.(check bool) "every fault kind fired" true (List.for_all (fun n -> n > 0) window)
 
 let suites =
   [
@@ -640,5 +687,6 @@ let suites =
           test_commit_local_races_group_apply;
         Alcotest.test_case "chaos soak smoke" `Quick test_chaos_soak_smoke;
         Alcotest.test_case "chaos clean plan" `Quick test_chaos_clean_plan_soak;
+        Alcotest.test_case "lossy soak fault totals" `Quick test_lossy_soak_fault_totals;
       ] );
   ]

@@ -1,6 +1,6 @@
-(* Tests for the observability subsystem: span buffer, registry,
-   windowed time series, JSON codec, and the Chrome trace-event exporter
-   fed by a real traced cluster run. *)
+(* Tests for the observability subsystem: span buffer, windowed time
+   series, JSON codec, and the Chrome trace-event exporter fed by a real
+   traced cluster run. *)
 
 let mk_trace () =
   let engine = Sim.Engine.create () in
@@ -60,31 +60,6 @@ let test_trace_disabled_is_free () =
   Alcotest.(check bool) "no span materializes" true (span = None);
   Obs.Trace.finish_opt None span;
   Obs.Trace.instant_opt None ~trace_id:0 ~component:Obs.Span.Load_balancer ~name:"x" ()
-
-(* --- Registry --- *)
-
-let test_registry_counters_and_gauges () =
-  let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "commits" in
-  Obs.Registry.incr c;
-  Obs.Registry.incr ~by:4 c;
-  Alcotest.(check int) "counter accumulates" 5 (Obs.Registry.counter_value c);
-  Alcotest.(check bool) "find-or-create returns the same cell" true
-    (Obs.Registry.counter r "commits" == c);
-  let g = Obs.Registry.gauge r "queue" in
-  Obs.Registry.set g 3.5;
-  Alcotest.(check (float 0.0)) "gauge holds last value" 3.5 (Obs.Registry.gauge_value g);
-  Alcotest.(check (list (pair string (float 0.0))))
-    "snapshot sorted by name"
-    [ ("commits", 5.0); ("queue", 3.5) ]
-    (Obs.Registry.snapshot r);
-  Alcotest.(check (option (float 0.0))) "find widens counters" (Some 5.0)
-    (Obs.Registry.find r "commits");
-  Obs.Registry.reset r;
-  Alcotest.(check int) "reset zeroes counters" 0 (Obs.Registry.counter_value c);
-  Alcotest.check_raises "kind clash rejected"
-    (Invalid_argument "Registry.gauge: \"commits\" is a counter") (fun () ->
-      ignore (Obs.Registry.gauge r "commits"))
 
 (* --- Timeseries (windowed run-health telemetry) --- *)
 
@@ -339,9 +314,6 @@ let suites =
         Alcotest.test_case "ring overwrites oldest" `Quick test_trace_ring_overwrites_oldest;
         Alcotest.test_case "disabled path" `Quick test_trace_disabled_is_free;
       ] );
-    ( "obs.registry",
-      [ Alcotest.test_case "counters and gauges" `Quick test_registry_counters_and_gauges ]
-    );
     ( "obs.timeseries",
       [
         Alcotest.test_case "windows and channels" `Quick

@@ -181,6 +181,42 @@ let test_deadline_expiry () =
     "expired work was dropped" true
     (Core.Metrics.deadline_expired m > 0)
 
+(* --- Observatory window counters across the warm-up boundary --------- *)
+
+(* The overload totals are monotonic sources, so the observatory's
+   per-window deltas stay non-negative in the window where [run_for]'s
+   warm-up ends and [Metrics.reset_window] rebases the window totals. *)
+let test_window_counters_never_negative () =
+  let config =
+    { base_config with Core.Config.admission_limit = 4; obs_window_ms = 100.0 }
+  in
+  let cluster = make_cluster ~config Core.Consistency.Coarse in
+  Core.Client.open_loop_many cluster ~n:8 ~first_sid:0 ~rate_tps:20_000.0
+    (Workload.Microbench.workload params);
+  let ts = Core.Cluster.start_observatory cluster in
+  Core.Cluster.run_for cluster ~warmup_ms:250.0 ~measure_ms:250.0;
+  Core.Cluster.stop_observatory cluster ts;
+  let windows = Obs.Timeseries.windows ts in
+  Alcotest.(check bool) "load was shed" true
+    (Core.Metrics.shed (Core.Cluster.metrics cluster) > 0);
+  List.iter
+    (fun (w : Obs.Timeseries.window) ->
+      List.iter
+        (fun (name, n) ->
+          if n < 0 then
+            Alcotest.failf "window %d (%.0fms): %s = %d" w.Obs.Timeseries.seq
+              w.Obs.Timeseries.start_ms name n)
+        w.Obs.Timeseries.counters)
+    windows;
+  let shed_in_windows =
+    List.fold_left
+      (fun acc (w : Obs.Timeseries.window) ->
+        acc + Option.value ~default:0 (List.assoc_opt "txn.shed" w.Obs.Timeseries.counters))
+      0 windows
+  in
+  Alcotest.(check int) "window counters sum to the run's sheds"
+    (Core.Cluster.shed_count cluster) shed_in_windows
+
 (* --- Open-loop determinism ------------------------------------------- *)
 
 let test_open_loop_deterministic () =
@@ -225,7 +261,7 @@ let test_metastable_regression () =
     "protected arm not wedged" false protected_arm.Experiments.Chaos.wedged;
   Alcotest.(check bool)
     "protected arm shed load" true
-    (protected_arm.Experiments.Chaos.shed > 0);
+    (Experiments.Chaos.total protected_arm "txn.shed" > 0);
   Alcotest.(check int)
     "protected arm has zero zombie commits" 0
     protected_arm.Experiments.Chaos.zombie_commits;
@@ -236,7 +272,7 @@ let test_metastable_regression () =
        0 protected_arm.Experiments.Chaos.violations);
   (* control arm: the metastable collapse — strictly slower recovery *)
   Alcotest.(check int)
-    "control arm sheds nothing" 0 control.Experiments.Chaos.shed;
+    "control arm sheds nothing" 0 (Experiments.Chaos.total control "txn.shed");
   Alcotest.(check bool)
     "control arm degrades (wedged or strictly slower recovery)" true
     (control.Experiments.Chaos.wedged
@@ -263,6 +299,8 @@ let suites =
           test_retry_budget_exhaustion;
         Alcotest.test_case "deadline expiry under gray certifier" `Quick
           test_deadline_expiry;
+        Alcotest.test_case "window counters never negative" `Quick
+          test_window_counters_never_negative;
         Alcotest.test_case "open-loop arrivals are deterministic" `Quick
           test_open_loop_deterministic;
         Alcotest.test_case "metastable-failure regression" `Slow
