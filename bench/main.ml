@@ -166,6 +166,26 @@ let writeset_of_size n =
                [| Storage.Value.Int i; Storage.Value.Int 0; Storage.Value.Text "t" |];
          }))
 
+(* A strongly consistent run log of [n] transactions: every other one
+   commits v(i+1) from snapshot i, and each reads every earlier commit. *)
+let clean_log n =
+  List.init n (fun i ->
+      {
+        Check.Runlog.tid = i;
+        session = i mod 10;
+        begin_time = float_of_int i;
+        ack_time = float_of_int i +. 0.5;
+        snapshot_version = i;
+        commit_version = (if i mod 2 = 0 then Some (i + 1) else None);
+        epoch = 0;
+        lb_epoch = 0;
+        table_set = [ "t" ];
+        tier = Check.Runlog.Strong;
+        tables_written = (if i mod 2 = 0 then [ "t" ] else []);
+        write_keys = (if i mod 2 = 0 then [ ("t", string_of_int i) ] else []);
+        trace = None;
+      })
+
 let component_tests () =
   let open Bechamel in
   let db = bench_fixture () in
@@ -229,24 +249,7 @@ let component_tests () =
       (Staged.stage (fun () -> ignore (Storage.Writeset.conflicts small big)))
   in
   let checker =
-    let log =
-      List.init 200 (fun i ->
-          {
-            Check.Runlog.tid = i;
-            session = i mod 10;
-            begin_time = float_of_int i;
-            ack_time = float_of_int i +. 0.5;
-            snapshot_version = i;
-            commit_version = (if i mod 2 = 0 then Some (i + 1) else None);
-            epoch = 0;
-            lb_epoch = 0;
-            table_set = [ "t" ];
-            tier = Check.Runlog.Strong;
-            tables_written = (if i mod 2 = 0 then [ "t" ] else []);
-            write_keys = (if i mod 2 = 0 then [ ("t", string_of_int i) ] else []);
-            trace = None;
-          })
-    in
+    let log = clean_log 200 in
     Test.make ~name:"strong-consistency check (200 txns)"
       (Staged.stage (fun () -> ignore (Check.Runlog.strong_consistency log)))
   in
@@ -473,6 +476,23 @@ let codec_tests () =
   Test.make_grouped ~name:"codec"
     [ boxed_roundtrip; flat_roundtrip; sink_append ]
 
+(* Two checkers of the failover-open battery, on a clean log of about
+   the size of a soak's: each costs O(n log n) here. *)
+let checker_tests () =
+  let open Bechamel in
+  let n = if quick then 2_000 else 20_000 in
+  let log = clean_log n in
+  let case name check =
+    Test.make
+      ~name:(Printf.sprintf "%s (%d txns)" name n)
+      (Staged.stage (fun () -> ignore (check log)))
+  in
+  Test.make_grouped ~name:"checkers"
+    [
+      case "fine strong-consistency check" Check.Runlog.fine_strong_consistency;
+      case "first-committer-wins check" Check.Runlog.first_committer_wins;
+    ]
+
 (* Version 0 of the paper's micro-benchmark database (40 tables x 10k
    rows): loading it, which validates, keys and installs every row,
    against the structural copy each further replica of a cluster
@@ -526,6 +546,7 @@ let run_bechamel () =
   report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
   report "Early certification per statement (Bechamel)" (early_cert_tests ());
   report "Flat vs boxed codec (Bechamel)" (codec_tests ());
+  report "Run-log checkers (Bechamel)" (checker_tests ());
   report "Initial database: load vs copy (Bechamel)" (initial_database_tests ())
 
 let () =

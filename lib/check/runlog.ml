@@ -53,27 +53,126 @@ let pp_violation ppf v =
     v.second v.second.begin_time v.second.ack_time v.second.epoch v.second.lb_epoch
     v.reason
 
-(* All pairs (ti, tj) such that ti's ack precedes tj's begin. Sorting by
-   begin time lets us stop the inner scan early for long logs. *)
-let precedence_pairs records ~relevant ~check =
-  let by_begin = List.sort (fun a b -> compare a.begin_time b.begin_time) records in
-  let arr = Array.of_list by_begin in
+let by_begin records =
+  Array.of_list (List.sort (fun a b -> compare a.begin_time b.begin_time) records)
+
+(* Which running maxima a precedence sweep keeps: one over every source
+   ([Global]), one per session ([Session]), or one per written table,
+   which a subject probes through its table-set ([Tables]). *)
+type scope =
+  | Global
+  | Session
+  | Tables
+
+(* Dense slots for [scope]'s groups, as [(count, folds, probes)]:
+   [folds r f] applies [f] to each slot a source [r] folds into, and
+   [probes r f] to each slot a subject [r] reads. *)
+let group_slots scope arr =
+  match scope with
+  | Global ->
+    let one _ f = f 0 in
+    (1, one, one)
+  | Session ->
+    let ids = Hashtbl.create 64 in
+    Array.iter
+      (fun r ->
+        if not (Hashtbl.mem ids r.session) then Hashtbl.add ids r.session (Hashtbl.length ids))
+      arr;
+    let own r f = f (Hashtbl.find ids r.session) in
+    (Hashtbl.length ids, own, own)
+  | Tables ->
+    let ids = Hashtbl.create 16 in
+    Array.iter
+      (fun r ->
+        List.iter
+          (fun t -> if not (Hashtbl.mem ids t) then Hashtbl.add ids t (Hashtbl.length ids))
+          r.tables_written)
+      arr;
+    let written r f = List.iter (fun t -> f (Hashtbl.find ids t)) r.tables_written in
+    let probed r f =
+      List.iter
+        (fun t -> match Hashtbl.find ids t with s -> f s | exception Not_found -> ())
+        r.table_set
+    in
+    (Hashtbl.length ids, written, probed)
+
+(* Every pair (ti, tj) of [arr] (sorted by begin time) such that [value
+   ti = Some vi], ti was acked before tj began, [relevant i j] and
+   [check vi ti tj] gives a reason, in (i, j) order.
+
+   A violating pair needs vi > tj.snapshot_version + s, where [slack tj
+   = Some s] ([None]: no pair constrains tj). One sweep finds the
+   suspects: tj walks in begin order while a cursor over the sources in
+   ack order folds each vi acked before tj began into the running
+   maximum of its [scope] groups, and tj is a suspect only if a group it
+   probes holds a maximum above its threshold. Only the suspects are
+   re-scanned against every source, so a clean log costs O(n log n) and
+   one with s suspects O(n·s). *)
+let sweep arr ~scope ~value ~slack ~relevant ~check =
+  (* The sources in ack order. A NaN ack precedes nothing; leaving it
+     out keeps the cursor monotone. *)
+  let is_source r = Option.is_some (value r) && not (Float.is_nan r.ack_time) in
+  let src = Array.make (Array.fold_left (fun c r -> if is_source r then c + 1 else c) 0 arr) 0 in
+  let sources = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if is_source r then begin
+        src.(!sources) <- i;
+        incr sources
+      end)
+    arr;
+  Array.sort (fun a b -> Float.compare arr.(a).ack_time arr.(b).ack_time) src;
+  let slots, folds, probes = group_slots scope arr in
+  let best = Array.make slots min_int in
+  let v = ref 0 and hi = ref min_int in
+  let fold g = if !v > best.(g) then best.(g) <- !v in
+  let probe g = if best.(g) > !hi then hi := best.(g) in
+  let cursor = ref 0 and suspects = ref [] in
+  Array.iteri
+    (fun j tj ->
+      match slack tj with
+      | None -> ()
+      | Some s ->
+        while !cursor < Array.length src && arr.(src.(!cursor)).ack_time < tj.begin_time do
+          let ti = arr.(src.(!cursor)) in
+          v := Option.get (value ti);
+          folds ti fold;
+          incr cursor
+        done;
+        hi := min_int;
+        probes tj probe;
+        if !hi > tj.snapshot_version + s then suspects := j :: !suspects)
+    arr;
+  let suspects = Array.of_list (List.rev !suspects) in
   let violations = ref [] in
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    let ti = arr.(i) in
-    match ti.commit_version with
-    | None -> ()
-    | Some vi ->
-      for j = 0 to n - 1 do
-        let tj = arr.(j) in
-        if ti.tid <> tj.tid && ti.ack_time < tj.begin_time && relevant ti tj then
-          match check vi ti tj with
-          | None -> ()
-          | Some reason -> violations := { first = ti; second = tj; reason } :: !violations
-      done
-  done;
+  Array.iteri
+    (fun i ti ->
+      match value ti with
+      | None -> ()
+      | Some vi ->
+        Array.iter
+          (fun j ->
+            let tj = arr.(j) in
+            if ti.ack_time < tj.begin_time && relevant i j then
+              match check vi ti tj with
+              | None -> ()
+              | Some reason -> violations := { first = ti; second = tj; reason } :: !violations)
+          suspects)
+    arr;
   List.rev !violations
+
+(* All pairs (ti, tj) of distinct transactions such that ti's commit was
+   acked before tj began. *)
+let precedence_pairs records ~scope ~slack ~relevant ~check =
+  let arr = by_begin records in
+  sweep arr ~scope ~slack ~check
+    ~value:(fun r -> r.commit_version)
+    ~relevant:(fun i j ->
+      let ti = arr.(i) and tj = arr.(j) in
+      ti.tid <> tj.tid && relevant ti tj)
+
+(* Slack [k] for the records of [tier]; the others are never constrained. *)
+let slack_for tier k tj = if tj.tier = tier then Some k else None
 
 (* The mode guarantees below constrain transactions that asked for the
    mode's class: a record served under a weaker read tier is judged by
@@ -81,7 +180,7 @@ let precedence_pairs records ~relevant ~check =
    records never act as [ti]: they are read-only, hence uncommitted.) *)
 
 let strong_consistency records =
-  precedence_pairs records
+  precedence_pairs records ~scope:Global ~slack:(slack_for Strong 0)
     ~relevant:(fun _ tj -> tj.tier = Strong)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
@@ -93,7 +192,7 @@ let strong_consistency records =
 
 let fine_strong_consistency records =
   let intersects a b = List.exists (fun x -> List.mem x b) a in
-  precedence_pairs records
+  precedence_pairs records ~scope:Tables ~slack:(slack_for Strong 0)
     ~relevant:(fun ti tj -> tj.tier = Strong && intersects ti.tables_written tj.table_set)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
@@ -104,7 +203,7 @@ let fine_strong_consistency records =
              tj.tid vi tj.tid tj.snapshot_version))
 
 let session_consistency records =
-  precedence_pairs records
+  precedence_pairs records ~scope:Session ~slack:(slack_for Strong 0)
     ~relevant:(fun ti tj -> tj.tier = Strong && ti.session = tj.session)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
@@ -114,41 +213,71 @@ let session_consistency records =
              "session %d: T%d committed v%d before T%d began, but T%d read snapshot v%d"
              ti.session ti.tid vi tj.tid tj.tid tj.snapshot_version))
 
+let compare_key (t, k) (t', k') =
+  match String.compare t t' with 0 -> String.compare k k' | c -> c
+
+(* Only updates that share a written key can conflict. One entry per
+   (update, key), grouped by key and ordered by commit version within a
+   key: of an overlapping pair, the entry placed later sees the other
+   among its left neighbours committed after its own snapshot, so each
+   entry scans just those. A clean log has none: O(n log n). *)
 let first_committer_wins records =
-  let updates =
-    List.filter_map
-      (fun r -> match r.commit_version with Some v -> Some (r, v) | None -> None)
-      records
-  in
-  let conflict a b = List.exists (fun k -> List.mem k b.write_keys) a.write_keys in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | (ri, vi) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc (rj, vj) ->
-            (* Windows (snapshot, commit] overlap iff each commit falls
-               after the other's snapshot. *)
-            let overlap = vi > rj.snapshot_version && vj > ri.snapshot_version in
-            if overlap && conflict ri rj then
-              {
-                first = ri;
-                second = rj;
-                reason =
-                  Printf.sprintf
-                    "write-write conflict between concurrent T%d (v%d..%d] and T%d (v%d..%d]"
-                    ri.tid ri.snapshot_version vi rj.tid rj.snapshot_version vj;
-              }
-              :: acc
-            else acc)
-          acc rest
-      in
-      pairs acc rest
-  in
-  pairs [] updates
+  let all = Array.of_list records in
+  let commit i = Option.get all.(i).commit_version in
+  let keys r = if r.commit_version = None then [] else r.write_keys in
+  let entries = Array.fold_left (fun acc r -> acc + List.length (keys r)) 0 all in
+  let owner = Array.make entries 0 and key = Array.make entries ("", "") in
+  let e = ref 0 in
+  Array.iteri
+    (fun u r ->
+      List.iter
+        (fun k ->
+          owner.(!e) <- u;
+          key.(!e) <- k;
+          incr e)
+        (keys r))
+    all;
+  let order = Array.init entries Fun.id in
+  Array.sort
+    (fun a b ->
+      match compare_key key.(a) key.(b) with
+      | 0 -> Int.compare (commit owner.(a)) (commit owner.(b))
+      | c -> c)
+    order;
+  let at p = owner.(order.(p)) in
+  let candidates = ref [] in
+  for p = 0 to entries - 1 do
+    let b = at p and q = ref (p - 1) in
+    while
+      !q >= 0
+      && compare_key key.(order.(!q)) key.(order.(p)) = 0
+      && commit (at !q) > all.(b).snapshot_version
+    do
+      let a = at !q in
+      if a <> b then candidates := (min a b, max a b) :: !candidates;
+      decr q
+    done
+  done;
+  List.filter_map
+    (fun (i, j) ->
+      let ri = all.(i) and vi = commit i and rj = all.(j) and vj = commit j in
+      (* Windows (snapshot, commit] overlap iff each commit falls after
+         the other's snapshot. *)
+      if vi > rj.snapshot_version && vj > ri.snapshot_version then
+        Some
+          {
+            first = ri;
+            second = rj;
+            reason =
+              Printf.sprintf
+                "write-write conflict between concurrent T%d (v%d..%d] and T%d (v%d..%d]"
+                ri.tid ri.snapshot_version vi rj.tid rj.snapshot_version vj;
+          }
+      else None)
+    (List.sort_uniq compare !candidates)
 
 let bounded_staleness ~k records =
-  precedence_pairs records
+  precedence_pairs records ~scope:Global ~slack:(slack_for Strong k)
     ~relevant:(fun _ tj -> tj.tier = Strong)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi - k then None
@@ -158,7 +287,10 @@ let bounded_staleness ~k records =
              "T%d read snapshot v%d, more than %d versions behind T%d's commit v%d"
              tj.tid tj.snapshot_version k ti.tid vi))
 
-let monotone_session_snapshots records =
+(* Within each session, every pair (a, b) with a before b in begin
+   order, a acked before b began, and b a [tier] read of an older
+   snapshot than a's. Sessions come in [Hashtbl.iter] order. *)
+let session_regressions records ~tier ~reason =
   let by_session = Hashtbl.create 16 in
   List.iter
     (fun r ->
@@ -168,31 +300,24 @@ let monotone_session_snapshots records =
   let violations = ref [] in
   Hashtbl.iter
     (fun _ rs ->
-      let ordered = List.sort (fun a b -> compare a.begin_time b.begin_time) rs in
-      let rec walk = function
-        | a :: (b :: _ as rest) ->
-          (* Only constrain non-overlapping pairs: a acked before b began.
-             A weaker-tier [b] is exempt here (eventual reads may go back
-             in time; causal ones are judged by [tier_monotone_reads]). *)
-          if
-            b.tier = Strong && a.ack_time < b.begin_time
-            && b.snapshot_version < a.snapshot_version
-          then
-            violations :=
-              {
-                first = a;
-                second = b;
-                reason =
-                  Printf.sprintf "session snapshot went back in time: v%d then v%d"
-                    a.snapshot_version b.snapshot_version;
-              }
-              :: !violations;
-          walk rest
-        | [ _ ] | [] -> ()
+      let arr = by_begin rs in
+      let found =
+        sweep arr ~scope:Global
+          ~value:(fun a -> Some a.snapshot_version)
+          ~slack:(slack_for tier 0)
+          ~relevant:(fun i j -> i < j && arr.(j).tier = tier)
+          ~check:(fun va a b -> if b.snapshot_version < va then Some (reason a b) else None)
       in
-      walk ordered)
+      violations := List.rev_append found !violations)
     by_session;
   List.rev !violations
+
+(* A weaker-tier [b] is exempt here: eventual reads may go back in time,
+   and causal ones are judged by [tier_monotone_reads]. *)
+let monotone_session_snapshots records =
+  session_regressions records ~tier:Strong ~reason:(fun a b ->
+      Printf.sprintf "session snapshot went back in time: v%d then v%d" a.snapshot_version
+        b.snapshot_version)
 
 (* Epoch fencing: commit versions must be partitioned by epoch — for any
    two epochs e < e', every version committed under e lies strictly below
@@ -285,7 +410,7 @@ let election_safety records =
    already constrained by the per-mode checkers above, whose precedence
    pairs do not exempt cross-epoch pairs. *)
 let lb_floor_preservation records =
-  precedence_pairs records
+  precedence_pairs records ~scope:Session ~slack:(slack_for Causal 0)
     ~relevant:(fun ti tj ->
       tj.lb_epoch > ti.lb_epoch && ti.session = tj.session && tj.tier = Causal)
     ~check:(fun vi ti tj ->
@@ -305,7 +430,16 @@ let lb_floor_preservation records =
    virtual ms before it began. Unlike the mode-level [bounded_staleness],
    the bound comes from the record itself. *)
 let tier_bounded_staleness records =
-  precedence_pairs records
+  (* A [versions] bound alone trips only above snapshot + k; an [ms]
+     bound trips above the snapshot itself. *)
+  let slack tj =
+    match tj.tier with
+    | Bounded { versions = Some k; ms = None } -> Some k
+    | Bounded { versions = Some k; ms = Some _ } -> Some (min 0 k)
+    | Bounded { versions = None; _ } -> Some 0
+    | Strong | Causal | Eventual -> None
+  in
+  precedence_pairs records ~scope:Global ~slack
     ~relevant:(fun _ tj -> match tj.tier with Bounded _ -> true | _ -> false)
     ~check:(fun vi ti tj ->
       match tj.tier with
@@ -331,7 +465,7 @@ let tier_bounded_staleness records =
 (* Causal = read-your-writes: a causal read sees every commit its own
    session was already acknowledged for. *)
 let tier_causal_ryw records =
-  precedence_pairs records
+  precedence_pairs records ~scope:Session ~slack:(slack_for Causal 0)
     ~relevant:(fun ti tj -> tj.tier = Causal && ti.session = tj.session)
     ~check:(fun vi ti tj ->
       if tj.snapshot_version >= vi then None
@@ -346,42 +480,11 @@ let tier_causal_ryw records =
    observes an older snapshot than any earlier acknowledged transaction
    of the same session (whatever tier that one ran under). *)
 let tier_monotone_reads records =
-  let by_session = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let l = Option.value (Hashtbl.find_opt by_session r.session) ~default:[] in
-      Hashtbl.replace by_session r.session (r :: l))
-    records;
-  let violations = ref [] in
-  Hashtbl.iter
-    (fun _ rs ->
-      let ordered = List.sort (fun a b -> compare a.begin_time b.begin_time) rs in
-      let rec walk = function
-        | a :: (_ :: _ as rest) ->
-          List.iter
-            (fun b ->
-              if
-                b.tier = Causal && a.ack_time < b.begin_time
-                && b.snapshot_version < a.snapshot_version
-              then
-                violations :=
-                  {
-                    first = a;
-                    second = b;
-                    reason =
-                      Printf.sprintf
-                        "causal read T%d went back in time: session %d had observed \
-                         v%d (T%d), then read snapshot v%d"
-                        b.tid b.session a.snapshot_version a.tid b.snapshot_version;
-                  }
-                  :: !violations)
-            rest;
-          walk rest
-        | [ _ ] | [] -> ()
-      in
-      walk ordered)
-    by_session;
-  List.rev !violations
+  session_regressions records ~tier:Causal ~reason:(fun a b ->
+      Printf.sprintf
+        "causal read T%d went back in time: session %d had observed v%d (T%d), then \
+         read snapshot v%d"
+        b.tid b.session a.snapshot_version a.tid b.snapshot_version)
 
 (* --- Flat record sink ------------------------------------------------ *)
 

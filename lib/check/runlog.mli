@@ -21,7 +21,19 @@
     under. The mode-level guarantees above constrain [Strong]-class
     records only — a read that explicitly requested a weaker class is
     judged by its own tier checker ({!tier_bounded_staleness},
-    {!tier_causal_ryw}, {!tier_monotone_reads}) instead. *)
+    {!tier_causal_ryw}, {!tier_monotone_reads}) instead.
+
+    {b Cost.} n is the number of records. The precedence checkers
+    (strong, fine, session, bounded staleness, LB floor and the tier
+    contracts) make one sweep in begin order that keeps a running
+    maximum version per group (one group, each written table, or each
+    session) and marks a transaction a {e suspect} only if a group it
+    reads holds a version above its snapshot plus the checker's slack.
+    Only suspects are paired with every record: O(n log n) on a clean
+    log, O(n·s) with s suspects. {!first_committer_wins} pairs only
+    updates that share a written key and were committed within each
+    other's window: O(n log n) plus the candidate pairs. The epoch,
+    election and digest checks are linear after a sort. *)
 
 (** Read class a record was served under — a decoupled mirror of
     [Core.Consistency.read_tier] (this library judges logs; it does not
@@ -83,9 +95,11 @@ val bounded_staleness : k:int -> record list -> violation list
     [bounded_staleness ~k:0] coincides with {!strong_consistency}. *)
 
 val monotone_session_snapshots : record list -> violation list
-(** Within a session, a later transaction never reads an older snapshot
-    than an earlier one's observed commit — the "never goes back in
-    time" session guarantee. *)
+(** Within a session, a [Strong] transaction never reads an older
+    snapshot than any transaction of the session acknowledged before it
+    began, whatever tier that one ran under — the "never goes back in
+    time" session guarantee. Every such pair is checked, not only
+    neighbours in begin order. *)
 
 (** {2 Read-tier contracts (docs/CONSISTENCY.md)}
 

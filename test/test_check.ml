@@ -227,6 +227,177 @@ let test_runlog_monotone_session () =
   Alcotest.(check int) "snapshot regression flagged" 1
     (List.length (Runlog.monotone_session_snapshots log))
 
+(* A regressing pair need not be neighbours in begin order: an
+   overlapping record or a weaker-tier read can sit between them. *)
+let expect_one_regression log =
+  match Runlog.monotone_session_snapshots log with
+  | [ v ] ->
+    Alcotest.(check (pair int int)) "T1 -> T3" (1, 3) (v.Runlog.first.tid, v.Runlog.second.tid)
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+let test_runlog_monotone_across_overlap () =
+  expect_one_regression
+    [
+      record ~session:5 1 ~begin_:0.0 ~ack:10.0 ~snapshot:9 ~commit:None;
+      record ~session:5 2 ~begin_:5.0 ~ack:20.0 ~snapshot:9 ~commit:None;
+      record ~session:5 3 ~begin_:15.0 ~ack:30.0 ~snapshot:3 ~commit:None;
+    ]
+
+let test_runlog_monotone_across_weaker_tier () =
+  expect_one_regression
+    [
+      record ~session:5 1 ~begin_:0.0 ~ack:1.0 ~snapshot:9 ~commit:None;
+      record ~session:5 ~tier:Runlog.Eventual 2 ~begin_:2.0 ~ack:3.0 ~snapshot:2
+        ~commit:None;
+      record ~session:5 3 ~begin_:4.0 ~ack:5.0 ~snapshot:5 ~commit:None;
+    ]
+
+(* --- Sweeps vs the all-pairs oracle --- *)
+
+let tables = [ "a"; "b"; "c" ]
+
+(* Small value ranges on purpose: equal and coinciding begin/ack times,
+   duplicate tids, snapshots at or past the commit, repeated tables and
+   keys, shared sessions and rising LB epochs, so that violations of
+   every checker are common. *)
+let gen_record =
+  let open QCheck.Gen in
+  let tier =
+    frequency
+      [
+        (4, return Runlog.Strong);
+        ( 2,
+          let+ versions = opt (int_range (-2) 5)
+          and+ ms = opt (map float_of_int (int_range 0 5)) in
+          Runlog.Bounded { versions; ms } );
+        (2, return Runlog.Causal);
+        (1, return Runlog.Eventual);
+      ]
+  in
+  let+ tid = int_range 0 30
+  and+ session = int_range 0 3
+  and+ begin_ = int_range 0 20
+  and+ span = int_range 0 6
+  and+ snapshot = int_range 0 10
+  and+ commit = opt (int_range 0 12)
+  and+ lb_epoch = int_range 0 2
+  and+ tier = tier
+  and+ table_set = list_size (int_range 0 3) (oneofl tables)
+  and+ written = list_size (int_range 0 3) (oneofl tables)
+  and+ keys = list_size (int_range 0 3) (pair (oneofl tables) (oneofl [ "1"; "2"; "3" ])) in
+  record ~session ~table_set ~written ~keys ~lb_epoch ~tier tid
+    ~begin_:(float_of_int begin_)
+    ~ack:(float_of_int (begin_ + span))
+    ~snapshot ~commit
+
+let pp_log log =
+  String.concat "\n"
+    (List.map
+       (fun (r : Runlog.record) ->
+         Printf.sprintf "T%d s%d [%g,%g] snap %d commit %s L%d %s ts=%s tw=%s keys=%s"
+           r.tid r.session r.begin_time r.ack_time r.snapshot_version
+           (match r.commit_version with Some v -> string_of_int v | None -> "-")
+           r.lb_epoch (Runlog.tier_string r.tier)
+           (String.concat "," r.table_set)
+           (String.concat "," r.tables_written)
+           (String.concat "," (List.map (fun (t, k) -> t ^ ":" ^ k) r.write_keys)))
+       log)
+
+let log_arb =
+  QCheck.make ~print:pp_log QCheck.Gen.(list_size (int_range 0 40) gen_record)
+
+let oracle_pairs =
+  [
+    ("strong_consistency", Runlog.strong_consistency, Runlog_oracle.strong_consistency);
+    ( "fine_strong_consistency",
+      Runlog.fine_strong_consistency,
+      Runlog_oracle.fine_strong_consistency );
+    ("session_consistency", Runlog.session_consistency, Runlog_oracle.session_consistency);
+    ("first_committer_wins", Runlog.first_committer_wins, Runlog_oracle.first_committer_wins);
+    ( "monotone_session_snapshots",
+      Runlog.monotone_session_snapshots,
+      Runlog_oracle.monotone_session_snapshots );
+    ( "lb_floor_preservation",
+      Runlog.lb_floor_preservation,
+      Runlog_oracle.lb_floor_preservation );
+    ( "tier_bounded_staleness",
+      Runlog.tier_bounded_staleness,
+      Runlog_oracle.tier_bounded_staleness );
+    ("tier_causal_ryw", Runlog.tier_causal_ryw, Runlog_oracle.tier_causal_ryw);
+    ("tier_monotone_reads", Runlog.tier_monotone_reads, Runlog_oracle.tier_monotone_reads);
+  ]
+  @ List.init 8 (fun i ->
+        let k = i - 2 in
+        ( Printf.sprintf "bounded_staleness ~k:%d" k,
+          Runlog.bounded_staleness ~k,
+          Runlog_oracle.bounded_staleness ~k ))
+
+let prop_sweeps_match_oracle =
+  QCheck.Test.make ~name:"every checker equals its all-pairs oracle" ~count:500 log_arb
+    (fun log ->
+      List.for_all
+        (fun (name, fast, oracle) ->
+          let got = fast log and want = oracle log in
+          got = want
+          || QCheck.Test.fail_reportf "%s: %d violations, oracle %d" name
+               (List.length got) (List.length want))
+        oracle_pairs)
+
+(* A clean 20k-record log with one stale snapshot, one same-key overlap
+   and one session regression planted: each checker reports exactly its
+   own pair, so a filter that drops everything cannot pass. Record i
+   begins at i, is acked at i + 0.5, reads snapshot i, commits v(i+1),
+   writes its own table and a key shared with every 997th record. *)
+let test_planted_at_scale () =
+  let n = 20_000 in
+  let all_tables = List.init 4 (Printf.sprintf "t%d") in
+  let table i = Printf.sprintf "t%d" (i mod 4) in
+  let base i =
+    record ~session:(i mod 50) ~table_set:all_tables ~written:[ table i ]
+      ~keys:[ (table i, string_of_int (i mod 997)) ]
+      i ~begin_:(float_of_int i)
+      ~ack:(float_of_int i +. 0.5)
+      ~snapshot:i ~commit:(Some (i + 1))
+  in
+  let stale = 10_000 and fcw_a = 5_000 and fcw_b = 5_001 in
+  let log =
+    List.init n (fun i ->
+        let r = base i in
+        if i = stale then { r with Runlog.snapshot_version = i - 1 }
+        else if i = fcw_b then
+          (* Begins before T5000 is acked, from the same snapshot, and
+             writes its key. *)
+          {
+            r with
+            Runlog.begin_time = float_of_int fcw_a +. 0.25;
+            snapshot_version = fcw_a;
+            write_keys = (base fcw_a).write_keys;
+          }
+        else r)
+    @ [
+        (* T20000 saw T15000's commit before it was acked; T20001, in
+           the same session and after T20000's ack, reads an older one
+           that still covers every commit acked before it began. *)
+        record ~session:999 ~table_set:all_tables n ~begin_:15_000.1 ~ack:15_000.2
+          ~snapshot:15_001 ~commit:None;
+        record ~session:999 ~table_set:all_tables (n + 1) ~begin_:15_000.3 ~ack:15_000.4
+          ~snapshot:15_000 ~commit:None;
+      ]
+  in
+  let pairs vs = List.map (fun v -> (v.Runlog.first.tid, v.Runlog.second.tid)) vs in
+  let check name want got = Alcotest.(check (list (pair int int))) name want (pairs got) in
+  check "strong" [ (stale - 1, stale) ] (Runlog.strong_consistency log);
+  check "fine" [ (stale - 1, stale) ] (Runlog.fine_strong_consistency log);
+  check "bounded k=0" [ (stale - 1, stale) ] (Runlog.bounded_staleness ~k:0 log);
+  check "bounded k=1" [] (Runlog.bounded_staleness ~k:1 log);
+  check "first-committer-wins" [ (fcw_a, fcw_b) ] (Runlog.first_committer_wins log);
+  check "monotone session" [ (n, n + 1) ] (Runlog.monotone_session_snapshots log);
+  check "session" [] (Runlog.session_consistency log);
+  check "lb floor" [] (Runlog.lb_floor_preservation log);
+  check "tier bounded" [] (Runlog.tier_bounded_staleness log);
+  check "tier causal ryw" [] (Runlog.tier_causal_ryw log);
+  check "tier monotone" [] (Runlog.tier_monotone_reads log)
+
 (* Property: the strong-consistency checker is monotone — raising a later
    transaction's snapshot version never introduces a violation. *)
 let prop_strong_monotone_in_snapshot =
@@ -336,8 +507,14 @@ let suites =
         Alcotest.test_case "session scoping" `Quick test_runlog_session_scoping;
         Alcotest.test_case "first-committer-wins" `Quick test_runlog_fcw;
         Alcotest.test_case "monotone session snapshots" `Quick test_runlog_monotone_session;
+        Alcotest.test_case "monotone session: across an overlap" `Quick
+          test_runlog_monotone_across_overlap;
+        Alcotest.test_case "monotone session: across a weaker tier" `Quick
+          test_runlog_monotone_across_weaker_tier;
+        Alcotest.test_case "planted violations in a 20k-record log" `Quick
+          test_planted_at_scale;
       ]
-      @ qsuite [ prop_strong_monotone_in_snapshot ] );
+      @ qsuite [ prop_strong_monotone_in_snapshot; prop_sweeps_match_oracle ] );
     ( "check.si_analysis",
       [
         Alcotest.test_case "write skew flagged" `Quick test_si_write_skew_flagged;
