@@ -268,13 +268,11 @@ let component_tests () =
       sim_events;
     ]
 
-(* Certification conflict check, Linear log scan vs Keyed index probe,
-   with the requesting snapshot 1 / 100 / 10k versions behind a
-   10k-entry log. The conflict check consumes no virtual time (the cost
-   model charges certify_row_ms per writeset row whichever structure
-   decides), so the two index choices are event-identical in the
-   simulator and differ only in host CPU per decision; this group is
-   the one measurement of that gap. *)
+(* Certification conflict check, the key-index probe, with the
+   requesting snapshot 1 / 100 / 10k versions behind a 10k-entry log.
+   The conflict check consumes no virtual time (the cost model charges
+   certify_row_ms per writeset row), so this group measures host CPU
+   per decision only. *)
 
 let ws_of ~first_key ~rows =
   Storage.Writeset.of_entries
@@ -290,8 +288,8 @@ let ws_of ~first_key ~rows =
    in a private simulation: disjoint keys with an up-to-date snapshot
    never conflict, so every request lands and the log covers
    (0, versions]. *)
-let certifier_fixture ~index ~versions ~ws_rows =
-  let cfg = { Core.Config.default with Core.Config.cert_index = index; replicas = 1 } in
+let certifier_fixture ~versions ~ws_rows =
+  let cfg = { Core.Config.default with Core.Config.replicas = 1 } in
   let engine = Sim.Engine.create () in
   let rng = Util.Rng.create cfg.Core.Config.seed in
   let network =
@@ -319,28 +317,19 @@ let certifier_fixture ~index ~versions ~ws_rows =
 let certification_tests () =
   let open Bechamel in
   let versions = 10_000 and ws_rows = 4 in
-  let linear = certifier_fixture ~index:Core.Config.Linear ~versions ~ws_rows in
-  let keyed = certifier_fixture ~index:Core.Config.Keyed ~versions ~ws_rows in
+  let certifier = certifier_fixture ~versions ~ws_rows in
   (* Keys no committed writeset ever touched: the worst case for the
-     linear scan (no early exit) and for the index probe (every key
-     misses). *)
+     index probe (every key misses). *)
   let ws = ws_of ~first_key:(versions * ws_rows) ~rows:ws_rows in
-  let check certifier ~staleness =
+  let check ~staleness =
     let snapshot = versions - staleness in
     Staged.stage (fun () ->
         ignore (Core.Certifier.check_conflict certifier ~snapshot ~ws))
   in
   Test.make_grouped ~name:"certification"
-    (List.concat_map
+    (List.map
        (fun staleness ->
-         [
-           Test.make
-             ~name:(Printf.sprintf "linear, %d behind" staleness)
-             (check linear ~staleness);
-           Test.make
-             ~name:(Printf.sprintf "keyed, %d behind" staleness)
-             (check keyed ~staleness);
-         ])
+         Test.make ~name:(Printf.sprintf "keyed, %d behind" staleness) (check ~staleness))
        [ 1; 100; 10_000 ])
 
 (* Conflict probing over interned dense ids vs boxed (table, key)

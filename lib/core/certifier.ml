@@ -84,10 +84,10 @@ type t = {
      own (everything beyond it belongs to a dead history). *)
   mutable epoch_starts : (int * int) list;
   (* The certification index: interned conflict id -> last committed
-     version writing that record. Maintained only under [Config.Keyed];
-     covers exactly the retained log of the current primary. Keys are
-     dense ints from [intern] (shared with the whole replication group),
-     so a probe neither allocates nor hashes strings. *)
+     version writing that record. Covers exactly the retained log of the
+     current primary. Keys are dense ints from [intern] (shared with the
+     whole replication group), so a probe neither allocates nor hashes
+     strings. *)
   index : int Util.Tables.Itbl.t;
   intern : Storage.Intern.t;
   (* Highest version each subscribed replica reported applied — the
@@ -182,15 +182,30 @@ let standby_lag t =
       else acc)
     0 t.nodes
 
-(* Retained log of one member, ascending (version, writeset) — the chaos
-   harness scans these for decision divergence across the group. *)
+let log_entry_of n v = Util.Vec.get n.cn_log (v - n.cn_log_base - 1)
+
+(* The one log reader: member [n]'s entries over (after, upto],
+   ascending (version, writeset). Both bounds must lie within the
+   retained log. *)
+let log_entries n ~after ~upto =
+  let rec build v acc =
+    if v <= after then acc else build (v - 1) ((v, log_entry_of n v) :: acc)
+  in
+  build upto []
+
+(* A fresh log vector holding member [n]'s entries over (after, upto]. *)
+let copy_log n ~after ~upto =
+  let fresh = Util.Vec.create () in
+  for v = after + 1 to upto do
+    Util.Vec.push fresh (log_entry_of n v)
+  done;
+  fresh
+
+(* Retained log of one member — the chaos harness scans these for
+   decision divergence across the group. *)
 let node_log t k =
   let n = node t k in
-  let rec build v acc =
-    if v <= n.cn_log_base then acc
-    else build (v - 1) ((v, Util.Vec.get n.cn_log (v - n.cn_log_base - 1)) :: acc)
-  in
-  build n.cn_version []
+  log_entries n ~after:n.cn_log_base ~upto:n.cn_version
 
 let note_heard t replica =
   Itbl.replace t.last_heard replica (Sim.Engine.now t.engine)
@@ -210,67 +225,50 @@ let service_time t base =
   | None -> base
   | Some f -> base *. Sim.Faults.slowdown f ~node:(primary_net t)
 
-let log_entry_of n v = Util.Vec.get n.cn_log (v - n.cn_log_base - 1)
+(* The first-committer-wins check over (snapshot, version], probing
+   the key index: O(|writeset|) however far the snapshot lags (the
+   paper's log scan survives as the test oracle in
+   test/test_certindex.ml). Because commits update log and index
+   incrementally as a batch is certified, the check also catches
+   intra-batch write-write conflicts: the later arrival sees the earlier
+   member's freshly committed writeset and aborts, exactly as if the two
+   had certified back to back.
 
-(* The first-committer-wins check over (snapshot, version]. Both
-   implementations return the same decision (pinned by golden and
-   differential tests); [Keyed] is O(|writeset|) regardless of how far
-   the snapshot lags, [Linear] is O(versions-behind × |writeset|).
-   Because commits update log and index incrementally as a batch is
-   certified, the check also catches intra-batch write-write conflicts:
-   the later arrival sees the earlier member's freshly committed
-   writeset and aborts, exactly as if the two had certified back to
-   back. *)
-let conflicts_since t ~snapshot ws =
-  match t.cfg.Config.cert_index with
-  | Config.Keyed ->
-    (* Index invariant: for every conflict key written by a retained log
-       entry, [index] holds the *highest* committing version; a conflict
-       exists iff some key of [ws] was last written after [snapshot].
-       Entries at or below [snapshot] cannot conflict, and versions ≤
-       log_base are pruned from the index only after the abort guard in
-       [process_batch] has rejected snapshots below log_base. Writesets
-       built by this replication group carry their ids ([cids] returns
-       the cached array); foreign writesets are resolved through this
-       group's intern table on the way in. *)
-    let kids = Storage.Writeset.cids ws ~intern:t.intern in
-    let n = Array.length kids in
-    let rec probe i =
-      if i >= n then false
-      else
-        match Util.Tables.Itbl.find_opt t.index kids.(i) with
-        | Some v when v > snapshot -> true
-        | _ -> probe (i + 1)
-    in
-    probe 0
-  | Config.Linear ->
-    let p = primary_node t in
-    let rec scan v =
-      if v <= snapshot then false
-      else if Storage.Writeset.conflicts ws (log_entry_of p v) then true
-      else scan (v - 1)
-    in
-    scan p.cn_version
-
-let check_conflict t ~snapshot ~ws = conflicts_since t ~snapshot ws
+   Index invariant: for every conflict key written by a retained log
+   entry, [index] holds the *highest* committing version; a conflict
+   exists iff some key of [ws] was last written after [snapshot].
+   Entries at or below [snapshot] cannot conflict, and versions ≤
+   log_base are pruned from the index only after the abort guard in
+   [process_batch] has rejected snapshots below log_base. Writesets
+   built by this replication group carry their ids ([cids] returns the
+   cached array); foreign writesets are resolved through this group's
+   intern table on the way in. *)
+let check_conflict t ~snapshot ~ws =
+  let kids = Storage.Writeset.cids ws ~intern:t.intern in
+  let n = Array.length kids in
+  let rec probe i =
+    if i >= n then false
+    else
+      match Util.Tables.Itbl.find_opt t.index kids.(i) with
+      | Some v when v > snapshot -> true
+      | _ -> probe (i + 1)
+  in
+  probe 0
 
 (* Record a freshly committed writeset in the certification index. *)
 let index_commit t ws version =
-  if t.cfg.Config.cert_index = Config.Keyed then
-    Array.iter
-      (fun kid -> Util.Tables.Itbl.replace t.index kid version)
-      (Storage.Writeset.cids ws ~intern:t.intern)
+  Array.iter
+    (fun kid -> Util.Tables.Itbl.replace t.index kid version)
+    (Storage.Writeset.cids ws ~intern:t.intern)
 
-(* Rebuild the index from a log segment (standby promotion): ascending
-   replay leaves the highest writer per key, restoring the invariant. *)
-let rebuild_index t ~base ~upto entry =
+(* Rebuild the index from member [n]'s retained log (standby promotion):
+   ascending replay leaves the highest writer per key, restoring the
+   invariant. *)
+let rebuild_index t n =
   Util.Tables.Itbl.reset t.index;
-  if t.cfg.Config.cert_index = Config.Keyed then
-    for v = base + 1 to upto do
-      Array.iter
-        (fun kid -> Util.Tables.Itbl.replace t.index kid v)
-        (Storage.Writeset.cids (entry v) ~intern:t.intern)
-    done
+  for v = n.cn_log_base + 1 to n.cn_version do
+    index_commit t (log_entry_of n v) v
+  done
 
 let index_size t = Util.Tables.Itbl.length t.index
 
@@ -360,11 +358,7 @@ let reconcile_base t ~from_epoch =
 let truncate_node n ~upto =
   if n.cn_version > upto then begin
     let keep = max upto n.cn_log_base in
-    let fresh = Util.Vec.create () in
-    for v = n.cn_log_base + 1 to keep do
-      Util.Vec.push fresh (log_entry_of n v)
-    done;
-    n.cn_log <- fresh;
+    n.cn_log <- copy_log n ~after:n.cn_log_base ~upto:keep;
     n.cn_version <- keep;
     n.cn_acked <- min n.cn_acked keep
   end
@@ -433,7 +427,7 @@ let promote ?(auto = false) t k =
       n.cn_last_heard <- now;
       n.cn_last_ack <- now)
     t.nodes;
-  rebuild_index t ~base:np.cn_log_base ~upto:np.cn_version (fun v -> log_entry_of np v);
+  rebuild_index t np;
   Itbl.reset t.repair_seen;
   t.failovers <- t.failovers + 1;
   if auto then begin
@@ -468,19 +462,11 @@ let pusher t k =
     (* Capture the payload at send time: the log may be pruned, extended
        or even superseded while the message is in flight. *)
     let snapshot_base, payload =
-      if sb.cn_acked < p.cn_log_base then begin
+      if sb.cn_acked < p.cn_log_base then
         (* Below the pruned horizon: full state transfer of the retained
            log (base marker + entries). *)
-        let rec build v acc =
-          if v <= p.cn_log_base then acc else build (v - 1) ((v, log_entry_of p v) :: acc)
-        in
-        (Some p.cn_log_base, build target [])
-      end
-      else
-        let rec build v acc =
-          if v <= sb.cn_acked then acc else build (v - 1) ((v, log_entry_of p v) :: acc)
-        in
-        (None, build target [])
+        (Some p.cn_log_base, log_entries p ~after:p.cn_log_base ~upto:target)
+      else (None, log_entries p ~after:sb.cn_acked ~upto:target)
     in
     let size_bytes =
       List.fold_left
@@ -857,7 +843,9 @@ let process_batch t batch =
           +. (float_of_int rows *. t.cfg.Config.certify_row_ms)
         in
         Sim.Process.sleep t.engine (service_time t cost);
-        if r.req_snapshot < p.cn_log_base || conflicts_since t ~snapshot:r.req_snapshot r.req_ws
+        if
+          r.req_snapshot < p.cn_log_base
+          || check_conflict t ~snapshot:r.req_snapshot ~ws:r.req_ws
         then begin
           (* A snapshot older than the pruned log horizon cannot be
              checked and is conservatively aborted — in practice the
@@ -1006,7 +994,6 @@ let certify ?trace ?applied ?(deadline = infinity) t ~origin ~snapshot ~ws =
             ("origin", string_of_int origin);
             ("snapshot", string_of_int snapshot);
             ("rows", string_of_int rows);
-            ("cert.index", Config.cert_index_name t.cfg.Config.cert_index);
           ]
         ()
     | None -> None
@@ -1089,12 +1076,7 @@ let ack t ~replica ~version =
 let writesets_from t from =
   let p = primary_node t in
   if from < p.cn_log_base then None
-  else begin
-    let rec build v acc =
-      if v <= from then acc else build (v - 1) ((v, log_entry_of p v) :: acc)
-    in
-    Some (build p.cn_version [])
-  end
+  else Some (log_entries p ~after:from ~upto:p.cn_version)
 
 let prune t ~keep_after =
   (* Keep versions > keep_after, on every member. The horizon is clamped
@@ -1113,11 +1095,7 @@ let prune t ~keep_after =
     Array.iter
       (fun n ->
         if keep_after > n.cn_log_base && n.cn_version >= keep_after then begin
-          let fresh = Util.Vec.create () in
-          for v = keep_after + 1 to n.cn_version do
-            Util.Vec.push fresh (log_entry_of n v)
-          done;
-          n.cn_log <- fresh;
+          n.cn_log <- copy_log n ~after:keep_after ~upto:n.cn_version;
           n.cn_log_base <- keep_after
         end)
       t.nodes;

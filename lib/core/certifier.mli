@@ -14,15 +14,14 @@
     which doubles as the recovery log replicas replay after a crash.
 
     {b Certification index} (docs/PROTOCOL.md, "Certification index and
-    watermark GC"): under [Config.Keyed] (the default) the certifier
-    maintains a hash index [(table, key) → last committed version] and
-    decides the first-committer-wins check by probing the request's
-    writeset keys — O(|writeset|) however stale the snapshot — instead
-    of scanning the log over (snapshot, V]. [Config.Linear] keeps the
-    scan as a differential-testing oracle; the two are decision- and
-    event-identical, so the knob only moves host CPU. The index is soft
-    state: pruned with the log, rebuilt from the promoted standby's log
-    copy on {!failover}.
+    watermark GC"): the certifier maintains a hash index
+    [(table, key) → last committed version] and decides the
+    first-committer-wins check by probing the request's writeset keys —
+    O(|writeset|) however stale the snapshot — instead of scanning the
+    log over (snapshot, V]. The paper's scan survives only as the test
+    oracle every index decision is checked against
+    (test/test_certindex.ml). The index is soft state: pruned with the
+    log, rebuilt from the promoted standby's log copy on {!failover}.
 
     {b Applied watermarks}: replicas piggyback their applied [V_local]
     on certification requests ([?applied]) and per-version acks
@@ -155,14 +154,12 @@ val heartbeat : t -> replica:int -> applied:int -> unit
 
 val check_conflict : t -> snapshot:int -> ws:Storage.Writeset.t -> bool
 (** The raw first-committer-wins decision over [(snapshot, version]],
-    per the configured [Config.cert_index]. Consumes no virtual time and
-    takes no CPU — exposed for the Bechamel micro-benches and the
-    Linear/Keyed differential tests; {!certify} is the protocol entry
-    point. Requires [snapshot >= log_base]. *)
+    probed in the key index. Consumes no virtual time and takes no CPU —
+    exposed for the Bechamel micro-benches; {!certify} is the protocol
+    entry point. Requires [snapshot >= log_base]. *)
 
 val index_size : t -> int
-(** Distinct (table, key) entries in the certification index (0 under
-    [Config.Linear]). *)
+(** Distinct (table, key) entries in the certification index. *)
 
 val intern : t -> Storage.Intern.t
 (** The conflict-key intern table the certification index is keyed by.
@@ -340,7 +337,8 @@ val node_acked : t -> int -> int
 val node_log : t -> int -> (int * Storage.Writeset.t) list
 (** Member [k]'s retained log, ascending [(version, writeset)] — the
     chaos harness compares these across members for decision
-    divergence. *)
+    divergence, and the certification tests scan the primary's as the
+    first-committer-wins oracle. *)
 
 val standby_lag : t -> int
 (** Versions the slowest non-crashed standby's acknowledged position

@@ -4,12 +4,6 @@ type routing =
   | Random_replica
   | Session_affinity
 
-type cert_index =
-  | Linear
-  | Keyed
-
-let cert_index_name = function Linear -> "linear" | Keyed -> "keyed"
-
 type t = {
   seed : int;
   replicas : int;
@@ -30,7 +24,6 @@ type t = {
   certify_row_ms : float;
   durability_ms : float;
   cert_batch : int;
-  cert_index : cert_index;
   certifier_standbys : int;
   standby_ack_quorum : int;
   cert_heartbeat_ms : float;
@@ -117,7 +110,6 @@ let default =
     certify_row_ms = 0.005;
     durability_ms = 0.08;
     cert_batch = 1;
-    cert_index = Keyed;
     certifier_standbys = 0;
     standby_ack_quorum = 0;
     cert_heartbeat_ms = 10.0;
@@ -271,7 +263,7 @@ let pp ppf c =
      net: base=%.2fms jitter=%.2fms bw=%.0fMbps lb=%.2fms@,\
      exec: stmt=%.2f scan=%.3f read=%.3f write=%.3f (ms)@,\
      commit: ro=%.2f upd=%.2f apply=%.2f+%.2f/row (ms)@,\
-     certifier: %.2f+%.3f/row durability=%.2f index=%s (ms)@,\
+     certifier: %.2f+%.3f/row durability=%.2f (ms)@,\
      batching: cert_batch=%d apply_parallelism=%d@,\
      jitter=%b retries=%d record_log=%b watermark_slack=%d@,\
      reliable=%b rto=%.1fms max_retransmits=%d retransmit=%.0fms \
@@ -287,7 +279,7 @@ let pp ppf c =
     c.replicas c.cpus_per_replica c.seed c.net_base_ms c.net_jitter_ms c.net_bandwidth_mbps
     c.lb_ms c.stmt_base_ms c.row_scan_ms c.row_read_ms c.row_write_ms c.ro_commit_ms
     c.commit_ms c.ws_apply_base_ms c.ws_apply_row_ms c.certify_base_ms c.certify_row_ms
-    c.durability_ms (cert_index_name c.cert_index) c.cert_batch c.apply_parallelism
+    c.durability_ms c.cert_batch c.apply_parallelism
     c.service_jitter c.max_retries c.record_log c.watermark_slack c.reliable c.rto_ms
     c.max_retransmits c.retransmit_ms c.heartbeat_ms c.suspect_after_ms c.dead_after_ms
     c.evict_after_ms c.start_wait_timeout_ms c.retry_backoff_ms c.retry_backoff_max_ms

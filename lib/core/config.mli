@@ -8,22 +8,6 @@ type routing =
       (** pin each session to a replica (hash of the session id);
           falls back to least-active when the pinned replica is down *)
 
-(** How the certifier evaluates the first-committer-wins check (see
-    docs/PROTOCOL.md, "Certification index and watermark GC"). Both
-    implementations produce exactly the same commit/abort decisions and
-    version assignments — the choice only moves host (wall-clock) work,
-    never virtual time. *)
-type cert_index =
-  | Linear
-      (** scan the writeset log over (snapshot, V]: O(versions-behind ×
-          |writeset|) per request. The paper's formulation; retained as
-          the differential-testing oracle for [Keyed]. *)
-  | Keyed
-      (** probe a hash index [(table, key) → last committed version]:
-          O(|writeset|) per request regardless of snapshot age. *)
-
-val cert_index_name : cert_index -> string
-
 (** Cluster and cost-model parameters.
 
     All times are milliseconds of virtual time. Service times are scaled
@@ -66,10 +50,6 @@ type t = {
           refresh batch message per replica. 1 (the default) reproduces
           unbatched certification exactly: every event, sleep and random
           draw is the same as before batching existed. *)
-  cert_index : cert_index;
-      (** conflict-check implementation; {!Keyed} (the default) and
-          {!Linear} are decision-identical (pinned by golden and
-          property tests), so this knob only trades host CPU. *)
   certifier_standbys : int;
       (** replicas of the certifier state machine (§IV fault-tolerance).
           Each commit decision is synchronously replicated to every
@@ -105,15 +85,16 @@ type t = {
   apply_parallelism : int;
       (** conflict-aware parallel refresh application: the maximum number
           of concurrent apply lanes a replica's commit sequencer forks
-          for a run of consecutive queued refresh writesets. The run is
-          partitioned by conflict key ({!Storage.Writeset.keys}):
-          writesets sharing a key stay in one lane and apply in version
-          order; disjoint lanes apply concurrently on the replica CPUs.
-          [V_local] is published only when the whole run is installed, so
-          snapshot semantics and the version arithmetic of Table I are
-          unchanged. 1 (the default) keeps the strictly serial
-          one-version-at-a-time sequencer, bit-identical to the
-          pre-batching behaviour. *)
+          for a run of consecutive queued refresh writesets (at most
+          [4 * apply_parallelism] of them). The run is partitioned by
+          conflict key ({!Storage.Writeset.keys}): writesets sharing a
+          key stay in one lane and apply in version order; disjoint
+          lanes apply concurrently on the replica CPUs. [V_local] is
+          published only when the whole run is installed, so snapshot
+          semantics and the version arithmetic of Table I are unchanged.
+          1 (the default) is one lane: every run is a single writeset,
+          applied and published one version at a time, bit-identical to
+          the pre-batching sequencer. *)
   (* transient replica slowdowns (checkpoints, cache misses, OS noise):
      each replica independently enters a slow window in which its service
      times are multiplied by [hiccup_factor]. The eager configuration is

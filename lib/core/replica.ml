@@ -25,16 +25,12 @@ type t = {
   mutable epoch : int;  (* bumped on crash: cancels in-flight apply lanes *)
   mutable cert_epoch : int;  (* highest certifier epoch seen on a refresh *)
   mutable fenced_refreshes : int;  (* stale-epoch refresh batches dropped *)
-  mutable applying : Storage.Writeset.t list;
-      (* writesets of the parallel apply group in flight (removed from
-         [slots] but not yet published) — still visible to early
-         certification; always [] under the serial sequencer *)
   pending_keys : int Util.Tables.Itbl.t;
       (* conflict-key refcounts over the pending refresh writesets
-         ([slots]' Refresh entries plus [applying]) — the certifier's
-         index shape reused so early certification probes its statement
-         keys instead of scanning every pending writeset. Keyed by the
-         group's interned conflict ids (the database's intern table). *)
+         ([slots]' Refresh entries) — the certifier's index shape reused
+         so early certification probes its statement keys instead of
+         scanning every pending writeset. Keyed by the group's interned
+         conflict ids (the database's intern table). *)
   mutable slow_until : float;  (* hiccup window end; service times inflate until then *)
   mutable faults : Sim.Faults.t option;  (* gray-failure slowdown windows *)
   mutable on_commit : (version:int -> unit) option;
@@ -59,7 +55,6 @@ let create ?obs ?metrics engine cfg ~rng ~id db =
     epoch = 0;
     cert_epoch = 0;
     fenced_refreshes = 0;
-    applying = [];
     pending_keys = Util.Tables.Itbl.create 256;
     slow_until = neg_infinity;
     faults = None;
@@ -107,10 +102,12 @@ let notify_commit t ~version =
   match t.on_commit with None -> () | Some f -> f ~version
 
 (* Pending-key refcounts. Invariant: [pending_keys] is the multiset of
-   conflict keys over exactly the writesets [pending_refresh_writesets]
-   returns — added when a refresh writeset is queued, kept while a
-   parallel group holds it in [applying], removed when it leaves the
-   pending set (applied serially, published, or dropped by a crash). *)
+   conflict keys over the Refresh slots in [slots] — added when a
+   refresh writeset is queued, removed when it leaves the queue
+   (dequeued by the sequencer, reclaimed by a local commit, or dropped
+   as a stale re-queue), and reset wholesale by a crash. A writeset the
+   sequencer has dequeued no longer blocks local updates, even before
+   its version is published. *)
 let cids t ws = Storage.Writeset.cids ws ~intern:(Storage.Database.intern t.db)
 
 let add_pending_keys t kids =
@@ -129,15 +126,21 @@ let remove_pending_keys t ws =
       | Some _ | None -> assert false (* refcount out of sync with the pending set *))
     (cids t ws)
 
-(* --- Conflict-aware parallel refresh application ---------------------
+let dequeue t v ws =
+  Itbl.remove t.slots v;
+  remove_pending_keys t ws
 
-   A run of consecutive queued refresh writesets is partitioned into
-   {e lanes} — connected components of the graph whose edges join
-   writesets sharing a conflict key ({!Storage.Writeset.keys}). Lanes
-   are disjoint by construction, so they install concurrently on the
-   replica CPUs; within a lane, version order is preserved (the per-key
-   MVCC chains require ascending installs). [V_local] is published only
-   when the whole run is installed, so no snapshot can observe a gap. *)
+(* --- Refresh application ---------------------------------------------
+
+   The sequencer dequeues a run of consecutive refresh writesets and
+   applies it as one group. A run of more than one writeset is
+   partitioned into {e lanes} — connected components of the graph whose
+   edges join writesets sharing a conflict key
+   ({!Storage.Writeset.keys}). Lanes are disjoint by construction, so
+   they install concurrently on the replica CPUs; within a lane, version
+   order is preserved (the per-key MVCC chains require ascending
+   installs). [V_local] is published only when the whole run is
+   installed, so no snapshot can observe a gap. *)
 
 (* [partition_lanes ~intern items] groups [(version, trace, ws)] items
    (ascending versions) into conflict lanes, each ascending, in
@@ -190,58 +193,77 @@ let bucketize p lanes =
            |> List.sort (fun (v1, _, _) (v2, _, _) -> compare v1 v2))
   end
 
-(* One lane: install each writeset unpublished, in version order. The
-   captured [epoch] cancels the lane if the replica crashes mid-group —
-   recovery replays the group from the certifier log (installs are
-   redo-idempotent, so partially installed writesets are safe). *)
-let apply_lane t ~epoch ~lane_id lane () =
-  List.iter
-    (fun (v, trace, ws) ->
-      if t.epoch = epoch && not t.crashed then begin
-        let rows = Storage.Writeset.cardinal ws in
-        (* Build the span args only when tracing is live: this runs per
-           applied writeset, and the formatting is pure overhead on
-           untraced runs. *)
-        let span =
-          match t.obs with
-          | None -> None
-          | Some _ ->
-            Obs.Trace.start_opt t.obs
-              ~trace_id:(Option.value trace ~default:v)
-              ~component:(Obs.Span.Replica t.id) ~name:"refresh.apply"
-              ~args:
-                [
-                  ("version", string_of_int v);
-                  ("rows", string_of_int rows);
-                  ("lane", string_of_int lane_id);
-                ]
-              ()
-        in
-        let cost =
-          t.cfg.Config.ws_apply_base_ms
-          +. (float_of_int rows *. t.cfg.Config.ws_apply_row_ms)
-        in
-        Sim.Resource.use t.cpu ~duration:(service_time t cost);
-        if t.epoch = epoch then begin
-          Storage.Database.apply_unpublished t.db ws ~version:v;
-          t.applied_refresh <- t.applied_refresh + 1
-        end;
-        Obs.Trace.finish_opt t.obs span
-      end)
-    lane
+(* Install one writeset of a run unpublished, on [lane]. The run's
+   captured [epoch] cancels the install if the replica crashes before
+   or during it — recovery replays the run from the certifier log
+   (installs are redo-idempotent, so partially installed runs are
+   safe). *)
+let install t ~epoch ~lane v trace ws =
+  if t.epoch = epoch && not t.crashed then begin
+    let rows = Storage.Writeset.cardinal ws in
+    (* The refresh-apply span joins the committing transaction's trace
+       when the certifier forwarded its id; recovery replays (which have
+       no originating trace) fall back to the commit version. The args
+       are built only when tracing is live: this runs per applied
+       writeset, and the formatting is pure overhead on untraced runs. *)
+    let span =
+      match t.obs with
+      | None -> None
+      | Some _ ->
+        Obs.Trace.start_opt t.obs
+          ~trace_id:(Option.value trace ~default:v)
+          ~component:(Obs.Span.Replica t.id) ~name:"refresh.apply"
+          ~args:
+            [
+              ("version", string_of_int v);
+              ("rows", string_of_int rows);
+              ("lane", string_of_int lane);
+              ("backlog", string_of_int (Itbl.length t.slots));
+            ]
+          ()
+    in
+    let cost =
+      t.cfg.Config.ws_apply_base_ms +. (float_of_int rows *. t.cfg.Config.ws_apply_row_ms)
+    in
+    Sim.Resource.use t.cpu ~duration:(service_time t cost);
+    if t.epoch = epoch then begin
+      Storage.Database.apply_unpublished t.db ws ~version:v;
+      t.applied_refresh <- t.applied_refresh + 1
+    end;
+    Obs.Trace.finish_opt t.obs span
+  end
 
-(* Apply a run of consecutive refresh writesets starting at [first] as
-   one group: fork the conflict lanes, join, publish once. *)
-let apply_refresh_group t ~first run =
-  let p = t.cfg.Config.apply_parallelism in
+(* Publish an installed run [first..last], unless a crash cancelled it. *)
+let publish_run t ~epoch ~first ~last =
+  if t.epoch = epoch && not t.crashed then begin
+    Storage.Database.publish t.db ~version:last;
+    (* Settle slots re-queued at published versions while the run was
+       in flight: recovery or a duplicated delivery leaves a stale
+       Refresh (drop it and its pending keys), and a repair resend racing
+       commit_local leaves a Local slot — its version just published, so
+       the commit succeeded; fill its ivar or the submitter wedges (the
+       sequencer never revisits a published version). *)
+    for v = first to last do
+      (match Itbl.find_opt t.slots v with
+      | Some (Refresh { ws; _ }) -> remove_pending_keys t ws
+      | Some (Local { done_; _ }) -> Sim.Ivar.fill done_ (Ok (Sim.Engine.now t.engine))
+      | None -> ());
+      Itbl.remove t.slots v
+    done;
+    Sim.Condition.broadcast t.version_changed;
+    for v = first to last do
+      notify_commit t ~version:v
+    done
+  end
+
+(* A run of two or more writesets: fork the conflict lanes, join,
+   publish once. *)
+let apply_refresh_group t ~epoch ~first run =
   let last = first + List.length run - 1 in
-  t.applying <- List.map (fun (_, _, ws) -> ws) run;
   let lanes =
-    bucketize p (partition_lanes ~intern:(Storage.Database.intern t.db) run)
+    bucketize t.cfg.Config.apply_parallelism
+      (partition_lanes ~intern:(Storage.Database.intern t.db) run)
   in
-  (match t.metrics with
-  | Some m -> Metrics.note_apply_group m ~size:(List.length run)
-  | None -> ());
   let group_span =
     match t.obs with
     | None -> None
@@ -258,48 +280,35 @@ let apply_refresh_group t ~first run =
           ]
         ()
   in
-  let epoch = t.epoch in
   Sim.Fork.join t.engine
-    (List.mapi (fun lane_id lane -> apply_lane t ~epoch ~lane_id lane) lanes);
+    (List.mapi
+       (fun lane items () ->
+         List.iter (fun (v, trace, ws) -> install t ~epoch ~lane v trace ws) items)
+       lanes);
   Obs.Trace.finish_opt t.obs group_span;
-  t.applying <- [];
-  if t.epoch = epoch && not t.crashed then begin
-    (* The group's writesets leave the pending set at publication; a
-       crash mid-group resets [pending_keys] wholesale instead. *)
-    List.iter (fun (_, _, ws) -> remove_pending_keys t ws) run;
-    Storage.Database.publish t.db ~version:last;
-    (* Settle slots re-queued at published versions while the group was
-       in flight: recovery or a duplicated delivery leaves a stale
-       Refresh (drop it and its pending keys), and a repair resend racing
-       commit_local leaves a Local slot — its version just published, so
-       the commit succeeded; fill its ivar or the submitter wedges (the
-       sequencer never revisits a published version). *)
-    for v = first to last do
-      (match Itbl.find_opt t.slots v with
-      | Some (Refresh { ws; _ }) -> remove_pending_keys t ws
-      | Some (Local { done_; _ }) ->
-        Sim.Ivar.fill done_ (Ok (Sim.Engine.now t.engine))
-      | None -> ());
-      Itbl.remove t.slots v
-    done;
-    Sim.Condition.broadcast t.version_changed;
-    for v = first to last do
-      notify_commit t ~version:v
-    done
-  end
+  publish_run t ~epoch ~first ~last
 
 (* The commit sequencer: one process per replica that consumes slots in
    strict version order, interleaving refresh transactions with local
-   commits exactly as the certifier ordered them. With
-   [apply_parallelism > 1] a run of consecutive refresh slots is drained
-   and applied as one parallel group; [apply_parallelism = 1] keeps the
-   serial one-version-at-a-time path, bit-identical to the pre-batching
-   sequencer. *)
+   commits exactly as the certifier ordered them. Consecutive refresh
+   slots are dequeued as one run, up to [max_run]. With one lane
+   ([apply_parallelism = 1]) grouping gains nothing and only delays
+   publication, so each run is a single writeset; otherwise the bound
+   keeps readers waiting on [V_local] from being starved by an
+   arbitrarily long backlog drained into one publish. A single-writeset
+   run installs and publishes directly: no partition, no fork. *)
 let sequencer t () =
   let parallelism = t.cfg.Config.apply_parallelism in
-  (* Bound the group so readers waiting on [V_local] are not starved by
-     an arbitrarily long backlog drained into one publish. *)
-  let max_run = 4 * max 1 parallelism in
+  let max_run = if parallelism = 1 then 1 else 4 * parallelism in
+  let rec collect v acc n =
+    if n >= max_run then List.rev acc
+    else
+      match Itbl.find_opt t.slots v with
+      | Some (Refresh { ws; trace }) ->
+        dequeue t v ws;
+        collect (v + 1) ((v, trace, ws) :: acc) (n + 1)
+      | Some (Local _) | None -> List.rev acc
+  in
   let rec loop () =
     let next () = v_local t + 1 in
     Sim.Condition.await t.slot_arrived (fun () ->
@@ -307,64 +316,18 @@ let sequencer t () =
     let v = next () in
     (match Itbl.find_opt t.slots v with
     | None -> ()  (* crashed and cleaned up while waking; re-loop *)
-    | Some (Refresh _) when parallelism > 1 ->
-      let rec collect v acc n =
-        if n >= max_run then List.rev acc
-        else
-          match Itbl.find_opt t.slots v with
-          | Some (Refresh { ws; trace }) ->
-            Itbl.remove t.slots v;
-            collect (v + 1) ((v, trace, ws) :: acc) (n + 1)
-          | Some (Local _) | None -> List.rev acc
-      in
-      let run = collect v [] 0 in
-      apply_refresh_group t ~first:v run
-    | Some (Refresh { ws; trace }) ->
-      Itbl.remove t.slots v;
-      remove_pending_keys t ws;
-      let rows = Storage.Writeset.cardinal ws in
-      (* The refresh-apply span joins the committing transaction's trace
-         when the certifier forwarded its id; recovery replays (which
-         have no originating trace) fall back to the commit version. *)
-      let span =
-        match t.obs with
-        | None -> None
-        | Some _ ->
-          Obs.Trace.start_opt t.obs
-            ~trace_id:(Option.value trace ~default:v)
-            ~component:(Obs.Span.Replica t.id) ~name:"refresh.apply"
-            ~args:
-              [
-                ("version", string_of_int v);
-                ("rows", string_of_int rows);
-                ("backlog", string_of_int (Itbl.length t.slots));
-              ]
-            ()
-      in
-      let cost =
-        t.cfg.Config.ws_apply_base_ms
-        +. (float_of_int rows *. t.cfg.Config.ws_apply_row_ms)
-      in
-      Sim.Resource.use t.cpu ~duration:(service_time t cost);
-      Storage.Database.apply t.db ws ~version:v;
-      t.applied_refresh <- t.applied_refresh + 1;
-      (* Settle a slot re-queued at [v] while the apply held the CPU: a
-         duplicated delivery leaves a stale Refresh (drop it and its
-         pending keys), and a repair resend racing commit_local leaves a
-         Local slot — [v] is now applied, so the commit succeeded; fill
-         its ivar or the submitter wedges (this sequencer never revisits
-         a published version). *)
-      (match Itbl.find_opt t.slots v with
-      | Some (Refresh { ws = rws; _ }) ->
-        remove_pending_keys t rws;
-        Itbl.remove t.slots v
-      | Some (Local { done_; _ }) ->
-        Itbl.remove t.slots v;
-        Sim.Ivar.fill done_ (Ok (Sim.Engine.now t.engine))
+    | Some (Refresh { ws; trace }) -> (
+      dequeue t v ws;
+      let rest = collect (v + 1) [] 1 in
+      (match t.metrics with
+      | Some m -> Metrics.note_apply_group m ~size:(1 + List.length rest)
       | None -> ());
-      Obs.Trace.finish_opt t.obs span;
-      Sim.Condition.broadcast t.version_changed;
-      notify_commit t ~version:v
+      let epoch = t.epoch in
+      match rest with
+      | [] ->
+        install t ~epoch ~lane:0 v trace ws;
+        publish_run t ~epoch ~first:v ~last:v
+      | rest -> apply_refresh_group t ~epoch ~first:v ((v, trace, ws) :: rest))
     | Some (Local { ws; done_ }) ->
       Itbl.remove t.slots v;
       let commit_start = Sim.Engine.now t.engine in
@@ -416,11 +379,6 @@ let abort_requested t ~tid =
   match Itbl.find_opt t.active tid with
   | Some (_, flag) -> !flag
   | None -> false
-
-let pending_refresh_writesets t =
-  Itbl.fold
-    (fun _ slot acc -> match slot with Refresh { ws; _ } -> ws :: acc | Local _ -> acc)
-    t.slots t.applying
 
 let early_certify t txn =
   (not t.cfg.Config.early_certification)
@@ -525,10 +483,9 @@ let set_on_commit t f = t.on_commit <- Some f
 
 let crash t =
   t.crashed <- true;
-  t.epoch <- t.epoch + 1;  (* cancel in-flight parallel apply lanes *)
-  t.applying <- [];
-  (* Queued refreshes are dropped below and [applying] is cleared: the
-     pending set empties, so the key index resets with it. *)
+  t.epoch <- t.epoch + 1;  (* cancel the in-flight refresh run *)
+  (* Queued refreshes are dropped below: the pending set empties, so the
+     key index resets with it. *)
   Util.Tables.Itbl.reset t.pending_keys;
   (* Abort in-flight local transactions. *)
   Itbl.iter (fun _ (_, flag) -> flag := true) t.active;
@@ -568,6 +525,7 @@ let recover t ~missed =
 
 let active_local t = Itbl.length t.active
 
-let pending_refresh t = List.length (pending_refresh_writesets t)
+let pending_refresh t =
+  Itbl.fold (fun _ slot n -> match slot with Refresh _ -> n + 1 | Local _ -> n) t.slots 0
 
 let applied_refresh t = t.applied_refresh

@@ -3,8 +3,10 @@
     The replica owns a full copy of the database, a CPU resource shared
     by query execution and refresh application, and a {e commit
     sequencer} that applies local commits and refresh transactions in
-    the certifier's total order, advancing [V_local] one version at a
-    time.
+    the certifier's total order. Consecutive refresh writesets are
+    dequeued as one run (a single writeset at
+    [Config.apply_parallelism = 1]) and [V_local] advances past the run
+    once all of it is installed.
 
     The proxy responsibilities implemented here:
     - queueing refresh writesets and applying them in version order;
@@ -28,9 +30,9 @@ val create :
 (** With [obs], the sequencer emits a [refresh.apply] span (component
     [Replica id]) for every remote writeset it applies, joining the
     committing transaction's trace when the refresh carried its id; a
-    parallel apply group additionally emits a [refresh.apply_batch] span
-    covering the fork/join. With [metrics], each group is recorded via
-    {!Metrics.note_apply_group}. *)
+    run of more than one writeset additionally emits a
+    [refresh.apply_batch] span covering the fork/join. With [metrics],
+    each run is recorded via {!Metrics.note_apply_group}. *)
 
 val start : t -> unit
 (** Spawn the commit-sequencer process. Call once, before the run. *)
@@ -63,8 +65,10 @@ val abort_requested : t -> tid:int -> bool
 (** Whether a refresh writeset conflicted with this transaction. *)
 
 val early_certify : t -> Storage.Txn.t -> bool
-(** Check the transaction's current writeset against pending (received
-    but unapplied) refresh writesets; [false] means conflict. *)
+(** Check the transaction's current writeset against the pending
+    refresh writesets — received and still queued; one the sequencer has
+    dequeued no longer counts, even before it is published. [false]
+    means conflict. *)
 
 val finish_txn : t -> tid:int -> unit
 (** Deregister from early certification (after commit or abort). *)
@@ -101,8 +105,8 @@ val receive_refresh_batch :
     version already applied or already queued (including a pending local
     commit) is silently dropped, making duplicated batches and the
     certifier's repair resends safe. The whole batch is dropped while
-    crashed. How the queued writesets are then applied — one at a time
-    or as conflict-partitioned parallel groups — is governed by
+    crashed. How the queued writesets are then grouped into runs and
+    conflict-partitioned lanes is governed by
     [Config.apply_parallelism]. *)
 
 val receive_refresh :
@@ -129,8 +133,10 @@ val set_faults : t -> Sim.Faults.t -> unit
     1.0 — behaviour is unchanged. *)
 
 val crash : t -> unit
-(** Fail-stop: aborts all in-flight local work and stops applying
-    refreshes. Durable state ([V_local] and the database) survives. *)
+(** Fail-stop: aborts all in-flight local work and cancels the refresh
+    run being applied — nothing of it is installed after the crash,
+    published or acknowledged. Durable state ([V_local] and the
+    database) survives. *)
 
 val recover : t -> missed:(int * Storage.Writeset.t) list -> unit
 (** Rejoin with the writesets missed while down (from
@@ -149,5 +155,8 @@ val state_transfer : t -> snapshot:string -> unit
 (** {2 Introspection} *)
 
 val active_local : t -> int
+
 val pending_refresh : t -> int
+(** Queued refresh writesets (the sequencer has not dequeued them). *)
+
 val applied_refresh : t -> int

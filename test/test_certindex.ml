@@ -1,6 +1,7 @@
 (* The keyed certification index: unit tests for index maintenance
-   (commit, prune, failover rebuild), a QCheck differential property
-   pinning Linear ≡ Keyed across randomized workloads with log
+   (commit, prune, failover rebuild), QCheck properties checking every
+   index decision against the paper's log scan (the Linear oracle,
+   which lives only here) across randomized workloads with log
    truncation and certifier failover mid-stream, watermark-driven log
    GC, and the load balancer's watermark-bounded session table. *)
 
@@ -36,13 +37,10 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
   Sim.Process.spawn engine (fun () -> f certifier);
   Sim.Engine.run engine
 
-let keyed_config = { small_config with Core.Config.cert_index = Core.Config.Keyed }
-let linear_config = { small_config with Core.Config.cert_index = Core.Config.Linear }
-
 (* --- index maintenance ------------------------------------------------ *)
 
 let test_index_tracks_last_writer () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       (* Distinct keys: one index entry each. *)
       for i = 1 to 5 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
@@ -64,24 +62,8 @@ let test_index_tracks_last_writer () =
       | Core.Certifier.Commit _ -> ()
       | _ -> Alcotest.fail "non-conflicting key aborted")
 
-let test_linear_oracle_conflict_window () =
-  (* The Linear arm must implement the same window semantics — the
-     conflict-window unit test rerun against the scan oracle. *)
-  with_certifier ~config:linear_config (fun c ->
-      Alcotest.(check int) "linear keeps no index" 0 (Core.Certifier.index_size c);
-      (match Core.Certifier.certify c ~origin:0 ~snapshot:0 ~ws:(ws_on "t" 1) with
-      | Core.Certifier.Commit { version; _ } -> Alcotest.(check int) "v1" 1 version
-      | _ -> Alcotest.fail "first writer aborted");
-      (match Core.Certifier.certify c ~origin:1 ~snapshot:0 ~ws:(ws_on "t" 1) with
-      | Core.Certifier.Abort -> ()
-      | _ -> Alcotest.fail "conflicting writer committed");
-      (match Core.Certifier.certify c ~origin:1 ~snapshot:1 ~ws:(ws_on "t" 1) with
-      | Core.Certifier.Commit _ -> ()
-      | _ -> Alcotest.fail "sequential writer aborted");
-      Alcotest.(check int) "still no index" 0 (Core.Certifier.index_size c))
-
 let test_prune_drops_index_entries () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       for i = 1 to 10 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
         | Core.Certifier.Commit _ -> ()
@@ -99,7 +81,7 @@ let test_prune_drops_index_entries () =
       | _ -> Alcotest.fail "up-to-date writer aborted")
 
 let test_failover_rebuilds_index () =
-  let config = { keyed_config with Core.Config.certifier_standbys = 1 } in
+  let config = { small_config with Core.Config.certifier_standbys = 1 } in
   with_certifier ~config (fun c ->
       for i = 1 to 8 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
@@ -120,12 +102,12 @@ let test_failover_rebuilds_index () =
       | _ -> Alcotest.fail "clean writer aborted after failover")
 
 (* [[|Int 3|]] and [[|Float 3.0|]] are one row in the store, so two
-   concurrent writers of them conflict: whichever index, and whether or
-   not the writesets carry the group's ids, the second one aborts. *)
+   concurrent writers of them conflict: whether or not the writesets
+   carry the group's ids, the second one aborts. *)
 let test_int_float_keys_conflict () =
   List.iter
-    (fun (config, interned) ->
-      with_certifier ~config (fun c ->
+    (fun interned ->
+      with_certifier (fun c ->
           let intern = if interned then Some (Core.Certifier.intern c) else None in
           (match
              Core.Certifier.certify c ~origin:0 ~snapshot:0
@@ -139,12 +121,9 @@ let test_int_float_keys_conflict () =
           with
           | Core.Certifier.Abort -> ()
           | _ -> Alcotest.fail "concurrent float-key writer of the same row certified"))
-    [
-      (keyed_config, true); (keyed_config, false); (linear_config, true);
-      (linear_config, false);
-    ]
+    [ true; false ]
 
-(* --- Linear ≡ Keyed differential property ----------------------------- *)
+(* --- Keyed decisions against the Linear oracle ------------------------- *)
 
 type op =
   | Certify of int * Storage.Value.t * int  (* origin, key, staleness *)
@@ -156,16 +135,27 @@ let pp_op = function
   | Truncate w -> Printf.sprintf "Truncate(%d)" w
   | Failover -> "Failover"
 
+(* The paper's first-committer-wins rule as a scan of the primary's
+   retained log: [ws] at [snapshot] aborts iff the snapshot predates the
+   pruned horizon, or some entry committed after it writes a key of
+   [ws]. The certifier decides the same thing by probing its key index. *)
+let linear_oracle_aborts c ~snapshot ws =
+  snapshot < Core.Certifier.log_base c
+  || List.exists
+       (fun (v, ws') -> v > snapshot && Storage.Writeset.conflicts ws ws')
+       (Core.Certifier.node_log c (Core.Certifier.primary_index c))
+
 (* Drive one certifier through the op stream and record every decision
-   (with its assigned version) plus the post-run log/index state.
-   [~interned:true] builds each writeset against the certifier group's
-   intern table, exercising the cached dense-id fast path; [false]
-   submits bare (foreign) writesets that the certifier must re-resolve
-   per probe. The two must be indistinguishable in every decision. *)
-let run_ops ?(interned = false) ~index ops =
-  let config =
-    { small_config with Core.Config.cert_index = index; certifier_standbys = 1 }
-  in
+   (with its assigned version) plus the post-run log/index state. Before
+   each [Certify] the Linear oracle predicts the decision (and the
+   version a commit gets); every disagreement is recorded as a
+   [MISMATCH] entry. [~interned:true] builds each writeset against the
+   certifier group's intern table, exercising the cached dense-id fast
+   path; [false] submits bare (foreign) writesets that the certifier
+   must re-resolve per probe. The two must be indistinguishable in
+   every decision. *)
+let run_ops ?(interned = false) ops =
+  let config = { small_config with Core.Config.certifier_standbys = 1 } in
   let out = ref [] in
   with_certifier ~config (fun c ->
       let ws_for key =
@@ -176,12 +166,24 @@ let run_ops ?(interned = false) ~index ops =
           match op with
           | Certify (origin, key, staleness) ->
             let snapshot = max 0 (Core.Certifier.version c - staleness) in
-            (match Core.Certifier.certify c ~origin ~snapshot ~ws:(ws_for key) with
-            | Core.Certifier.Commit { version; _ } ->
-              out := Printf.sprintf "C%d" version :: !out
-            | Core.Certifier.Abort -> out := "A" :: !out
-            | Core.Certifier.Overloaded | Core.Certifier.Expired ->
-              Alcotest.fail "unexpected overload decision")
+            let ws = ws_for key in
+            let expected =
+              if linear_oracle_aborts c ~snapshot ws then "A"
+              else Printf.sprintf "C%d" (Core.Certifier.version c + 1)
+            in
+            let decided =
+              match Core.Certifier.certify c ~origin ~snapshot ~ws with
+              | Core.Certifier.Commit { version; _ } -> Printf.sprintf "C%d" version
+              | Core.Certifier.Abort -> "A"
+              | Core.Certifier.Overloaded | Core.Certifier.Expired ->
+                Alcotest.fail "unexpected overload decision"
+            in
+            out := decided :: !out;
+            if decided <> expected then
+              out :=
+                Printf.sprintf "MISMATCH(%s: oracle %s, index %s)" (pp_op op) expected
+                  decided
+                :: !out
           | Truncate window ->
             Core.Certifier.prune c
               ~keep_after:(max 0 (Core.Certifier.version c - window))
@@ -223,28 +225,32 @@ let ops_arb =
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
     QCheck.Gen.(list_size (int_range 1 120) op_gen)
 
+let agrees_with_oracle out =
+  match List.filter (String.starts_with ~prefix:"MISMATCH") out with
+  | [] -> true
+  | ms -> QCheck.Test.fail_reportf "%s" (String.concat "\n" ms)
+
 let prop_linear_equals_keyed =
   QCheck.Test.make ~count:60 ~name:"Linear and Keyed decide identically" ops_arb
-    (fun ops ->
-      run_ops ~index:Core.Config.Linear ops = run_ops ~index:Core.Config.Keyed ops)
+    (fun ops -> agrees_with_oracle (run_ops ops))
 
 (* The raw-speed pass differential: the interned dense-id index must be
-   a pure representation change. All four arms — {Linear, Keyed} ×
-   {interned, foreign} writesets — produce the identical decision/version
-   stream across random workloads, truncation, and failover mid-stream. *)
+   a pure representation change. Both arms — interned and foreign
+   writesets — agree with the Linear oracle on every decision and
+   produce the identical decision/version stream across random
+   workloads, truncation, and failover mid-stream. *)
 let prop_interned_is_representation_only =
   QCheck.Test.make ~count:60
     ~name:"interned ids change no decision (vs Linear oracle and foreign keyed)" ops_arb
     (fun ops ->
-      let oracle = run_ops ~interned:false ~index:Core.Config.Linear ops in
-      run_ops ~interned:true ~index:Core.Config.Keyed ops = oracle
-      && run_ops ~interned:false ~index:Core.Config.Keyed ops = oracle
-      && run_ops ~interned:true ~index:Core.Config.Linear ops = oracle)
+      let foreign = run_ops ~interned:false ops in
+      let interned = run_ops ~interned:true ops in
+      agrees_with_oracle foreign && agrees_with_oracle interned && interned = foreign)
 
 (* --- watermarks and GC ------------------------------------------------ *)
 
 let test_watermark_tracking_and_gc () =
-  let config = { keyed_config with Core.Config.watermark_slack = 2 } in
+  let config = { small_config with Core.Config.watermark_slack = 2 } in
   with_certifier ~config (fun c ->
       Core.Certifier.subscribe c ~replica:0 (fun ~epoch:_ _ -> ());
       Core.Certifier.subscribe c ~replica:1 (fun ~epoch:_ _ -> ());
@@ -275,7 +281,7 @@ let test_watermark_tracking_and_gc () =
         (Core.Certifier.log_base c))
 
 let test_gc_noop_without_live_replicas () =
-  with_certifier ~config:keyed_config (fun c ->
+  with_certifier (fun c ->
       for i = 1 to 5 do
         ignore (Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;
@@ -353,8 +359,6 @@ let suites =
       [
         Alcotest.test_case "index tracks last writer per key" `Quick
           test_index_tracks_last_writer;
-        Alcotest.test_case "linear oracle conflict window" `Quick
-          test_linear_oracle_conflict_window;
         Alcotest.test_case "prune drops index entries" `Quick
           test_prune_drops_index_entries;
         Alcotest.test_case "failover rebuilds index from the log" `Quick

@@ -363,16 +363,6 @@ let test_clean_fault_plan_matches_golden () =
   check_golden
     (determinism_run ~faults:(fun e -> Sim.Faults.create ~seed:999 e) ~tracing:false ())
 
-let test_linear_index_matches_golden () =
-  (* The certification index is host-side soft state: the cost model
-     charges certify_row_ms per writeset row whichever structure decides
-     the check, so [Linear] and [Keyed] must produce bit-identical
-     runs — same commits, same response-time mean, same database. *)
-  Alcotest.(check string) "default index is keyed" "keyed"
-    (Core.Config.cert_index_name Core.Config.default.Core.Config.cert_index);
-  let tweak c = { c with Core.Config.cert_index = Core.Config.Linear } in
-  check_golden (determinism_run ~tweak ~tracing:false ())
-
 (* [load] builds version 0 once per cluster; every replica starts with
    its own database holding exactly what a fresh load holds. *)
 let test_initial_database_loaded_once () =
@@ -758,8 +748,6 @@ let suites =
           test_explicit_batch_one_matches_golden;
         Alcotest.test_case "clean fault plan matches golden baseline" `Quick
           test_clean_fault_plan_matches_golden;
-        Alcotest.test_case "linear cert index matches golden baseline" `Quick
-          test_linear_index_matches_golden;
         Alcotest.test_case "four-mode sweep matches golden" `Quick
           test_four_mode_sweep_matches_golden;
         Alcotest.test_case "observatory run matches golden baseline" `Quick

@@ -540,13 +540,19 @@ let check_settled ~what = function
     | Some (Error _) -> Alcotest.failf "%s: raced commit reported an abort" what
     | None -> Alcotest.failf "%s: raced commit wedged (ivar never filled)" what)
 
-let test_commit_local_races_serial_apply () =
-  let engine = Sim.Engine.create () in
-  let cfg = { config with Core.Config.service_jitter = false } in
+(* A started replica with deterministic service times and
+   [apply_parallelism = p]. *)
+let race_replica engine ~p =
+  let cfg = { config with Core.Config.service_jitter = false; apply_parallelism = p } in
   let replica =
     Core.Replica.create engine cfg ~rng:(Util.Rng.create 3) ~id:0 (make_replica_db ())
   in
   Core.Replica.start replica;
+  replica
+
+let test_commit_local_races_single_apply () =
+  let engine = Sim.Engine.create () in
+  let replica = race_replica engine ~p:1 in
   let ws = race_ws 1 in
   let ivar = ref None in
   Sim.Process.spawn engine (fun () ->
@@ -558,17 +564,11 @@ let test_commit_local_races_serial_apply () =
       ivar := Some (Core.Replica.commit_local replica ~version:1 ~ws));
   Sim.Engine.run engine;
   Alcotest.(check int) "v1 applied" 1 (Core.Replica.v_local replica);
-  check_settled ~what:"serial" !ivar
+  check_settled ~what:"p=1" !ivar
 
 let test_commit_local_races_group_apply () =
   let engine = Sim.Engine.create () in
-  let cfg =
-    { config with Core.Config.service_jitter = false; apply_parallelism = 2 }
-  in
-  let replica =
-    Core.Replica.create engine cfg ~rng:(Util.Rng.create 3) ~id:0 (make_replica_db ())
-  in
-  Core.Replica.start replica;
+  let replica = race_replica engine ~p:2 in
   let ws1 = race_ws 1 and ws2 = race_ws 2 in
   let ivar = ref None in
   Sim.Process.spawn engine (fun () ->
@@ -581,7 +581,77 @@ let test_commit_local_races_group_apply () =
       ivar := Some (Core.Replica.commit_local replica ~version:2 ~ws:ws2));
   Sim.Engine.run engine;
   Alcotest.(check int) "group published through v2" 2 (Core.Replica.v_local replica);
-  check_settled ~what:"group" !ivar
+  check_settled ~what:"p=2" !ivar
+
+(* A crash while refresh writesets are being applied cancels them,
+   whatever the lane count: nothing is installed, [V_local] does not
+   move and no commit is acknowledged. Recovery replays the versions
+   from the certifier log. At p = 2 the two disjoint writesets form one
+   parallel group; at p = 1 the crash lands inside v1's apply. *)
+let test_crash_mid_apply_cancels_run () =
+  List.iter
+    (fun p ->
+      let engine = Sim.Engine.create () in
+      let replica = race_replica engine ~p in
+      let acked = ref [] in
+      Core.Replica.set_on_commit replica (fun ~version -> acked := version :: !acked);
+      Sim.Process.spawn engine (fun () ->
+          Core.Replica.receive_refresh replica ~version:1 ~ws:(race_ws 1);
+          Core.Replica.receive_refresh replica ~version:2 ~ws:(race_ws 2);
+          (* Inside the first apply (0.12 ms of CPU). *)
+          Sim.Process.sleep engine 0.05;
+          Core.Replica.crash replica);
+      Sim.Engine.run engine;
+      let what = Printf.sprintf "p=%d" p in
+      Alcotest.(check int) (what ^ ": nothing installed") 0
+        (Core.Replica.applied_refresh replica);
+      Alcotest.(check int) (what ^ ": nothing published") 0 (Core.Replica.v_local replica);
+      Alcotest.(check (list int)) (what ^ ": nothing acknowledged") [] !acked)
+    [ 1; 2 ]
+
+(* The pending-set rule early certification checks against: a refresh
+   writeset blocks local updates of its keys while it is queued, and
+   stops blocking once the sequencer dequeues it — before its version
+   is published. A transaction that had already written the key when
+   the refresh arrived is flagged for abort on arrival. *)
+let test_pending_set_is_queued_refreshes () =
+  let write replica ~tid key =
+    let txn = Core.Replica.begin_txn replica ~tid in
+    ignore
+      (Storage.Query.exec txn
+         (Storage.Query.Update_key
+            {
+              table = "t00";
+              key = [| Storage.Value.Int key |];
+              set = [ ("val", Storage.Expr.(Col 1 + i 1)) ];
+            }));
+    txn
+  in
+  List.iter
+    (fun p ->
+      let engine = Sim.Engine.create () in
+      let replica = race_replica engine ~p in
+      let what fmt = Printf.sprintf ("p=%d: " ^^ fmt) p in
+      Sim.Process.spawn engine (fun () ->
+          ignore (write replica ~tid:1 1);
+          (* v1 and v2 are disjoint: at p = 2 they are dequeued as one
+             group, at p = 1 v2 waits behind v1. *)
+          Core.Replica.receive_refresh replica ~version:1 ~ws:(race_ws 1);
+          Core.Replica.receive_refresh replica ~version:2 ~ws:(race_ws 2);
+          Alcotest.(check bool) (what "earlier writer of the key flagged") true
+            (Core.Replica.abort_requested replica ~tid:1);
+          Alcotest.(check bool) (what "queued refresh blocks its key") false
+            (Core.Replica.early_certify replica (write replica ~tid:2 1));
+          Sim.Process.sleep engine 0.05;
+          Alcotest.(check int) (what "v1 not yet published") 0
+            (Core.Replica.v_local replica);
+          Alcotest.(check bool) (what "dequeued refresh no longer blocks") true
+            (Core.Replica.early_certify replica (write replica ~tid:3 1));
+          Alcotest.(check bool) (what "later writer not flagged") false
+            (Core.Replica.abort_requested replica ~tid:3));
+      Sim.Engine.run engine;
+      Alcotest.(check int) (what "both refreshes applied") 2 (Core.Replica.v_local replica))
+    [ 1; 2 ]
 
 let test_chaos_soak_smoke () =
   (* One cell of the chaos matrix end to end through the harness: the
@@ -681,10 +751,14 @@ let suites =
         Alcotest.test_case "client backoff" `Quick test_backoff_defaults_off_and_works_when_on;
         Alcotest.test_case "abort breakdown + fault counters" `Quick
           test_abort_reason_breakdown;
-        Alcotest.test_case "commit races serial refresh apply" `Quick
-          test_commit_local_races_serial_apply;
-        Alcotest.test_case "commit races group refresh apply" `Quick
+        Alcotest.test_case "commit races apply, p=1" `Quick
+          test_commit_local_races_single_apply;
+        Alcotest.test_case "commit races apply, p=2" `Quick
           test_commit_local_races_group_apply;
+        Alcotest.test_case "crash mid-apply cancels the run" `Quick
+          test_crash_mid_apply_cancels_run;
+        Alcotest.test_case "pending set is queued refreshes" `Quick
+          test_pending_set_is_queued_refreshes;
         Alcotest.test_case "chaos soak smoke" `Quick test_chaos_soak_smoke;
         Alcotest.test_case "chaos clean plan" `Quick test_chaos_clean_plan_soak;
         Alcotest.test_case "lossy soak fault totals" `Quick test_lossy_soak_fault_totals;
