@@ -575,22 +575,12 @@ let overload rates_str mode_str protect seed clients duration warmup json_file j
     | Error e -> `Error (false, e)
     | Ok [] -> `Error (false, "empty rate list")
     | Ok rates ->
-      (* The protected arm arms the same stack the chaos overload soak
-         uses, so the sweep's plateau and the soak's recovery claim are
-         about one configuration. *)
+      (* The protected arm arms [Config.protected], the stack the chaos
+         overload soak uses, so the sweep's plateau and the soak's
+         recovery claim are about one configuration. *)
       let config =
         let c = with_seed seed (Experiments.Chaos.default_config ~seed) in
-        if protect then
-          {
-            c with
-            Core.Config.admission_limit = 48;
-            cert_queue_bound = 24;
-            apply_lag_gap = 200;
-            retry_budget = 6.0;
-            retry_budget_per_s = 2.0;
-            deadline_ms = 500.0;
-          }
-        else c
+        if protect then Core.Config.protected c else c
       in
       Printf.printf
         "Open-loop sweep: mode=%s, %d rate(s), %.1fs measured, protections %s\n\n"

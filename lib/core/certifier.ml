@@ -564,6 +564,15 @@ let pusher t k =
    round uncontested; a loser's next monitor tick simply runs a fresh
    round at a higher target. *)
 
+(* Group timers (docs/TUNING.md, "Fixed protocol timings"). Suspicion
+   takes four missed pongs, so one lost ping never starts an election;
+   each better-replicated peer adds one heartbeat of backoff, so the best
+   copy usually wins uncontested; a vote round spans dozens of LAN RTTs. *)
+let heartbeat_ms = 10.0
+let suspect_after_ms = 40.0
+let promotion_backoff_ms = 10.0
+let election_timeout_ms = 15.0
+
 let voting_member t n = n.cn_epoch = t.epoch && n.cn_caught_up
 
 let votes_needed t =
@@ -628,19 +637,19 @@ let run_election t k =
               else note_vote_denial t
             end))
     t.nodes;
-  Sim.Process.sleep t.engine t.cfg.Config.cert_election_timeout_ms;
+  Sim.Process.sleep t.engine election_timeout_ms;
   if
     !votes >= votes_needed t
     && t.epoch < target && t.primary = pi
     && (not sb.cn_crashed)
     && sb.cn_epoch = t.epoch && sb.cn_caught_up
     && (t.nodes.(pi).cn_crashed
-       || Sim.Engine.now t.engine -. sb.cn_last_heard > t.cfg.Config.cert_suspect_after_ms)
+       || Sim.Engine.now t.engine -. sb.cn_last_heard > suspect_after_ms)
   then promote ~auto:true t k
 
 (* The standby-side failure detector: ping the primary every
-   [cert_heartbeat_ms]; the pong carries the primary's epoch. After
-   [cert_suspect_after_ms] of silence plus a per-rank candidacy backoff
+   [heartbeat_ms]; the pong carries the primary's epoch. After
+   [suspect_after_ms] of silence plus a per-rank candidacy backoff
    (best replicated log first, index breaking ties), the standby starts
    a vote round. Only caught-up members of the ruling epoch are
    candidates: a member that has not reconciled could resurrect a dead
@@ -661,7 +670,7 @@ let promotion_rank t k =
 let monitor t k =
   let sb = t.nodes.(k) in
   let rec loop () =
-    Sim.Process.sleep t.engine t.cfg.Config.cert_heartbeat_ms;
+    Sim.Process.sleep t.engine heartbeat_ms;
     if t.primary = k || sb.cn_crashed then
       (* A primary does not monitor itself; a crashed member is blind.
          Keep the clock fresh so a later role change starts a new
@@ -683,8 +692,7 @@ let monitor t k =
       let now = Sim.Engine.now t.engine in
       let silence = now -. sb.cn_last_heard in
       let deadline =
-        t.cfg.Config.cert_suspect_after_ms
-        +. (float_of_int (promotion_rank t k) *. t.cfg.Config.promotion_backoff_ms)
+        suspect_after_ms +. (float_of_int (promotion_rank t k) *. promotion_backoff_ms)
       in
       if
         silence > deadline && t.primary = pi
@@ -799,7 +807,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
     for k = 0 to Array.length t.nodes - 1 do
       Sim.Process.spawn engine (fun () -> pusher t k)
     done;
-    if cfg.Config.reliable && cfg.Config.cert_heartbeat_ms > 0.0 then
+    if cfg.Config.reliable then
       for k = 0 to Array.length t.nodes - 1 do
         Sim.Process.spawn engine (fun () -> monitor t k)
       done;

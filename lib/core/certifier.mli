@@ -49,9 +49,9 @@
     to the standbys as addressed, fault-injectable stop-and-wait
     transfers and are released only after [Config.standby_ack_quorum]
     caught-up standbys acknowledged them. In reliable mode standbys run
-    a heartbeat failure detector against the primary; after
-    [Config.cert_suspect_after_ms] of silence (plus a best-replicated-
-    log-first candidacy stagger) the suspecting standby runs a
+    a heartbeat failure detector against the primary; after 40 ms of
+    silence (plus a best-replicated-log-first candidacy stagger) the
+    suspecting standby runs a
     {e quorum-intersecting election} (docs/PROTOCOL.md, "Control
     plane"): it must collect votes from a Raft-style majority of the
     caught-up voters that also intersects every
@@ -99,10 +99,9 @@ val create :
     (component {!Obs.Span.Certifier}) carrying origin, snapshot, queue
     wait and the decision. With [metrics], each batch is recorded via
     {!Metrics.note_cert_batch}. With [certifier_standbys > 0] this also
-    spawns the per-standby replication pushers, and — in reliable mode
-    with [cert_heartbeat_ms > 0] — the standby failure detectors; with
-    no standbys neither exists and runs are event-identical to the
-    single-node certifier. *)
+    spawns the per-standby replication pushers and, in reliable mode,
+    the standby failure detectors; with no standbys neither exists and
+    runs are event-identical to the single-node certifier. *)
 
 val subscribe :
   t -> replica:int ->

@@ -50,6 +50,21 @@ let request_bytes (req : Transaction.request) =
 
 let active_lb t = t.lbs.(t.lb_active)
 
+(* Hardened-protocol timers (docs/TUNING.md, "Fixed protocol timings").
+   A loss costs [rto_ms], a few LAN round trips. After [max_retransmits]
+   a request leg aborts with [Timeout], turning a partition into a retry
+   elsewhere; at 1% loss eight drops in a row never happen. Three
+   heartbeats fit in the LB's suspicion window, and repair runs just
+   over one heartbeat apart, so watermarks are fresh between scans. The
+   LB state push bounds the floor tail a takeover rebuilds; five missed
+   pushes trigger one, and a false takeover is epoch-fenced. *)
+let rto_ms = 2.0
+let max_retransmits = 8
+let heartbeat_ms = 25.0
+let retransmit_ms = 30.0
+let lb_repl_ms = 5.0
+let lb_suspect_after_ms = 25.0
+
 (* Network endpoint of LB instance [k]. *)
 let lb_node k = if k = 0 then Config.node_lb else Config.node_lb_standby
 
@@ -250,7 +265,7 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
   let rng = Util.Rng.create config.Config.seed in
   let metrics = Metrics.create engine in
   let network =
-    Sim.Network.create engine ~rto_ms:config.Config.rto_ms ~rng:(Util.Rng.split rng)
+    Sim.Network.create engine ~rto_ms ~rng:(Util.Rng.split rng)
       ~base_ms:config.Config.net_base_ms ~jitter_ms:config.Config.net_jitter_ms
       ~bandwidth_mbps:config.Config.net_bandwidth_mbps
   in
@@ -369,41 +384,39 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
     (* Replica heartbeats: liveness + cumulative applied watermark, to
        both the failure detector (LB) and the certifier, over the lossy
        network — a lost heartbeat is just silence until the next one. *)
-    if config.Config.heartbeat_ms > 0.0 then
-      Array.iter
-        (fun r ->
-          let id = Replica.id r in
-          Sim.Process.spawn engine (fun () ->
-              let rec loop () =
-                Sim.Process.sleep engine config.Config.heartbeat_ms;
-                if not (Replica.is_crashed r) then begin
-                  let v = Replica.v_local r in
-                  (* Addressed to whichever instance holds the routing
-                     role when the heartbeat leaves; applied to whichever
-                     holds it when it lands (both truthful piggybacks). *)
-                  Sim.Network.send network ~src:id ~dst:(lb_node t.lb_active)
-                    ~size_bytes:16
-                    (fun () ->
-                      let lb = active_lb t in
-                      Load_balancer.note_contact lb ~replica:id
-                        ~now:(Sim.Engine.now engine);
-                      (* The heartbeat carries the applied watermark as of
-                         send time — same payload the certifier gets, so
-                         the 16-byte message covers both piggybacks. *)
-                      Load_balancer.note_applied lb ~replica:id ~version:v);
-                  Sim.Network.send network ~src:id
-                    ~dst:(Certifier.primary_net certifier) ~size_bytes:16 (fun () ->
-                      Certifier.heartbeat certifier ~replica:id ~applied:v)
-                end;
-                loop ()
-              in
-              loop ()))
-        replicas;
+    Array.iter
+      (fun r ->
+        let id = Replica.id r in
+        Sim.Process.spawn engine (fun () ->
+            let rec loop () =
+              Sim.Process.sleep engine heartbeat_ms;
+              if not (Replica.is_crashed r) then begin
+                let v = Replica.v_local r in
+                (* Addressed to whichever instance holds the routing
+                   role when the heartbeat leaves; applied to whichever
+                   holds it when it lands (both truthful piggybacks). *)
+                Sim.Network.send network ~src:id ~dst:(lb_node t.lb_active)
+                  ~size_bytes:16
+                  (fun () ->
+                    let lb = active_lb t in
+                    Load_balancer.note_contact lb ~replica:id
+                      ~now:(Sim.Engine.now engine);
+                    (* The heartbeat carries the applied watermark as of
+                       send time — same payload the certifier gets, so
+                       the 16-byte message covers both piggybacks. *)
+                    Load_balancer.note_applied lb ~replica:id ~version:v);
+                Sim.Network.send network ~src:id
+                  ~dst:(Certifier.primary_net certifier) ~size_bytes:16 (fun () ->
+                    Certifier.heartbeat certifier ~replica:id ~applied:v)
+              end;
+              loop ()
+            in
+            loop ()))
+      replicas;
     (* Failure-detector sweep + certifier live-set reconciliation. *)
     Sim.Process.spawn engine (fun () ->
-        let interval = Float.max 1.0 (config.Config.suspect_after_ms /. 4.0) in
         let rec loop () =
-          Sim.Process.sleep engine interval;
+          Sim.Process.sleep engine Load_balancer.sweep_interval_ms;
           let now = Sim.Engine.now engine in
           let lb = active_lb t in
           Load_balancer.sweep lb ~now;
@@ -444,14 +457,13 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
         loop ());
     (* Certifier refresh repair: re-send un-acked suffixes to stalled
        replicas (delivery is idempotent at the receiver). *)
-    if config.Config.retransmit_ms > 0.0 then
-      Sim.Process.spawn engine (fun () ->
-          let rec loop () =
-            Sim.Process.sleep engine config.Config.retransmit_ms;
-            Certifier.repair_tick certifier;
-            loop ()
-          in
-          loop ())
+    Sim.Process.spawn engine (fun () ->
+        let rec loop () =
+          Sim.Process.sleep engine retransmit_ms;
+          Certifier.repair_tick certifier;
+          loop ()
+        in
+        loop ())
   end;
   if Array.length lbs > 1 then begin
     (* --- LB state replication and takeover (docs/PROTOCOL.md, "Control
@@ -474,18 +486,17 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
          retransmission budget — takeover must not block on the very
          failure it is healing. *)
       let floor = ref (Load_balancer.v_system lbs.(k)) in
-      let tries = Stdlib.max 1 config.Config.max_retransmits in
       let probe ~dst read =
         match
           Sim.Network.transfer_bounded network ~src:(lb_node k) ~dst ~size_bytes:16
-            ~max_tries:tries
+            ~max_tries:max_retransmits
         with
         | Error `Timeout -> ()
         | Ok () -> (
           let v = read () in
           match
             Sim.Network.transfer_bounded network ~src:dst ~dst:(lb_node k)
-              ~size_bytes:16 ~max_tries:tries
+              ~size_bytes:16 ~max_tries:max_retransmits
           with
           | Ok () -> if v > !floor then floor := v
           | Error `Timeout -> ())
@@ -507,7 +518,7 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
         (* State push (runs in the active role only). *)
         Sim.Process.spawn engine (fun () ->
             let rec loop () =
-              Sim.Process.sleep engine config.Config.lb_repl_ms;
+              Sim.Process.sleep engine lb_repl_ms;
               if t.lb_self_active.(k) && not t.lb_crashed.(k) then begin
                 let st = Load_balancer.capture lbs.(k) in
                 let push_epoch = t.lb_self_epoch.(k) in
@@ -534,12 +545,12 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
         (* Takeover monitor (runs in the standby role only). *)
         Sim.Process.spawn engine (fun () ->
             let rec loop () =
-              Sim.Process.sleep engine config.Config.lb_repl_ms;
+              Sim.Process.sleep engine lb_repl_ms;
               let now = Sim.Engine.now engine in
               if
                 (not t.lb_self_active.(k))
                 && (not t.lb_crashed.(k))
-                && now -. t.lb_heard.(k) > config.Config.lb_suspect_after_ms
+                && now -. t.lb_heard.(k) > lb_suspect_after_ms
               then begin
                 let epoch =
                   1
@@ -626,8 +637,7 @@ let note_retry_budget_exhausted t = t.budget_exhausted <- t.budget_exhausted + 1
 
 let start_observatory t =
   let ts =
-    Obs.Timeseries.create ~window_ms:t.cfg.Config.obs_window_ms
-      ~buckets_per_decade:t.cfg.Config.obs_hist_buckets_per_decade t.engine
+    Obs.Timeseries.create ~window_ms:t.cfg.Config.obs_window_ms t.engine
   in
   (* Outcome stream -> windowed counters + latency distributions. *)
   let c_commit = Obs.Timeseries.counter ts "txn.commit" in
@@ -750,7 +760,7 @@ let record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version ~epoch ~lb_e
 let await_routable t =
   let rec wait () =
     if t.lb_crashed.(t.lb_active) then begin
-      Sim.Process.sleep t.engine (Float.max 1.0 t.cfg.Config.lb_repl_ms);
+      Sim.Process.sleep t.engine lb_repl_ms;
       wait ()
     end
   in
@@ -788,6 +798,14 @@ let respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes ~on_lb =
   Sim.Network.transfer t.network ~src:(lb_node t.lb_active) ~dst:Config.node_client
     ~size_bytes:ack_bytes
 
+(* Every abort outcome. Top-level rather than a closure inside [submit],
+   so a submission allocates nothing for it. *)
+let aborted mtxn ~now ~begin_time reason =
+  Metrics.txn_abort mtxn
+    ~slug:(Transaction.abort_slug reason)
+    ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
+  Transaction.Aborted { reason; response_ms = now () -. begin_time }
+
 let submit t ~sid (req : Transaction.request) =
   let begin_time = Sim.Engine.now t.engine in
   let tid = t.next_tid in
@@ -813,20 +831,17 @@ let submit t ~sid (req : Transaction.request) =
   let leg_req ~src ~dst ~size_bytes =
     if t.cfg.Config.reliable then
       Sim.Network.transfer_bounded t.network ~src ~dst ~size_bytes
-        ~max_tries:t.cfg.Config.max_retransmits
+        ~max_tries:max_retransmits
     else begin
       Sim.Network.transfer t.network ~src ~dst ~size_bytes;
       Ok ()
     end
   in
   let abort_unrouted reason =
-    Metrics.txn_abort mtxn
-      ~slug:(Transaction.abort_slug reason)
-      ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
     Log.debug (fun m ->
         m "[%.3f] T%d aborted before dispatch: %a" (now ()) tid
           Transaction.pp_abort_reason reason);
-    Transaction.Aborted { reason; response_ms = now () -. begin_time }
+    aborted mtxn ~now ~begin_time reason
   in
   (* A crashed active LB answers nothing: the client burns its
      retransmission budget and times out (the standby's takeover flips
@@ -834,8 +849,7 @@ let submit t ~sid (req : Transaction.request) =
      the instance may die while the request is in flight. *)
   let lb_down () = Array.length t.lbs > 1 && t.lb_crashed.(t.lb_active) in
   let abort_lb_down () =
-    Sim.Process.sleep t.engine
-      (t.cfg.Config.rto_ms *. float_of_int (Stdlib.max 1 t.cfg.Config.max_retransmits));
+    Sim.Process.sleep t.engine (rto_ms *. float_of_int max_retransmits);
     abort_unrouted Transaction.Timeout
   in
   (* Client -> load balancer. *)
@@ -866,11 +880,7 @@ let submit t ~sid (req : Transaction.request) =
     Hashtbl.replace t.shed_tids tid ();
     Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
       ~size_bytes:32;
-    let reason = Transaction.Overloaded { retry_after_ms } in
-    Metrics.txn_abort mtxn
-      ~slug:(Transaction.abort_slug reason)
-      ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-    Transaction.Aborted { reason; response_ms = now () -. begin_time }
+    aborted mtxn ~now ~begin_time (Transaction.Overloaded { retry_after_ms })
   in
   let strong = req.Transaction.tier = Consistency.Strong in
   let writes =
@@ -945,12 +955,9 @@ let submit t ~sid (req : Transaction.request) =
   let abort ?(finish = true) reason =
     if finish then Replica.finish_txn replica ~tid;
     respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes:32 ~on_lb:(fun _ -> ());
-    Metrics.txn_abort mtxn
-      ~slug:(Transaction.abort_slug reason)
-      ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
     Log.debug (fun m ->
         m "[%.3f] T%d aborted: %a" (now ()) tid Transaction.pp_abort_reason reason);
-    Transaction.Aborted { reason; response_ms = now () -. begin_time }
+    aborted mtxn ~now ~begin_time reason
   in
   (* Replica-side read-class admission: a weaker tier carrying update
      statements is a contract violation, rejected before any execution

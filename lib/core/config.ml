@@ -26,9 +26,6 @@ type t = {
   cert_batch : int;
   certifier_standbys : int;
   standby_ack_quorum : int;
-  cert_heartbeat_ms : float;
-  cert_suspect_after_ms : float;
-  promotion_backoff_ms : float;
   apply_parallelism : int;
   hiccup_interval_ms : float;
   hiccup_duration_ms : float;
@@ -44,23 +41,12 @@ type t = {
   retry_backoff_ms : float;
   retry_backoff_max_ms : float;
   reliable : bool;
-  rto_ms : float;
-  max_retransmits : int;
-  retransmit_ms : float;
-  heartbeat_ms : float;
-  suspect_after_ms : float;
-  dead_after_ms : float;
   evict_after_ms : float;
   start_wait_timeout_ms : float;
   obs_window_ms : float;
-  obs_hist_buckets_per_decade : int;
   read_tiers : bool;
-  tier_history_ms : float;
-  cert_election_timeout_ms : float;
   voter_lease_ms : float;
   lb_standby : bool;
-  lb_repl_ms : float;
-  lb_suspect_after_ms : float;
   admission_limit : int;
   admission_rate_tps : float;
   admission_burst : float;
@@ -112,9 +98,6 @@ let default =
     cert_batch = 1;
     certifier_standbys = 0;
     standby_ack_quorum = 0;
-    cert_heartbeat_ms = 10.0;
-    cert_suspect_after_ms = 40.0;
-    promotion_backoff_ms = 10.0;
     apply_parallelism = 1;
     hiccup_interval_ms = 1_500.0;
     hiccup_duration_ms = 150.0;
@@ -130,23 +113,12 @@ let default =
     retry_backoff_ms = 0.0;
     retry_backoff_max_ms = 50.0;
     reliable = false;
-    rto_ms = 2.0;
-    max_retransmits = 8;
-    retransmit_ms = 30.0;
-    heartbeat_ms = 25.0;
-    suspect_after_ms = 80.0;
-    dead_after_ms = 400.0;
     evict_after_ms = 5_000.0;
     start_wait_timeout_ms = 0.0;
     obs_window_ms = 250.0;
-    obs_hist_buckets_per_decade = 40;
     read_tiers = false;
-    tier_history_ms = 5_000.0;
-    cert_election_timeout_ms = 15.0;
     voter_lease_ms = 0.0;
     lb_standby = false;
-    lb_repl_ms = 5.0;
-    lb_suspect_after_ms = 25.0;
     (* overload protection (docs/PROTOCOL.md, "Overload & admission
        control"): every knob defaults off so an unprotected run is
        bit-identical to a build without the machinery. *)
@@ -187,6 +159,17 @@ let tpcw =
 
 let batched c = { c with cert_batch = 8; apply_parallelism = c.cpus_per_replica }
 
+let protected c =
+  {
+    c with
+    admission_limit = 48;
+    cert_queue_bound = 24;
+    apply_lag_gap = 200;
+    retry_budget = 6.0;
+    retry_budget_per_s = 2.0;
+    deadline_ms = 500.0;
+  }
+
 let validate c =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
   if c.replicas < 1 then err "replicas must be >= 1 (got %d)" c.replicas
@@ -201,26 +184,8 @@ let validate c =
       "standby-ack-quorum (%d) exceeds the number of certifier standbys (%d): \
        no commit could ever be released"
       c.standby_ack_quorum c.certifier_standbys
-  else if c.certifier_standbys > 0 && c.cert_heartbeat_ms < 0.0 then
-    err "cert-heartbeat interval must be >= 0 (got %g ms)" c.cert_heartbeat_ms
-  else if c.certifier_standbys > 0 && c.cert_heartbeat_ms > 0.0 && c.cert_suspect_after_ms <= 0.0
-  then err "cert-suspect-after must be > 0 when heartbeats run (got %g ms)" c.cert_suspect_after_ms
-  else if c.certifier_standbys > 0 && c.promotion_backoff_ms < 0.0 then
-    err "promotion-backoff must be >= 0 (got %g ms)" c.promotion_backoff_ms
-  else if c.certifier_standbys > 0 && c.cert_election_timeout_ms <= 0.0 then
-    err "cert-election-timeout must be > 0 (got %g ms)" c.cert_election_timeout_ms
   else if c.voter_lease_ms < 0.0 then
     err "voter-lease must be >= 0 (0 disables; got %g ms)" c.voter_lease_ms
-  else if c.lb_standby && c.lb_repl_ms <= 0.0 then
-    err "lb-repl interval must be > 0 when the standby LB is on (got %g ms)" c.lb_repl_ms
-  else if c.lb_standby && c.lb_suspect_after_ms <= 0.0 then
-    err "lb-suspect-after must be > 0 when the standby LB is on (got %g ms)"
-      c.lb_suspect_after_ms
-  else if c.lb_standby && c.lb_suspect_after_ms <= c.lb_repl_ms then
-    err
-      "lb-suspect-after (%g ms) must exceed the lb-repl interval (%g ms) or the standby \
-       deposes a healthy LB on every push gap"
-      c.lb_suspect_after_ms c.lb_repl_ms
   else if c.admission_limit < 0 then
     err "admission-limit must be >= 1, or 0 to disable (got %d)" c.admission_limit
   else if c.admission_rate_tps < 0.0 then
@@ -253,50 +218,4 @@ let validate c =
     err "deadline must be > 0, or 0 to disable (got %g ms)" c.deadline_ms
   else if c.obs_window_ms <= 0.0 then
     err "obs-window must be > 0 (got %g ms)" c.obs_window_ms
-  else if c.obs_hist_buckets_per_decade <= 0 then
-    err "obs-hist-buckets-per-decade must be > 0 (got %d)" c.obs_hist_buckets_per_decade
   else Ok ()
-
-let pp ppf c =
-  Format.fprintf ppf
-    "@[<v>replicas=%d cpus=%d seed=%d@,\
-     net: base=%.2fms jitter=%.2fms bw=%.0fMbps lb=%.2fms@,\
-     exec: stmt=%.2f scan=%.3f read=%.3f write=%.3f (ms)@,\
-     commit: ro=%.2f upd=%.2f apply=%.2f+%.2f/row (ms)@,\
-     certifier: %.2f+%.3f/row durability=%.2f (ms)@,\
-     batching: cert_batch=%d apply_parallelism=%d@,\
-     jitter=%b retries=%d record_log=%b watermark_slack=%d@,\
-     reliable=%b rto=%.1fms max_retransmits=%d retransmit=%.0fms \
-     heartbeat=%.0fms suspect=%.0fms dead=%.0fms evict=%.0fms \
-     start_wait=%.0fms backoff=%.1f..%.0fms@,\
-     certifier HA: standbys=%d ack_quorum=%s heartbeat=%.0fms suspect=%.0fms \
-     promotion_backoff=%.0fms election_timeout=%.0fms voter_lease=%s@,\
-     lb HA: standby=%b repl=%.0fms suspect=%.0fms@,\
-     observatory: window=%.0fms hist_buckets/decade=%d@,\
-     read tiers: enabled=%b history=%.0fms@,\
-     overload: admission_limit=%s rate=%s burst=%.0f cert_queue_bound=%s \
-     apply_lag_gap=%s retry_after=%.1fms retry_budget=%s deadline=%s@]"
-    c.replicas c.cpus_per_replica c.seed c.net_base_ms c.net_jitter_ms c.net_bandwidth_mbps
-    c.lb_ms c.stmt_base_ms c.row_scan_ms c.row_read_ms c.row_write_ms c.ro_commit_ms
-    c.commit_ms c.ws_apply_base_ms c.ws_apply_row_ms c.certify_base_ms c.certify_row_ms
-    c.durability_ms c.cert_batch c.apply_parallelism
-    c.service_jitter c.max_retries c.record_log c.watermark_slack c.reliable c.rto_ms
-    c.max_retransmits c.retransmit_ms c.heartbeat_ms c.suspect_after_ms c.dead_after_ms
-    c.evict_after_ms c.start_wait_timeout_ms c.retry_backoff_ms c.retry_backoff_max_ms
-    c.certifier_standbys
-    (if c.standby_ack_quorum <= 0 then "all" else string_of_int c.standby_ack_quorum)
-    c.cert_heartbeat_ms c.cert_suspect_after_ms c.promotion_backoff_ms
-    c.cert_election_timeout_ms
-    (if c.voter_lease_ms <= 0.0 then "off" else Printf.sprintf "%.0fms" c.voter_lease_ms)
-    c.lb_standby c.lb_repl_ms c.lb_suspect_after_ms
-    c.obs_window_ms c.obs_hist_buckets_per_decade c.read_tiers c.tier_history_ms
-    (if c.admission_limit <= 0 then "off" else string_of_int c.admission_limit)
-    (if c.admission_rate_tps <= 0.0 then "off"
-     else Printf.sprintf "%.0ftps" c.admission_rate_tps)
-    c.admission_burst
-    (if c.cert_queue_bound <= 0 then "off" else string_of_int c.cert_queue_bound)
-    (if c.apply_lag_gap <= 0 then "off" else string_of_int c.apply_lag_gap)
-    c.shed_retry_after_ms
-    (if c.retry_budget <= 0.0 then "off"
-     else Printf.sprintf "%.0f@%.0f/s" c.retry_budget c.retry_budget_per_s)
-    (if c.deadline_ms <= 0.0 then "off" else Printf.sprintf "%.0fms" c.deadline_ms)

@@ -66,22 +66,6 @@ type t = {
           so smaller quorums trade durability breadth for release
           latency without risking a released decision. Clamped to the
           number of live standbys. *)
-  cert_heartbeat_ms : float;
-      (** certifier-group heartbeat period: each standby pings the
-          primary and the pong carries the primary's epoch and log head.
-          Active only under [reliable] with [certifier_standbys > 0];
-          0 disables automatic failover (manual {!Certifier.failover}
-          still works). *)
-  cert_suspect_after_ms : float;
-      (** silence from the primary before a standby suspects it and arms
-          promotion *)
-  promotion_backoff_ms : float;
-      (** per-rank {e candidacy} stagger: the standby with the [n]-th
-          best (highest) replicated log waits [n * promotion_backoff_ms]
-          beyond the suspicion timeout before starting a vote round, so
-          the best-replicated standby usually runs (and wins) the first
-          election uncontested. Purely a liveness optimisation — safety
-          comes from the vote rule, not the stagger. *)
   apply_parallelism : int;
       (** conflict-aware parallel refresh application: the maximum number
           of concurrent apply lanes a replica's commit sequencer forks
@@ -124,7 +108,8 @@ type t = {
           briefly-lagging replica is forced into state transfer *)
   (* fault tolerance under a lossy network (docs/FAULTS.md). Every knob
      below defaults so that behaviour without a fault plan is
-     event-identical to the exactly-once protocol. *)
+     event-identical to the exactly-once protocol. Its timers are
+     constants (docs/TUNING.md, "Fixed protocol timings"). *)
   retry_backoff_ms : float;
       (** client retry backoff base: after the [n]-th abort the client
           sleeps [base * 2^n] ms (capped at [retry_backoff_max_ms]) with
@@ -140,26 +125,6 @@ type t = {
           load-balancer failure detector, and bounded retransmission with
           timeout aborts on the request legs of a transaction. Off (the
           default), none of that machinery sends a single message. *)
-  rto_ms : float;
-      (** retransmission timeout of the stop-and-wait message exchanges *)
-  max_retransmits : int;
-      (** attempts before a request leg gives up with a {!Transaction.Timeout}
-          abort (response legs retransmit until healed — they carry
-          decisions that must not be lost) *)
-  retransmit_ms : float;
-      (** certifier repair interval: how often it rescans per-replica
-          applied watermarks and re-sends the un-acked refresh suffix to
-          replicas that made no progress; 0 disables *)
-  heartbeat_ms : float;
-      (** replica heartbeat period (to LB and certifier, piggybacking the
-          applied version); 0 disables *)
-  suspect_after_ms : float;
-      (** LB failure detector: silence before a replica is marked suspect
-          (deprioritized for routing; un-suspected on any contact) *)
-  dead_after_ms : float;
-      (** silence before the detector declares a replica dead: the LB
-          stops routing to it and the certifier removes it from the live
-          set (its watermark no longer gates eager commit or log GC) *)
   evict_after_ms : float;
       (** silence before the certifier evicts a dead replica's watermark
           entirely so log/index GC cannot stall behind a corpse; an
@@ -169,18 +134,13 @@ type t = {
           start version; on expiry the transaction aborts with
           {!Transaction.Timeout} and the client retries elsewhere.
           0 (the default) waits forever. *)
-  (* run-health observatory (docs/OBSERVABILITY.md). Both knobs are
-     read only when the observatory is started; a run without one does
-     not allocate a single observatory object. *)
+  (* run-health observatory (docs/OBSERVABILITY.md). Read only when the
+     observatory is started; a run without one does not allocate a
+     single observatory object. *)
   obs_window_ms : float;
       (** time-series window span in virtual ms ({!Obs.Timeseries});
           every windowed rate, latency summary and health gauge is
           aggregated per window of this size; must be > 0 *)
-  obs_hist_buckets_per_decade : int;
-      (** resolution of the observatory's log-bucketed latency
-          histograms ({!Util.Histogram.Log}): relative quantile error is
-          bounded by [10^(1/(2n)) - 1] (~2.9% at the default 40); must
-          be > 0 *)
   (* mixed-consistency read tiers (docs/CONSISTENCY.md). Off by
      default: with [read_tiers = false] every request runs under the
      cluster's write mode and the tier machinery allocates nothing —
@@ -194,23 +154,11 @@ type t = {
           [Session] mode), and the observatory exports per-tier
           channels. Off, a non-[Strong] request is still honoured but
           routed like any other — enable this to get the contracts. *)
-  tier_history_ms : float;
-      (** how much [V_system] history (time, version) the load balancer
-          retains for resolving [Bounded_staleness ms] floors; bounds
-          admissible ms-staleness requests (older cutoffs round {e up}
-          to the oldest retained version — conservative, never violating
-          the bound) *)
   (* consensus-grade control plane (docs/PROTOCOL.md, "Control plane").
-     All three knob groups default so that control-plane-off runs are
+     Both knobs default so that control-plane-off runs are
      event-identical to builds without them: elections only replace the
      (reliable-mode) self-promotion path that already existed, the voter
      lease is off at 0, and the standby LB is off. *)
-  cert_election_timeout_ms : float;
-      (** how long a candidate collects votes before tallying: a
-          suspicion-armed standby requests votes from every group
-          member, sleeps this long, and promotes only if it gathered a
-          quorum-intersecting majority (see docs/PROTOCOL.md). Must be
-          > 0 when [certifier_standbys > 0]. *)
   voter_lease_ms : float;
       (** voter liveness lease: a standby that has not acknowledged
           replication for this long while the primary has decisions
@@ -225,17 +173,13 @@ type t = {
       (** run a standby load balancer ({!node_lb_standby}): the active
           LB pushes its routing state ([V_system], certifier epoch,
           session floors, applied watermarks, tier-history base) to the
-          standby every [lb_repl_ms]; the standby takes over after
-          [lb_suspect_after_ms] of push silence, conservatively
+          standby every 5 ms; the standby takes over after 25 ms of
+          push silence, conservatively
           reconstructing floors from live replicas so read-your-writes
           and bounded-staleness guarantees survive the takeover. The
           deposed LB is fenced by the LB epoch. Off (the default) the
           cluster runs the classic singleton LB and allocates none of
           this. *)
-  lb_repl_ms : float;  (** LB state-push (and heartbeat) period *)
-  lb_suspect_after_ms : float;
-      (** push silence before the standby LB deposes the active one and
-          takes over; must exceed [lb_repl_ms] *)
   (* overload protection (docs/PROTOCOL.md, "Overload & admission
      control"). Every knob defaults {e off}: an unprotected run draws no
      extra random numbers and schedules no extra events, so it is
@@ -334,6 +278,11 @@ val batched : t -> t
     experiment sweeps ([repro batch]); see docs/TUNING.md for the
     measured effect of each knob. *)
 
+val protected : t -> t
+(** The overload-protection stack the chaos overload soak and [repro
+    overload --protect] arm: admission cap 48, certifier backlog 24,
+    apply-lag gap 200, retry budget 6 at 2/s, 500 ms deadline. *)
+
 val hardened : t -> t
 (** The fault-tolerant variant of a configuration: [reliable = true],
     [start_wait_timeout_ms = 300], [retry_backoff_ms = 0.5]. This is the
@@ -344,10 +293,7 @@ val validate : t -> (unit, string) result
 (** Reject nonsensical settings with a human-readable reason instead of
     silently clamping or failing at runtime: a certification batch cap
     or apply-lane count below 1, an ack quorum larger than
-    the standby count (no commit could ever release), zero or negative
-    lease/heartbeat/election intervals, a standby-LB suspicion window
-    that does not exceed the push period. {!Cluster.create} runs this
-    and raises [Invalid_argument] on [Error]; the CLI surfaces the
-    message as a clean usage error. *)
-
-val pp : Format.formatter -> t -> unit
+    the standby count (no commit could ever release), a negative voter
+    lease, an apply-lag gap at or above the watermark slack.
+    {!Cluster.create} runs this and raises [Invalid_argument] on
+    [Error]; the CLI surfaces the message as a clean usage error. *)

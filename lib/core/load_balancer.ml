@@ -137,22 +137,28 @@ let choose_replica t ~sid =
 
 (* --- Failure detector ----------------------------------------------- *)
 
+(* Detector windows (docs/TUNING.md, "Fixed protocol timings"). Suspect
+   is three missed 25 ms heartbeats, so one loss never deprioritizes a
+   replica; dead (no routing, off the certifier's live set) outlasts
+   loss bursts and short partitions; four sweeps per suspect window. *)
+let suspect_after_ms = 80.0
+let dead_after_ms = 400.0
+let sweep_interval_ms = suspect_after_ms /. 4.0
+
 let note_contact t ~replica ~now =
   if now > t.last_contact.(replica) then t.last_contact.(replica) <- now;
   t.health.(replica) <- Alive
 
 let sweep t ~now =
-  let suspect_after = t.cfg.Config.suspect_after_ms in
-  let dead_after = t.cfg.Config.dead_after_ms in
   for i = 0 to Array.length t.health - 1 do
     let silence = now -. t.last_contact.(i) in
-    if dead_after > 0.0 && silence >= dead_after then begin
+    if silence >= dead_after_ms then begin
       if t.health.(i) <> Dead then begin
         t.failover_events <- t.failover_events + 1;
         t.health.(i) <- Dead
       end
     end
-    else if suspect_after > 0.0 && silence >= suspect_after then begin
+    else if silence >= suspect_after_ms then begin
       if t.health.(i) = Alive then begin
         t.suspect_events <- t.suspect_events + 1;
         t.health.(i) <- Suspect
@@ -204,11 +210,16 @@ let start_version t ~sid ~table_set =
 let note_applied t ~replica ~version =
   if version > t.applied.(replica) then t.applied.(replica) <- version
 
+(* [V_system] history kept for [Bounded_staleness ms] floors: far above
+   any bound in use (hundreds of ms), and an older cutoff rounds up to
+   the newest pruned version, never weaker than declared. *)
+let tier_history_ms = 5_000.0
+
 (* Prune [vs_history] entries older than the retention window. Runs
    every 1024 appends so the per-commit cost is amortized O(1); the
    newest pruned version becomes [vs_base]. *)
 let prune_history t ~now =
-  let cutoff = now -. t.cfg.Config.tier_history_ms in
+  let cutoff = now -. tier_history_ms in
   let rec keep n = function
     | [] -> (n, [])
     | (tau, v) :: tl ->
@@ -353,14 +364,14 @@ let route_read t ~sid ~tier ~now =
    The routing state worth surviving a takeover is tiny and monotone:
    [V_system], the certifier epoch, per-table and per-session version
    floors, per-replica applied watermarks and the tier-history base.
-   The active LB snapshots it every [Config.lb_repl_ms] and pushes it to
-   the standby, which max-merges — replays and reordering are harmless,
-   so the push can ride the lossy fire-and-forget network. Everything
-   deliberately NOT replicated (active counts, detector state, the
-   [V_system] history list) is either per-instance by nature or rebuilt
-   conservatively: the fresh active re-learns contacts and watermarks
-   from traffic, and ms-staleness floors resolve to [vs_base] — rounded
-   up, never violating a bound. *)
+   The active LB snapshots it every push period (5 ms, in Cluster) and
+   pushes it to the standby, which max-merges — replays and reordering
+   are harmless, so the push can ride the lossy fire-and-forget network.
+   Everything deliberately NOT replicated (active counts, detector
+   state, the [V_system] history list) is either per-instance by nature
+   or rebuilt conservatively: the fresh active re-learns contacts and
+   watermarks from traffic, and ms-staleness floors resolve to
+   [vs_base] — rounded up, never violating a bound. *)
 
 type state = {
   st_v_system : int;

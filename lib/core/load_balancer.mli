@@ -63,9 +63,12 @@ val note_contact : t -> replica:int -> now:float -> unit
     [Alive] — contact always un-suspects. *)
 
 val sweep : t -> now:float -> unit
-(** Re-evaluate every replica against [Config.suspect_after_ms] /
-    [dead_after_ms] of silence, transitioning Alive → Suspect → Dead
-    (never back — only {!note_contact} resurrects). *)
+(** Re-evaluate every replica against 80 ms (suspect) / 400 ms (dead)
+    of silence, transitioning Alive → Suspect → Dead (never back — only
+    {!note_contact} resurrects). *)
+
+val sweep_interval_ms : float
+(** How often the cluster runs {!sweep}: a quarter suspicion window. *)
 
 val health : t -> replica:int -> status
 
@@ -147,8 +150,8 @@ val tier_floor : t -> sid:int -> tier:Consistency.read_tier -> now:float -> int
 (** The snapshot floor a tiered read must reach: 0 for [Eventual], the
     session's floor for [Causal], and [max] of the version-lag and
     ms-lag floors for [Bounded_staleness] (an ms cutoff older than the
-    retained {!Config.tier_history_ms} window resolves conservatively
-    to the newest pruned version). Raises [Invalid_argument] for
+    retained 5 s history window resolves conservatively to the newest
+    pruned version). Raises [Invalid_argument] for
     [Strong] — strong reads take the mode's {!start_version}. *)
 
 (** {2 LB state replication and takeover (docs/PROTOCOL.md, "Control

@@ -286,17 +286,7 @@ let soak ?config ?(params = default_params) ?(clients = 12) ?(tiers = false)
      same open-loop load, same gray fault, nothing shed — the metastable
      collapse the protections exist to prevent. *)
   let config =
-    if plan = Overload && protections then
-      {
-        config with
-        Core.Config.admission_limit = 48;
-        cert_queue_bound = 24;
-        apply_lag_gap = 200;
-        retry_budget = 6.0;
-        retry_budget_per_s = 2.0;
-        deadline_ms = 500.0;
-      }
-    else config
+    if plan = Overload && protections then Core.Config.protected config else config
   in
   let config =
     if tiers then { config with Core.Config.read_tiers = true } else config

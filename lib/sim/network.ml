@@ -104,8 +104,7 @@ let send ?(src = unspecified) ?(dst = unspecified) t ~size_bytes callback =
 (* One round trip of a stop-and-wait exchange: returns [true] when the
    message got through, [false] when it was lost and the caller waited out
    the retransmission timer. *)
-let attempt ?rto_ms t ~src ~dst ~size_bytes =
-  let rto_ms = match rto_ms with Some r -> r | None -> t.rto_ms in
+let attempt t ~src ~dst ~size_bytes =
   match judge t ~src ~dst with
   | Faults.Deliver ->
       record ~src ~dst t size_bytes;
@@ -113,7 +112,7 @@ let attempt ?rto_ms t ~src ~dst ~size_bytes =
       true
   | Faults.Drop _ ->
       record ~src ~dst t size_bytes;
-      Process.sleep t.engine rto_ms;
+      Process.sleep t.engine t.rto_ms;
       false
   | Faults.Duplicate ->
       (* Extra copy on the wire; the receiver dedups, so the caller just
@@ -127,18 +126,17 @@ let attempt ?rto_ms t ~src ~dst ~size_bytes =
       Process.sleep t.engine (latency t ~size_bytes +. extra_ms);
       true
 
-let transfer ?(src = unspecified) ?(dst = unspecified) ?rto_ms t ~size_bytes =
+let transfer ?(src = unspecified) ?(dst = unspecified) t ~size_bytes =
   let rec loop () =
-    if not (attempt ?rto_ms t ~src ~dst ~size_bytes) then (
+    if not (attempt t ~src ~dst ~size_bytes) then (
       t.retransmits <- t.retransmits + 1;
       loop ())
   in
   loop ()
 
-let transfer_bounded ?(src = unspecified) ?(dst = unspecified) ?rto_ms t ~size_bytes
-    ~max_tries =
+let transfer_bounded ?(src = unspecified) ?(dst = unspecified) t ~size_bytes ~max_tries =
   let rec loop tries =
-    if attempt ?rto_ms t ~src ~dst ~size_bytes then Ok ()
+    if attempt t ~src ~dst ~size_bytes then Ok ()
     else if tries + 1 >= max_tries then Error `Timeout
     else (
       t.retransmits <- t.retransmits + 1;

@@ -49,7 +49,7 @@ val send : ?src:int -> ?dst:int -> t -> size_bytes:int -> (unit -> unit) -> unit
     Under a fault plan the message may be silently lost, delivered
     twice, or delayed — the caller gets no feedback. *)
 
-val transfer : ?src:int -> ?dst:int -> ?rto_ms:float -> t -> size_bytes:int -> unit
+val transfer : ?src:int -> ?dst:int -> t -> size_bytes:int -> unit
 (** Block the calling process for one sampled message delay. Under a
     fault plan this models a {e persistent} stop-and-wait exchange: each
     lost attempt costs one retransmission timeout and the transfer
@@ -59,7 +59,6 @@ val transfer : ?src:int -> ?dst:int -> ?rto_ms:float -> t -> size_bytes:int -> u
 val transfer_bounded :
   ?src:int ->
   ?dst:int ->
-  ?rto_ms:float ->
   t ->
   size_bytes:int ->
   max_tries:int ->

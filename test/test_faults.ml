@@ -273,7 +273,7 @@ let test_detector_transitions () =
   keep_others_alive 150.0;
   Core.Load_balancer.sweep lb ~now:150.0;
   check_health "recent contact keeps it alive" Core.Load_balancer.Alive;
-  (* suspect_after_ms = 80, dead_after_ms = 400 *)
+  (* Load_balancer.suspect_after_ms = 80, dead_after_ms = 400 *)
   keep_others_alive 200.0;
   Core.Load_balancer.sweep lb ~now:200.0;
   check_health "80ms of silence suspects" Core.Load_balancer.Suspect;

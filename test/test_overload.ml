@@ -70,15 +70,9 @@ let test_overload_config_validation () =
   ok "defaults (all protections off)" base_config;
   ok "full protection stack"
     {
-      base_config with
-      Core.Config.admission_limit = 48;
-      admission_rate_tps = 2_000.0;
+      (Core.Config.protected base_config) with
+      Core.Config.admission_rate_tps = 2_000.0;
       admission_burst = 16.0;
-      cert_queue_bound = 24;
-      apply_lag_gap = 200;
-      retry_budget = 6.0;
-      retry_budget_per_s = 2.0;
-      deadline_ms = 500.0;
     };
   rejected "zero certification batch cap"
     { base_config with Core.Config.cert_batch = 0 };
@@ -110,9 +104,7 @@ let test_overload_config_validation () =
   rejected "zero observatory window"
     { base_config with Core.Config.obs_window_ms = 0.0 };
   rejected "negative observatory window"
-    { base_config with Core.Config.obs_window_ms = -250.0 };
-  rejected "no histogram buckets"
-    { base_config with Core.Config.obs_hist_buckets_per_decade = 0 }
+    { base_config with Core.Config.obs_window_ms = -250.0 }
 
 (* --- Admission shedding: refusals, hints, zero zombies ---------------- *)
 
