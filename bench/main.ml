@@ -243,6 +243,30 @@ let component_tests () =
            incr next;
            Storage.Mvcc.iter_keys_range !store ~lo:[| Storage.Value.Int (!next - 20) |] ignore))
   in
+  let mvcc_random_insert =
+    (* TPC-C's fresh order ids are random, so its fresh keys land all
+       over a scanned table's directory rather than at its end. Each
+       iteration installs a key at a random position among 100k keys
+       whose directory is built; the store restarts from a copy every
+       100k inserts to bound its memory. *)
+    let template = Storage.Mvcc.create () in
+    for i = 0 to 99_999 do
+      Storage.Mvcc.install template [| Storage.Value.Int (2 * i) |] ~version:0 None
+    done;
+    Storage.Mvcc.iter_keys_ordered template ignore;
+    let store = ref (Storage.Mvcc.copy template) and inserted = ref 0 in
+    Test.make ~name:"mvcc fresh-key insert at a random position, 100k keys"
+      (Staged.stage (fun () ->
+           if !inserted >= 100_000 then begin
+             store := Storage.Mvcc.copy template;
+             inserted := 0
+           end;
+           let odd = (2 * Util.Rng.int rng 100_000) + 1 in
+           Storage.Mvcc.install !store
+             [| Storage.Value.Int odd; Storage.Value.Int !inserted |]
+             ~version:0 None;
+           incr inserted))
+  in
   let small = writeset_of_size 4 and big = writeset_of_size 64 in
   let ws_conflict =
     Test.make ~name:"writeset conflict check (4 vs 64)"
@@ -264,8 +288,8 @@ let component_tests () =
   in
   Test.make_grouped ~name:"components"
     [
-      mvcc_point_read; mvcc_range_after_insert; txn_update; index_select; ws_conflict; checker;
-      sim_events;
+      mvcc_point_read; mvcc_range_after_insert; mvcc_random_insert; txn_update; index_select;
+      ws_conflict; checker; sim_events;
     ]
 
 (* Certification conflict check, the key-index probe, with the

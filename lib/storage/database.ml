@@ -31,10 +31,7 @@ let create_table t schema =
   t.order <- name :: t.order;
   table
 
-let table t name =
-  match Hashtbl.find_opt t.tables name with
-  | Some table -> table
-  | None -> raise Not_found
+let table t name = Hashtbl.find t.tables name
 
 let table_opt t name = Hashtbl.find_opt t.tables name
 

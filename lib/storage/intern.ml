@@ -32,16 +32,16 @@ let create ?(size = 64) () = { tables = Stbl.create size; next = 0 }
 
 let id t ~table ~key =
   let keys =
-    match Stbl.find_opt t.tables table with
-    | Some keys -> keys
-    | None ->
+    match Stbl.find t.tables table with
+    | keys -> keys
+    | exception Not_found ->
       let keys = Key_tbl.create 256 in
       Stbl.add t.tables table keys;
       keys
   in
-  match Key_tbl.find_opt keys key with
-  | Some id -> id
-  | None ->
+  match Key_tbl.find keys key with
+  | id -> id
+  | exception Not_found ->
     let id = t.next in
     t.next <- id + 1;
     Key_tbl.add keys key id;

@@ -8,7 +8,7 @@
 
 type key = Value.t array
 
-(** Lexicographic order on keys. *)
+(** Lexicographic order on keys, under {!Value.compare} per column. *)
 module Key_order : sig
   type t = key
 
@@ -16,11 +16,12 @@ module Key_order : sig
 end
 
 (** Key hashing and equality for {!key}s, agreeing with {!Key_order}:
-    keys equal under [Key_order.compare] (an [Int] and the integral
-    [Float] of the same value) hash alike. The chain table, the
-    conflict-id table ({!Intern}) and the writeset index all use it,
-    so a row, its conflict id and its writeset entry mean the same
-    key. *)
+    [equal a b] holds exactly when [Key_order.compare a b = 0], and
+    equal keys (an [Int] and the integral [Float] of the same value)
+    hash alike. The chain table, the conflict-id table ({!Intern}) and
+    the writeset index all use it, so a row, its conflict id and its
+    writeset entry mean the same key. [compare], [equal] and [hash]
+    allocate nothing. *)
 module Key_hashed : Hashtbl.HashedType with type t = key
 
 module Key_tbl : Hashtbl.S with type key = key
@@ -31,9 +32,10 @@ val create : unit -> t
 
 val copy : t -> t
 (** An independent store with the same contents: installs and {!gc} on
-    either side do not show in the other. Keys, rows and the ordered
-    directory are shared (all immutable); the chain table and each
-    chain's head are copied, in O(keys) with no rehashing. *)
+    either side do not show in the other. Keys and rows are shared (both
+    immutable); the chain table, each chain's head and the ordered
+    directory, if one has been built, are copied, in O(keys) with no
+    rehashing. *)
 
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
@@ -45,7 +47,8 @@ val install_if_newer : t -> key -> version:int -> Value.t array option -> bool
     lookup either way. *)
 
 val read : t -> key -> at:int -> Value.t array option
-(** Visible row at snapshot [at], or [None] if absent/deleted. *)
+(** Visible row at snapshot [at], or [None] if absent/deleted. Allocates
+    nothing. *)
 
 val latest_version : t -> key -> int option
 (** Version number of the newest version of the key (including
@@ -60,12 +63,19 @@ val version_count : t -> int
 (** {2 Ordered access}
 
     [iter_keys_ordered], [iter_keys_range], [fold_visible] and
-    [fold_chains] read an ordered key directory. The first ordered
+    [fold_chains] read an ordered key directory: the keys in ascending
+    order, in chunks of at most 64, updated in place. The first ordered
     access on a store builds it in O(n log n) for n keys; from then on
-    each {!install} of a brand-new key adds O(log n), and a range
+    each {!install} of a brand-new key adds a binary search, a shift of
+    at most 64 slots and, when its chunk is full, a split that shifts
+    the chunk list; only a split allocates. A range
     visiting k keys costs O(log n + k). A store that is never scanned
-    never builds it. Each call walks the directory as it stood when the
-    call began, so keys installed by the callback are not visited. *)
+    never builds it.
+
+    The walk reads the directory in place, so a callback must not
+    install a brand-new key into the store it walks: the walk raises
+    [Invalid_argument] when it sees that it has. New versions of
+    existing keys are fine. *)
 
 val iter_keys_ordered : t -> (key -> unit) -> unit
 (** All keys in ascending key order (visibility not checked). *)

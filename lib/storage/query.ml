@@ -175,7 +175,7 @@ let run_join txn ~left ~right ~left_col ~right_col ~left_where ~limit =
   List.rev !out
 
 let exec txn stmt =
-  ignore (Txn.reset_cost txn);
+  Txn.clear_cost txn;
   let result =
     match stmt with
     | Select { table; where; limit } -> Rows (Txn.select txn ~table ?where ?limit ())

@@ -50,18 +50,21 @@ let database t = t.db
 
 let cost t = { rows_scanned = t.scanned; rows_read = t.read; rows_written = t.written }
 
-let reset_cost t =
-  let c = cost t in
+let clear_cost t =
   t.scanned <- 0;
   t.read <- 0;
-  t.written <- 0;
+  t.written <- 0
+
+let reset_cost t =
+  let c = cost t in
+  clear_cost t;
   c
 
 let buffer t table key op =
   let kid = Intern.id (Database.intern t.db) ~table ~key in
-  (match Util.Tables.Itbl.find_opt t.writes kid with
-  | Some cell -> cell.w_op <- op
-  | None ->
+  (match Util.Tables.Itbl.find t.writes kid with
+  | cell -> cell.w_op <- op
+  | exception Not_found ->
     let cell = { w_table = table; w_key = key; w_cid = kid; w_op = op } in
     Util.Tables.Itbl.add t.writes kid cell;
     t.write_order <- cell :: t.write_order);
@@ -115,59 +118,64 @@ let key_eq table expr =
       Some [| v |]
     | _ -> None
 
+(* The write buffer's cells on one table, as [(key, row)] where [row]
+   is the put row if it satisfies [pred], and [None] for a delete or a
+   put that does not (either hides the base row under that key). *)
 let matching_local_writes t table_name pred =
   List.fold_left
     (fun acc cell ->
       if String.equal cell.w_table table_name then
         match cell.w_op with
         | Bput row when pred row -> (cell.w_key, Some row) :: acc
-        | Bput _ -> (cell.w_key, None) :: acc  (* overrides base row that may match *)
-        | Bdelete -> (cell.w_key, None) :: acc
+        | Bput _ | Bdelete -> (cell.w_key, None) :: acc
       else acc)
     [] t.write_order
+
+(* Each local cell hides at most one base row, so fetching [limit]
+   plus their number from the base still leaves [limit] rows when the
+   snapshot has that many. *)
+let base_limit limit local = Option.map (fun l -> l + List.length local) limit
+
+let not_hidden local (key, _) =
+  not (List.exists (fun (k, _) -> Mvcc.Key_order.compare k key = 0) local)
+
+let truncate limit rows =
+  match limit with Some l -> List.filteri (fun i _ -> i < l) rows | None -> rows
 
 let select t ~table:table_name ?where ?limit () =
   let table = Database.table t.db table_name in
   let pred row = match where with None -> true | Some e -> Expr.eval_bool row e in
-  let base, overlay_keys =
-    match where with
-    | Some e when key_eq table e <> None -> begin
-      (* Primary-key point lookup. *)
-      let key = match key_eq table e with Some k -> k | None -> assert false in
-      t.scanned <- t.scanned + 1;
-      match Table.read table ~key ~at:t.snapshot with
-      | Some row when pred row -> ([ (key, row) ], [ key ])
-      | Some _ | None -> ([], [ key ])
-    end
-    | Some e -> begin
-      match indexable_eq table e with
-      | Some (col, v) ->
-        let hits = Table.index_lookup table ~column:col ~value:v ~at:t.snapshot in
-        t.scanned <- t.scanned + List.length hits;
-        (List.filter (fun (_, row) -> pred row) hits, List.map fst hits)
-      | None ->
-        let hits, examined = Table.scan table ~at:t.snapshot ~where:pred ?limit () in
-        t.scanned <- t.scanned + examined;
-        (hits, List.map fst hits)
-    end
-    | None ->
-      let hits, examined = Table.scan table ~at:t.snapshot ~where:pred ?limit () in
-      t.scanned <- t.scanned + examined;
-      (hits, List.map fst hits)
+  let local = matching_local_writes t table_name pred in
+  let scan () =
+    let hits, examined =
+      Table.scan table ~at:t.snapshot ~where:pred ?limit:(base_limit limit local) ()
+    in
+    t.scanned <- t.scanned + examined;
+    hits
   in
-  ignore overlay_keys;
+  let base =
+    match where with
+    | None -> scan ()
+    | Some e -> (
+      match key_eq table e with
+      | Some key -> (
+        (* Primary-key point lookup. *)
+        t.scanned <- t.scanned + 1;
+        match Table.read table ~key ~at:t.snapshot with
+        | Some row when pred row -> [ (key, row) ]
+        | Some _ | None -> [])
+      | None -> (
+        match indexable_eq table e with
+        | Some (col, v) ->
+          let hits = Table.index_lookup table ~column:col ~value:v ~at:t.snapshot in
+          t.scanned <- t.scanned + List.length hits;
+          List.filter (fun (_, row) -> pred row) hits
+        | None -> scan ()))
+  in
   (* Overlay the write buffer: local puts that match are added/replace,
      local deletes and non-matching puts hide base rows. *)
-  let local = matching_local_writes t table_name pred in
-  let hidden = List.map fst local in
-  let base_kept =
-    List.filter
-      (fun (key, _) -> not (List.exists (fun k -> Mvcc.Key_order.compare k key = 0) hidden))
-      base
-  in
-  let added = List.filter_map (fun (_, row) -> row) local in
-  let rows = List.map snd base_kept @ added in
-  let rows = match limit with Some l -> List.filteri (fun i _ -> i < l) rows | None -> rows in
+  let added = List.filter_map snd local in
+  let rows = truncate limit (List.map snd (List.filter (not_hidden local) base) @ added) in
   t.read <- t.read + List.length rows;
   rows
 
@@ -175,30 +183,33 @@ let in_range ?lo ?hi key =
   (match lo with Some lo -> Mvcc.Key_order.compare key lo >= 0 | None -> true)
   && match hi with Some hi -> Mvcc.Key_order.compare key hi <= 0 | None -> true
 
+(* Merge two key-ordered lists with disjoint keys. *)
+let rec merge_by_key a b =
+  match (a, b) with
+  | [], rest | rest, [] -> rest
+  | ((ka, _) as x) :: a', ((kb, _) as y) :: b' ->
+    if Mvcc.Key_order.compare ka kb < 0 then x :: merge_by_key a' b
+    else y :: merge_by_key a b'
+
 let range t ~table:table_name ?lo ?hi ?where ?limit () =
   let table = Database.table t.db table_name in
-  let schema = Table.schema table in
   let pred row = match where with None -> true | Some e -> Expr.eval_bool row e in
-  let base, examined = Table.range_scan table ~at:t.snapshot ?lo ?hi ~where:pred ?limit () in
-  t.scanned <- t.scanned + examined;
   (* Overlay local writes whose keys fall inside the range. *)
   let local =
     matching_local_writes t table_name pred
     |> List.filter (fun (key, _) -> in_range ?lo ?hi key)
   in
-  let hidden = List.map fst local in
-  let base_kept =
-    List.filter
-      (fun (key, _) -> not (List.exists (fun k -> Mvcc.Key_order.compare k key = 0) hidden))
-      base
+  let base, examined =
+    Table.range_scan table ~at:t.snapshot ?lo ?hi ~where:pred ?limit:(base_limit limit local) ()
   in
+  t.scanned <- t.scanned + examined;
   let added =
-    List.filter_map (fun (_, row) -> row) local
-    |> List.sort (fun a b ->
-           Mvcc.Key_order.compare (Schema.key_of_row schema a) (Schema.key_of_row schema b))
+    List.filter_map (function key, Some row -> Some (key, row) | _, None -> None) local
+    |> List.sort (fun (a, _) (b, _) -> Mvcc.Key_order.compare a b)
   in
-  let rows = List.map snd base_kept @ added in
-  let rows = match limit with Some l -> List.filteri (fun i _ -> i < l) rows | None -> rows in
+  let rows =
+    truncate limit (List.map snd (merge_by_key (List.filter (not_hidden local) base) added))
+  in
   t.read <- t.read + List.length rows;
   rows
 

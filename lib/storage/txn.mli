@@ -34,6 +34,9 @@ val reset_cost : t -> cost
 (** Return the counters accumulated since the last reset and zero them;
     used by the replica to charge per-statement CPU time. *)
 
+val clear_cost : t -> unit
+(** Zero the counters, like {!reset_cost} without building the record. *)
+
 (** {2 Reads} *)
 
 val get : t -> table:string -> key:Mvcc.key -> Value.t array option

@@ -518,6 +518,25 @@ let test_txn_range_overlay () =
   let lines = List.map (fun r -> Value.as_int r.(1)) rows |> List.sort compare in
   Alcotest.(check (list int)) "range overlays buffer" [ 1; 2; 9 ] lines
 
+(* A limited scan must count the transaction's own writes: an own
+   insert below the base rows comes first, and an own delete does not
+   cost a row of the limit. *)
+let test_txn_limited_scan_sees_own_writes () =
+  let db = Database.create () in
+  ignore (Database.create_table db accounts_schema);
+  Database.load db "accounts" (List.map (fun i -> [| vi i; vt "x"; vi 0 |]) [ 10; 11; 12; 13 ]);
+  let ids rows = List.map (fun r -> Value.as_int r.(0)) rows in
+  let inserted = Txn.begin_ db in
+  ignore (Txn.insert inserted ~table:"accounts" [| vi 5; vt "x"; vi 0 |]);
+  Alcotest.(check (list int)) "range: own insert in key order" [ 5; 10; 11 ]
+    (ids (Txn.range inserted ~table:"accounts" ~lo:[| vi 0 |] ~limit:3 ()));
+  let deleted = Txn.begin_ db in
+  ignore (Txn.delete_key deleted ~table:"accounts" ~key:[| vi 10 |]);
+  Alcotest.(check (list int)) "range: own delete keeps the limit" [ 11; 12; 13 ]
+    (ids (Txn.range deleted ~table:"accounts" ~lo:[| vi 0 |] ~limit:3 ()));
+  Alcotest.(check (list int)) "select: own delete keeps the limit" [ 11; 12; 13 ]
+    (ids (Txn.select deleted ~table:"accounts" ~limit:3 ()))
+
 let exec_rows txn stmt =
   match Query.exec txn stmt with
   | Query.Rows rows, _ -> rows
@@ -871,6 +890,136 @@ let prop_mvcc_ordered_directory =
             in
             List.rev got = List.map (fun (k, versions) -> (k, fst (List.hd versions))) (sorted ()))
         ops)
+
+(* Directories big enough to split chunks: a store loaded with a
+   random prefix of the keys is scanned (building the directory from
+   a sort), then takes the rest one install at a time, with ranges
+   checked against the sorted oracle along the way. A copy taken
+   mid-way must keep its own directory. *)
+let prop_mvcc_directory_splits =
+  let open QCheck in
+  Test.make ~name:"mvcc ordered directory agrees with sorted oracle across chunk splits"
+    ~count:30
+    (make
+       ~print:Print.(pair (list int) int)
+       Gen.(pair (list_size (int_range 0 1500) (int_range 0 3000)) (int_range 0 100)))
+    (fun (keys, loaded_pct) ->
+      let keys = List.sort_uniq compare keys |> List.map (fun k -> (Hashtbl.hash k, k)) in
+      let keys = List.map snd (List.sort compare keys) in
+      let n_loaded = List.length keys * loaded_pct / 100 in
+      let store = Mvcc.create () in
+      let install k = Mvcc.install store [| vi (k / 100); vi (k mod 100) |] ~version:0 None in
+      let ints iter =
+        let got = ref [] in
+        iter (fun k -> got := ((Value.as_int k.(0) * 100) + Value.as_int k.(1)) :: !got);
+        List.rev !got
+      in
+      let range lo hi s =
+        ints (Mvcc.iter_keys_range s ~lo:[| vi (lo / 100) |] ~hi:[| vi (hi / 100); vi 99 |])
+      in
+      let agrees s written =
+        let sorted = List.sort compare written in
+        let lo, hi = (700, 2099) in
+        ints (Mvcc.iter_keys_ordered s) = sorted
+        && range lo hi s = List.filter (fun k -> k >= lo && k <= hi) sorted
+      in
+      List.iteri (fun i k -> if i < n_loaded then install k) keys;
+      let ok = ref (agrees store (List.filteri (fun i _ -> i < n_loaded) keys)) in
+      let copy = ref None in
+      List.iteri
+        (fun i k ->
+          if i >= n_loaded then begin
+            install k;
+            if i mod 97 = 0 then ok := !ok && agrees store (List.filteri (fun j _ -> j <= i) keys);
+            if i = (n_loaded + List.length keys) / 2 then
+              copy := Some (Mvcc.copy store, List.filteri (fun j _ -> j <= i) keys)
+          end)
+        keys;
+      !ok
+      && agrees store keys
+      && match !copy with None -> true | Some (c, written) -> agrees c written)
+
+(* Keys drawn from a small domain so that equal keys, including an
+   [Int] against the integral [Float] of the same value, come up
+   often. *)
+let small_key_gen =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map vi (int_range 0 2);
+        map (fun i -> Value.Float (float_of_int i)) (int_range 0 2);
+        map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range 0 2);
+        map vt (oneofl [ "a"; "b" ]);
+      ]
+  in
+  array_size (int_range 0 4) value
+
+let twin = function
+  | Value.Int x -> Value.Float (float_of_int x)
+  | Value.Float x when Float.is_integer x -> vi (int_of_float x)
+  | v -> v
+
+let prop_key_equal_agrees_with_compare =
+  let open QCheck in
+  let print k = Format.asprintf "[%a]" (Format.pp_print_array ~pp_sep:Format.pp_print_space Value.pp) k in
+  Test.make ~name:"Key_hashed.equal is Key_order.compare = 0 and implies equal hashes"
+    ~count:2000
+    (make
+       ~print:Print.(pair print print)
+       Gen.(oneof [ pair small_key_gen small_key_gen; map (fun k -> (k, Array.map twin k)) small_key_gen ]))
+    (fun (a, b) ->
+      let eq = Mvcc.Key_hashed.equal a b in
+      eq = (Mvcc.Key_order.compare a b = 0)
+      && eq = Mvcc.Key_hashed.equal b a
+      && ((not eq) || Mvcc.Key_hashed.hash a = Mvcc.Key_hashed.hash b))
+
+(* The key path runs once per statement and once per replica apply, so
+   it must not allocate: no closure per comparison and no option per
+   probe. *)
+let test_key_path_allocates_nothing () =
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let key a b c = [| vi a; vi b; vi c |] in
+  let store = Mvcc.create () in
+  for i = 0 to 999 do
+    Mvcc.install store (key (i / 100) (i / 10 mod 10) (i mod 10)) ~version:1 (Some [| vi i |])
+  done;
+  let a = key 3 4 5 and a' = key 3 4 5 and b = key 3 4 6 and absent = key 3 4 50 in
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.)) name 0. (words f))
+    [
+      ("Key_order.compare, equal keys", fun () -> Mvcc.Key_order.compare a a' = 0);
+      ("Key_order.compare, distinct keys", fun () -> Mvcc.Key_order.compare a b = 0);
+      ("Key_hashed.equal, equal keys", fun () -> Mvcc.Key_hashed.equal a a');
+      ("Key_hashed.equal, distinct keys", fun () -> Mvcc.Key_hashed.equal a b);
+      ("Mvcc.read, hit", fun () -> Mvcc.read store a ~at:1 <> None);
+      ("Mvcc.read, miss", fun () -> Mvcc.read store absent ~at:1 <> None);
+    ]
+
+(* The directory is walked in place, so a walk's callback may add
+   versions to keys it visits but must not install a new key. *)
+let test_mvcc_walk_rejects_install () =
+  let m = Mvcc.create () in
+  List.iter (fun i -> Mvcc.install m [| vi i |] ~version:1 (Some [| vi i |])) [ 1; 2; 3 ];
+  Mvcc.iter_keys_ordered m (fun k -> Mvcc.install m k ~version:2 None);
+  Alcotest.(check int) "new versions of visited keys are allowed" 6 (Mvcc.version_count m);
+  Alcotest.check_raises "a new key raises"
+    (Invalid_argument "Mvcc: a key was installed during an ordered walk of its store")
+    (fun () ->
+      Mvcc.iter_keys_range m ~lo:[| vi 2 |] (fun k ->
+          Mvcc.install m [| vi (10 + Value.as_int k.(0)) |] ~version:3 None));
+  let keys = ref [] in
+  Mvcc.iter_keys_ordered m (fun k -> keys := Value.as_int k.(0) :: !keys);
+  Alcotest.(check (list int)) "the installed key is in the directory" [ 1; 2; 3; 12 ]
+    (List.rev !keys)
 
 (* --- Codec and checkpoints --- *)
 
@@ -1305,8 +1454,16 @@ let suites =
         Alcotest.test_case "gc" `Quick test_mvcc_gc;
         Alcotest.test_case "ordered iteration" `Quick test_mvcc_ordered_iteration;
         Alcotest.test_case "int and float keys share a chain" `Quick test_mvcc_int_float_keys;
+        Alcotest.test_case "key path allocates nothing" `Quick test_key_path_allocates_nothing;
+        Alcotest.test_case "walk rejects a new key" `Quick test_mvcc_walk_rejects_install;
       ]
-      @ qsuite [ prop_mvcc_matches_model; prop_mvcc_ordered_directory ] );
+      @ qsuite
+          [
+            prop_mvcc_matches_model;
+            prop_mvcc_ordered_directory;
+            prop_mvcc_directory_splits;
+            prop_key_equal_agrees_with_compare;
+          ] );
     ( "storage.writeset",
       [
         Alcotest.test_case "conflicts" `Quick test_writeset_conflicts;
@@ -1337,6 +1494,8 @@ let suites =
         Alcotest.test_case "put upsert" `Quick test_query_put_upsert;
         Alcotest.test_case "range scan" `Quick test_txn_range_scan;
         Alcotest.test_case "range overlays writes" `Quick test_txn_range_overlay;
+        Alcotest.test_case "limited scans see own writes" `Quick
+          test_txn_limited_scan_sees_own_writes;
         Alcotest.test_case "aggregates" `Quick test_query_aggregates;
         Alcotest.test_case "group count" `Quick test_query_group_count;
         Alcotest.test_case "join" `Quick test_query_join;
