@@ -286,10 +286,35 @@ let component_tests () =
            done;
            Sim.Engine.run engine))
   in
+  (* Workload events are almost all resumed processes, not closures:
+     these two time the suspend/resume path itself. *)
+  let sim_sleeps =
+    Test.make ~name:"simulator: 1000 process sleeps"
+      (Staged.stage (fun () ->
+           let engine = Sim.Engine.create () in
+           Sim.Process.spawn engine (fun () ->
+               for _ = 1 to 1000 do
+                 Sim.Process.sleep engine 1.0
+               done);
+           Sim.Engine.run engine))
+  in
+  let sim_resource =
+    Test.make ~name:"simulator: 1000 contended resource uses (2 processes)"
+      (Staged.stage (fun () ->
+           let engine = Sim.Engine.create () in
+           let server = Sim.Resource.create engine ~servers:1 in
+           for _ = 1 to 2 do
+             Sim.Process.spawn engine (fun () ->
+                 for _ = 1 to 500 do
+                   Sim.Resource.use server ~duration:1.0
+                 done)
+           done;
+           Sim.Engine.run engine))
+  in
   Test.make_grouped ~name:"components"
     [
       mvcc_point_read; mvcc_range_after_insert; mvcc_random_insert; txn_update; index_select;
-      ws_conflict; checker; sim_events;
+      ws_conflict; checker; sim_events; sim_sleeps; sim_resource;
     ]
 
 (* Certification conflict check, the key-index probe, with the

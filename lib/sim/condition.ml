@@ -1,16 +1,18 @@
-type t = { engine : Engine.t; mutable queue : (unit -> unit) list }
+type t = { engine : Engine.t; waiters : Engine.waiters }
 
-let create engine = { engine; queue = [] }
+let create engine = { engine; waiters = Queue.create () }
 
 let rec await t pred =
   if not (pred ()) then begin
-    Process.suspend (fun resume -> t.queue <- resume :: t.queue);
+    Process.wait t.engine t.waiters;
     await t pred
   end
 
+(* Woken processes re-await only when their event runs, after this
+   loop: a broadcast wakes exactly the processes waiting when it began. *)
 let broadcast t =
-  let waiting = List.rev t.queue in
-  t.queue <- [];
-  List.iter (fun resume -> Engine.schedule t.engine ~delay:0.0 resume) waiting
+  while not (Queue.is_empty t.waiters) do
+    Engine.wake t.engine (Queue.take t.waiters)
+  done
 
-let waiters t = List.length t.queue
+let waiters t = Queue.length t.waiters

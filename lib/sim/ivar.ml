@@ -1,5 +1,5 @@
 type 'a state =
-  | Empty of ('a -> unit) Queue.t
+  | Empty of Engine.waiters
   | Filled of 'a
 
 type 'a t = { engine : Engine.t; mutable state : 'a state }
@@ -11,24 +11,19 @@ let fill t value =
   | Filled _ -> invalid_arg "Ivar.fill: already filled"
   | Empty waiters ->
     t.state <- Filled value;
-    Queue.iter
-      (fun waiter -> Engine.schedule t.engine ~delay:0.0 (fun () -> waiter value))
-      waiters
+    while not (Queue.is_empty waiters) do
+      Engine.wake t.engine (Queue.take waiters)
+    done
 
 let read t =
   match t.state with
   | Filled value -> value
-  | Empty waiters ->
-    let slot = ref None in
-    Process.suspend (fun resume ->
-        Queue.add
-          (fun value ->
-            slot := Some value;
-            resume ())
-          waiters);
-    (match !slot with
-    | Some value -> value
-    | None -> assert false)
+  | Empty waiters -> (
+    Process.wait t.engine waiters;
+    (* Woken only by [fill]. *)
+    match t.state with
+    | Filled value -> value
+    | Empty _ -> assert false)
 
 let is_filled t = match t.state with Filled _ -> true | Empty _ -> false
 

@@ -1,16 +1,18 @@
-(* Processes are one-shot delimited continuations: [suspend] performs an
-   effect carrying a registration callback; the handler captures the
-   continuation and hands the registrar a [resume] closure. All blocking
-   primitives (sleep, mailbox receive, resource acquire) reduce to this. *)
+(* Processes are one-shot delimited continuations. Every blocking
+   primitive states where it parks in the engine ([Engine.request_sleep]
+   or [Engine.request_wait]) and then performs the one constant [Park]
+   effect; the handler hands the bare continuation to [Engine.park]. No
+   closure is allocated per suspension. *)
 
 open Effect
 open Effect.Deep
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-let suspend register = perform (Suspend register)
+type _ Effect.t += Park : unit Effect.t
 
 let spawn engine body =
+  (* Built once per process. The [Park] branch refines [a = unit], so
+     the one preallocated [Some park] answers every suspension. *)
+  let park = Some (Engine.park engine) in
   let handler =
     {
       retc = (fun () -> ());
@@ -25,16 +27,18 @@ let spawn engine body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                register (fun () -> continue k ()))
+          | Park -> (park : ((a, unit) continuation -> unit) option)
           | _ -> None);
     }
   in
   Engine.schedule engine ~delay:0.0 (fun () -> match_with body () handler)
 
 let sleep engine duration =
-  suspend (fun resume -> Engine.schedule engine ~delay:duration resume)
+  Engine.request_sleep engine duration;
+  perform Park
+
+let wait engine waiters =
+  Engine.request_wait engine waiters;
+  perform Park
 
 let yield engine = sleep engine 0.0

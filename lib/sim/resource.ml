@@ -2,7 +2,7 @@ type t = {
   engine : Engine.t;
   servers : int;
   mutable held : int;
-  waiters : (unit -> unit) Queue.t;
+  waiters : Engine.waiters;
   mutable busy_time : float;
   mutable window_start : float;
   mutable last_change : float;
@@ -35,17 +35,17 @@ let acquire t =
     account t;
     t.held <- t.held + 1
   end
-  else Process.suspend (fun resume -> Queue.add resume t.waiters)
+  else Process.wait t.engine t.waiters
 
 let release t =
   account t;
-  match Queue.take_opt t.waiters with
-  | Some waiter ->
-    (* Ownership transfers to the waiter; held stays constant. *)
-    Engine.schedule t.engine ~delay:0.0 waiter
-  | None ->
+  if Queue.is_empty t.waiters then begin
     t.held <- t.held - 1;
     assert (t.held >= 0)
+  end
+  else
+    (* Ownership transfers to the waiter; held stays constant. *)
+    Engine.wake t.engine (Queue.take t.waiters)
 
 let use t ~duration =
   acquire t;
