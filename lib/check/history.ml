@@ -48,9 +48,6 @@ let well_formed h =
     (fun acc op -> match acc with Error _ -> acc | Ok () -> check op)
     (Ok ()) h
 
-let reads_of h t =
-  List.filter_map (function Read (t', i, v) when t' = t -> Some (i, v) | _ -> None) h
-
 let writes_of h t =
   List.filter_map (function Write (t', i, v) when t' = t -> Some (i, v) | _ -> None) h
 
@@ -69,15 +66,3 @@ let commits_before_begin h =
       | Begin _ | Read _ | Write _ | Abort _ -> ())
     h;
   List.rev !pairs
-
-let pp ppf h =
-  let pp_op ppf = function
-    | Begin t -> Format.fprintf ppf "B%d" t
-    | Read (t, i, v) -> Format.fprintf ppf "R%d(%s=%d)" t i v
-    | Write (t, i, v) -> Format.fprintf ppf "W%d(%s=%d)" t i v
-    | Commit t -> Format.fprintf ppf "C%d" t
-    | Abort t -> Format.fprintf ppf "A%d" t
-  in
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_op)
-    h

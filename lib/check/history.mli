@@ -26,11 +26,8 @@ val well_formed : t -> (unit, string) result
 (** Each transaction begins once, terminates at most once, and operates
     only between its begin and its termination. *)
 
-val reads_of : t -> tx -> (item * int) list
 val writes_of : t -> tx -> (item * int) list
 
 val commits_before_begin : t -> (tx * tx) list
 (** Pairs (ti, tj) of committed transactions such that ti's commit
     precedes tj's begin in real-time order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -505,8 +505,6 @@ module Sink = struct
 
   let create ?(capacity = 1 lsl 16) () = { w = Flat.writer ~capacity (); count = 0 }
 
-  let length t = t.count
-
   let clear t =
     Flat.clear t.w;
     t.count <- 0

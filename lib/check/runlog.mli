@@ -158,9 +158,6 @@ module Sink : sig
   val create : ?capacity:int -> unit -> t
   (** [capacity] is the initial buffer size in bytes (doubles on demand). *)
 
-  val length : t -> int
-  (** Number of records appended since creation or the last [clear]. *)
-
   val clear : t -> unit
 
   val add : t -> record -> unit

@@ -669,40 +669,36 @@ let promotion_rank t k =
 
 let monitor t k =
   let sb = t.nodes.(k) in
-  let rec loop () =
-    Sim.Process.sleep t.engine heartbeat_ms;
-    if t.primary = k || sb.cn_crashed then
-      (* A primary does not monitor itself; a crashed member is blind.
-         Keep the clock fresh so a later role change starts a new
-         suspicion window instead of inheriting ancient silence. *)
-      sb.cn_last_heard <- Sim.Engine.now t.engine
-    else begin
-      let pi = t.primary in
-      let p = t.nodes.(pi) in
-      Sim.Network.send t.network ~src:sb.cn_net ~dst:p.cn_net ~size_bytes:16 (fun () ->
-          if not p.cn_crashed then begin
-            let pong_epoch = p.cn_epoch in
-            Sim.Network.send t.network ~src:p.cn_net ~dst:sb.cn_net ~size_bytes:16
-              (fun () ->
-                if not sb.cn_crashed then begin
-                  sb.cn_last_heard <- Sim.Engine.now t.engine;
-                  if pong_epoch > sb.cn_epoch then adopt_epoch t sb ~epoch:pong_epoch
-                end)
-          end);
-      let now = Sim.Engine.now t.engine in
-      let silence = now -. sb.cn_last_heard in
-      let deadline =
-        suspect_after_ms +. (float_of_int (promotion_rank t k) *. promotion_backoff_ms)
-      in
-      if
-        silence > deadline && t.primary = pi
-        && (not sb.cn_crashed)
-        && sb.cn_epoch = t.epoch && sb.cn_caught_up
-      then run_election t k
-    end;
-    loop ()
-  in
-  loop ()
+  Sim.Process.every t.engine ~period:heartbeat_ms (fun () ->
+      if t.primary = k || sb.cn_crashed then
+        (* A primary does not monitor itself; a crashed member is blind.
+           Keep the clock fresh so a later role change starts a new
+           suspicion window instead of inheriting ancient silence. *)
+        sb.cn_last_heard <- Sim.Engine.now t.engine
+      else begin
+        let pi = t.primary in
+        let p = t.nodes.(pi) in
+        Sim.Network.send t.network ~src:sb.cn_net ~dst:p.cn_net ~size_bytes:16 (fun () ->
+            if not p.cn_crashed then begin
+              let pong_epoch = p.cn_epoch in
+              Sim.Network.send t.network ~src:p.cn_net ~dst:sb.cn_net ~size_bytes:16
+                (fun () ->
+                  if not sb.cn_crashed then begin
+                    sb.cn_last_heard <- Sim.Engine.now t.engine;
+                    if pong_epoch > sb.cn_epoch then adopt_epoch t sb ~epoch:pong_epoch
+                  end)
+            end);
+        let now = Sim.Engine.now t.engine in
+        let silence = now -. sb.cn_last_heard in
+        let deadline =
+          suspect_after_ms +. (float_of_int (promotion_rank t k) *. promotion_backoff_ms)
+        in
+        if
+          silence > deadline && t.primary = pi
+          && (not sb.cn_crashed)
+          && sb.cn_epoch = t.epoch && sb.cn_caught_up
+        then run_election t k
+      end)
 
 (* Primary-side voter lease (docs/PROTOCOL.md, "Control plane"): a voter
    that has stopped acknowledging replication while the primary has
@@ -715,27 +711,23 @@ let monitor t k =
    learner catch-up path (its next ack run reaching the log head). *)
 let lease_loop t =
   let lease = t.cfg.Config.voter_lease_ms in
-  let rec loop () =
-    Sim.Process.sleep t.engine (lease /. 4.0);
-    let p = primary_node t in
-    if not p.cn_crashed then begin
-      let now = Sim.Engine.now t.engine in
-      Array.iter
-        (fun n ->
-          if eligible_standby t n && n.cn_acked < p.cn_version
-             && now -. n.cn_last_ack > lease
-          then begin
-            n.cn_caught_up <- false;
-            t.lease_expiries <- t.lease_expiries + 1;
-            (* The quorum wait recomputes its need over the shrunken
-               voter set: this is what unblocks the stalled release. *)
-            Sim.Condition.broadcast t.repl_done
-          end)
-        t.nodes
-    end;
-    loop ()
-  in
-  loop ()
+  Sim.Process.every t.engine ~period:(lease /. 4.0) (fun () ->
+      let p = primary_node t in
+      if not p.cn_crashed then begin
+        let now = Sim.Engine.now t.engine in
+        Array.iter
+          (fun n ->
+            if eligible_standby t n && n.cn_acked < p.cn_version
+               && now -. n.cn_last_ack > lease
+            then begin
+              n.cn_caught_up <- false;
+              t.lease_expiries <- t.lease_expiries + 1;
+              (* The quorum wait recomputes its need over the shrunken
+                 voter set: this is what unblocks the stalled release. *)
+              Sim.Condition.broadcast t.repl_done
+            end)
+          t.nodes
+      end)
 
 let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
   let t =
@@ -809,10 +801,9 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
     done;
     if cfg.Config.reliable then
       for k = 0 to Array.length t.nodes - 1 do
-        Sim.Process.spawn engine (fun () -> monitor t k)
+        monitor t k
       done;
-    if cfg.Config.reliable && cfg.Config.voter_lease_ms > 0.0 then
-      Sim.Process.spawn engine (fun () -> lease_loop t)
+    if cfg.Config.reliable && cfg.Config.voter_lease_ms > 0.0 then lease_loop t
   end;
   t
 

@@ -30,22 +30,6 @@ val spawn_many : Cluster.t -> n:int -> first_sid:int -> workload -> unit
 (** Start [n] closed-loop clients with distinct sessions and independent
     RNG streams split from the cluster RNG. *)
 
-val open_loop :
-  Cluster.t ->
-  sid:int ->
-  rng:Util.Rng.t ->
-  ?arrival:arrival ->
-  rate_tps:float ->
-  workload ->
-  unit
-(** Start one open-loop arrival process offering [rate_tps] transactions
-    per virtual second ([workload.think_ms] is ignored — the clock, not
-    completion, paces arrivals). Each arrival is handled by its own
-    process running the same abort-class-aware retry loop as the
-    closed-loop driver; all handlers of one generator share its session
-    and its retry budget. Raises [Invalid_argument] on a non-positive
-    rate. *)
-
 val open_loop_many :
   Cluster.t ->
   n:int ->
@@ -55,7 +39,12 @@ val open_loop_many :
   workload ->
   unit
 (** Start [n] open-loop generators with distinct sessions splitting the
-    {e aggregate} [rate_tps] evenly between them. *)
+    {e aggregate} [rate_tps] evenly between them. The clock, not
+    completion, paces arrivals ([workload.think_ms] is ignored). Each
+    arrival runs in its own process with the closed-loop driver's
+    abort-class-aware retry loop; the arrivals of one generator share
+    its session and its retry budget. Raises [Invalid_argument] on a
+    non-positive rate. *)
 
 val no_think : Util.Rng.t -> float
 (** Zero think time: back-to-back submission (micro-benchmark). *)

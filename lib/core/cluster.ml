@@ -19,10 +19,6 @@ type t = {
          under [Config.lb_standby]) is the hot standby *)
   mutable lb_active : int;  (* instance clients currently route to *)
   mutable lb_epoch : int;  (* routing epoch; bumped by every takeover *)
-  lb_crashed : bool array;
-  lb_self_active : bool array;  (* each instance's own belief about its role *)
-  lb_self_epoch : int array;  (* highest routing epoch each instance knows *)
-  lb_heard : float array;  (* per instance: when it last received a state push *)
   mutable lb_takeovers : int;
   mutable lb_fenced : int;  (* stale-LB-epoch pushes and relays rejected *)
   replicas : Replica.t array;
@@ -41,6 +37,9 @@ type t = {
   mutable reprovisions : int;
       (* replicas re-seeded by state transfer after the failure detector
          saw them return from beyond log repair *)
+  leg_tries : int;
+      (* a request leg's transmission budget: [max_retransmits] under
+         [Config.reliable], else unbounded (the exactly-once leg) *)
 }
 
 let request_bytes (req : Transaction.request) =
@@ -49,6 +48,8 @@ let request_bytes (req : Transaction.request) =
   64 + (List.length req.Transaction.statements * 48)
 
 let active_lb t = t.lbs.(t.lb_active)
+
+let role t k = Load_balancer.role t.lbs.(k)
 
 (* Hardened-protocol timers (docs/TUNING.md, "Fixed protocol timings").
    A loss costs [rto_ms], a few LAN round trips. After [max_retransmits]
@@ -146,13 +147,14 @@ let revive_certifier_node t k = Certifier.revive_node t.certifier k
 let crash_lb t k =
   if Array.length t.lbs < 2 then
     invalid_arg "Cluster.crash_lb: no standby LB configured (Config.lb_standby)";
-  t.lb_crashed.(k) <- true
+  (role t k).crashed <- true
 
 let recover_lb t k =
-  t.lb_crashed.(k) <- false;
+  let r = role t k in
+  r.crashed <- false;
   (* Revival grace: restart the suspicion clock so the instance judges
      its peer from fresh silence, not from the outage it slept through. *)
-  t.lb_heard.(k) <- Sim.Engine.now t.engine
+  r.heard <- Sim.Engine.now t.engine
 
 (* --- the probe table -------------------------------------------------
 
@@ -254,6 +256,191 @@ let probe_table t =
       total "fault.delays" (fun () -> Sim.Faults.delays f);
     ]
 
+(* --- per-role wiring ------------------------------------------------- *)
+
+(* Replica databases and the certifier log are vacuumed every
+   [gc_interval_ms]. *)
+let start_gc t =
+  Sim.Process.every t.engine ~period:t.cfg.Config.gc_interval_ms (fun () ->
+      (* Vacuum each replica behind its own applied version: any live
+         snapshot there is at most gc_window versions old. *)
+      Array.iter
+        (fun r ->
+          let keep_after = max 0 (Replica.v_local r - t.cfg.Config.gc_window) in
+          ignore (Storage.Database.gc (Replica.database r) ~keep_after))
+        t.replicas;
+      (* Truncate certifier log + index behind the slowest live
+         replica's applied watermark (piggybacked on cert/ack traffic —
+         no omniscient peek at replica state); a replica that stays down
+         longer than the slack recovers by state transfer instead of log
+         replay. *)
+      Certifier.gc t.certifier;
+      (* The all-replica minimum watermark (crashed included) is a
+         permanent floor on applied versions: session-version entries at
+         or below it impose no wait and can go — on the standby too,
+         which mirrors them via state pushes. *)
+      Array.iter
+        (fun lb ->
+          Load_balancer.prune_sessions lb ~applied_min:(Certifier.min_watermark t.certifier))
+        t.lbs)
+
+(* Replica heartbeats: liveness + cumulative applied watermark, to both
+   the failure detector (LB) and the certifier, over the lossy network —
+   a lost heartbeat is just silence until the next one. *)
+let start_heartbeat t r =
+  let id = Replica.id r in
+  Sim.Process.every t.engine ~period:heartbeat_ms (fun () ->
+      if not (Replica.is_crashed r) then begin
+        let v = Replica.v_local r in
+        (* Addressed to whichever instance holds the routing role when
+           the heartbeat leaves; applied to whichever holds it when it
+           lands (both truthful piggybacks). *)
+        Sim.Network.send t.network ~src:id ~dst:(lb_node t.lb_active) ~size_bytes:16
+          (fun () ->
+            let lb = active_lb t in
+            Load_balancer.note_contact lb ~replica:id ~now:(Sim.Engine.now t.engine);
+            (* The heartbeat carries the applied watermark as of send
+               time — same payload the certifier gets, so the 16-byte
+               message covers both piggybacks. *)
+            Load_balancer.note_applied lb ~replica:id ~version:v);
+        Sim.Network.send t.network ~src:id ~dst:(Certifier.primary_net t.certifier)
+          ~size_bytes:16 (fun () -> Certifier.heartbeat t.certifier ~replica:id ~applied:v)
+      end)
+
+(* Failure-detector sweep + certifier live-set reconciliation. *)
+let sweep t =
+  let certifier = t.certifier in
+  let lb = active_lb t in
+  Load_balancer.sweep lb ~now:(Sim.Engine.now t.engine);
+  Array.iter
+    (fun r ->
+      let id = Replica.id r in
+      match Load_balancer.health lb ~replica:id with
+      | Load_balancer.Dead ->
+        if Certifier.is_marked_live certifier ~replica:id then
+          (* Stop gating eager commit and log GC on a corpse; a
+             wrongly-declared death heals on next contact. *)
+          Certifier.mark_down certifier ~replica:id
+      | Load_balancer.Suspect -> ()
+      | Load_balancer.Alive ->
+        if
+          (not (Replica.is_crashed r))
+          && Load_balancer.is_live lb ~replica:id
+          && not (Certifier.is_marked_live certifier ~replica:id)
+        then
+          if
+            Certifier.needs_state_transfer certifier ~replica:id
+            || Certifier.log_base certifier > Replica.v_local r
+          then begin
+            (* Back in contact but beyond log repair (evicted, or the log
+               was truncated past its position): reprovision via
+               checkpoint state transfer. *)
+            t.reprovisions <- t.reprovisions + 1;
+            crash_replica t id;
+            recover_replica t id
+          end
+          else
+            (* Plain rejoin: repair resends the missing suffix. *)
+            Certifier.mark_up ~applied:(Replica.v_local r) certifier ~replica:id)
+    t.replicas
+
+(* --- LB state replication and takeover (docs/PROTOCOL.md, "Control
+   plane"). The instance that believes itself active pushes a snapshot
+   of its routing state every [lb_repl_ms] over the lossy network; the
+   push doubles as the liveness heartbeat. A standby that hears nothing
+   for [lb_suspect_after_ms] promotes itself: it bumps the routing
+   epoch, reconstructs a conservative version floor by probing live
+   replicas and the certifier, and only then starts taking client
+   traffic. A deposed instance that keeps pushing is fenced by the epoch
+   at every receiver, and learns of its own deposition from the
+   successor's higher-epoch pushes. *)
+
+(* The replicated [V_system] covers everything the deposed LB acked at
+   least one push period ago; probing live replicas (applied versions)
+   and the certifier (released head) covers the final window, because
+   every client-acked commit was applied at its origin replica before
+   the ack left. An unreachable node forfeits its probe after the
+   bounded retransmission budget — takeover must not block on the very
+   failure it is healing. *)
+let reconstruct_floor t k =
+  let floor = ref (Load_balancer.v_system t.lbs.(k)) in
+  let probe ~dst read =
+    match
+      Sim.Network.transfer_bounded t.network ~src:(lb_node k) ~dst ~size_bytes:16
+        ~max_tries:max_retransmits
+    with
+    | Error `Timeout -> ()
+    | Ok () -> (
+      let v = read () in
+      match
+        Sim.Network.transfer_bounded t.network ~src:dst ~dst:(lb_node k) ~size_bytes:16
+          ~max_tries:max_retransmits
+      with
+      | Ok () -> if v > !floor then floor := v
+      | Error `Timeout -> ())
+  in
+  Array.iter
+    (fun r ->
+      if not (Replica.is_crashed r) then probe ~dst:(Replica.id r) (fun () -> Replica.v_local r))
+    t.replicas;
+  if not (Certifier.is_crashed t.certifier) then
+    probe ~dst:(Certifier.primary_net t.certifier) (fun () -> Certifier.version t.certifier);
+  !floor
+
+(* State push, run in the active role only. *)
+let push_state t k =
+  let lb = t.lbs.(k) and me = role t k in
+  let other = 1 - k in
+  let peer = role t other in
+  if me.self_active && not me.crashed then begin
+    let st = Load_balancer.capture lb in
+    let push_epoch = me.self_epoch in
+    Sim.Network.send t.network ~src:(lb_node k) ~dst:(lb_node other)
+      ~size_bytes:(Load_balancer.state_bytes st + 16)
+      (fun () ->
+        if not peer.crashed then
+          if push_epoch < peer.self_epoch then
+            (* A deposed active that has not yet learned of the
+               takeover: fence the push. *)
+            t.lb_fenced <- t.lb_fenced + 1
+          else begin
+            (* The sender claims the active role at our epoch or later:
+               we are the standby. *)
+            peer.self_active <- false;
+            peer.self_epoch <- push_epoch;
+            Load_balancer.absorb t.lbs.(other) st;
+            peer.heard <- Sim.Engine.now t.engine
+          end)
+  end
+
+(* Takeover monitor, run in the standby role only. *)
+let monitor_peer t k =
+  let lb = t.lbs.(k) and me = role t k in
+  let now = Sim.Engine.now t.engine in
+  if (not me.self_active) && (not me.crashed) && now -. me.heard > lb_suspect_after_ms
+  then begin
+    let epoch =
+      1 + Stdlib.max t.lb_epoch (Stdlib.max (role t 0).self_epoch (role t 1).self_epoch)
+    in
+    me.self_epoch <- epoch;
+    me.self_active <- true;
+    (* Detector grace: the standby never received contacts directly, so
+       seed last-contact now or its first sweep would declare every
+       replica dead at once. *)
+    Array.iter (fun r -> Load_balancer.note_contact lb ~replica:(Replica.id r) ~now) t.replicas;
+    let floor = reconstruct_floor t k in
+    Load_balancer.note_takeover lb ~floor;
+    (* Routing flips last: clients only reach the successor once its
+       floors are installed. *)
+    t.lb_epoch <- epoch;
+    t.lb_active <- k;
+    t.lb_takeovers <- t.lb_takeovers + 1;
+    Log.info (fun m ->
+        m "[%.3f] LB instance %d took over routing (epoch %d, floor v%d)"
+          (Sim.Engine.now t.engine) k epoch floor);
+    me.heard <- Sim.Engine.now t.engine
+  end
+
 let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_536)
     ?faults ~mode ~schemas ~load () =
   (match Config.validate config with
@@ -286,8 +473,11 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
   let lbs =
     (* The standby instance draws its RNG after the active's, so a run
        without [lb_standby] consumes exactly the classic seed chain. *)
-    if config.Config.lb_standby then
-      [| lb0; Load_balancer.create ~rng:(Util.Rng.split rng) config ~mode |]
+    if config.Config.lb_standby then begin
+      let standby = Load_balancer.create ~rng:(Util.Rng.split rng) config ~mode in
+      (Load_balancer.role standby).self_active <- false;
+      [| lb0; standby |]
+    end
     else [| lb0 |]
   in
   (* Version 0 is loaded and validated once; every other replica starts
@@ -317,10 +507,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       lbs;
       lb_active = 0;
       lb_epoch = 0;
-      lb_crashed = Array.make (Array.length lbs) false;
-      lb_self_active = Array.init (Array.length lbs) (fun k -> k = 0);
-      lb_self_epoch = Array.make (Array.length lbs) 0;
-      lb_heard = Array.make (Array.length lbs) 0.0;
       lb_takeovers = 0;
       lb_fenced = 0;
       replicas;
@@ -333,6 +519,7 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       next_tid = 0;
       log = Check.Runlog.Sink.create ();
       reprovisions = 0;
+      leg_tries = (if config.Config.reliable then max_retransmits else max_int);
     }
   in
   Array.iter
@@ -351,238 +538,20 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
           else Certifier.ack certifier ~replica:id ~version);
       Replica.start replica)
     replicas;
-  if config.Config.gc_interval_ms > 0.0 then
-    Sim.Process.spawn engine (fun () ->
-        let rec loop () =
-          Sim.Process.sleep engine config.Config.gc_interval_ms;
-          (* Vacuum each replica behind its own applied version: any live
-             snapshot there is at most gc_window versions old. *)
-          Array.iter
-            (fun r ->
-              let keep_after = max 0 (Replica.v_local r - config.Config.gc_window) in
-              ignore (Storage.Database.gc (Replica.database r) ~keep_after))
-            replicas;
-          (* Truncate certifier log + index behind the slowest live
-             replica's applied watermark (piggybacked on cert/ack
-             traffic — no omniscient peek at replica state); a replica
-             that stays down longer than the slack recovers by state
-             transfer instead of log replay. *)
-          Certifier.gc certifier;
-          (* The all-replica minimum watermark (crashed included) is a
-             permanent floor on applied versions: session-version
-             entries at or below it impose no wait and can go — on the
-             standby too, which mirrors them via state pushes. *)
-          Array.iter
-            (fun lb ->
-              Load_balancer.prune_sessions lb
-                ~applied_min:(Certifier.min_watermark certifier))
-            lbs;
-          loop ()
-        in
-        loop ());
+  if config.Config.gc_interval_ms > 0.0 then start_gc t;
   if config.Config.reliable then begin
-    (* Replica heartbeats: liveness + cumulative applied watermark, to
-       both the failure detector (LB) and the certifier, over the lossy
-       network — a lost heartbeat is just silence until the next one. *)
-    Array.iter
-      (fun r ->
-        let id = Replica.id r in
-        Sim.Process.spawn engine (fun () ->
-            let rec loop () =
-              Sim.Process.sleep engine heartbeat_ms;
-              if not (Replica.is_crashed r) then begin
-                let v = Replica.v_local r in
-                (* Addressed to whichever instance holds the routing
-                   role when the heartbeat leaves; applied to whichever
-                   holds it when it lands (both truthful piggybacks). *)
-                Sim.Network.send network ~src:id ~dst:(lb_node t.lb_active)
-                  ~size_bytes:16
-                  (fun () ->
-                    let lb = active_lb t in
-                    Load_balancer.note_contact lb ~replica:id
-                      ~now:(Sim.Engine.now engine);
-                    (* The heartbeat carries the applied watermark as of
-                       send time — same payload the certifier gets, so
-                       the 16-byte message covers both piggybacks. *)
-                    Load_balancer.note_applied lb ~replica:id ~version:v);
-                Sim.Network.send network ~src:id
-                  ~dst:(Certifier.primary_net certifier) ~size_bytes:16 (fun () ->
-                    Certifier.heartbeat certifier ~replica:id ~applied:v)
-              end;
-              loop ()
-            in
-            loop ()))
-      replicas;
-    (* Failure-detector sweep + certifier live-set reconciliation. *)
-    Sim.Process.spawn engine (fun () ->
-        let rec loop () =
-          Sim.Process.sleep engine Load_balancer.sweep_interval_ms;
-          let now = Sim.Engine.now engine in
-          let lb = active_lb t in
-          Load_balancer.sweep lb ~now;
-          Array.iter
-            (fun r ->
-              let id = Replica.id r in
-              match Load_balancer.health lb ~replica:id with
-              | Load_balancer.Dead ->
-                if Certifier.is_marked_live certifier ~replica:id then
-                  (* Stop gating eager commit and log GC on a corpse; a
-                     wrongly-declared death heals on next contact. *)
-                  Certifier.mark_down certifier ~replica:id
-              | Load_balancer.Suspect -> ()
-              | Load_balancer.Alive ->
-                if
-                  (not (Replica.is_crashed r))
-                  && Load_balancer.is_live lb ~replica:id
-                  && not (Certifier.is_marked_live certifier ~replica:id)
-                then
-                  if
-                    Certifier.needs_state_transfer certifier ~replica:id
-                    || Certifier.log_base certifier > Replica.v_local r
-                  then begin
-                    (* Back in contact but beyond log repair (evicted, or
-                       the log was truncated past its position):
-                       reprovision via checkpoint state transfer. *)
-                    t.reprovisions <- t.reprovisions + 1;
-                    crash_replica t id;
-                    recover_replica t id
-                  end
-                  else
-                    (* Plain rejoin: repair resends the missing suffix. *)
-                    Certifier.mark_up ~applied:(Replica.v_local r) certifier
-                      ~replica:id)
-            replicas;
-          loop ()
-        in
-        loop ());
+    Array.iter (start_heartbeat t) replicas;
+    Sim.Process.every engine ~period:Load_balancer.sweep_interval_ms (fun () -> sweep t);
     (* Certifier refresh repair: re-send un-acked suffixes to stalled
        replicas (delivery is idempotent at the receiver). *)
-    Sim.Process.spawn engine (fun () ->
-        let rec loop () =
-          Sim.Process.sleep engine retransmit_ms;
-          Certifier.repair_tick certifier;
-          loop ()
-        in
-        loop ())
+    Sim.Process.every engine ~period:retransmit_ms (fun () ->
+        Certifier.repair_tick certifier)
   end;
-  if Array.length lbs > 1 then begin
-    (* --- LB state replication and takeover (docs/PROTOCOL.md, "Control
-       plane"). The instance that believes itself active pushes a
-       snapshot of its routing state every [lb_repl_ms] over the lossy
-       network; the push doubles as the liveness heartbeat. A standby
-       that hears nothing for [lb_suspect_after_ms] promotes itself: it
-       bumps the routing epoch, reconstructs a conservative version
-       floor by probing live replicas and the certifier, and only then
-       starts taking client traffic. A deposed instance that keeps
-       pushing is fenced by the epoch at every receiver, and learns of
-       its own deposition from the successor's higher-epoch pushes. *)
-    let reconstruct_floor k =
-      (* The replicated [V_system] covers everything the deposed LB
-         acked at least one push period ago; probing live replicas
-         (applied versions) and the certifier (released head) covers
-         the final window, because every client-acked commit was
-         applied at its origin replica before the ack left. An
-         unreachable node forfeits its probe after the bounded
-         retransmission budget — takeover must not block on the very
-         failure it is healing. *)
-      let floor = ref (Load_balancer.v_system lbs.(k)) in
-      let probe ~dst read =
-        match
-          Sim.Network.transfer_bounded network ~src:(lb_node k) ~dst ~size_bytes:16
-            ~max_tries:max_retransmits
-        with
-        | Error `Timeout -> ()
-        | Ok () -> (
-          let v = read () in
-          match
-            Sim.Network.transfer_bounded network ~src:dst ~dst:(lb_node k)
-              ~size_bytes:16 ~max_tries:max_retransmits
-          with
-          | Ok () -> if v > !floor then floor := v
-          | Error `Timeout -> ())
-      in
-      Array.iter
-        (fun r ->
-          if not (Replica.is_crashed r) then
-            probe ~dst:(Replica.id r) (fun () -> Replica.v_local r))
-        replicas;
-      if not (Certifier.is_crashed certifier) then
-        probe
-          ~dst:(Certifier.primary_net certifier)
-          (fun () -> Certifier.version certifier);
-      !floor
-    in
-    Array.iteri
-      (fun k _ ->
-        let other = 1 - k in
-        (* State push (runs in the active role only). *)
-        Sim.Process.spawn engine (fun () ->
-            let rec loop () =
-              Sim.Process.sleep engine lb_repl_ms;
-              if t.lb_self_active.(k) && not t.lb_crashed.(k) then begin
-                let st = Load_balancer.capture lbs.(k) in
-                let push_epoch = t.lb_self_epoch.(k) in
-                Sim.Network.send network ~src:(lb_node k) ~dst:(lb_node other)
-                  ~size_bytes:(Load_balancer.state_bytes st + 16)
-                  (fun () ->
-                    if not t.lb_crashed.(other) then
-                      if push_epoch < t.lb_self_epoch.(other) then
-                        (* A deposed active that has not yet learned of
-                           the takeover: fence the push. *)
-                        t.lb_fenced <- t.lb_fenced + 1
-                      else begin
-                        (* The sender claims the active role at our
-                           epoch or later: we are the standby. *)
-                        t.lb_self_active.(other) <- false;
-                        t.lb_self_epoch.(other) <- push_epoch;
-                        Load_balancer.absorb lbs.(other) st;
-                        t.lb_heard.(other) <- Sim.Engine.now engine
-                      end)
-              end;
-              loop ()
-            in
-            loop ());
-        (* Takeover monitor (runs in the standby role only). *)
-        Sim.Process.spawn engine (fun () ->
-            let rec loop () =
-              Sim.Process.sleep engine lb_repl_ms;
-              let now = Sim.Engine.now engine in
-              if
-                (not t.lb_self_active.(k))
-                && (not t.lb_crashed.(k))
-                && now -. t.lb_heard.(k) > lb_suspect_after_ms
-              then begin
-                let epoch =
-                  1
-                  + Stdlib.max t.lb_epoch
-                      (Stdlib.max t.lb_self_epoch.(0) t.lb_self_epoch.(1))
-                in
-                t.lb_self_epoch.(k) <- epoch;
-                t.lb_self_active.(k) <- true;
-                (* Detector grace: the standby never received contacts
-                   directly, so seed last-contact now or its first sweep
-                   would declare every replica dead at once. *)
-                Array.iter
-                  (fun r ->
-                    Load_balancer.note_contact lbs.(k) ~replica:(Replica.id r) ~now)
-                  replicas;
-                let floor = reconstruct_floor k in
-                Load_balancer.note_takeover lbs.(k) ~floor;
-                (* Routing flips last: clients only reach the successor
-                   once its floors are installed. *)
-                t.lb_epoch <- epoch;
-                t.lb_active <- k;
-                t.lb_takeovers <- t.lb_takeovers + 1;
-                Log.info (fun m ->
-                    m "[%.3f] LB instance %d took over routing (epoch %d, floor v%d)"
-                      (Sim.Engine.now engine) k epoch floor);
-                t.lb_heard.(k) <- Sim.Engine.now engine
-              end;
-              loop ()
-            in
-            loop ()))
-      lbs
-  end;
+  if Array.length lbs > 1 then
+    for k = 0 to 1 do
+      Sim.Process.every engine ~period:lb_repl_ms (fun () -> push_state t k);
+      Sim.Process.every engine ~period:lb_repl_ms (fun () -> monitor_peer t k)
+    done;
   t.probes <- Array.of_list (probe_table t);
   Array.iter
     (fun p ->
@@ -599,7 +568,7 @@ let certifier t = t.certifier
 let load_balancer t = active_lb t
 let lb_active_index t = t.lb_active
 let lb_epoch t = t.lb_epoch
-let lb_is_crashed t k = t.lb_crashed.(k)
+let lb_is_crashed t k = (role t k).crashed
 let lb_takeovers t = t.lb_takeovers
 let lb_fenced t = t.lb_fenced
 let replica t i = t.replicas.(i)
@@ -753,384 +722,408 @@ let record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version ~epoch ~lb_e
     Check.Runlog.Sink.add t.log record
   end
 
+(* --- the transaction path (§IV) ---------------------------------------
+
+   [submit] is the paper's fixed sequence of stages: route at the LB,
+   execute at the replica, certify, commit. Each stage is a top-level
+   function over the transaction's [flight] record. A failing stage
+   raises [Abort_txn], and [abort] is the one exit: the flight's [stand]
+   tells it who answers the client and what bookkeeping to undo. *)
+
+type stand =
+  | Unrouted  (* no LB took the request: nothing answers, the client times out *)
+  | At_lb  (* the dispatching LB answers the client directly *)
+  | At_replica  (* the replica answers through the LB ([relay], [reply]) *)
+
+type flight = {
+  tid : int;
+  sid : int;
+  req : Transaction.request;
+  mtxn : Metrics.txn;  (* the stage clock, and the spans when tracing *)
+  begin_time : float;
+  deadline : float;  (* [infinity] when [Config.deadline_ms] is off *)
+  mutable stand : stand;
+  mutable lb : int;  (* dispatching LB instance, pinned at the LB hop *)
+  mutable lb_epoch : int;  (* routing epoch at the LB hop *)
+  mutable admitted : bool;  (* holds an admission slot at [lb] *)
+  mutable replica : int;  (* dispatched replica; -1 before dispatch *)
+}
+
+exception Abort_txn of Transaction.abort_reason
+
+let abort_with reason = raise_notrace (Abort_txn reason)
+
+let now t = Sim.Engine.now t.engine
+
+(* Request legs carry no server-side side effect yet, so they may give
+   up after [t.leg_tries] transmissions and surface a Timeout abort (the
+   client retries with backoff). *)
+let leg t ~src ~dst ~size_bytes =
+  match Sim.Network.transfer_bounded t.network ~src ~dst ~size_bytes ~max_tries:t.leg_tries with
+  | Ok () -> ()
+  | Error `Timeout -> abort_with Transaction.Timeout
+
+(* A crashed active LB answers nothing: the client burns its
+   retransmission budget and times out (the standby's takeover flips
+   routing for later requests). Checked before and after the leg — the
+   instance may die while the request is in flight. *)
+let check_lb_up t =
+  if (role t t.lb_active).crashed then begin
+    Sim.Process.sleep t.engine (rto_ms *. float_of_int max_retransmits);
+    abort_with Transaction.Timeout
+  end
+
 (* An LB outage stalls response relays until the standby takes over or
    the instance revives — response legs are persistent, so they wait
    rather than time out. Never entered without [Config.lb_standby]
    (nothing ever crashes the only LB). *)
-let await_routable t =
-  let rec wait () =
-    if t.lb_crashed.(t.lb_active) then begin
-      Sim.Process.sleep t.engine lb_repl_ms;
-      wait ()
-    end
-  in
-  wait ()
+let rec await_routable t =
+  if (role t t.lb_active).crashed then begin
+    Sim.Process.sleep t.engine lb_repl_ms;
+    await_routable t
+  end
 
-(* Response path shared by every outcome: replica -> LB -> client, with
-   the LB's bookkeeping in between. [route_lb] is the instance that
-   dispatched the transaction — its active-count must be balanced even
-   if routing moved on — while floors and freshness go to whichever
-   instance is authoritative when the response relays, so guarantees
-   handed out after a takeover live where the next request looks. *)
-let respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes ~on_lb =
+(* Response path: replica -> LB, with the LB's bookkeeping, returning
+   the instance authoritative when the relay lands. The dispatching
+   instance's active count is balanced even if routing moved on, while
+   floors and freshness go to whichever instance is authoritative now,
+   so guarantees handed out after a takeover live where the next request
+   looks. *)
+let relay t f ~ack_bytes =
   (* The response implicitly reports the replica's applied version as of
      send time — free freshness information for the staleness router. *)
-  let applied = Replica.v_local t.replicas.(replica_id) in
+  let applied = Replica.v_local t.replicas.(f.replica) in
   (* Response legs are persistent transfers: once the replica holds a
      decision the client-visible outcome must eventually arrive, or a
      committed write would be reported lost. *)
   await_routable t;
-  Sim.Network.transfer t.network ~src:replica_id ~dst:(lb_node t.lb_active)
+  Sim.Network.transfer t.network ~src:f.replica ~dst:(lb_node t.lb_active)
     ~size_bytes:ack_bytes;
   Sim.Process.sleep t.engine t.cfg.Config.lb_ms;
   await_routable t;
   let lb = active_lb t in
-  if t.cfg.Config.reliable then
-    Load_balancer.note_contact lb ~replica:replica_id
-      ~now:(Sim.Engine.now t.engine);
-  Load_balancer.note_applied lb ~replica:replica_id ~version:applied;
-  Load_balancer.note_complete route_lb ~replica:replica_id;
-  if route_epoch < t.lb_epoch then
+  Load_balancer.note_contact lb ~replica:f.replica ~now:(now t);
+  Load_balancer.note_applied lb ~replica:f.replica ~version:applied;
+  Load_balancer.note_complete t.lbs.(f.lb) ~replica:f.replica;
+  if f.lb_epoch < t.lb_epoch then
     (* The dispatching LB was deposed while the transaction ran; the
        relay is re-stamped by the successor. *)
     t.lb_fenced <- t.lb_fenced + 1;
-  on_lb lb;
-  Sim.Network.transfer t.network ~src:(lb_node t.lb_active) ~dst:Config.node_client
+  lb
+
+(* LB -> client. *)
+let reply t ~src ~ack_bytes =
+  Sim.Network.transfer t.network ~src:(lb_node src) ~dst:Config.node_client
     ~size_bytes:ack_bytes
 
-(* Every abort outcome. Top-level rather than a closure inside [submit],
-   so a submission allocates nothing for it. *)
-let aborted mtxn ~now ~begin_time reason =
-  Metrics.txn_abort mtxn
+let release t f = if f.admitted then Load_balancer.release t.lbs.(f.lb)
+
+(* The one abort exit. *)
+let abort t f reason =
+  (match f.stand with
+  | Unrouted -> ()
+  | At_lb ->
+    (* The replica, if one was picked, never saw the request: undo the
+       dispatch count. *)
+    if f.replica >= 0 then Load_balancer.note_complete t.lbs.(f.lb) ~replica:f.replica;
+    reply t ~src:f.lb ~ack_bytes:32
+  | At_replica ->
+    Replica.finish_txn t.replicas.(f.replica) ~tid:f.tid;
+    ignore (relay t f ~ack_bytes:32);
+    reply t ~src:t.lb_active ~ack_bytes:32);
+  Log.debug (fun m ->
+      m "[%.3f] T%d aborted: %a" (now t) f.tid Transaction.pp_abort_reason reason);
+  Metrics.txn_abort f.mtxn
     ~slug:(Transaction.abort_slug reason)
     ~reason:(Format.asprintf "%a" Transaction.pp_abort_reason reason);
-  Transaction.Aborted { reason; response_ms = now () -. begin_time }
+  let response_ms = now t -. f.begin_time in
+  release t f;
+  Transaction.Aborted { reason; response_ms }
+
+(* Refused at the LB before any replica is engaged, with a retry-after
+   hint; the tid is remembered so the zombie-commit checker can prove a
+   shed transaction never commits. *)
+let shed t f retry_after_ms =
+  Hashtbl.replace t.shed_tids f.tid ();
+  abort_with (Transaction.Overloaded { retry_after_ms })
+
+(* Stage: route. Client -> LB, admission, replica choice and start
+   version, LB -> replica. Returns the start version. *)
+let route t f =
+  let req = f.req in
+  check_lb_up t;
+  leg t ~src:Config.node_client ~dst:(lb_node t.lb_active) ~size_bytes:(request_bytes req);
+  check_lb_up t;
+  Sim.Process.sleep t.engine t.cfg.Config.lb_ms;
+  (* The dispatching instance and routing epoch are pinned here: the
+     active count must be balanced on this instance even if a takeover
+     happens mid-flight, and the commit record carries the epoch so the
+     floor-preservation checker can see across takeovers. *)
+  f.stand <- At_lb;
+  f.lb <- t.lb_active;
+  f.lb_epoch <- t.lb_epoch;
+  let lb = t.lbs.(f.lb) in
+  (* Apply-lag governor: when the slowest live replica's applied
+     watermark trails [V_system] by more than [apply_lag_gap] versions,
+     new writes are refused — admitting them would only stretch the
+     refresh backlog (and every tiered read's staleness) further. Reads
+     stay admitted: they don't grow the backlog. All overload gates are
+     off by default (see Config). *)
+  if
+    t.cfg.Config.apply_lag_gap > 0
+    && List.exists Storage.Query.is_update req.Transaction.statements
+    &&
+    match Certifier.min_live_watermark t.certifier with
+    | None -> false
+    | Some w -> Certifier.version t.certifier - w > t.cfg.Config.apply_lag_gap
+  then shed t f t.cfg.Config.shed_retry_after_ms;
+  if Load_balancer.admission_on t.cfg then begin
+    match
+      Load_balancer.admit lb ~now:(now t) ~strong:(req.Transaction.tier = Consistency.Strong)
+    with
+    | Error retry_after_ms -> shed t f retry_after_ms
+    | Ok () ->
+      f.admitted <- true;
+      Metrics.note_queue_depth t.metrics (Load_balancer.admitted lb)
+  end;
+  (* Strong requests take the mode's version oracle; with read tiers
+     enabled, a weaker read class is routed by staleness instead — the
+     floor comes from the tier, the replica from its applied watermark. *)
+  let v_start =
+    if t.cfg.Config.read_tiers && req.Transaction.tier <> Consistency.Strong then begin
+      let replica, floor =
+        Load_balancer.route_read lb ~sid:f.sid ~tier:req.Transaction.tier ~now:(now t)
+      in
+      f.replica <- replica;
+      floor
+    end
+    else begin
+      f.replica <- Load_balancer.choose_replica lb ~sid:f.sid;
+      Load_balancer.start_version lb ~sid:f.sid ~table_set:req.Transaction.table_set
+    end
+  in
+  Load_balancer.note_dispatch lb ~replica:f.replica;
+  (match Metrics.txn_trace_id f.mtxn with
+  | None -> ()
+  | Some trace_id ->
+    Obs.Trace.instant_opt t.obs ~trace_id ~component:Obs.Span.Load_balancer ~name:"route"
+      ~args:[ ("replica", string_of_int f.replica); ("v_start", string_of_int v_start) ]
+      ());
+  Metrics.txn_locate f.mtxn ~replica:f.replica;
+  leg t ~src:(lb_node f.lb) ~dst:f.replica ~size_bytes:(request_bytes req);
+  f.stand <- At_replica;
+  Log.debug (fun m ->
+      m "[%.3f] T%d (session %d, %s) -> replica %d, start version %d" f.begin_time f.tid
+        f.sid req.Transaction.profile f.replica v_start);
+  v_start
+
+let rec run_statements replica ~tid txn = function
+  | [] -> ()
+  | stmt :: rest ->
+    if Replica.abort_requested replica ~tid then abort_with Transaction.Early_certification;
+    if Replica.is_crashed replica then abort_with Transaction.Replica_failure;
+    (match Replica.exec_statement replica txn stmt with
+    | Storage.Query.Error msg -> abort_with (Transaction.Statement_error msg)
+    | Storage.Query.Rows _ | Storage.Query.Affected _ -> ());
+    if Storage.Query.is_update stmt && not (Replica.early_certify replica txn) then
+      abort_with Transaction.Early_certification;
+    run_statements replica ~tid txn rest
+
+(* Stage: execute. Wait for the start version, then run the statements
+   on a snapshot. Returns the open transaction. *)
+let execute t f ~v_start =
+  let replica = t.replicas.(f.replica) in
+  (* Replica-side read-class admission: a weaker tier carrying update
+     statements is a contract violation, rejected before any execution
+     (a permanent abort — the client will not retry it). *)
+  (match Transaction.tier_violation f.req with
+  | Some msg -> abort_with (Transaction.Statement_error msg)
+  | None -> ());
+  (* Stage: version — the synchronization start delay. It gives up at
+     the earlier of the bounded-wait timeout and the transaction's own
+     deadline. *)
+  Metrics.stage_enter f.mtxn Metrics.Version;
+  let deadline =
+    let start_wait =
+      if t.cfg.Config.start_wait_timeout_ms > 0.0 then
+        now t +. t.cfg.Config.start_wait_timeout_ms
+      else infinity
+    in
+    let d = Float.min start_wait f.deadline in
+    if d = infinity then None else Some d
+  in
+  (match Replica.await_version ?deadline replica v_start with
+  | Ok () -> ()
+  | Error reason ->
+    if now t >= f.deadline then t.deadline_expired <- t.deadline_expired + 1;
+    abort_with reason);
+  Metrics.stage_exit f.mtxn Metrics.Version;
+  let txn = Replica.begin_txn replica ~tid:f.tid in
+  Metrics.stage_enter f.mtxn Metrics.Queries;
+  run_statements replica ~tid:f.tid txn f.req.Transaction.statements;
+  Metrics.stage_exit f.mtxn Metrics.Queries;
+  txn
+
+(* Stage: certify — round trip to whichever group member holds the
+   primary role when the request leaves. Returns the decision. *)
+let certify t f ~snapshot ~ws =
+  if now t > f.deadline then begin
+    (* The deadline passed while statements ran: drop the update before
+       it ever reaches the certifier. *)
+    t.deadline_expired <- t.deadline_expired + 1;
+    abort_with Transaction.Timeout
+  end;
+  Metrics.stage_enter f.mtxn Metrics.Certify;
+  leg t ~src:f.replica ~dst:(Certifier.primary_net t.certifier)
+    ~size_bytes:(Storage.Codec.writeset_bytes ws + 64);
+  let trace =
+    Option.map (fun id -> (id, Metrics.txn_root_span f.mtxn)) (Metrics.txn_trace_id f.mtxn)
+  in
+  let decision =
+    Certifier.certify ?trace
+      ~applied:(Replica.v_local t.replicas.(f.replica))
+      ~deadline:f.deadline t.certifier ~origin:f.replica ~snapshot ~ws
+  in
+  (* The decision leg is persistent: once certified, the outcome is
+     durable at the certifier group and must reach the replica. It
+     originates at the member that currently holds the role — after a
+     failover the new primary answers for surviving decisions of older
+     epochs. *)
+  Sim.Network.transfer t.network ~src:(Certifier.primary_net t.certifier) ~dst:f.replica
+    ~size_bytes:32;
+  Metrics.stage_exit f.mtxn Metrics.Certify;
+  decision
+
+(* Defensive replica-side fence: a commit stamped by a deposed primary
+   for a version past the promotion point is not part of the surviving
+   history. The certifier normally converts these to aborts itself. *)
+let survives t ~version ~epoch =
+  epoch >= Certifier.current_epoch t.certifier || version <= Certifier.epoch_base t.certifier
+
+(* Every decision other than a surviving commit. *)
+let refuse t f = function
+  | Certifier.Abort | Certifier.Commit _ -> abort_with Transaction.Certification_conflict
+  | Certifier.Overloaded ->
+    (* Refused by the bounded certifier backlog: surfaced to the client
+       exactly like an LB shed, with the same hint. *)
+    Hashtbl.replace t.shed_tids f.tid ();
+    abort_with (Transaction.Overloaded { retry_after_ms = t.cfg.Config.shed_retry_after_ms })
+  | Certifier.Expired ->
+    (* Its deadline passed while it queued at the certifier. *)
+    t.deadline_expired <- t.deadline_expired + 1;
+    abort_with Transaction.Timeout
+
+(* Stages: sync (wait for predecessors) then commit at the replica; the
+   sequencer reports when the commit work began, splitting the wait
+   retroactively. Eager mode then waits for the global commit. *)
+let apply_commit t f ~version ~ws ~global_commit =
+  let replica = t.replicas.(f.replica) in
+  Metrics.stage_enter f.mtxn Metrics.Sync;
+  (match Sim.Ivar.read (Replica.commit_local replica ~version ~ws) with
+  | Error reason -> abort_with reason
+  | Ok commit_work_start ->
+    Metrics.stage_exit ~at:commit_work_start f.mtxn Metrics.Sync;
+    Metrics.stage_enter ~at:commit_work_start f.mtxn Metrics.Commit;
+    Metrics.stage_exit f.mtxn Metrics.Commit);
+  Replica.finish_txn replica ~tid:f.tid;
+  match global_commit with
+  | None -> ()
+  | Some ivar ->
+    Metrics.stage_enter f.mtxn Metrics.Global;
+    Sim.Ivar.read ivar;
+    Metrics.stage_exit f.mtxn Metrics.Global
+
+(* Stage: commit, read-only — locally, with no certification. *)
+let commit_read_only t f txn =
+  let replica = t.replicas.(f.replica) in
+  Metrics.stage_enter f.mtxn Metrics.Commit;
+  Replica.commit_read_only replica txn;
+  Metrics.stage_exit f.mtxn Metrics.Commit;
+  Replica.finish_txn replica ~tid:f.tid
+
+(* The one commit tail, for read-only ([version] absent) and update
+   commits alike: ack through the LB, account, record. A read-only
+   commit never met the certifier, so its record carries the epoch
+   current at its ack; an update always ran at [Strong], because
+   [tier_violation] refuses a weaker tier that may write. *)
+let commit ?version ?epoch t f ~snapshot ~ws =
+  let lb = relay t f ~ack_bytes:64 in
+  (match version with
+  | None -> Load_balancer.note_snapshot_ack lb ~sid:f.sid ~snapshot
+  | Some version ->
+    Load_balancer.note_commit_ack ?epoch ~now:(now t) lb ~sid:f.sid ~version
+      ~tables_written:(Storage.Writeset.tables ws));
+  reply t ~src:t.lb_active ~ack_bytes:64;
+  let response_ms = now t -. f.begin_time in
+  let stages = Metrics.txn_stages f.mtxn in
+  (match version with
+  | None ->
+    (* Served staleness: versions the snapshot trails V_system at
+       response time — the read tiers' quality-of-service number. *)
+    let staleness = Stdlib.max 0 (Load_balancer.v_system (active_lb t) - snapshot) in
+    Metrics.txn_commit f.mtxn ~read_only:true
+      ~tier:(Consistency.tier_slug f.req.Transaction.tier)
+      ~staleness
+  | Some version ->
+    Metrics.txn_commit f.mtxn ~read_only:false ~args:[ ("version", string_of_int version) ];
+    Log.debug (fun m ->
+        m "[%.3f] T%d committed at v%d (snapshot v%d, %.2fms)" (now t) f.tid version snapshot
+          response_ms));
+  record_commit t ~tid:f.tid ~sid:f.sid ~begin_time:f.begin_time ~snapshot
+    ~commit_version:version
+    ~epoch:(match epoch with Some e -> e | None -> Certifier.current_epoch t.certifier)
+    ~lb_epoch:f.lb_epoch ~tier:f.req.Transaction.tier
+    ~table_set:f.req.Transaction.table_set ~ws ~trace:(Metrics.txn_trace_id f.mtxn);
+  release t f;
+  Transaction.Committed { commit_version = version; snapshot; stages; response_ms }
 
 let submit t ~sid (req : Transaction.request) =
-  let begin_time = Sim.Engine.now t.engine in
+  let begin_time = now t in
   let tid = t.next_tid in
   t.next_tid <- t.next_tid + 1;
   (* Deadline propagation (docs/PROTOCOL.md, "Overload & admission
      control"): the client's drop-dead point rides with the transaction;
      the version wait, the certify hand-off and the certifier itself all
      drop work past it — always strictly before a commit decision, so an
-     expired transaction can never commit. [infinity] when off. *)
-  let txn_deadline =
-    if t.cfg.Config.deadline_ms > 0.0 then
-      begin_time +. t.cfg.Config.deadline_ms
+     expired transaction can never commit. *)
+  let deadline =
+    if t.cfg.Config.deadline_ms > 0.0 then begin_time +. t.cfg.Config.deadline_ms
     else infinity
   in
-  (* The stage clock: feeds both the aggregate breakdown and, when the
-     cluster was created with [~tracing:true], the transaction's spans. *)
   let mtxn = Metrics.txn_begin ?obs:t.obs ~sid ~name:req.Transaction.profile t.metrics in
-  let now () = Sim.Engine.now t.engine in
-  (* Request legs carry no server-side side effect yet, so they may give
-     up after a bounded number of retransmissions and surface a Timeout
-     abort (the client retries with backoff). Without [reliable] the leg
-     is the classic single exactly-once transfer. *)
-  let leg_req ~src ~dst ~size_bytes =
-    if t.cfg.Config.reliable then
-      Sim.Network.transfer_bounded t.network ~src ~dst ~size_bytes
-        ~max_tries:max_retransmits
-    else begin
-      Sim.Network.transfer t.network ~src ~dst ~size_bytes;
-      Ok ()
-    end
+  let f =
+    {
+      tid;
+      sid;
+      req;
+      mtxn;
+      begin_time;
+      deadline;
+      stand = Unrouted;
+      lb = t.lb_active;
+      lb_epoch = t.lb_epoch;
+      admitted = false;
+      replica = -1;
+    }
   in
-  let abort_unrouted reason =
-    Log.debug (fun m ->
-        m "[%.3f] T%d aborted before dispatch: %a" (now ()) tid
-          Transaction.pp_abort_reason reason);
-    aborted mtxn ~now ~begin_time reason
-  in
-  (* A crashed active LB answers nothing: the client burns its
-     retransmission budget and times out (the standby's takeover flips
-     routing for later requests). Checked before and after the leg —
-     the instance may die while the request is in flight. *)
-  let lb_down () = Array.length t.lbs > 1 && t.lb_crashed.(t.lb_active) in
-  let abort_lb_down () =
-    Sim.Process.sleep t.engine (rto_ms *. float_of_int max_retransmits);
-    abort_unrouted Transaction.Timeout
-  in
-  (* Client -> load balancer. *)
-  if lb_down () then abort_lb_down ()
-  else
   match
-    leg_req ~src:Config.node_client ~dst:(lb_node t.lb_active)
-      ~size_bytes:(request_bytes req)
-  with
-  | Error `Timeout -> abort_unrouted Transaction.Timeout
-  | Ok () ->
-  if lb_down () then abort_lb_down ()
-  else begin
-  Sim.Process.sleep t.engine t.cfg.Config.lb_ms;
-  (* The dispatching instance and routing epoch are pinned here: the
-     active-count must be balanced on this instance even if a takeover
-     happens mid-flight, and the commit record carries the epoch so the
-     floor-preservation checker can see across takeovers. *)
-  let route_li = t.lb_active in
-  let route_lb = t.lbs.(route_li) in
-  let route_epoch = t.lb_epoch in
-  (* Admission control: the LB refuses work it cannot afford before any
-     replica is engaged — the refusal is answered straight back to the
-     client with a retry-after hint, and the tid is remembered so the
-     zombie-commit checker can prove a shed transaction never commits.
-     All gates are off by default (see Config). *)
-  let shed_abort retry_after_ms =
-    Hashtbl.replace t.shed_tids tid ();
-    Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
-      ~size_bytes:32;
-    aborted mtxn ~now ~begin_time (Transaction.Overloaded { retry_after_ms })
-  in
-  let strong = req.Transaction.tier = Consistency.Strong in
-  let writes =
-    List.exists Storage.Query.is_update req.Transaction.statements
-  in
-  (* Apply-lag governor: when the slowest live replica's applied
-     watermark trails [V_system] by more than [apply_lag_gap] versions,
-     new writes are refused — admitting them would only stretch the
-     refresh backlog (and every tiered read's staleness) further. Reads
-     stay admitted: they don't grow the backlog. *)
-  if
-    t.cfg.Config.apply_lag_gap > 0 && writes
-    &&
-    match Certifier.min_live_watermark t.certifier with
-    | None -> false
-    | Some w -> Certifier.version t.certifier - w > t.cfg.Config.apply_lag_gap
-  then shed_abort t.cfg.Config.shed_retry_after_ms
-  else begin
-    let admission =
-      if Load_balancer.admission_on t.cfg then
-        match Load_balancer.admit route_lb ~now:(now ()) ~strong with
-        | Ok () -> `Admitted
-        | Error retry_after_ms -> `Shed retry_after_ms
-      else `Off
-    in
-    match admission with
-    | `Shed retry_after_ms -> shed_abort retry_after_ms
-    | (`Admitted | `Off) as adm ->
-      (if adm = `Admitted then
-         Metrics.note_queue_depth t.metrics (Load_balancer.admitted route_lb));
-      let release () =
-        if adm = `Admitted then Load_balancer.release route_lb
-      in
-      Fun.protect ~finally:release @@ fun () ->
-  (* Strong requests take the mode's version oracle; with read tiers
-     enabled, a weaker read class is routed by staleness instead — the
-     floor comes from the tier, the replica from its applied watermark.
-     With tiers disabled the branch below is never entered for the
-     default [Strong] tier, keeping this path byte-identical. *)
-  let replica_id, v_start =
-    if t.cfg.Config.read_tiers && req.Transaction.tier <> Consistency.Strong then
-      Load_balancer.route_read route_lb ~sid ~tier:req.Transaction.tier ~now:(now ())
-    else
-      ( Load_balancer.choose_replica route_lb ~sid,
-        Load_balancer.start_version route_lb ~sid
-          ~table_set:req.Transaction.table_set )
-  in
-  let replica = t.replicas.(replica_id) in
-  Load_balancer.note_dispatch route_lb ~replica:replica_id;
-  (match Metrics.txn_trace_id mtxn with
-  | None -> ()
-  | Some trace_id ->
-    Obs.Trace.instant_opt t.obs ~trace_id ~component:Obs.Span.Load_balancer ~name:"route"
-      ~args:[ ("replica", string_of_int replica_id); ("v_start", string_of_int v_start) ]
-      ());
-  Metrics.txn_locate mtxn ~replica:replica_id;
-  (* Load balancer -> replica. *)
-  match
-    leg_req ~src:(lb_node route_li) ~dst:replica_id ~size_bytes:(request_bytes req)
-  with
-  | Error `Timeout ->
-    (* The replica never saw the request; undo the dispatch count and
-       answer the client directly from the LB. *)
-    Load_balancer.note_complete route_lb ~replica:replica_id;
-    Sim.Network.transfer t.network ~src:(lb_node route_li) ~dst:Config.node_client
-      ~size_bytes:32;
-    abort_unrouted Transaction.Timeout
-  | Ok () ->
-  Log.debug (fun m ->
-      m "[%.3f] T%d (session %d, %s) -> replica %d, start version %d" begin_time tid sid
-        req.Transaction.profile replica_id v_start);
-  let abort ?(finish = true) reason =
-    if finish then Replica.finish_txn replica ~tid;
-    respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes:32 ~on_lb:(fun _ -> ());
-    Log.debug (fun m ->
-        m "[%.3f] T%d aborted: %a" (now ()) tid Transaction.pp_abort_reason reason);
-    aborted mtxn ~now ~begin_time reason
-  in
-  (* Replica-side read-class admission: a weaker tier carrying update
-     statements is a contract violation, rejected before any execution
-     (a permanent abort — the client will not retry it). *)
-  match Transaction.tier_violation req with
-  | Some msg -> abort ~finish:false (Transaction.Statement_error msg)
-  | None ->
-  (* Stage: version — the synchronization start delay. *)
-  Metrics.stage_enter mtxn Metrics.Version;
-  let deadline =
-    (* The start wait gives up at the earlier of the bounded-wait
-       timeout and the transaction's own deadline. *)
-    let start_wait =
-      if t.cfg.Config.start_wait_timeout_ms > 0.0 then
-        now () +. t.cfg.Config.start_wait_timeout_ms
-      else infinity
-    in
-    let d = Float.min start_wait txn_deadline in
-    if d = infinity then None else Some d
-  in
-  match Replica.await_version ?deadline replica v_start with
-  | Error reason ->
-    if now () >= txn_deadline then t.deadline_expired <- t.deadline_expired + 1;
-    abort ~finish:false reason
-  | Ok () -> (
-    Metrics.stage_exit mtxn Metrics.Version;
-    let txn = Replica.begin_txn replica ~tid in
+    let v_start = route t f in
+    let txn = execute t f ~v_start in
     let snapshot = Storage.Txn.snapshot txn in
-    (* Stage: queries. *)
-    Metrics.stage_enter mtxn Metrics.Queries;
-    let rec run_statements = function
-      | [] -> Ok ()
-      | stmt :: rest ->
-        if Replica.abort_requested replica ~tid then Error Transaction.Early_certification
-        else if Replica.is_crashed replica then Error Transaction.Replica_failure
-        else begin
-          match Replica.exec_statement replica txn stmt with
-          | Storage.Query.Error msg -> Error (Transaction.Statement_error msg)
-          | Storage.Query.Rows _ | Storage.Query.Affected _ ->
-            if Storage.Query.is_update stmt && not (Replica.early_certify replica txn) then
-              Error Transaction.Early_certification
-            else run_statements rest
-        end
-    in
-    let statement_result = run_statements req.Transaction.statements in
-    match statement_result with
-    | Error reason -> abort reason
-    | Ok () -> (
-      Metrics.stage_exit mtxn Metrics.Queries;
-      let ws = Storage.Txn.writeset txn in
-      if Storage.Writeset.is_empty ws then begin
-        (* Read-only: commit locally, no certification. *)
-        Metrics.stage_enter mtxn Metrics.Commit;
-        Replica.commit_read_only replica txn;
-        Metrics.stage_exit mtxn Metrics.Commit;
-        Replica.finish_txn replica ~tid;
-        respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes:64 ~on_lb:(fun lb ->
-            Load_balancer.note_snapshot_ack lb ~sid ~snapshot);
-        let response_ms = now () -. begin_time in
-        let stages = Metrics.txn_stages mtxn in
-        (* Served staleness: versions the snapshot trails V_system at
-           response time — the read tiers' quality-of-service number. *)
-        let staleness =
-          Stdlib.max 0 (Load_balancer.v_system (active_lb t) - snapshot)
-        in
-        Metrics.txn_commit mtxn ~read_only:true
-          ~tier:(Consistency.tier_slug req.Transaction.tier)
-          ~staleness;
-        record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:None
-          ~epoch:(Certifier.current_epoch t.certifier)
-          ~lb_epoch:route_epoch ~tier:req.Transaction.tier
-          ~table_set:req.Transaction.table_set ~ws
-          ~trace:(Metrics.txn_trace_id mtxn);
-        Transaction.Committed { commit_version = None; snapshot; stages; response_ms }
-      end
-      else if now () > txn_deadline then begin
-        (* The deadline passed while statements ran: drop the update
-           before it ever reaches the certifier. *)
-        t.deadline_expired <- t.deadline_expired + 1;
-        abort Transaction.Timeout
-      end
-      else begin
-        (* Stage: certify — round trip to whichever group member holds
-           the primary role when the request leaves. *)
-        Metrics.stage_enter mtxn Metrics.Certify;
-        let ws_bytes = Storage.Codec.writeset_bytes ws + 64 in
-        match
-          leg_req ~src:replica_id
-            ~dst:(Certifier.primary_net t.certifier)
-            ~size_bytes:ws_bytes
-        with
-        | Error `Timeout -> abort Transaction.Timeout
-        | Ok () ->
-        let trace =
-          Option.map
-            (fun id -> (id, Metrics.txn_root_span mtxn))
-            (Metrics.txn_trace_id mtxn)
-        in
-        let decision =
-          Certifier.certify ?trace ~applied:(Replica.v_local replica)
-            ~deadline:txn_deadline t.certifier ~origin:replica_id ~snapshot ~ws
-        in
-        (* The decision leg is persistent: once certified, the outcome
-           is durable at the certifier group and must reach the replica.
-           It originates at the member that currently holds the role —
-           after a failover the new primary answers for surviving
-           decisions of older epochs. *)
-        Sim.Network.transfer t.network
-          ~src:(Certifier.primary_net t.certifier)
-          ~dst:replica_id ~size_bytes:32;
-        Metrics.stage_exit mtxn Metrics.Certify;
-        match decision with
-        | Certifier.Abort -> abort Transaction.Certification_conflict
-        | Certifier.Overloaded ->
-          (* Refused by the bounded certifier backlog: surfaced to the
-             client exactly like an LB shed, with the same hint. *)
-          Hashtbl.replace t.shed_tids tid ();
-          abort
-            (Transaction.Overloaded
-               { retry_after_ms = t.cfg.Config.shed_retry_after_ms })
-        | Certifier.Expired ->
-          (* Its deadline passed while it queued at the certifier. *)
-          t.deadline_expired <- t.deadline_expired + 1;
-          abort Transaction.Timeout
-        | Certifier.Commit { version; epoch; global_commit = _ }
-          when
-            epoch < Certifier.current_epoch t.certifier
-            && version > Certifier.epoch_base t.certifier ->
-          (* Defensive replica-side fence: a commit stamped by a deposed
-             primary for a version past the promotion point is not part
-             of the surviving history. The certifier normally converts
-             these to aborts itself, so this arm is belt-and-braces. *)
-          abort Transaction.Certification_conflict
-        | Certifier.Commit { version; epoch; global_commit } -> (
-          (* Stages: sync (wait for predecessors) then commit; the
-             sequencer reports when the commit work began, splitting the
-             wait retroactively. *)
-          Metrics.stage_enter mtxn Metrics.Sync;
-          let done_ = Replica.commit_local replica ~version ~ws in
-          match Sim.Ivar.read done_ with
-          | Error reason -> abort ~finish:false reason
-          | Ok commit_work_start ->
-            Metrics.stage_exit ~at:commit_work_start mtxn Metrics.Sync;
-            Metrics.stage_enter ~at:commit_work_start mtxn Metrics.Commit;
-            Metrics.stage_exit mtxn Metrics.Commit;
-            Replica.finish_txn replica ~tid;
-            (* Stage: global — eager only. *)
-            (match global_commit with
-            | None -> ()
-            | Some ivar ->
-              Metrics.stage_enter mtxn Metrics.Global;
-              Sim.Ivar.read ivar;
-              Metrics.stage_exit mtxn Metrics.Global);
-            respond t ~route_lb ~route_epoch ~replica_id ~ack_bytes:64
-              ~on_lb:(fun lb ->
-                Load_balancer.note_commit_ack ~epoch ~now:(now ()) lb ~sid ~version
-                  ~tables_written:(Storage.Writeset.tables ws));
-            let response_ms = now () -. begin_time in
-            let stages = Metrics.txn_stages mtxn in
-            Metrics.txn_commit mtxn ~read_only:false
-              ~args:[ ("version", string_of_int version) ];
-            record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version:(Some version)
-              ~epoch ~lb_epoch:route_epoch ~tier:Consistency.Strong
-              ~table_set:req.Transaction.table_set ~ws
-              ~trace:(Metrics.txn_trace_id mtxn);
-            Log.debug (fun m ->
-                m "[%.3f] T%d committed at v%d (snapshot v%d, %.2fms)" (now ()) tid
-                  version snapshot response_ms);
-            Transaction.Committed
-              { commit_version = Some version; snapshot; stages; response_ms })
-      end))
-  end
-  end
+    let ws = Storage.Txn.writeset txn in
+    if Storage.Writeset.is_empty ws then begin
+      commit_read_only t f txn;
+      commit t f ~snapshot ~ws
+    end
+    else
+      match certify t f ~snapshot ~ws with
+      | Certifier.Commit { version; epoch; global_commit } when survives t ~version ~epoch ->
+        apply_commit t f ~version ~ws ~global_commit;
+        commit ~version ~epoch t f ~snapshot ~ws
+      | decision -> refuse t f decision
+  with
+  | outcome -> outcome
+  | exception Abort_txn reason -> abort t f reason
 
 let run_for t ~warmup_ms ~measure_ms =
   let start = Sim.Engine.now t.engine in

@@ -34,8 +34,6 @@ let of_string s =
       | Some _ | None -> Error (Printf.sprintf "bad staleness bound in %S" s))
     | Some _ | None -> Error (Printf.sprintf "unknown consistency mode %S" s))
 
-let pp ppf mode = Format.pp_print_string ppf (to_string mode)
-
 type read_tier =
   | Strong
   | Bounded_staleness of {

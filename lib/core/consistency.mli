@@ -31,8 +31,6 @@ val to_string : mode -> string
 
 val of_string : string -> (mode, string) result
 
-val pp : Format.formatter -> mode -> unit
-
 (** {1 Read-only tiers}
 
     Orthogonal to {!mode}: a read-only request may declare a weaker

@@ -1,5 +1,12 @@
 type status = Alive | Suspect | Dead
 
+type role = {
+  mutable crashed : bool;
+  mutable self_active : bool;
+  mutable self_epoch : int;
+  mutable heard : float;
+}
+
 type t = {
   cfg : Config.t;
   mode : Consistency.mode;
@@ -44,6 +51,7 @@ type t = {
   mutable admitted : int;
   mutable adm_tokens : float;
   mutable adm_last_ms : float;
+  role : role;
 }
 
 let create ?rng cfg ~mode =
@@ -71,9 +79,12 @@ let create ?rng cfg ~mode =
     admitted = 0;
     adm_tokens = cfg.Config.admission_burst;
     adm_last_ms = 0.0;
+    role = { crashed = false; self_active = true; self_epoch = 0; heard = 0.0 };
   }
 
 let mode t = t.mode
+
+let role t = t.role
 
 let least_active t ok =
   let best = ref (-1) in
@@ -115,23 +126,23 @@ let pick t ~sid ok =
     let pinned = ((sid * 2654435761) lxor (sid lsr 5)) land max_int mod n in
     if ok pinned then pinned else least_active t ok
 
+let healthy t i = t.live.(i) && t.health.(i) = Alive
+
+(* Route around detector state in tiers: prefer replicas the detector
+   trusts, fall back to suspects, and only then to detector-dead (the
+   detector can be wrong — e.g. a partition local to the LB — but the
+   manual [live] switch cannot). In a run without the detector every
+   replica is [Alive] and the first tier reproduces the original routing
+   exactly. -1 when no replica is live. *)
+let pick_live t ~sid =
+  let c = pick t ~sid (healthy t) in
+  if c >= 0 then c
+  else
+    let c = pick t ~sid (fun i -> t.live.(i) && t.health.(i) <> Dead) in
+    if c >= 0 then c else pick t ~sid (fun i -> t.live.(i))
+
 let choose_replica t ~sid =
-  (* Route around detector state in tiers: prefer replicas the detector
-     trusts, fall back to suspects, and only then to detector-dead (the
-     detector can be wrong — e.g. a partition local to the LB — but the
-     manual [live] switch cannot). In a run without the detector every
-     replica is [Alive] and the first tier reproduces the original
-     routing exactly. *)
-  let healthy i = t.live.(i) && t.health.(i) = Alive in
-  let not_dead i = t.live.(i) && t.health.(i) <> Dead in
-  let any_live i = t.live.(i) in
-  let chosen =
-    let c = pick t ~sid healthy in
-    if c >= 0 then c
-    else
-      let c = pick t ~sid not_dead in
-      if c >= 0 then c else pick t ~sid any_live
-  in
+  let chosen = pick_live t ~sid in
   if chosen < 0 then failwith "Load_balancer.choose_replica: no live replica";
   chosen
 
@@ -287,8 +298,6 @@ let note_snapshot_ack t ~sid ~snapshot =
 
 let v_system t = t.v_system
 
-let cert_epoch t = t.cert_epoch
-
 let cert_fenced t = t.cert_fenced
 
 let session_count t = Util.Tables.Itbl.length t.session_versions
@@ -325,19 +334,12 @@ let most_caught_up t ok =
 
 let route_read t ~sid ~tier ~now =
   let floor = tier_floor t ~sid ~tier ~now in
-  let healthy i = t.live.(i) && t.health.(i) = Alive in
-  let not_dead i = t.live.(i) && t.health.(i) <> Dead in
-  let any_live i = t.live.(i) in
   let chosen =
     if floor = 0 then
       (* No floor to satisfy (eventual, or causal/bounded with nothing
          committed): the classic health-tiered policy pick — the policy
          already embodies "fastest replica" (least outstanding work). *)
-      let c = pick t ~sid healthy in
-      if c >= 0 then c
-      else
-        let c = pick t ~sid not_dead in
-        if c >= 0 then c else pick t ~sid any_live
+      pick_live t ~sid
     else
       (* Prefer replicas whose known applied watermark already satisfies
          the floor — the read starts there without waiting. If none
@@ -346,15 +348,14 @@ let route_read t ~sid ~tier ~now =
          travels with the request, and [Replica.await_version] holds the
          read until the replica reaches it, so the bound is never
          violated, only served later. *)
-      let satisfied i = healthy i && t.applied.(i) >= floor in
-      let c = pick t ~sid satisfied in
+      let c = pick t ~sid (fun i -> healthy t i && t.applied.(i) >= floor) in
       if c >= 0 then c
       else
-        let c = most_caught_up t healthy in
+        let c = most_caught_up t (healthy t) in
         if c >= 0 then c
         else
-          let c = most_caught_up t not_dead in
-          if c >= 0 then c else most_caught_up t any_live
+          let c = most_caught_up t (fun i -> t.live.(i) && t.health.(i) <> Dead) in
+          if c >= 0 then c else most_caught_up t (fun i -> t.live.(i))
   in
   if chosen < 0 then failwith "Load_balancer.route_read: no live replica";
   (chosen, floor)
@@ -428,8 +429,6 @@ let note_takeover t ~floor =
   if floor > t.v_system then t.v_system <- floor;
   if floor > t.vs_base then t.vs_base <- floor;
   if floor > t.floor_min then t.floor_min <- floor
-
-let floor_min t = t.floor_min
 
 (* --- Overload admission (docs/PROTOCOL.md, "Overload & admission
    control") -----------------------------------------------------------

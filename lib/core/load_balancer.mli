@@ -103,9 +103,6 @@ val note_commit_ack :
     the staleness history when {!Config.read_tiers} is on; omitting it
     (or running with tiers off) records nothing. *)
 
-val cert_epoch : t -> int
-(** Highest certifier epoch seen on any commit ack. *)
-
 val cert_fenced : t -> int
 (** Commit acks relayed that carried a stale certifier epoch. *)
 
@@ -175,18 +172,26 @@ val absorb : t -> state -> unit
 (** Max-merge a snapshot into this instance: versions and floors only
     ever go up, so stale or duplicated pushes are no-ops. *)
 
+type role = {
+  mutable crashed : bool;
+  mutable self_active : bool;  (** this instance's own belief about its role *)
+  mutable self_epoch : int;  (** highest routing epoch this instance knows *)
+  mutable heard : float;  (** when it last received a state push *)
+}
+(** An instance's place in the LB pair. The cluster's push and takeover
+    processes read and write it; a fresh instance believes itself
+    active at epoch 0. *)
+
+val role : t -> role
+
 val note_takeover : t -> floor:int -> unit
 (** Install the takeover floor on a freshly promoted active LB:
-    [V_system], the tier-history base and {!floor_min} are raised to
+    [V_system], the tier-history base and the session floor minimum
+    (below which {!session_version} never resolves) are raised to
     [floor] — the max of the replicated [V_system] and the live
     replicas' probed commit points — so every guarantee the deposed LB
     had handed out (session floors included, which may lag replication
     by one push period) is covered conservatively. *)
-
-val floor_min : t -> int
-(** The takeover floor below which no session floor ever resolves
-    (0 until a takeover happens). {!session_version} already applies
-    it. *)
 
 (** {2 Overload admission (docs/PROTOCOL.md, "Overload & admission
     control")}

@@ -15,12 +15,6 @@ type point = {
   cells : (Core.Consistency.mode * cell) list;
 }
 
-val speedup_pct : cell -> float
-(** Batched over baseline throughput, as a percentage gain. *)
-
-val default_modes : Core.Consistency.mode list
-(** The three lazy configurations plus eager. *)
-
 val run :
   ?config:Core.Config.t ->
   ?batched:(Core.Config.t -> Core.Config.t) ->

@@ -12,9 +12,6 @@ type plan =
   | ControlPlane
   | Overload
 
-let all_plans =
-  [ Clean; Lossy; Partitions; Gray; Mixed; CertFailover; ControlPlane; Overload ]
-
 let plan_name = function
   | Clean -> "clean"
   | Lossy -> "lossy"
@@ -145,7 +142,6 @@ type result = {
   aborted : int;
   aborts_by_reason : (string * int) list;
   violations : (string * int) list;
-  duplicate_commit_versions : int;
   wedged : bool;
   wedge_drain_ms : float;
       (** virtual time the post-heal drain took until the cluster both
@@ -175,7 +171,6 @@ let fenced r =
 let ok r =
   let promotions = total r "certifier.promotions" in
   (not r.wedged)
-  && r.duplicate_commit_versions = 0
   && r.divergent_log_entries = 0
   && List.for_all (fun (_, n) -> n = 0) r.violations
   (* The cert-failover plan exists to exercise automatic promotion: a
@@ -246,20 +241,6 @@ let divergent_log_entries certifier =
       (Core.Certifier.node_log certifier k)
   done;
   !divergent
-
-let count_duplicate_versions records =
-  let seen = Hashtbl.create 256 in
-  List.fold_left
-    (fun acc r ->
-      match r.Check.Runlog.commit_version with
-      | None -> acc
-      | Some v ->
-        if Hashtbl.mem seen v then acc + 1
-        else begin
-          Hashtbl.add seen v ();
-          acc
-        end)
-    0 records
 
 let default_params = { Workload.Microbench.tables = 4; rows = 200; update_types = 2 }
 
@@ -434,7 +415,6 @@ let soak ?config ?(params = default_params) ?(clients = 12) ?(tiers = false)
     aborted = Core.Metrics.aborted metrics;
     aborts_by_reason = Core.Metrics.aborts_by_reason metrics;
     violations;
-    duplicate_commit_versions = count_duplicate_versions records;
     wedged = not (progressed && caught_up);
     wedge_drain_ms;
     digest = Check.Runlog.digest records;
@@ -465,7 +445,7 @@ let pp_result ppf r =
   let viol = List.fold_left (fun acc (_, n) -> acc + n) 0 r.violations in
   let n = total r in
   Format.fprintf ppf
-    "%-7s %-13s seed=%-4d %s  committed=%-5d aborted=%-4d violations=%d%s%s%s  \
+    "%-7s %-13s seed=%-4d %s  committed=%-5d aborted=%-4d violations=%d%s%s  \
      drain=%.0fms  faults: drop=%d dup=%d delay=%d retx=%d suspects=%d failovers=%d \
      reprov=%d evict=%d%s%s%s  digest=%s"
     (Core.Consistency.to_string r.mode)
@@ -473,9 +453,6 @@ let pp_result ppf r =
     r.seed
     (if ok r then "ok    " else "FAILED")
     r.committed r.aborted viol
-    (if r.duplicate_commit_versions > 0 then
-       Printf.sprintf " dup_versions=%d" r.duplicate_commit_versions
-     else "")
     (if r.divergent_log_entries > 0 then
        Printf.sprintf " DIVERGENT=%d" r.divergent_log_entries
      else "")
@@ -521,7 +498,6 @@ let result_json r =
       ("aborted", num r.aborted);
       ("aborts_by_reason", counts r.aborts_by_reason);
       ("violations", counts r.violations);
-      ("duplicate_commit_versions", num r.duplicate_commit_versions);
       ("divergent_log_entries", num r.divergent_log_entries);
       ("wedged", Obs.Json.Bool r.wedged);
       ("wedge_drain_ms", Obs.Json.Num r.wedge_drain_ms);
@@ -537,7 +513,7 @@ let result_json r =
 let health_json results =
   Obs.Json.Obj
     [
-      ("schema_version", Obs.Json.Num 2.0);
+      ("schema_version", Obs.Json.Num 3.0);
       ("runs", Obs.Json.Arr (List.map result_json results));
     ]
 

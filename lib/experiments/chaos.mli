@@ -48,8 +48,6 @@ type plan =
           one shed, zero zombie commits, zero violations, and bounded
           post-heal recovery. *)
 
-val all_plans : plan list
-
 val plan_name : plan -> string
 
 val plan_of_string : string -> (plan, string) result
@@ -63,8 +61,6 @@ type result = {
   aborted : int;
   aborts_by_reason : (string * int) list;
   violations : (string * int) list;  (** checker name, violation count *)
-  duplicate_commit_versions : int;
-      (** committed records sharing a commit version (must be 0) *)
   wedged : bool;
       (** true if the post-heal drain saw no commits, or a live replica
           failed to reach the certifier's pre-drain version *)
@@ -184,7 +180,7 @@ val health_json : result list -> Obs.Json.t
 (** The per-mode health timeline artifact: one object per run (plan,
     seed, verdict, commit/abort counts, violation counts by checker,
     the catalog's window totals under ["totals"], wedge-drain time,
-    digest) under a versioned envelope ([schema_version] 2). CI uploads
+    digest) under a versioned envelope ([schema_version] 3). CI uploads
     this when a soak fails. *)
 
 val write_health : result list -> file:string -> unit

@@ -23,19 +23,6 @@ type point = {
   abort_rate : float;
 }
 
-val run_point :
-  ?config:Core.Config.t ->
-  ?params:Workload.Microbench.params ->
-  ?clients:int ->
-  mode:Core.Consistency.mode ->
-  offered_tps:float ->
-  warmup_ms:float ->
-  measure_ms:float ->
-  unit ->
-  point
-(** One offered rate against a fresh cluster. [clients] (default 16) is
-    the number of independent generators the rate is split across. *)
-
 val sweep :
   ?config:Core.Config.t ->
   ?params:Workload.Microbench.params ->

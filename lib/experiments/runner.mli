@@ -22,9 +22,6 @@ type summary = {
   committed : int;
 }
 
-val stage_of_metrics : Core.Metrics.t -> summary_of:Core.Cluster.t -> summary
-(** Snapshot a cluster's current metrics window into a summary. *)
-
 val run_micro :
   ?config:Core.Config.t ->
   mode:Core.Consistency.mode ->

@@ -43,9 +43,3 @@ let fixed ?(config = Core.Config.tpcw) ?(params = Workload.Tpcw.default)
     ?(replica_counts = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ?(warmup_ms = 4_000.0)
     ?(measure_ms = 16_000.0) () =
   sweep ~scaled_load:false ~config ~params ~mixes ~replica_counts ~warmup_ms ~measure_ms
-
-let select points ~mix ~mode =
-  points
-  |> List.filter (fun p -> p.mix = mix && p.mode = mode)
-  |> List.sort (fun a b -> compare a.replicas b.replicas)
-  |> List.map (fun p -> (p.replicas, p.summary))

@@ -33,8 +33,3 @@ val fixed :
   ?measure_ms:float ->
   unit ->
   point list
-
-val select :
-  point list -> mix:Workload.Tpcw.mix -> mode:Core.Consistency.mode ->
-  (int * Runner.summary) list
-(** Points of one curve, ascending replica count. *)

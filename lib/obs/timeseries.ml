@@ -174,8 +174,6 @@ let start t =
 
 let stop t = t.running <- false
 
-let running t = t.running
-
 let flush t =
   if Sim.Engine.now t.engine > t.window_start then close_window t
 

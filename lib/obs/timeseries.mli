@@ -75,8 +75,6 @@ val start : t -> unit
 
 val stop : t -> unit
 
-val running : t -> bool
-
 val flush : t -> unit
 (** Close the current window now, if any virtual time has elapsed in it.
     Call after {!stop} to capture the final partial window. *)

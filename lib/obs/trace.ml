@@ -22,8 +22,6 @@ let create ?(capacity = 65_536) engine =
     next_trace_id = 0;
   }
 
-let engine t = t.engine
-
 let now t = Sim.Engine.now t.engine
 
 let next_trace_id t =

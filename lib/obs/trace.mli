@@ -13,11 +13,6 @@ val create : ?capacity:int -> Sim.Engine.t -> t
 (** Ring-buffer capacity defaults to 65536 finished spans; once full, the
     oldest span is overwritten and {!dropped} increments. *)
 
-val engine : t -> Sim.Engine.t
-
-val now : t -> float
-(** Current virtual time in ms. *)
-
 val next_trace_id : t -> int
 (** Allocate a fresh trace id (one per transaction). *)
 
@@ -37,10 +32,6 @@ val start :
 val finish : t -> ?args:(string * string) list -> ?at:float -> Span.t -> unit
 (** Close the span at the current virtual time (or at [at]) and retain
     it. *)
-
-val instant : t -> trace_id:int -> ?parent:Span.t -> component:Span.component ->
-  name:string -> ?args:(string * string) list -> unit -> unit
-(** A zero-duration span (rendered as an instant event). *)
 
 (** {2 Option-threaded variants for instrumentation sites} *)
 

@@ -14,5 +14,3 @@ let broadcast t =
   while not (Queue.is_empty t.waiters) do
     Engine.wake t.engine (Queue.take t.waiters)
   done
-
-let waiters t = Queue.length t.waiters

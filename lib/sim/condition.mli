@@ -15,5 +15,3 @@ val await : t -> (unit -> bool) -> unit
 
 val broadcast : t -> unit
 (** Wake all waiting processes so they re-check their predicates. *)
-
-val waiters : t -> int

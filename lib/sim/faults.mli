@@ -8,7 +8,7 @@
 
     Determinism: the plan draws from its {e own} {!Util.Rng.t}, never
     from the network's, and draws only when the relevant probability is
-    non-zero — so a plan whose every spec is {!clean} consumes no random
+    non-zero — so a plan whose every probability is zero consumes no random
     numbers and a run with it attached is bit-identical to a run without
     one. Same seed + same plan ⇒ same fault schedule.
 
@@ -29,12 +29,9 @@ type spec = {
   delay_ms : float;  (** spike magnitude, added to the sampled latency *)
 }
 
-val clean : spec
-(** All probabilities zero: no faults, no random draws. *)
-
 val spec :
   ?drop:float -> ?duplicate:float -> ?delay:float -> ?delay_ms:float -> unit -> spec
-(** [clean] with the given fields overridden. *)
+(** A spec with the given fields; the rest are zero. *)
 
 type drop_reason = [ `Random | `Partition | `Script ]
 
@@ -43,7 +40,7 @@ val any : int
     to every tagged message addressed to node 3. *)
 
 val create : ?seed:int -> Engine.t -> t
-(** An empty plan (everything {!clean}). [seed] (default 0) drives the
+(** An empty plan (every probability zero). [seed] (default 0) drives the
     plan's private RNG. *)
 
 val set_default : t -> spec -> unit

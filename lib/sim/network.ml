@@ -32,7 +32,6 @@ let create ?(rto_ms = 5.0) engine ~rng ~base_ms ~jitter_ms ~bandwidth_mbps =
   }
 
 let set_faults t faults = t.faults <- Some faults
-let faults t = t.faults
 
 let latency t ~size_bytes =
   let jitter = if t.jitter_ms > 0.0 then Util.Rng.float t.rng t.jitter_ms else 0.0 in

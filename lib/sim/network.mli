@@ -8,9 +8,9 @@
     then passes through {!Faults.judge} and can be dropped, duplicated
     or delayed. Messages carry optional [src]/[dst] node ids so the plan
     can target individual links; untagged messages only see the plan's
-    default spec. Without a plan (or with an all-{!Faults.clean} plan)
-    behaviour — including the RNG stream — is identical to the original
-    exactly-once model.
+    default spec. Without a plan (or with a plan whose every probability
+    is zero) behaviour — including the RNG stream — is identical to the
+    original exactly-once model.
 
     Accounting: [messages_sent]/[bytes_sent] count wire copies, i.e.
     offered load — a dropped message still counts (it was sent and then
@@ -38,11 +38,6 @@ val unspecified : int
 (** The endpoint id an omitted [?src]/[?dst] defaults to: a sentinel
     that belongs to no fault-plan group, so untagged messages are never
     subject to link rules or partitions. *)
-
-val faults : t -> Faults.t option
-
-val latency : t -> size_bytes:int -> float
-(** Sample the one-way delay for a message of the given size. *)
 
 val send : ?src:int -> ?dst:int -> t -> size_bytes:int -> (unit -> unit) -> unit
 (** Fire-and-forget delivery: run the callback after a sampled delay.

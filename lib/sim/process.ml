@@ -41,4 +41,11 @@ let wait engine waiters =
   Engine.request_wait engine waiters;
   perform Park
 
-let yield engine = sleep engine 0.0
+let every engine ~period f =
+  spawn engine (fun () ->
+      let rec loop () =
+        sleep engine period;
+        f ();
+        loop ()
+      in
+      loop ())

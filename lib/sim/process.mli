@@ -19,6 +19,8 @@ val wait : Engine.t -> Engine.waiters -> unit
     [waiters]; it continues once another event passes it to
     {!Engine.wake}. Must be called from within a process. *)
 
-val yield : Engine.t -> unit
-(** Re-schedule the calling process at the current time, letting other
-    events at this instant run first. *)
+val every : Engine.t -> period:float -> (unit -> unit) -> unit
+(** [every engine ~period f] spawns a process that forever sleeps
+    [period] ms, then runs [f]. The first run is one period after the
+    spawn, and a blocking [f] delays the next tick by its own duration.
+    It produces exactly the events of a spawned sleep-then-[f] loop. *)

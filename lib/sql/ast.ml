@@ -53,37 +53,3 @@ type stmt =
   | Commit
   | Rollback
   | Show_tables
-
-let binop_name = function
-  | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-  | And -> "AND" | Or -> "OR" | Add -> "+" | Sub -> "-" | Mul -> "*" | Concat -> "||"
-
-let rec pp_expr ppf = function
-  | Lit v -> Storage.Value.pp ppf v
-  | Column (None, c) -> Format.pp_print_string ppf c
-  | Column (Some t, c) -> Format.fprintf ppf "%s.%s" t c
-  | Binop (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
-  | Not e -> Format.fprintf ppf "(NOT %a)" pp_expr e
-  | Is_null (e, true) -> Format.fprintf ppf "(%a IS NULL)" pp_expr e
-  | Is_null (e, false) -> Format.fprintf ppf "(%a IS NOT NULL)" pp_expr e
-  | Like (e, p) -> Format.fprintf ppf "(%a LIKE %S)" pp_expr e p
-
-let pp_stmt ppf = function
-  | Select { from_table; _ } -> Format.fprintf ppf "SELECT ... FROM %s" from_table
-  | Insert { table; _ } -> Format.fprintf ppf "INSERT INTO %s" table
-  | Update { table; set; where } ->
-    Format.fprintf ppf "UPDATE %s SET %a%a" table
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (c, e) -> Format.fprintf ppf "%s = %a" c pp_expr e))
-      set
-      (fun ppf -> function
-        | None -> ()
-        | Some w -> Format.fprintf ppf " WHERE %a" pp_expr w)
-      where
-  | Delete { table; _ } -> Format.fprintf ppf "DELETE FROM %s" table
-  | Create_table { name; _ } -> Format.fprintf ppf "CREATE TABLE %s" name
-  | Begin -> Format.pp_print_string ppf "BEGIN"
-  | Commit -> Format.pp_print_string ppf "COMMIT"
-  | Rollback -> Format.pp_print_string ppf "ROLLBACK"
-  | Show_tables -> Format.pp_print_string ppf "SHOW TABLES"

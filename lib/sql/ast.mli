@@ -61,6 +61,3 @@ type stmt =
   | Commit
   | Rollback
   | Show_tables
-
-val pp_stmt : Format.formatter -> stmt -> unit
-(** Debug printer (not a SQL pretty-printer). *)

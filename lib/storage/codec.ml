@@ -242,8 +242,6 @@ module Flat = struct
 
   let writer ?(capacity = 4096) () = { bytes = Bytes.create (max 16 capacity); len = 0 }
 
-  let length w = w.len
-
   let clear w = w.len <- 0
 
   let ensure w n =
@@ -276,8 +274,6 @@ module Flat = struct
     Bytes.blit_string s 0 w.bytes w.len n;
     w.len <- w.len + n
 
-  let contents w = Bytes.sub_string w.bytes 0 w.len
-
   type cursor = {
     data : Bytes.t;
     limit : int;
@@ -288,11 +284,6 @@ module Flat = struct
     let limit = match limit with Some l -> l | None -> w.len in
     if limit > Bytes.length w.bytes then corrupt "flat cursor limit beyond buffer";
     { data = w.bytes; limit; pos = 0 }
-
-  let cursor_of_string s =
-    { data = Bytes.unsafe_of_string s; limit = String.length s; pos = 0 }
-
-  let at_end c = c.pos >= c.limit
 
   let check c n =
     if c.pos + n > c.limit then

@@ -31,9 +31,6 @@ val decode_row_opt : reader -> Value.t array option
 val encode_int : Buffer.t -> int -> unit
 val decode_int : reader -> int
 
-val encode_string : Buffer.t -> string -> unit
-val decode_string : reader -> string
-
 val encode_writeset : Buffer.t -> Writeset.t -> unit
 
 val decode_writeset : ?intern:Intern.t -> reader -> Writeset.t
@@ -45,9 +42,6 @@ val writeset_bytes : Writeset.t -> int
 (** Exact encoded size of a writeset, computed directly — no
     intermediate encoding is materialized. Equal to the length
     {!encode_writeset} would produce. *)
-
-val value_wire_size : Value.t -> int
-val row_wire_size : Value.t array -> int
 
 val encode_schema : Buffer.t -> Schema.t -> unit
 val decode_schema : reader -> Schema.t
@@ -62,17 +56,12 @@ module Flat : sig
   type writer
 
   val writer : ?capacity:int -> unit -> writer
-  val length : writer -> int
   val clear : writer -> unit
 
   val u8 : writer -> int -> unit
   val int : writer -> int -> unit
-  val i64 : writer -> int64 -> unit
   val float : writer -> float -> unit
   val str : writer -> string -> unit
-
-  val contents : writer -> string
-  (** Copy out the written prefix. *)
 
   type cursor
 
@@ -80,12 +69,8 @@ module Flat : sig
   (** Read back what was written, in place (no copy). The writer must
       not be appended to while the cursor is live. *)
 
-  val cursor_of_string : string -> cursor
-
-  val at_end : cursor -> bool
   val read_u8 : cursor -> int
   val read_int : cursor -> int
-  val read_i64 : cursor -> int64
   val read_float : cursor -> float
   val read_str : cursor -> string
 end

@@ -127,26 +127,7 @@ let ( > ) a b = Cmp (Gt, a, b)
 let ( >= ) a b = Cmp (Ge, a, b)
 let ( && ) a b = And (a, b)
 let ( || ) a b = Or (a, b)
-let not_ a = Not a
 let ( + ) a b = Add (a, b)
 let ( - ) a b = Sub (a, b)
 let ( * ) a b = Mul (a, b)
 let like a pattern = Like (a, pattern)
-
-let rec pp ppf = function
-  | Const v -> Value.pp ppf v
-  | Col idx -> Format.fprintf ppf "$%d" idx
-  | Cmp (op, a, b) ->
-    let sym =
-      match op with Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-    in
-    Format.fprintf ppf "(%a %s %a)" pp a sym pp b
-  | And (a, b) -> Format.fprintf ppf "(%a AND %a)" pp a pp b
-  | Or (a, b) -> Format.fprintf ppf "(%a OR %a)" pp a pp b
-  | Not a -> Format.fprintf ppf "(NOT %a)" pp a
-  | Add (a, b) -> Format.fprintf ppf "(%a + %a)" pp a pp b
-  | Sub (a, b) -> Format.fprintf ppf "(%a - %a)" pp a pp b
-  | Mul (a, b) -> Format.fprintf ppf "(%a * %a)" pp a pp b
-  | Concat (a, b) -> Format.fprintf ppf "(%a || %a)" pp a pp b
-  | Is_null a -> Format.fprintf ppf "(%a IS NULL)" pp a
-  | Like (a, pattern) -> Format.fprintf ppf "(%a LIKE %S)" pp a pattern

@@ -52,7 +52,6 @@ val ( > ) : t -> t -> t
 val ( >= ) : t -> t -> t
 val ( && ) : t -> t -> t
 val ( || ) : t -> t -> t
-val not_ : t -> t
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
@@ -60,5 +59,3 @@ val like : t -> string -> t
 
 val like_match : pattern:string -> string -> bool
 (** The LIKE predicate itself, exposed for tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -51,5 +51,3 @@ let find t ~table ~key =
   match Stbl.find_opt t.tables table with
   | None -> None
   | Some keys -> Key_tbl.find_opt keys key
-
-let size t = t.next

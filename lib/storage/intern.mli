@@ -25,6 +25,3 @@ val id : t -> table:string -> key:Value.t array -> int
 
 val find : t -> table:string -> key:Value.t array -> int option
 (** Lookup without assignment. *)
-
-val size : t -> int
-(** Number of distinct identities interned so far (= the next fresh id). *)

@@ -202,60 +202,3 @@ let exec txn stmt =
     | Delete_key { table; key } -> Affected (if Txn.delete_key txn ~table ~key then 1 else 0)
   in
   (result, Txn.reset_cost txn)
-
-let pp_key ppf key =
-  Array.iteri
-    (fun i v -> Format.fprintf ppf "%s%a" (if i > 0 then "," else "") Value.pp v)
-    key
-
-let pp_where ppf = function
-  | None -> ()
-  | Some e -> Format.fprintf ppf " WHERE %a" Expr.pp e
-
-let pp_agg ppf = function
-  | Count_all -> Format.pp_print_string ppf "COUNT(*)"
-  | Sum c -> Format.fprintf ppf "SUM(%s)" c
-  | Avg c -> Format.fprintf ppf "AVG(%s)" c
-  | Min_of c -> Format.fprintf ppf "MIN(%s)" c
-  | Max_of c -> Format.fprintf ppf "MAX(%s)" c
-
-let pp ppf = function
-  | Range { table; lo; hi; where; limit } ->
-    let pp_bound ppf = function
-      | Some key -> pp_key ppf key
-      | None -> Format.pp_print_string ppf "*"
-    in
-    Format.fprintf ppf "RANGE %s [%a .. %a]%a%s" table pp_bound lo pp_bound hi pp_where
-      where
-      (match limit with Some l -> Printf.sprintf " LIMIT %d" l | None -> "")
-  | Aggregate { table; op; where } ->
-    Format.fprintf ppf "SELECT %a FROM %s%a" pp_agg op table pp_where where
-  | Group_count { table; group_column; limit; _ } ->
-    Format.fprintf ppf "SELECT %s, COUNT(*) FROM %s GROUP BY %s ORDER BY 2 DESC LIMIT %d"
-      group_column table group_column limit
-  | Join { left; right; left_col; right_col; left_where; limit } ->
-    Format.fprintf ppf "SELECT * FROM %s JOIN %s ON %s.%s = %s.%s%a%s" left right left
-      left_col right right_col pp_where left_where
-      (match limit with Some l -> Printf.sprintf " LIMIT %d" l | None -> "")
-  | Select { table; where; limit } ->
-    Format.fprintf ppf "SELECT * FROM %s%a%s" table pp_where where
-      (match limit with Some l -> Printf.sprintf " LIMIT %d" l | None -> "")
-  | Get { table; key } -> Format.fprintf ppf "GET %s[%a]" table pp_key key
-  | Update { table; where; set } ->
-    Format.fprintf ppf "UPDATE %s SET %a%a" table
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (c, e) -> Format.fprintf ppf "%s = %a" c Expr.pp e))
-      set pp_where where
-  | Update_key { table; key; set } ->
-    Format.fprintf ppf "UPDATE %s[%a] SET %a" table pp_key key
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (c, e) -> Format.fprintf ppf "%s = %a" c Expr.pp e))
-      set
-  | Insert { table; row } ->
-    Format.fprintf ppf "INSERT INTO %s VALUES (%a)" table pp_key row
-  | Put { table; row } ->
-    Format.fprintf ppf "PUT INTO %s VALUES (%a)" table pp_key row
-  | Delete { table; where } -> Format.fprintf ppf "DELETE FROM %s%a" table pp_where where
-  | Delete_key { table; key } -> Format.fprintf ppf "DELETE %s[%a]" table pp_key key

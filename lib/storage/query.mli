@@ -61,9 +61,6 @@ type result =
 val table_of : t -> string
 (** The (left, for joins) table the statement accesses. *)
 
-val tables_of : t -> string list
-(** All tables the statement accesses (two for joins). *)
-
 val is_update : t -> bool
 (** Whether the statement may write. *)
 
@@ -73,5 +70,3 @@ val table_set : t list -> string list
 
 val exec : Txn.t -> t -> result * Txn.cost
 (** Execute one statement; the cost covers only this statement. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,13 +77,3 @@ let validate_row t row =
       t.columns;
     match !error with None -> Ok () | Some msg -> Error msg
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>TABLE %s (" t.table_name;
-  Array.iteri
-    (fun i col ->
-      Format.fprintf ppf "@,%s %a%s%s" col.col_name Value.pp_ty col.col_type
-        (if col.nullable then "" else " NOT NULL")
-        (if Array.exists (fun k -> k = i) t.primary_key then " KEY" else ""))
-    t.columns;
-  Format.fprintf ppf ")@]"

@@ -34,5 +34,3 @@ val key_of_row : t -> Value.t array -> Value.t array
 
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Arity, type and nullability check. Key columns must be non-null. *)
-
-val pp : Format.formatter -> t -> unit

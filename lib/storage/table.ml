@@ -119,8 +119,6 @@ let range_scan t ~at ?lo ?hi ?where ?limit () =
 
 let row_count t ~at = Mvcc.fold_visible t.store ~at ~init:0 ~f:(fun acc _ _ -> acc + 1)
 
-let key_count t = Mvcc.key_count t.store
-
 let version_count t = Mvcc.version_count t.store
 
 let fold_chains t ~init ~f = Mvcc.fold_chains t.store ~init ~f

@@ -18,8 +18,6 @@ val copy : t -> t
 
 val schema : t -> Schema.t
 
-val name : t -> string
-
 val install : t -> key:Mvcc.key -> version:int -> Value.t array option -> unit
 (** Install a row version (or tombstone) at [version]. *)
 
@@ -56,8 +54,6 @@ val range_scan :
 
 val row_count : t -> at:int -> int
 (** Number of visible rows at a snapshot. *)
-
-val key_count : t -> int
 
 val version_count : t -> int
 

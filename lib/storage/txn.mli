@@ -3,8 +3,7 @@
     A transaction reads from a fixed snapshot version and buffers its own
     writes (read-your-writes). Committing extracts the {!Writeset.t}; in
     the replicated system, certification (first-committer-wins over the
-    interval (snapshot, commit]) is performed by the certifier, while
-    {!validate} provides the same check for standalone use.
+    interval (snapshot, commit]) is performed by the certifier.
 
     Cost counters record rows scanned/read/written so the simulator can
     charge CPU time proportional to real work. *)
@@ -16,10 +15,6 @@ type cost = {
   rows_read : int;  (** rows returned to the client *)
   rows_written : int;  (** buffered writes *)
 }
-
-val begin_at : Database.t -> snapshot:int -> t
-(** Start a transaction reading at [snapshot]. Raises [Invalid_argument]
-    if [snapshot] exceeds the database version. *)
 
 val begin_ : Database.t -> t
 (** Start at the current database version. *)
@@ -98,11 +93,6 @@ val writes_id : t -> int -> bool
 
 val exists_write_id : t -> (int -> bool) -> bool
 (** Whether [f] holds for the conflict id of some buffered record. *)
-
-val validate : t -> bool
-(** First-committer-wins check against the current database state: true
-    iff no record in the writeset has a committed version newer than the
-    snapshot. *)
 
 val commit_standalone : t -> (int, string) result
 (** Validate and apply at the next version; for single-node use (the

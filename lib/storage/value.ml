@@ -7,13 +7,6 @@ type t =
 
 type ty = Tint | Tfloat | Ttext | Tbool
 
-let type_of = function
-  | Null -> None
-  | Int _ -> Some Tint
-  | Float _ -> Some Tfloat
-  | Text _ -> Some Ttext
-  | Bool _ -> Some Tbool
-
 let matches ty v =
   match (ty, v) with
   | _, Null -> true
@@ -57,22 +50,9 @@ let pp_ty ppf ty =
   Format.pp_print_string ppf
     (match ty with Tint -> "INT" | Tfloat -> "FLOAT" | Ttext -> "TEXT" | Tbool -> "BOOL")
 
-let size_bytes = function
-  | Null -> 1
-  | Int _ -> 8
-  | Float _ -> 8
-  | Text s -> String.length s + 4
-  | Bool _ -> 1
-
-let int x = Int x
-let float x = Float x
-let text x = Text x
-let bool x = Bool x
-
 let as_int = function Int x -> x | v -> invalid_arg ("Value.as_int: " ^ to_string v)
 let as_float = function
   | Float x -> x
   | Int x -> float_of_int x
   | v -> invalid_arg ("Value.as_float: " ^ to_string v)
 let as_text = function Text x -> x | v -> invalid_arg ("Value.as_text: " ^ to_string v)
-let as_bool = function Bool x -> x | v -> invalid_arg ("Value.as_bool: " ^ to_string v)

@@ -9,9 +9,6 @@ type t =
 
 type ty = Tint | Tfloat | Ttext | Tbool
 
-val type_of : t -> ty option
-(** [None] for [Null]. *)
-
 val matches : ty -> t -> bool
 (** Whether the value inhabits the type ([Null] matches every type). *)
 
@@ -29,19 +26,8 @@ val to_string : t -> string
 
 val pp_ty : Format.formatter -> ty -> unit
 
-val size_bytes : t -> int
-(** Approximate wire/storage footprint, used by the network model. *)
-
-(** Convenience constructors. *)
-
-val int : int -> t
-val float : float -> t
-val text : string -> t
-val bool : bool -> t
-
 (** Coercions; raise [Invalid_argument] on type mismatch. *)
 
 val as_int : t -> int
 val as_float : t -> float
 val as_text : t -> string
-val as_bool : t -> bool

@@ -104,8 +104,6 @@ let cardinal t = t.card
 
 let origin t = t.origin
 
-let interned t ~intern = match t.origin with Some o -> o == intern | None -> false
-
 let cids t ~intern =
   match t.origin with
   | Some o when o == intern -> t.kids
@@ -156,30 +154,3 @@ let conflicts a b =
       let small, large = if a.card <= b.card then (a, b) else (b, a) in
       let ix = index large in
       List.exists (fun e -> Pair_tbl.mem ix (e.ws_table, e.ws_key)) small.items
-
-let size_bytes t =
-  List.fold_left
-    (fun acc e ->
-      let key_size = Array.fold_left (fun s v -> s + Value.size_bytes v) 0 e.ws_key in
-      let op_size =
-        match e.ws_op with
-        | Put row -> Array.fold_left (fun s v -> s + Value.size_bytes v) 0 row
-        | Delete -> 1
-      in
-      acc + key_size + op_size + String.length e.ws_table + 8)
-    0 t.items
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun e ->
-      let pp_key ppf key =
-        Array.iteri
-          (fun i v -> Format.fprintf ppf "%s%a" (if i > 0 then "," else "") Value.pp v)
-          key
-      in
-      match e.ws_op with
-      | Put _ -> Format.fprintf ppf "PUT %s[%a]@," e.ws_table pp_key e.ws_key
-      | Delete -> Format.fprintf ppf "DEL %s[%a]@," e.ws_table pp_key e.ws_key)
-    t.items;
-  Format.fprintf ppf "@]"

@@ -50,9 +50,6 @@ val tables : t -> string list
 val origin : t -> Intern.t option
 (** The intern table the cached ids were resolved against, if any. *)
 
-val interned : t -> intern:Intern.t -> bool
-(** Whether {!cids} against [intern] is the zero-cost cached path. *)
-
 val cids : t -> intern:Intern.t -> int array
 (** The conflict ids of {!keys}, in insertion order, resolved against
     [intern]. When the writeset was built with that same table
@@ -73,8 +70,3 @@ val keys : t -> (string * Value.t array) list
 
 val conflicts : t -> t -> bool
 (** Whether the two writesets write a common (table, key). *)
-
-val size_bytes : t -> int
-(** Approximate propagation footprint. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,54 +1,3 @@
-type t = {
-  lo : float;
-  hi : float;
-  counts : int array;
-  mutable total : int;
-}
-
-let create ~lo ~hi ~buckets =
-  assert (hi > lo);
-  assert (buckets > 0);
-  { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-let bucket_index t x =
-  let buckets = Array.length t.counts in
-  if x < t.lo then 0
-  else if x >= t.hi then buckets - 1
-  else begin
-    let width = (t.hi -. t.lo) /. float_of_int buckets in
-    let i = int_of_float ((x -. t.lo) /. width) in
-    Stdlib.min i (buckets - 1)
-  end
-
-let add t x =
-  let i = bucket_index t x in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.total <- t.total + 1
-
-let count t = t.total
-
-let bucket_count t = Array.length t.counts
-
-let bucket_range t i =
-  let buckets = Array.length t.counts in
-  let width = (t.hi -. t.lo) /. float_of_int buckets in
-  (t.lo +. (float_of_int i *. width), t.lo +. (float_of_int (i + 1) *. width))
-
-let bucket_value t i = t.counts.(i)
-
-let pp ppf t =
-  if t.total = 0 then Format.fprintf ppf "(no samples)@."
-  else begin
-    let buckets = Array.length t.counts in
-    let max_count = Array.fold_left Stdlib.max 1 t.counts in
-    for i = 0 to buckets - 1 do
-      let lo, hi = bucket_range t i in
-      let width = t.counts.(i) * 40 / max_count in
-      Format.fprintf ppf "[%8.2f, %8.2f) %6d %s@." lo hi t.counts.(i)
-        (String.make width '#')
-    done
-  end
-
 (* --- Mergeable log-bucketed (HDR-style) histogram ------------------
 
    Bucket [i] covers the value range [10^(i/sub), 10^((i+1)/sub)), where
@@ -169,31 +118,4 @@ module Log = struct
     t.total <- 0;
     t.min_v <- infinity;
     t.max_v <- neg_infinity
-
-  let pp ppf t =
-    if t.total = 0 then Format.fprintf ppf "(no samples)@."
-    else begin
-      let rows =
-        (if t.zeros > 0 then [ (neg_infinity, 0.0, t.zeros) ] else [])
-        @ List.map
-            (fun (i, c) ->
-              let lo = Float.pow 10.0 (float_of_int i /. float_of_int t.sub) in
-              let hi =
-                Float.pow 10.0 (float_of_int (i + 1) /. float_of_int t.sub)
-              in
-              (lo, hi, c))
-            (sorted_buckets t)
-      in
-      let max_count = List.fold_left (fun acc (_, _, c) -> Stdlib.max acc c) 1 rows in
-      List.iter
-        (fun (lo, hi, c) ->
-          let width = c * 40 / max_count in
-          if lo = neg_infinity then
-            Format.fprintf ppf "[  <=0.00          ) %6d %s@." c
-              (String.make width '#')
-          else
-            Format.fprintf ppf "[%8.3g, %8.3g) %6d %s@." lo hi c
-              (String.make width '#'))
-        rows
-    end
 end

@@ -1,28 +1,4 @@
-(** Fixed-width bucketed histogram over [\[lo, hi)].
-
-    Observations below [lo] land in the first bucket, at or above [hi] in
-    the last. Used for coarse latency distribution reports. *)
-
-type t
-
-val create : lo:float -> hi:float -> buckets:int -> t
-(** Requires [hi > lo] and [buckets > 0]. *)
-
-val add : t -> float -> unit
-
-val count : t -> int
-(** Total number of observations. *)
-
-val bucket_count : t -> int
-
-val bucket_range : t -> int -> float * float
-(** [bucket_range h i] is the [\[lo, hi)] range of bucket [i]. *)
-
-val bucket_value : t -> int -> int
-(** Observations recorded in bucket [i]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render a small ASCII bar chart. *)
+(** Latency histograms. *)
 
 (** Mergeable log-bucketed (HDR-style) histogram.
 
@@ -70,7 +46,4 @@ module Log : sig
       Raises [Invalid_argument] on a bucketing mismatch. *)
 
   val clear : t -> unit
-
-  val pp : Format.formatter -> t -> unit
-  (** Render a small ASCII bar chart of the occupied buckets. *)
 end

@@ -114,9 +114,3 @@ let pop q =
   end
 
 let peek q = if q.size = 0 then None else Some (q.prios.(0), q.payloads.(0))
-
-let clear q =
-  q.size <- 0;
-  q.prios <- [||];
-  q.seqs <- [||];
-  q.payloads <- [||]

@@ -34,6 +34,3 @@ val pop_exn : 'a t -> 'a
 
 val peek : 'a t -> (float * 'a) option
 (** [peek q] is the minimum-priority element without removing it. *)
-
-val clear : 'a t -> unit
-(** Remove all elements. *)

@@ -16,8 +16,6 @@ let bits64 t =
 
 let split t = { state = bits64 t }
 
-let copy t = { state = t.state }
-
 let int t n =
   assert (n > 0);
   (* Mask to the 62 low bits: Int64.to_int wraps at the 63-bit native-int
@@ -30,10 +28,6 @@ let float t x =
   let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   let unit = float_of_int bits /. 9007199254740992.0 in
   unit *. x
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let uniform t lo hi = lo +. float t (hi -. lo)
 
 let exponential t ~mean =
   (* Inverse transform; guard against log 0. *)
@@ -87,10 +81,6 @@ let zipf t ~n ~theta =
       in
       if rank >= n then n - 1 else rank
   end
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -13,22 +13,11 @@ val create : int -> t
 val split : t -> t
 (** [split rng] derives an independent generator; it advances [rng]. *)
 
-val copy : t -> t
-(** A generator with identical state that evolves independently. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int rng n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
 val float : t -> float -> float
 (** [float rng x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
-
-val uniform : t -> float -> float -> float
-(** [uniform rng lo hi] is uniform in [\[lo, hi)]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
@@ -37,9 +26,6 @@ val zipf : t -> n:int -> theta:float -> int
 (** [zipf rng ~n ~theta] samples in [\[0, n)] with Zipfian skew [theta]
     (0 = uniform). Uses the rejection-inversion-free approximation that is
     standard in YCSB-style workload generators. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly pick an element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

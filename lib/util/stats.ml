@@ -71,8 +71,6 @@ let percentile t p =
     t.data.(idx)
   end
 
-let median t = percentile t 50.0
-
 let merge a b =
   let t = create () in
   for i = 0 to a.size - 1 do
@@ -88,21 +86,13 @@ let clear t =
   t.sorted <- true
 
 module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
+  type t = { mutable n : int; mutable mean : float }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
+  let create () = { n = 0; mean = 0.0 }
 
   let add t x =
     t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
+    t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
   let mean t = if t.n = 0 then 0.0 else t.mean
-
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let stddev t = sqrt (variance t)
 end

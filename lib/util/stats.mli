@@ -31,21 +31,16 @@ val percentile : t -> float -> float
 (** [percentile s p] with [p] in [\[0, 100\]]; nearest-rank on the sorted
     sample; [0.] when empty. *)
 
-val median : t -> float
-
 val merge : t -> t -> t
 (** A fresh accumulator holding the observations of both arguments. *)
 
 val clear : t -> unit
 
-(** Constant-space mean/variance accumulator (Welford). *)
+(** Constant-space running mean (Welford). *)
 module Online : sig
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
 end

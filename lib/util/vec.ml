@@ -26,20 +26,6 @@ let set t i x =
   check t i;
   t.data.(i) <- x
 
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
 let to_list t =
   let rec build i acc = if i < 0 then acc else build (i - 1) (t.data.(i) :: acc) in
   build (t.size - 1) []
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

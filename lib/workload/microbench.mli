@@ -18,8 +18,6 @@ val default : params
 (** 40 tables x 10,000 rows (the paper's sizes with the OCR-dropped
     zeros restored), no update types — set [update_types] per run. *)
 
-val table_name : int -> string
-
 val schemas : params -> Storage.Schema.t list
 
 val load : params -> Storage.Database.t -> unit
@@ -31,12 +29,6 @@ val workload : params -> Core.Client.workload
 
 val request : params -> Util.Rng.t -> Core.Transaction.request
 (** One sampled transaction (exposed for tests). *)
-
-val span_request : params -> span:int -> Util.Rng.t -> Core.Transaction.request
-(** Like {!request}, but update transactions touch [span] consecutive
-    tables (one random row in each), widening their table-sets. Used by
-    the table-set-granularity ablation: as [span] approaches the table
-    count, the fine-grained configuration converges to coarse-grained. *)
 
 val span_workload : params -> span:int -> Core.Client.workload
 
@@ -55,10 +47,6 @@ type tier_mix = {
   causal : float;
   eventual : float;
 }
-
-val default_mix : tier_mix
-(** An even split: 25% bounded / 25% causal / 25% eventual / 25% strong
-    reads. *)
 
 val tiered_workload :
   ?mix:tier_mix ->

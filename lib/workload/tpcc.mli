@@ -35,9 +35,6 @@ val tx_name : tx -> string
 
 val is_update_tx : tx -> bool
 
-val weights : (tx * float) list
-(** The spec mix; sums to 100. *)
-
 val schemas : Storage.Schema.t list
 
 val load : params -> Storage.Database.t -> unit

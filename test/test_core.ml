@@ -728,6 +728,74 @@ let test_metrics_accounting () =
   Core.Metrics.reset_window m;
   Alcotest.(check int) "window reset" 0 (Core.Metrics.committed m)
 
+(* Every exit of [Cluster.submit] must undo the bookkeeping its entry
+   did: an LB shed, a request-leg timeout, a start-wait or deadline
+   expiry, a statement or certification abort, a replica failure and a
+   commit. A finite driver offers bursts of transactions under the
+   hardened protocol with 5% loss, short cuts on each request leg, an
+   admission cap, a short deadline and a replica crash mid-run. Once
+   every transaction has answered, no LB may count one active or
+   admitted, and no replica may hold one open. *)
+let test_bookkeeping_balances () =
+  let n = 240 in
+  let config =
+    {
+      (Core.Config.hardened small_config) with
+      Core.Config.admission_limit = 10;
+      deadline_ms = 12.0;
+      max_retries = 0;
+    }
+  in
+  let faults engine =
+    let f = Sim.Faults.create ~seed:5 engine in
+    Sim.Faults.set_default f (Sim.Faults.spec ~drop:0.05 ());
+    let cut a b from_ms =
+      Sim.Faults.partition f ~a:[ a ] ~b:[ b ] ~from_ms ~until_ms:(from_ms +. 30.0) ()
+    in
+    cut Core.Config.node_client Core.Config.node_lb 30.0;
+    cut Core.Config.node_lb 2 80.0;
+    cut 0 Core.Config.node_certifier 130.0;
+    f
+  in
+  let cluster =
+    Core.Cluster.create ~config ~faults ~mode:Core.Consistency.Session
+      ~schemas:(Workload.Microbench.schemas micro_params)
+      ~load:(Workload.Microbench.load micro_params)
+      ()
+  in
+  let engine = Core.Cluster.engine cluster in
+  let answered = ref 0 and committed = ref 0 and slugs = ref [] in
+  for i = 0 to n - 1 do
+    Sim.Process.spawn engine (fun () ->
+        (* Bursts of 12 every 10 ms overrun the admission cap. *)
+        Sim.Process.sleep engine (float_of_int (i / 12) *. 10.0);
+        let req =
+          if i mod 3 = 0 then read_req "t00" (i mod 7) else update_req "t00" (i mod 5)
+        in
+        (match Core.Cluster.submit cluster ~sid:i req with
+        | Core.Transaction.Committed _ -> incr committed
+        | Core.Transaction.Aborted { reason; _ } ->
+          slugs := Core.Transaction.abort_slug reason :: !slugs);
+        incr answered)
+  done;
+  Sim.Engine.schedule engine ~delay:42.0 (fun () -> Core.Cluster.crash_replica cluster 1);
+  Sim.Engine.run engine ~until:2_000.0;
+  Alcotest.(check int) "every transaction answered" n !answered;
+  Alcotest.(check bool) "some committed" true (!committed > 0);
+  List.iter
+    (fun slug -> Alcotest.(check bool) ("some " ^ slug ^ " abort") true (List.mem slug !slugs))
+    [ "overloaded"; "timeout"; "certification"; "early_certification"; "replica_failure" ];
+  let lb = Core.Cluster.load_balancer cluster in
+  Alcotest.(check int) "LB admitted" 0 (Core.Load_balancer.admitted lb);
+  for i = 0 to config.Core.Config.replicas - 1 do
+    Alcotest.(check int) (Printf.sprintf "LB active on replica %d" i) 0
+      (Core.Load_balancer.active lb ~replica:i);
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d open transactions" i)
+      0
+      (Core.Replica.active_local (Core.Cluster.replica cluster i))
+  done
+
 let suites =
   [
     ( "core.cluster",
@@ -763,6 +831,8 @@ let suites =
         Alcotest.test_case "tracing is zero-overhead" `Quick test_tracing_zero_overhead;
         Alcotest.test_case "initial database loaded once" `Quick
           test_initial_database_loaded_once;
+        Alcotest.test_case "bookkeeping balances on every exit" `Quick
+          test_bookkeeping_balances;
       ] );
     ( "core.certifier",
       [

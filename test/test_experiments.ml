@@ -152,7 +152,7 @@ let test_chaos_health_json_shape () =
     | Ok doc -> doc
     | Error e -> Alcotest.failf "health artifact is not valid JSON: %s" e
   in
-  Alcotest.(check (option (float 1e-9))) "versioned envelope" (Some 2.0)
+  Alcotest.(check (option (float 1e-9))) "versioned envelope" (Some 3.0)
     (Option.bind (Obs.Json.member "schema_version" doc) Obs.Json.to_float);
   match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list with
   | Some [ run ] ->
@@ -163,6 +163,10 @@ let test_chaos_health_json_shape () =
     Alcotest.(check bool) "verdict serialized" true
       (Obs.Json.member "ok" run = Some (Obs.Json.Bool true));
     Alcotest.(check bool) "digest present" true (str "digest" <> None);
+    Alcotest.(check bool) "election_safety covers duplicate versions" true
+      (Obs.Json.member "duplicate_commit_versions" run = None
+      && Option.bind (Obs.Json.member "violations" run) (Obs.Json.member "election_safety")
+         <> None);
     Alcotest.(check bool) "drain time present" true
       (match num "wedge_drain_ms" with Some d -> d >= 0.0 | None -> false);
     let totals = Obs.Json.member "totals" run in

@@ -69,6 +69,61 @@ let test_process_sleep () =
   Sim.Engine.run e;
   Alcotest.(check (float 1e-9)) "sleeps accumulate" 7.0 !wake
 
+(* [Process.every] sleeps before its first run, a blocking body delays
+   the next tick by its own duration, and the event stream equals the
+   hand-written sleep-then-body loop it replaces, interleaved with a
+   competing process ticking at the same instants. *)
+let test_process_every () =
+  let ticks ~block =
+    let e = Sim.Engine.create () in
+    let seen = ref [] in
+    Sim.Process.every e ~period:10.0 (fun () ->
+        seen := Sim.Engine.now e :: !seen;
+        if block > 0.0 then Sim.Process.sleep e block);
+    Sim.Engine.run e ~until:50.0;
+    List.rev !seen
+  in
+  Alcotest.(check (list (float 0.0))) "first run one period in" [ 10.; 20.; 30.; 40.; 50. ]
+    (ticks ~block:0.0);
+  Alcotest.(check (list (float 0.0))) "a blocking body delays the next tick"
+    [ 10.; 23.; 36.; 49. ] (ticks ~block:3.0);
+  let trace periodic =
+    let e = Sim.Engine.create () in
+    let log = ref [] in
+    let note tag () = log := (tag, Sim.Engine.now e) :: !log in
+    Sim.Process.spawn e (fun () ->
+        let rec loop () =
+          Sim.Process.sleep e 5.0;
+          note "other" ();
+          loop ()
+        in
+        loop ());
+    periodic e (note "tick");
+    Sim.Process.spawn e (fun () ->
+        let rec loop () =
+          Sim.Process.sleep e 10.0;
+          note "after" ();
+          loop ()
+        in
+        loop ());
+    Sim.Engine.run e ~until:60.0;
+    (List.rev !log, Sim.Engine.pending e)
+  in
+  let hand_rolled e f =
+    Sim.Process.spawn e (fun () ->
+        let rec loop () =
+          Sim.Process.sleep e 10.0;
+          f ();
+          loop ()
+        in
+        loop ())
+  in
+  let every_log, every_pending = trace (fun e f -> Sim.Process.every e ~period:10.0 f) in
+  let loop_log, loop_pending = trace hand_rolled in
+  Alcotest.(check (list (pair string (float 0.0)))) "same events as the loop" loop_log
+    every_log;
+  Alcotest.(check int) "same pending events" loop_pending every_pending
+
 let test_ivar () =
   let e = Sim.Engine.create () in
   let iv = Sim.Ivar.create e in
@@ -623,6 +678,7 @@ let suites =
     ( "sim.process",
       [
         Alcotest.test_case "sleep" `Quick test_process_sleep;
+        Alcotest.test_case "periodic process" `Quick test_process_every;
         Alcotest.test_case "exception propagates" `Quick test_process_exception_propagates;
         Alcotest.test_case "same-instant wake order" `Quick test_same_instant_wake_order;
         Alcotest.test_case "suspension allocation" `Quick test_suspension_allocation;

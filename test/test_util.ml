@@ -173,30 +173,6 @@ let prop_stats_mean_welford_agree =
         xs;
       Float.abs (Util.Stats.mean s -. Util.Stats.Online.mean o) < 1e-6)
 
-let test_histogram () =
-  let h = Util.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Util.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; 50.0; -3.0 ];
-  Alcotest.(check int) "total count" 6 (Util.Histogram.count h);
-  Alcotest.(check int) "bucket 0 (incl. below-range)" 2 (Util.Histogram.bucket_value h 0);
-  Alcotest.(check int) "bucket 1" 2 (Util.Histogram.bucket_value h 1);
-  Alcotest.(check int) "last bucket (incl. above-range)" 2 (Util.Histogram.bucket_value h 9)
-
-let test_histogram_pp_empty () =
-  let h = Util.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:4 in
-  Alcotest.(check string) "empty histogram renders a placeholder" "(no samples)\n"
-    (Format.asprintf "%a" Util.Histogram.pp h)
-
-let test_histogram_pp_single_sample () =
-  let h = Util.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:2 in
-  Util.Histogram.add h 1.0;
-  let rendered = Format.asprintf "%a" Util.Histogram.pp h in
-  Alcotest.(check int) "one line per bucket" 2
-    (List.length (String.split_on_char '\n' (String.trim rendered)));
-  (* The lone sample's bucket gets the full-width bar. *)
-  Alcotest.(check bool) "full bar for the occupied bucket" true
-    (String.length (String.concat "" (String.split_on_char '#' rendered))
-    = String.length rendered - 40)
-
 (* --- Log histogram (mergeable, HDR-style; lib/util/histogram.ml) --- *)
 
 let log_hist_of_list ?buckets_per_decade xs =
@@ -396,9 +372,6 @@ let suites =
           ] );
     ( "util.misc",
       [
-        Alcotest.test_case "histogram buckets" `Quick test_histogram;
-        Alcotest.test_case "histogram pp empty" `Quick test_histogram_pp_empty;
-        Alcotest.test_case "histogram pp single" `Quick test_histogram_pp_single_sample;
         Alcotest.test_case "metrics percentile edges" `Quick
           test_metrics_percentile_edge_cases;
         Alcotest.test_case "vec" `Quick test_vec;
