@@ -33,8 +33,6 @@ let create_table t schema =
 
 let table t name = Hashtbl.find t.tables name
 
-let table_opt t name = Hashtbl.find_opt t.tables name
-
 let table_names t = List.rev t.order
 
 let version t = t.version

@@ -30,8 +30,6 @@ val create_table : t -> Schema.t -> Table.t
 val table : t -> string -> Table.t
 (** Raises [Not_found] for unknown tables. *)
 
-val table_opt : t -> string -> Table.t option
-
 val table_names : t -> string list
 (** In creation order. *)
 

@@ -11,23 +11,15 @@ type t =
   | Col of int
   | Cmp of cmp * t * t
   | And of t * t
-  | Or of t * t
-  | Not of t
   | Add of t * t
   | Sub of t * t
-  | Mul of t * t
-  | Concat of t * t
-  | Is_null of t
-  | Like of t * string
-      (** SQL LIKE with [%] (any run) and [_] (any character) wildcards;
-          [Null] and non-text values never match *)
 
 exception Type_error of string
 
 val eval : Value.t array -> t -> Value.t
 (** Evaluate against a row. Raises {!Type_error} on ill-typed operations
     (e.g. adding a text to an int). Comparison with [Null] yields
-    [Bool false] except through [Is_null], SQL-style. *)
+    [Bool false]. *)
 
 val eval_bool : Value.t array -> t -> bool
 (** Evaluate a predicate; non-boolean results raise {!Type_error}. *)
@@ -43,7 +35,6 @@ val col : Schema.t -> string -> t
 val i : int -> t
 val f : float -> t
 val s : string -> t
-val b : bool -> t
 val ( = ) : t -> t -> t
 val ( <> ) : t -> t -> t
 val ( < ) : t -> t -> t
@@ -51,11 +42,5 @@ val ( <= ) : t -> t -> t
 val ( > ) : t -> t -> t
 val ( >= ) : t -> t -> t
 val ( && ) : t -> t -> t
-val ( || ) : t -> t -> t
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val like : t -> string -> t
-
-val like_match : pattern:string -> string -> bool
-(** The LIKE predicate itself, exposed for tests. *)

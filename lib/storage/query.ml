@@ -1,10 +1,3 @@
-type agg =
-  | Count_all
-  | Sum of string
-  | Avg of string
-  | Min_of of string
-  | Max_of of string
-
 type t =
   | Select of { table : string; where : Expr.t option; limit : int option }
   | Get of { table : string; key : Mvcc.key }
@@ -15,7 +8,6 @@ type t =
       where : Expr.t option;
       limit : int option;
     }
-  | Aggregate of { table : string; op : agg; where : Expr.t option }
   | Group_count of {
       table : string;
       group_column : string;
@@ -31,7 +23,6 @@ type t =
       left_where : Expr.t option;
       limit : int option;
     }
-  | Update of { table : string; where : Expr.t option; set : (string * Expr.t) list }
   | Update_key of { table : string; key : Mvcc.key; set : (string * Expr.t) list }
   | Insert of { table : string; row : Value.t array }
   | Put of { table : string; row : Value.t array }
@@ -47,9 +38,7 @@ let table_of = function
   | Select { table; _ }
   | Get { table; _ }
   | Range { table; _ }
-  | Aggregate { table; _ }
   | Group_count { table; _ }
-  | Update { table; _ }
   | Update_key { table; _ }
   | Insert { table; _ }
   | Put { table; _ }
@@ -62,8 +51,8 @@ let tables_of = function
   | stmt -> [ table_of stmt ]
 
 let is_update = function
-  | Select _ | Get _ | Range _ | Aggregate _ | Group_count _ | Join _ -> false
-  | Update _ | Update_key _ | Insert _ | Put _ | Delete _ | Delete_key _ -> true
+  | Select _ | Get _ | Range _ | Group_count _ | Join _ -> false
+  | Update_key _ | Insert _ | Put _ | Delete _ | Delete_key _ -> true
 
 let table_set statements =
   let seen = Hashtbl.create 8 in
@@ -81,50 +70,6 @@ let column_of txn ~table name =
   | idx -> idx
   | exception Not_found ->
     invalid_arg (Printf.sprintf "Query: unknown column %s.%s" table name)
-
-let numeric_fold rows column ~init ~f =
-  List.fold_left
-    (fun acc row ->
-      match row.(column) with
-      | Value.Null -> acc
-      | v -> Some (match acc with None -> Value.as_float v | Some a -> f a (Value.as_float v)))
-    init rows
-
-let run_aggregate txn ~table ~op ~where =
-  let rows = Txn.select txn ~table ?where () in
-  match op with
-  | Count_all -> Value.Int (List.length rows)
-  | Sum name ->
-    let column = column_of txn ~table name in
-    let total =
-      List.fold_left
-        (fun acc row ->
-          match row.(column) with Value.Null -> acc | v -> acc +. Value.as_float v)
-        0.0 rows
-    in
-    Value.Float total
-  | Avg name ->
-    let column = column_of txn ~table name in
-    let n = ref 0 and total = ref 0.0 in
-    List.iter
-      (fun row ->
-        match row.(column) with
-        | Value.Null -> ()
-        | v ->
-          incr n;
-          total := !total +. Value.as_float v)
-      rows;
-    if !n = 0 then Value.Null else Value.Float (!total /. float_of_int !n)
-  | Min_of name ->
-    let column = column_of txn ~table name in
-    (match numeric_fold rows column ~init:None ~f:Float.min with
-    | None -> Value.Null
-    | Some x -> Value.Float x)
-  | Max_of name ->
-    let column = column_of txn ~table name in
-    (match numeric_fold rows column ~init:None ~f:Float.max with
-    | None -> Value.Null
-    | Some x -> Value.Float x)
 
 let run_group_count txn ~table ~group_column ~lo ~hi ~limit =
   let column = column_of txn ~table group_column in
@@ -184,12 +129,10 @@ let exec txn stmt =
     end
     | Range { table; lo; hi; where; limit } ->
       Rows (Txn.range txn ~table ?lo ?hi ?where ?limit ())
-    | Aggregate { table; op; where } -> Rows [ [| run_aggregate txn ~table ~op ~where |] ]
     | Group_count { table; group_column; lo; hi; limit } ->
       Rows (run_group_count txn ~table ~group_column ~lo ~hi ~limit)
     | Join { left; right; left_col; right_col; left_where; limit } ->
       Rows (run_join txn ~left ~right ~left_col ~right_col ~left_where ~limit)
-    | Update { table; where; set } -> Affected (Txn.update txn ~table ?where ~set ())
     | Update_key { table; key; set } ->
       Affected (if Txn.update_key txn ~table ~key ~set then 1 else 0)
     | Insert { table; row } -> begin

@@ -6,14 +6,6 @@
     returned {!Txn.cost}. [table_of] gives the static table a statement
     touches — the basis of the fine-grained approach's table-sets. *)
 
-(** Aggregation operators. [Count_all] needs no column. *)
-type agg =
-  | Count_all
-  | Sum of string
-  | Avg of string
-  | Min_of of string
-  | Max_of of string
-
 type t =
   | Select of { table : string; where : Expr.t option; limit : int option }
   | Get of { table : string; key : Mvcc.key }
@@ -24,8 +16,6 @@ type t =
       where : Expr.t option;
       limit : int option;
     }
-  | Aggregate of { table : string; op : agg; where : Expr.t option }
-      (** returns one row [\[| result |\]]; [Avg] of no rows is [Null] *)
   | Group_count of {
       table : string;
       group_column : string;
@@ -46,7 +36,6 @@ type t =
     }
       (** nested-loop equi-join probing the right table's index (or
           primary key) per left row; result rows are left @ right *)
-  | Update of { table : string; where : Expr.t option; set : (string * Expr.t) list }
   | Update_key of { table : string; key : Mvcc.key; set : (string * Expr.t) list }
   | Insert of { table : string; row : Value.t array }
   | Put of { table : string; row : Value.t array }  (** insert-or-replace *)

@@ -247,27 +247,12 @@ let apply_set schema row set =
         | idx -> idx
         | exception Not_found ->
           invalid_arg
-            (Printf.sprintf "Txn.update: unknown column %s.%s" schema.Schema.table_name
+            (Printf.sprintf "Txn.update_key: unknown column %s.%s" schema.Schema.table_name
                col_name)
       in
       row.(idx) <- Expr.eval row expr)
     set;
   row
-
-let update t ~table:table_name ?where ~set () =
-  let table = Database.table t.db table_name in
-  let schema = Table.schema table in
-  let victims = select t ~table:table_name ?where () in
-  List.iter
-    (fun row ->
-      let updated = apply_set schema row set in
-      let key = Schema.key_of_row schema row in
-      let new_key = Schema.key_of_row schema updated in
-      if Mvcc.Key_order.compare key new_key <> 0 then
-        invalid_arg "Txn.update: updating primary-key columns is not supported";
-      buffer t table_name key (Bput updated))
-    victims;
-  List.length victims
 
 let update_key t ~table:table_name ~key ~set =
   match get t ~table:table_name ~key with

@@ -59,10 +59,6 @@ val insert : t -> table:string -> Value.t array -> (unit, string) result
 val put : t -> table:string -> Value.t array -> (unit, string) result
 (** Insert-or-replace (upsert). Schema-validated. *)
 
-val update :
-  t -> table:string -> ?where:Expr.t -> set:(string * Expr.t) list -> unit -> int
-(** Read-modify-write on matching rows; returns rows updated. *)
-
 val update_key : t -> table:string -> key:Mvcc.key -> set:(string * Expr.t) list -> bool
 (** Update one row by key; [false] if the row is absent. *)
 
