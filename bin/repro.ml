@@ -21,96 +21,84 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let micro_windows quick =
-  if quick then (1_000.0, 4_000.0) else (2_000.0, 8_000.0)
+(* The flags every artifact command shares. *)
+type common = { quick : bool; seed : int; jobs : int }
 
-let tpcw_windows quick =
-  if quick then (3_000.0, 10_000.0) else (5_000.0, 25_000.0)
+let common_term =
+  Term.(
+    const (fun quick seed jobs -> { quick; seed; jobs }) $ quick_arg $ seed_arg $ jobs_arg)
 
 let with_seed seed config = { config with Core.Config.seed }
 
-(* --- table1 --- *)
+(* --- the experiment point table ---
+
+   Every table and figure is an artifact: a pinned point list and the
+   renderer of its results. A command runs the points of all its
+   artifacts in one --jobs pool and prints each table in order. *)
+
+module type ARTIFACT = sig
+  val points : quick:bool -> seed:int -> Experiments.Runner.point list
+
+  val render :
+    (Experiments.Runner.point * Experiments.Runner.summary) list -> string
+end
+
+let artifact (module A : ARTIFACT) c =
+  { Experiments.Runner.points = A.points ~quick:c.quick ~seed:c.seed; render = A.render }
+
+let table1 =
+  { Experiments.Runner.points = []; render = (fun _ -> Experiments.Table1.render ()) }
+
+let ablations which c =
+  List.map
+    (fun t ->
+      {
+        Experiments.Runner.points = Experiments.Ablation.points ~quick:c.quick ~seed:c.seed t;
+        render = Experiments.Ablation.render t;
+      })
+    which
+
+let batch_artifact ?config ?batched ?clients c =
+  {
+    Experiments.Runner.points =
+      Experiments.Batch.points ~quick:c.quick ~seed:c.seed ?config ?batched ?clients ();
+    render = Experiments.Batch.render;
+  }
+
+let print_artifacts c artifacts =
+  List.iter print_string (Experiments.Runner.render_all ~jobs:c.jobs artifacts)
+
+let artifact_cmd name ~doc artifacts =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun c -> print_artifacts c (artifacts c)) $ common_term)
 
 let table1_cmd =
-  let run () = print_string (Experiments.Table1.render ()) in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I (database and table versions)")
-    Term.(const run $ const ())
-
-(* --- fig3 --- *)
-
-let fig3 quick seed =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let update_points = if quick then [ 0; 10; 20; 40 ] else [ 0; 5; 10; 15; 20; 25; 30; 35; 40 ] in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
-  let points =
-    Experiments.Fig3.run
-      ~config:(with_seed seed Core.Config.default)
-      ~params ~update_points ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig3.render points)
+  artifact_cmd "table1" ~doc:"Reproduce Table I (database and table versions)" (fun _ ->
+      [ table1 ])
 
 let fig3_cmd =
-  Cmd.v
-    (Cmd.info "fig3" ~doc:"Reproduce Figure 3 (micro-benchmark throughput)")
-    Term.(const fig3 $ quick_arg $ seed_arg)
-
-(* --- fig4 --- *)
-
-let fig4 quick seed =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
-  let results =
-    Experiments.Fig4.run
-      ~config:(with_seed seed Core.Config.default)
-      ~params ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig4.render results)
+  artifact_cmd "fig3" ~doc:"Reproduce Figure 3 (micro-benchmark throughput)" (fun c ->
+      [ artifact (module Experiments.Fig3) c ])
 
 let fig4_cmd =
-  Cmd.v
-    (Cmd.info "fig4" ~doc:"Reproduce Figure 4 (latency breakdown, 25% and 100% updates)")
-    Term.(const fig4 $ quick_arg $ seed_arg)
-
-(* --- fig5 / fig6 (one scaled-load sweep feeds both) --- *)
-
-let fig56 quick seed =
-  let warmup_ms, measure_ms = tpcw_windows quick in
-  let replica_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let points =
-    Experiments.Tpcw_sweep.scaled
-      ~config:(with_seed seed Core.Config.tpcw)
-      ~replica_counts ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig5.render points);
-  print_string (Experiments.Fig6.render points)
+  artifact_cmd "fig4" ~doc:"Reproduce Figure 4 (latency breakdown, 25% and 100% updates)"
+    (fun c -> [ artifact (module Experiments.Fig4) c ])
 
 let fig5_cmd =
-  Cmd.v
-    (Cmd.info "fig5" ~doc:"Reproduce Figures 5 and 6 (TPC-W scaled load)")
-    Term.(const fig56 $ quick_arg $ seed_arg)
-
-(* --- fig7 --- *)
-
-let fig7 quick seed =
-  let warmup_ms, measure_ms = tpcw_windows quick in
-  let replica_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let points =
-    Experiments.Tpcw_sweep.fixed
-      ~config:(with_seed seed Core.Config.tpcw)
-      ~replica_counts ~warmup_ms ~measure_ms ()
-  in
-  print_string (Experiments.Fig7.render points)
+  artifact_cmd "fig5" ~doc:"Reproduce Figures 5 and 6 (TPC-W scaled load)" (fun c ->
+      [ artifact (module Experiments.Fig5) c ])
 
 let fig7_cmd =
-  Cmd.v
-    (Cmd.info "fig7" ~doc:"Reproduce Figure 7 (TPC-W fixed load response time)")
-    Term.(const fig7 $ quick_arg $ seed_arg)
+  artifact_cmd "fig7" ~doc:"Reproduce Figure 7 (TPC-W fixed load response time)" (fun c ->
+      [ artifact (module Experiments.Fig7) c ])
+
+let ycsb_cmd =
+  artifact_cmd "ycsb" ~doc:"Run the YCSB extension workload across configurations"
+    (fun c -> [ artifact (module Experiments.Ycsb) c ])
+
+let tpcc_cmd =
+  artifact_cmd "tpcc" ~doc:"Run the TPC-C extension workload across configurations"
+    (fun c -> [ artifact (module Experiments.Tpcc) c ])
 
 (* --- batch: group certification / parallel apply sweep --- *)
 
@@ -140,24 +128,12 @@ let costs_arg =
   Arg.(value & opt (enum [ ("micro", `Micro); ("tpcw", `Tpcw); ("reexec", `Reexec) ]) `Micro
        & info [ "costs" ] ~docv:"MODEL" ~doc)
 
-let batch quick seed cert_batch apply_parallelism clients costs =
-  let warmup_ms, measure_ms = micro_windows quick in
-  let update_points = if quick then [ 0; 10; 20 ] else [ 0; 5; 10; 15; 20 ] in
-  let params =
-    if quick then { Workload.Microbench.default with rows = 2_000 }
-    else Workload.Microbench.default
-  in
+let batch c cert_batch apply_parallelism clients costs =
   let config =
     match costs with
     | `Micro -> Core.Config.default
     | `Tpcw -> Core.Config.tpcw
-    | `Reexec ->
-      let c = Core.Config.default in
-      {
-        c with
-        Core.Config.ws_apply_base_ms = c.Core.Config.stmt_base_ms +. c.Core.Config.commit_ms;
-        ws_apply_row_ms = c.Core.Config.row_write_ms;
-      }
+    | `Reexec -> Experiments.Ablation.reexec Core.Config.default
   in
   let batched config =
     let b = Core.Config.batched config in
@@ -168,15 +144,10 @@ let batch quick seed cert_batch apply_parallelism clients costs =
         Option.value apply_parallelism ~default:b.Core.Config.apply_parallelism;
     }
   in
-  let config = with_seed seed config in
   match Core.Config.validate (batched config) with
   | Error msg -> `Error (true, msg)
   | Ok () ->
-    let points =
-      Experiments.Batch_sweep.run ~config ~batched ~params ~clients ~update_points
-        ~warmup_ms ~measure_ms ()
-    in
-    print_string (Experiments.Batch_sweep.render points);
+    print_artifacts c [ batch_artifact ~config ~batched ~clients c ];
     `Ok ()
 
 let batch_cmd =
@@ -187,128 +158,26 @@ let batch_cmd =
           against the unbatched pipeline")
     Term.(
       ret
-        (const batch $ quick_arg $ seed_arg $ cert_batch_arg $ apply_parallelism_arg
-        $ clients_arg $ costs_arg))
+        (const batch $ common_term $ cert_batch_arg $ apply_parallelism_arg $ clients_arg
+        $ costs_arg))
 
 (* --- ablations --- *)
-
-let ablation which quick =
-  let measure_ms = if quick then 3_000.0 else 6_000.0 in
-  let run = function
-    | `Apply ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: writeset shipping vs re-execution"
-           (Experiments.Ablation.apply_vs_reexec ~measure_ms ()))
-    | `Span ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: table-set granularity"
-           (Experiments.Ablation.table_span ~measure_ms ()))
-    | `Early_cert ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: early certification"
-           (Experiments.Ablation.early_certification ~measure_ms ()))
-    | `Routing ->
-      print_string
-        (Experiments.Ablation.render ~title:"Ablation: load-balancer routing"
-           (Experiments.Ablation.routing ~measure_ms ()))
-  in
-  match which with
-  | `All -> List.iter run [ `Apply; `Span; `Early_cert; `Routing ]
-  | (`Apply | `Span | `Early_cert | `Routing) as name -> run name
 
 let ablation_cmd =
   let which =
     let doc = "Which ablation: apply, span, early-cert, routing, or all." in
     let names =
-      [
-        ("apply", `Apply); ("span", `Span); ("early-cert", `Early_cert);
-        ("routing", `Routing); ("all", `All);
-      ]
+      Experiments.Ablation.
+        [
+          ("apply", [ Apply ]); ("span", [ Span ]); ("early-cert", [ Early_cert ]);
+          ("routing", [ Routing ]); ("all", all);
+        ]
     in
-    Arg.(value & pos 0 (enum names) `All & info [] ~docv:"NAME" ~doc)
+    Arg.(value & pos 0 (enum names) Experiments.Ablation.all & info [] ~docv:"NAME" ~doc)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the design-choice ablation benchmarks")
-    Term.(const ablation $ which $ quick_arg)
-
-(* --- ycsb: the serving-benchmark extension --- *)
-
-let ycsb seed =
-  let params = Workload.Ycsb.default in
-  let config =
-    { (with_seed seed Core.Config.default) with Core.Config.replicas = 4 }
-  in
-  Printf.printf "YCSB on 4 replicas, 40 closed-loop clients, 10k records (zipf 0.99)\n\n";
-  Printf.printf "%-7s %-8s %9s %9s %8s\n" "mix" "mode" "TPS" "resp(ms)" "abort%";
-  List.iter
-    (fun mix ->
-      List.iter
-        (fun mode ->
-          let cluster =
-            Core.Cluster.create ~config ~mode ~schemas:(Workload.Ycsb.schemas params)
-              ~load:(Workload.Ycsb.load params)
-              ()
-          in
-          Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-            (Workload.Ycsb.workload params mix);
-          Core.Cluster.run_for cluster ~warmup_ms:1_000.0 ~measure_ms:4_000.0;
-          let m = Core.Cluster.metrics cluster in
-          Printf.printf "%-7s %-8s %9.0f %9.2f %8.2f\n%!" (Workload.Ycsb.mix_name mix)
-            (Core.Consistency.to_string mode)
-            (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m)
-            (100.0 *. Core.Metrics.abort_rate m))
-        Core.Consistency.all;
-      print_newline ())
-    [ Workload.Ycsb.A; Workload.Ycsb.B; Workload.Ycsb.C; Workload.Ycsb.D;
-      Workload.Ycsb.E; Workload.Ycsb.F ]
-
-let ycsb_cmd =
-  Cmd.v
-    (Cmd.info "ycsb" ~doc:"Run the YCSB extension workload across configurations")
-    Term.(const ycsb $ seed_arg)
-
-(* --- tpcc: the TPC-C extension --- *)
-
-let tpcc seed =
-  (* 5 terminals per warehouse: optimistic certification turns the spec's
-     hot rows (w_ytd, d_next_o_id) into write-write aborts, so contention
-     is kept at the moderate end; the abort column shows what remains. *)
-  let params = { Workload.Tpcc.default with Workload.Tpcc.warehouses = 8 } in
-  let config = { (with_seed seed Core.Config.default) with Core.Config.replicas = 4 } in
-  Printf.printf
-    "TPC-C on 4 replicas, 40 paced terminals, %d warehouses x %d districts\n\n"
-    params.Workload.Tpcc.warehouses params.Workload.Tpcc.districts_per_warehouse;
-  Printf.printf "%-8s %9s %9s %8s %9s\n" "mode" "TPS" "resp(ms)" "abort%" "sync(ms)";
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create ~config ~mode ~schemas:Workload.Tpcc.schemas
-          ~load:(Workload.Tpcc.load params)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:40 ~first_sid:0
-        {
-          (Workload.Tpcc.workload params) with
-          Core.Client.think_ms = Core.Client.exp_think ~mean_ms:100.0;
-        };
-      Core.Cluster.run_for cluster ~warmup_ms:1_000.0 ~measure_ms:6_000.0;
-      let m = Core.Cluster.metrics cluster in
-      Printf.printf "%-8s %9.0f %9.2f %8.2f %9.2f\n%!"
-        (Core.Consistency.to_string mode)
-        (Core.Metrics.throughput_tps m) (Core.Metrics.mean_response_ms m)
-        (100.0 *. Core.Metrics.abort_rate m)
-        (Core.Metrics.sync_delay_ms m))
-    Core.Consistency.all;
-  print_newline ();
-  Printf.printf "Static SI analysis: %s\n"
-    (if Check.Si_analysis.serializable_under_si Workload.Tpcc.profiles then
-       "no dangerous structures — TPC-C runs serializably under GSI (as the paper notes)"
-     else "dangerous structures found")
-
-let tpcc_cmd =
-  Cmd.v
-    (Cmd.info "tpcc" ~doc:"Run the TPC-C extension workload across configurations")
-    Term.(const tpcc $ seed_arg)
+    Term.(const (fun which c -> print_artifacts c (ablations which c)) $ which $ common_term)
 
 (* --- check: consistency validation of live runs --- *)
 
@@ -652,7 +521,7 @@ let overload_cmd =
 
 (* --- tiers: read-tier latency/staleness frontier --- *)
 
-let tiers quick seed clients jobs =
+let tiers { quick; seed; jobs } clients =
   (* --quick trims sweep points, not measurement windows: each point is
      an independent cluster run, so the quick rows are bit-identical to
      the same rows of the full sweep, and the latency-ordering check
@@ -687,7 +556,7 @@ let tiers_cmd =
          "Sweep the bounded-staleness lag bound and report per-read-tier latency and \
           served staleness (the latency-vs-staleness frontier), validating every tier \
           contract on the run log")
-    Term.(ret (const tiers $ quick_arg $ seed_arg $ tiers_clients_arg $ jobs_arg))
+    Term.(ret (const tiers $ common_term $ tiers_clients_arg))
 
 (* --- the instrumented demo run: report and the default command --- *)
 
@@ -803,18 +672,25 @@ let trace_term =
 
 (* --- all --- *)
 
-let all quick seed =
-  print_string (Experiments.Table1.render ());
-  fig3 quick seed;
-  fig4 quick seed;
-  fig56 quick seed;
-  fig7 quick seed;
-  ablation `All quick
-
 let all_cmd =
-  Cmd.v
-    (Cmd.info "all" ~doc:"Regenerate every table and figure plus the ablations")
-    Term.(const all $ quick_arg $ seed_arg)
+  artifact_cmd "all"
+    ~doc:
+      "Regenerate every table and figure plus the ablations, the batching sweep and the \
+       TPC-C and YCSB extensions, in one --jobs pool"
+    (fun c ->
+      [
+        table1;
+        artifact (module Experiments.Fig3) c;
+        artifact (module Experiments.Fig4) c;
+        artifact (module Experiments.Fig5) c;
+        artifact (module Experiments.Fig7) c;
+      ]
+      @ ablations Experiments.Ablation.all c
+      @ [
+          batch_artifact c;
+          artifact (module Experiments.Tpcc) c;
+          artifact (module Experiments.Ycsb) c;
+        ])
 
 let () =
   let doc = "Reproduction of 'Strongly consistent replication for a bargain' (ICDE 2010)" in

@@ -1,141 +1,102 @@
-type row = { label : string; cells : (string * float) list }
+type t = Apply | Span | Early_cert | Routing
+
+let all = [ Apply; Span; Early_cert; Routing ]
+
+let reexec c =
+  {
+    c with
+    Core.Config.ws_apply_base_ms = c.Core.Config.stmt_base_ms +. c.Core.Config.commit_ms;
+    ws_apply_row_ms = c.Core.Config.row_write_ms;
+  }
 
 let params = { Workload.Microbench.default with rows = 2_000 }
 
-let base_config = Core.Config.default
-
-let run_with ~config ~workload ~clients ~measure_ms =
-  let cluster =
-    Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
+let points ~quick ~seed t =
+  let point ?(mode = Core.Consistency.Coarse) ?(config = Core.Config.default) workload =
+    {
+      Runner.mode;
+      workload;
+      replicas = config.Core.Config.replicas;
+      clients = 80;
+      warmup_ms = 1_500.0;
+      measure_ms = (if quick then 3_000.0 else 6_000.0);
+      seed;
+      config;
+    }
   in
-  Core.Client.spawn_many cluster ~n:clients ~first_sid:0 workload;
-  Core.Cluster.run_for cluster ~warmup_ms:1_500.0 ~measure_ms;
-  cluster
+  let micro update_types = Runner.Micro { params with update_types } in
+  match t with
+  | Apply ->
+    List.map
+      (fun config -> point ~config (micro 20))
+      [ Core.Config.default; reexec Core.Config.default ]
+  | Span ->
+    List.concat_map
+      (fun span ->
+        List.map
+          (fun mode -> point ~mode (Runner.Span ({ params with update_types = 10 }, span)))
+          [ Core.Consistency.Fine; Core.Consistency.Coarse ])
+      [ 1; 2; 4; 8; 16 ]
+  | Early_cert ->
+    List.map
+      (fun early_certification ->
+        point
+          ~config:{ Core.Config.default with early_certification }
+          (Runner.Hot_key ({ params with update_types = 40 }, 40)))
+      [ true; false ]
+  | Routing ->
+    List.map
+      (fun routing -> point ~config:{ Core.Config.default with routing } (micro 10))
+      [
+        Core.Config.Least_active; Core.Config.Round_robin; Core.Config.Random_replica;
+        Core.Config.Session_affinity;
+      ]
 
-let summary cluster =
-  let m = Core.Cluster.metrics cluster in
-  (m, Core.Metrics.throughput_tps m, Core.Metrics.mean_response_ms m)
+let title = function
+  | Apply -> "Ablation: writeset shipping vs re-execution"
+  | Span -> "Ablation: table-set granularity"
+  | Early_cert -> "Ablation: early certification"
+  | Routing -> "Ablation: load-balancer routing"
 
-(* 1. Writeset shipping vs re-execution: the "re-execute" configuration
-   prices a refresh transaction like running the update statements from
-   scratch. *)
-let apply_vs_reexec ?(clients = 80) ?(update_types = 20) ?(measure_ms = 6_000.0) () =
-  let p = { params with Workload.Microbench.update_types } in
-  let variants =
-    [
-      ("writeset shipping (paper)", base_config);
-      ( "re-execute at replicas",
-        {
-          base_config with
-          Core.Config.ws_apply_base_ms =
-            base_config.Core.Config.stmt_base_ms +. base_config.Core.Config.commit_ms;
-          ws_apply_row_ms = base_config.Core.Config.row_write_ms;
-        } );
-    ]
-  in
-  List.map
-    (fun (label, config) ->
-      let cluster =
-        run_with ~config ~workload:(Workload.Microbench.workload p) ~clients ~measure_ms
-      in
-      let m, tps, resp = summary cluster in
-      {
-        label;
-        cells =
-          [
-            ("TPS", tps); ("resp_ms", resp);
-            ("version_ms", Core.Metrics.mean_stage_ms m Core.Metrics.Version);
-            ("sync_ms", Core.Metrics.mean_stage_ms m Core.Metrics.Sync);
-          ];
-      })
-    variants
+let label t (p : Runner.point) =
+  match (t, p.workload) with
+  | Apply, _ ->
+    if p.config.ws_apply_base_ms = Core.Config.default.ws_apply_base_ms then
+      "writeset shipping (paper)"
+    else "re-execute at replicas"
+  | Span, Runner.Span (_, span) ->
+    Printf.sprintf "span=%d %s" span (Core.Consistency.to_string p.mode)
+  | Early_cert, _ ->
+    if p.config.early_certification then "early certification on"
+    else "early certification off"
+  | Routing, _ -> (
+    match p.config.routing with
+    | Core.Config.Least_active -> "least-active (paper)"
+    | Round_robin -> "round-robin"
+    | Random_replica -> "random"
+    | Session_affinity -> "session-affinity")
+  | Span, _ -> invalid_arg "Ablation.label: not a span point"
 
-(* 2. Table-set granularity: span update transactions over more tables;
-   report the fine- vs coarse-grained start delays. *)
-let table_span ?(clients = 80) ?(spans = [ 1; 2; 4; 8; 16 ]) ?(measure_ms = 6_000.0) () =
-  let p = { params with Workload.Microbench.update_types = 10 } in
-  List.concat_map
-    (fun span ->
-      List.map
-        (fun mode ->
-          let cluster =
-            Core.Cluster.create ~config:base_config ~mode
-              ~schemas:(Workload.Microbench.schemas p)
-              ~load:(Workload.Microbench.load p)
-              ()
-          in
-          Core.Client.spawn_many cluster ~n:clients ~first_sid:0
-            (Workload.Microbench.span_workload p ~span);
-          Core.Cluster.run_for cluster ~warmup_ms:1_500.0 ~measure_ms;
-          let m, tps, resp = summary cluster in
-          {
-            label = Printf.sprintf "span=%d %s" span (Core.Consistency.to_string mode);
-            cells =
-              [
-                ("TPS", tps); ("resp_ms", resp);
-                ("version_ms", Core.Metrics.mean_stage_ms m Core.Metrics.Version);
-              ];
-          })
-        [ Core.Consistency.Fine; Core.Consistency.Coarse ])
-    spans
+let cells t (s : Runner.summary) =
+  let stage st = s.stage_ms.(Core.Metrics.stage_index st) in
+  [ ("TPS", s.tps); ("resp_ms", s.response_ms) ]
+  @
+  match t with
+  | Apply ->
+    [ ("version_ms", stage Core.Metrics.Version); ("sync_ms", stage Core.Metrics.Sync) ]
+  | Span -> [ ("version_ms", stage Core.Metrics.Version) ]
+  | Early_cert ->
+    [ ("abort_pct", 100.0 *. s.abort_rate); ("certify_ms", stage Core.Metrics.Certify) ]
+  | Routing -> [ ("p99_ms", s.p99_ms) ]
 
-(* 3. Early certification under a high-conflict workload. *)
-let early_certification ?(clients = 80) ?(measure_ms = 6_000.0) () =
-  let p = { params with Workload.Microbench.update_types = 40 } in
-  List.map
-    (fun (label, early) ->
-      let config = { base_config with Core.Config.early_certification = early } in
-      let cluster =
-        run_with ~config
-          ~workload:(Workload.Microbench.hot_workload p ~hot_rows:40)
-          ~clients ~measure_ms
-      in
-      let m, tps, resp = summary cluster in
-      {
-        label;
-        cells =
-          [
-            ("TPS", tps); ("resp_ms", resp);
-            ("abort_pct", 100.0 *. Core.Metrics.abort_rate m);
-            ("certify_ms", Core.Metrics.mean_stage_ms m Core.Metrics.Certify);
-          ];
-      })
-    [ ("early certification on", true); ("early certification off", false) ]
-
-(* 4. Routing policy. *)
-let routing ?(clients = 80) ?(measure_ms = 6_000.0) () =
-  let p = { params with Workload.Microbench.update_types = 10 } in
-  List.map
-    (fun (label, routing) ->
-      let config = { base_config with Core.Config.routing } in
-      let cluster =
-        run_with ~config ~workload:(Workload.Microbench.workload p) ~clients ~measure_ms
-      in
-      let m, tps, resp = summary cluster in
-      {
-        label;
-        cells =
-          [
-            ("TPS", tps); ("resp_ms", resp);
-            ("p99_ms", Core.Metrics.percentile_response_ms m 99.0);
-          ];
-      })
-    [
-      ("least-active (paper)", Core.Config.Least_active);
-      ("round-robin", Core.Config.Round_robin);
-      ("random", Core.Config.Random_replica);
-      ("session-affinity", Core.Config.Session_affinity);
-    ]
-
-let render ~title rows =
-  match rows with
-  | [] -> Report.section title ^ "\n(no data)\n"
-  | first :: _ ->
-    let header = "variant" :: List.map fst first.cells in
+let render t pairs =
+  match pairs with
+  | [] -> Report.section (title t) ^ "\n(no data)\n"
+  | (_, first) :: _ ->
+    let header = "variant" :: List.map fst (cells t first) in
     let body =
-      List.map (fun r -> r.label :: List.map (fun (_, v) -> Report.fmt_f v) r.cells) rows
+      List.map
+        (fun (p, s) -> label t p :: List.map (fun (_, v) -> Report.fmt_f v) (cells t s))
+        pairs
     in
-    Report.section title ^ "\n" ^ Report.table ~header body
+    Report.section (title t) ^ "\n" ^ Report.table ~header body

@@ -1,28 +1,19 @@
-type point = {
-  update_types : int;
-  summaries : (Core.Consistency.mode * Runner.summary) list;
-}
-
-let run ?(config = Core.Config.default) ?(params = Workload.Microbench.default)
-    ?(clients = 80) ?(update_points = [ 0; 5; 10; 15; 20; 25; 30; 35; 40 ])
-    ?(warmup_ms = 2_000.0) ?(measure_ms = 8_000.0) () =
-  List.map
+let points ~quick ~seed =
+  let update_points =
+    if quick then [ 0; 10; 20; 40 ] else [ 0; 5; 10; 15; 20; 25; 30; 35; 40 ]
+  in
+  List.concat_map
     (fun update_types ->
-      let summaries =
-        List.map
-          (fun mode ->
-            let s =
-              Runner.run_micro ~config ~mode
-                ~params:{ params with Workload.Microbench.update_types }
-                ~clients ~warmup_ms ~measure_ms ()
-            in
-            (mode, s))
-          Core.Consistency.all
-      in
-      { update_types; summaries })
+      List.map
+        (fun mode -> Runner.micro_point ~quick ~seed mode ~update_types)
+        Core.Consistency.all)
     update_points
 
-let render points =
+let render pairs =
+  let update_points = Runner.distinct (List.map (fun (p, _) -> Runner.update_types p) pairs) in
+  let summary update_types mode =
+    Runner.lookup pairs (fun p -> p.mode = mode && Runner.update_types p = update_types)
+  in
   let header =
     "upd types"
     :: List.concat_map
@@ -33,27 +24,20 @@ let render points =
   in
   let rows =
     List.map
-      (fun p ->
-        string_of_int p.update_types
+      (fun u ->
+        string_of_int u
         :: List.concat_map
              (fun mode ->
-               match List.assoc_opt mode p.summaries with
-               | Some s ->
-                 [ Report.fmt_f s.Runner.tps; Report.fmt_f s.Runner.response_ms ]
-               | None -> [ "-"; "-" ])
+               let s = summary u mode in
+               [ Report.fmt_f s.Runner.tps; Report.fmt_f s.Runner.response_ms ])
              Core.Consistency.all)
-      points
+      update_points
   in
   let series =
     List.map
       (fun mode ->
         ( Core.Consistency.to_string mode,
-          List.filter_map
-            (fun p ->
-              Option.map
-                (fun s -> (float_of_int p.update_types, s.Runner.tps))
-                (List.assoc_opt mode p.summaries))
-            points ))
+          List.map (fun u -> (float_of_int u, (summary u mode).Runner.tps)) update_points ))
       Core.Consistency.all
   in
   Report.section "Figure 3: micro-benchmark throughput vs update ratio (8 replicas)"

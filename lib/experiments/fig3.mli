@@ -4,19 +4,8 @@
     number of update transaction types sweeps 0..40. One curve per
     consistency configuration. *)
 
-type point = {
-  update_types : int;  (** of 40 transaction types *)
-  summaries : (Core.Consistency.mode * Runner.summary) list;
-}
+val points : quick:bool -> seed:int -> Runner.point list
+(** Every mode at 0, 5, ..., 40 update types (0, 10, 20 and 40 when
+    [quick]). *)
 
-val run :
-  ?config:Core.Config.t ->
-  ?params:Workload.Microbench.params ->
-  ?clients:int ->
-  ?update_points:int list ->
-  ?warmup_ms:float ->
-  ?measure_ms:float ->
-  unit ->
-  point list
-
-val render : point list -> string
+val render : (Runner.point * Runner.summary) list -> string

@@ -1,58 +1,42 @@
-type breakdown = {
-  mode : Core.Consistency.mode;
-  stage_ms : float array;
-  total_ms : float;
-}
+let tables = Workload.Microbench.default.Workload.Microbench.tables
 
-type result = {
-  update_pct : int;
-  breakdowns : breakdown list;
-}
-
-let run ?(config = Core.Config.default) ?(params = Workload.Microbench.default)
-    ?(clients = 80) ?(mixes = [ 25; 100 ]) ?(warmup_ms = 2_000.0) ?(measure_ms = 8_000.0)
-    () =
-  List.map
+let points ~quick ~seed =
+  List.concat_map
     (fun update_pct ->
-      let update_types = update_pct * params.Workload.Microbench.tables / 100 in
-      let breakdowns =
-        List.map
-          (fun mode ->
-            let s =
-              Runner.run_micro ~config ~mode
-                ~params:{ params with Workload.Microbench.update_types }
-                ~clients ~warmup_ms ~measure_ms ()
-            in
-            (* The global stage exists only for update transactions; use
-               the update-transaction mean for it, the overall mean for
-               the rest (the paper's bars are per update transaction for
-               global). *)
-            let stage_ms = Array.copy s.Runner.stage_ms in
-            stage_ms.(Core.Metrics.stage_index Core.Metrics.Global) <-
-              s.Runner.stage_update_ms.(Core.Metrics.stage_index Core.Metrics.Global);
-            { mode; stage_ms; total_ms = Array.fold_left ( +. ) 0.0 stage_ms })
-          Core.Consistency.all
-      in
-      { update_pct; breakdowns })
-    mixes
+      List.map
+        (fun mode ->
+          Runner.micro_point ~quick ~seed mode ~update_types:(update_pct * tables / 100))
+        Core.Consistency.all)
+    [ 25; 100 ]
 
-let render results =
+let breakdown (s : Runner.summary) =
+  let stage_ms = Array.copy s.stage_ms in
+  let global = Core.Metrics.stage_index Core.Metrics.Global in
+  stage_ms.(global) <- s.stage_update_ms.(global);
+  stage_ms
+
+let render pairs =
+  let header =
+    "config" :: (List.map Core.Metrics.stage_name Core.Metrics.stages @ [ "total" ])
+  in
+  let panel update_types =
+    let rows =
+      List.map
+        (fun mode ->
+          let stage_ms =
+            breakdown
+              (Runner.lookup pairs (fun p ->
+                   p.mode = mode && Runner.update_types p = update_types))
+          in
+          Core.Consistency.to_string mode
+          :: (Array.to_list (Array.map Report.fmt_f stage_ms)
+             @ [ Report.fmt_f (Array.fold_left ( +. ) 0.0 stage_ms) ]))
+        Core.Consistency.all
+    in
+    Report.section
+      (Printf.sprintf "Figure 4: latency breakdown, %d%% update mix (ms)"
+         (update_types * 100 / tables))
+    ^ "\n" ^ Report.table ~header rows
+  in
   String.concat "\n"
-    (List.map
-       (fun r ->
-         let header =
-           "config"
-           :: (List.map Core.Metrics.stage_name Core.Metrics.stages @ [ "total" ])
-         in
-         let rows =
-           List.map
-             (fun b ->
-               Core.Consistency.to_string b.mode
-               :: (Array.to_list (Array.map Report.fmt_f b.stage_ms)
-                  @ [ Report.fmt_f b.total_ms ]))
-             r.breakdowns
-         in
-         Report.section
-           (Printf.sprintf "Figure 4: latency breakdown, %d%% update mix (ms)" r.update_pct)
-         ^ "\n" ^ Report.table ~header rows)
-       results)
+    (List.map panel (Runner.distinct (List.map (fun (p, _) -> Runner.update_types p) pairs)))

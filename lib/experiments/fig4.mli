@@ -4,29 +4,10 @@
     Stages follow §V.A: version / queries / certify / sync / commit /
     global. Reported per configuration as the mean over all committed
     transactions (read-only transactions contribute zeros to the stages
-    they lack, matching the paper's stacked bars). *)
+    they lack, matching the paper's stacked bars); the global stage is
+    the mean over update transactions, the only ones that have it. *)
 
-type breakdown = {
-  mode : Core.Consistency.mode;
-  stage_ms : float array;  (** indexed by {!Core.Metrics.stage} *)
-  total_ms : float;
-}
+val points : quick:bool -> seed:int -> Runner.point list
+(** Every mode at 25% and 100% update types. *)
 
-type result = {
-  update_pct : int;
-  breakdowns : breakdown list;
-}
-
-val run :
-  ?config:Core.Config.t ->
-  ?params:Workload.Microbench.params ->
-  ?clients:int ->
-  ?mixes:int list ->
-  ?warmup_ms:float ->
-  ?measure_ms:float ->
-  unit ->
-  result list
-(** [mixes] are update percentages (default [\[25; 100\]]); each maps to
-    [update_types = pct * tables / 100]. *)
-
-val render : result list -> string
+val render : (Runner.point * Runner.summary) list -> string

@@ -1,38 +1,16 @@
-let render points =
-  let mixes =
-    List.filter
-      (fun mix -> List.exists (fun p -> p.Tpcw_sweep.mix = mix) points)
-      [ Workload.Tpcw.Shopping; Workload.Tpcw.Ordering ]
-  in
-  let replica_counts =
-    List.sort_uniq compare (List.map (fun p -> p.Tpcw_sweep.replicas) points)
-  in
-  String.concat "\n"
-    (List.map
-       (fun mix ->
-         let header =
-           "replicas" :: List.map Core.Consistency.to_string Core.Consistency.all
-         in
-         let rows =
-           List.map
-             (fun n ->
-               string_of_int n
-               :: List.map
-                    (fun mode ->
-                      match
-                        List.find_opt
-                          (fun p ->
-                            p.Tpcw_sweep.mix = mix && p.Tpcw_sweep.mode = mode
-                            && p.Tpcw_sweep.replicas = n)
-                          points
-                      with
-                      | Some p -> Report.fmt_f p.Tpcw_sweep.summary.Runner.response_ms
-                      | None -> "-")
-                    Core.Consistency.all)
-             replica_counts
-         in
-         Report.section
-           (Printf.sprintf "Figure 7: TPC-W %s — response time (ms, fixed load)"
-              (Workload.Tpcw.mix_name mix))
-         ^ "\n" ^ Report.table ~header rows)
-       mixes)
+let mixes = [ Workload.Tpcw.Shopping; Workload.Tpcw.Ordering ]
+
+let points ~quick ~seed = Fig5.sweep ~quick ~seed ~scaled:false mixes
+
+let render pairs =
+  Fig5.panels mixes
+    (fun mix ->
+      [
+        Fig5.panel
+          ~title:
+            (Printf.sprintf "Figure 7: TPC-W %s — response time (ms, fixed load)"
+               (Workload.Tpcw.mix_name mix))
+          ~metric:(fun s -> s.Runner.response_ms)
+          mix pairs;
+      ])
+    pairs

@@ -2,4 +2,6 @@
     ordering: 50 clients), replicas 1–8. Lazy configurations' response
     falls as replicas are added; the eager configuration's rises. *)
 
-val render : Tpcw_sweep.point list -> string
+val points : quick:bool -> seed:int -> Runner.point list
+
+val render : (Runner.point * Runner.summary) list -> string

@@ -250,6 +250,14 @@ let apply_set schema row set =
             (Printf.sprintf "Txn.update_key: unknown column %s.%s" schema.Schema.table_name
                col_name)
       in
+      (* A new key value would buffer the row under its old key. *)
+      let key = schema.Schema.primary_key in
+      for i = 0 to Array.length key - 1 do
+        if key.(i) = idx then
+          invalid_arg
+            (Printf.sprintf "Txn.update_key: %s.%s is a primary-key column"
+               schema.Schema.table_name col_name)
+      done;
       row.(idx) <- Expr.eval row expr)
     set;
   row

@@ -67,56 +67,73 @@ let test_plot_empty () =
   Alcotest.(check string) "no data placeholder" "(no data)\n"
     (Experiments.Plot.chart ~series:[ ("e", []) ] ())
 
+(* A point of the shared driver at miniature micro-benchmark size. *)
+let tiny_point ?(config = Core.Config.default) ?(update_types = 1) ?(rows = 200)
+    ?(warmup_ms = 200.0) ?(measure_ms = 1_000.0) ~seed mode =
+  {
+    Experiments.Runner.mode;
+    workload = Micro { Workload.Microbench.tables = 4; rows; update_types };
+    replicas = 2;
+    clients = 8;
+    warmup_ms;
+    measure_ms;
+    seed;
+    config = { config with gc_interval_ms = 0.0 };
+  }
+
 let test_runner_smoke () =
   (* A miniature end-to-end experiment through the shared driver. *)
-  let params = { Workload.Microbench.tables = 4; rows = 200; update_types = 1 } in
-  let config =
-    { Core.Config.default with replicas = 2; seed = 1; gc_interval_ms = 0.0 }
-  in
   let s =
-    Experiments.Runner.run_micro ~config ~mode:Core.Consistency.Coarse ~params ~clients:8
-      ~warmup_ms:200.0 ~measure_ms:1_000.0 ()
+    match Experiments.Runner.run [ tiny_point ~seed:1 Core.Consistency.Coarse ] with
+    | [ s ] -> s
+    | l -> Alcotest.failf "expected 1 summary, got %d" (List.length l)
   in
   Alcotest.(check bool) "throughput positive" true (s.Experiments.Runner.tps > 100.0);
   Alcotest.(check bool) "response positive" true (s.Experiments.Runner.response_ms > 0.0);
+  Alcotest.(check bool) "p99 at least the mean" true
+    (s.Experiments.Runner.p99_ms >= s.Experiments.Runner.response_ms);
   Alcotest.(check int) "clients recorded" 8 s.Experiments.Runner.clients;
   Alcotest.(check int) "replicas recorded" 2 s.Experiments.Runner.replicas
 
+let contains s needle =
+  let nl = String.length needle and sl = String.length s in
+  let rec probe i = i + nl <= sl && (String.sub s i nl = needle || probe (i + 1)) in
+  probe 0
+
 let test_ablation_rows_shape () =
-  let rows =
-    [
-      { Experiments.Ablation.label = "x"; cells = [ ("TPS", 1.0); ("ms", 2.0) ] };
-      { Experiments.Ablation.label = "y"; cells = [ ("TPS", 3.0); ("ms", 4.0) ] };
-    ]
+  let pair routing tps =
+    ( tiny_point ~config:{ Core.Config.default with routing } ~seed:1 Core.Consistency.Coarse,
+      {
+        Experiments.Runner.mode = Core.Consistency.Coarse;
+        replicas = 2;
+        clients = 8;
+        tps;
+        response_ms = 2.0;
+        p99_ms = 5.0;
+        stage_ms = Array.make Core.Metrics.stage_count 0.0;
+        stage_update_ms = Array.make Core.Metrics.stage_count 0.0;
+        sync_delay_ms = 0.0;
+        abort_rate = 0.0;
+        committed = 1;
+      } )
   in
-  let s = Experiments.Ablation.render ~title:"t" rows in
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec probe i = i + nl <= sl && (String.sub s i nl = needle || probe (i + 1)) in
-    probe 0
+  let s =
+    Experiments.Ablation.render Experiments.Ablation.Routing
+      [ pair Core.Config.Least_active 1.0; pair Core.Config.Round_robin 3.0 ]
   in
   Alcotest.(check bool) "contains labels" true
-    (List.for_all contains [ "x"; "y"; "TPS" ])
+    (List.for_all (contains s) [ "least-active (paper)"; "round-robin"; "TPS"; "p99_ms" ])
 
 let test_replicate_aggregates () =
   (* Aggregate across seeds; the paper's methodology (10 runs, <5%
      deviation). Use 3 short runs for test time. *)
-  let params = { Workload.Microbench.tables = 4; rows = 500; update_types = 1 } in
   let agg =
-    Experiments.Runner.replicate ~runs:3 ~base_seed:100 (fun ~seed ->
-        let config =
-          {
-            Core.Config.default with
-            replicas = 2;
-            seed;
-            gc_interval_ms = 0.0;
-            (* Transient slowdowns dominate variance in short windows;
-               the methodology check uses a quiet cluster. *)
-            hiccup_interval_ms = 0.0;
-          }
-        in
-        Experiments.Runner.run_micro ~config ~mode:Core.Consistency.Coarse ~params
-          ~clients:8 ~warmup_ms:300.0 ~measure_ms:2_000.0 ())
+    Experiments.Runner.replicate ~runs:3
+      (tiny_point
+         (* Transient slowdowns dominate variance in short windows; the
+            methodology check uses a quiet cluster. *)
+         ~config:{ Core.Config.default with hiccup_interval_ms = 0.0 }
+         ~rows:500 ~warmup_ms:300.0 ~measure_ms:2_000.0 ~seed:100 Core.Consistency.Coarse)
   in
   Alcotest.(check int) "runs" 3 agg.Experiments.Runner.runs;
   Alcotest.(check bool) "mean tps positive" true (agg.Experiments.Runner.mean.tps > 100.0);
@@ -216,6 +233,29 @@ let test_parallel_chaos_matrix_identical () =
       Alcotest.(check int) "commit counts identical" a.committed b.committed)
     serial parallel
 
+let test_point_list_identical_across_jobs () =
+  (* The point table's contract: a point list gives the same summaries,
+     and so the same rendered table, at any pool size. *)
+  let points =
+    List.concat_map
+      (fun update_types ->
+        List.concat_map
+          (fun mode ->
+            List.map
+              (fun config -> tiny_point ~config ~update_types ~seed:7 mode)
+              [ Core.Config.default; Core.Config.batched Core.Config.default ])
+          [ Core.Consistency.Coarse; Core.Consistency.Eager ])
+      [ 0; 2 ]
+  in
+  (* In the batching sweep's order: baseline, then batched, per cell. *)
+  let artifact = { Experiments.Runner.points; render = Experiments.Batch.render } in
+  let serial = Experiments.Runner.run ~jobs:1 points
+  and parallel = Experiments.Runner.run ~jobs:2 points in
+  Alcotest.(check bool) "summaries equal" true (compare serial parallel = 0);
+  Alcotest.(check (list string)) "rendered tables byte-equal"
+    [ Experiments.Batch.render (List.combine points serial) ]
+    (Experiments.Runner.render_all ~jobs:2 [ artifact ])
+
 let suites =
   [
     ( "experiments",
@@ -234,6 +274,8 @@ let suites =
           test_map_jobs_order_and_results;
         Alcotest.test_case "chaos matrix digests identical at -j 4" `Quick
           test_parallel_chaos_matrix_identical;
+        Alcotest.test_case "point list identical at -j 2" `Quick
+          test_point_list_identical_across_jobs;
         Alcotest.test_case "chaos health artifact shape" `Quick
           test_chaos_health_json_shape;
       ] );

@@ -270,6 +270,21 @@ let test_txn_read_your_writes () =
   | Some row -> Alcotest.(check int) "isolation before commit" 100 (Value.as_int row.(2))
   | None -> Alcotest.fail "row vanished for other"
 
+let test_txn_update_rejects_key_column () =
+  (* Setting a key column would buffer a row whose key no longer
+     matches the key it is filed under. *)
+  let db = fresh_db () in
+  let txn = Txn.begin_ db in
+  Alcotest.(check bool) "key column rejected" true
+    (try
+       ignore (Txn.update_key txn ~table:"accounts" ~key:[| vi 1 |] ~set:[ ("id", Expr.i 99) ]);
+       false
+     with Invalid_argument _ -> true);
+  (match Txn.get txn ~table:"accounts" ~key:[| vi 1 |] with
+  | Some row -> Alcotest.(check int) "row keeps its key" 1 (Value.as_int row.(0))
+  | None -> Alcotest.fail "row vanished");
+  Alcotest.(check bool) "nothing buffered" true (Writeset.is_empty (Txn.writeset txn))
+
 let test_txn_commit_visibility () =
   let db = fresh_db () in
   let txn = Txn.begin_ db in
@@ -1433,6 +1448,8 @@ let suites =
     ( "storage.txn",
       [
         Alcotest.test_case "read your writes" `Quick test_txn_read_your_writes;
+        Alcotest.test_case "update rejects a key column" `Quick
+          test_txn_update_rejects_key_column;
         Alcotest.test_case "commit visibility" `Quick test_txn_commit_visibility;
         Alcotest.test_case "first committer wins" `Quick test_txn_first_committer_wins;
         Alcotest.test_case "snapshot stability" `Quick test_txn_snapshot_stability;
