@@ -341,22 +341,11 @@ let early_cert_tests () =
   in
   Test.make_grouped ~name:"early certification" [ statements 10; statements 30 ]
 
-(* Flat Bytes-based encoding vs the boxed Buffer codec, round-tripping
-   the same logical payload; plus a full runlog-record append into the
-   flat sink (the chaos-soak hot path). *)
+(* The flat Bytes encoding round-tripping a small row's fields, plus a
+   full runlog-record append into the flat sink (the chaos-soak hot
+   path). *)
 let codec_tests () =
   let open Bechamel in
-  let row =
-    [| Storage.Value.Int 42; Storage.Value.Int 7; Storage.Value.Text "tag42" |]
-  in
-  let boxed_roundtrip =
-    Test.make ~name:"row round-trip, boxed Buffer codec"
-      (Staged.stage (fun () ->
-           let buf = Buffer.create 64 in
-           Storage.Codec.encode_row buf row;
-           let r = Storage.Codec.reader (Buffer.contents buf) in
-           ignore (Storage.Codec.decode_row r)))
-  in
   let w = Storage.Codec.Flat.writer ~capacity:256 () in
   let flat_roundtrip =
     Test.make ~name:"fields round-trip, flat Bytes codec"
@@ -394,8 +383,7 @@ let codec_tests () =
            Check.Runlog.Sink.clear sink;
            Check.Runlog.Sink.add sink record))
   in
-  Test.make_grouped ~name:"codec"
-    [ boxed_roundtrip; flat_roundtrip; sink_append ]
+  Test.make_grouped ~name:"codec" [ flat_roundtrip; sink_append ]
 
 (* Two checkers of the failover-open battery, on a clean log of about
    the size of a soak's: each costs O(n log n) here. *)
@@ -466,7 +454,7 @@ let run_bechamel () =
   report "Certification index micro-benchmarks (Bechamel)" (certification_tests ());
   report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
   report "Early certification per statement (Bechamel)" (early_cert_tests ());
-  report "Flat vs boxed codec (Bechamel)" (codec_tests ());
+  report "Flat codec and runlog sink (Bechamel)" (codec_tests ());
   report "Run-log checkers (Bechamel)" (checker_tests ());
   report "Initial database: load vs copy (Bechamel)" (initial_database_tests ())
 

@@ -30,6 +30,29 @@ let common_term =
 
 let with_seed seed config = { config with Core.Config.seed }
 
+(* Range-checked converters: an out-of-range value is a usage error
+   (exit 124) before anything is built or run. *)
+let checked conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when ok x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s must be %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+(* [Arg.float], shown as [%g] in --help: "2", not "2.". *)
+let float_g = Arg.conv (Arg.conv_parser Arg.float, fun ppf -> Format.fprintf ppf "%g")
+
+let positive_int = checked Arg.int ~ok:(fun n -> n > 0) ~expect:"> 0"
+let positive_float = checked float_g ~ok:(fun x -> x > 0.0) ~expect:"> 0"
+let non_negative_float = checked float_g ~ok:(fun x -> x >= 0.0) ~expect:">= 0"
+
+let mode_conv =
+  Arg.conv'
+    ( (fun s -> Core.Consistency.of_string (String.trim s)),
+      fun ppf m -> Format.pp_print_string ppf (Core.Consistency.to_string m) )
+
 (* --- the experiment point table ---
 
    Every table and figure is an artifact: a pinned point list and the
@@ -115,7 +138,7 @@ let apply_parallelism_arg =
 
 let clients_arg =
   let doc = "Closed-loop clients driving the sweep." in
-  Arg.(value & opt int 160 & info [ "clients" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 160 & info [ "clients" ] ~docv:"N" ~doc)
 
 let costs_arg =
   let doc =
@@ -227,103 +250,83 @@ let check_cmd =
 
 (* --- chaos: seeded fault-schedule soak --- *)
 
-let chaos seeds seed_count duration plan_str modes_str tiers cert_standbys ack_quorum
-    voter_lease lb_standby verify_digest health_file offered_tps protections jobs =
-  match Experiments.Chaos.plan_of_string plan_str with
+let chaos seeds seed_count duration plan modes tiers cert_standbys ack_quorum voter_lease
+    lb_standby verify_digest health_file offered_tps protections jobs =
+  (* Control-plane knob overrides ride on the soak's own default
+     config, and go through Config.validate so a contradictory
+     combination fails here with a message instead of deep in a run. *)
+  let config =
+    match (cert_standbys, ack_quorum, voter_lease, lb_standby) with
+    | None, None, None, false -> Ok None
+    | _ ->
+      let c =
+        Experiments.Chaos.default_config
+          ~seed:Core.Config.default.Core.Config.seed
+      in
+      let c =
+        {
+          c with
+          Core.Config.certifier_standbys =
+            Option.value cert_standbys ~default:c.Core.Config.certifier_standbys;
+          standby_ack_quorum =
+            Option.value ack_quorum ~default:c.Core.Config.standby_ack_quorum;
+          voter_lease_ms =
+            Option.value voter_lease ~default:c.Core.Config.voter_lease_ms;
+          lb_standby = lb_standby || c.Core.Config.lb_standby;
+        }
+      in
+      (match Core.Config.validate c with
+      | Ok () -> Ok (Some c)
+      | Error e -> Error e)
+  in
+  let seeds =
+    match seeds with
+    | [] -> List.init (max 0 seed_count) (fun i -> 1 + i)
+    | seeds -> seeds
+  in
+  match config with
   | Error e -> `Error (false, e)
-  | Ok plan -> (
-    (* Control-plane knob overrides ride on the soak's own default
-       config, and go through Config.validate so a contradictory
-       combination fails here with a message instead of deep in a run. *)
-    let config =
-      match (cert_standbys, ack_quorum, voter_lease, lb_standby) with
-      | None, None, None, false -> Ok None
-      | _ ->
-        let c =
-          Experiments.Chaos.default_config
-            ~seed:Core.Config.default.Core.Config.seed
-        in
-        let c =
-          {
-            c with
-            Core.Config.certifier_standbys =
-              Option.value cert_standbys ~default:c.Core.Config.certifier_standbys;
-            standby_ack_quorum =
-              Option.value ack_quorum ~default:c.Core.Config.standby_ack_quorum;
-            voter_lease_ms =
-              Option.value voter_lease ~default:c.Core.Config.voter_lease_ms;
-            lb_standby = lb_standby || c.Core.Config.lb_standby;
-          }
-        in
-        (match Core.Config.validate c with
-        | Ok () -> Ok (Some c)
-        | Error e -> Error e)
+  | Ok _ when modes = [] -> `Error (false, "no consistency modes selected")
+  | Ok _ when seeds = [] ->
+    `Error (false, "empty seed matrix: pass --seeds N with N > 0, or --seed-list")
+  | Ok config ->
+    let duration_ms = duration *. 1000.0 in
+    Printf.printf "Chaos soak: plan=%s%s, %d seed(s) x %d mode(s), %.1fs virtual each\n\n"
+      (Experiments.Chaos.plan_name plan)
+      (if tiers then " (mixed-tier reads)" else "")
+      (List.length seeds) (List.length modes) duration;
+    let results =
+      Experiments.Chaos.soak_matrix ?config ~tiers ~protections ~offered_tps ~modes
+        ~plans:[ plan ] ~jobs ~seeds ~duration_ms ()
     in
-    match config with
-    | Error e -> `Error (false, e)
-    | Ok config -> (
-    let modes =
-      match modes_str with
-      | None -> Ok Core.Consistency.all
-      | Some s ->
-        let parts = String.split_on_char ',' s in
-        List.fold_left
-          (fun acc m ->
-            match (acc, Core.Consistency.of_string (String.trim m)) with
-            | Error e, _ -> Error e
-            | Ok ms, Ok m -> Ok (ms @ [ m ])
-            | Ok _, Error e -> Error e)
-          (Ok []) parts
+    List.iter (fun r -> Format.printf "%a@." Experiments.Chaos.pp_result r) results;
+    (match health_file with
+    | None -> ()
+    | Some file ->
+      Experiments.Chaos.write_health results ~file;
+      Printf.printf "\nwrote health timeline to %s\n" file);
+    let failed = List.filter (fun r -> not (Experiments.Chaos.ok r)) results in
+    let digest_ok =
+      if verify_digest then begin
+        (* Re-run the first combination and demand a byte-identical
+           runlog: the whole stack, faults included, is deterministic. *)
+        let mode = List.hd modes and seed = List.hd seeds in
+        let _, same =
+          Experiments.Chaos.reproducible ?config ~tiers ~protections ~offered_tps ~mode
+            ~plan ~seed ~duration_ms ()
+        in
+        Printf.printf "\ndigest reproducibility (%s, seed %d): %s\n"
+          (Core.Consistency.to_string mode)
+          seed
+          (if same then "identical" else "DIVERGED");
+        same
+      end
+      else true
     in
-    match modes with
-    | Error e -> `Error (false, e)
-    | Ok modes when modes = [] -> `Error (false, "no consistency modes selected")
-    | Ok modes ->
-      let seeds =
-        match seeds with
-        | [] -> List.init (max 0 seed_count) (fun i -> 1 + i)
-        | seeds -> seeds
-      in
-      if seeds = [] then
-        `Error (false, "empty seed matrix: pass --seeds N with N > 0, or --seed-list")
-      else
-      let duration_ms = duration *. 1000.0 in
-      Printf.printf "Chaos soak: plan=%s%s, %d seed(s) x %d mode(s), %.1fs virtual each\n\n"
-        (Experiments.Chaos.plan_name plan)
-        (if tiers then " (mixed-tier reads)" else "")
-        (List.length seeds) (List.length modes) duration;
-      let results =
-        Experiments.Chaos.soak_matrix ?config ~tiers ~protections ~offered_tps ~modes
-          ~plans:[ plan ] ~jobs ~seeds ~duration_ms ()
-      in
-      List.iter (fun r -> Format.printf "%a@." Experiments.Chaos.pp_result r) results;
-      (match health_file with
-      | None -> ()
-      | Some file ->
-        Experiments.Chaos.write_health results ~file;
-        Printf.printf "\nwrote health timeline to %s\n" file);
-      let failed = List.filter (fun r -> not (Experiments.Chaos.ok r)) results in
-      let digest_ok =
-        if verify_digest then begin
-          (* Re-run the first combination and demand a byte-identical
-             runlog: the whole stack, faults included, is deterministic. *)
-          let mode = List.hd modes and seed = List.hd seeds in
-          let _, same =
-            Experiments.Chaos.reproducible ?config ~tiers ~protections ~offered_tps
-              ~mode ~plan ~seed ~duration_ms ()
-          in
-          Printf.printf "\ndigest reproducibility (%s, seed %d): %s\n"
-            (Core.Consistency.to_string mode)
-            seed
-            (if same then "identical" else "DIVERGED");
-          same
-        end
-        else true
-      in
-      Printf.printf "\n%d/%d runs ok\n" (List.length results - List.length failed)
-        (List.length results);
-      if failed = [] && digest_ok then `Ok ()
-      else `Error (false, "chaos soak found violations")))
+    Printf.printf "\n%d/%d runs ok\n" (List.length results - List.length failed)
+      (List.length results);
+    if failed = [] && digest_ok then `Ok ()
+    else `Error (false, "chaos soak found violations")
 
 let chaos_seeds_arg =
   let doc = "Explicit seed list (repeatable); overrides $(b,--seeds)." in
@@ -335,14 +338,17 @@ let chaos_seed_count_arg =
 
 let chaos_duration_arg =
   let doc = "Virtual seconds per run (faults all heal by 75%% of it)." in
-  Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let chaos_plan_arg =
   let doc =
     "Fault plan: clean, lossy, partitions, gray, mixed, cert-failover, control-plane \
      or overload (open-loop metastable-failure reproduction)."
   in
-  Arg.(value & opt string "mixed" & info [ "plan" ] ~docv:"PLAN" ~doc)
+  let plans =
+    List.map (fun p -> (Experiments.Chaos.plan_name p, p)) Experiments.Chaos.plans
+  in
+  Arg.(value & opt (enum plans) Experiments.Chaos.Mixed & info [ "plan" ] ~docv:"PLAN" ~doc)
 
 let chaos_cert_standbys_arg =
   let doc = "Certifier standbys (overrides the soak default config)." in
@@ -368,8 +374,11 @@ let chaos_lb_standby_arg =
   Arg.(value & flag & info [ "lb-standby" ] ~doc)
 
 let chaos_modes_arg =
-  let doc = "Comma-separated consistency modes (default: all four)." in
-  Arg.(value & opt (some string) None & info [ "modes" ] ~docv:"MODES" ~doc)
+  let doc = "Comma-separated consistency modes." in
+  Arg.(
+    value
+    & opt (list mode_conv) Core.Consistency.all
+    & info [ "modes" ] ~docv:"MODES" ~doc)
 
 let chaos_tiers_arg =
   let doc =
@@ -388,7 +397,7 @@ let chaos_offered_arg =
     "Aggregate open-loop arrival rate for the overload plan, in offered \
      transactions/second (ignored by the closed-loop plans)."
   in
-  Arg.(value & opt float 6_000.0 & info [ "offered-tps" ] ~docv:"TPS" ~doc)
+  Arg.(value & opt positive_float 6_000.0 & info [ "offered-tps" ] ~docv:"TPS" ~doc)
 
 let chaos_no_protections_arg =
   let doc =
@@ -424,63 +433,46 @@ let chaos_cmd =
 
 (* --- overload: open-loop offered-rate sweep --- *)
 
-let overload rates_str mode_str protect seed clients duration warmup json_file jobs =
-  match Core.Consistency.of_string mode_str with
-  | Error e -> `Error (false, e)
-  | Ok mode -> (
-    let rates =
-      let parts = String.split_on_char ',' rates_str in
-      List.fold_left
-        (fun acc r ->
-          match (acc, float_of_string_opt (String.trim r)) with
-          | Error e, _ -> Error e
-          | Ok _, None -> Error (Printf.sprintf "bad offered rate %S" (String.trim r))
-          | Ok _, Some r when r <= 0.0 ->
-            Error (Printf.sprintf "offered rate must be > 0 (got %g)" r)
-          | Ok rs, Some r -> Ok (rs @ [ r ]))
-        (Ok []) parts
+let overload rates mode protect seed clients duration warmup json_file jobs =
+  if rates = [] then `Error (false, "empty rate list")
+  else begin
+    (* The protected arm arms [Config.protected], the stack the chaos
+       overload soak uses, so the sweep's plateau and the soak's
+       recovery claim are about one configuration. *)
+    let config =
+      let c = with_seed seed (Experiments.Chaos.default_config ~seed) in
+      if protect then Core.Config.protected c else c
     in
-    match rates with
-    | Error e -> `Error (false, e)
-    | Ok [] -> `Error (false, "empty rate list")
-    | Ok rates ->
-      (* The protected arm arms [Config.protected], the stack the chaos
-         overload soak uses, so the sweep's plateau and the soak's
-         recovery claim are about one configuration. *)
-      let config =
-        let c = with_seed seed (Experiments.Chaos.default_config ~seed) in
-        if protect then Core.Config.protected c else c
-      in
-      Printf.printf
-        "Open-loop sweep: mode=%s, %d rate(s), %.1fs measured, protections %s\n\n"
-        (Core.Consistency.to_string mode)
-        (List.length rates) duration
-        (if protect then "ON" else "off");
-      let points =
-        Experiments.Overload.sweep ~config ~clients ~jobs ~mode ~rates
-          ~warmup_ms:(warmup *. 1000.0) ~measure_ms:(duration *. 1000.0) ()
-      in
-      List.iter (fun p -> Format.printf "%a@." Experiments.Overload.pp_point p) points;
-      (match json_file with
-      | None -> `Ok ()
-      | Some file ->
-        let out = open_out file in
-        output_string out (Obs.Json.to_string (Experiments.Overload.sweep_json ~mode points));
-        output_char out '\n';
-        close_out out;
-        Printf.printf "\nwrote sweep to %s\n" file;
-        `Ok ()))
+    Printf.printf "Open-loop sweep: mode=%s, %d rate(s), %.1fs measured, protections %s\n\n"
+      (Core.Consistency.to_string mode)
+      (List.length rates) duration
+      (if protect then "ON" else "off");
+    let points =
+      Experiments.Overload.sweep ~config ~clients ~jobs ~mode ~rates
+        ~warmup_ms:(warmup *. 1000.0) ~measure_ms:(duration *. 1000.0) ()
+    in
+    List.iter (fun p -> Format.printf "%a@." Experiments.Overload.pp_point p) points;
+    match json_file with
+    | None -> `Ok ()
+    | Some file ->
+      let out = open_out file in
+      output_string out (Obs.Json.to_string (Experiments.Overload.sweep_json ~mode points));
+      output_char out '\n';
+      close_out out;
+      Printf.printf "\nwrote sweep to %s\n" file;
+      `Ok ()
+  end
 
 let overload_rates_arg =
   let doc = "Comma-separated offered arrival rates (aggregate tps) to sweep." in
   Arg.(
     value
-    & opt string "1000,2000,4000,8000,12000,16000"
+    & opt (list positive_float) [ 1000.0; 2000.0; 4000.0; 8000.0; 12000.0; 16000.0 ]
     & info [ "rates" ] ~docv:"TPS,TPS,..." ~doc)
 
 let overload_mode_arg =
   let doc = "Consistency mode for the sweep." in
-  Arg.(value & opt string "coarse" & info [ "mode" ] ~docv:"MODE" ~doc)
+  Arg.(value & opt mode_conv Core.Consistency.Coarse & info [ "mode" ] ~docv:"MODE" ~doc)
 
 let overload_protect_arg =
   let doc =
@@ -492,15 +484,15 @@ let overload_protect_arg =
 
 let overload_clients_arg =
   let doc = "Open-loop generators the offered rate is split across." in
-  Arg.(value & opt int 16 & info [ "clients" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 16 & info [ "clients" ] ~docv:"N" ~doc)
 
 let overload_duration_arg =
   let doc = "Measured virtual seconds per point." in
-  Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 2.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let overload_warmup_arg =
   let doc = "Warmup virtual seconds per point (excluded from the measurement)." in
-  Arg.(value & opt float 0.5 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt non_negative_float 0.5 & info [ "warmup" ] ~docv:"SECONDS" ~doc)
 
 let overload_json_arg =
   let doc = "Write the sweep points as JSON to $(docv)." in
@@ -547,7 +539,7 @@ let tiers { quick; seed; jobs } clients =
 
 let tiers_clients_arg =
   let doc = "Closed-loop clients driving the sweep." in
-  Arg.(value & opt int 24 & info [ "clients" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 24 & info [ "clients" ] ~docv:"N" ~doc)
 
 let tiers_cmd =
   Cmd.v

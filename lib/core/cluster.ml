@@ -92,9 +92,9 @@ let recover_replica t i =
   (match replay with
   | Some missed -> Replica.recover r ~missed
   | None ->
-    (* The outage outlived the certifier's pruned log: state-transfer a
-       checkpoint from the freshest live peer, then replay the residual
-       log suffix. *)
+    (* The outage outlived the certifier's pruned log: copy the
+       freshest live peer's database, then replay the residual log
+       suffix. *)
     let donor =
       Array.fold_left
         (fun best candidate ->
@@ -109,7 +109,7 @@ let recover_replica t i =
     (match donor with
     | None -> failwith "Cluster.recover_replica: no live donor for state transfer"
     | Some donor ->
-      Replica.state_transfer r ~snapshot:(Replica.checkpoint donor);
+      Replica.state_transfer r (Replica.database donor);
       let missed =
         Option.value
           (Certifier.writesets_from t.certifier (Replica.v_local r))
@@ -334,7 +334,7 @@ let sweep t =
           then begin
             (* Back in contact but beyond log repair (evicted, or the log
                was truncated past its position): reprovision via
-               checkpoint state transfer. *)
+               state transfer. *)
             t.reprovisions <- t.reprovisions + 1;
             crash_replica t id;
             recover_replica t id

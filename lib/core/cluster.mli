@@ -152,8 +152,8 @@ val crash_replica : t -> int -> unit
 
 val recover_replica : t -> int -> unit
 (** Bring the replica back: it replays the certifier log it missed (or,
-    if the log was pruned past its outage, state-transfers a checkpoint
-    from the freshest live peer first) and rejoins routing. *)
+    if the log was pruned past its outage, first copies the database of
+    the freshest live peer) and rejoins routing. *)
 
 val crash_certifier : t -> unit
 (** Fail-stop the certifier primary (requires [certifier_standbys > 0]).

@@ -504,13 +504,9 @@ let crash t =
   Sim.Condition.broadcast t.version_changed;
   Sim.Condition.broadcast t.slot_arrived
 
-let checkpoint t = Storage.Database.snapshot t.db
-
-let state_transfer t ~snapshot =
+let state_transfer t donor =
   if not t.crashed then invalid_arg "Replica.state_transfer: replica is running";
-  (* Keep the group's intern table across the wipe so cached conflict
-     ids on in-flight writesets stay valid. *)
-  t.db <- Storage.Database.of_snapshot ~intern:(Storage.Database.intern t.db) snapshot
+  t.db <- Storage.Database.copy donor
 
 let recover t ~missed =
   List.iter

@@ -143,14 +143,14 @@ val recover : t -> missed:(int * Storage.Writeset.t) list -> unit
     {!Certifier.writesets_from}); the sequencer resumes and drains
     them in order. *)
 
-val checkpoint : t -> string
-(** A binary checkpoint of the local database ({!Storage.Database.snapshot}),
-    used as the state-transfer payload for replicas whose outage outlived
-    the certifier's pruned log. *)
-
-val state_transfer : t -> snapshot:string -> unit
-(** Replace the local database with a peer's checkpoint. Only legal while
-    crashed; follow with {!recover} for the residual log suffix. *)
+val state_transfer : t -> Storage.Database.t -> unit
+(** Replace the local database with a copy of a peer's
+    ({!Storage.Database.copy}): its tables, every version chain and its
+    [V_local]. The copy shares the peer's intern table, which is the
+    group's, so cached conflict ids on in-flight writesets stay valid.
+    Used for replicas whose outage outlived the certifier's pruned log.
+    Only legal while crashed; follow with {!recover} for the residual
+    log suffix. *)
 
 (** {2 Introspection} *)
 

@@ -22,20 +22,7 @@ let plan_name = function
   | ControlPlane -> "control-plane"
   | Overload -> "overload"
 
-let plan_of_string = function
-  | "clean" -> Ok Clean
-  | "lossy" -> Ok Lossy
-  | "partitions" -> Ok Partitions
-  | "gray" -> Ok Gray
-  | "mixed" -> Ok Mixed
-  | "cert-failover" -> Ok CertFailover
-  | "control-plane" -> Ok ControlPlane
-  | "overload" -> Ok Overload
-  | s ->
-    Error
-      (Printf.sprintf
-         "unknown fault plan %S \
-          (clean|lossy|partitions|gray|mixed|cert-failover|control-plane|overload)" s)
+let plans = [ Clean; Lossy; Partitions; Gray; Mixed; CertFailover; ControlPlane; Overload ]
 
 (* Every schedule below is derived only from [seed] and [duration_ms]:
    same inputs, same plan, bit for bit. All windows close by

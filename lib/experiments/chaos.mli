@@ -50,7 +50,8 @@ type plan =
 
 val plan_name : plan -> string
 
-val plan_of_string : string -> (plan, string) result
+val plans : plan list
+(** Every plan, in declaration order. *)
 
 type result = {
   mode : Core.Consistency.mode;

@@ -95,66 +95,6 @@ let gc t ~keep_after =
 let total_versions t =
   Hashtbl.fold (fun _ table acc -> acc + Table.version_count table) t.tables 0
 
-(* --- Checkpointing --- *)
-
-let snapshot_magic = "REPRODB1"
-
-let snapshot t =
-  let buf = Buffer.create 65_536 in
-  Buffer.add_string buf snapshot_magic;
-  Codec.encode_int buf t.version;
-  let names = table_names t in
-  Codec.encode_int buf (List.length names);
-  List.iter
-    (fun name ->
-      let tbl = table t name in
-      Codec.encode_schema buf (Table.schema tbl);
-      let chains =
-        Table.fold_chains tbl ~init:[] ~f:(fun acc key chain -> (key, chain) :: acc)
-      in
-      let chains = List.rev chains in
-      Codec.encode_int buf (List.length chains);
-      List.iter
-        (fun (key, chain) ->
-          Codec.encode_row buf key;
-          Codec.encode_int buf (List.length chain);
-          (* Oldest first, so restore can install in increasing order. *)
-          List.iter
-            (fun (version, row) ->
-              Codec.encode_int buf version;
-              Codec.encode_row_opt buf row)
-            (List.rev chain))
-        chains)
-    names;
-  Buffer.contents buf
-
-let of_snapshot ?intern data =
-  let r = Codec.reader data in
-  Codec.expect_raw r snapshot_magic;
-  let version = Codec.decode_int r in
-  if version < 0 then raise (Codec.Corrupt "negative database version");
-  let t = create ?intern () in
-  let ntables = Codec.decode_int r in
-  if ntables < 0 then raise (Codec.Corrupt "negative table count");
-  for _ = 1 to ntables do
-    let schema = Codec.decode_schema r in
-    let tbl = create_table t schema in
-    let nkeys = Codec.decode_int r in
-    if nkeys < 0 then raise (Codec.Corrupt "negative key count");
-    for _ = 1 to nkeys do
-      let key = Codec.decode_row r in
-      let nversions = Codec.decode_int r in
-      if nversions < 0 then raise (Codec.Corrupt "negative version count");
-      for _ = 1 to nversions do
-        let v = Codec.decode_int r in
-        let row = Codec.decode_row_opt r in
-        Table.install tbl ~key ~version:v row
-      done
-    done
-  done;
-  t.version <- version;
-  t
-
 let fingerprint t ~at =
   let row_hash table_name key row =
     let h = ref (Hashtbl.hash table_name) in

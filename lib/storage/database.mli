@@ -22,7 +22,9 @@ val copy : t -> t
     version ({!Table.copy}), sharing the original's intern table. Applying
     writesets or {!gc} to one leaves the other unchanged. Costs O(keys +
     index entries) and shares every row: a cluster builds its initial
-    database once and gives each further replica a copy. *)
+    database once and gives each further replica a copy, and state
+    transfer re-seeds a recovering replica with a copy of a live
+    peer's. *)
 
 val create_table : t -> Schema.t -> Table.t
 (** Raises [Invalid_argument] if a table with that name exists. *)
@@ -74,20 +76,6 @@ val gc : t -> keep_after:int -> int
 (** Garbage-collect old versions in all tables. *)
 
 val total_versions : t -> int
-
-(** {2 Checkpointing} *)
-
-val snapshot : t -> string
-(** Serialize the full database — schemas, every key's version chain and
-    the commit version — into a self-contained binary checkpoint
-    ({!Codec} format). *)
-
-val of_snapshot : ?intern:Intern.t -> string -> t
-(** Rebuild a database from {!snapshot} output. Raises {!Codec.Corrupt}
-    on malformed input. The result is value-equal to the original:
-    same schemas, same visible rows at every version retained.
-    [?intern] as in {!create} — state transfer passes the recovering
-    replica's existing table so ids stay group-wide. *)
 
 val fingerprint : t -> at:int -> int
 (** Order-independent hash of the visible contents of every table at

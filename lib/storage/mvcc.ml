@@ -278,13 +278,6 @@ let fold_visible t ~at ~init ~f =
       match read t key ~at with None -> () | Some row -> acc := f !acc key row);
   !acc
 
-let fold_chains t ~init ~f =
-  let acc = ref init in
-  walk (dir t) (fun key ->
-      let chain = !(Key_tbl.find t.chains key) in
-      acc := f !acc key (List.map (fun { version; row } -> (version, row)) chain));
-  !acc
-
 let gc t ~keep_after =
   let removed = ref 0 in
   (* Keep every version newer than the horizon, plus the newest one at or

@@ -62,9 +62,9 @@ val version_count : t -> int
 
 (** {2 Ordered access}
 
-    [iter_keys_ordered], [iter_keys_range], [fold_visible] and
-    [fold_chains] read an ordered key directory: the keys in ascending
-    order, in chunks of at most 64, updated in place. The first ordered
+    [iter_keys_ordered], [iter_keys_range] and [fold_visible] read an
+    ordered key directory: the keys in ascending order, in chunks of at
+    most 64, updated in place. The first ordered
     access on a store builds it in O(n log n) for n keys; from then on
     each {!install} of a brand-new key adds a binary search, a shift of
     at most 64 slots and, when its chunk is full, a split that shifts
@@ -87,11 +87,6 @@ val iter_keys_range : t -> ?lo:key -> ?hi:key -> (key -> unit) -> unit
 
 val fold_visible : t -> at:int -> init:'a -> f:('a -> key -> Value.t array -> 'a) -> 'a
 (** Fold over rows visible at snapshot [at], ascending key order. *)
-
-val fold_chains :
-  t -> init:'a -> f:('a -> key -> (int * Value.t array option) list -> 'a) -> 'a
-(** Fold over every key's full version chain (newest first), ascending
-    key order. Used by checkpointing. *)
 
 val gc : t -> keep_after:int -> int
 (** Drop versions that can no longer be seen by any snapshot [>

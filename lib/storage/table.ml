@@ -121,8 +121,6 @@ let row_count t ~at = Mvcc.fold_visible t.store ~at ~init:0 ~f:(fun acc _ _ -> a
 
 let version_count t = Mvcc.version_count t.store
 
-let fold_chains t ~init ~f = Mvcc.fold_chains t.store ~init ~f
-
 let fold_visible t ~at ~init ~f = Mvcc.fold_visible t.store ~at ~init ~f
 
 let gc t ~keep_after = Mvcc.gc t.store ~keep_after

@@ -57,11 +57,6 @@ val row_count : t -> at:int -> int
 
 val version_count : t -> int
 
-val fold_chains :
-  t -> init:'a -> f:('a -> Mvcc.key -> (int * Value.t array option) list -> 'a) -> 'a
-(** Fold over full version chains (newest first per key), ascending key
-    order. Used by checkpointing. *)
-
 val fold_visible :
   t -> at:int -> init:'a -> f:('a -> Mvcc.key -> Value.t array -> 'a) -> 'a
 

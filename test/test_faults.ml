@@ -18,6 +18,25 @@ let make_cluster mode =
     ~load:(Workload.Microbench.load params)
     ()
 
+(* All replicas hold identical data: their content fingerprints agree
+   at the lowest [V_local] among them (the closed loop never drains, so
+   the tail beyond it may still be in flight). Returns that version. *)
+let check_converged cluster =
+  let n = (Core.Cluster.config cluster).Core.Config.replicas in
+  let db i = Core.Replica.database (Core.Cluster.replica cluster i) in
+  let min_v = ref max_int in
+  for i = 0 to n - 1 do
+    min_v := min !min_v (Storage.Database.version (db i))
+  done;
+  let reference = Storage.Database.fingerprint (db 0) ~at:!min_v in
+  for i = 1 to n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d converged at v%d" i !min_v)
+      reference
+      (Storage.Database.fingerprint (db i) ~at:!min_v)
+  done;
+  !min_v
+
 let test_crash_then_recover_catches_up () =
   let cluster = make_cluster Core.Consistency.Coarse in
   let engine = Core.Cluster.engine cluster in
@@ -127,7 +146,7 @@ let test_recovery_replays_missed_writesets () =
 let test_state_transfer_after_log_prune () =
   (* Crash a replica, let the cluster run long past the certifier's
      pruned log horizon, then recover: recovery must fall back to a
-     checkpoint state transfer and still converge. *)
+     state transfer and still converge. *)
   let config =
     { config with Core.Config.gc_interval_ms = 200.0; gc_window = 50 }
   in
@@ -150,7 +169,9 @@ let test_state_transfer_after_log_prune () =
         (Core.Certifier.log_base certifier > stale);
       Alcotest.(check bool) "log replay unavailable" true
         (Core.Certifier.writesets_from certifier stale = None);
-      Core.Cluster.recover_replica cluster 2);
+      Core.Cluster.recover_replica cluster 2;
+      (* The copy is the donor's state: at once, before any replay. *)
+      ignore (check_converged cluster));
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:4_000.0;
   let r2 = Core.Cluster.replica cluster 2 in
   Alcotest.(check bool) "replica 2 live" true (not (Core.Replica.is_crashed r2));
@@ -159,7 +180,8 @@ let test_state_transfer_after_log_prune () =
     (Printf.sprintf "caught up after state transfer (v%d of v%d)"
        (Core.Replica.v_local r2) certified)
     true
-    (certified - Core.Replica.v_local r2 < 20)
+    (certified - Core.Replica.v_local r2 < 20);
+  ignore (check_converged cluster)
 
 let test_certifier_failover () =
   (* Crash the certifier primary under load; update transactions stall,
@@ -224,27 +246,7 @@ let test_replicas_converge_to_same_state () =
   in
   Core.Client.spawn_many cluster ~n:10 ~first_sid:0 (Workload.Microbench.workload params);
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:2_000.0;
-  (* Let in-flight refresh propagation drain: run with no new client
-     events beyond the horizon is not possible (closed loop), so compare
-     at the minimum applied version across replicas. *)
-  let min_v = ref max_int in
-  for i = 0 to config.Core.Config.replicas - 1 do
-    min_v := min !min_v (Core.Replica.v_local (Core.Cluster.replica cluster i))
-  done;
-  Alcotest.(check bool) "made progress" true (!min_v > 100);
-  let reference =
-    Storage.Database.fingerprint
-      (Core.Replica.database (Core.Cluster.replica cluster 0))
-      ~at:!min_v
-  in
-  for i = 1 to config.Core.Config.replicas - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "replica %d converged at v%d" i !min_v)
-      reference
-      (Storage.Database.fingerprint
-         (Core.Replica.database (Core.Cluster.replica cluster i))
-         ~at:!min_v)
-  done
+  Alcotest.(check bool) "made progress" true (check_converged cluster > 100)
 
 (* --- hardened protocol under injected network faults ------------- *)
 
@@ -404,7 +406,7 @@ let test_partition_suspects_then_recovers () =
 let test_eviction_unblocks_gc_and_forces_state_transfer () =
   (* A replica that stays dead past evict_after_ms loses its watermark
      entry: the certifier's log GC advances past it, and its eventual
-     rejoin is forced through checkpoint state transfer. *)
+     rejoin is forced through state transfer. *)
   let config =
     {
       hardened_config with
@@ -435,7 +437,8 @@ let test_eviction_unblocks_gc_and_forces_state_transfer () =
       Alcotest.(check bool) "log GC advanced past the corpse" true
         (Core.Certifier.log_base certifier
         > Core.Replica.v_local (Core.Cluster.replica cluster 2));
-      Core.Cluster.recover_replica cluster 2);
+      Core.Cluster.recover_replica cluster 2;
+      ignore (check_converged cluster));
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:3_000.0;
   let r2 = Core.Cluster.replica cluster 2 in
   Alcotest.(check bool) "rejoined" true (not (Core.Replica.is_crashed r2));
@@ -444,7 +447,8 @@ let test_eviction_unblocks_gc_and_forces_state_transfer () =
     (Printf.sprintf "caught up after forced state transfer (v%d of v%d)"
        (Core.Replica.v_local r2) certified)
     true
-    (certified - Core.Replica.v_local r2 < 50)
+    (certified - Core.Replica.v_local r2 < 50);
+  ignore (check_converged cluster)
 
 let test_backoff_defaults_off_and_works_when_on () =
   Alcotest.(check (float 0.0)) "default backoff base is 0" 0.0
