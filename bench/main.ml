@@ -194,10 +194,27 @@ let component_tests () =
            done;
            Sim.Engine.run engine))
   in
+  (* Everything here is due at the current instant, so it runs from the
+     engine's same-instant ring; "1000 timer events" runs from its heap.
+     The 1000 spawns that park the waiters are ring events too. *)
+  let sim_wakes =
+    Test.make ~name:"simulator: 1000 same-instant wakes"
+      (Staged.stage (fun () ->
+           let engine = Sim.Engine.create () in
+           let ready = Sim.Condition.create engine in
+           let go = ref false in
+           for _ = 1 to 1000 do
+             Sim.Process.spawn engine (fun () -> Sim.Condition.await ready (fun () -> !go))
+           done;
+           Sim.Engine.schedule engine ~delay:0.0 (fun () ->
+               go := true;
+               Sim.Condition.broadcast ready);
+           Sim.Engine.run engine))
+  in
   Test.make_grouped ~name:"components"
     [
       mvcc_point_read; mvcc_range_after_insert; mvcc_random_insert; txn_update; index_select;
-      ws_conflict; checker; sim_events; sim_sleeps; sim_resource;
+      ws_conflict; checker; sim_events; sim_sleeps; sim_resource; sim_wakes;
     ]
 
 (* Certification conflict check, the key-index probe, with the

@@ -12,7 +12,8 @@ val spawn : Engine.t -> (unit -> unit) -> unit
     (it propagates out of {!Engine.run}). *)
 
 val sleep : Engine.t -> float -> unit
-(** Block the calling process for the given virtual duration (ms). *)
+(** Block the calling process for the given virtual duration (ms).
+    Raises [Invalid_argument] in the caller if the duration is NaN. *)
 
 val wait : Engine.t -> Engine.waiters -> unit
 (** [wait engine waiters] parks the calling process at the back of

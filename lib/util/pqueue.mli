@@ -17,20 +17,22 @@ val is_empty : 'a t -> bool
 val push : 'a t -> float -> 'a -> unit
 (** [push q prio x] inserts [x] with priority [prio]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** [pop q] removes and returns the minimum-priority element, or [None]
-    if the queue is empty. Among equal priorities the element inserted
-    first is returned first. *)
+val push_after : 'a t -> float -> float -> 'a -> unit
+(** [push_after q base delay x] is [push q (base +. delay) x], with the
+    sum formed inside: a caller across an opaque module boundary would
+    box it to pass it to {!push}. *)
 
 val min_prio : 'a t -> float
 (** Priority of the minimum element. Undefined on an empty queue (may
-    raise or return garbage) — guard with {!is_empty}. Allocation-free,
-    unlike {!peek}. *)
+    raise or return garbage) — guard with {!is_empty}. Called across an
+    opaque module boundary it returns a freshly boxed float. *)
+
+val min_le : 'a t -> float -> bool
+(** [min_le q bound]: is the queue non-empty with minimum priority
+    [<= bound]? Allocation-free when [bound] is already boxed, as a record
+    field or an argument is, which makes it the test for a hot loop. *)
 
 val pop_exn : 'a t -> 'a
 (** Remove and return the minimum-priority payload. Raises
-    [Invalid_argument] on an empty queue. Allocation-free, unlike
-    {!pop}; read {!min_prio} first when the priority is needed. *)
-
-val peek : 'a t -> (float * 'a) option
-(** [peek q] is the minimum-priority element without removing it. *)
+    [Invalid_argument] on an empty queue. Allocation-free; read
+    {!min_prio} first when the priority is needed. *)

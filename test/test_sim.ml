@@ -59,6 +59,211 @@ let test_engine_negative_delay_clamped () =
   Sim.Engine.run e;
   Alcotest.(check (float 1e-9)) "negative delay fires now" 5.0 !at
 
+(* NaN is neither before nor after the clock: an event due at NaN would
+   never run and stay pending, and a NaN horizon would become the clock. *)
+let test_engine_nan_times () =
+  let e = Sim.Engine.create () in
+  let bad_time = Invalid_argument "Engine: event time is NaN" in
+  Alcotest.check_raises "schedule ~delay:nan" bad_time (fun () ->
+      Sim.Engine.schedule e ~delay:Float.nan ignore);
+  Alcotest.check_raises "schedule_at ~time:nan" bad_time (fun () ->
+      Sim.Engine.schedule_at e ~time:Float.nan ignore);
+  Alcotest.check_raises "run ~until:nan" (Invalid_argument "Engine.run: until is NaN")
+    (fun () -> Sim.Engine.run e ~until:Float.nan);
+  let slept = ref "" in
+  Sim.Process.spawn e (fun () ->
+      match Sim.Process.sleep e Float.nan with
+      | () -> slept := "slept"
+      | exception Invalid_argument msg -> slept := msg);
+  Sim.Engine.run e ~until:1.0;
+  Alcotest.(check string) "sleep nan" "Process.sleep: duration is NaN" !slept;
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e);
+  Alcotest.(check (float 0.)) "clock unharmed" 1.0 (Sim.Engine.now e)
+
+(* Random programs against a reference model of the engine: a plain list
+   of (time, push index, event), run in that order. Events schedule more
+   events (past [schedule_at] times included), spawn processes that sleep
+   and wait on conditions and ivars, and wake them; the top level runs to
+   a few horizons, then to the end. Times come from a few values, so ties
+   are common, and bursts of 65+ same-instant events outgrow the engine's
+   ring. Each [Note] logs its label and the clock. *)
+type op =
+  | Note of int
+  | Schedule of float * op list
+  | Schedule_at of float * op list  (* offset from the clock *)
+  | Burst of int * int  (* first label, count: zero-delay notes *)
+  | Spawn of op list
+  | Sleep of float
+  | Wait of int  (* until the next broadcast of this condition *)
+  | Read of int  (* this ivar *)
+  | Broadcast of int
+  | Fill of int
+
+let rec pp_op = function
+  | Note i -> Printf.sprintf "Note %d" i
+  | Schedule (d, b) -> Printf.sprintf "Schedule (%g, %s)" d (pp_ops b)
+  | Schedule_at (o, b) -> Printf.sprintf "Schedule_at (%g, %s)" o (pp_ops b)
+  | Burst (i, n) -> Printf.sprintf "Burst (%d, %d)" i n
+  | Spawn b -> Printf.sprintf "Spawn %s" (pp_ops b)
+  | Sleep d -> Printf.sprintf "Sleep %g" d
+  | Wait c -> Printf.sprintf "Wait %d" c
+  | Read i -> Printf.sprintf "Read %d" i
+  | Broadcast c -> Printf.sprintf "Broadcast %d" c
+  | Fill i -> Printf.sprintf "Fill %d" i
+
+and pp_ops ops = "[" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+
+let gen_program st =
+  let open QCheck.Gen in
+  let label = ref 0 in
+  let fresh n =
+    let first = !label in
+    label := first + n;
+    first
+  in
+  let delay = oneofl [ 0.0; 0.5; 1.0; 2.0 ] in
+  let rec ops ~proc depth st = List.init (int_bound 4 st) (fun _ -> op ~proc depth st)
+  and op ~proc depth st =
+    match int_bound (if depth > 0 then 10 else 5) st with
+    | 0 | 1 -> Note (fresh 1)
+    | 2 -> Broadcast (int_bound 1 st)
+    | 3 -> Fill (int_bound 1 st)
+    | 4 when proc -> Sleep (delay st)
+    | 5 when proc -> if bool st then Wait (int_bound 1 st) else Read (int_bound 1 st)
+    | 4 | 5 -> Note (fresh 1)
+    | 6 | 7 -> Schedule (delay st, ops ~proc:false (depth - 1) st)
+    | 8 -> Schedule_at (oneofl [ -1.0; 0.0; 0.5; 1.0; 2.0 ] st, ops ~proc:false (depth - 1) st)
+    | 9 -> Spawn (ops ~proc:true (depth - 1) st)
+    | _ ->
+      let n = 65 + int_bound 100 st in
+      Burst (fresh n, n)
+  in
+  let phases = 1 + int_bound 3 st in
+  List.init phases (fun _ ->
+      let top = ops ~proc:false 3 st in
+      (top, oneofl [ 0.0; 0.5; 1.0; 2.0; 3.0 ] st))
+
+(* Runs [program] on the engine; returns the notes and, after each
+   horizon, the clock and pending count. *)
+let run_engine program =
+  let e = Sim.Engine.create () in
+  let log = ref [] and checkpoints = ref [] in
+  let note label = log := (label, Sim.Engine.now e) :: !log in
+  let conds = Array.init 2 (fun _ -> Sim.Condition.create e) in
+  let generation = Array.make 2 0 in
+  let ivars = Array.init 2 (fun _ -> Sim.Ivar.create e) in
+  let rec exec = function
+    | [] -> ()
+    | op :: rest ->
+      (match op with
+      | Note label -> note label
+      | Schedule (delay, body) -> Sim.Engine.schedule e ~delay (fun () -> exec body)
+      | Schedule_at (offset, body) ->
+        Sim.Engine.schedule_at e ~time:(Sim.Engine.now e +. offset) (fun () -> exec body)
+      | Burst (first, n) ->
+        for k = 0 to n - 1 do
+          Sim.Engine.schedule e ~delay:0.0 (fun () -> note (first + k))
+        done
+      | Spawn body -> Sim.Process.spawn e (fun () -> exec body)
+      | Sleep d -> Sim.Process.sleep e d
+      | Wait c ->
+        let seen = generation.(c) in
+        Sim.Condition.await conds.(c) (fun () -> generation.(c) > seen)
+      | Read i -> Sim.Ivar.read ivars.(i)
+      | Broadcast c ->
+        generation.(c) <- generation.(c) + 1;
+        Sim.Condition.broadcast conds.(c)
+      | Fill i -> if not (Sim.Ivar.is_filled ivars.(i)) then Sim.Ivar.fill ivars.(i) ());
+      exec rest
+  in
+  List.iter
+    (fun (top, ahead) ->
+      exec top;
+      Sim.Engine.run e ~until:(Sim.Engine.now e +. ahead);
+      checkpoints := (Sim.Engine.now e, Sim.Engine.pending e) :: !checkpoints)
+    program;
+  Sim.Engine.run e;
+  (List.rev !log, List.rev ((Sim.Engine.now e, Sim.Engine.pending e) :: !checkpoints))
+
+(* The same program on the reference model. A suspended process is the
+   rest of its op list; a wake queues it at the current time. *)
+let run_model program =
+  let now = ref 0.0 and pushes = ref 0 and queue = ref [] in
+  let log = ref [] and checkpoints = ref [] in
+  let push time run =
+    queue := (Float.max time !now, !pushes, run) :: !queue;
+    incr pushes
+  in
+  let cond_waiters = Array.make 2 [] and ivar_waiters = Array.make 2 [] in
+  let filled = Array.make 2 false in
+  let wake_all waiters = List.iter (fun resume -> push !now resume) waiters in
+  let rec exec = function
+    | [] -> ()
+    | op :: rest -> (
+      match op with
+      | Sleep d -> push (!now +. d) (fun () -> exec rest)
+      | Wait c -> cond_waiters.(c) <- cond_waiters.(c) @ [ (fun () -> exec rest) ]
+      | Read i when not filled.(i) ->
+        ivar_waiters.(i) <- ivar_waiters.(i) @ [ (fun () -> exec rest) ]
+      | _ ->
+        (match op with
+        | Note label -> log := (label, !now) :: !log
+        | Schedule (delay, body) -> push (!now +. delay) (fun () -> exec body)
+        | Schedule_at (offset, body) -> push (!now +. offset) (fun () -> exec body)
+        | Burst (first, n) ->
+          for k = 0 to n - 1 do
+            push !now (fun () -> log := (first + k, !now) :: !log)
+          done
+        | Spawn body -> push !now (fun () -> exec body)
+        | Broadcast c ->
+          let waiters = cond_waiters.(c) in
+          cond_waiters.(c) <- [];
+          wake_all waiters
+        | Fill i ->
+          if not filled.(i) then begin
+            filled.(i) <- true;
+            wake_all ivar_waiters.(i);
+            ivar_waiters.(i) <- []
+          end
+        | Sleep _ | Wait _ | Read _ -> ());
+        exec rest)
+  in
+  let rec run_until horizon =
+    let earliest =
+      List.fold_left
+        (fun best ((time, index, _) as entry) ->
+          match best with
+          | Some (t, i, _) when t < time || (t = time && i < index) -> best
+          | _ -> Some entry)
+        None !queue
+    in
+    match earliest with
+    | Some (time, index, run) when time <= horizon ->
+      queue := List.filter (fun (_, i, _) -> i <> index) !queue;
+      now := time;
+      run ();
+      run_until horizon
+    | _ -> ()
+  in
+  List.iter
+    (fun (top, ahead) ->
+      exec top;
+      let horizon = !now +. ahead in
+      run_until horizon;
+      now := horizon;
+      checkpoints := (!now, List.length !queue) :: !checkpoints)
+    program;
+  run_until Float.infinity;
+  (List.rev !log, List.rev ((!now, List.length !queue) :: !checkpoints))
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine runs events in (time, push) order" ~count:300
+    (QCheck.make gen_program
+       ~print:(fun program ->
+         String.concat "\n"
+           (List.map (fun (top, ahead) -> Printf.sprintf "%s; run +%g" (pp_ops top) ahead) program)))
+    (fun program -> run_engine program = run_model program)
+
 let test_process_sleep () =
   let e = Sim.Engine.create () in
   let wake = ref 0.0 in
@@ -608,7 +813,7 @@ let test_same_instant_wake_order () =
    primitive's waiter queue: no closure per sleep or wait. Each pin is
    the minor-heap words per operation over 10k operations of [Engine.run],
    including the sleep that drives the loop. The bounds leave headroom
-   above the measured 8, 21, 30 and 24 words and sit well below the 24,
+   above the measured 6, 15, 24 and 18 words and sit well below the 24,
    54, 81 and 62 words a closure per suspension cost. *)
 let ops = 10_000
 
@@ -674,7 +879,9 @@ let suites =
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "run until a past horizon" `Quick test_engine_until_past;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay_clamped;
-      ] );
+        Alcotest.test_case "NaN times rejected" `Quick test_engine_nan_times;
+      ]
+      @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_engine_matches_model ] );
     ( "sim.process",
       [
         Alcotest.test_case "sleep" `Quick test_process_sleep;

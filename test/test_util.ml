@@ -1,12 +1,14 @@
 (* Unit and property tests for the util library. *)
 
+let drain q = List.init (Util.Pqueue.length q) (fun _ -> Util.Pqueue.pop_exn q)
+
 let test_pqueue_ordering () =
   let q = Util.Pqueue.create () in
   List.iter (fun (p, v) -> Util.Pqueue.push q p v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  let pop () = match Util.Pqueue.pop q with Some (_, v) -> v | None -> "!" in
-  let popped = List.init 3 (fun _ -> pop ()) in
-  Alcotest.(check (list string)) "min-heap order" [ "a"; "b"; "c" ] popped;
-  Alcotest.(check bool) "empty after drain" true (Util.Pqueue.is_empty q)
+  Alcotest.(check (list string)) "min-heap order" [ "a"; "b"; "c" ] (drain q);
+  Alcotest.(check bool) "empty after drain" true (Util.Pqueue.is_empty q);
+  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Pqueue.pop_exn: empty")
+    (fun () -> ignore (Util.Pqueue.pop_exn q))
 
 let test_pqueue_fifo_ties () =
   let q = Util.Pqueue.create () in
@@ -14,18 +16,17 @@ let test_pqueue_fifo_ties () =
   Util.Pqueue.push q 0.0 "first";
   Util.Pqueue.push q 1.0 "y";
   Util.Pqueue.push q 1.0 "z";
-  let order =
-    List.init 4 (fun _ -> match Util.Pqueue.pop q with Some (_, v) -> v | None -> "!")
-  in
   Alcotest.(check (list string)) "FIFO among equal priorities" [ "first"; "x"; "y"; "z" ]
-    order
+    (drain q)
 
 let test_pqueue_peek () =
   let q = Util.Pqueue.create () in
-  Alcotest.(check bool) "peek empty" true (Util.Pqueue.peek q = None);
   Util.Pqueue.push q 5.0 42;
-  Alcotest.(check bool) "peek non-destructive" true
-    (Util.Pqueue.peek q = Some (5.0, 42) && Util.Pqueue.length q = 1)
+  Util.Pqueue.push q 7.0 43;
+  Alcotest.(check (float 0.)) "min_prio" 5.0 (Util.Pqueue.min_prio q);
+  Alcotest.(check int) "min_prio leaves the queue alone" 2 (Util.Pqueue.length q);
+  Alcotest.(check int) "pop_exn returns the minimum" 42 (Util.Pqueue.pop_exn q);
+  Alcotest.(check (float 0.)) "next minimum" 7.0 (Util.Pqueue.min_prio q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
@@ -33,14 +34,50 @@ let prop_pqueue_sorted =
     (fun items ->
       let q = Util.Pqueue.create () in
       List.iter (fun (p, v) -> Util.Pqueue.push q p v) items;
-      let rec drain acc =
-        match Util.Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
+      let prios =
+        List.init (Util.Pqueue.length q) (fun _ ->
+            let p = Util.Pqueue.min_prio q in
+            ignore (Util.Pqueue.pop_exn q);
+            p)
       in
-      let priorities = drain [] in
-      List.sort compare priorities = priorities
-      && List.length priorities = List.length items)
+      prios = List.sort Float.compare (List.map fst items))
+
+(* Interleaved pushes and pops against a list kept sorted by (priority,
+   push index). Priorities come from five values, so most pushes tie with
+   a queued entry and the FIFO order among ties is checked on every pop.
+   An op [p >= 0] pushes priority [p] (odd ones through [push_after]); a
+   negative op pops. *)
+let prop_pqueue_model =
+  QCheck.Test.make ~name:"pqueue pops in (priority, insertion) order" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 300) (int_range (-3) 4))
+    (fun ops ->
+      let q = Util.Pqueue.create () in
+      let model = ref [] and pushed = ref 0 in
+      let pop_agrees () =
+        match !model with
+        | [] -> Util.Pqueue.is_empty q
+        | (prio, index) :: rest ->
+          model := rest;
+          let seen_prio = Util.Pqueue.min_prio q in
+          seen_prio = prio && Util.Pqueue.pop_exn q = index
+      in
+      let step op =
+        if op >= 0 then begin
+          let prio = float_of_int op in
+          if op mod 2 = 0 then Util.Pqueue.push q prio !pushed
+          else Util.Pqueue.push_after q (prio -. 0.5) 0.5 !pushed;
+          (* A stable sort keeps earlier pushes first among equal priorities. *)
+          model :=
+            List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (!model @ [ (prio, !pushed) ]);
+          incr pushed;
+          true
+        end
+        else pop_agrees ()
+      in
+      let rec drained () = pop_agrees () && (!model = [] || drained ()) in
+      List.for_all (fun op -> step op && Util.Pqueue.length q = List.length !model) ops
+      && drained ()
+      && Util.Pqueue.is_empty q)
 
 let test_rng_determinism () =
   let a = Util.Rng.create 123 and b = Util.Rng.create 123 in
@@ -334,7 +371,7 @@ let suites =
         Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "peek" `Quick test_pqueue_peek;
       ]
-      @ qsuite [ prop_pqueue_sorted ] );
+      @ qsuite [ prop_pqueue_sorted; prop_pqueue_model ] );
     ( "util.rng",
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
