@@ -204,49 +204,51 @@ let ablation_cmd =
 
 (* --- check: consistency validation of live runs --- *)
 
-let check seed =
+let check_artifact seed =
   let params = { Workload.Microbench.tables = 8; rows = 500; update_types = 4 } in
   let config =
+    { Core.Config.default with Core.Config.record_log = true; gc_interval_ms = 0.0 }
+  in
+  let point mode =
     {
-      Core.Config.default with
-      Core.Config.seed;
+      Experiments.Runner.mode;
+      workload = Micro params;
       replicas = 4;
-      record_log = true;
-      gc_interval_ms = 0.0;
+      clients = 24;
+      warmup_ms = 300.0;
+      measure_ms = 5_000.0;
+      seed;
+      config;
+      arrival = Closed;
+      faults = None;
+      drain = false;
     }
   in
-  Printf.printf "Running each configuration for 5s of virtual time with logging on...\n\n";
-  Printf.printf "%-8s %9s %8s %8s %8s %8s\n" "mode" "txns" "strong" "tableset" "session"
-    "wwconf";
-  List.iter
-    (fun mode ->
-      let cluster =
-        Core.Cluster.create ~config ~mode
-          ~schemas:(Workload.Microbench.schemas params)
-          ~load:(Workload.Microbench.load params)
-          ()
-      in
-      Core.Client.spawn_many cluster ~n:24 ~first_sid:0
-        (Workload.Microbench.workload params);
-      Core.Cluster.run_for cluster ~warmup_ms:300.0 ~measure_ms:5_000.0;
-      let log = Core.Cluster.records cluster in
-      Printf.printf "%-8s %9d %8d %8d %8d %8d\n"
-        (Core.Consistency.to_string mode)
-        (List.length log)
-        (List.length (Check.Runlog.strong_consistency log))
-        (List.length (Check.Runlog.fine_strong_consistency log))
-        (List.length (Check.Runlog.session_consistency log))
-        (List.length (Check.Runlog.first_committer_wins log)))
-    Core.Consistency.all;
-  Printf.printf
-    "\nExpected: eager/coarse have 0 everywhere; fine has 0 in tableset/wwconf;\n\
-     session has 0 in session/wwconf but may be non-zero in strong (it is weaker).\n"
+  let row (_, (s : Experiments.Runner.summary)) =
+    let v name = List.assoc name s.violations in
+    Printf.sprintf "%-8s %9d %8d %8d %8d %8d\n"
+      (Core.Consistency.to_string s.mode)
+      s.logged (v "strong_consistency") (v "fine_strong_consistency")
+      (v "session_consistency") (v "first_committer_wins")
+  in
+  let render pairs =
+    "Running each configuration for 5s of virtual time with logging on...\n\n"
+    ^ Printf.sprintf "%-8s %9s %8s %8s %8s %8s\n" "mode" "txns" "strong" "tableset"
+        "session" "wwconf"
+    ^ String.concat "" (List.map row pairs)
+    ^ "\nExpected: eager/coarse have 0 everywhere; fine has 0 in tableset/wwconf;\n\
+       session has 0 in session/wwconf but may be non-zero in strong (it is weaker).\n"
+  in
+  { Experiments.Runner.points = List.map point Core.Consistency.all; render }
 
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Validate the consistency guarantees of each configuration on live runs")
-    Term.(const check $ seed_arg)
+    Term.(
+      const (fun seed jobs ->
+          print_artifacts { quick = false; seed; jobs } [ check_artifact seed ])
+      $ seed_arg $ jobs_arg)
 
 (* --- chaos: seeded fault-schedule soak --- *)
 
@@ -292,13 +294,14 @@ let chaos seeds seed_count duration plan modes tiers cert_standbys ack_quorum vo
   | Ok config ->
     let duration_ms = duration *. 1000.0 in
     Printf.printf "Chaos soak: plan=%s%s, %d seed(s) x %d mode(s), %.1fs virtual each\n\n"
-      (Experiments.Chaos.plan_name plan)
+      (Experiments.Runner.plan_name plan)
       (if tiers then " (mixed-tier reads)" else "")
       (List.length seeds) (List.length modes) duration;
-    let results =
-      Experiments.Chaos.soak_matrix ?config ~tiers ~protections ~offered_tps ~modes
-        ~plans:[ plan ] ~jobs ~seeds ~duration_ms ()
+    let points =
+      Experiments.Chaos.points ?config ~tiers ~protections ~offered_tps ~modes
+        ~plans:[ plan ] ~seeds ~duration_ms ()
     in
+    let results = List.combine points (Experiments.Runner.run ~jobs points) in
     List.iter (fun r -> Format.printf "%a@." Experiments.Chaos.pp_result r) results;
     (match health_file with
     | None -> ()
@@ -308,16 +311,13 @@ let chaos seeds seed_count duration plan modes tiers cert_standbys ack_quorum vo
     let failed = List.filter (fun r -> not (Experiments.Chaos.ok r)) results in
     let digest_ok =
       if verify_digest then begin
-        (* Re-run the first combination and demand a byte-identical
-           runlog: the whole stack, faults included, is deterministic. *)
-        let mode = List.hd modes and seed = List.hd seeds in
-        let _, same =
-          Experiments.Chaos.reproducible ?config ~tiers ~protections ~offered_tps ~mode
-            ~plan ~seed ~duration_ms ()
-        in
+        (* Re-run the first point and demand a byte-identical runlog:
+           the whole stack, faults included, is deterministic. *)
+        let p, s = List.hd results in
+        let same = String.equal s.digest (Experiments.Runner.run_point p).digest in
         Printf.printf "\ndigest reproducibility (%s, seed %d): %s\n"
-          (Core.Consistency.to_string mode)
-          seed
+          (Core.Consistency.to_string p.mode)
+          p.seed
           (if same then "identical" else "DIVERGED");
         same
       end
@@ -346,9 +346,9 @@ let chaos_plan_arg =
      or overload (open-loop metastable-failure reproduction)."
   in
   let plans =
-    List.map (fun p -> (Experiments.Chaos.plan_name p, p)) Experiments.Chaos.plans
+    List.map (fun p -> (Experiments.Runner.plan_name p, p)) Experiments.Runner.plans
   in
-  Arg.(value & opt (enum plans) Experiments.Chaos.Mixed & info [ "plan" ] ~docv:"PLAN" ~doc)
+  Arg.(value & opt (enum plans) Experiments.Runner.Mixed & info [ "plan" ] ~docv:"PLAN" ~doc)
 
 let chaos_cert_standbys_arg =
   let doc = "Certifier standbys (overrides the soak default config)." in
@@ -448,15 +448,16 @@ let overload rates mode protect seed clients duration warmup json_file jobs =
       (List.length rates) duration
       (if protect then "ON" else "off");
     let points =
-      Experiments.Overload.sweep ~config ~clients ~jobs ~mode ~rates
+      Experiments.Overload.points ~config ~clients ~mode ~rates
         ~warmup_ms:(warmup *. 1000.0) ~measure_ms:(duration *. 1000.0) ()
     in
-    List.iter (fun p -> Format.printf "%a@." Experiments.Overload.pp_point p) points;
+    let pairs = List.combine points (Experiments.Runner.run ~jobs points) in
+    List.iter (fun r -> Format.printf "%a@." Experiments.Overload.pp_point r) pairs;
     match json_file with
     | None -> `Ok ()
     | Some file ->
       let out = open_out file in
-      output_string out (Obs.Json.to_string (Experiments.Overload.sweep_json ~mode points));
+      output_string out (Obs.Json.to_string (Experiments.Overload.sweep_json ~mode pairs));
       output_char out '\n';
       close_out out;
       Printf.printf "\nwrote sweep to %s\n" file;
@@ -520,14 +521,14 @@ let tiers { quick; seed; jobs } clients =
      stays out of short-window noise. *)
   let bounds = if quick then [ 0; 8; 32 ] else Experiments.Tiers.default_bounds in
   let points =
-    Experiments.Tiers.run ~clients ~bounds ~seed ~warmup_ms:1_000.0 ~measure_ms:4_000.0
-      ~jobs ()
+    Experiments.Tiers.points ~clients ~bounds ~seed ~warmup_ms:1_000.0 ~measure_ms:4_000.0 ()
   in
-  print_string (Experiments.Tiers.render points);
-  if Experiments.Tiers.ok points then `Ok ()
+  let pairs = List.combine points (Experiments.Runner.run ~jobs points) in
+  print_string (Experiments.Tiers.render pairs);
+  if Experiments.Tiers.ok pairs then `Ok ()
   else begin
     let viol =
-      List.fold_left (fun acc p -> acc + Experiments.Tiers.total_violations p) 0 points
+      List.fold_left (fun acc (_, s) -> acc + Experiments.Tiers.total_violations s) 0 pairs
     in
     `Error
       ( false,

@@ -3,10 +3,6 @@ type workload = {
   next_request : Util.Rng.t -> Transaction.request;
 }
 
-type arrival =
-  | Poisson
-  | Fixed
-
 (* Per-client retry budget (Config.retry_budget): a token bucket over
    virtual time, refilled lazily at spend points so it schedules no
    events of its own. [None] (budget off) touches nothing — the retry
@@ -124,7 +120,7 @@ let spawn_many cluster ~n ~first_sid workload =
     spawn cluster ~sid:(first_sid + i) ~rng:(Cluster.rng cluster) workload
   done
 
-let open_loop cluster ~sid ~rng ?(arrival = Poisson) ~rate_tps workload =
+let open_loop cluster ~sid ~rng ~rate_tps workload =
   if rate_tps <= 0.0 then invalid_arg "Client.open_loop: rate_tps must be > 0";
   let engine = Cluster.engine cluster in
   let cfg = Cluster.config cluster in
@@ -135,12 +131,7 @@ let open_loop cluster ~sid ~rng ?(arrival = Poisson) ~rate_tps workload =
          not each transaction's — is what the budget caps. *)
       let budget = budget_of_config cfg (Sim.Engine.now engine) in
       let rec loop () =
-        let gap =
-          match arrival with
-          | Poisson -> Util.Rng.exponential rng ~mean:mean_gap_ms
-          | Fixed -> mean_gap_ms
-        in
-        Sim.Process.sleep engine gap;
+        Sim.Process.sleep engine (Util.Rng.exponential rng ~mean:mean_gap_ms);
         let request = workload.next_request rng in
         (* Fire-and-forget handler: the next arrival is scheduled by the
            clock, never by this transaction's completion — offered load
@@ -151,11 +142,11 @@ let open_loop cluster ~sid ~rng ?(arrival = Poisson) ~rate_tps workload =
       in
       loop ())
 
-let open_loop_many cluster ~n ~first_sid ?arrival ~rate_tps workload =
+let open_loop_many cluster ~n ~first_sid ~rate_tps workload =
   for i = 0 to n - 1 do
     open_loop cluster ~sid:(first_sid + i)
       ~rng:(Cluster.rng cluster)
-      ?arrival ~rate_tps:(rate_tps /. float_of_int n) workload
+      ~rate_tps:(rate_tps /. float_of_int n) workload
   done
 
 let no_think _rng = 0.0

@@ -17,11 +17,6 @@ type workload = {
   next_request : Util.Rng.t -> Transaction.request;
 }
 
-(** Inter-arrival law of an open-loop generator. *)
-type arrival =
-  | Poisson  (** exponential gaps (memoryless arrivals) — the default *)
-  | Fixed  (** a metronome: constant gaps at exactly the configured rate *)
-
 val spawn : Cluster.t -> sid:int -> rng:Util.Rng.t -> workload -> unit
 (** Start one closed-loop client process; it runs until the simulation
     stops. *)
@@ -34,13 +29,13 @@ val open_loop_many :
   Cluster.t ->
   n:int ->
   first_sid:int ->
-  ?arrival:arrival ->
   rate_tps:float ->
   workload ->
   unit
 (** Start [n] open-loop generators with distinct sessions splitting the
     {e aggregate} [rate_tps] evenly between them. The clock, not
-    completion, paces arrivals ([workload.think_ms] is ignored). Each
+    completion, paces arrivals, with exponential (Poisson) gaps
+    ([workload.think_ms] is ignored). Each
     arrival runs in its own process with the closed-loop driver's
     abort-class-aware retry loop; the arrivals of one generator share
     its session and its retry budget. Raises [Invalid_argument] on a

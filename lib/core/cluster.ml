@@ -878,9 +878,7 @@ let route t f =
     | Some w -> Certifier.version t.certifier - w > t.cfg.Config.apply_lag_gap
   then shed t f t.cfg.Config.shed_retry_after_ms;
   if Load_balancer.admission_on t.cfg then begin
-    match
-      Load_balancer.admit lb ~now:(now t) ~strong:(req.Transaction.tier = Consistency.Strong)
-    with
+    match Load_balancer.admit lb ~strong:(req.Transaction.tier = Consistency.Strong) with
     | Error retry_after_ms -> shed t f retry_after_ms
     | Ok () ->
       f.admitted <- true;

@@ -48,8 +48,6 @@ type t = {
   voter_lease_ms : float;
   lb_standby : bool;
   admission_limit : int;
-  admission_rate_tps : float;
-  admission_burst : float;
   cert_queue_bound : int;
   apply_lag_gap : int;
   shed_retry_after_ms : float;
@@ -123,8 +121,6 @@ let default =
        control"): every knob defaults off so an unprotected run is
        bit-identical to a build without the machinery. *)
     admission_limit = 0;
-    admission_rate_tps = 0.0;
-    admission_burst = 16.0;
     cert_queue_bound = 0;
     apply_lag_gap = 0;
     shed_retry_after_ms = 5.0;
@@ -188,13 +184,6 @@ let validate c =
     err "voter-lease must be >= 0 (0 disables; got %g ms)" c.voter_lease_ms
   else if c.admission_limit < 0 then
     err "admission-limit must be >= 1, or 0 to disable (got %d)" c.admission_limit
-  else if c.admission_rate_tps < 0.0 then
-    err "admission-rate must be > 0, or 0 to disable (got %g tps)" c.admission_rate_tps
-  else if c.admission_rate_tps > 0.0 && c.admission_burst < 1.0 then
-    err
-      "admission-burst (%g) must be >= 1 token when the admission token bucket is on: \
-       no request could ever be admitted"
-      c.admission_burst
   else if c.cert_queue_bound < 0 then
     err "cert-queue-bound must be >= 1, or 0 to disable (got %d)" c.cert_queue_bound
   else if c.apply_lag_gap < 0 then

@@ -192,16 +192,6 @@ type t = {
           {e strong} (potentially-writing) requests are shed earlier —
           from 7/8 of the cap — so weak-tier reads degrade last
           (priority shedding). 0 (the default) = unbounded. *)
-  admission_rate_tps : float;
-      (** token-bucket admission rate at the load balancer, in admitted
-          transactions per virtual second; refilled lazily on arrival
-          (no timer events). Weak-tier reads need 1 token; strong
-          requests are shed while the bucket holds less than 1 +
-          [admission_burst / 4] tokens, reserving headroom for reads.
-          0 (the default) disables the bucket. *)
-  admission_burst : float;
-      (** token-bucket capacity (maximum burst admitted at line rate);
-          must be >= 1 when [admission_rate_tps > 0] *)
   cert_queue_bound : int;
       (** bound on the certifier's pending-request backlog: a
           certification request arriving when this many are already

@@ -45,12 +45,10 @@ type t = {
      invisible: [max 0 v = v]. *)
   mutable floor_min : int;
   (* overload admission (docs/PROTOCOL.md, "Overload & admission
-     control"): transactions admitted and not yet answered, plus the
-     lazily-refilled admission token bucket. Per-instance, like the
-     active counts — a fresh active after a takeover starts empty. *)
+     control"): transactions admitted and not yet answered. Per-instance,
+     like the active counts — a fresh active after a takeover starts
+     empty. *)
   mutable admitted : int;
-  mutable adm_tokens : float;
-  mutable adm_last_ms : float;
   role : role;
 }
 
@@ -77,8 +75,6 @@ let create ?rng cfg ~mode =
     vs_base = 0;
     floor_min = 0;
     admitted = 0;
-    adm_tokens = cfg.Config.admission_burst;
-    adm_last_ms = 0.0;
     role = { crashed = false; self_active = true; self_epoch = 0; heard = 0.0 };
   }
 
@@ -433,51 +429,23 @@ let note_takeover t ~floor =
 (* --- Overload admission (docs/PROTOCOL.md, "Overload & admission
    control") -----------------------------------------------------------
 
-   Two independent gates, both off by default. The concurrency cap
-   bounds admitted-but-unanswered transactions; the token bucket bounds
-   the admission *rate*. Priority shedding: a strong (potentially
-   writing) request needs more headroom than a weak-tier read at both
-   gates, so under pressure strong writes are shed first and weak reads
-   degrade last. Everything is arithmetic on arrival — no timer events,
-   no RNG — so admission-off runs are untouched and admission-on runs
-   stay deterministic. *)
+   One gate, off by default: a concurrency cap on admitted-but-unanswered
+   transactions. Priority shedding: a strong (potentially writing)
+   request is shed from 7/8 of the cap, so under pressure strong writes
+   are shed first and weak reads degrade last. Everything is arithmetic
+   on arrival — no timer events, no RNG — so admission-off runs are
+   untouched and admission-on runs stay deterministic. *)
 
-let admission_on (cfg : Config.t) =
-  cfg.Config.admission_limit > 0 || cfg.Config.admission_rate_tps > 0.0
+let admission_on (cfg : Config.t) = cfg.Config.admission_limit > 0
 
-let admit t ~now ~strong =
+let admit t ~strong =
   let cfg = t.cfg in
   let limit = cfg.Config.admission_limit in
-  let cap =
-    if limit <= 0 then max_int
-    else if strong then max 1 (limit * 7 / 8)
-    else limit
-  in
+  let cap = if strong then max 1 (limit * 7 / 8) else limit in
   if t.admitted >= cap then Error cfg.Config.shed_retry_after_ms
   else begin
-    let rate = cfg.Config.admission_rate_tps in
-    if rate <= 0.0 then begin
-      t.admitted <- t.admitted + 1;
-      Ok ()
-    end
-    else begin
-      let burst = cfg.Config.admission_burst in
-      t.adm_tokens <-
-        Float.min burst (t.adm_tokens +. ((now -. t.adm_last_ms) /. 1000.0 *. rate));
-      t.adm_last_ms <- now;
-      (* Strong requests leave a quarter-burst of tokens in reserve for
-         reads (capped so a tiny burst still admits writes when full). *)
-      let need = if strong then Float.min burst (1.0 +. (burst /. 4.0)) else 1.0 in
-      if t.adm_tokens >= need then begin
-        t.adm_tokens <- t.adm_tokens -. 1.0;
-        t.admitted <- t.admitted + 1;
-        Ok ()
-      end
-      else
-        Error
-          (Float.max cfg.Config.shed_retry_after_ms
-             ((need -. t.adm_tokens) /. rate *. 1000.0))
-    end
+    t.admitted <- t.admitted + 1;
+    Ok ()
   end
 
 let release t =

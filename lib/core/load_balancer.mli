@@ -196,24 +196,21 @@ val note_takeover : t -> floor:int -> unit
 (** {2 Overload admission (docs/PROTOCOL.md, "Overload & admission
     control")}
 
-    Two gates, both off by default: the [Config.admission_limit]
-    concurrency cap and the [Config.admission_rate_tps] token bucket
-    (refilled lazily on arrival — no timer events, no RNG draws).
-    Priority shedding: a {e strong} (potentially-writing) request is
-    capped at 7/8 of the concurrency limit and must leave a
-    quarter-burst of tokens in reserve, so under pressure strong writes
-    shed first and weak-tier reads degrade last. *)
+    One gate, off by default: the [Config.admission_limit] concurrency
+    cap. Priority shedding: a {e strong} (potentially-writing) request
+    is capped at 7/8 of the limit, so under pressure strong writes shed
+    first and weak-tier reads degrade last. *)
 
 val admission_on : Config.t -> bool
-(** Whether either admission gate is configured — the cluster only
-    calls {!admit}/{!release} (and counts admitted work) when true. *)
+(** Whether the admission cap is configured — the cluster only calls
+    {!admit}/{!release} (and counts admitted work) when true. *)
 
-val admit : t -> now:float -> strong:bool -> (unit, float) result
-(** Try to admit one transaction at virtual time [now]. [Ok ()] admits
-    it (the caller must eventually {!release}); [Error retry_after_ms]
-    sheds it with the hint the client should wait before re-offering
-    ([Config.shed_retry_after_ms], or the bucket's time-to-token when
-    that is longer). *)
+val admit : t -> strong:bool -> (unit, float) result
+(** Try to admit one transaction. [Ok ()] admits it (the caller must
+    eventually {!release}); [Error retry_after_ms] sheds it with the
+    hint the client should wait before re-offering
+    ([Config.shed_retry_after_ms]). Only meaningful when
+    {!admission_on}. *)
 
 val release : t -> unit
 (** The admitted transaction was answered (committed {e or} aborted). *)

@@ -22,6 +22,9 @@ let points ~quick ~seed t =
       measure_ms = (if quick then 3_000.0 else 6_000.0);
       seed;
       config;
+      arrival = Closed;
+      faults = None;
+      drain = false;
     }
   in
   let micro update_types = Runner.Micro { params with update_types } in

@@ -22,6 +22,9 @@ let sweep ~quick ~seed ~scaled mixes =
                 measure_ms;
                 seed;
                 config = Core.Config.tpcw;
+                arrival = Closed;
+                faults = None;
+                drain = false;
               })
             Core.Consistency.all)
         replica_counts)
@@ -30,7 +33,8 @@ let sweep ~quick ~seed ~scaled mixes =
 let mix_of (p : Runner.point) =
   match p.workload with
   | Tpcw (_, mix) -> mix
-  | Micro _ | Span _ | Hot_key _ | Tpcc _ | Ycsb _ -> invalid_arg "Fig5: not a TPC-W point"
+  | Micro _ | Tiered _ | Span _ | Hot_key _ | Tpcc _ | Ycsb _ ->
+    invalid_arg "Fig5: not a TPC-W point"
 
 let panel ?y_label ~title ~metric mix pairs =
   let pairs = List.filter (fun (p, _) -> mix_of p = mix) pairs in

@@ -5,81 +5,62 @@
    shows where an unprotected system collapses and a protected one
    plateaus. *)
 
-type point = {
-  offered_tps : float;
-  goodput_tps : float;  (** committed transactions per second *)
-  committed : int;
-  aborted : int;
-  shed : int;
-  deadline_expired : int;
-  retry_budget_exhausted : int;
-  max_queue_depth : int;
-  p50_ms : float;
-  p99_ms : float;  (** response latency of committed transactions *)
-  abort_rate : float;
-}
-
-let run_point ?(config = Core.Config.default) ?(params = Workload.Microbench.default)
-    ?(clients = 16) ~mode ~offered_tps ~warmup_ms ~measure_ms () =
-  let cluster =
-    Core.Cluster.create ~config ~mode
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
-  in
-  Core.Client.open_loop_many cluster ~n:clients ~first_sid:0 ~rate_tps:offered_tps
-    (Workload.Microbench.workload params);
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-  let m = Core.Cluster.metrics cluster in
-  {
-    offered_tps;
-    goodput_tps = Core.Metrics.throughput_tps m;
-    committed = Core.Metrics.committed m;
-    aborted = Core.Metrics.aborted m;
-    shed = Core.Metrics.shed m;
-    deadline_expired = Core.Metrics.deadline_expired m;
-    retry_budget_exhausted = Core.Metrics.retry_budget_exhausted m;
-    max_queue_depth = Core.Metrics.max_queue_depth m;
-    p50_ms = Core.Metrics.percentile_response_ms m 50.0;
-    p99_ms = Core.Metrics.percentile_response_ms m 99.0;
-    abort_rate = Core.Metrics.abort_rate m;
-  }
-
-let sweep ?config ?params ?clients ?(jobs = 1) ~mode ~rates ~warmup_ms ~measure_ms ()
-    =
-  Runner.map_jobs ~jobs
+let points ~config ?(params = Workload.Microbench.default) ?(clients = 16) ~mode ~rates
+    ~warmup_ms ~measure_ms () =
+  List.map
     (fun offered_tps ->
-      run_point ?config ?params ?clients ~mode ~offered_tps ~warmup_ms ~measure_ms ())
+      {
+        Runner.mode;
+        workload = Runner.Micro params;
+        replicas = config.Core.Config.replicas;
+        clients;
+        warmup_ms;
+        measure_ms;
+        seed = config.Core.Config.seed;
+        config;
+        arrival = Runner.Open offered_tps;
+        faults = None;
+        drain = false;
+      })
     rates
 
-let pp_point ppf p =
+let offered_tps (p : Runner.point) =
+  match p.arrival with
+  | Runner.Open rate -> rate
+  | Runner.Closed -> invalid_arg "Overload.offered_tps: closed-loop point"
+
+let pp_point ppf (p, (s : Runner.summary)) =
   Format.fprintf ppf
     "offered %8.0f tps  goodput %8.1f tps  p50 %7.2fms  p99 %7.2fms  committed=%-6d \
      aborted=%-5d shed=%-5d expired=%-4d budget_out=%-4d max_queue=%d"
-    p.offered_tps p.goodput_tps p.p50_ms p.p99_ms p.committed p.aborted p.shed
-    p.deadline_expired p.retry_budget_exhausted p.max_queue_depth
+    (offered_tps p) s.tps s.p50_ms s.p99_ms s.committed s.aborted
+    (Runner.total s "txn.shed")
+    (Runner.total s "txn.deadline_expired")
+    (Runner.total s "txn.retry_budget_exhausted")
+    s.max_queue_depth
 
-let point_json p =
+let point_json (p, (s : Runner.summary)) =
+  let int n = Obs.Json.Num (float_of_int n) in
   Obs.Json.Obj
     [
-      ("offered_tps", Obs.Json.Num p.offered_tps);
-      ("goodput_tps", Obs.Json.Num p.goodput_tps);
-      ("committed", Obs.Json.Num (float_of_int p.committed));
-      ("aborted", Obs.Json.Num (float_of_int p.aborted));
-      ("shed", Obs.Json.Num (float_of_int p.shed));
-      ("deadline_expired", Obs.Json.Num (float_of_int p.deadline_expired));
-      ("retry_budget_exhausted", Obs.Json.Num (float_of_int p.retry_budget_exhausted));
-      ("max_queue_depth", Obs.Json.Num (float_of_int p.max_queue_depth));
-      ("p50_ms", Obs.Json.Num p.p50_ms);
-      ("p99_ms", Obs.Json.Num p.p99_ms);
-      ("abort_rate", Obs.Json.Num p.abort_rate);
+      ("offered_tps", Obs.Json.Num (offered_tps p));
+      ("goodput_tps", Obs.Json.Num s.tps);
+      ("committed", int s.committed);
+      ("aborted", int s.aborted);
+      ("shed", int (Runner.total s "txn.shed"));
+      ("deadline_expired", int (Runner.total s "txn.deadline_expired"));
+      ("retry_budget_exhausted", int (Runner.total s "txn.retry_budget_exhausted"));
+      ("max_queue_depth", int s.max_queue_depth);
+      ("p50_ms", Obs.Json.Num s.p50_ms);
+      ("p99_ms", Obs.Json.Num s.p99_ms);
+      ("abort_rate", Obs.Json.Num s.abort_rate);
     ]
 
-let sweep_json ~mode points =
+let sweep_json ~mode pairs =
   Obs.Json.Obj
     [
       ("version", Obs.Json.Num 1.0);
       ("kind", Obs.Json.Str "overload_sweep");
       ("mode", Obs.Json.Str (Core.Consistency.to_string mode));
-      ("points", Obs.Json.Arr (List.map point_json points));
+      ("points", Obs.Json.Arr (List.map point_json pairs));
     ]

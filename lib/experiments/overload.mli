@@ -9,36 +9,24 @@
     collapses past the knee (unbounded queues, retry storms), a
     protected one sheds excess and holds its plateau. *)
 
-type point = {
-  offered_tps : float;  (** aggregate offered arrival rate *)
-  goodput_tps : float;  (** committed transactions per second *)
-  committed : int;
-  aborted : int;
-  shed : int;  (** refusals ({!Core.Transaction.Overloaded}) *)
-  deadline_expired : int;
-  retry_budget_exhausted : int;
-  max_queue_depth : int;
-  p50_ms : float;
-  p99_ms : float;  (** response latency of committed transactions *)
-  abort_rate : float;
-}
-
-val sweep :
-  ?config:Core.Config.t ->
+val points :
+  config:Core.Config.t ->
   ?params:Workload.Microbench.params ->
   ?clients:int ->
-  ?jobs:int ->
   mode:Core.Consistency.mode ->
   rates:float list ->
   warmup_ms:float ->
   measure_ms:float ->
   unit ->
-  point list
-(** [run_point] per rate, in order. Each point is an independent
-    simulation, so [jobs] (default 1, {!Runner.map_jobs}) parallelizes
-    the sweep without perturbing any result. *)
+  Runner.point list
+(** One {!Runner} point per aggregate offered rate, in order, at the
+    config's replicas and seed. Defaults: the paper's micro-benchmark,
+    16 generators. *)
 
-val pp_point : Format.formatter -> point -> unit
+val pp_point : Format.formatter -> Runner.point * Runner.summary -> unit
+(** One line: offered rate, goodput, p50/p99, committed, aborted, shed,
+    expired, budget-exhausted, deepest queue. *)
 
-val sweep_json : mode:Core.Consistency.mode -> point list -> Obs.Json.t
+val sweep_json :
+  mode:Core.Consistency.mode -> (Runner.point * Runner.summary) list -> Obs.Json.t
 (** Versioned artifact envelope for a sweep, one object per point. *)

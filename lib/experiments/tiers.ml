@@ -1,105 +1,9 @@
-let log_src = Logs.Src.create "repro.tiers" ~doc:"Read-tier latency/staleness frontier"
-
-module Log = (val Logs.src_log log_src)
-
-type tier_row = {
-  slug : string;
-  committed : int;
-  mean_ms : float;
-  p99_ms : float;
-  mean_staleness : float;
-  max_staleness : float;
-}
-
-type point = {
-  bound : int;
-  tps : float;
-  rows : tier_row list;
-  violations : (string * int) list;
-  ordered : bool;
-  digest : string;
-}
-
-(* The mode-level battery plus every tier contract. Mode checkers only
-   constrain Strong-class records, tier checkers only their own class, so
-   running all of them on a mixed-tier log is exactly the right split. *)
-let checkers =
-  [
-    ("first_committer_wins", Check.Runlog.first_committer_wins);
-    ("strong_consistency", Check.Runlog.strong_consistency);
-    ("tier_bounded_staleness", Check.Runlog.tier_bounded_staleness);
-    ("tier_causal_ryw", Check.Runlog.tier_causal_ryw);
-    ("tier_monotone_reads", Check.Runlog.tier_monotone_reads);
-  ]
-
 let default_params = { Workload.Microbench.tables = 8; rows = 200; update_types = 4 }
-
-let mean_of t slug = Core.Metrics.tier_mean_response_ms t slug
-
-let ordered_rows metrics =
-  (* The headline claim: weaker tier, faster read. Compared on mean
-     read response at equal load within one run. *)
-  let m = mean_of metrics in
-  m "eventual" < m "bounded"
-  && m "bounded" < m "causal"
-  && m "causal" < m "strong"
-
-let run_point ~config ~params ~clients ~warmup_ms ~measure_ms ~bound =
-  let tier = Core.Consistency.Bounded_staleness { versions = Some bound; ms = None } in
-  let cluster =
-    Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
-      ~schemas:(Workload.Microbench.schemas params)
-      ~load:(Workload.Microbench.load params)
-      ()
-  in
-  Core.Client.spawn_many cluster ~n:clients ~first_sid:0
-    (Workload.Microbench.tiered_workload ~bounded_tier:tier params);
-  Core.Cluster.run_for cluster ~warmup_ms ~measure_ms;
-  let metrics = Core.Cluster.metrics cluster in
-  let rows =
-    List.filter_map
-      (fun slug ->
-        let committed = Core.Metrics.tier_committed metrics slug in
-        if committed = 0 then None
-        else
-          Some
-            {
-              slug;
-              committed;
-              mean_ms = Core.Metrics.tier_mean_response_ms metrics slug;
-              p99_ms = Core.Metrics.tier_percentile_response_ms metrics slug 99.0;
-              mean_staleness = Core.Metrics.tier_mean_staleness metrics slug;
-              max_staleness = Core.Metrics.tier_max_staleness metrics slug;
-            })
-      Core.Consistency.all_tier_slugs
-  in
-  let records = Core.Cluster.records cluster in
-  let violations =
-    List.map
-      (fun (name, check) ->
-        let vs = check records in
-        List.iteri
-          (fun i v ->
-            if i < 3 then
-              Format.eprintf "[tiers k=%d] %s: %a@." bound name Check.Runlog.pp_violation
-                v)
-          vs;
-        (name, List.length vs))
-      checkers
-  in
-  {
-    bound;
-    tps = Core.Metrics.throughput_tps metrics;
-    rows;
-    violations;
-    ordered = ordered_rows metrics;
-    digest = Check.Runlog.digest records;
-  }
 
 let default_bounds = [ 0; 1; 2; 4; 8; 16; 32 ]
 
-let run ?config ?(params = default_params) ?(clients = 24) ?(bounds = default_bounds)
-    ?(seed = 42) ?(warmup_ms = 1_000.0) ?(measure_ms = 4_000.0) ?(jobs = 1) () =
+let points ?config ?(params = default_params) ?(clients = 24) ?(bounds = default_bounds)
+    ?(seed = 42) ?(warmup_ms = 1_000.0) ?(measure_ms = 4_000.0) () =
   let config =
     match config with
     | Some c -> { c with Core.Config.seed; read_tiers = true; record_log = true }
@@ -122,34 +26,48 @@ let run ?config ?(params = default_params) ?(clients = 24) ?(bounds = default_bo
         ws_apply_row_ms = 0.04;
       }
   in
-  (* Each frontier point is an independent cluster run; log after
-     collection so the output order matches the bounds list whatever
-     [jobs] is. *)
-  let points =
-    Runner.map_jobs ~jobs
-      (fun bound -> run_point ~config ~params ~clients ~warmup_ms ~measure_ms ~bound)
-      bounds
-  in
-  List.iter
-    (fun p ->
-      Log.info (fun m ->
-          m "k=%-3d tps=%.0f ordered=%b violations=%d" p.bound p.tps p.ordered
-            (List.fold_left (fun acc (_, n) -> acc + n) 0 p.violations)))
-    points;
-  points
+  List.map
+    (fun bound ->
+      let tier = Core.Consistency.Bounded_staleness { versions = Some bound; ms = None } in
+      {
+        Runner.mode = Core.Consistency.Coarse;
+        workload = Runner.Tiered (params, Some tier);
+        replicas = config.Core.Config.replicas;
+        clients;
+        warmup_ms;
+        measure_ms;
+        seed;
+        config;
+        arrival = Runner.Closed;
+        faults = None;
+        drain = false;
+      })
+    bounds
 
-let total_violations p = List.fold_left (fun acc (_, n) -> acc + n) 0 p.violations
+let bound (p : Runner.point) =
+  match p.workload with
+  | Runner.Tiered (_, Some (Core.Consistency.Bounded_staleness { versions = Some k; _ })) -> k
+  | _ -> invalid_arg "Tiers.bound: not a frontier point"
 
-let ok points =
-  List.for_all (fun p -> total_violations p = 0) points
+let row_of (s : Runner.summary) slug =
+  List.find_opt (fun (r : Runner.tier_row) -> r.slug = slug) s.tiers
+
+(* The headline claim: weaker tier, faster read. Compared on mean read
+   response at equal load within one run. *)
+let ordered s =
+  let m slug = match row_of s slug with Some r -> r.mean_ms | None -> 0.0 in
+  m "eventual" < m "bounded" && m "bounded" < m "causal" && m "causal" < m "strong"
+
+let total_violations s = List.fold_left (fun acc (_, n) -> acc + n) 0 (Runner.battery s)
+
+let ok pairs =
+  List.for_all (fun (_, s) -> total_violations s = 0) pairs
   (* The ordering claim needs a bound loose enough that bounded reads
      actually skip the version wait; tight bounds (k=0,1) legitimately
      price like strong reads. *)
-  && List.exists (fun p -> p.bound >= 8 && p.ordered) points
+  && List.exists (fun (p, s) -> bound p >= 8 && ordered s) pairs
 
-let row_of p slug = List.find_opt (fun r -> r.slug = slug) p.rows
-
-let render points =
+let render pairs =
   let header =
     "max_lag k"
     :: List.concat_map
@@ -157,32 +75,34 @@ let render points =
          Core.Consistency.all_tier_slugs
     @ [ "bounded lag"; "eventual lag"; "TPS"; "ordered"; "viol" ]
   in
-  let cell p slug f = match row_of p slug with Some r -> Report.fmt_f (f r) | None -> "-" in
+  let cell s slug f = match row_of s slug with Some r -> Report.fmt_f (f r) | None -> "-" in
   let rows =
     List.map
-      (fun p ->
-        (string_of_int p.bound
+      (fun (p, (s : Runner.summary)) ->
+        (string_of_int (bound p)
          :: List.concat_map
               (fun slug ->
-                [ cell p slug (fun r -> r.mean_ms); cell p slug (fun r -> r.p99_ms) ])
+                [ cell s slug (fun r -> r.mean_ms); cell s slug (fun r -> r.tier_p99_ms) ])
               Core.Consistency.all_tier_slugs)
         @ [
-            cell p "bounded" (fun r -> r.mean_staleness);
-            cell p "eventual" (fun r -> r.mean_staleness);
-            Report.fmt_f p.tps;
-            (if p.ordered then "yes" else "no");
-            string_of_int (total_violations p);
+            cell s "bounded" (fun r -> r.mean_staleness);
+            cell s "eventual" (fun r -> r.mean_staleness);
+            Report.fmt_f s.tps;
+            (if ordered s then "yes" else "no");
+            string_of_int (total_violations s);
           ])
-      points
+      pairs
   in
   let series =
     List.map
       (fun slug ->
         ( slug,
           List.filter_map
-            (fun p ->
-              Option.map (fun r -> (float_of_int p.bound, r.mean_ms)) (row_of p slug))
-            points ))
+            (fun (p, s) ->
+              Option.map
+                (fun (r : Runner.tier_row) -> (float_of_int (bound p), r.mean_ms))
+                (row_of s slug))
+            pairs ))
       Core.Consistency.all_tier_slugs
   in
   Report.section

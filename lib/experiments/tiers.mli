@@ -1,36 +1,18 @@
 (** Latency-vs-staleness frontier for mixed-consistency read tiers
     (docs/CONSISTENCY.md).
 
-    One cluster per sweep point: coarse-grained write mode,
+    One {!Runner} point per sweep value: coarse-grained write mode,
     [read_tiers = true], and a mixed workload whose reads split evenly
     across strong / bounded / causal / eventual. The sweep varies the
-    [max_lag] (in versions) that bounded reads declare and reports, per
-    tier, mean and p99 read response plus served staleness, then runs
-    the full checker battery (mode-level on [Strong]-class records, the
-    three tier contracts on their own classes) over the run log. *)
-
-type tier_row = {
-  slug : string;  (** {!Core.Consistency.tier_slug} *)
-  committed : int;
-  mean_ms : float;
-  p99_ms : float;
-  mean_staleness : float;  (** versions behind [V_system] at commit *)
-  max_staleness : float;
-}
-
-type point = {
-  bound : int;  (** bounded-staleness [max_lag] (versions) at this point *)
-  tps : float;
-  rows : tier_row list;  (** decreasing-strength tier order; empty tiers omitted *)
-  violations : (string * int) list;
-  ordered : bool;
-      (** eventual < bounded < causal < strong mean read response held *)
-  digest : string;  (** runlog digest — equal across reruns at one seed *)
-}
+    [max_lag] (in versions) that bounded reads declare; each summary
+    carries, per tier, mean and p99 read response plus served staleness,
+    and the coarse mode's gating battery over the run log (mode-level
+    on [Strong]-class records, the three tier contracts on their own
+    classes). *)
 
 val default_bounds : int list
 
-val run :
+val points :
   ?config:Core.Config.t ->
   ?params:Workload.Microbench.params ->
   ?clients:int ->
@@ -38,23 +20,27 @@ val run :
   ?seed:int ->
   ?warmup_ms:float ->
   ?measure_ms:float ->
-  ?jobs:int ->
   unit ->
-  point list
-(** [read_tiers] and [record_log] are forced on in whatever config is
-    supplied. Defaults: 4 replicas, 24 clients, 8 tables with 4 update
-    types (a keep-up regime with frequent per-session writes, so causal
-    floors stay current and the tier ordering is observable). [jobs]
-    (default 1) runs the frontier points on that many domains; each
-    point is an independent simulation, so the result list is identical
-    whatever [jobs] is. *)
+  Runner.point list
+(** One point per bound, in order. [read_tiers] and [record_log] are
+    forced on in whatever config is supplied. Defaults: 4 replicas, 24
+    clients, 8 tables with 4 update types (a keep-up regime with
+    frequent per-session writes, so causal floors stay current and the
+    tier ordering is observable), seed 42, 1 s + 4 s windows. *)
 
-val total_violations : point -> int
+val bound : Runner.point -> int
+(** The bounded-staleness [max_lag] of a frontier point. *)
 
-val ok : point list -> bool
+val ordered : Runner.summary -> bool
+(** eventual < bounded < causal < strong mean read response held. *)
+
+val total_violations : Runner.summary -> int
+(** Violations summed over the gating battery. *)
+
+val ok : (Runner.point * Runner.summary) list -> bool
 (** No contract violations anywhere, and the latency ordering
     eventual < bounded < causal < strong holds at some bound [>= 8]
     (tight bounds legitimately price like strong reads). *)
 
-val render : point list -> string
+val render : (Runner.point * Runner.summary) list -> string
 (** Table plus latency-vs-bound chart. *)

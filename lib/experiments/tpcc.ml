@@ -15,6 +15,9 @@ let points ~quick:_ ~seed =
         measure_ms = 6_000.0;
         seed;
         config = Core.Config.default;
+        arrival = Closed;
+        faults = None;
+        drain = false;
       })
     Core.Consistency.all
 

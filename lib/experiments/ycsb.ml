@@ -14,6 +14,9 @@ let points ~quick:_ ~seed =
             measure_ms = 4_000.0;
             seed;
             config = Core.Config.default;
+            arrival = Closed;
+            faults = None;
+            drain = false;
           })
         Core.Consistency.all)
     mixes
@@ -21,7 +24,8 @@ let points ~quick:_ ~seed =
 let mix_of (p : Runner.point) =
   match p.workload with
   | Ycsb (_, mix) -> mix
-  | Micro _ | Span _ | Hot_key _ | Tpcw _ | Tpcc _ -> invalid_arg "Ycsb: not a YCSB point"
+  | Micro _ | Tiered _ | Span _ | Hot_key _ | Tpcw _ | Tpcc _ ->
+    invalid_arg "Ycsb: not a YCSB point"
 
 let render pairs =
   let row ((p : Runner.point), (s : Runner.summary)) =

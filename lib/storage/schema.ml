@@ -50,8 +50,6 @@ let make ~name ~columns ?(nullable = []) ?(indexes = []) ~key () =
     primary_key;
   { t with primary_key; indexed }
 
-let column_count t = Array.length t.columns
-
 let key_of_row t row = Array.map (fun i -> row.(i)) t.primary_key
 
 let validate_row t row =

@@ -27,8 +27,6 @@ val make :
 val column_index : t -> string -> int
 (** Raises [Not_found] for unknown names. *)
 
-val column_count : t -> int
-
 val key_of_row : t -> Value.t array -> Value.t array
 (** Extract the primary-key values from a full row. *)
 

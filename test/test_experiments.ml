@@ -79,6 +79,9 @@ let tiny_point ?(config = Core.Config.default) ?(update_types = 1) ?(rows = 200)
     measure_ms;
     seed;
     config = { config with gc_interval_ms = 0.0 };
+    arrival = Closed;
+    faults = None;
+    drain = false;
   }
 
 let test_runner_smoke () =
@@ -109,12 +112,28 @@ let test_ablation_rows_shape () =
         clients = 8;
         tps;
         response_ms = 2.0;
+        p50_ms = 1.5;
         p99_ms = 5.0;
         stage_ms = Array.make Core.Metrics.stage_count 0.0;
         stage_update_ms = Array.make Core.Metrics.stage_count 0.0;
         sync_delay_ms = 0.0;
         abort_rate = 0.0;
         committed = 1;
+        aborted = 0;
+        aborts_by_reason = [];
+        totals = [];
+        max_queue_depth = 0;
+        outage_max_ms = 0.0;
+        epoch = 0;
+        lb_epoch = 0;
+        tiers = [];
+        logged = 0;
+        violations = [];
+        digest = "";
+        zombie_commits = 0;
+        wedged = false;
+        drain_ms = 0.0;
+        divergent_log_entries = 0;
       } )
   in
   let s =
@@ -123,25 +142,6 @@ let test_ablation_rows_shape () =
   in
   Alcotest.(check bool) "contains labels" true
     (List.for_all (contains s) [ "least-active (paper)"; "round-robin"; "TPS"; "p99_ms" ])
-
-let test_replicate_aggregates () =
-  (* Aggregate across seeds; the paper's methodology (10 runs, <5%
-     deviation). Use 3 short runs for test time. *)
-  let agg =
-    Experiments.Runner.replicate ~runs:3
-      (tiny_point
-         (* Transient slowdowns dominate variance in short windows; the
-            methodology check uses a quiet cluster. *)
-         ~config:{ Core.Config.default with hiccup_interval_ms = 0.0 }
-         ~rows:500 ~warmup_ms:300.0 ~measure_ms:2_000.0 ~seed:100 Core.Consistency.Coarse)
-  in
-  Alcotest.(check int) "runs" 3 agg.Experiments.Runner.runs;
-  Alcotest.(check bool) "mean tps positive" true (agg.Experiments.Runner.mean.tps > 100.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "deviation below 5%% (got %.2f%%)"
-       (100.0 *. agg.Experiments.Runner.tps_rel_dev))
-    true
-    (agg.Experiments.Runner.tps_rel_dev < 0.05)
 
 (* --- Report sparklines --- *)
 
@@ -158,10 +158,11 @@ let test_sparkline () =
 (* --- Chaos health-timeline artifact --- *)
 
 let test_chaos_health_json_shape () =
-  let r =
-    Experiments.Chaos.soak ~mode:Core.Consistency.Eager ~plan:Experiments.Chaos.Clean
+  let p =
+    Experiments.Chaos.point ~mode:Core.Consistency.Eager ~plan:Experiments.Runner.Clean
       ~seed:1 ~duration_ms:1_000.0 ()
   in
+  let r = (p, Experiments.Runner.run_point p) in
   let doc =
     match
       Obs.Json.parse (Obs.Json.to_string (Experiments.Chaos.health_json [ r ]))
@@ -215,22 +216,30 @@ let test_parallel_chaos_matrix_identical () =
      bit-identical between [--jobs 1] and [--jobs 4]. *)
   let seeds = [ 3; 4 ] in
   let modes = [ Core.Consistency.Coarse; Core.Consistency.Session ] in
-  let run jobs =
-    Experiments.Chaos.soak_matrix ~modes ~plans:[ Experiments.Chaos.Mixed ] ~jobs ~seeds
+  let points =
+    Experiments.Chaos.points ~modes ~plans:[ Experiments.Runner.Mixed ] ~seeds
       ~duration_ms:1_500.0 ()
   in
+  let run jobs = List.combine points (Experiments.Runner.run ~jobs points) in
   let serial = run 1 and parallel = run 4 in
   Alcotest.(check int) "same matrix size" (List.length serial) (List.length parallel);
+  Alcotest.(check (list string)) "plan, mode, seed order"
+    [ "coarse/3"; "coarse/4"; "session/3"; "session/4" ]
+    (List.map
+       (fun ((p : Experiments.Runner.point), _) ->
+         Printf.sprintf "%s/%d" (Core.Consistency.to_string p.mode) p.seed)
+       serial);
   List.iter2
-    (fun (a : Experiments.Chaos.result) (b : Experiments.Chaos.result) ->
+    (fun ((a : Experiments.Runner.point), (sa : Experiments.Runner.summary))
+         ((b : Experiments.Runner.point), (sb : Experiments.Runner.summary)) ->
       Alcotest.(check string) "seed matrix order preserved"
         (Printf.sprintf "%s/%d" (Core.Consistency.to_string a.mode) a.seed)
         (Printf.sprintf "%s/%d" (Core.Consistency.to_string b.mode) b.seed);
       Alcotest.(check string)
         (Printf.sprintf "digest identical for %s/%d" (Core.Consistency.to_string a.mode)
            a.seed)
-        a.digest b.digest;
-      Alcotest.(check int) "commit counts identical" a.committed b.committed)
+        sa.digest sb.digest;
+      Alcotest.(check int) "commit counts identical" sa.committed sb.committed)
     serial parallel
 
 let test_point_list_identical_across_jobs () =
@@ -247,14 +256,69 @@ let test_point_list_identical_across_jobs () =
           [ Core.Consistency.Coarse; Core.Consistency.Eager ])
       [ 0; 2 ]
   in
+  (* Beside the figure points: a chaos-plan point (faults, schedule and
+     drain, record_log on) and an open-loop point. *)
+  let extra =
+    [
+      Experiments.Chaos.point ~mode:Core.Consistency.Fine ~plan:Experiments.Runner.Mixed
+        ~seed:5 ~duration_ms:1_000.0 ();
+      {
+        (tiny_point ~seed:7 Core.Consistency.Coarse) with
+        Experiments.Runner.arrival = Open 2_000.0;
+      };
+    ]
+  in
+  let serial = Experiments.Runner.run ~jobs:1 (points @ extra)
+  and parallel = Experiments.Runner.run ~jobs:2 (points @ extra) in
+  Alcotest.(check bool) "summaries equal" true (compare serial parallel = 0);
+  (match List.rev serial with
+  | open_loop :: chaos :: _ ->
+    Alcotest.(check bool) "chaos point logged and drained" true
+      (chaos.Experiments.Runner.logged > 0
+      && chaos.Experiments.Runner.digest <> ""
+      && Experiments.Runner.total chaos "fault.drops" > 0
+      && not chaos.Experiments.Runner.wedged);
+    Alcotest.(check bool) "open-loop point committed" true
+      (open_loop.Experiments.Runner.committed > 0)
+  | _ -> Alcotest.fail "missing summaries");
   (* In the batching sweep's order: baseline, then batched, per cell. *)
   let artifact = { Experiments.Runner.points; render = Experiments.Batch.render } in
-  let serial = Experiments.Runner.run ~jobs:1 points
-  and parallel = Experiments.Runner.run ~jobs:2 points in
-  Alcotest.(check bool) "summaries equal" true (compare serial parallel = 0);
+  let batch = List.filteri (fun i _ -> i < List.length points) serial in
   Alcotest.(check (list string)) "rendered tables byte-equal"
-    [ Experiments.Batch.render (List.combine points serial) ]
+    [ Experiments.Batch.render (List.combine points batch) ]
     (Experiments.Runner.render_all ~jobs:2 [ artifact ])
+
+(* The gating battery per mode, pinned by name and order. *)
+let test_gating_battery () =
+  let always =
+    [
+      "first_committer_wins";
+      "epoch_fencing";
+      "election_safety";
+      "lb_floor_preservation";
+      "tier_bounded_staleness";
+      "tier_causal_ryw";
+      "tier_monotone_reads";
+    ]
+  in
+  List.iter
+    (fun (mode, own) ->
+      Alcotest.(check (list string))
+        (Core.Consistency.to_string mode)
+        (always @ own) (Experiments.Runner.gating mode);
+      (* every gating checker exists in the mode's catalog *)
+      let names = List.map fst (Experiments.Runner.checkers mode) in
+      Alcotest.(check bool)
+        (Core.Consistency.to_string mode ^ " gates only catalog checkers")
+        true
+        (List.for_all (fun n -> List.mem n names) (Experiments.Runner.gating mode)))
+    [
+      (Core.Consistency.Eager, [ "strong_consistency" ]);
+      (Core.Consistency.Coarse, [ "strong_consistency" ]);
+      (Core.Consistency.Fine, [ "fine_strong_consistency" ]);
+      (Core.Consistency.Session, [ "session_consistency"; "monotone_session_snapshots" ]);
+      (Core.Consistency.Bounded 3, [ "bounded_staleness" ]);
+    ]
 
 let suites =
   [
@@ -267,7 +331,6 @@ let suites =
         Alcotest.test_case "plot renders" `Quick test_plot_renders;
         Alcotest.test_case "plot empty" `Quick test_plot_empty;
         Alcotest.test_case "runner smoke" `Quick test_runner_smoke;
-        Alcotest.test_case "replicate aggregates" `Quick test_replicate_aggregates;
         Alcotest.test_case "ablation render" `Quick test_ablation_rows_shape;
         Alcotest.test_case "sparkline" `Quick test_sparkline;
         Alcotest.test_case "map_jobs order across pool sizes" `Quick
@@ -278,5 +341,6 @@ let suites =
           test_point_list_identical_across_jobs;
         Alcotest.test_case "chaos health artifact shape" `Quick
           test_chaos_health_json_shape;
+        Alcotest.test_case "gating battery per mode" `Quick test_gating_battery;
       ] );
   ]

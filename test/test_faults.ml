@@ -660,29 +660,33 @@ let test_pending_set_is_queued_refreshes () =
 let test_chaos_soak_smoke () =
   (* One cell of the chaos matrix end to end through the harness: the
      mixed plan must pass every checker and reproduce bit-identically. *)
-  let r, same =
-    Experiments.Chaos.reproducible ~mode:Core.Consistency.Fine
-      ~plan:Experiments.Chaos.Mixed ~seed:3 ~duration_ms:1_200.0 ()
+  let p =
+    Experiments.Chaos.point ~mode:Core.Consistency.Fine ~plan:Experiments.Runner.Mixed
+      ~seed:3 ~duration_ms:1_200.0 ()
   in
+  let s = Experiments.Runner.run_point p in
+  let again = Experiments.Runner.run_point p in
   Alcotest.(check bool)
-    (Format.asprintf "chaos run ok: %a" Experiments.Chaos.pp_result r)
-    true (Experiments.Chaos.ok r);
+    (Format.asprintf "chaos run ok: %a" Experiments.Chaos.pp_result (p, s))
+    true (Experiments.Chaos.ok (p, s));
   Alcotest.(check bool) "faults were injected" true
-    (Experiments.Chaos.total r "fault.drops" > 0);
-  Alcotest.(check bool) "same seed, same runlog digest" true same
+    (Experiments.Runner.total s "fault.drops" > 0);
+  Alcotest.(check bool) "same seed, same runlog digest" true
+    (String.equal s.Experiments.Runner.digest again.Experiments.Runner.digest)
 
 let test_chaos_clean_plan_soak () =
   (* The clean plan through the same harness: no faults fire, nothing
      retransmits, and every checker passes. *)
-  let r =
-    Experiments.Chaos.soak ~mode:Core.Consistency.Eager ~plan:Experiments.Chaos.Clean
+  let p =
+    Experiments.Chaos.point ~mode:Core.Consistency.Eager ~plan:Experiments.Runner.Clean
       ~seed:1 ~duration_ms:1_000.0 ()
   in
+  let s = Experiments.Runner.run_point p in
   Alcotest.(check bool)
-    (Format.asprintf "clean soak ok: %a" Experiments.Chaos.pp_result r)
-    true (Experiments.Chaos.ok r);
-  Alcotest.(check int) "no drops" 0 (Experiments.Chaos.total r "fault.drops");
-  Alcotest.(check int) "no duplicates" 0 (Experiments.Chaos.total r "fault.duplicates")
+    (Format.asprintf "clean soak ok: %a" Experiments.Chaos.pp_result (p, s))
+    true (Experiments.Chaos.ok (p, s));
+  Alcotest.(check int) "no drops" 0 (Experiments.Runner.total s "fault.drops");
+  Alcotest.(check int) "no duplicates" 0 (Experiments.Runner.total s "fault.duplicates")
 
 let test_lossy_soak_fault_totals () =
   (* The chaos lossy plan, driven as a soak drives it (run_for with no
@@ -694,7 +698,7 @@ let test_lossy_soak_fault_totals () =
   let cluster =
     Core.Cluster.create ~config
       ~faults:
-        (Experiments.Chaos.build_plan Experiments.Chaos.Lossy ~seed ~duration_ms
+        (Experiments.Runner.build_plan Experiments.Runner.Lossy ~seed ~duration_ms
            ~replicas:config.Core.Config.replicas)
       ~mode:Core.Consistency.Fine
       ~schemas:(Workload.Microbench.schemas Experiments.Chaos.default_params)

@@ -68,22 +68,13 @@ let test_overload_config_validation () =
       Alcotest.(check bool) (what ^ " has a reason") true (String.length e > 0)
   in
   ok "defaults (all protections off)" base_config;
-  ok "full protection stack"
-    {
-      (Core.Config.protected base_config) with
-      Core.Config.admission_rate_tps = 2_000.0;
-      admission_burst = 16.0;
-    };
+  ok "full protection stack" (Core.Config.protected base_config);
   rejected "zero certification batch cap"
     { base_config with Core.Config.cert_batch = 0 };
   rejected "zero apply lanes"
     { base_config with Core.Config.apply_parallelism = 0 };
   rejected "negative admission limit"
     { base_config with Core.Config.admission_limit = -1 };
-  rejected "negative admission rate"
-    { base_config with Core.Config.admission_rate_tps = -2.0 };
-  rejected "token bucket without a whole token"
-    { base_config with Core.Config.admission_rate_tps = 100.0; admission_burst = 0.5 };
   rejected "negative certifier queue bound"
     { base_config with Core.Config.cert_queue_bound = -3 };
   rejected "negative apply-lag gap"
@@ -237,45 +228,43 @@ let test_open_loop_deterministic () =
    stack armed the cluster sheds its way through the window and recovers
    within one drain slice. *)
 let test_metastable_regression () =
-  let protected_arm =
-    Experiments.Chaos.soak ~protections:true ~offered_tps:6_000.0
-      ~mode:Core.Consistency.Coarse ~plan:Experiments.Chaos.Overload ~seed:1
-      ~duration_ms:1_000.0 ()
+  let arm protections =
+    let p =
+      Experiments.Chaos.point ~protections ~offered_tps:6_000.0
+        ~mode:Core.Consistency.Coarse ~plan:Experiments.Runner.Overload ~seed:1
+        ~duration_ms:1_000.0 ()
+    in
+    (p, Experiments.Runner.run_point p)
   in
-  let control =
-    Experiments.Chaos.soak ~protections:false ~offered_tps:6_000.0
-      ~mode:Core.Consistency.Coarse ~plan:Experiments.Chaos.Overload ~seed:1
-      ~duration_ms:1_000.0 ()
-  in
+  let ((_, protected_arm) as protected_pair) = arm true and _, control = arm false in
+  let total = Experiments.Runner.total in
   (* protected arm: healthy under the same offered load *)
-  Alcotest.(check bool) "protected arm ok" true (Experiments.Chaos.ok protected_arm);
+  Alcotest.(check bool) "protected arm ok" true (Experiments.Chaos.ok protected_pair);
   Alcotest.(check bool)
-    "protected arm not wedged" false protected_arm.Experiments.Chaos.wedged;
+    "protected arm not wedged" false protected_arm.Experiments.Runner.wedged;
   Alcotest.(check bool)
     "protected arm shed load" true
-    (Experiments.Chaos.total protected_arm "txn.shed" > 0);
+    (total protected_arm "txn.shed" > 0);
   Alcotest.(check int)
     "protected arm has zero zombie commits" 0
-    protected_arm.Experiments.Chaos.zombie_commits;
+    protected_arm.Experiments.Runner.zombie_commits;
   Alcotest.(check int)
     "protected arm has zero violations" 0
     (List.fold_left
        (fun acc (_, n) -> acc + n)
-       0 protected_arm.Experiments.Chaos.violations);
+       0 (Experiments.Runner.battery protected_arm));
   (* control arm: the metastable collapse — strictly slower recovery *)
-  Alcotest.(check int)
-    "control arm sheds nothing" 0 (Experiments.Chaos.total control "txn.shed");
+  Alcotest.(check int) "control arm sheds nothing" 0 (total control "txn.shed");
   Alcotest.(check bool)
     "control arm degrades (wedged or strictly slower recovery)" true
-    (control.Experiments.Chaos.wedged
-    || control.Experiments.Chaos.wedge_drain_ms
-       > protected_arm.Experiments.Chaos.wedge_drain_ms);
+    (control.Experiments.Runner.wedged
+    || control.Experiments.Runner.drain_ms > protected_arm.Experiments.Runner.drain_ms);
   Alcotest.(check bool)
     "retry storm: control aborts dwarf the protected arm's" true
-    (control.Experiments.Chaos.aborted > 2 * protected_arm.Experiments.Chaos.aborted);
+    (control.Experiments.Runner.aborted > 2 * protected_arm.Experiments.Runner.aborted);
   Alcotest.(check bool)
     "protected arm commits at least as much" true
-    (protected_arm.Experiments.Chaos.committed >= control.Experiments.Chaos.committed)
+    (protected_arm.Experiments.Runner.committed >= control.Experiments.Runner.committed)
 
 let suites =
   [
