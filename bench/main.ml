@@ -232,48 +232,33 @@ let ws_of ~first_key ~rows =
            ws_op = Storage.Writeset.Put [| Storage.Value.Int 0 |];
          }))
 
-(* A certifier whose log holds [versions] committed disjoint writesets
-   of [ws_rows] rows each, driven through the real protocol entry point
-   in a private simulation: disjoint keys with an up-to-date snapshot
-   never conflict, so every request lands and the log covers
-   (0, versions]. *)
-let certifier_fixture ~versions ~ws_rows =
-  let cfg = { Core.Config.default with Core.Config.replicas = 1 } in
-  let engine = Sim.Engine.create () in
-  let rng = Util.Rng.create cfg.Core.Config.seed in
-  let network =
-    Sim.Network.create engine ~rng:(Util.Rng.split rng) ~base_ms:cfg.Core.Config.net_base_ms
-      ~jitter_ms:cfg.Core.Config.net_jitter_ms
-      ~bandwidth_mbps:cfg.Core.Config.net_bandwidth_mbps
-  in
-  let certifier =
-    Core.Certifier.create engine cfg ~rng:(Util.Rng.split rng) ~network
-      ~mode:Core.Consistency.Coarse
-  in
-  Sim.Process.spawn engine (fun () ->
-      for i = 0 to versions - 1 do
-        let ws = ws_of ~first_key:(i * ws_rows) ~rows:ws_rows in
-        match Core.Certifier.certify certifier ~origin:0 ~snapshot:i ~ws with
-        | Core.Certifier.Commit _ -> ()
-        | Core.Certifier.Abort | Core.Certifier.Overloaded
-        | Core.Certifier.Expired ->
-          assert false
-      done);
-  Sim.Engine.run engine;
-  assert (Core.Certifier.version certifier = versions);
-  certifier
+(* A certification log holding [versions] committed disjoint writesets
+   of [ws_rows] rows each, and its key index: disjoint keys with an
+   up-to-date snapshot never conflict, so every decision commits and the
+   log covers (0, versions]. *)
+let certification_fixture ~versions ~ws_rows =
+  let log = Core.Certification.Log.create () in
+  let index = Core.Certification.Index.create () in
+  for i = 0 to versions - 1 do
+    let ws = ws_of ~first_key:(i * ws_rows) ~rows:ws_rows in
+    match Core.Certification.decide ~record:true log index ~snapshot:i ws with
+    | Some _ -> ()
+    | None -> assert false
+  done;
+  assert (Core.Certification.Log.head log = versions);
+  index
 
 let certification_tests () =
   let open Bechamel in
   let versions = 10_000 and ws_rows = 4 in
-  let certifier = certifier_fixture ~versions ~ws_rows in
+  let index = certification_fixture ~versions ~ws_rows in
   (* Keys no committed writeset ever touched: the worst case for the
      index probe (every key misses). *)
   let ws = ws_of ~first_key:(versions * ws_rows) ~rows:ws_rows in
   let check ~staleness =
     let snapshot = versions - staleness in
     Staged.stage (fun () ->
-        ignore (Core.Certifier.check_conflict certifier ~snapshot ~ws))
+        ignore (Core.Certification.Index.conflicts index ~snapshot ws))
   in
   Test.make_grouped ~name:"certification"
     (List.map

@@ -1,6 +1,8 @@
 (* Int-keyed monomorphic tables: every map in here is keyed by a
    replica id or a commit version. *)
 module Itbl = Util.Tables.Itbl
+module Log = Certification.Log
+module Index = Certification.Index
 
 type eager_state = {
   waiting_on : unit Itbl.t;  (* replica ids that have not acked *)
@@ -12,13 +14,11 @@ type eager_state = {
    the decision log (the certifier is deterministic, so the log IS the
    state — the state-machine replication approach of §IV). Member 0 is
    the initial primary; any member can hold the primary role after a
-   failover. *)
+   promotion. *)
 type cnode = {
   cn_index : int;
   cn_net : int;  (* network endpoint id ([Config.node_cert_standby]) *)
-  mutable cn_version : int;
-  mutable cn_log : Storage.Writeset.t Util.Vec.t;  (* index i = version cn_log_base+i+1 *)
-  mutable cn_log_base : int;
+  cn_log : Log.t;
   mutable cn_epoch : int;  (* highest epoch this member has adopted *)
   mutable cn_crashed : bool;
   (* Highest contiguous log position this member has acknowledged to a
@@ -83,13 +83,9 @@ type t = {
      reconciles by truncating to the base of the first epoch after its
      own (everything beyond it belongs to a dead history). *)
   mutable epoch_starts : (int * int) list;
-  (* The certification index: interned conflict id -> last committed
-     version writing that record. Covers exactly the retained log of the
-     current primary. Keys are dense ints from [intern] (shared with the
-     whole replication group), so a probe neither allocates nor hashes
-     strings. *)
-  index : int Util.Tables.Itbl.t;
-  intern : Storage.Intern.t;
+  (* The certification index over the retained log of the current
+     primary, keyed by the replication group's intern table. *)
+  index : Index.t;
   (* Highest version each subscribed replica reported applied — the
      piggybacked V_local watermarks driving log truncation ({!gc}). *)
   watermarks : int Itbl.t;
@@ -110,8 +106,7 @@ type t = {
   revive : Sim.Condition.t;  (* outage gate: primary crashed -> promoted *)
   repl_wake : Sim.Condition.t;  (* kicks the per-standby replication pushers *)
   repl_done : Sim.Condition.t;  (* standby acks arrived / promotion happened *)
-  mutable failovers : int;
-  mutable promotions : int;  (* automatic (detection-driven) promotions *)
+  mutable promotions : int;
   mutable fenced : int;  (* stale-epoch messages/decisions rejected *)
   mutable elections : int;  (* vote rounds started *)
   mutable vote_denials : int;  (* votes refused (log behind, stale target) *)
@@ -125,13 +120,13 @@ type t = {
   mutable faults : Sim.Faults.t option;  (* gray-failure slowdown windows *)
 }
 
-let node t k = t.nodes.(k)
-
 let primary_node t = t.nodes.(t.primary)
 
-let version t = (primary_node t).cn_version
+let head n = Log.head n.cn_log
 
-let log_base t = (primary_node t).cn_log_base
+let version t = head (primary_node t)
+
+let log_base t = Log.base (primary_node t).cn_log
 
 let cpu t = t.cpu
 
@@ -147,11 +142,11 @@ let current_epoch t = t.epoch
 
 let epoch_base t = t.epoch_base
 
-let node_version t k = (node t k).cn_version
+let node_version t k = head t.nodes.(k)
 
-let node_epoch t k = (node t k).cn_epoch
+let node_epoch t k = t.nodes.(k).cn_epoch
 
-let node_acked t k = (node t k).cn_acked
+let node_acked t k = t.nodes.(k).cn_acked
 
 let set_faults t faults = t.faults <- Some faults
 
@@ -178,34 +173,15 @@ let standby_lag t =
   Array.fold_left
     (fun acc n ->
       if n.cn_index <> t.primary && not n.cn_crashed then
-        max acc (p.cn_version - n.cn_acked)
+        max acc (head p - n.cn_acked)
       else acc)
     0 t.nodes
-
-let log_entry_of n v = Util.Vec.get n.cn_log (v - n.cn_log_base - 1)
-
-(* The one log reader: member [n]'s entries over (after, upto],
-   ascending (version, writeset). Both bounds must lie within the
-   retained log. *)
-let log_entries n ~after ~upto =
-  let rec build v acc =
-    if v <= after then acc else build (v - 1) ((v, log_entry_of n v) :: acc)
-  in
-  build upto []
-
-(* A fresh log vector holding member [n]'s entries over (after, upto]. *)
-let copy_log n ~after ~upto =
-  let fresh = Util.Vec.create () in
-  for v = after + 1 to upto do
-    Util.Vec.push fresh (log_entry_of n v)
-  done;
-  fresh
 
 (* Retained log of one member — the chaos harness scans these for
    decision divergence across the group. *)
 let node_log t k =
-  let n = node t k in
-  log_entries n ~after:n.cn_log_base ~upto:n.cn_version
+  let log = t.nodes.(k).cn_log in
+  Log.entries log ~after:(Log.base log) ~upto:(Log.head log)
 
 let note_heard t replica =
   Itbl.replace t.last_heard replica (Sim.Engine.now t.engine)
@@ -225,54 +201,9 @@ let service_time t base =
   | None -> base
   | Some f -> base *. Sim.Faults.slowdown f ~node:(primary_net t)
 
-(* The first-committer-wins check over (snapshot, version], probing
-   the key index: O(|writeset|) however far the snapshot lags (the
-   paper's log scan survives as the test oracle in
-   test/test_certindex.ml). Because commits update log and index
-   incrementally as a batch is certified, the check also catches
-   intra-batch write-write conflicts: the later arrival sees the earlier
-   member's freshly committed writeset and aborts, exactly as if the two
-   had certified back to back.
+let index_size t = Index.size t.index
 
-   Index invariant: for every conflict key written by a retained log
-   entry, [index] holds the *highest* committing version; a conflict
-   exists iff some key of [ws] was last written after [snapshot].
-   Entries at or below [snapshot] cannot conflict, and versions ≤
-   log_base are pruned from the index only after the abort guard in
-   [process_batch] has rejected snapshots below log_base. Writesets
-   built by this replication group carry their ids ([cids] returns the
-   cached array); foreign writesets are resolved through this group's
-   intern table on the way in. *)
-let check_conflict t ~snapshot ~ws =
-  let kids = Storage.Writeset.cids ws ~intern:t.intern in
-  let n = Array.length kids in
-  let rec probe i =
-    if i >= n then false
-    else
-      match Util.Tables.Itbl.find_opt t.index kids.(i) with
-      | Some v when v > snapshot -> true
-      | _ -> probe (i + 1)
-  in
-  probe 0
-
-(* Record a freshly committed writeset in the certification index. *)
-let index_commit t ws version =
-  Array.iter
-    (fun kid -> Util.Tables.Itbl.replace t.index kid version)
-    (Storage.Writeset.cids ws ~intern:t.intern)
-
-(* Rebuild the index from member [n]'s retained log (standby promotion):
-   ascending replay leaves the highest writer per key, restoring the
-   invariant. *)
-let rebuild_index t n =
-  Util.Tables.Itbl.reset t.index;
-  for v = n.cn_log_base + 1 to n.cn_version do
-    index_commit t (log_entry_of n v) v
-  done
-
-let index_size t = Util.Tables.Itbl.length t.index
-
-let intern t = t.intern
+let intern t = Index.intern t.index
 
 (* --- Applied-version watermarks ------------------------------------
 
@@ -287,14 +218,11 @@ let intern t = t.intern
    applied version — the load balancer uses it to drop session-version
    entries that can no longer cause a wait. *)
 
-(* Watermarks are cumulative acknowledgements: a replica reporting
-   applied version [v] has applied every version <= v, so any eager
-   transaction still waiting on that replica for a version <= v is
-   acknowledged too. Over the exactly-once network the sweep never finds
-   anything (per-version acks arrive in order, before any watermark can
-   overtake them); under message loss it is what lets a later heartbeat
-   stand in for a lost ack instead of wedging the eager commit. *)
-let sweep_eager t ~replica ~upto =
+(* Drop [replica] from every pending eager wait on a version <= [upto].
+   The waits it was the last holdout of complete: they leave the table
+   and their [done_] fills — ascending by version when [ordered], else
+   in table order. *)
+let release_eager t ~replica ~upto ~ordered =
   if Itbl.length t.eager_pending > 0 then begin
     let completed = ref [] in
     Itbl.iter
@@ -308,17 +236,25 @@ let sweep_eager t ~replica ~upto =
       (fun (v, state) ->
         Itbl.remove t.eager_pending v;
         Sim.Ivar.fill state.done_ ())
-      (List.sort compare !completed)
+      (if ordered then List.sort compare !completed else !completed)
   end
 
+(* Watermarks are cumulative acknowledgements: a replica reporting
+   applied version [v] has applied every version <= v, so any eager
+   transaction still waiting on that replica for a version <= v is
+   acknowledged too — the per-version ack included. Under message loss
+   this is what lets a later heartbeat stand in for a lost ack instead
+   of wedging the eager commit. *)
 let observe_applied t ~replica ~version =
   note_heard t replica;
   (match Itbl.find_opt t.watermarks replica with
   | Some w when w >= version -> ()
   | Some _ | None -> Itbl.replace t.watermarks replica version);
-  sweep_eager t ~replica ~upto:version
+  release_eager t ~replica ~upto:version ~ordered:true
 
 let heartbeat t ~replica ~applied = observe_applied t ~replica ~version:applied
+
+let ack = observe_applied
 
 let watermark t ~replica = Option.value (Itbl.find_opt t.watermarks replica) ~default:0
 
@@ -331,7 +267,7 @@ let min_watermark t =
   if Itbl.length t.watermarks = 0 then 0
   else Itbl.fold (fun _ w acc -> min acc w) t.watermarks max_int
 
-(* --- Group replication, epochs and failover -------------------------
+(* --- Group replication, epochs and promotion ------------------------
 
    Every commit decision travels to each standby as an addressed,
    fault-injectable network message and is only released to the
@@ -356,11 +292,9 @@ let reconcile_base t ~from_epoch =
     max_int t.epoch_starts
 
 let truncate_node n ~upto =
-  if n.cn_version > upto then begin
-    let keep = max upto n.cn_log_base in
-    n.cn_log <- copy_log n ~after:n.cn_log_base ~upto:keep;
-    n.cn_version <- keep;
-    n.cn_acked <- min n.cn_acked keep
+  if head n > upto then begin
+    Log.truncate n.cn_log ~upto;
+    n.cn_acked <- min n.cn_acked (head n)
   end
 
 (* Adopt a newer epoch: log reconciliation (truncate the dead-history
@@ -376,7 +310,7 @@ let adopt_epoch t n ~epoch =
        an arbitrary margin. Granting it voter and candidate rights there
        would let it win a later election with a stale log and re-assign
        versions the ruling primary already released. *)
-    n.cn_caught_up <- epoch = t.epoch && n.cn_version >= (primary_node t).cn_version
+    n.cn_caught_up <- epoch = t.epoch && head n >= head (primary_node t)
   end
 
 (* Voter set for the ack quorum and for promotion: non-crashed members
@@ -404,38 +338,35 @@ let quorum_met t ~target =
    queued certification request. The promotion point ([epoch_base])
    fences the deposed primary: decisions it assigned beyond it are
    rejected everywhere and truncated at reconciliation. *)
-let promote ?(auto = false) t k =
+let promote t k =
   let np = t.nodes.(k) in
   assert (not np.cn_crashed);
   let now = Sim.Engine.now t.engine in
   let outage_ms = now -. np.cn_last_heard in
   let epoch = 1 + Array.fold_left (fun acc n -> max acc n.cn_epoch) t.epoch t.nodes in
   np.cn_epoch <- epoch;
-  np.cn_acked <- np.cn_version;
+  np.cn_acked <- head np;
   np.cn_caught_up <- true;
   t.epoch <- epoch;
-  t.epoch_base <- np.cn_version;
-  t.epoch_starts <- (epoch, np.cn_version) :: t.epoch_starts;
+  t.epoch_base <- head np;
+  t.epoch_starts <- (epoch, head np) :: t.epoch_starts;
   t.primary <- k;
   (* Every other member must reconcile against the new history before it
-     votes again; pushes and heartbeat pongs carry the epoch to them. *)
-  Array.iter (fun n -> if n.cn_index <> k then n.cn_caught_up <- false) t.nodes;
-  (* Grace period for the other detectors (and the voter lease): a fresh
-     promotion is contact. *)
+     votes again; pushes and heartbeat pongs carry the epoch to them. A
+     fresh promotion is contact: a grace period for the other detectors
+     and the voter lease. *)
   Array.iter
     (fun n ->
+      if n.cn_index <> k then n.cn_caught_up <- false;
       n.cn_last_heard <- now;
       n.cn_last_ack <- now)
     t.nodes;
-  rebuild_index t np;
+  Index.rebuild t.index np.cn_log;
   Itbl.reset t.repair_seen;
-  t.failovers <- t.failovers + 1;
-  if auto then begin
-    t.promotions <- t.promotions + 1;
-    match t.metrics with
-    | Some m -> Metrics.note_promotion m ~outage_ms
-    | None -> ()
-  end;
+  t.promotions <- t.promotions + 1;
+  (match t.metrics with
+  | Some m -> Metrics.note_promotion m ~outage_ms
+  | None -> ());
   Sim.Condition.broadcast t.revive;
   Sim.Condition.broadcast t.repl_done;
   Sim.Condition.broadcast t.repl_wake
@@ -455,18 +386,19 @@ let pusher t k =
         t.primary <> k
         && (not sb.cn_crashed)
         && (not (primary_node t).cn_crashed)
-        && ((primary_node t).cn_version > sb.cn_acked || sb.cn_epoch < t.epoch));
+        && (head (primary_node t) > sb.cn_acked || sb.cn_epoch < t.epoch));
     let p = primary_node t in
     let push_epoch = p.cn_epoch in
-    let target = p.cn_version in
+    let target = head p in
     (* Capture the payload at send time: the log may be pruned, extended
        or even superseded while the message is in flight. *)
     let snapshot_base, payload =
-      if sb.cn_acked < p.cn_log_base then
+      let base = Log.base p.cn_log in
+      if sb.cn_acked < base then
         (* Below the pruned horizon: full state transfer of the retained
            log (base marker + entries). *)
-        (Some p.cn_log_base, log_entries p ~after:p.cn_log_base ~upto:target)
-      else (None, log_entries p ~after:sb.cn_acked ~upto:target)
+        (Some base, Log.entries p.cn_log ~after:base ~upto:target)
+      else (None, Log.entries p.cn_log ~after:sb.cn_acked ~upto:target)
     in
     let size_bytes =
       List.fold_left
@@ -490,24 +422,15 @@ let pusher t k =
            still an ineligible learner. *)
         if push_epoch = t.epoch then sb.cn_last_heard <- Sim.Engine.now t.engine;
         (match snapshot_base with
-        | Some base when base > sb.cn_version ->
-          (* Snapshot install: replace the member's log wholesale. *)
-          sb.cn_log <- Util.Vec.create ();
-          sb.cn_log_base <- base;
-          sb.cn_version <- base;
+        | Some base when base > head sb ->
+          Log.install_snapshot sb.cn_log ~base;
           sb.cn_acked <- min sb.cn_acked base
         | Some _ | None -> ());
-        List.iter
-          (fun (v, ws) ->
-            if v = sb.cn_version + 1 then begin
-              Util.Vec.push sb.cn_log ws;
-              sb.cn_version <- v
-            end)
-          payload
+        List.iter (fun (v, ws) -> Log.append_at sb.cn_log v ws) payload
       end;
       (* Ack leg: carries the member's log head and epoch back to the
          sender — also how a deposed primary first learns it lost. *)
-      let acked = sb.cn_version and acked_epoch = sb.cn_epoch in
+      let acked = head sb and acked_epoch = sb.cn_epoch in
       Sim.Network.transfer t.network ~src:sb.cn_net ~dst:p.cn_net ~size_bytes:24;
       if not p.cn_crashed then begin
         if acked_epoch > p.cn_epoch then adopt_epoch t p ~epoch:acked_epoch;
@@ -523,7 +446,7 @@ let pusher t k =
              (re-)admits a learner to the voter set — the lease demotion
              heals itself through the ordinary catch-up path. *)
           sb.cn_last_ack <- Sim.Engine.now t.engine;
-          if sb.cn_epoch = t.epoch && sb.cn_acked >= (primary_node t).cn_version then
+          if sb.cn_epoch = t.epoch && sb.cn_acked >= head (primary_node t) then
             sb.cn_caught_up <- true
         end;
         Sim.Condition.broadcast t.repl_done
@@ -610,7 +533,7 @@ let run_election t k =
         (fun acc n -> max acc (max n.cn_epoch n.cn_vote_epoch))
         t.epoch t.nodes
   in
-  let my_version = sb.cn_version in
+  let my_version = head sb in
   t.elections <- t.elections + 1;
   (* The candidate votes for itself (and thereby refuses any concurrent
      candidate for the same target). *)
@@ -626,7 +549,7 @@ let run_election t k =
                 voting_member t m && target > t.epoch
                 && (target > m.cn_vote_epoch
                    || (target = m.cn_vote_epoch && m.cn_vote_for = k))
-                && my_version >= m.cn_version
+                && my_version >= head m
               in
               if grant then begin
                 m.cn_vote_epoch <- target;
@@ -645,7 +568,7 @@ let run_election t k =
     && sb.cn_epoch = t.epoch && sb.cn_caught_up
     && (t.nodes.(pi).cn_crashed
        || Sim.Engine.now t.engine -. sb.cn_last_heard > suspect_after_ms)
-  then promote ~auto:true t k
+  then promote t k
 
 (* The standby-side failure detector: ping the primary every
    [heartbeat_ms]; the pong carries the primary's epoch. After
@@ -661,8 +584,7 @@ let promotion_rank t k =
     (fun n ->
       if
         n.cn_index <> k && eligible_standby t n
-        && (n.cn_version > sk.cn_version
-           || (n.cn_version = sk.cn_version && n.cn_index < k))
+        && (head n > head sk || (head n = head sk && n.cn_index < k))
       then incr r)
     t.nodes;
   !r
@@ -717,7 +639,7 @@ let lease_loop t =
         let now = Sim.Engine.now t.engine in
         Array.iter
           (fun n ->
-            if eligible_standby t n && n.cn_acked < p.cn_version
+            if eligible_standby t n && n.cn_acked < head p
                && now -. n.cn_last_ack > lease
             then begin
               n.cn_caught_up <- false;
@@ -748,9 +670,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
             {
               cn_index = k;
               cn_net = Config.node_cert_standby k;
-              cn_version = 0;
-              cn_log = Util.Vec.create ();
-              cn_log_base = 0;
+              cn_log = Log.create ();
               cn_epoch = 0;
               cn_crashed = false;
               cn_acked = 0;
@@ -764,8 +684,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
       epoch = 0;
       epoch_base = 0;
       epoch_starts = [];
-      index = Util.Tables.Itbl.create 4096;
-      intern = (match intern with Some it -> it | None -> Storage.Intern.create ());
+      index = Index.create ?intern ();
       watermarks = Itbl.create 16;
       last_heard = Itbl.create 16;
       evicted = Itbl.create 4;
@@ -776,7 +695,6 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
       revive = Sim.Condition.create engine;
       repl_wake = Sim.Condition.create engine;
       repl_done = Sim.Condition.create engine;
-      failovers = 0;
       promotions = 0;
       fenced = 0;
       elections = 0;
@@ -818,62 +736,43 @@ let await_standby_quorum t ~me ~target =
     Sim.Condition.await t.repl_done (fun () -> t.primary <> me || quorum_met t ~target)
   end
 
-(* Certify one drained batch while holding the CPU. Members are processed
-   in arrival order; the writeset log grows incrementally so later
-   members are checked against earlier ones. The first member pays the
-   fixed certification cost, subsequent members only their per-row scan
-   (the single pass over the log is shared). Durability — the log force
-   and the standby ack quorum — is paid once for the whole batch, after
-   which one refresh message per replica carries every commit the
-   replica did not originate. *)
-let process_batch t batch =
-  let batch_start = Sim.Engine.now t.engine in
-  (match t.metrics with
-  | Some m -> Metrics.note_cert_batch m ~size:(List.length batch)
-  | None -> ());
-  let me = t.primary in
+(* Decide: certify the members in arrival order against member [me]'s
+   log; its log and the index grow incrementally, so later members are
+   checked against earlier ones. The first member pays the fixed
+   certification cost, subsequent members only their per-row scan (the
+   single pass over the log is shared). The index belongs to the ruling
+   primary: a member deposed mid-batch keeps assigning versions on its
+   own (doomed) log but must not pollute the rebuilt index. *)
+let decide_batch t ~me batch =
   let p = t.nodes.(me) in
-  let results =
-    List.mapi
-      (fun i r ->
-        let rows = Storage.Writeset.cardinal r.req_ws in
-        let cost =
-          (if i = 0 then t.cfg.Config.certify_base_ms else 0.0)
-          +. (float_of_int rows *. t.cfg.Config.certify_row_ms)
-        in
-        Sim.Process.sleep t.engine (service_time t cost);
-        if
-          r.req_snapshot < p.cn_log_base
-          || check_conflict t ~snapshot:r.req_snapshot ~ws:r.req_ws
-        then begin
-          (* A snapshot older than the pruned log horizon cannot be
-             checked and is conservatively aborted — in practice the
-             horizon trails the slowest replica by [gc_window] versions,
-             so this only hits pathologically old transactions. *)
-          t.aborts <- t.aborts + 1;
-          (r, None)
-        end
-        else begin
-          p.cn_version <- p.cn_version + 1;
-          Util.Vec.push p.cn_log r.req_ws;
-          (* The index belongs to the ruling primary: a member deposed
-             mid-batch keeps assigning versions on its own (doomed) log
-             but must not pollute the rebuilt index. *)
-          if t.primary = me then index_commit t r.req_ws p.cn_version;
-          t.commits <- t.commits + 1;
-          (r, Some p.cn_version)
-        end)
-      batch
-  in
-  let committed = List.filter_map (fun (r, v) -> Option.map (fun v -> (r, v)) v) results in
-  (* Durable decisions before anyone learns about them: one log force
-     plus the standby ack quorum per batch. *)
+  List.mapi
+    (fun i r ->
+      let rows = Storage.Writeset.cardinal r.req_ws in
+      let cost =
+        (if i = 0 then t.cfg.Config.certify_base_ms else 0.0)
+        +. (float_of_int rows *. t.cfg.Config.certify_row_ms)
+      in
+      Sim.Process.sleep t.engine (service_time t cost);
+      let v =
+        Certification.decide ~record:(t.primary = me) p.cn_log t.index
+          ~snapshot:r.req_snapshot r.req_ws
+      in
+      (match v with
+      | None -> t.aborts <- t.aborts + 1
+      | Some _ -> t.commits <- t.commits + 1);
+      (r, v))
+    batch
+
+(* Durable: decisions are durable before anyone learns about them — one
+   log force plus the standby ack quorum per batch with a commit. *)
+let make_durable t ~me committed =
   if committed <> [] then begin
     Sim.Process.sleep t.engine (service_time t t.cfg.Config.durability_ms);
-    await_standby_quorum t ~me ~target:p.cn_version
-  end;
-  Sim.Resource.release t.cpu;
-  (match t.obs with
+    await_standby_quorum t ~me ~target:(head t.nodes.(me))
+  end
+
+let trace_decisions t ~batch_start results =
+  match t.obs with
   | None -> ()
   | Some _ ->
     List.iter
@@ -886,20 +785,26 @@ let process_batch t batch =
         in
         Obs.Trace.finish_opt t.obs r.req_span
           ~args:(decision_args @ [ ("queue_ms", Printf.sprintf "%.3f" queue_ms) ]))
-      results);
-  (* Epoch fence on release: if a promotion happened while the batch was
-     waiting on its quorum, only the members that made it into the new
-     primary's history (version <= promotion point) are released as
-     commits; the rest died with the old epoch and are aborted (and
-     truncated from the deposed log at reconciliation). *)
-  let deposed = t.primary <> me in
-  let survives v = (not deposed) || v <= t.epoch_base in
-  (* One refresh batch message per replica; each commit is withheld from
-     its own origin (the origin installed the writeset locally at commit
-     time). The refresh carries each committing transaction's trace id
-     and the ruling epoch, so the remote applies land in the same trace
-     and stale-epoch stragglers can be fenced at the replica. *)
-  let refreshable = List.filter (fun (_, v) -> survives v) committed in
+      results
+
+(* Fence: if a promotion happened while the batch was waiting on its
+   quorum, only the versions that made it into the new primary's history
+   (<= the promotion point) survive as commits; the rest died with the
+   old epoch and are aborted (and truncated from the deposed log at
+   reconciliation). Returns the highest surviving version. *)
+let fence_horizon t ~me = if t.primary <> me then t.epoch_base else max_int
+
+(* Wire size of one refresh batch message. *)
+let refresh_bytes items =
+  List.fold_left (fun acc (_, _, ws) -> acc + Storage.Codec.writeset_bytes ws) 0 items + 64
+
+(* Refresh fan-out: one refresh batch message per replica; each commit
+   is withheld from its own origin (the origin installed the writeset
+   locally at commit time). The refresh carries each committing
+   transaction's trace id and the ruling epoch, so the remote applies
+   land in the same trace and stale-epoch stragglers can be fenced at
+   the replica. *)
+let fan_out_refresh t refreshable =
   if refreshable <> [] then begin
     let refresh_epoch = t.epoch and refresh_src = primary_net t in
     Itbl.iter
@@ -913,25 +818,23 @@ let process_batch t batch =
                 else None)
               refreshable
           in
-          if items <> [] then begin
-            let size_bytes =
-              List.fold_left
-                (fun acc (_, _, ws) -> acc + Storage.Codec.writeset_bytes ws)
-                0 items
-              + 64
-            in
-            Sim.Network.send t.network ~src:refresh_src ~dst:replica ~size_bytes
+          if items <> [] then
+            Sim.Network.send t.network ~src:refresh_src ~dst:replica
+              ~size_bytes:(refresh_bytes items)
               (fun () -> deliver ~epoch:refresh_epoch items)
-          end
         end)
       t.subscribers
-  end;
+  end
+
+(* Release: fill every member's decision. Under eager a commit also
+   carries the global-commit wait on every live replica's ack. *)
+let release_decisions t ~horizon results =
   List.iter
     (fun (r, v) ->
       let decision =
         match v with
         | None -> Abort
-        | Some v when not (survives v) ->
+        | Some v when v > horizon ->
           (* Fenced: the decision was assigned by a deposed primary and
              never reached the quorum — it is not in the surviving
              history, so the client must retry against the new one. *)
@@ -957,8 +860,104 @@ let process_batch t batch =
       Sim.Ivar.fill r.req_decided decision)
     results
 
+(* Certify one drained batch, holding the CPU until it is durable:
+   decide -> durable -> trace and fence -> refresh fan-out -> release. *)
+let process_batch t batch =
+  let batch_start = Sim.Engine.now t.engine in
+  (match t.metrics with
+  | Some m -> Metrics.note_cert_batch m ~size:(List.length batch)
+  | None -> ());
+  let me = t.primary in
+  let results = decide_batch t ~me batch in
+  let committed = List.filter_map (fun (r, v) -> Option.map (fun v -> (r, v)) v) results in
+  make_durable t ~me committed;
+  Sim.Resource.release t.cpu;
+  trace_decisions t ~batch_start results;
+  let horizon = fence_horizon t ~me in
+  fan_out_refresh t (List.filter (fun (_, v) -> v <= horizon) committed);
+  release_decisions t ~horizon results
+
+(* Admission: queue the request behind any certifier outage, then on the
+   CPU. The service span covers outage queueing, CPU queueing and the
+   certification work itself; [queue_ms] separates the wait. *)
+let admit ?trace t ~origin ~snapshot ~ws ~deadline =
+  let span =
+    match trace with
+    | Some (trace_id, parent) ->
+      Obs.Trace.start_opt t.obs ~trace_id ~parent ~component:Obs.Span.Certifier
+        ~name:"certify"
+        ~args:
+          [
+            ("origin", string_of_int origin);
+            ("snapshot", string_of_int snapshot);
+            ("rows", string_of_int (Storage.Writeset.cardinal ws));
+          ]
+        ()
+    | None -> None
+  in
+  let arrival = Sim.Engine.now t.engine in
+  (* During a certifier outage, requests queue until a promotion. The
+     revive broadcast wakes the waiters in arrival order, so the queue
+     drains into [pending] exactly as it formed. *)
+  Sim.Condition.await t.revive (fun () -> not (primary_node t).cn_crashed);
+  let request =
+    {
+      req_origin = origin;
+      req_snapshot = snapshot;
+      req_ws = ws;
+      req_trace = trace;
+      req_span = span;
+      req_arrival = arrival;
+      req_deadline = deadline;
+      req_decided = Sim.Ivar.create t.engine;
+    }
+  in
+  Queue.add request t.pending;
+  (if t.cfg.Config.cert_queue_bound > 0 then
+     match t.metrics with
+     | Some m -> Metrics.note_queue_depth m (Queue.length t.pending)
+     | None -> ());
+  Sim.Resource.acquire t.cpu;
+  request
+
+(* Group commit: the first undecided waiter to win the CPU is the
+   leader; it drains up to [cert_batch] queued requests (its own is at
+   the queue head) and decides them in one pass. Members wake from the
+   CPU queue to find their decision already made and just hand the CPU
+   on. With [cert_batch = 1] the leader drains exactly itself and the
+   event sequence is identical to unbatched certification. *)
+let lead t request =
+  if Sim.Ivar.is_filled request.req_decided then Sim.Resource.release t.cpu
+  else begin
+    let cap = max 1 t.cfg.Config.cert_batch in
+    (* The leader's own request is at the queue head: [pending] order is
+       CPU-queue order, and every request ahead of this one was drained
+       (and decided) by an earlier leader. *)
+    let first = Queue.pop t.pending in
+    assert (first == request);
+    let rec drain acc n =
+      if n >= cap || Queue.is_empty t.pending then List.rev acc
+      else drain (Queue.pop t.pending :: acc) (n + 1)
+    in
+    let batch = drain [ first ] 1 in
+    (* Deadline propagation: a drained request whose deadline has passed
+       while it queued is answered [Expired] here — before the conflict
+       check, so it can never also commit — and drops out of the batch
+       rather than consuming certification work. *)
+    let now = Sim.Engine.now t.engine in
+    let live, dead = List.partition (fun r -> r.req_deadline >= now) batch in
+    List.iter
+      (fun r ->
+        t.expired <- t.expired + 1;
+        Obs.Trace.finish_opt t.obs r.req_span ~args:[ ("decision", "expired") ];
+        Sim.Ivar.fill r.req_decided Expired)
+      dead;
+    match live with
+    | [] -> Sim.Resource.release t.cpu
+    | live -> process_batch t live
+  end
+
 let certify ?trace ?applied ?(deadline = infinity) t ~origin ~snapshot ~ws =
-  let rows = Storage.Writeset.cardinal ws in
   (* Watermark piggyback: the origin's applied V_local rides on the
      certification request (no extra message, no virtual time). *)
   (match applied with
@@ -981,101 +980,15 @@ let certify ?trace ?applied ?(deadline = infinity) t ~origin ~snapshot ~ws =
     Expired
   end
   else begin
-  (* The service span covers outage queueing, CPU queueing and the
-     certification work itself; [queue_ms] separates the wait. *)
-  let span =
-    match trace with
-    | Some (trace_id, parent) ->
-      Obs.Trace.start_opt t.obs ~trace_id ~parent ~component:Obs.Span.Certifier
-        ~name:"certify"
-        ~args:
-          [
-            ("origin", string_of_int origin);
-            ("snapshot", string_of_int snapshot);
-            ("rows", string_of_int rows);
-          ]
-        ()
-    | None -> None
-  in
-  let arrival = Sim.Engine.now t.engine in
-  (* During a certifier outage, requests queue until failover completes.
-     The revive broadcast wakes the waiters in arrival order, so the
-     queue drains into [pending] exactly as it formed. *)
-  Sim.Condition.await t.revive (fun () -> not (primary_node t).cn_crashed);
-  let request =
-    {
-      req_origin = origin;
-      req_snapshot = snapshot;
-      req_ws = ws;
-      req_trace = trace;
-      req_span = span;
-      req_arrival = arrival;
-      req_deadline = deadline;
-      req_decided = Sim.Ivar.create t.engine;
-    }
-  in
-  Queue.add request t.pending;
-  (if bound > 0 then
-     match t.metrics with
-     | Some m -> Metrics.note_queue_depth m (Queue.length t.pending)
-     | None -> ());
-  Sim.Resource.acquire t.cpu;
-  (* Group commit: the first undecided waiter to win the CPU is the
-     leader; it drains up to [cert_batch] queued requests (its own is at
-     the queue head) and decides them in one pass. Members wake from the
-     CPU queue to find their decision already made and just hand the CPU
-     on. With [cert_batch = 1] the leader drains exactly itself and the
-     event sequence is identical to unbatched certification. *)
-  if Sim.Ivar.is_filled request.req_decided then Sim.Resource.release t.cpu
-  else begin
-    let cap = max 1 t.cfg.Config.cert_batch in
-    (* The leader's own request is at the queue head: [pending] order is
-       CPU-queue order, and every request ahead of this one was drained
-       (and decided) by an earlier leader. *)
-    let head = Queue.pop t.pending in
-    assert (head == request);
-    let rec drain acc n =
-      if n >= cap || Queue.is_empty t.pending then List.rev acc
-      else drain (Queue.pop t.pending :: acc) (n + 1)
-    in
-    let batch = drain [ head ] 1 in
-    (* Deadline propagation: a drained request whose deadline has passed
-       while it queued is answered [Expired] here — before the conflict
-       check, so it can never also commit — and drops out of the batch
-       rather than consuming certification work. *)
-    let now = Sim.Engine.now t.engine in
-    let live, dead =
-      List.partition (fun r -> r.req_deadline >= now) batch
-    in
-    List.iter
-      (fun r ->
-        t.expired <- t.expired + 1;
-        Obs.Trace.finish_opt t.obs r.req_span
-          ~args:[ ("decision", "expired") ];
-        Sim.Ivar.fill r.req_decided Expired)
-      dead;
-    (match live with
-    | [] -> Sim.Resource.release t.cpu
-    | live -> process_batch t live)
-  end;
-  Sim.Ivar.read request.req_decided
+    let request = admit ?trace t ~origin ~snapshot ~ws ~deadline in
+    lead t request;
+    Sim.Ivar.read request.req_decided
   end
 
-let ack t ~replica ~version =
-  observe_applied t ~replica ~version;
-  match Itbl.find_opt t.eager_pending version with
-  | None -> ()
-  | Some state ->
-    Itbl.remove state.waiting_on replica;
-    if Itbl.length state.waiting_on = 0 then begin
-      Itbl.remove t.eager_pending version;
-      Sim.Ivar.fill state.done_ ()
-    end
-
 let writesets_from t from =
-  let p = primary_node t in
-  if from < p.cn_log_base then None
-  else Some (log_entries p ~after:from ~upto:p.cn_version)
+  let log = (primary_node t).cn_log in
+  if from < Log.base log then None
+  else Some (Log.entries log ~after:from ~upto:(Log.head log))
 
 let prune t ~keep_after =
   (* Keep versions > keep_after, on every member. The horizon is clamped
@@ -1086,25 +999,12 @@ let prune t ~keep_after =
   let p = primary_node t in
   let keep_after =
     Array.fold_left
-      (fun acc n -> if n.cn_crashed then acc else min acc n.cn_version)
-      (min keep_after p.cn_version)
-      t.nodes
+      (fun acc n -> if n.cn_crashed then acc else min acc (head n))
+      (min keep_after (head p)) t.nodes
   in
-  if keep_after > p.cn_log_base then begin
-    Array.iter
-      (fun n ->
-        if keep_after > n.cn_log_base && n.cn_version >= keep_after then begin
-          n.cn_log <- copy_log n ~after:keep_after ~upto:n.cn_version;
-          n.cn_log_base <- keep_after
-        end)
-      t.nodes;
-    (* Index entries at or below the new horizon can never certify a
-       conflict again: any request with snapshot < log_base is
-       conservatively aborted before the check, and for snapshot ≥
-       log_base ≥ v the comparison v > snapshot is false. *)
-    Util.Tables.Itbl.filter_map_inplace
-      (fun _ v -> if v <= keep_after then None else Some v)
-      t.index
+  if keep_after > Log.base p.cn_log then begin
+    Array.iter (fun n -> Log.prune n.cn_log ~keep_after) t.nodes;
+    Index.prune t.index ~keep_after
   end
 
 (* Evict replicas that are down AND silent beyond [evict_after_ms] from
@@ -1164,7 +1064,7 @@ let revive_node t k =
     n.cn_last_heard <- Sim.Engine.now t.engine;
     n.cn_last_ack <- Sim.Engine.now t.engine;
     if t.primary = k then
-      (* The primary came back without a failover: resume the queue. *)
+      (* The primary came back before any promotion: resume the queue. *)
       Sim.Condition.broadcast t.revive
     else begin
       (* Rejoin as a standby: replication reconciles and catches it up. *)
@@ -1173,52 +1073,10 @@ let revive_node t k =
     end
   end
 
-let failover t =
-  if not (is_crashed t) then invalid_arg "Certifier.failover: certifier is running";
-  (* Promote the best standby: ruling-epoch members first (no released
-     decision is lost — the ack quorum put every released decision on
-     their logs), then highest replicated log, member index breaking
-     ties. With no ruling-epoch member left, fall back to a stale-epoch
-     member — reconciled against the current history first; decisions
-     released while it was out of contact may be lost, which is the
-     operator's explicit call (the automatic path never does this). The
-     certification index is volatile soft state derived from the log —
-     the promoted member rebuilds it from its replicated log copy, so
-     recovery needs nothing beyond the state-machine replication already
-     in place. *)
-  let better n b =
-    n.cn_epoch > b.cn_epoch
-    || (n.cn_epoch = b.cn_epoch
-       && (n.cn_version > b.cn_version
-          || (n.cn_version = b.cn_version && n.cn_index < b.cn_index)))
-  in
-  let best = ref (-1) in
-  Array.iter
-    (fun n ->
-      if n.cn_index <> t.primary && not n.cn_crashed then
-        if !best < 0 || better n t.nodes.(!best) then best := n.cn_index)
-    t.nodes;
-  if !best < 0 then invalid_arg "Certifier.failover: no eligible standby";
-  let n = t.nodes.(!best) in
-  if n.cn_epoch < t.epoch then adopt_epoch t n ~epoch:t.epoch;
-  promote t !best
-
-let failovers t = t.failovers
-
 let mark_down t ~replica =
   Itbl.remove t.live replica;
   (* Pending eager transactions stop waiting for the dead replica. *)
-  let completed = ref [] in
-  Itbl.iter
-    (fun v state ->
-      Itbl.remove state.waiting_on replica;
-      if Itbl.length state.waiting_on = 0 then completed := (v, state) :: !completed)
-    t.eager_pending;
-  List.iter
-    (fun (v, state) ->
-      Itbl.remove t.eager_pending v;
-      Sim.Ivar.fill state.done_ ())
-    !completed
+  release_eager t ~replica ~upto:max_int ~ordered:false
 
 let mark_up ?applied t ~replica =
   if Itbl.mem t.subscribers replica then begin
@@ -1267,8 +1125,8 @@ let repair_tick t =
              the live refresh stream (broadcasts only cover new versions),
              so stream its suffix on every tick instead of waiting for the
              watermark to stall, and in bigger batches. *)
-          let deep = p.cn_version - w > repair_resend_cap in
-          if (stalled || deep) && w < p.cn_version && w >= p.cn_log_base then
+          let deep = head p - w > repair_resend_cap in
+          if (stalled || deep) && w < head p && w >= Log.base p.cn_log then
             match writesets_from t w with
             | None -> ()
             | Some items ->
@@ -1280,14 +1138,9 @@ let repair_tick t =
                 take (if deep then repair_catchup_cap else repair_resend_cap) items
                 |> List.map (fun (v, ws) -> (None, v, ws))
               in
-              let size_bytes =
-                List.fold_left
-                  (fun acc (_, _, ws) -> acc + Storage.Codec.writeset_bytes ws)
-                  0 items
-                + 64
-              in
               t.retransmits <- t.retransmits + 1;
-              Sim.Network.send t.network ~src:p.cn_net ~dst:replica ~size_bytes
+              Sim.Network.send t.network ~src:p.cn_net ~dst:replica
+                ~size_bytes:(refresh_bytes items)
                 (fun () -> deliver ~epoch:repair_epoch items)
         end)
       t.subscribers

@@ -13,15 +13,15 @@
     totally ordered. The writeset log is retained (indexed by version),
     which doubles as the recovery log replicas replay after a crash.
 
-    {b Certification index} (docs/PROTOCOL.md, "Certification index and
-    watermark GC"): the certifier maintains a hash index
-    [(table, key) → last committed version] and decides the
-    first-committer-wins check by probing the request's writeset keys —
-    O(|writeset|) however stale the snapshot — instead of scanning the
-    log over (snapshot, V]. The paper's scan survives only as the test
-    oracle every index decision is checked against
-    (test/test_certindex.ml). The index is soft state: pruned with the
-    log, rebuilt from the promoted standby's log copy on {!failover}.
+    This module is the replication shell: the group, the pusher,
+    elections, the lease, watermarks and the refresh fan-out. Each
+    member's log and the keyed conflict index live in the
+    simulator-free {!Certification} (docs/PROTOCOL.md, "Certification
+    index and watermark GC"): first-committer-wins probes the request's
+    writeset keys instead of scanning the log over (snapshot, V]. The
+    paper's scan survives as the test oracle (test/test_certindex.ml).
+    The index is soft state: pruned with the log, rebuilt from the
+    promoted standby's log copy on every promotion.
 
     {b Applied watermarks}: replicas piggyback their applied [V_local]
     on certification requests ([?applied]) and per-version acks
@@ -42,30 +42,18 @@
     sleeps, random draws, message sizes — is identical to unbatched
     certification.
 
-    {b Certifier high availability} (docs/PROTOCOL.md, "Certifier HA"):
-    with [certifier_standbys > 0] the certifier is a {e group} of
-    members, each with its own network endpoint
-    ([Config.node_cert_standby]) and log copy. Commit decisions travel
-    to the standbys as addressed, fault-injectable stop-and-wait
-    transfers and are released only after [Config.standby_ack_quorum]
-    caught-up standbys acknowledged them. In reliable mode standbys run
-    a heartbeat failure detector against the primary; after 40 ms of
-    silence (plus a best-replicated-log-first candidacy stagger) the
-    suspecting standby runs a
-    {e quorum-intersecting election} (docs/PROTOCOL.md, "Control
-    plane"): it must collect votes from a Raft-style majority of the
-    caught-up voters that also intersects every
-    [standby_ack_quorum]-sized ack set, and voters refuse candidates
-    whose log head is behind their own — so no released decision can be
-    re-assigned under {e any} quorum setting. Promotion bumps the
-    {e epoch}; every certifier-originated message carries it and
-    stale-epoch traffic is fenced, so a deposed but alive primary
-    cannot commit behind the group's back and rejoins as a standby via
-    log reconciliation (truncate to the promotion point, re-replicate
-    forward). With [Config.voter_lease_ms > 0] a voter whose acks go
-    silent while decisions are outstanding is demoted to learner after
-    one lease window, bounding the quorum=all stall a
-    partitioned-but-alive voter can cause. *)
+    {b Certifier high availability} (docs/PROTOCOL.md, "Certifier HA"
+    and "Control plane"): with [certifier_standbys > 0] the certifier
+    is a {e group} of members, each with its own network endpoint
+    ([Config.node_cert_standby]) and log copy. Decisions are released
+    only after [Config.standby_ack_quorum] caught-up standbys
+    acknowledged their replicated copy. In reliable mode the standbys
+    detect a silent primary by heartbeat and elect a successor by a
+    {e quorum-intersecting} vote, so no released decision can be
+    re-assigned. Promotion bumps the {e epoch}; stale-epoch traffic is
+    fenced, and a deposed primary rejoins as a standby via log
+    reconciliation. With [Config.voter_lease_ms > 0] a voter whose acks
+    go silent is demoted to learner after one lease window. *)
 
 type t
 
@@ -150,12 +138,6 @@ val heartbeat : t -> replica:int -> applied:int -> unit
 (** Liveness + watermark report carried by the replica heartbeat
     (reliable mode): refreshes the replica's last-heard time and feeds
     the same cumulative watermark accounting as {!ack}. *)
-
-val check_conflict : t -> snapshot:int -> ws:Storage.Writeset.t -> bool
-(** The raw first-committer-wins decision over [(snapshot, version]],
-    probed in the key index. Consumes no virtual time and takes no CPU —
-    exposed for the Bechamel micro-benches; {!certify} is the protocol
-    entry point. Requires [snapshot >= log_base]. *)
 
 val index_size : t -> int
 (** Distinct (table, key) entries in the certification index. *)
@@ -243,14 +225,17 @@ val retransmits : t -> int
 val decisions : t -> int * int
 (** (commits, aborts) decided since creation. *)
 
-(** {2 Certifier replication and failover (state-machine approach, §IV)}
+(** {2 Certifier replication and promotion (state-machine approach, §IV)}
 
     With [certifier_standbys > 0] every commit decision is replicated
     over the network to the standby logs before the originating replica
     learns it, so a crash loses no released decision and promotion
-    recovers immediately. While no primary is available, new
-    certification requests queue in arrival order and resume after
-    promotion; read-only transactions are unaffected. *)
+    recovers immediately. Promotion is automatic only: in reliable mode
+    the standby failure detectors elect a successor; without them a
+    crashed primary stays down until {!revive_node}. While no primary
+    is available, new certification requests queue in arrival order and
+    resume after promotion or revival; read-only transactions are
+    unaffected. *)
 
 val crash : t -> unit
 (** Fail-stop the current primary. Raises [Invalid_argument] when no
@@ -260,19 +245,9 @@ val is_crashed : t -> bool
 (** Whether the member currently holding the primary role is crashed
     (i.e. the group has no acting primary). *)
 
-val failover : t -> unit
-(** Manually promote the best eligible standby — highest replicated log
-    first, member index breaking ties — and resume queued certification
-    requests. Raises [Invalid_argument] if the primary is running or no
-    eligible standby exists. The automatic path (reliable mode) instead
-    runs a quorum-intersecting vote round from the standby failure
-    detectors and promotes only an elected candidate. *)
-
-val failovers : t -> int
-(** Number of promotions performed (manual + automatic). *)
-
 val promotions : t -> int
-(** Automatic (detection-driven) promotions only. *)
+(** Promotions performed: each is an election won by a suspecting
+    standby. *)
 
 val fenced : t -> int
 (** Stale-epoch messages and decisions rejected by an epoch fence. *)

@@ -140,8 +140,6 @@ let recover_replica t i =
 
 let crash_certifier t = Certifier.crash t.certifier
 
-let failover_certifier t = Certifier.failover t.certifier
-
 let revive_certifier_node t k = Certifier.revive_node t.certifier k
 
 let crash_lb t k =

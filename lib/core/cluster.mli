@@ -157,12 +157,9 @@ val recover_replica : t -> int -> unit
 
 val crash_certifier : t -> unit
 (** Fail-stop the certifier primary (requires [certifier_standbys > 0]).
-    Update transactions queue until a standby is promoted — manually via
-    {!failover_certifier}, or automatically by the standby failure
-    detectors in reliable mode. *)
-
-val failover_certifier : t -> unit
-(** Manually promote the best eligible standby ({!Certifier.failover}). *)
+    Update transactions queue until the standby failure detectors
+    (reliable mode, {!Config.hardened}) elect and promote a standby, or
+    until the member is revived ({!revive_certifier_node}). *)
 
 val revive_certifier_node : t -> int -> unit
 (** Bring a crashed certifier group member back

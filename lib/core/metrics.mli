@@ -175,7 +175,7 @@ val txn_abort : ?slug:string -> txn -> reason:string -> unit
     [reason] is the human-readable form (span arg); [slug] the stable
     identifier for the per-reason breakdown. *)
 
-(** {2 Certifier failover} *)
+(** {2 Certifier promotion} *)
 
 val note_promotion : t -> outage_ms:float -> unit
 (** A certifier standby promoted itself; [outage_ms] is the span since

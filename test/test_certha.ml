@@ -3,11 +3,13 @@
    The group machinery itself: primary->standby replication as real
    addressed network traffic (visible in the per-link counters, subject
    to fault injection, retransmitted under loss), commit release gated
-   on the standby ack quorum, outage queueing order across a failover,
+   on the standby ack quorum, outage queueing order across a promotion,
    automatic epoch-bumped promotion, epoch fencing of a dead history's
    stragglers, and reconciliation of a deposed primary back into the
-   group. The bit-identity of [certifier_standbys = 0] with the pre-HA
-   protocol is pinned by the golden tests in test_core.ml. *)
+   group. Every promotion is automatic: the tests crash a primary and
+   the standby failure detectors of a [Config.hardened] group elect
+   the successor. The bit-identity of [certifier_standbys = 0] with
+   the pre-HA protocol is pinned by the golden tests in test_core.ml. *)
 
 let params = { Workload.Microbench.tables = 4; rows = 100; update_types = 4 }
 
@@ -32,9 +34,34 @@ let ha_config =
     hiccup_interval_ms = 0.0;
   }
 
-(* Direct certifier-group harness: heartbeats/monitors stay off
-   ([reliable = false]), so role changes happen only where the test
-   scripts them. *)
+(* Runs [body] as a process, and the engine until it returns. The
+   standby monitors of a hardened group never stop, so the engine runs
+   in bounded [run ~until] slices instead of to an empty queue. *)
+let run_process engine body =
+  let finished = ref false in
+  Sim.Process.spawn engine (fun () ->
+      body ();
+      finished := true);
+  while not !finished do
+    if Sim.Engine.now engine > 600_000.0 then
+      Alcotest.fail "test process still running after 600 s of virtual time";
+    Sim.Engine.run ~until:(Sim.Engine.now engine +. 1_000.0) engine
+  done
+
+(* Block the calling process until the failure detectors have promoted
+   a standby over the crashed primary. *)
+let await_promotion engine c =
+  while Core.Certifier.is_crashed c do
+    Sim.Process.sleep engine 1.0
+  done
+
+(* The promotion tests run the group hardened: its standbys heartbeat
+   the primary and elect a successor when it goes silent. *)
+let hardened_config = Core.Config.hardened ha_config
+
+(* Direct certifier-group harness. Under [ha_config] the monitors stay
+   off ([reliable = false]), so the primary role never moves;
+   [hardened_config] turns on the failure detectors. *)
 let with_group ?(config = ha_config) ?faults ?(mode = Core.Consistency.Coarse) f =
   let engine = Sim.Engine.create () in
   let rng = Util.Rng.create 1 in
@@ -48,8 +75,7 @@ let with_group ?(config = ha_config) ?faults ?(mode = Core.Consistency.Coarse) f
     Sim.Network.set_faults network fl
   | None -> ());
   let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
-  Sim.Process.spawn engine (fun () -> f engine certifier network);
-  Sim.Engine.run engine
+  run_process engine (fun () -> f engine certifier network)
 
 let commit_or_fail c ~origin ~snapshot ~ws =
   match Core.Certifier.certify c ~origin ~snapshot ~ws with
@@ -116,14 +142,15 @@ let test_lossy_standby_link_retransmits () =
       Alcotest.(check bool) "acks cover the head" true
         (Core.Certifier.node_acked c 1 >= Core.Certifier.version c))
 
-(* --- Outage queueing across a failover (satellite) ------------------ *)
+(* --- Outage queueing across a promotion (satellite) ----------------- *)
 
 let test_outage_queueing_preserves_order () =
   (* Requests arriving while the primary is down block on the revival
-     queue; a failover must wake them in arrival order, interleaved
-     origins and all, and decide them under the new epoch. *)
+     queue; the promotion must wake them in arrival order, interleaved
+     origins and all, and decide them under the new epoch. They arrive
+     10-15 ms after the crash, well inside the 40 ms suspicion window. *)
   let decided = ref [] in
-  with_group (fun engine c _net ->
+  with_group ~config:hardened_config (fun engine c _net ->
       ignore (commit_or_fail c ~origin:0 ~snapshot:0 ~ws:(ws_on "t" 1));
       Core.Certifier.crash c;
       for i = 0 to 5 do
@@ -135,8 +162,9 @@ let test_outage_queueing_preserves_order () =
             in
             decided := (i, version, epoch) :: !decided)
       done;
-      Sim.Process.sleep engine 50.0;
-      Core.Certifier.failover c);
+      while List.length !decided < 6 do
+        Sim.Process.sleep engine 10.0
+      done);
   let decided = List.sort compare !decided in
   Alcotest.(check int) "every queued request decided" 6 (List.length decided);
   List.iteri
@@ -184,16 +212,15 @@ let test_evicted_rejoin_reenters_at_applied () =
 (* --- Reconciliation of a deposed primary ---------------------------- *)
 
 let test_deposed_primary_reconciles_and_refollows () =
-  (* After a failover, the old primary's unreleased tail is dead
+  (* After a promotion, the old primary's unreleased tail is dead
      history: on revival it must truncate to the promotion point, adopt
      the ruling epoch, and re-follow to an identical log copy. *)
-  with_group (fun engine c _net ->
+  with_group ~config:hardened_config (fun engine c _net ->
       for i = 1 to 10 do
         ignore (commit_or_fail c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;
       Core.Certifier.crash c;
-      Sim.Process.sleep engine 5.0;
-      Core.Certifier.failover c;
+      await_promotion engine c;
       let new_primary = Core.Certifier.primary_index c in
       Alcotest.(check bool) "role moved" true (new_primary <> 0);
       for i = 11 to 20 do
@@ -223,6 +250,52 @@ let test_deposed_primary_reconciles_and_refollows () =
               (entries = Storage.Writeset.entries ws))
         (Core.Certifier.node_log c 0))
 
+let test_deposed_batch_stays_out_of_index () =
+  (* A primary deposed in the middle of a batch keeps deciding the rest
+     of it on its own doomed log, but must not record those decisions in
+     the index the new primary rebuilt. Each row costs 200 ms of
+     certification, so the promotion lands while the batch [A; B] is
+     still being decided: A is decided before the crash, B after the
+     promotion. Both are fenced; B's key must stay certifiable. *)
+  let config =
+    {
+      hardened_config with
+      Core.Config.cert_batch = 2;
+      certify_base_ms = 0.0;
+      certify_row_ms = 200.0;
+    }
+  in
+  with_group ~config (fun engine c _net ->
+      let decided = ref [] in
+      let request name key ~at ~snapshot =
+        Sim.Process.spawn engine (fun () ->
+            Sim.Process.sleep engine at;
+            let d = Core.Certifier.certify c ~origin:0 ~snapshot ~ws:(ws_on "t" key) in
+            decided := (name, d) :: !decided)
+      in
+      (* C holds the CPU for its 200 ms; A and B queue behind it and are
+         drained as one batch at ~200 ms, decided at ~400 and ~600 ms. *)
+      request "C" 100 ~at:0.0 ~snapshot:0;
+      request "A" 1 ~at:1.0 ~snapshot:0;
+      request "B" 2 ~at:1.0 ~snapshot:0;
+      Sim.Process.sleep engine 450.0;
+      Core.Certifier.crash c;
+      while List.length !decided < 3 do
+        Sim.Process.sleep engine 10.0
+      done;
+      Alcotest.(check bool) "promoted before B was decided" true
+        (Core.Certifier.primary_index c <> 0);
+      List.iter
+        (fun name ->
+          match List.assoc name !decided with
+          | Core.Certifier.Abort -> ()
+          | _ -> Alcotest.failf "%s survived the deposed epoch" name)
+        [ "A"; "B" ];
+      match Core.Certifier.certify c ~origin:0 ~snapshot:1 ~ws:(ws_on "t" 2) with
+      | Core.Certifier.Commit { version; _ } ->
+        Alcotest.(check int) "next version of the ruling history" 2 version
+      | _ -> Alcotest.fail "a fenced write of the deposed batch blocks its key")
+
 (* --- Automatic promotion, end to end -------------------------------- *)
 
 let auto_config =
@@ -238,7 +311,7 @@ let auto_config =
     }
 
 let test_automatic_promotion_end_to_end () =
-  (* Kill the primary under load with no scripted failover: a standby's
+  (* Kill the primary under load: a standby's
      failure detector must promote it, commits must resume under the
      bumped epoch, and the whole history must stay strongly consistent
      and epoch-fenced. *)
@@ -256,7 +329,6 @@ let test_automatic_promotion_end_to_end () =
       Sim.Process.sleep engine 500.0;
       version_at_crash := Core.Certifier.version certifier;
       Core.Cluster.crash_certifier cluster;
-      (* No manual failover: detection + promotion are on their own. *)
       Sim.Process.sleep engine 700.0;
       Core.Cluster.revive_certifier_node cluster 0);
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:3_000.0;
@@ -374,6 +446,8 @@ let suites =
           test_evicted_rejoin_reenters_at_applied;
         Alcotest.test_case "deposed primary reconciles and re-follows" `Quick
           test_deposed_primary_reconciles_and_refollows;
+        Alcotest.test_case "deposed mid-batch decisions stay out of the index" `Quick
+          test_deposed_batch_stays_out_of_index;
         Alcotest.test_case "automatic promotion end to end" `Quick
           test_automatic_promotion_end_to_end;
         Alcotest.test_case "replica fences stale-epoch refresh" `Quick

@@ -1,9 +1,14 @@
 (* The keyed certification index: unit tests for index maintenance
-   (commit, prune, failover rebuild), QCheck properties checking every
-   index decision against the paper's log scan (the Linear oracle,
-   which lives only here) across randomized workloads with log
-   truncation and certifier failover mid-stream, watermark-driven log
-   GC, and the load balancer's watermark-bounded session table. *)
+   (commit, prune, rebuild on promotion, log contiguity), QCheck
+   properties checking every index decision against the paper's log
+   scan (the Linear oracle, which lives only here) across randomized
+   workloads with log truncation, index rebuilds and reconciliation —
+   on the simulator-free core and through the whole certifier group
+   with automatic promotions mid-stream — watermark-driven log GC, and
+   the load balancer's watermark-bounded session table. *)
+
+module Log = Core.Certification.Log
+module Index = Core.Certification.Index
 
 let small_config =
   {
@@ -13,6 +18,12 @@ let small_config =
     gc_interval_ms = 0.0;
     hiccup_interval_ms = 0.0;
   }
+
+(* A group of three that promotes a standby on its own when the primary
+   goes silent (two standbys: an election needs a majority of the
+   caught-up voters, and a crashed primary never grants). *)
+let group_config =
+  Core.Config.hardened { small_config with Core.Config.certifier_standbys = 2 }
 
 let ws_at ?intern table key =
   Storage.Writeset.of_entries ?intern
@@ -34,13 +45,22 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
       ~bandwidth_mbps:1000.0
   in
   let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
-  Sim.Process.spawn engine (fun () -> f certifier);
-  Sim.Engine.run engine
+  Test_certha.run_process engine (fun () -> f engine certifier)
+
+(* Crash the primary and block until the failure detectors promoted a
+   standby; the deposed member then rejoins as a standby and the group
+   settles, so a later failover again has a caught-up candidate. *)
+let failover engine c =
+  let deposed = Core.Certifier.primary_index c in
+  Core.Certifier.crash c;
+  Test_certha.await_promotion engine c;
+  Core.Certifier.revive_node c deposed;
+  Sim.Process.sleep engine 50.0
 
 (* --- index maintenance ------------------------------------------------ *)
 
 let test_index_tracks_last_writer () =
-  with_certifier (fun c ->
+  with_certifier (fun _engine c ->
       (* Distinct keys: one index entry each. *)
       for i = 1 to 5 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
@@ -63,7 +83,7 @@ let test_index_tracks_last_writer () =
       | _ -> Alcotest.fail "non-conflicting key aborted")
 
 let test_prune_drops_index_entries () =
-  with_certifier (fun c ->
+  with_certifier (fun _engine c ->
       for i = 1 to 10 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
         | Core.Certifier.Commit _ -> ()
@@ -81,8 +101,7 @@ let test_prune_drops_index_entries () =
       | _ -> Alcotest.fail "up-to-date writer aborted")
 
 let test_failover_rebuilds_index () =
-  let config = { small_config with Core.Config.certifier_standbys = 1 } in
-  with_certifier ~config (fun c ->
+  with_certifier ~config:group_config (fun engine c ->
       for i = 1 to 8 do
         match Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i) with
         | Core.Certifier.Commit _ -> ()
@@ -90,7 +109,7 @@ let test_failover_rebuilds_index () =
       done;
       Core.Certifier.prune c ~keep_after:3;
       Core.Certifier.crash c;
-      Core.Certifier.failover c;
+      Test_certha.await_promotion engine c;
       (* The promoted standby rebuilt the index from its replicated log
          copy: only post-horizon entries, same decisions as before. *)
       Alcotest.(check int) "rebuilt from the log suffix" 5 (Core.Certifier.index_size c);
@@ -101,13 +120,34 @@ let test_failover_rebuilds_index () =
       | Core.Certifier.Commit _ -> ()
       | _ -> Alcotest.fail "clean writer aborted after failover")
 
+(* --- the certification core, no engine --------------------------------- *)
+
+let logged_keys log =
+  List.map
+    (fun (v, ws) -> (v, List.map (fun (_, key) -> key) (Storage.Writeset.keys ws)))
+    (Log.entries log ~after:(Log.base log) ~upto:(Log.head log))
+
+(* Replication appends are contiguity-checked: a push entry that is not
+   the head's successor — a gap or a duplicate — is dropped, never
+   logged at the wrong version. *)
+let test_append_contiguity () =
+  let log = Log.create () in
+  Log.append_at log 1 (ws_on "t" 1);
+  Log.append_at log 3 (ws_on "t" 3);
+  Log.append_at log 1 (ws_on "t" 9);
+  Log.append_at log 2 (ws_on "t" 2);
+  Alcotest.(check int) "head after the contiguous run" 2 (Log.head log);
+  Alcotest.(check bool) "gap and duplicate dropped" true
+    (logged_keys log
+    = [ (1, [ [| Storage.Value.Int 1 |] ]); (2, [ [| Storage.Value.Int 2 |] ]) ])
+
 (* [[|Int 3|]] and [[|Float 3.0|]] are one row in the store, so two
    concurrent writers of them conflict: whether or not the writesets
    carry the group's ids, the second one aborts. *)
 let test_int_float_keys_conflict () =
   List.iter
     (fun interned ->
-      with_certifier (fun c ->
+      with_certifier (fun _engine c ->
           let intern = if interned then Some (Core.Certifier.intern c) else None in
           (match
              Core.Certifier.certify c ~origin:0 ~snapshot:0
@@ -126,78 +166,116 @@ let test_int_float_keys_conflict () =
 (* --- Keyed decisions against the Linear oracle ------------------------- *)
 
 type op =
-  | Certify of int * Storage.Value.t * int  (* origin, key, staleness *)
-  | Truncate of int  (* keep the last [window] versions *)
-  | Failover
+  | Certify of Storage.Value.t * int  (* key, staleness *)
+  | Prune of int  (* keep the last [window] versions *)
+  | Rebuild  (* what a promotion does: replay the index from the log *)
+  | Reconcile of int  (* what a rejoin does: drop the newest [depth] versions *)
 
 let pp_op = function
-  | Certify (o, k, s) -> Printf.sprintf "Certify(%d,%s,%d)" o (Storage.Value.to_string k) s
-  | Truncate w -> Printf.sprintf "Truncate(%d)" w
-  | Failover -> "Failover"
+  | Certify (k, s) -> Printf.sprintf "Certify(%s,%d)" (Storage.Value.to_string k) s
+  | Prune w -> Printf.sprintf "Prune(%d)" w
+  | Rebuild -> "Rebuild"
+  | Reconcile d -> Printf.sprintf "Reconcile(%d)" d
 
-(* The paper's first-committer-wins rule as a scan of the primary's
-   retained log: [ws] at [snapshot] aborts iff the snapshot predates the
-   pruned horizon, or some entry committed after it writes a key of
-   [ws]. The certifier decides the same thing by probing its key index. *)
-let linear_oracle_aborts c ~snapshot ws =
-  snapshot < Core.Certifier.log_base c
-  || List.exists
-       (fun (v, ws') -> v > snapshot && Storage.Writeset.conflicts ws ws')
-       (Core.Certifier.node_log c (Core.Certifier.primary_index c))
+(* The paper's first-committer-wins rule as a scan of the retained log
+   [(base, head]]: [ws] at [snapshot] aborts iff the snapshot predates
+   the pruned horizon, or some entry committed after it writes a key of
+   [ws]; a commit gets version [head + 1]. The certifier decides the
+   same thing by probing its key index. *)
+let linear_oracle ~base ~head ~entries ~snapshot ws =
+  if
+    snapshot < base
+    || List.exists
+         (fun (v, ws') -> v > snapshot && Storage.Writeset.conflicts ws ws')
+         entries
+  then "A"
+  else Printf.sprintf "C%d" (head + 1)
 
-(* Drive one certifier through the op stream and record every decision
-   (with its assigned version) plus the post-run log/index state. Before
-   each [Certify] the Linear oracle predicts the decision (and the
-   version a commit gets); every disagreement is recorded as a
-   [MISMATCH] entry. [~interned:true] builds each writeset against the
-   certifier group's intern table, exercising the cached dense-id fast
-   path; [false] submits bare (foreign) writesets that the certifier
-   must re-resolve per probe. The two must be indistinguishable in
-   every decision. *)
-let run_ops ?(interned = false) ops =
-  let config = { small_config with Core.Config.certifier_standbys = 1 } in
+(* Record one [Certify] decision; a disagreement with the oracle is
+   recorded as a [MISMATCH] entry beside it. *)
+let note out op ~expected ~decided =
+  out := decided :: !out;
+  if decided <> expected then
+    out :=
+      Printf.sprintf "MISMATCH(%s: oracle %s, index %s)" (pp_op op) expected decided :: !out
+
+let key_of ~interned ~intern key =
+  if interned then ws_at ~intern "t" key else ws_at "t" key
+
+(* Drive the certification core through the op stream, with no engine,
+   and record every decision (with its assigned version) plus the
+   post-run log state. [~interned:true] builds each writeset against
+   the index's intern table, exercising the cached dense-id fast path;
+   [false] submits bare (foreign) writesets that the index must
+   re-resolve per probe. The two must be indistinguishable in every
+   decision. *)
+let run_core ?(interned = false) ops =
+  let log = Log.create () and index = Index.create () in
   let out = ref [] in
-  with_certifier ~config (fun c ->
-      let ws_for key =
-        if interned then ws_at ~intern:(Core.Certifier.intern c) "t" key else ws_at "t" key
-      in
+  List.iter
+    (fun op ->
+      match op with
+      | Certify (key, staleness) ->
+        let base = Log.base log and head = Log.head log in
+        let snapshot = max 0 (head - staleness) in
+        let ws = key_of ~interned ~intern:(Index.intern index) key in
+        let expected =
+          linear_oracle ~base ~head
+            ~entries:(Log.entries log ~after:base ~upto:head)
+            ~snapshot ws
+        in
+        let decided =
+          match Core.Certification.decide ~record:true log index ~snapshot ws with
+          | Some v -> Printf.sprintf "C%d" v
+          | None -> "A"
+        in
+        note out op ~expected ~decided
+      | Prune window ->
+        let keep_after = max 0 (Log.head log - window) in
+        Log.prune log ~keep_after;
+        Index.prune index ~keep_after
+      | Rebuild -> Index.rebuild index log
+      | Reconcile depth ->
+        Log.truncate log ~upto:(max 0 (Log.head log - depth));
+        Index.rebuild index log)
+    ops;
+  out := Printf.sprintf "base=%d v=%d" (Log.base log) (Log.head log) :: !out;
+  List.rev !out
+
+(* The same stream through a whole certifier group: [Rebuild] and
+   [Reconcile] — the two halves of a failover — become one, with the
+   primary crashed, a standby promoted by the failure detectors (it
+   rebuilds the index from its replicated log copy), and the deposed
+   member rejoining (it reconciles its log). *)
+let run_group ops =
+  let out = ref [] in
+  with_certifier ~config:group_config (fun engine c ->
       List.iter
         (fun op ->
           match op with
-          | Certify (origin, key, staleness) ->
-            let snapshot = max 0 (Core.Certifier.version c - staleness) in
-            let ws = ws_for key in
+          | Certify (key, staleness) ->
+            let base = Core.Certifier.log_base c and head = Core.Certifier.version c in
+            let snapshot = max 0 (head - staleness) in
+            let ws = key_of ~interned:true ~intern:(Core.Certifier.intern c) key in
             let expected =
-              if linear_oracle_aborts c ~snapshot ws then "A"
-              else Printf.sprintf "C%d" (Core.Certifier.version c + 1)
+              linear_oracle ~base ~head
+                ~entries:(Core.Certifier.node_log c (Core.Certifier.primary_index c))
+                ~snapshot ws
             in
             let decided =
-              match Core.Certifier.certify c ~origin ~snapshot ~ws with
+              match Core.Certifier.certify c ~origin:0 ~snapshot ~ws with
               | Core.Certifier.Commit { version; _ } -> Printf.sprintf "C%d" version
               | Core.Certifier.Abort -> "A"
               | Core.Certifier.Overloaded | Core.Certifier.Expired ->
                 Alcotest.fail "unexpected overload decision"
             in
-            out := decided :: !out;
-            if decided <> expected then
-              out :=
-                Printf.sprintf "MISMATCH(%s: oracle %s, index %s)" (pp_op op) expected
-                  decided
-                :: !out
-          | Truncate window ->
-            Core.Certifier.prune c
-              ~keep_after:(max 0 (Core.Certifier.version c - window))
-          | Failover ->
-            let deposed = Core.Certifier.primary_index c in
-            Core.Certifier.crash c;
-            Core.Certifier.failover c;
-            (* The deposed member rejoins as a standby, so later
-               failovers always have a promotion candidate. *)
-            Core.Certifier.revive_node c deposed)
+            note out op ~expected ~decided
+          | Prune window ->
+            Core.Certifier.prune c ~keep_after:(max 0 (Core.Certifier.version c - window))
+          | Rebuild | Reconcile _ -> failover engine c)
         ops;
       out :=
-        Printf.sprintf "base=%d v=%d" (Core.Certifier.log_base c)
-          (Core.Certifier.version c)
+        Printf.sprintf "base=%d v=%d" (Core.Certifier.log_base c) (Core.Certifier.version c)
         :: !out);
   List.rev !out
 
@@ -206,9 +284,8 @@ let op_gen =
     frequency
       [
         ( 10,
-          map3
-            (fun o k s -> Certify (o, k, s))
-            (int_bound 2)
+          map2
+            (fun k s -> Certify (k, s))
             (* Integral-float keys name the same rows as the ints. *)
             (oneof
                [
@@ -216,8 +293,9 @@ let op_gen =
                  map (fun k -> Storage.Value.Float (float_of_int k)) (int_bound 15);
                ])
             (int_bound 30) );
-        (1, map (fun w -> Truncate w) (int_bound 8));
-        (1, return Failover);
+        (1, map (fun w -> Prune w) (int_bound 8));
+        (1, return Rebuild);
+        (1, map (fun d -> Reconcile d) (int_bound 8));
       ])
 
 let ops_arb =
@@ -232,26 +310,31 @@ let agrees_with_oracle out =
 
 let prop_linear_equals_keyed =
   QCheck.Test.make ~count:60 ~name:"Linear and Keyed decide identically" ops_arb
-    (fun ops -> agrees_with_oracle (run_ops ops))
+    (fun ops -> agrees_with_oracle (run_core ops))
 
 (* The raw-speed pass differential: the interned dense-id index must be
    a pure representation change. Both arms — interned and foreign
    writesets — agree with the Linear oracle on every decision and
    produce the identical decision/version stream across random
-   workloads, truncation, and failover mid-stream. *)
+   workloads, truncation, rebuilds and reconciliation. *)
 let prop_interned_is_representation_only =
   QCheck.Test.make ~count:60
     ~name:"interned ids change no decision (vs Linear oracle and foreign keyed)" ops_arb
     (fun ops ->
-      let foreign = run_ops ~interned:false ops in
-      let interned = run_ops ~interned:true ops in
+      let foreign = run_core ~interned:false ops in
+      let interned = run_core ~interned:true ops in
       agrees_with_oracle foreign && agrees_with_oracle interned && interned = foreign)
+
+let prop_group_matches_oracle =
+  QCheck.Test.make ~count:20
+    ~name:"certifier group decides as the Linear oracle across promotions" ops_arb
+    (fun ops -> agrees_with_oracle (run_group ops))
 
 (* --- watermarks and GC ------------------------------------------------ *)
 
 let test_watermark_tracking_and_gc () =
   let config = { small_config with Core.Config.watermark_slack = 2 } in
-  with_certifier ~config (fun c ->
+  with_certifier ~config (fun _engine c ->
       Core.Certifier.subscribe c ~replica:0 (fun ~epoch:_ _ -> ());
       Core.Certifier.subscribe c ~replica:1 (fun ~epoch:_ _ -> ());
       for i = 1 to 10 do
@@ -281,7 +364,7 @@ let test_watermark_tracking_and_gc () =
         (Core.Certifier.log_base c))
 
 let test_gc_noop_without_live_replicas () =
-  with_certifier (fun c ->
+  with_certifier (fun _engine c ->
       for i = 1 to 5 do
         ignore (Core.Certifier.certify c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;
@@ -364,8 +447,10 @@ let suites =
         Alcotest.test_case "failover rebuilds index from the log" `Quick
           test_failover_rebuilds_index;
         Alcotest.test_case "int and float keys conflict" `Quick test_int_float_keys_conflict;
+        Alcotest.test_case "append_at keeps the log contiguous" `Quick test_append_contiguity;
         QCheck_alcotest.to_alcotest prop_linear_equals_keyed;
         QCheck_alcotest.to_alcotest prop_interned_is_representation_only;
+        QCheck_alcotest.to_alcotest prop_group_matches_oracle;
       ] );
     ( "core.watermarks",
       [
