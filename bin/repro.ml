@@ -115,6 +115,31 @@ let fig7_cmd =
   artifact_cmd "fig7" ~doc:"Reproduce Figure 7 (TPC-W fixed load response time)" (fun c ->
       [ artifact (module Experiments.Fig7) c ])
 
+(* --- shapes: the paper-shape gate --- *)
+
+let shapes c =
+  let failed = ref false in
+  print_artifacts c
+    [
+      {
+        Experiments.Runner.points = Experiments.Shapes.points ~quick:c.quick ~seed:c.seed;
+        render =
+          (fun pairs ->
+            let checks = Experiments.Shapes.evaluate pairs in
+            failed := Experiments.Shapes.failed checks;
+            Experiments.Shapes.render checks);
+      };
+    ];
+  if !failed then exit 1
+
+let shapes_cmd =
+  Cmd.v
+    (Cmd.info "shapes"
+       ~doc:
+         "Check the paper's shape claims on Figures 3, 4 and 7: print each measured value \
+          beside the claim and exit 1 when a shape is lost")
+    Term.(const shapes $ common_term)
+
 let ycsb_cmd =
   artifact_cmd "ycsb" ~doc:"Run the YCSB extension workload across configurations"
     (fun c -> [ artifact (module Experiments.Ycsb) c ])
@@ -691,7 +716,7 @@ let () =
   let group =
     Cmd.group ~default:trace_term info
       [
-        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; batch_cmd;
+        table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; fig7_cmd; shapes_cmd; batch_cmd;
         ablation_cmd; ycsb_cmd; tpcc_cmd; check_cmd; chaos_cmd; overload_cmd; tiers_cmd;
         report_cmd;
         all_cmd;

@@ -12,6 +12,10 @@ val sweep :
     Each mix has a fixed client count k = 100 / 80 / 50 for browsing /
     shopping / ordering; [scaled] runs k x replicas clients instead. *)
 
+val mix_of : Runner.point -> Workload.Tpcw.mix
+(** The mix of a TPC-W point.
+    @raise Invalid_argument on another workload. *)
+
 val panel :
   ?y_label:string ->
   title:string ->
