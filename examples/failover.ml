@@ -1,6 +1,7 @@
 (* Crash-recovery walkthrough: a replica fails under load, the cluster
    keeps serving clients, and the replica replays the certifier log on
-   recovery.
+   recovery. Exits 1 if the run log shows a strong-consistency
+   violation.
 
    Run with: dune exec examples/failover.exe *)
 
@@ -53,6 +54,7 @@ let () =
     (Core.Metrics.throughput_tps m)
     (100.0 *. Core.Metrics.abort_rate m);
   let log = Core.Cluster.records cluster in
+  let violations = List.length (Check.Runlog.strong_consistency log) in
   Printf.printf "strong-consistency violations across crash+recovery: %d (of %d txns)\n"
-    (List.length (Check.Runlog.strong_consistency log))
-    (List.length log)
+    violations (List.length log);
+  if violations > 0 then exit 1

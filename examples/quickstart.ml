@@ -61,8 +61,11 @@ let () =
       | Core.Transaction.Committed { snapshot; response_ms; _ } ->
         Printf.printf "read ran at snapshot v%d in %.2f ms\n" snapshot response_ms
       | Core.Transaction.Aborted _ -> print_endline "read aborted");
-  (* 5. Run the simulation to completion. *)
-  Sim.Engine.run engine;
+  (* 5. Run the simulation for one virtual second, long enough for both
+        transactions and every refresh. A cluster never goes idle (its
+        replicas heartbeat for as long as it exists), so it is always
+        run to a horizon. *)
+  Sim.Engine.run engine ~until:1_000.0;
   (* 6. Every replica converged to the same state. *)
   for i = 0 to 2 do
     let db = Core.Replica.database (Core.Cluster.replica cluster i) in

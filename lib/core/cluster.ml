@@ -66,6 +66,15 @@ let retransmit_ms = 30.0
 let lb_repl_ms = 5.0
 let lb_suspect_after_ms = 25.0
 
+(* The LAN of the paper's testbed (DESIGN.md §2): a fixed per-message
+   latency plus uniform jitter, and gigabit serialization. The balancer
+   spends [lb_ms] on every message it relays, so it is not an
+   infinite-capacity oracle. *)
+let net_base_ms = 0.15
+let net_jitter_ms = 0.1
+let net_bandwidth_mbps = 1000.0
+let lb_ms = 0.05
+
 (* Network endpoint of LB instance [k]. *)
 let lb_node k = if k = 0 then Config.node_lb else Config.node_lb_standby
 
@@ -451,8 +460,7 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
   let metrics = Metrics.create engine in
   let network =
     Sim.Network.create engine ~rto_ms ~rng:(Util.Rng.split rng)
-      ~base_ms:config.Config.net_base_ms ~jitter_ms:config.Config.net_jitter_ms
-      ~bandwidth_mbps:config.Config.net_bandwidth_mbps
+      ~base_ms:net_base_ms ~jitter_ms:net_jitter_ms ~bandwidth_mbps:net_bandwidth_mbps
   in
   (* The fault plan owns its own RNG (seeded independently of the cluster
      RNG chain), so attaching an all-clean plan perturbs nothing. *)
@@ -797,7 +805,7 @@ let relay t f ~ack_bytes =
   await_routable t;
   Sim.Network.transfer t.network ~src:f.replica ~dst:(lb_node t.lb_active)
     ~size_bytes:ack_bytes;
-  Sim.Process.sleep t.engine t.cfg.Config.lb_ms;
+  Sim.Process.sleep t.engine lb_ms;
   await_routable t;
   let lb = active_lb t in
   Load_balancer.note_contact lb ~replica:f.replica ~now:(now t);
@@ -852,7 +860,7 @@ let route t f =
   check_lb_up t;
   leg t ~src:Config.node_client ~dst:(lb_node t.lb_active) ~size_bytes:(request_bytes req);
   check_lb_up t;
-  Sim.Process.sleep t.engine t.cfg.Config.lb_ms;
+  Sim.Process.sleep t.engine lb_ms;
   (* The dispatching instance and routing epoch are pinned here: the
      active count must be balanced on this instance even if a takeover
      happens mid-flight, and the commit record carries the epoch so the

@@ -7,11 +7,6 @@ type routing =
 type t = {
   seed : int;
   replicas : int;
-  cpus_per_replica : int;
-  net_base_ms : float;
-  net_jitter_ms : float;
-  net_bandwidth_mbps : float;
-  lb_ms : float;
   stmt_base_ms : float;
   row_scan_ms : float;
   row_read_ms : float;
@@ -73,15 +68,13 @@ let node_cert_standby k = if k = 0 then node_certifier else -8 - k
    assigned and certifier standbys live at -9 and below). *)
 let node_lb_standby = -5
 
+(* The paper's dual-core testbed machines (§V). *)
+let cpus_per_replica = 2
+
 let default =
   {
     seed = 42;
     replicas = 8;
-    cpus_per_replica = 2;
-    net_base_ms = 0.15;
-    net_jitter_ms = 0.1;
-    net_bandwidth_mbps = 1000.0;
-    lb_ms = 0.05;
     stmt_base_ms = 0.3;
     row_scan_ms = 0.002;
     row_read_ms = 0.05;
@@ -153,7 +146,7 @@ let tpcw =
     durability_ms = 0.3;
   }
 
-let batched c = { c with cert_batch = 8; apply_parallelism = c.cpus_per_replica }
+let batched c = { c with cert_batch = 8; apply_parallelism = cpus_per_replica }
 
 let protected c =
   {

@@ -18,13 +18,6 @@ type routing =
 type t = {
   seed : int;
   replicas : int;
-  cpus_per_replica : int;
-  (* network *)
-  net_base_ms : float;
-  net_jitter_ms : float;
-  net_bandwidth_mbps : float;
-  (* load balancer *)
-  lb_ms : float;  (** per-message processing *)
   (* statement execution on a replica *)
   stmt_base_ms : float;  (** fixed per-statement overhead *)
   row_scan_ms : float;  (** per row examined *)
@@ -249,6 +242,10 @@ val node_lb_standby : int
 (** Network id of the standby load balancer ([lb_standby = true]), so
     fault plans can crash or partition either LB instance on its own. *)
 
+val cpus_per_replica : int
+(** CPUs of each replica: its FIFO k-server CPU resource, and the lane
+    count of {!batched}. *)
+
 val default : t
 (** 8 replicas, 2 CPUs each, LAN latencies, service times calibrated so
     that the replica CPUs (not the certifier) are the bottleneck. *)
@@ -264,7 +261,7 @@ val tpcw : t
 
 val batched : t -> t
 (** The batched-pipeline variant of a configuration: [cert_batch = 8]
-    and [apply_parallelism = cpus_per_replica]. Used by the batched
+    and [apply_parallelism = ]{!cpus_per_replica}. Used by the batched
     experiment sweeps ([repro batch]); see docs/TUNING.md for the
     measured effect of each knob. *)
 

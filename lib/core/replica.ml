@@ -46,7 +46,7 @@ let create ?obs ?metrics engine cfg ~rng ~id db =
     metrics;
     id;
     db;
-    cpu = Sim.Resource.create engine ~servers:cfg.Config.cpus_per_replica;
+    cpu = Sim.Resource.create engine ~servers:Config.cpus_per_replica;
     version_changed = Sim.Condition.create engine;
     slot_arrived = Sim.Condition.create engine;
     slots = Itbl.create 64;
