@@ -37,6 +37,7 @@ type cnode = {
      target epoch — re-granted only to the same candidate (Raft). *)
   mutable cn_vote_epoch : int;
   mutable cn_vote_for : int;
+  mutable cn_retry_after : float;  (* no new candidacy until after this time *)
   (* Primary-side voter lease: when this member last acknowledged a
      replication push to a primary. A voter silent beyond
      [Config.voter_lease_ms] while decisions are outstanding is demoted
@@ -95,10 +96,8 @@ type t = {
   (* Replicas whose watermark entry was evicted; they must state-transfer
      on rejoin (the log may have been truncated past their position). *)
   evicted : unit Itbl.t;
-  (* Last watermark the repair loop saw per replica: a lagging replica is
-     only re-sent the un-acked suffix when it made no progress since the
-     previous tick (progress means delivery is working). *)
-  repair_seen : int Itbl.t;
+  held : int Itbl.t;  (* each replica's heartbeat {!Replica.held} *)
+  repair_seen : (int * int) Itbl.t;  (* (held, log head) at the last repair tick *)
   subscribers :
     (epoch:int -> (int option * int * Storage.Writeset.t) list -> unit) Itbl.t;
   live : unit Itbl.t;
@@ -252,7 +251,9 @@ let observe_applied t ~replica ~version =
   | Some _ | None -> Itbl.replace t.watermarks replica version);
   release_eager t ~replica ~upto:version ~ordered:true
 
-let heartbeat t ~replica ~applied = observe_applied t ~replica ~version:applied
+let heartbeat t ~replica ~applied ~held =
+  Itbl.replace t.held replica held;
+  observe_applied t ~replica ~version:applied
 
 let ack = observe_applied
 
@@ -512,6 +513,20 @@ let votes_needed t =
   let q_eff = if q <= 0 then !standby_voters else min q !standby_voters in
   max majority (!standby_voters - q_eff + 1)
 
+(* Eligible standbys with a better log than member [k] (index breaks
+   ties): the best-replicated one has rank 0. *)
+let promotion_rank t k =
+  let sk = t.nodes.(k) in
+  let r = ref 0 in
+  Array.iter
+    (fun n ->
+      if
+        n.cn_index <> k && eligible_standby t n
+        && (head n > head sk || (head n = head sk && n.cn_index < k))
+      then incr r)
+    t.nodes;
+  !r
+
 let note_vote_denial t = t.vote_denials <- t.vote_denials + 1
 
 (* One vote round run by suspecting standby [k]. Ballots travel as
@@ -569,6 +584,13 @@ let run_election t k =
     && (t.nodes.(pi).cn_crashed
        || Sim.Engine.now t.engine -. sb.cn_last_heard > suspect_after_ms)
   then promote t k
+  else
+    (* A lost round restarts the candidacy stagger. Two candidates whose
+       suspicion windows closed on one tick would otherwise retry in
+       step, and the worse-replicated one's fresher ballot would deny the
+       better one forever, while its own log denies it every vote. *)
+    sb.cn_retry_after <-
+      Sim.Engine.now t.engine +. (float_of_int (promotion_rank t k) *. promotion_backoff_ms)
 
 (* The standby-side failure detector: ping the primary every
    [heartbeat_ms]; the pong carries the primary's epoch. After
@@ -577,18 +599,6 @@ let run_election t k =
    a vote round. Only caught-up members of the ruling epoch are
    candidates: a member that has not reconciled could resurrect a dead
    history. *)
-let promotion_rank t k =
-  let sk = t.nodes.(k) in
-  let r = ref 0 in
-  Array.iter
-    (fun n ->
-      if
-        n.cn_index <> k && eligible_standby t n
-        && (head n > head sk || (head n = head sk && n.cn_index < k))
-      then incr r)
-    t.nodes;
-  !r
-
 let monitor t k =
   let sb = t.nodes.(k) in
   Sim.Process.every t.engine ~period:heartbeat_ms (fun () ->
@@ -616,7 +626,7 @@ let monitor t k =
           suspect_after_ms +. (float_of_int (promotion_rank t k) *. promotion_backoff_ms)
         in
         if
-          silence > deadline && t.primary = pi
+          silence > deadline && now > sb.cn_retry_after && t.primary = pi
           && (not sb.cn_crashed)
           && sb.cn_epoch = t.epoch && sb.cn_caught_up
         then run_election t k
@@ -678,6 +688,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
               cn_last_heard = Sim.Engine.now engine;
               cn_vote_epoch = 0;
               cn_vote_for = -1;
+              cn_retry_after = neg_infinity;
               cn_last_ack = Sim.Engine.now engine;
             });
       primary = 0;
@@ -688,6 +699,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
       watermarks = Itbl.create 16;
       last_heard = Itbl.create 16;
       evicted = Itbl.create 4;
+      held = Itbl.create 16;
       repair_seen = Itbl.create 16;
       subscribers = Itbl.create 16;
       live = Itbl.create 16;
@@ -717,11 +729,10 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
     for k = 0 to Array.length t.nodes - 1 do
       Sim.Process.spawn engine (fun () -> pusher t k)
     done;
-    if cfg.Config.reliable then
-      for k = 0 to Array.length t.nodes - 1 do
-        monitor t k
-      done;
-    if cfg.Config.reliable && cfg.Config.voter_lease_ms > 0.0 then lease_loop t
+    for k = 0 to Array.length t.nodes - 1 do
+      monitor t k
+    done;
+    if cfg.Config.voter_lease_ms > 0.0 then lease_loop t
   end;
   t
 
@@ -1075,6 +1086,7 @@ let revive_node t k =
 
 let mark_down t ~replica =
   Itbl.remove t.live replica;
+  Itbl.remove t.held replica;
   (* Pending eager transactions stop waiting for the dead replica. *)
   release_eager t ~replica ~upto:max_int ~ordered:false
 
@@ -1097,15 +1109,18 @@ let mark_up ?applied t ~replica =
 
 let is_marked_live t ~replica = Itbl.mem t.live replica
 
-(* --- Refresh repair (reliable mode) ---------------------------------
+(* --- Refresh repair ---------------------------------------------------
 
    Refresh messages are fire-and-forget; under a lossy network a replica
    can lose a batch and wedge (its sequencer waits forever for the
-   missing version). The repair tick detects stalled subscribers — live,
-   behind the log head, and no watermark progress since the previous
-   tick — and re-sends their un-acked log suffix. Receivers dedup by
-   version, so over-delivery is harmless ({!Replica.receive_refresh_batch}).
-   Repair streams carry the ruling epoch and originate from the current
+   missing version). The repair tick re-sends the log suffix past a live
+   subscriber's held version ({!Replica.held}, from its heartbeat, or the
+   applied watermark the per-version acks keep fresher) when it lags the
+   previous tick's log head and has not moved since: a version released
+   a tick ago is missing. A replica merely busy
+   applying a backlog holds it, so a fault-free run repairs nothing.
+   Receivers dedup by version ({!Replica.receive_refresh_batch}). Repair
+   streams carry the ruling epoch and originate from the current
    primary's endpoint, so a deposed primary's stragglers are fenced. *)
 
 let repair_resend_cap = 64
@@ -1117,16 +1132,21 @@ let repair_tick t =
     let repair_epoch = t.epoch in
     Itbl.iter
       (fun replica deliver ->
-        if Itbl.mem t.live replica then begin
-          let w = watermark t ~replica in
-          let stalled = Itbl.find_opt t.repair_seen replica = Some w in
-          Itbl.replace t.repair_seen replica w;
+        match Itbl.find_opt t.held replica with
+        | Some held when Itbl.mem t.live replica -> (
+          let w = Stdlib.max held (watermark t ~replica) in
+          let seen = Itbl.find_opt t.repair_seen replica in
+          Itbl.replace t.repair_seen replica (w, head p);
+          match seen with
+          | None -> ()
+          | Some (w0, head0) ->
+          let stalled = w = w0 && w < head0 in
           (* A replica more than one batch behind can never be healed by
              the live refresh stream (broadcasts only cover new versions),
              so stream its suffix on every tick instead of waiting for the
-             watermark to stall, and in bigger batches. *)
-          let deep = head p - w > repair_resend_cap in
-          if (stalled || deep) && w < head p && w >= Log.base p.cn_log then
+             held version to stall, and in bigger batches. *)
+          let deep = head0 - w > repair_resend_cap in
+          if (stalled || deep) && w >= Log.base p.cn_log then
             match writesets_from t w with
             | None -> ()
             | Some items ->
@@ -1141,8 +1161,8 @@ let repair_tick t =
               t.retransmits <- t.retransmits + 1;
               Sim.Network.send t.network ~src:p.cn_net ~dst:replica
                 ~size_bytes:(refresh_bytes items)
-                (fun () -> deliver ~epoch:repair_epoch items)
-        end)
+                (fun () -> deliver ~epoch:repair_epoch items))
+        | Some _ | None -> ())
       t.subscribers
   end
 

@@ -47,8 +47,8 @@
     is a {e group} of members, each with its own network endpoint
     ([Config.node_cert_standby]) and log copy. Decisions are released
     only after [Config.standby_ack_quorum] caught-up standbys
-    acknowledged their replicated copy. In reliable mode the standbys
-    detect a silent primary by heartbeat and elect a successor by a
+    acknowledged their replicated copy. The standbys detect a silent
+    primary by heartbeat and elect a successor by a
     {e quorum-intersecting} vote, so no released decision can be
     re-assigned. Promotion bumps the {e epoch}; stale-epoch traffic is
     fenced, and a deposed primary rejoins as a standby via log
@@ -87,9 +87,9 @@ val create :
     (component {!Obs.Span.Certifier}) carrying origin, snapshot, queue
     wait and the decision. With [metrics], each batch is recorded via
     {!Metrics.note_cert_batch}. With [certifier_standbys > 0] this also
-    spawns the per-standby replication pushers and, in reliable mode,
-    the standby failure detectors; with no standbys neither exists and
-    runs are event-identical to the single-node certifier. *)
+    spawns the per-standby replication pushers, the standby failure
+    detectors and, with [voter_lease_ms > 0], the voter lease; with no
+    standbys none exists, as for the single-node certifier. *)
 
 val subscribe :
   t -> replica:int ->
@@ -134,10 +134,10 @@ val ack : t -> replica:int -> version:int -> unit
     version [v] also acknowledges every pending eager wait [<= v] held
     by that replica, so a later report can stand in for a lost ack. *)
 
-val heartbeat : t -> replica:int -> applied:int -> unit
-(** Liveness + watermark report carried by the replica heartbeat
-    (reliable mode): refreshes the replica's last-heard time and feeds
-    the same cumulative watermark accounting as {!ack}. *)
+val heartbeat : t -> replica:int -> applied:int -> held:int -> unit
+(** Liveness + watermark report carried by the replica heartbeat: feeds
+    the same cumulative watermark accounting as {!ack}, and records the
+    replica's {!Replica.held} version for {!repair_tick}. *)
 
 val index_size : t -> int
 (** Distinct (table, key) entries in the certification index. *)
@@ -211,10 +211,10 @@ val mark_up : ?applied:int -> t -> replica:int -> unit
 val is_marked_live : t -> replica:int -> bool
 
 val repair_tick : t -> unit
-(** One pass of the refresh-repair loop (reliable mode): for every live
-    subscriber whose applied watermark lags the log head {e and} made no
-    progress since the previous tick, re-send (up to a cap) its un-acked
-    log suffix as a refresh batch. Receivers dedup by version, so
+(** One pass of the refresh-repair loop: for every live subscriber whose
+    held version lags the previous tick's log head {e and} did not move
+    since, re-send (up to a cap) the log suffix past it as a refresh
+    batch. A fault-free run repairs nothing. Receivers dedup by version, so
     over-delivery is harmless; delivery still traverses the (lossy)
     network. Repair streams originate from the current primary's
     endpoint and carry the ruling epoch. *)
@@ -230,9 +230,9 @@ val decisions : t -> int * int
     With [certifier_standbys > 0] every commit decision is replicated
     over the network to the standby logs before the originating replica
     learns it, so a crash loses no released decision and promotion
-    recovers immediately. Promotion is automatic only: in reliable mode
-    the standby failure detectors elect a successor; without them a
-    crashed primary stays down until {!revive_node}. While no primary
+    recovers immediately. Promotion is automatic only: the standby
+    failure detectors elect a successor. A crashed primary of a group
+    with no standbys stays down until {!revive_node}. While no primary
     is available, new certification requests queue in arrival order and
     resume after promotion or revival; read-only transactions are
     unaffected. *)

@@ -37,9 +37,6 @@ type t = {
   mutable reprovisions : int;
       (* replicas re-seeded by state transfer after the failure detector
          saw them return from beyond log repair *)
-  leg_tries : int;
-      (* a request leg's transmission budget: [max_retransmits] under
-         [Config.reliable], else unbounded (the exactly-once leg) *)
 }
 
 let request_bytes (req : Transaction.request) =
@@ -51,12 +48,13 @@ let active_lb t = t.lbs.(t.lb_active)
 
 let role t k = Load_balancer.role t.lbs.(k)
 
-(* Hardened-protocol timers (docs/TUNING.md, "Fixed protocol timings").
-   A loss costs [rto_ms], a few LAN round trips. After [max_retransmits]
-   a request leg aborts with [Timeout], turning a partition into a retry
+(* Protocol timers (docs/TUNING.md, "Fixed protocol timings"). A loss
+   costs [rto_ms], a few LAN round trips. After [max_retransmits] a
+   request leg aborts with [Timeout], turning a partition into a retry
    elsewhere; at 1% loss eight drops in a row never happen. Three
    heartbeats fit in the LB's suspicion window, and repair runs just
-   over one heartbeat apart, so watermarks are fresh between scans. The
+   over one heartbeat apart, so a fresh held version lands between any
+   two scans. The
    LB state push bounds the floor tail a takeover rebuilds; five missed
    pushes trigger one, and a false takeover is epoch-fenced. *)
 let rto_ms = 2.0
@@ -66,10 +64,8 @@ let retransmit_ms = 30.0
 let lb_repl_ms = 5.0
 let lb_suspect_after_ms = 25.0
 
-(* The LAN of the paper's testbed (DESIGN.md §2): a fixed per-message
-   latency plus uniform jitter, and gigabit serialization. The balancer
-   spends [lb_ms] on every message it relays, so it is not an
-   infinite-capacity oracle. *)
+(* The testbed's gigabit LAN (DESIGN.md §2), and the balancer's cost per
+   relayed message, so it is not an infinite-capacity oracle. *)
 let net_base_ms = 0.15
 let net_jitter_ms = 0.1
 let net_bandwidth_mbps = 1000.0
@@ -130,22 +126,20 @@ let recover_replica t i =
      sweep would still see [Dead] and mark the replica down again. *)
   each_lb t (fun lb ->
       Load_balancer.note_contact lb ~replica:i ~now:(Sim.Engine.now t.engine));
-  if t.cfg.Config.reliable then
-    (* [Replica.recover] only enqueues the missed suffix; the sequencer
-       applies it over virtual time. Routing to the replica before it
-       catches up would serve stale snapshots (fatal in eager mode, where
-       clients don't wait on a start version), so publish it to the LB
-       only once it reaches the certifier's version as of now. New
-       commits already wait on it — [mark_up] above re-added it to the
-       ack set — so the target is a fixed post. *)
-    let target = Certifier.version t.certifier in
-    Sim.Process.spawn t.engine (fun () ->
-        (match Replica.await_version r target with Ok () | Error _ -> ());
-        if not (Replica.is_crashed r) then
-          each_lb t (fun lb ->
-              Load_balancer.set_live lb ~replica:i true;
-              Load_balancer.note_contact lb ~replica:i ~now:(Sim.Engine.now t.engine)))
-  else each_lb t (fun lb -> Load_balancer.set_live lb ~replica:i true)
+  (* [Replica.recover] only enqueues the missed suffix; the sequencer
+     applies it over virtual time. Routing to the replica before it
+     catches up would serve stale snapshots (fatal in eager mode, where
+     clients don't wait on a start version), so publish it to the LB
+     only once it reaches the certifier's version as of now. New
+     commits already wait on it — [mark_up] above re-added it to the
+     ack set — so the target is a fixed post. *)
+  let target = Certifier.version t.certifier in
+  Sim.Process.spawn t.engine (fun () ->
+      (match Replica.await_version r target with Ok () | Error _ -> ());
+      if not (Replica.is_crashed r) then
+        each_lb t (fun lb ->
+            Load_balancer.set_live lb ~replica:i true;
+            Load_balancer.note_contact lb ~replica:i ~now:(Sim.Engine.now t.engine)))
 
 let crash_certifier t = Certifier.crash t.certifier
 
@@ -298,7 +292,7 @@ let start_heartbeat t r =
   let id = Replica.id r in
   Sim.Process.every t.engine ~period:heartbeat_ms (fun () ->
       if not (Replica.is_crashed r) then begin
-        let v = Replica.v_local r in
+        let v = Replica.v_local r and held = Replica.held r in
         (* Addressed to whichever instance holds the routing role when
            the heartbeat leaves; applied to whichever holds it when it
            lands (both truthful piggybacks). *)
@@ -311,7 +305,7 @@ let start_heartbeat t r =
                message covers both piggybacks. *)
             Load_balancer.note_applied lb ~replica:id ~version:v);
         Sim.Network.send t.network ~src:id ~dst:(Certifier.primary_net t.certifier)
-          ~size_bytes:16 (fun () -> Certifier.heartbeat t.certifier ~replica:id ~applied:v)
+          ~size_bytes:16 (fun () -> Certifier.heartbeat t.certifier ~replica:id ~applied:v ~held)
       end)
 
 (* Failure-detector sweep + certifier live-set reconciliation. *)
@@ -525,7 +519,6 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       next_tid = 0;
       log = Check.Runlog.Sink.create ();
       reprovisions = 0;
-      leg_tries = (if config.Config.reliable then max_retransmits else max_int);
     }
   in
   Array.iter
@@ -533,26 +526,17 @@ let create ?(config = Config.default) ?(tracing = false) ?(trace_capacity = 65_5
       let id = Replica.id replica in
       Certifier.subscribe certifier ~replica:id (fun ~epoch batch ->
           Replica.receive_refresh_batch ~epoch replica batch);
+      (* The commit ack goes to the current primary; a heartbeat's
+         cumulative watermark covers a lost one. *)
       Replica.set_on_commit replica (fun ~version ->
-          if config.Config.reliable then
-            (* The commit ack rides the (lossy) network to whichever
-               group member currently holds the primary role; a lost ack
-               is eventually covered by a heartbeat's cumulative
-               watermark. *)
-            Sim.Network.send network ~src:id ~dst:(Certifier.primary_net certifier)
-              ~size_bytes:24 (fun () -> Certifier.ack certifier ~replica:id ~version)
-          else Certifier.ack certifier ~replica:id ~version);
+          Sim.Network.send network ~src:id ~dst:(Certifier.primary_net certifier)
+            ~size_bytes:24 (fun () -> Certifier.ack certifier ~replica:id ~version));
       Replica.start replica)
     replicas;
   if config.Config.gc_interval_ms > 0.0 then start_gc t;
-  if config.Config.reliable then begin
-    Array.iter (start_heartbeat t) replicas;
-    Sim.Process.every engine ~period:Load_balancer.sweep_interval_ms (fun () -> sweep t);
-    (* Certifier refresh repair: re-send un-acked suffixes to stalled
-       replicas (delivery is idempotent at the receiver). *)
-    Sim.Process.every engine ~period:retransmit_ms (fun () ->
-        Certifier.repair_tick certifier)
-  end;
+  Array.iter (start_heartbeat t) replicas;
+  Sim.Process.every engine ~period:Load_balancer.sweep_interval_ms (fun () -> sweep t);
+  Sim.Process.every engine ~period:retransmit_ms (fun () -> Certifier.repair_tick certifier);
   if Array.length lbs > 1 then
     for k = 0 to 1 do
       Sim.Process.every engine ~period:lb_repl_ms (fun () -> push_state t k);
@@ -762,10 +746,10 @@ let abort_with reason = raise_notrace (Abort_txn reason)
 let now t = Sim.Engine.now t.engine
 
 (* Request legs carry no server-side side effect yet, so they may give
-   up after [t.leg_tries] transmissions and surface a Timeout abort (the
-   client retries with backoff). *)
+   up after [max_retransmits] transmissions and surface a Timeout abort
+   (the client retries with backoff). *)
 let leg t ~src ~dst ~size_bytes =
-  match Sim.Network.transfer_bounded t.network ~src ~dst ~size_bytes ~max_tries:t.leg_tries with
+  match Sim.Network.transfer_bounded t.network ~src ~dst ~size_bytes ~max_tries:max_retransmits with
   | Ok () -> ()
   | Error `Timeout -> abort_with Transaction.Timeout
 

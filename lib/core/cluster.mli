@@ -23,9 +23,14 @@ val create :
     database with the [schemas]; that database is replica 0's, and
     every other replica starts from a {!Storage.Database.copy} of it.
     A loader must therefore only populate the database it is given
-    (every in-tree loader does). Spawns the per-replica sequencer
-    processes and, if configured, the MVCC vacuum process. Raises
+    (every in-tree loader does). Spawns the per-replica sequencer and
+    heartbeat processes, the detector sweep, the refresh repair and, if
+    configured, the MVCC vacuum process. Raises
     [Invalid_argument] when the configuration fails {!Config.validate}.
+
+    A cluster never goes idle, so [Sim.Engine.run] without [~until]
+    never returns: run it to a horizon ({!run_for}, [Sim.Engine.run
+    ~until]).
 
     With [~tracing:true] (default [false]) the cluster owns an
     {!Obs.Trace.t} and every component emits spans into it; virtual
@@ -37,9 +42,8 @@ val create :
     service-time model (gray slowdowns), and the plan's counters join
     the {!probes} as [fault.*] totals. The plan owns its own RNG, so
     attaching an all-{!Sim.Faults.clean} plan leaves the run's event
-    stream bit-identical to no plan at all. Pair with
-    [Config.reliable] (see {!Config.hardened}) so the protocol actually
-    retransmits and detects failures under the plan.
+    stream bit-identical to no plan at all. Pair a plan with
+    {!Config.hardened} so clients time out and retry elsewhere.
 
     Every [Total] entry of {!probes} is registered with {!metrics}
     ({!Metrics.add_total}), so its window count is readable as
@@ -157,9 +161,9 @@ val recover_replica : t -> int -> unit
 
 val crash_certifier : t -> unit
 (** Fail-stop the certifier primary (requires [certifier_standbys > 0]).
-    Update transactions queue until the standby failure detectors
-    (reliable mode, {!Config.hardened}) elect and promote a standby, or
-    until the member is revived ({!revive_certifier_node}). *)
+    Update transactions queue until the standby failure detectors elect
+    and promote a standby, or until the member is revived
+    ({!revive_certifier_node}). *)
 
 val revive_certifier_node : t -> int -> unit
 (** Bring a crashed certifier group member back

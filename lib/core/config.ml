@@ -35,7 +35,6 @@ type t = {
   watermark_slack : int;
   retry_backoff_ms : float;
   retry_backoff_max_ms : float;
-  reliable : bool;
   evict_after_ms : float;
   start_wait_timeout_ms : float;
   obs_window_ms : float;
@@ -103,7 +102,6 @@ let default =
     watermark_slack = 1_000;
     retry_backoff_ms = 0.0;
     retry_backoff_max_ms = 50.0;
-    reliable = false;
     evict_after_ms = 5_000.0;
     start_wait_timeout_ms = 0.0;
     obs_window_ms = 250.0;
@@ -122,13 +120,7 @@ let default =
     deadline_ms = 0.0;
   }
 
-let hardened c =
-  {
-    c with
-    reliable = true;
-    start_wait_timeout_ms = 300.0;
-    retry_backoff_ms = 0.5;
-  }
+let hardened c = { c with start_wait_timeout_ms = 300.0; retry_backoff_ms = 0.5 }
 
 let tpcw =
   {

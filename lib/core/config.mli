@@ -99,10 +99,9 @@ type t = {
           ({!Certifier.gc}); the slack keeps certification of
           slightly-stale snapshots checkable and bounds how soon a
           briefly-lagging replica is forced into state transfer *)
-  (* fault tolerance under a lossy network (docs/FAULTS.md). Every knob
-     below defaults so that behaviour without a fault plan is
-     event-identical to the exactly-once protocol. Its timers are
-     constants (docs/TUNING.md, "Fixed protocol timings"). *)
+  (* client policy and replica eviction under faults (docs/FAULTS.md).
+     The protocol itself has no switch, and its timers are constants
+     (docs/TUNING.md, "Fixed protocol timings"). *)
   retry_backoff_ms : float;
       (** client retry backoff base: after the [n]-th abort the client
           sleeps [base * 2^n] ms (capped at [retry_backoff_max_ms]) with
@@ -110,14 +109,6 @@ type t = {
           immediately and draws no random numbers, preserving golden
           behaviour. *)
   retry_backoff_max_ms : float;  (** backoff cap *)
-  reliable : bool;
-      (** master switch for the hardened message layer: sequence-numbered
-          idempotent refresh delivery with certifier repair
-          (retransmission of the un-acked suffix), applied-watermark acks
-          and heartbeats carried over the (lossy) network, the
-          load-balancer failure detector, and bounded retransmission with
-          timeout aborts on the request legs of a transaction. Off (the
-          default), none of that machinery sends a single message. *)
   evict_after_ms : float;
       (** silence before the certifier evicts a dead replica's watermark
           entirely so log/index GC cannot stall behind a corpse; an
@@ -148,10 +139,8 @@ type t = {
           channels. Off, a non-[Strong] request is still honoured but
           routed like any other — enable this to get the contracts. *)
   (* consensus-grade control plane (docs/PROTOCOL.md, "Control plane").
-     Both knobs default so that control-plane-off runs are
-     event-identical to builds without them: elections only replace the
-     (reliable-mode) self-promotion path that already existed, the voter
-     lease is off at 0, and the standby LB is off. *)
+     Both knobs default off: the voter lease is off at 0, and the
+     standby LB is off. *)
   voter_lease_ms : float;
       (** voter liveness lease: a standby that has not acknowledged
           replication for this long while the primary has decisions
@@ -271,10 +260,9 @@ val protected : t -> t
     apply-lag gap 200, retry budget 6 at 2/s, 500 ms deadline. *)
 
 val hardened : t -> t
-(** The fault-tolerant variant of a configuration: [reliable = true],
-    [start_wait_timeout_ms = 300], [retry_backoff_ms = 0.5]. This is the
-    configuration the chaos harness ([repro chaos]) runs under; see
-    docs/FAULTS.md. *)
+(** The client policy for a faulty network, which the chaos harness
+    runs under (docs/FAULTS.md): [start_wait_timeout_ms = 300] and
+    [retry_backoff_ms = 0.5]. The protocol is the same without it. *)
 
 val validate : t -> (unit, string) result
 (** Reject nonsensical settings with a human-readable reason instead of

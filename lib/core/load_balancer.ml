@@ -127,9 +127,7 @@ let healthy t i = t.live.(i) && t.health.(i) = Alive
 (* Route around detector state in tiers: prefer replicas the detector
    trusts, fall back to suspects, and only then to detector-dead (the
    detector can be wrong — e.g. a partition local to the LB — but the
-   manual [live] switch cannot). In a run without the detector every
-   replica is [Alive] and the first tier reproduces the original routing
-   exactly. -1 when no replica is live. *)
+   manual [live] switch cannot). -1 when no replica is live. *)
 let pick_live t ~sid =
   let c = pick t ~sid (healthy t) in
   if c >= 0 then c

@@ -20,6 +20,7 @@ type t = {
   version_changed : Sim.Condition.t;  (* broadcast when V_local advances or on crash *)
   slot_arrived : Sim.Condition.t;
   slots : slot Itbl.t;  (* version -> pending ordered-commit work *)
+  mutable taken : int;  (* last version dequeued; 0 once a crash cancels its run *)
   active : (Storage.Txn.t * bool ref) Itbl.t;  (* tid -> txn, abort flag *)
   mutable crashed : bool;
   mutable epoch : int;  (* bumped on crash: cancels in-flight apply lanes *)
@@ -50,6 +51,7 @@ let create ?obs ?metrics engine cfg ~rng ~id db =
     version_changed = Sim.Condition.create engine;
     slot_arrived = Sim.Condition.create engine;
     slots = Itbl.create 64;
+    taken = 0;
     active = Itbl.create 64;
     crashed = false;
     epoch = 0;
@@ -69,6 +71,10 @@ let database t = t.db
 let cpu t = t.cpu
 
 let v_local t = Storage.Database.version t.db
+
+let held t =
+  let rec upto v = if Itbl.mem t.slots (v + 1) then upto (v + 1) else v in
+  upto (Stdlib.max (v_local t) t.taken)
 
 let is_crashed t = t.crashed
 
@@ -128,6 +134,7 @@ let remove_pending_keys t ws =
 
 let dequeue t v ws =
   Itbl.remove t.slots v;
+  t.taken <- v;
   remove_pending_keys t ws
 
 (* --- Refresh application ---------------------------------------------
@@ -330,6 +337,7 @@ let sequencer t () =
       | rest -> apply_refresh_group t ~epoch ~first:v ((v, trace, ws) :: rest))
     | Some (Local { ws; done_ }) ->
       Itbl.remove t.slots v;
+      t.taken <- v;
       let commit_start = Sim.Engine.now t.engine in
       Sim.Resource.use t.cpu ~duration:(service_time t t.cfg.Config.commit_ms);
       Storage.Database.apply t.db ws ~version:v;
@@ -409,8 +417,7 @@ let commit_local t ~version ~ws =
   else if version <= v_local t then
     (* The certifier's refresh-repair resend already carried (and the
        sequencer applied) this version while our decision response was in
-       flight: the writeset is installed, the commit is done. Never
-       happens over the exactly-once network — repair is what races us. *)
+       flight: the writeset is installed, the commit is done. *)
     Sim.Ivar.fill done_ (Ok (Sim.Engine.now t.engine))
   else begin
     (match Itbl.find_opt t.slots version with
@@ -483,6 +490,7 @@ let set_on_commit t f = t.on_commit <- Some f
 
 let crash t =
   t.crashed <- true;
+  t.taken <- 0;
   t.epoch <- t.epoch + 1;  (* cancel the in-flight refresh run *)
   (* Queued refreshes are dropped below: the pending set empties, so the
      key index resets with it. *)

@@ -45,6 +45,12 @@ val cpu : t -> Sim.Resource.t
 
 val v_local : t -> int
 
+val held : t -> int
+(** The highest version [v] such that this replica holds every version
+    up to [v]: applied, being applied, or queued for its sequencer. A
+    replica that is busy applying a backlog still holds it; only a lost
+    refresh leaves [held] behind the certifier's log. *)
+
 val is_crashed : t -> bool
 
 (** {2 Transaction-side operations (called from a transaction process)} *)
@@ -54,8 +60,7 @@ val await_version : ?deadline:float -> t -> int -> (unit, Transaction.abort_reas
     Returns [Error Replica_failure] if the replica crashes meanwhile,
     and [Error Timeout] if [deadline] (absolute virtual time) passes
     first — the lossy-network guard against waiting on a version the
-    replica may never receive. No deadline = wait forever (the
-    exactly-once behaviour). *)
+    replica may never receive. No deadline = wait forever. *)
 
 val begin_txn : t -> tid:int -> Storage.Txn.t
 (** Start a local transaction on the current snapshot and register it

@@ -7,8 +7,7 @@
    automatic epoch-bumped promotion, epoch fencing of a dead history's
    stragglers, and reconciliation of a deposed primary back into the
    group. Every promotion is automatic: the tests crash a primary and
-   the standby failure detectors of a [Config.hardened] group elect
-   the successor. The bit-identity of [certifier_standbys = 0] with
+   the group's standby failure detectors elect the successor. The bit-identity of [certifier_standbys = 0] with
    the pre-HA protocol is pinned by the golden tests in test_core.ml. *)
 
 let params = { Workload.Microbench.tables = 4; rows = 100; update_types = 4 }
@@ -34,20 +33,6 @@ let ha_config =
     hiccup_interval_ms = 0.0;
   }
 
-(* Runs [body] as a process, and the engine until it returns. The
-   standby monitors of a hardened group never stop, so the engine runs
-   in bounded [run ~until] slices instead of to an empty queue. *)
-let run_process engine body =
-  let finished = ref false in
-  Sim.Process.spawn engine (fun () ->
-      body ();
-      finished := true);
-  while not !finished do
-    if Sim.Engine.now engine > 600_000.0 then
-      Alcotest.fail "test process still running after 600 s of virtual time";
-    Sim.Engine.run ~until:(Sim.Engine.now engine +. 1_000.0) engine
-  done
-
 (* Block the calling process until the failure detectors have promoted
    a standby over the crashed primary. *)
 let await_promotion engine c =
@@ -55,13 +40,9 @@ let await_promotion engine c =
     Sim.Process.sleep engine 1.0
   done
 
-(* The promotion tests run the group hardened: its standbys heartbeat
-   the primary and elect a successor when it goes silent. *)
-let hardened_config = Core.Config.hardened ha_config
-
-(* Direct certifier-group harness. Under [ha_config] the monitors stay
-   off ([reliable = false]), so the primary role never moves;
-   [hardened_config] turns on the failure detectors. *)
+(* Direct certifier-group harness. Every group with standbys runs its
+   failure detectors: the standbys heartbeat the primary and elect a
+   successor when it goes silent. *)
 let with_group ?(config = ha_config) ?faults ?(mode = Core.Consistency.Coarse) f =
   let engine = Sim.Engine.create () in
   let rng = Util.Rng.create 1 in
@@ -75,7 +56,7 @@ let with_group ?(config = ha_config) ?faults ?(mode = Core.Consistency.Coarse) f
     Sim.Network.set_faults network fl
   | None -> ());
   let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
-  run_process engine (fun () -> f engine certifier network)
+  Helpers.run_process engine (fun () -> f engine certifier network)
 
 let commit_or_fail c ~origin ~snapshot ~ws =
   match Core.Certifier.certify c ~origin ~snapshot ~ws with
@@ -150,7 +131,7 @@ let test_outage_queueing_preserves_order () =
      origins and all, and decide them under the new epoch. They arrive
      10-15 ms after the crash, well inside the 40 ms suspicion window. *)
   let decided = ref [] in
-  with_group ~config:hardened_config (fun engine c _net ->
+  with_group (fun engine c _net ->
       ignore (commit_or_fail c ~origin:0 ~snapshot:0 ~ws:(ws_on "t" 1));
       Core.Certifier.crash c;
       for i = 0 to 5 do
@@ -194,8 +175,8 @@ let test_evicted_rejoin_reenters_at_applied () =
       for i = 1 to 8 do
         ignore (commit_or_fail c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;
-      Core.Certifier.heartbeat c ~replica:0 ~applied:8;
-      Core.Certifier.heartbeat c ~replica:1 ~applied:2;
+      Core.Certifier.heartbeat c ~replica:0 ~applied:8 ~held:8;
+      Core.Certifier.heartbeat c ~replica:1 ~applied:2 ~held:2;
       Core.Certifier.mark_down c ~replica:1;
       Sim.Process.sleep engine 200.0;
       Core.Certifier.gc c;
@@ -215,7 +196,7 @@ let test_deposed_primary_reconciles_and_refollows () =
   (* After a promotion, the old primary's unreleased tail is dead
      history: on revival it must truncate to the promotion point, adopt
      the ruling epoch, and re-follow to an identical log copy. *)
-  with_group ~config:hardened_config (fun engine c _net ->
+  with_group (fun engine c _net ->
       for i = 1 to 10 do
         ignore (commit_or_fail c ~origin:0 ~snapshot:(i - 1) ~ws:(ws_on "t" i))
       done;
@@ -259,7 +240,7 @@ let test_deposed_batch_stays_out_of_index () =
      promotion. Both are fenced; B's key must stay certifiable. *)
   let config =
     {
-      hardened_config with
+      ha_config with
       Core.Config.cert_batch = 2;
       certify_base_ms = 0.0;
       certify_row_ms = 200.0;

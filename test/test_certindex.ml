@@ -45,7 +45,7 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
       ~bandwidth_mbps:1000.0
   in
   let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
-  Test_certha.run_process engine (fun () -> f engine certifier)
+  Helpers.run_process engine (fun () -> f engine certifier)
 
 (* Crash the primary and block until the failure detectors promoted a
    standby; the deposed member then rejoins as a standby and the group

@@ -132,7 +132,7 @@ let test_recovery_replays_missed_writesets () =
       | Core.Transaction.Committed _ -> ()
       | Core.Transaction.Aborted _ -> Alcotest.fail "update aborted");
       Core.Cluster.recover_replica cluster 2);
-  Sim.Engine.run engine;
+  Helpers.settle engine;
   let db = Core.Replica.database (Core.Cluster.replica cluster 2) in
   Alcotest.(check int) "replica 2 replayed the missed commit" 1
     (Storage.Database.version db);
@@ -458,8 +458,6 @@ let test_eviction_unblocks_gc_and_forces_state_transfer () =
 let test_backoff_defaults_off_and_works_when_on () =
   Alcotest.(check (float 0.0)) "default backoff base is 0" 0.0
     Core.Config.default.Core.Config.retry_backoff_ms;
-  Alcotest.(check bool) "default is not reliable" false
-    Core.Config.default.Core.Config.reliable;
   (* With backoff on and a conflict-heavy workload, clients still make
      progress and the run completes (the backoff sleeps draw from the
      client's own RNG stream only). *)
@@ -474,6 +472,34 @@ let test_backoff_defaults_off_and_works_when_on () =
   Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:1_000.0;
   Alcotest.(check bool) "committed with backoff enabled" true
     (Core.Metrics.committed (Core.Cluster.metrics cluster) > 100)
+
+(* A replica that is busy applying a backlog still holds it, so on a
+   clean network the certifier's refresh repair never fires and no leg
+   retransmits. The default config keeps the replica hiccups that make
+   replicas lag. *)
+let test_fault_free_run_retransmits_nothing () =
+  List.iter
+    (fun mode ->
+      let config = { Core.Config.default with replicas = 4; seed = 11 } in
+      let cluster =
+        Core.Cluster.create ~config ~mode
+          ~schemas:(Workload.Microbench.schemas params)
+          ~load:(Workload.Microbench.load params)
+          ()
+      in
+      Core.Client.spawn_many cluster ~n:40 ~first_sid:0 (Workload.Microbench.workload params);
+      Core.Cluster.run_for cluster ~warmup_ms:200.0 ~measure_ms:2_000.0;
+      let total name =
+        (List.find (fun p -> p.Core.Cluster.name = name) (Core.Cluster.probes cluster))
+          .Core.Cluster.read ()
+      in
+      let label = Core.Consistency.to_string mode in
+      Alcotest.(check bool) (label ^ ": transactions committed") true
+        (Core.Metrics.committed (Core.Cluster.metrics cluster) > 1_000);
+      List.iter
+        (fun name -> Alcotest.(check (float 0.0)) (label ^ ": " ^ name) 0.0 (total name))
+        [ "certifier.retransmits"; "net.retransmits" ])
+    Core.Consistency.all
 
 let test_abort_reason_breakdown () =
   (* Unit-level: the per-reason abort table sorts by count and renders
@@ -762,6 +788,8 @@ let suites =
         Alcotest.test_case "eviction unblocks GC" `Quick
           test_eviction_unblocks_gc_and_forces_state_transfer;
         Alcotest.test_case "client backoff" `Quick test_backoff_defaults_off_and_works_when_on;
+        Alcotest.test_case "a fault-free run retransmits nothing" `Quick
+          test_fault_free_run_retransmits_nothing;
         Alcotest.test_case "abort breakdown + fault counters" `Quick
           test_abort_reason_breakdown;
         Alcotest.test_case "commit races apply, p=1" `Quick

@@ -90,7 +90,7 @@ let test_tiered_update_rejected () =
         Some
           (Core.Cluster.submit cluster ~sid:0
              (update_req ~tier:Core.Consistency.Causal "t00" 1)));
-  Sim.Engine.run (Core.Cluster.engine cluster);
+  Helpers.settle (Core.Cluster.engine cluster);
   match !outcome with
   | Some (Core.Transaction.Aborted { reason = Core.Transaction.Statement_error _; _ }) ->
     ()
@@ -214,7 +214,7 @@ let submit_seq cluster reqs =
           go tl)
   in
   go reqs;
-  Sim.Engine.run engine;
+  Helpers.settle engine;
   List.rev !outcomes
 
 let snapshot_of name = function
