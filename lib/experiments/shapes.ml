@@ -51,7 +51,8 @@ let tpcw pairs =
     (fun ((p : Runner.point), _) -> match p.workload with Tpcw _ -> true | _ -> false)
     pairs
 
-let update_pct u = u * 100 / Workload.Microbench.default.Workload.Microbench.tables
+let update_pct u =
+  float_of_int (u * 100) /. float_of_int Workload.Microbench.default.Workload.Microbench.tables
 
 (* Figure 3: throughput against the update ratio. *)
 let fig3 pairs =
@@ -70,13 +71,13 @@ let fig3 pairs =
         let lazy_tps = List.map (tps u) lazy_modes in
         let pct_u = update_pct u in
         at_most
-          ~name:(Printf.sprintf "fig3 %d%% updates: TPS spread, lazy modes" pct_u)
+          ~name:(Printf.sprintf "fig3 %g%% updates: TPS spread, lazy modes" pct_u)
           ~paper:"within ~5% (<= 5%)" ~show:pct ~ok:0.05 ~fail:0.15 (spread lazy_tps)
         ::
-        (if pct_u >= 25 then
+        (if pct_u >= 25.0 then
            [
              at_least
-               ~name:(Printf.sprintf "fig3 %d%% updates: eager below slowest lazy" pct_u)
+               ~name:(Printf.sprintf "fig3 %g%% updates: eager below slowest lazy" pct_u)
                ~paper:"~40% below (>= 30%)" ~show:pct ~ok:0.30 ~fail:0.0
                (1.0 -. (tps u Core.Consistency.Eager /. List.fold_left Float.min infinity lazy_tps));
            ]
@@ -94,18 +95,18 @@ let fig4 pairs =
       let pct_u = update_pct u in
       [
         at_most
-          ~name:(Printf.sprintf "fig4 %d%% updates: fine start - coarse start" pct_u)
+          ~name:(Printf.sprintf "fig4 %g%% updates: fine start - coarse start" pct_u)
           ~paper:"fine <= coarse (<= 0 ms)"
           ~show:(Printf.sprintf "%+.2f ms") ~ok:0.0
           (start Core.Consistency.Fine -. start Core.Consistency.Coarse);
         at_least
-          ~name:(Printf.sprintf "fig4 %d%% updates: eager global / lazy start" pct_u)
+          ~name:(Printf.sprintf "fig4 %g%% updates: eager global / lazy start" pct_u)
           ~paper:"order of magnitude (>= 10x)" ~show:times ~ok:10.0 ~fail:1.0
           ((summary Core.Consistency.Eager).Runner.stage_update_ms.(global)
           /. List.fold_left Float.max 0.0 (List.map start lazy_modes));
       ])
     (List.filter
-       (fun u -> List.mem (update_pct u) [ 25; 100 ])
+       (fun u -> List.mem (update_pct u) [ 25.0; 100.0 ])
        (Runner.distinct (List.map (fun (p, _) -> Runner.update_types p) pairs)))
 
 (* Figure 7: eager's response time under fixed load, 4 against 8
