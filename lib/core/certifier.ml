@@ -1117,11 +1117,11 @@ let is_marked_live t ~replica = Itbl.mem t.live replica
    subscriber's held version ({!Replica.held}, from its heartbeat, or the
    applied watermark the per-version acks keep fresher) when it lags the
    previous tick's log head and has not moved since: a version released
-   a tick ago is missing. A replica merely busy
-   applying a backlog holds it, so a fault-free run repairs nothing.
-   Receivers dedup by version ({!Replica.receive_refresh_batch}). Repair
-   streams carry the ruling epoch and originate from the current
-   primary's endpoint, so a deposed primary's stragglers are fenced. *)
+   a tick ago is missing. A replica merely busy applying a backlog holds
+   it, so a fault-free run repairs nothing. Receivers dedup by version
+   ({!Replica.receive_refresh_batch}). Repair streams carry the ruling
+   epoch and originate from the current primary's endpoint, so a deposed
+   primary's stragglers are fenced. *)
 
 let repair_resend_cap = 64
 let repair_catchup_cap = 256
@@ -1140,28 +1140,28 @@ let repair_tick t =
           match seen with
           | None -> ()
           | Some (w0, head0) ->
-          let stalled = w = w0 && w < head0 in
-          (* A replica more than one batch behind can never be healed by
-             the live refresh stream (broadcasts only cover new versions),
-             so stream its suffix on every tick instead of waiting for the
-             held version to stall, and in bigger batches. *)
-          let deep = head0 - w > repair_resend_cap in
-          if (stalled || deep) && w >= Log.base p.cn_log then
-            match writesets_from t w with
-            | None -> ()
-            | Some items ->
-              let rec take n = function
-                | x :: rest when n > 0 -> x :: take (n - 1) rest
-                | _ -> []
-              in
-              let items =
-                take (if deep then repair_catchup_cap else repair_resend_cap) items
-                |> List.map (fun (v, ws) -> (None, v, ws))
-              in
-              t.retransmits <- t.retransmits + 1;
-              Sim.Network.send t.network ~src:p.cn_net ~dst:replica
-                ~size_bytes:(refresh_bytes items)
-                (fun () -> deliver ~epoch:repair_epoch items))
+            let stalled = w = w0 && w < head0 in
+            (* A replica more than one batch behind can never be healed by
+               the live refresh stream (broadcasts only cover new versions),
+               so stream its suffix on every tick instead of waiting for the
+               held version to stall, and in bigger batches. *)
+            let deep = head0 - w > repair_resend_cap in
+            if (stalled || deep) && w >= Log.base p.cn_log then
+              match writesets_from t w with
+              | None -> ()
+              | Some items ->
+                let rec take n = function
+                  | x :: rest when n > 0 -> x :: take (n - 1) rest
+                  | _ -> []
+                in
+                let items =
+                  take (if deep then repair_catchup_cap else repair_resend_cap) items
+                  |> List.map (fun (v, ws) -> (None, v, ws))
+                in
+                t.retransmits <- t.retransmits + 1;
+                Sim.Network.send t.network ~src:p.cn_net ~dst:replica
+                  ~size_bytes:(refresh_bytes items)
+                  (fun () -> deliver ~epoch:repair_epoch items))
         | Some _ | None -> ())
       t.subscribers
   end
