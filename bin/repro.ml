@@ -461,12 +461,14 @@ let chaos_cmd =
 let overload rates mode protect seed clients duration warmup json_file jobs =
   if rates = [] then `Error (false, "empty rate list")
   else begin
-    (* The protected arm arms [Config.protected], the stack the chaos
-       overload soak uses, so the sweep's plateau and the soak's
+    (* The protected arm sets [Config.overload_protection], as the chaos
+       overload soak does, so the sweep's plateau and the soak's
        recovery claim are about one configuration. *)
     let config =
-      let c = with_seed seed (Experiments.Chaos.default_config ~seed) in
-      if protect then Core.Config.protected c else c
+      {
+        (with_seed seed (Experiments.Chaos.default_config ~seed)) with
+        Core.Config.overload_protection = protect;
+      }
     in
     Printf.printf "Open-loop sweep: mode=%s, %d rate(s), %.1fs measured, protections %s\n\n"
       (Core.Consistency.to_string mode)
@@ -629,7 +631,7 @@ let report quick seed window json_file =
     with Sys_error e -> `Error (false, Printf.sprintf "cannot write %s: %s" file e))
 
 let report_window_arg =
-  let doc = "Observatory window span in virtual ms, > 0 (default: Config.obs_window_ms)." in
+  let doc = "Observatory window span in virtual ms, finite and > 0 (default: Config.obs_window_ms)." in
   Arg.(value & opt (some float) None & info [ "window" ] ~docv:"MS" ~doc)
 
 let report_json_arg =

@@ -108,7 +108,8 @@ end
 
 (* A snapshot older than the pruned horizon cannot be checked and is
    conservatively aborted; the horizon trails the slowest replica by
-   [gc_window] versions, so this only hits pathologically old ones. *)
+   [Certifier.watermark_slack] versions, so this only hits pathologically
+   old ones. *)
 let decide ~record log index ~snapshot ws =
   if snapshot < Log.base log || Index.conflicts index ~snapshot ws then None
   else begin

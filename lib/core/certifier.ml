@@ -112,7 +112,7 @@ type t = {
   mutable lease_expiries : int;  (* voters demoted to learner by the lease *)
   mutable commits : int;
   mutable aborts : int;
-  mutable shed : int;  (* refused by the bounded backlog (cert_queue_bound) *)
+  mutable shed : int;  (* refused by the bounded backlog ([cert_queue_bound]) *)
   mutable expired : int;  (* dropped with their deadline already passed *)
   mutable retransmits : int;
   mutable evictions : int;
@@ -263,6 +263,29 @@ let min_live_watermark t =
   if Itbl.length t.live = 0 then None
   else
     Some (Itbl.fold (fun replica () acc -> min acc (watermark t ~replica)) t.live max_int)
+
+(* Watermark GC (docs/PROTOCOL.md, "Applied watermarks drive log GC"):
+   the log and index keep [watermark_slack] versions below the slowest
+   live replica's applied watermark, the same window as each replica's
+   own vacuum ([Cluster.gc_window]), so both prune at one horizon. A
+   replica down and silent for [evict_after_ms], far past the LB's
+   400 ms dead verdict, loses its watermark entry, so only a long outage
+   is forced into state transfer. *)
+let watermark_slack = 1_000
+let evict_after_ms = 5_000.0
+
+(* The apply-lag governor (under [Config.overload_protection]) sheds new
+   writes while the slowest live replica trails by more than
+   [apply_lag_gap] versions. The gap must stay below the slack: past the
+   slack a lagging replica is forced into state transfer, before the
+   governor would ever throttle. *)
+let apply_lag_gap = 200
+let () = assert (apply_lag_gap < watermark_slack)
+
+let apply_lag_exceeded t =
+  match min_live_watermark t with
+  | None -> false
+  | Some w -> version t - w > apply_lag_gap
 
 let min_watermark t =
   if Itbl.length t.watermarks = 0 then 0
@@ -924,7 +947,7 @@ let admit ?trace t ~origin ~snapshot ~ws ~deadline =
     }
   in
   Queue.add request t.pending;
-  (if t.cfg.Config.cert_queue_bound > 0 then
+  (if t.cfg.Config.overload_protection then
      match t.metrics with
      | Some m -> Metrics.note_queue_depth m (Queue.length t.pending)
      | None -> ());
@@ -968,21 +991,26 @@ let lead t request =
     | live -> process_batch t live
   end
 
+(* The bounded backlog's length under [Config.overload_protection]: half
+   the load balancer's admission cap, the value the overload soak is
+   pinned at. *)
+let cert_queue_bound = 24
+
 let certify ?trace ?applied ?(deadline = infinity) t ~origin ~snapshot ~ws =
   (* Watermark piggyback: the origin's applied V_local rides on the
      certification request (no extra message, no virtual time). *)
   (match applied with
   | Some version -> observe_applied t ~replica:origin ~version
   | None -> ());
-  (* Bounded backlog (Config.cert_queue_bound): a request arriving at a
+  (* Bounded backlog ([cert_queue_bound]): a request arriving at a
      full pending queue is refused on the spot — no CPU queueing, no log
      work, no virtual time — so the backlog (and the latency it would
      add to every admitted request) stays bounded. Expired work is
      likewise dropped before it queues. Both answers happen strictly
      before any decision is made for the request, so a refused
      transaction can never also commit. *)
-  let bound = t.cfg.Config.cert_queue_bound in
-  if bound > 0 && Queue.length t.pending >= bound then begin
+  if t.cfg.Config.overload_protection && Queue.length t.pending >= cert_queue_bound
+  then begin
     t.shed <- t.shed + 1;
     Overloaded
   end
@@ -1027,25 +1055,22 @@ let prune t ~keep_after =
    live replica is heard from (heartbeats, acks, requests) and never
    goes silent for that long. *)
 let evict_dead t =
-  let horizon = t.cfg.Config.evict_after_ms in
-  if horizon > 0.0 then begin
-    let now = Sim.Engine.now t.engine in
-    let victims =
-      Itbl.fold
-        (fun replica _w acc ->
-          let heard = Option.value (Itbl.find_opt t.last_heard replica) ~default:0.0 in
-          if (not (Itbl.mem t.live replica)) && now -. heard > horizon then
-            replica :: acc
-          else acc)
-        t.watermarks []
-    in
-    List.iter
-      (fun replica ->
-        Itbl.remove t.watermarks replica;
-        Itbl.replace t.evicted replica ();
-        t.evictions <- t.evictions + 1)
-      victims
-  end
+  let now = Sim.Engine.now t.engine in
+  let victims =
+    Itbl.fold
+      (fun replica _w acc ->
+        let heard = Option.value (Itbl.find_opt t.last_heard replica) ~default:0.0 in
+        if (not (Itbl.mem t.live replica)) && now -. heard > evict_after_ms then
+          replica :: acc
+        else acc)
+      t.watermarks []
+  in
+  List.iter
+    (fun replica ->
+      Itbl.remove t.watermarks replica;
+      Itbl.replace t.evicted replica ();
+      t.evictions <- t.evictions + 1)
+    victims
 
 let needs_state_transfer t ~replica = Itbl.mem t.evicted replica
 
@@ -1059,7 +1084,7 @@ let gc t =
   evict_dead t;
   match min_live_watermark t with
   | None -> ()
-  | Some m -> prune t ~keep_after:(max 0 (m - t.cfg.Config.watermark_slack))
+  | Some m -> prune t ~keep_after:(max 0 (m - watermark_slack))
 
 let crash t =
   if Array.length t.nodes = 1 then

@@ -26,7 +26,7 @@
     {b Applied watermarks}: replicas piggyback their applied [V_local]
     on certification requests ([?applied]) and per-version acks
     ({!ack}); {!gc} truncates log and index below
-    [min(live watermarks) - Config.watermark_slack], replacing blind
+    [min(live watermarks) - ]{!watermark_slack}, replacing blind
     fixed-window pruning with a rule that tracks what replicas still
     need.
 
@@ -65,8 +65,8 @@ type decision =
           replica has committed the transaction. *)
   | Abort
   | Overloaded
-      (** Refused at arrival by the bounded backlog
-          ([Config.cert_queue_bound]) — no queueing, no log work, no
+      (** Refused at arrival by the bounded backlog under
+          [Config.overload_protection] — no queueing, no log work, no
           virtual time consumed, and therefore never also committed. *)
   | Expired
       (** Dropped because the request's [?deadline] had passed — either
@@ -160,17 +160,25 @@ val min_watermark : t -> int
     bound on every replica's applied version — what
     {!Load_balancer.prune_sessions} keys off. *)
 
-val min_live_watermark : t -> int option
-(** Minimum watermark over the {e live} replicas only; [None] when none
-    is live. What the GC floor and the cluster's apply-lag governor
-    ([Config.apply_lag_gap]) key off. *)
+val watermark_slack : int
+(** Versions {!gc} retains below the minimum live watermark (1000). *)
+
+val evict_after_ms : float
+(** Silence after which {!gc} evicts a down replica's watermark entry
+    (5000 ms). *)
+
+val apply_lag_exceeded : t -> bool
+(** Whether [V_system] leads the minimum watermark over the {e live}
+    replicas by more than the apply-lag governor's gap (200 versions,
+    below {!watermark_slack}): the cluster then sheds new writes when
+    [Config.overload_protection] is on. False when no replica is live. *)
 
 val gc : t -> unit
 (** Evict watermark entries of replicas that are down and silent beyond
-    [Config.evict_after_ms] (so a corpse cannot pin {!min_watermark} or
+    {!evict_after_ms} (so a corpse cannot pin {!min_watermark} or
     — once marked down — the GC floor forever; see
     {!needs_state_transfer}), then truncate log and index below
-    [min(live watermarks) - Config.watermark_slack]. No-op when no
+    [min(live watermarks) - ]{!watermark_slack}. No-op when no
     replica is live. *)
 
 val needs_state_transfer : t -> replica:int -> bool
@@ -272,7 +280,7 @@ val lease_expiries : t -> int
 
 val shed : t -> int
 (** Requests refused [Overloaded] by the bounded backlog (monotonic;
-    0 unless [Config.cert_queue_bound > 0]). *)
+    0 unless [Config.overload_protection]). *)
 
 val expired : t -> int
 (** Requests answered [Expired] because their deadline passed

@@ -3,27 +3,37 @@ type workload = {
   next_request : Util.Rng.t -> Transaction.request;
 }
 
-(* Per-client retry budget (Config.retry_budget): a token bucket over
-   virtual time, refilled lazily at spend points so it schedules no
-   events of its own. [None] (budget off) touches nothing — the retry
-   loop is bit-identical to the pre-budget behaviour. *)
+(* Per-client retry budget (under Config.overload_protection): a token
+   bucket of [retry_budget] tokens refilled at [retry_budget_per_s] over
+   virtual time, lazily at spend points so it schedules no events of its
+   own. The values are the ones the overload soak is pinned at: a
+   client rides out a short burst of sheds, and a storm drains the
+   bucket in a few retries. [None] (protection off) touches nothing —
+   the retry loop is bit-identical to the pre-budget behaviour. *)
+let retry_budget = 6.0
+let retry_budget_per_s = 2.0
+
+(* The backoff cap: the hardened base of 0.5 ms reaches it after about
+   seven doublings, so a client retrying through a long outage still
+   probes every ~50 ms. *)
+let retry_backoff_max_ms = 50.0
+
 type budget = {
   mutable tokens : float;
   mutable last_ms : float;
 }
 
 let budget_of_config (cfg : Config.t) now =
-  if cfg.Config.retry_budget > 0.0 then
-    Some { tokens = cfg.Config.retry_budget; last_ms = now }
+  if cfg.Config.overload_protection then Some { tokens = retry_budget; last_ms = now }
   else None
 
-let budget_take (cfg : Config.t) engine = function
+let budget_take engine = function
   | None -> true
   | Some b ->
     let now = Sim.Engine.now engine in
     b.tokens <-
-      Float.min cfg.Config.retry_budget
-        (b.tokens +. ((now -. b.last_ms) /. 1000.0 *. cfg.Config.retry_budget_per_s));
+      Float.min retry_budget
+        (b.tokens +. ((now -. b.last_ms) /. 1000.0 *. retry_budget_per_s));
     b.last_ms <- now;
     if b.tokens >= 1.0 then begin
       b.tokens <- b.tokens -. 1.0;
@@ -46,7 +56,7 @@ let run_transaction cluster ~sid ~rng ~budget request =
   let backoff tries =
     let base = cfg.Config.retry_backoff_ms in
     if base > 0.0 then begin
-      let cap = Float.max base cfg.Config.retry_backoff_max_ms in
+      let cap = Float.max base retry_backoff_max_ms in
       let d = Float.min cap (base *. (2.0 ** float_of_int (tries - 1))) in
       (* ±50% jitter decorrelates colliding retries. *)
       let jittered = d *. (0.5 +. Util.Rng.float rng 1.0) in
@@ -75,7 +85,7 @@ let run_transaction cluster ~sid ~rng ~budget request =
       (* A logic error in the workload; retrying cannot help. *)
       give_up ()
     | Transaction.Aborted { reason = Transaction.Overloaded { retry_after_ms }; _ } ->
-      if budget_take cfg engine budget then begin
+      if budget_take engine budget then begin
         (* The hint is deterministic on purpose: overload runs stay
            reproducible, and decorrelation comes from each client's
            own position in virtual time. *)
@@ -84,14 +94,14 @@ let run_transaction cluster ~sid ~rng ~budget request =
       end
       else give_up_budget ()
     | Transaction.Aborted { reason; _ } when Transaction.abort_is_transient reason ->
-      if budget_take cfg engine budget then begin
+      if budget_take engine budget then begin
         backoff (total + 1);
         attempt ~tries ~total:(total + 1)
       end
       else give_up_budget ()
     | Transaction.Aborted _ ->
       if tries < cfg.Config.max_retries then begin
-        if budget_take cfg engine budget then begin
+        if budget_take engine budget then begin
           backoff (total + 1);
           attempt ~tries:(tries + 1) ~total:(total + 1)
         end

@@ -29,7 +29,7 @@ type t = {
   shed_tids : (int, unit) Hashtbl.t;
       (* every tid refused with [Transaction.Overloaded] (the [txn.shed]
          total) — the chaos zombie-commit checker asserts none of them
-         appears in the commit log; empty unless an overload knob is on *)
+         appears in the commit log; empty without [Config.overload_protection] *)
   mutable deadline_expired : int;
   mutable budget_exhausted : int;  (* transactions given up on an empty retry budget *)
   mutable next_tid : int;
@@ -213,7 +213,8 @@ let probe_table t =
       gauge "certifier.epoch" (fun () -> Certifier.current_epoch c);
       gauge "certifier.standby_lag" (fun () -> Certifier.standby_lag c);
       gauge "lb.epoch" (fun () -> t.lb_epoch);
-      (* Overload levels: flat zero unless an overload knob is on. *)
+      (* Overload levels: the certifier backlog, and the LB admissions,
+         which stay zero without [Config.overload_protection]. *)
       gauge "certifier.backlog" (fun () -> Certifier.backlog c);
       gauge "lb.admitted" (fun () -> Load_balancer.admitted (active_lb t));
     ]
@@ -240,7 +241,7 @@ let probe_table t =
       total "replicas.fenced" (fun () ->
           Array.fold_left (fun acc r -> acc + Replica.fenced_refreshes r) 0 t.replicas);
       (* Overload protection (docs/PROTOCOL.md, "Overload & admission
-         control"): zero unless a protection knob is on and fires. *)
+         control"): zero unless [Config.overload_protection] is on and fires. *)
       total "certifier.shed" (fun () -> Certifier.shed c);
       total "certifier.expired" (fun () -> Certifier.expired c);
       total "txn.shed" (fun () -> Hashtbl.length t.shed_tids);
@@ -260,14 +261,18 @@ let probe_table t =
 (* --- per-role wiring ------------------------------------------------- *)
 
 (* Replica databases and the certifier log are vacuumed every
-   [gc_interval_ms]. *)
+   [gc_interval_ms]. Each replica keeps [gc_window] row versions behind
+   its own applied version, the certifier's [watermark_slack], so a
+   snapshot the certifier can still check is still readable. *)
+let gc_window = 1_000
+
 let start_gc t =
   Sim.Process.every t.engine ~period:t.cfg.Config.gc_interval_ms (fun () ->
       (* Vacuum each replica behind its own applied version: any live
-         snapshot there is at most gc_window versions old. *)
+         snapshot there is at most [gc_window] versions old. *)
       Array.iter
         (fun r ->
-          let keep_after = max 0 (Replica.v_local r - t.cfg.Config.gc_window) in
+          let keep_after = max 0 (Replica.v_local r - gc_window) in
           ignore (Storage.Database.gc (Replica.database r) ~keep_after))
         t.replicas;
       (* Truncate certifier log + index behind the slowest live
@@ -731,7 +736,7 @@ type flight = {
   req : Transaction.request;
   mtxn : Metrics.txn;  (* the stage clock, and the spans when tracing *)
   begin_time : float;
-  deadline : float;  (* [infinity] when [Config.deadline_ms] is off *)
+  deadline : float;  (* [infinity] without [Config.overload_protection] *)
   mutable stand : stand;
   mutable lb : int;  (* dispatching LB instance, pinned at the LB hop *)
   mutable lb_epoch : int;  (* routing epoch at the LB hop *)
@@ -830,12 +835,13 @@ let abort t f reason =
   release t f;
   Transaction.Aborted { reason; response_ms }
 
-(* Refused at the LB before any replica is engaged, with a retry-after
-   hint; the tid is remembered so the zombie-commit checker can prove a
-   shed transaction never commits. *)
-let shed t f retry_after_ms =
+(* Refused with a retry-after hint, at the LB before any replica is
+   engaged or by the certifier's bounded backlog; the tid is remembered
+   so the zombie-commit checker can prove a shed transaction never
+   commits. *)
+let shed t f =
   Hashtbl.replace t.shed_tids f.tid ();
-  abort_with (Transaction.Overloaded { retry_after_ms })
+  abort_with (Transaction.Overloaded { retry_after_ms = Load_balancer.shed_retry_after_ms })
 
 (* Stage: route. Client -> LB, admission, replica choice and start
    version, LB -> replica. Returns the start version. *)
@@ -853,26 +859,21 @@ let route t f =
   f.lb <- t.lb_active;
   f.lb_epoch <- t.lb_epoch;
   let lb = t.lbs.(f.lb) in
-  (* Apply-lag governor: when the slowest live replica's applied
-     watermark trails [V_system] by more than [apply_lag_gap] versions,
-     new writes are refused — admitting them would only stretch the
-     refresh backlog (and every tiered read's staleness) further. Reads
-     stay admitted: they don't grow the backlog. All overload gates are
-     off by default (see Config). *)
-  if
-    t.cfg.Config.apply_lag_gap > 0
-    && List.exists Storage.Query.is_update req.Transaction.statements
-    &&
-    match Certifier.min_live_watermark t.certifier with
-    | None -> false
-    | Some w -> Certifier.version t.certifier - w > t.cfg.Config.apply_lag_gap
-  then shed t f t.cfg.Config.shed_retry_after_ms;
-  if Load_balancer.admission_on t.cfg then begin
-    match Load_balancer.admit lb ~strong:(req.Transaction.tier = Consistency.Strong) with
-    | Error retry_after_ms -> shed t f retry_after_ms
-    | Ok () ->
-      f.admitted <- true;
-      Metrics.note_queue_depth t.metrics (Load_balancer.admitted lb)
+  (* Overload protection: first the apply-lag governor — when the
+     slowest live replica's applied watermark trails [V_system] by more
+     than the gap, new writes are refused, since admitting them would
+     only stretch the refresh backlog (and every tiered read's
+     staleness) further; reads don't grow the backlog and stay admitted
+     — then the admission cap. *)
+  if t.cfg.Config.overload_protection then begin
+    if
+      List.exists Storage.Query.is_update req.Transaction.statements
+      && Certifier.apply_lag_exceeded t.certifier
+    then shed t f;
+    if not (Load_balancer.admit lb ~strong:(req.Transaction.tier = Consistency.Strong)) then
+      shed t f;
+    f.admitted <- true;
+    Metrics.note_queue_depth t.metrics (Load_balancer.admitted lb)
   end;
   (* Strong requests take the mode's version oracle; with read tiers
      enabled, a weaker read class is routed by staleness instead — the
@@ -993,9 +994,8 @@ let refuse t f = function
   | Certifier.Abort | Certifier.Commit _ -> abort_with Transaction.Certification_conflict
   | Certifier.Overloaded ->
     (* Refused by the bounded certifier backlog: surfaced to the client
-       exactly like an LB shed, with the same hint. *)
-    Hashtbl.replace t.shed_tids f.tid ();
-    abort_with (Transaction.Overloaded { retry_after_ms = t.cfg.Config.shed_retry_after_ms })
+       exactly like an LB shed. *)
+    shed t f
   | Certifier.Expired ->
     (* Its deadline passed while it queued at the certifier. *)
     t.deadline_expired <- t.deadline_expired + 1;
@@ -1065,6 +1065,11 @@ let commit ?version ?epoch t f ~snapshot ~ws =
   release t f;
   Transaction.Committed { commit_version = version; snapshot; stages; response_ms }
 
+(* The per-attempt deadline under [Config.overload_protection]: far
+   above a healthy transaction's response time, so it drops only work
+   stuck in a backlog. *)
+let deadline_ms = 500.0
+
 let submit t ~sid (req : Transaction.request) =
   let begin_time = now t in
   let tid = t.next_tid in
@@ -1075,8 +1080,7 @@ let submit t ~sid (req : Transaction.request) =
      drop work past it — always strictly before a commit decision, so an
      expired transaction can never commit. *)
   let deadline =
-    if t.cfg.Config.deadline_ms > 0.0 then begin_time +. t.cfg.Config.deadline_ms
-    else infinity
+    if t.cfg.Config.overload_protection then begin_time +. deadline_ms else infinity
   in
   let mtxn = Metrics.txn_begin ?obs:t.obs ~sid ~name:req.Transaction.profile t.metrics in
   let f =

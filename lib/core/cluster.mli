@@ -49,6 +49,12 @@ val create :
     ({!Metrics.add_total}), so its window count is readable as
     [Metrics.total (metrics t) name]. *)
 
+val deadline_ms : float
+(** The per-attempt deadline every transaction carries under
+    [Config.overload_protection] (500 ms): the version wait, the
+    certify hand-off and the certifier drop work past it, always before
+    a commit decision. *)
+
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t
 val mode : t -> Consistency.mode
@@ -107,7 +113,7 @@ val pp_catalog : Format.formatter -> t -> unit
 
 val note_retry_budget_exhausted : t -> unit
 (** A client gave a transaction up on an empty retry budget
-    ([Config.retry_budget]); the source of the
+    (under [Config.overload_protection]); the source of the
     [txn.retry_budget_exhausted] total. *)
 
 val start_observatory : t -> Obs.Timeseries.t
@@ -147,7 +153,7 @@ val was_shed : t -> tid:int -> bool
     no shed tid appears among {!records}. *)
 
 val shed_count : t -> int
-(** Distinct transactions shed so far (0 with overload knobs off). *)
+(** Distinct transactions shed so far (0 without [Config.overload_protection]). *)
 
 (** {2 Fault injection} *)
 

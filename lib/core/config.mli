@@ -74,12 +74,10 @@ type t = {
           the pre-batching sequencer. *)
   (* transient replica slowdowns (checkpoints, cache misses, OS noise):
      each replica independently enters a slow window in which its service
-     times are multiplied by [hiccup_factor]. The eager configuration is
-     exposed to the slowest replica on every commit round; lazy
-     configurations mostly absorb these windows. *)
+     times are multiplied by a fixed factor ({!Replica}). The eager
+     configuration is exposed to the slowest replica on every commit
+     round; lazy configurations mostly absorb these windows. *)
   hiccup_interval_ms : float;  (** mean time between windows; 0 disables *)
-  hiccup_duration_ms : float;  (** mean window length *)
-  hiccup_factor : float;  (** service-time multiplier while slow *)
   (* behaviour *)
   service_jitter : bool;
   early_certification : bool;
@@ -90,29 +88,14 @@ type t = {
   max_retries : int;  (** client-side retries after an abort *)
   record_log : bool;  (** keep per-transaction {!Check.Runlog.record}s *)
   gc_interval_ms : float;  (** MVCC vacuum period; 0 disables *)
-  gc_window : int;
-      (** versions each replica's MVCC vacuum keeps behind its own
-          applied version (bounds snapshot age for live readers) *)
-  watermark_slack : int;
-      (** versions the certifier retains below the minimum live-replica
-          applied watermark when truncating its log and key index
-          ({!Certifier.gc}); the slack keeps certification of
-          slightly-stale snapshots checkable and bounds how soon a
-          briefly-lagging replica is forced into state transfer *)
-  (* client policy and replica eviction under faults (docs/FAULTS.md).
-     The protocol itself has no switch, and its timers are constants
-     (docs/TUNING.md, "Fixed protocol timings"). *)
+  (* client policy under faults (docs/FAULTS.md). The protocol itself
+     has no switch, and its timers are constants (docs/TUNING.md, "Fixed
+     protocol timings"). *)
   retry_backoff_ms : float;
       (** client retry backoff base: after the [n]-th abort the client
-          sleeps [base * 2^n] ms (capped at [retry_backoff_max_ms]) with
-          ±50% jitter before retrying. 0 (the default) retries
-          immediately and draws no random numbers, preserving golden
-          behaviour. *)
-  retry_backoff_max_ms : float;  (** backoff cap *)
-  evict_after_ms : float;
-      (** silence before the certifier evicts a dead replica's watermark
-          entirely so log/index GC cannot stall behind a corpse; an
-          evicted replica must state-transfer on rejoin; 0 disables *)
+          sleeps [base * 2^n] ms (capped at 50 ms) with ±50% jitter
+          before retrying. 0 (the default) retries immediately and
+          draws no random numbers, preserving golden behaviour. *)
   start_wait_timeout_ms : float;
       (** bound on waiting for a replica to catch up to a transaction's
           start version; on expiry the transaction aborts with
@@ -163,51 +146,20 @@ type t = {
           cluster runs the classic singleton LB and allocates none of
           this. *)
   (* overload protection (docs/PROTOCOL.md, "Overload & admission
-     control"). Every knob defaults {e off}: an unprotected run draws no
-     extra random numbers and schedules no extra events, so it is
-     bit-identical to a build without the overload machinery. Rejected
-     work aborts with {!Transaction.Overloaded} before consuming any
-     replica or certifier resources. *)
-  admission_limit : int;
-      (** load-balancer concurrency cap: maximum transactions admitted
-          and not yet answered. At the cap every new arrival is shed;
-          {e strong} (potentially-writing) requests are shed earlier —
-          from 7/8 of the cap — so weak-tier reads degrade last
-          (priority shedding). 0 (the default) = unbounded. *)
-  cert_queue_bound : int;
-      (** bound on the certifier's pending-request backlog: a
-          certification request arriving when this many are already
-          queued is refused ([Transaction.Overloaded]) without touching
-          the certifier CPU or log. 0 (the default) = unbounded. *)
-  apply_lag_gap : int;
-      (** apply-lag governor: writes are refused at admission while the
-          minimum live-replica applied watermark trails the system
-          version by more than this many versions — back-pressure that
-          keeps refresh queues from growing without bound while reads
-          (which need no certification) continue. Must stay below
-          [watermark_slack]. 0 (the default) disables the governor. *)
-  shed_retry_after_ms : float;
-      (** base retry-after hint carried on [Transaction.Overloaded]
-          aborts; the apply-lag governor scales it by how far the lag
-          exceeds the gap *)
-  retry_budget : float;
-      (** per-client retry token bucket capacity: every retry (conflict
-          {e and} transient) spends one token; a client with an empty
-          bucket gives the transaction up instead of retrying, capping
-          aggregate retry amplification during overload. Refills at
-          [retry_budget_per_s]. 0 (the default) = unlimited retries
-          (PR 4 behaviour). *)
-  retry_budget_per_s : float;
-      (** retry tokens returned per virtual second (lazy refill — no
-          timer events); must be > 0 when [retry_budget > 0] *)
-  deadline_ms : float;
-      (** per-attempt client deadline carried on every request: each
-          stage (start-version wait, execution, certification) drops the
-          work as soon as the deadline has passed instead of processing
-          it, aborting with {!Transaction.Timeout} and counting
-          [deadline_expired]. Deadlines are only checked {e before} the
-          certifier decides, so an expired transaction can never be
-          silently committed. 0 (the default) = no deadline. *)
+     control"). *)
+  overload_protection : bool;
+      (** arm the overload stack, whose limits are constants in the
+          modules that enforce them (docs/TUNING.md, "Fixed protocol
+          timings"): the load balancer's admission cap
+          ({!Load_balancer.admission_limit}, strong requests shed from
+          7/8 of it), the certifier's bounded backlog, the apply-lag
+          governor ({!Certifier.apply_lag_exceeded}), a per-client retry
+          token bucket and a per-attempt deadline
+          ({!Cluster.deadline_ms}). Rejected work aborts with
+          {!Transaction.Overloaded} before consuming any replica or
+          certifier resources. Off (the default) the run draws no extra
+          random numbers and schedules no extra events, so it is
+          bit-identical to a build without the machinery. *)
 }
 
 (** {2 Fault-plan node ids}
@@ -254,11 +206,6 @@ val batched : t -> t
     experiment sweeps ([repro batch]); see docs/TUNING.md for the
     measured effect of each knob. *)
 
-val protected : t -> t
-(** The overload-protection stack the chaos overload soak and [repro
-    overload --protect] arm: admission cap 48, certifier backlog 24,
-    apply-lag gap 200, retry budget 6 at 2/s, 500 ms deadline. *)
-
 val hardened : t -> t
 (** The client policy for a faulty network, which the chaos harness
     runs under (docs/FAULTS.md): [start_wait_timeout_ms = 300] and
@@ -268,7 +215,7 @@ val validate : t -> (unit, string) result
 (** Reject nonsensical settings with a human-readable reason instead of
     silently clamping or failing at runtime: a certification batch cap
     or apply-lane count below 1, an ack quorum larger than
-    the standby count (no commit could ever release), a negative voter
-    lease, an apply-lag gap at or above the watermark slack.
+    the standby count (no commit could ever release), a negative or NaN
+    voter lease, an observatory window that is not finite and positive.
     {!Cluster.create} runs this and raises [Invalid_argument] on
     [Error]; the CLI surfaces the message as a clean usage error. *)

@@ -427,24 +427,28 @@ let note_takeover t ~floor =
 (* --- Overload admission (docs/PROTOCOL.md, "Overload & admission
    control") -----------------------------------------------------------
 
-   One gate, off by default: a concurrency cap on admitted-but-unanswered
-   transactions. Priority shedding: a strong (potentially writing)
-   request is shed from 7/8 of the cap, so under pressure strong writes
-   are shed first and weak reads degrade last. Everything is arithmetic
-   on arrival — no timer events, no RNG — so admission-off runs are
-   untouched and admission-on runs stay deterministic. *)
+   One gate, armed by [Config.overload_protection]: a concurrency cap on
+   admitted-but-unanswered transactions. Priority shedding: a strong
+   (potentially writing) request is shed from 7/8 of the cap, so under
+   pressure strong writes are shed first and weak reads degrade last.
+   Everything is arithmetic on arrival — no timer events, no RNG — so
+   unprotected runs are untouched and protected runs stay deterministic. *)
 
-let admission_on (cfg : Config.t) = cfg.Config.admission_limit > 0
+(* The overload limits are the values the overload soak and [repro
+   overload --protect] are pinned at; no run varies them. The cap is
+   eight admitted transactions per CPU of the soak's 3-replica cluster. *)
+let admission_limit = 48
+
+(* The retry-after hint of every [Overloaded] abort: a few LAN round
+   trips, short beside a transaction, and fixed so that overload runs
+   stay reproducible. *)
+let shed_retry_after_ms = 5.0
 
 let admit t ~strong =
-  let cfg = t.cfg in
-  let limit = cfg.Config.admission_limit in
-  let cap = if strong then max 1 (limit * 7 / 8) else limit in
-  if t.admitted >= cap then Error cfg.Config.shed_retry_after_ms
-  else begin
-    t.admitted <- t.admitted + 1;
-    Ok ()
-  end
+  let cap = if strong then admission_limit * 7 / 8 else admission_limit in
+  let ok = t.admitted < cap in
+  if ok then t.admitted <- t.admitted + 1;
+  ok
 
 let release t =
   t.admitted <- t.admitted - 1;

@@ -196,21 +196,26 @@ val note_takeover : t -> floor:int -> unit
 (** {2 Overload admission (docs/PROTOCOL.md, "Overload & admission
     control")}
 
-    One gate, off by default: the [Config.admission_limit] concurrency
-    cap. Priority shedding: a {e strong} (potentially-writing) request
-    is capped at 7/8 of the limit, so under pressure strong writes shed
-    first and weak-tier reads degrade last. *)
+    One gate, armed by [Config.overload_protection]: the
+    {!admission_limit} concurrency cap. Priority shedding: a {e strong}
+    (potentially-writing) request is capped at 7/8 of the limit, so
+    under pressure strong writes shed first and weak-tier reads degrade
+    last. The cluster only calls {!admit}/{!release} when the switch is
+    on. *)
 
-val admission_on : Config.t -> bool
-(** Whether the admission cap is configured — the cluster only calls
-    {!admit}/{!release} (and counts admitted work) when true. *)
+val admission_limit : int
+(** Transactions admitted and not yet answered at which every new
+    arrival is shed (48). *)
 
-val admit : t -> strong:bool -> (unit, float) result
-(** Try to admit one transaction. [Ok ()] admits it (the caller must
-    eventually {!release}); [Error retry_after_ms] sheds it with the
-    hint the client should wait before re-offering
-    ([Config.shed_retry_after_ms]). Only meaningful when
-    {!admission_on}. *)
+val shed_retry_after_ms : float
+(** The retry-after hint every [Transaction.Overloaded] abort carries
+    (5 ms), from the admission cap, the apply-lag governor and the
+    certifier's bounded backlog alike. *)
+
+val admit : t -> strong:bool -> bool
+(** Try to admit one transaction. [true] admits it (the caller must
+    eventually {!release}); [false] means shed it, with the
+    {!shed_retry_after_ms} hint. *)
 
 val release : t -> unit
 (** The admitted transaction was answered (committed {e or} aborted). *)

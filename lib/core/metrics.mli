@@ -80,7 +80,7 @@ val record_retry_exhausted : t -> unit
 (** {2 Overload protection (docs/PROTOCOL.md, "Overload & admission
     control")}
 
-    All four counts stay 0 unless an overload knob is enabled. The
+    All four counts stay 0 unless [Config.overload_protection] is on. The
     first three are window totals of the cluster's [txn.*] sources. *)
 
 val note_queue_depth : t -> int -> unit
@@ -93,10 +93,10 @@ val shed : t -> int
 
 val retry_budget_exhausted : t -> int
 (** Transactions a client gave up on an empty retry budget
-    ([Config.retry_budget]). *)
+    (under [Config.overload_protection]). *)
 
 val deadline_expired : t -> int
-(** Transactions dropped past their [Config.deadline_ms] deadline. *)
+(** Transactions dropped past their [Cluster.deadline_ms] deadline. *)
 
 val max_queue_depth : t -> int
 (** Largest queue depth reported this window; 0 when never reported. *)

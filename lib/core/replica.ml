@@ -80,13 +80,21 @@ let is_crashed t = t.crashed
 
 let set_faults t faults = t.faults <- Some faults
 
+(* Transient slowdown windows (Config.hiccup_interval_ms apart on
+   average): a window lasts [hiccup_duration_ms] on average and
+   multiplies service times by [hiccup_factor]. These are the values
+   every figure was calibrated with (DESIGN.md, "Transient replica
+   slowdowns"). *)
+let hiccup_duration_ms = 150.0
+let hiccup_factor = 8.0
+
 let service_time t base =
   let base =
     if t.cfg.Config.service_jitter then base *. Util.Rng.exponential t.rng ~mean:1.0
     else base
   in
   let base =
-    if Sim.Engine.now t.engine < t.slow_until then base *. t.cfg.Config.hiccup_factor
+    if Sim.Engine.now t.engine < t.slow_until then base *. hiccup_factor
     else base
   in
   match t.faults with
@@ -98,7 +106,7 @@ let hiccups t () =
   let rec loop () =
     Sim.Process.sleep t.engine
       (Util.Rng.exponential t.rng ~mean:t.cfg.Config.hiccup_interval_ms);
-    let duration = Util.Rng.exponential t.rng ~mean:t.cfg.Config.hiccup_duration_ms in
+    let duration = Util.Rng.exponential t.rng ~mean:hiccup_duration_ms in
     t.slow_until <- Sim.Engine.now t.engine +. duration;
     loop ()
   in

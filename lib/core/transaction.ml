@@ -66,7 +66,7 @@ let abort_slug = function
    cluster's fault and are retried until the cluster heals. Overload
    sheds are also no fault of the transaction — but unlike the failure
    class they are throttled by the retry-after hint and the client's
-   retry *budget* (Config.retry_budget), never by max_retries. *)
+   retry *budget* (under Config.overload_protection), never by max_retries. *)
 let abort_is_transient = function
   | Replica_failure | Timeout | Overloaded _ -> true
   | Certification_conflict | Early_certification | Statement_error _ -> false

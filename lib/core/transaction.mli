@@ -75,5 +75,5 @@ val abort_is_transient : abort_reason -> bool
     are retried without consuming the client's [max_retries] budget —
     the conflict budget is reserved for certification losses. Transient
     retries are still capped by the per-client retry {e budget}
-    ([Config.retry_budget]) when one is configured, and an [Overloaded]
+    under [Config.overload_protection], and an [Overloaded]
     retry waits out the shed's [retry_after_ms] hint first. *)

@@ -23,7 +23,9 @@ let point ?config ?(params = default_params) ?(clients = 12) ?(tiers = false)
      same open-loop load, same gray fault, nothing shed — the metastable
      collapse the protections exist to prevent. *)
   let config =
-    if plan = Runner.Overload && protections then Core.Config.protected config else config
+    if plan = Runner.Overload && protections then
+      { config with Core.Config.overload_protection = true }
+    else config
   in
   let config =
     if tiers then { config with Core.Config.read_tiers = true } else config

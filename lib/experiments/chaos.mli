@@ -39,7 +39,7 @@ val point :
     [voter_lease_ms]; [Overload] drives open-loop arrivals at
     [offered_tps] (default 6000, the aggregate rate — past the
     gray-window capacity for every mode) and arms
-    {!Core.Config.protected} unless [~protections:false], the control
+    [overload_protection] unless [~protections:false], the control
     arm that shows the metastable collapse. [tiers] (default false)
     turns on [read_tiers] and drives the mixed-tier read workload, so
     the tier contracts are exercised under faults rather than

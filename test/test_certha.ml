@@ -166,9 +166,7 @@ let test_evicted_rejoin_reenters_at_applied () =
      watermark table at its transferred version — re-entering at 0 (the
      old behaviour) pinned the GC floor at the log base until its next
      heartbeat. *)
-  let config =
-    { ha_config with Core.Config.certifier_standbys = 0; evict_after_ms = 100.0 }
-  in
+  let config = { ha_config with Core.Config.certifier_standbys = 0 } in
   with_group ~config (fun engine c _net ->
       Core.Certifier.subscribe c ~replica:0 (fun ~epoch:_ _ -> ());
       Core.Certifier.subscribe c ~replica:1 (fun ~epoch:_ _ -> ());
@@ -178,7 +176,7 @@ let test_evicted_rejoin_reenters_at_applied () =
       Core.Certifier.heartbeat c ~replica:0 ~applied:8 ~held:8;
       Core.Certifier.heartbeat c ~replica:1 ~applied:2 ~held:2;
       Core.Certifier.mark_down c ~replica:1;
-      Sim.Process.sleep engine 200.0;
+      Sim.Process.sleep engine (Core.Certifier.evict_after_ms +. 100.0);
       Core.Certifier.gc c;
       Alcotest.(check bool) "silent corpse evicted" true
         (Core.Certifier.needs_state_transfer c ~replica:1);

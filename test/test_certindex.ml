@@ -333,11 +333,12 @@ let prop_group_matches_oracle =
 (* --- watermarks and GC ------------------------------------------------ *)
 
 let test_watermark_tracking_and_gc () =
-  let config = { small_config with Core.Config.watermark_slack = 2 } in
-  with_certifier ~config (fun _engine c ->
+  let slack = Core.Certifier.watermark_slack in
+  let n = slack + 10 in
+  with_certifier (fun _engine c ->
       Core.Certifier.subscribe c ~replica:0 (fun ~epoch:_ _ -> ());
       Core.Certifier.subscribe c ~replica:1 (fun ~epoch:_ _ -> ());
-      for i = 1 to 10 do
+      for i = 1 to n do
         match
           Core.Certifier.certify c ~applied:(i - 1) ~origin:0 ~snapshot:(i - 1)
             ~ws:(ws_on "t" i)
@@ -345,22 +346,24 @@ let test_watermark_tracking_and_gc () =
         | Core.Certifier.Commit _ -> ()
         | _ -> Alcotest.fail "unexpected abort"
       done;
-      (* Origin 0 piggybacked applied = 9 on its last request; replica 1
-         has only acked what we tell it. *)
-      Alcotest.(check int) "piggybacked watermark" 9
+      (* Origin 0 piggybacked applied = n - 1 on its last request;
+         replica 1 has only acked what we tell it. *)
+      Alcotest.(check int) "piggybacked watermark" (n - 1)
         (Core.Certifier.watermark c ~replica:0);
-      Core.Certifier.ack c ~replica:1 ~version:6;
-      Core.Certifier.ack c ~replica:1 ~version:4;  (* stale ack: no regression *)
-      Alcotest.(check int) "acked watermark" 6 (Core.Certifier.watermark c ~replica:1);
-      Alcotest.(check int) "cluster-wide minimum" 6 (Core.Certifier.min_watermark c);
+      Core.Certifier.ack c ~replica:1 ~version:(slack + 6);
+      Core.Certifier.ack c ~replica:1 ~version:(slack + 4);  (* stale ack: no regression *)
+      Alcotest.(check int) "acked watermark" (slack + 6)
+        (Core.Certifier.watermark c ~replica:1);
+      Alcotest.(check int) "cluster-wide minimum" (slack + 6)
+        (Core.Certifier.min_watermark c);
       Core.Certifier.gc c;
-      (* min live watermark 6, slack 2: log covers (4, 10]. *)
-      Alcotest.(check int) "log truncated to min - slack" 4 (Core.Certifier.log_base c);
-      Alcotest.(check int) "index pruned with the log" 6 (Core.Certifier.index_size c);
+      (* min live watermark slack + 6: log covers (6, n]. *)
+      Alcotest.(check int) "log truncated to min - slack" 6 (Core.Certifier.log_base c);
+      Alcotest.(check int) "index pruned with the log" (n - 6) (Core.Certifier.index_size c);
       (* A crashed replica's frozen watermark must stop holding GC back. *)
       Core.Certifier.mark_down c ~replica:1;
       Core.Certifier.gc c;
-      Alcotest.(check int) "GC follows live replicas only" 7
+      Alcotest.(check int) "GC follows live replicas only" (n - 1 - slack)
         (Core.Certifier.log_base c))
 
 let test_gc_noop_without_live_replicas () =
@@ -397,12 +400,7 @@ let test_session_table_bounded_in_cluster () =
      replica has applied everything the table drains to empty. *)
   let params = { Workload.Microbench.tables = 2; rows = 50; update_types = 2 } in
   let config =
-    {
-      small_config with
-      Core.Config.gc_interval_ms = 200.0;
-      watermark_slack = 5;
-      record_log = false;
-    }
+    { small_config with Core.Config.gc_interval_ms = 200.0; record_log = false }
   in
   let cluster =
     Core.Cluster.create ~config ~mode:Core.Consistency.Session

@@ -60,6 +60,7 @@ let test_config_validation () =
   rejected "quorum above standby count"
     { base_config with Core.Config.certifier_standbys = 1; standby_ack_quorum = 2 };
   rejected "negative voter lease" { base_config with Core.Config.voter_lease_ms = -1.0 };
+  rejected "NaN voter lease" { base_config with Core.Config.voter_lease_ms = Float.nan };
   (* The cluster constructor refuses to build a doomed cluster. *)
   match
     make_cluster

@@ -732,17 +732,19 @@ let test_metrics_accounting () =
    did: an LB shed, a request-leg timeout, a start-wait or deadline
    expiry, a statement or certification abort, a replica failure and a
    commit. A finite driver offers bursts of transactions under the
-   hardened protocol with 5% loss, short cuts on each request leg, an
-   admission cap, a short deadline and a replica crash mid-run. Once
-   every transaction has answered, no LB may count one active or
-   admitted, and no replica may hold one open. *)
+   hardened protocol with 5% loss, short cuts on each request leg,
+   overload protection and a replica crash mid-run. Once every
+   transaction has answered, no LB may count one active or admitted,
+   and no replica may hold one open. *)
 let test_bookkeeping_balances () =
-  let n = 240 in
+  (* Each burst is one admission cap's worth, so every burst overruns
+     the strong cap. *)
+  let burst = Core.Load_balancer.admission_limit in
+  let n = 20 * burst in
   let config =
     {
       (Core.Config.hardened small_config) with
-      Core.Config.admission_limit = 10;
-      deadline_ms = 12.0;
+      Core.Config.overload_protection = true;
       max_retries = 0;
     }
   in
@@ -767,8 +769,7 @@ let test_bookkeeping_balances () =
   let answered = ref 0 and committed = ref 0 and slugs = ref [] in
   for i = 0 to n - 1 do
     Sim.Process.spawn engine (fun () ->
-        (* Bursts of 12 every 10 ms overrun the admission cap. *)
-        Sim.Process.sleep engine (float_of_int (i / 12) *. 10.0);
+        Sim.Process.sleep engine (float_of_int (i / burst) *. 10.0);
         let req =
           if i mod 3 = 0 then read_req "t00" (i mod 7) else update_req "t00" (i mod 5)
         in

@@ -147,9 +147,7 @@ let test_state_transfer_after_log_prune () =
   (* Crash a replica, let the cluster run long past the certifier's
      pruned log horizon, then recover: recovery must fall back to a
      state transfer and still converge. *)
-  let config =
-    { config with Core.Config.gc_interval_ms = 200.0; gc_window = 50 }
-  in
+  let config = { config with Core.Config.gc_interval_ms = 200.0 } in
   let cluster =
     Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
       ~schemas:(Workload.Microbench.schemas params)
@@ -409,18 +407,11 @@ let test_partition_suspects_then_recovers () =
     (Core.Certifier.is_marked_live (Core.Cluster.certifier cluster) ~replica:2)
 
 let test_eviction_unblocks_gc_and_forces_state_transfer () =
-  (* A replica that stays dead past evict_after_ms loses its watermark
-     entry: the certifier's log GC advances past it, and its eventual
-     rejoin is forced through state transfer. *)
-  let config =
-    {
-      hardened_config with
-      Core.Config.gc_interval_ms = 100.0;
-      gc_window = 50;
-      watermark_slack = 50;
-      evict_after_ms = 600.0;
-    }
-  in
+  (* A replica that stays dead past [Certifier.evict_after_ms] loses its
+     watermark entry: the certifier's log GC advances past it, and its
+     eventual rejoin is forced through state transfer. *)
+  let config = { hardened_config with Core.Config.gc_interval_ms = 100.0 } in
+  let dead_ms = Core.Certifier.evict_after_ms +. 600.0 in
   let cluster =
     Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
       ~schemas:(Workload.Microbench.schemas params)
@@ -432,7 +423,7 @@ let test_eviction_unblocks_gc_and_forces_state_transfer () =
   Sim.Process.spawn engine (fun () ->
       Sim.Process.sleep engine 300.0;
       Core.Cluster.crash_replica cluster 2;
-      Sim.Process.sleep engine 1_200.0;
+      Sim.Process.sleep engine dead_ms;
       (* Well past evict_after: the corpse must be out of the watermark
          table and the log pruned beyond its applied version. *)
       let certifier = Core.Cluster.certifier cluster in
@@ -444,7 +435,7 @@ let test_eviction_unblocks_gc_and_forces_state_transfer () =
         > Core.Replica.v_local (Core.Cluster.replica cluster 2));
       Core.Cluster.recover_replica cluster 2;
       ignore (check_converged cluster));
-  Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:3_000.0;
+  Core.Cluster.run_for cluster ~warmup_ms:100.0 ~measure_ms:(dead_ms +. 1_800.0);
   let r2 = Core.Cluster.replica cluster 2 in
   Alcotest.(check bool) "rejoined" true (not (Core.Replica.is_crashed r2));
   let certified = Core.Certifier.version (Core.Cluster.certifier cluster) in
@@ -461,7 +452,7 @@ let test_backoff_defaults_off_and_works_when_on () =
   (* With backoff on and a conflict-heavy workload, clients still make
      progress and the run completes (the backoff sleeps draw from the
      client's own RNG stream only). *)
-  let config = { config with Core.Config.retry_backoff_ms = 1.0; retry_backoff_max_ms = 16.0 } in
+  let config = { config with Core.Config.retry_backoff_ms = 1.0 } in
   let cluster =
     Core.Cluster.create ~config ~mode:Core.Consistency.Coarse
       ~schemas:(Workload.Microbench.schemas params)

@@ -4,8 +4,9 @@
    the protected-vs-unprotected contrast under the chaos harness's
    [Overload] plan.
 
-   Everything runs end to end through [Core.Cluster]; tests configure
-   knobs and offered load, never reach into the shedding paths. *)
+   Everything runs end to end through [Core.Cluster]; tests set
+   [Config.overload_protection] and offered load, never reach into the
+   shedding paths. *)
 
 let params = { Workload.Microbench.tables = 4; rows = 100; update_types = 4 }
 
@@ -18,6 +19,8 @@ let base_config =
     gc_interval_ms = 0.0;
     hiccup_interval_ms = 0.0;
   }
+
+let protected = { base_config with Core.Config.overload_protection = true }
 
 let make_cluster ?faults ~config mode =
   Core.Cluster.create ~config ?faults ~mode
@@ -68,43 +71,25 @@ let test_overload_config_validation () =
       Alcotest.(check bool) (what ^ " has a reason") true (String.length e > 0)
   in
   ok "defaults (all protections off)" base_config;
-  ok "full protection stack" (Core.Config.protected base_config);
+  ok "full protection stack" protected;
   rejected "zero certification batch cap"
     { base_config with Core.Config.cert_batch = 0 };
   rejected "zero apply lanes"
     { base_config with Core.Config.apply_parallelism = 0 };
-  rejected "negative admission limit"
-    { base_config with Core.Config.admission_limit = -1 };
-  rejected "negative certifier queue bound"
-    { base_config with Core.Config.cert_queue_bound = -3 };
-  rejected "negative apply-lag gap"
-    { base_config with Core.Config.apply_lag_gap = -1 };
-  rejected "apply-lag gap at the flow-control slack"
-    {
-      base_config with
-      Core.Config.apply_lag_gap = base_config.Core.Config.watermark_slack;
-    };
-  rejected "non-positive retry-after hint"
-    { base_config with Core.Config.shed_retry_after_ms = 0.0 };
-  rejected "negative retry budget"
-    { base_config with Core.Config.retry_budget = -1.0 };
-  rejected "retry budget with no refill"
-    { base_config with Core.Config.retry_budget = 4.0; retry_budget_per_s = 0.0 };
-  rejected "negative deadline"
-    { base_config with Core.Config.deadline_ms = -10.0 };
   rejected "zero observatory window"
     { base_config with Core.Config.obs_window_ms = 0.0 };
+  rejected "NaN observatory window"
+    { base_config with Core.Config.obs_window_ms = Float.nan };
+  rejected "infinite observatory window"
+    { base_config with Core.Config.obs_window_ms = Float.infinity };
   rejected "negative observatory window"
     { base_config with Core.Config.obs_window_ms = -250.0 }
 
 (* --- Admission shedding: refusals, hints, zero zombies ---------------- *)
 
 let test_admission_sheds_without_zombies () =
-  let config =
-    { base_config with Core.Config.admission_limit = 4; shed_retry_after_ms = 7.0 }
-  in
   let cluster =
-    run_open_loop ~config ~rate_tps:4_000.0 ~duration_ms:300.0
+    run_open_loop ~config:protected ~rate_tps:12_000.0 ~duration_ms:300.0
       Core.Consistency.Coarse
   in
   let m = Core.Cluster.metrics cluster in
@@ -115,6 +100,11 @@ let test_admission_sheds_without_zombies () =
   Alcotest.(check bool)
     "queue depth observed" true
     (Core.Metrics.max_queue_depth m > 0);
+  (* The certifier backlog stops at its bound, below the LB's strong
+     cap: a deeper queue is the admission cap's. *)
+  Alcotest.(check bool)
+    "admission reached its strong cap" true
+    (Core.Metrics.max_queue_depth m >= Core.Load_balancer.admission_limit * 7 / 8);
   Alcotest.(check bool) "work still commits" true (Core.Metrics.committed m > 0);
   (* the zombie-commit invariant: no shed tid ever reaches the runlog *)
   List.iter
@@ -126,17 +116,8 @@ let test_admission_sheds_without_zombies () =
 (* --- Retry budgets: amplification is capped --------------------------- *)
 
 let test_retry_budget_exhaustion () =
-  let config =
-    {
-      base_config with
-      Core.Config.admission_limit = 2;
-      shed_retry_after_ms = 1.0;
-      retry_budget = 2.0;
-      retry_budget_per_s = 1.0;
-    }
-  in
   let cluster =
-    run_open_loop ~config ~rate_tps:4_000.0 ~duration_ms:300.0
+    run_open_loop ~config:protected ~rate_tps:12_000.0 ~duration_ms:300.0
       Core.Consistency.Coarse
   in
   let m = Core.Cluster.metrics cluster in
@@ -147,16 +128,18 @@ let test_retry_budget_exhaustion () =
 
 (* --- Deadline propagation: a slow certifier drops expired work -------- *)
 
+(* The certifier slows enough that its bounded backlog takes several
+   deadlines to drain. *)
 let test_deadline_expiry () =
-  let config = { base_config with Core.Config.deadline_ms = 3.0 } in
+  let slow_ms = 3.0 *. Core.Cluster.deadline_ms in
   let faults engine =
     let f = Sim.Faults.create ~seed:11 engine in
-    Sim.Faults.slow f ~node:Core.Config.node_certifier ~factor:40.0 ~from_ms:0.0
-      ~until_ms:300.0;
+    Sim.Faults.slow f ~node:Core.Config.node_certifier ~factor:1_000.0 ~from_ms:0.0
+      ~until_ms:slow_ms;
     f
   in
   let cluster =
-    run_open_loop ~faults ~config ~rate_tps:3_000.0 ~duration_ms:300.0
+    run_open_loop ~faults ~config:protected ~rate_tps:3_000.0 ~duration_ms:slow_ms
       Core.Consistency.Coarse
   in
   let m = Core.Cluster.metrics cluster in
@@ -170,9 +153,7 @@ let test_deadline_expiry () =
    per-window deltas stay non-negative in the window where [run_for]'s
    warm-up ends and [Metrics.reset_window] rebases the window totals. *)
 let test_window_counters_never_negative () =
-  let config =
-    { base_config with Core.Config.admission_limit = 4; obs_window_ms = 100.0 }
-  in
+  let config = { protected with Core.Config.obs_window_ms = 100.0 } in
   let cluster = make_cluster ~config Core.Consistency.Coarse in
   Core.Client.open_loop_many cluster ~n:8 ~first_sid:0 ~rate_tps:20_000.0
     (Workload.Microbench.workload params);
@@ -204,11 +185,8 @@ let test_window_counters_never_negative () =
 
 let test_open_loop_deterministic () =
   let digest_of () =
-    let config =
-      { base_config with Core.Config.admission_limit = 8; retry_budget = 4.0 }
-    in
     let cluster =
-      run_open_loop ~config ~rate_tps:2_000.0 ~duration_ms:250.0
+      run_open_loop ~config:protected ~rate_tps:12_000.0 ~duration_ms:250.0
         Core.Consistency.Coarse
     in
     ( Check.Runlog.digest (Core.Cluster.records cluster),
