@@ -27,7 +27,7 @@ module Key_order = struct
   let compare a b = compare_from a b 0 (Array.length a) (Array.length b)
 end
 
-(* Chains live in a hashtable specialized to keys: [hash] reads each
+(* Hashing and equality specialized to keys: [hash] reads each
    constructor directly where the polymorphic hash would traverse the
    boxed representation on every probe, and [equal] holds exactly when
    [Key_order.compare] returns 0, so it keeps the same int/float
@@ -39,12 +39,17 @@ module Key_hashed = struct
     let n = Array.length a in
     n = Array.length b && equal_from a b 0 n
 
+  (* Columns combine under a large odd multiplier (the 64-bit FNV
+     prime). Under a base-31 sum, composite keys of small ints collide
+     wholesale: TPC-C's [(d, o)] and [(d + 1, o - 31)] hash alike, and
+     an order_line-shaped grid of 1.8M keys gets 5% distinct hashes. *)
+  let column_mix = 0x100000001B3
+
   let hash (k : key) =
     let h = ref (Array.length k) in
     for i = 0 to Array.length k - 1 do
-      (* Ints hash as themselves: primary keys are typically dense, so
-         the identity is uniform under the table's power-of-two masking
-         and skips a generic-hash call per element per probe. An
+      (* Ints hash as themselves: the multiply above spreads them, and
+         this skips a generic-hash call per element per probe. An
          integral float equals the int of the same value under
          [equal], so it must hash as that int too. *)
       let hv =
@@ -54,7 +59,7 @@ module Key_hashed = struct
         | Value.Text s -> Hashtbl.hash s
         | v -> Value.hash v
       in
-      h := (!h * 31) + hv
+      h := (!h * column_mix) + hv
     done;
     !h land max_int
 end
@@ -199,39 +204,118 @@ let walk d ?lo ?hi f =
     let ci = seek_chunk d lo 0 d.count in
     if ci < d.count then go ci (seek_key d.chunks.(ci) lo 0 d.chunks.(ci).len)
 
+(* The chain table: two parallel arrays of [2^bits] slots, probed
+   linearly from a key's home slot. A slot is free while its key is
+   [no_key], and a key, once in, never moves except when the table
+   doubles, so the slot arrays need no tombstones. A key's chain is
+   never empty ([gc] keeps at least one version), so a free slot is
+   also the one whose chain is [[]]. The load stays at or below 3/4,
+   so a probe always ends, on the key or on a free slot. [keys] may be
+   shared with the stores copied from or into this one (see [copy]):
+   while [keys_shared] holds, the array is read-only here, and the
+   first brand-new key copies it. *)
 type t = {
-  chains : version list ref Key_tbl.t;
+  mutable keys : key array;
+  mutable chains : version list array;
+  mutable shift : int;  (* [Sys.int_size - bits] *)
+  mutable count : int;  (* occupied slots *)
+  mutable keys_shared : bool;
   mutable dir : dir option;  (* [None] until the first ordered access *)
 }
 
-let create () = { chains = Key_tbl.create 256; dir = None }
+let initial_bits = 4
 
-(* Keys, version records and rows are immutable, so a copy shares them;
-   the table, each chain's [ref] and a built directory are fresh.
-   [Key_tbl.copy] keeps the bucket layout, so the copy iterates in the
-   original's order. *)
+let create () =
+  let capacity = 1 lsl initial_bits in
+  {
+    keys = Array.make capacity no_key;
+    chains = Array.make capacity [];
+    shift = Sys.int_size - initial_bits;
+    count = 0;
+    keys_shared = false;
+    dir = None;
+  }
+
+(* The home slot is the top [bits] bits of [hash * slot_mix], an odd
+   constant near [2^63 / golden ratio]: multiplication carries every
+   bit of the hash into the top ones, which keep dense ints apart. *)
+let slot_mix = 0x4F1BBCDCBFA53E0B
+
+let home shift key = (Key_hashed.hash key * slot_mix) lsr shift
+
+(* The slot holding [key], or else the free slot that ends its probe
+   run. *)
+let rec probe keys key i mask =
+  let k = Array.unsafe_get keys i in
+  if k == no_key || Key_hashed.equal k key then i else probe keys key ((i + 1) land mask) mask
+
+let slot t key = probe t.keys key (home t.shift key) (Array.length t.keys - 1)
+
+let rec free_slot keys i mask =
+  if Array.unsafe_get keys i == no_key then i else free_slot keys ((i + 1) land mask) mask
+
+let grow t =
+  let capacity = 2 * Array.length t.keys in
+  let shift = t.shift - 1 in
+  let keys = Array.make capacity no_key and chains = Array.make capacity [] in
+  Array.iteri
+    (fun j key ->
+      if key != no_key then begin
+        let i = free_slot keys (home shift key) (capacity - 1) in
+        keys.(i) <- key;
+        chains.(i) <- t.chains.(j)
+      end)
+    t.keys;
+  t.keys <- keys;
+  t.chains <- chains;
+  t.shift <- shift;
+  t.keys_shared <- false
+
+(* Keys, version records and rows are immutable, and so is each chain,
+   a list; [keys] is shared too, until either side adds a key. Only
+   [chains] and a built directory are copied, with no rehashing. *)
 let copy t =
-  let chains = Key_tbl.copy t.chains in
-  Key_tbl.filter_map_inplace (fun _ chain -> Some (ref !chain)) chains;
-  { chains; dir = Option.map copy_dir t.dir }
+  t.keys_shared <- true;
+  { t with chains = Array.copy t.chains; keys_shared = true; dir = Option.map copy_dir t.dir }
+
+(* Put a brand-new key in the free slot [i] that ended its probe. *)
+let add t i key chain =
+  let i =
+    if 4 * (t.count + 1) > 3 * Array.length t.keys then begin
+      grow t;
+      slot t key
+    end
+    else begin
+      if t.keys_shared then begin
+        t.keys <- Array.copy t.keys;
+        t.keys_shared <- false
+      end;
+      i
+    end
+  in
+  t.keys.(i) <- key;
+  t.chains.(i) <- chain;
+  t.count <- t.count + 1;
+  match t.dir with Some d -> dir_insert d key | None -> ()
 
 let install_if_newer t key ~version row =
-  match Key_tbl.find_opt t.chains key with
-  | None ->
-    Key_tbl.add t.chains key (ref [ { version; row } ]);
-    (match t.dir with Some d -> dir_insert d key | None -> ());
+  (* A free slot holds [no_key], an empty array, so an empty key could
+     not be told from one. *)
+  if Array.length key = 0 then invalid_arg "Mvcc.install: empty key";
+  let i = slot t key in
+  match t.chains.(i) with
+  | { version = newest; _ } :: _ when newest >= version -> false
+  | [] ->
+    add t i key [ { version; row } ];
     true
-  | Some chain -> (
-    match !chain with
-    | { version = newest; _ } :: _ when newest >= version -> false
-    | versions ->
-      chain := { version; row } :: versions;
-      true)
+  | versions ->
+    t.chains.(i) <- { version; row } :: versions;
+    true
 
 let latest_version t key =
-  match Key_tbl.find_opt t.chains key with
-  | None -> None
-  | Some chain -> ( match !chain with [] -> None | { version; _ } :: _ -> Some version)
+  match Array.unsafe_get t.chains (slot t key) with
+  | [] -> None
+  | { version; _ } :: _ -> Some version
 
 let install t key ~version row =
   if not (install_if_newer t key ~version row) then
@@ -243,27 +327,17 @@ let rec visible at = function
   | [] -> None
   | { version; row } :: rest -> if version <= at then row else visible at rest
 
-let read t key ~at =
-  match Key_tbl.find t.chains key with
-  | chain -> visible at !chain
-  | exception Not_found -> None
+let read t key ~at = visible at (Array.unsafe_get t.chains (slot t key))
 
-let key_count t = Key_tbl.length t.chains
+let key_count t = t.count
 
-let version_count t =
-  Key_tbl.fold (fun _ chain acc -> acc + List.length !chain) t.chains 0
+let version_count t = Array.fold_left (fun acc chain -> acc + List.length chain) 0 t.chains
 
 let dir t =
   match t.dir with
   | Some d -> d
   | None ->
-    let keys = Array.make (Key_tbl.length t.chains) no_key in
-    let n = ref 0 in
-    Key_tbl.iter
-      (fun key _ ->
-        keys.(!n) <- key;
-        incr n)
-      t.chains;
+    let keys = Array.to_seq t.keys |> Seq.filter (fun key -> key != no_key) |> Array.of_seq in
     let d = build_dir keys in
     t.dir <- Some d;
     d
@@ -278,20 +352,27 @@ let fold_visible t ~at ~init ~f =
       match read t key ~at with None -> () | Some row -> acc := f !acc key row);
   !acc
 
+(* Keep every version newer than the horizon, plus the newest one at or
+   below it (still visible to snapshots above the horizon). A chain with
+   nothing older than that comes back physically unchanged, and
+   otherwise only the kept prefix is copied. *)
+let rec trim keep_after = function
+  | ({ version; _ } as v) :: rest as versions when version > keep_after ->
+    let kept = trim keep_after rest in
+    if kept == rest then versions else v :: kept
+  | ([] | [ _ ]) as versions -> versions
+  | v :: _ -> [ v ]
+
+(* Only a chain that [trim] shortens is written back. *)
 let gc t ~keep_after =
   let removed = ref 0 in
-  (* Keep every version newer than the horizon, plus the newest one at or
-     below it (still visible to snapshots above the horizon). A chain
-     with nothing older than that comes back physically unchanged, and
-     otherwise only the kept prefix is copied. *)
-  let rec trim = function
-    | ({ version; _ } as v) :: rest as versions when version > keep_after ->
-      let kept = trim rest in
-      if kept == rest then versions else v :: kept
-    | ([] | [ _ ]) as versions -> versions
-    | v :: rest ->
-      removed := !removed + List.length rest;
-      [ v ]
-  in
-  Key_tbl.iter (fun _ chain -> chain := trim !chain) t.chains;
+  let chains = t.chains in
+  for i = 0 to Array.length chains - 1 do
+    let chain = Array.unsafe_get chains i in
+    let kept = trim keep_after chain in
+    if kept != chain then begin
+      removed := !removed + List.length chain - List.length kept;
+      Array.unsafe_set chains i kept
+    end
+  done;
   !removed

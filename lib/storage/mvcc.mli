@@ -4,7 +4,16 @@
     snapshot [v] returns the newest version with number [<= v]; a [None]
     row is a deletion tombstone. Versions must be installed in strictly
     increasing version order per key (the replicated system guarantees
-    this because commits apply in the certifier's total order). *)
+    this because commits apply in the certifier's total order).
+
+    Chains live in an open-addressed table: two parallel arrays of
+    [2^k] slots, one of keys and one of chains, filled to at most 3/4.
+    A lookup ({!read}, {!latest_version}, an install) hashes the key
+    once, starts at a home slot taken from the top bits of the hash
+    times an odd constant, and compares keys slot by slot until it
+    meets the key or a free slot; it allocates nothing. The brand-new
+    key that would fill the table past 3/4 doubles both arrays and
+    rehashes every key. *)
 
 type key = Value.t array
 
@@ -20,7 +29,9 @@ end
     equal keys (an [Int] and the integral [Float] of the same value)
     hash alike. The chain table, the conflict-id table ({!Intern}) and
     the writeset index all use it, so a row, its conflict id and its
-    writeset entry mean the same key. [compare], [equal] and [hash]
+    writeset entry mean the same key. [hash] combines the columns under
+    a large odd multiplier, so composite keys of small ints, such as
+    TPC-C's [(w, d, o, ol)], hash apart. [compare], [equal] and [hash]
     allocate nothing. *)
 module Key_hashed : Hashtbl.HashedType with type t = key
 
@@ -32,14 +43,22 @@ val create : unit -> t
 
 val copy : t -> t
 (** An independent store with the same contents: installs and {!gc} on
-    either side do not show in the other. Keys and rows are shared (both
-    immutable); the chain table, each chain's head and the ordered
-    directory, if one has been built, are copied, in O(keys) with no
-    rehashing. *)
+    either side do not show in the other. Keys, chains and rows are
+    immutable and shared, and so is the table's array of keys. The copy
+    allocates one array of chains, a word per slot (between 4/3 and 8/3
+    words per key), and a copy of the ordered directory if one has been
+    built, in O(slots) with no rehashing.
+
+    The shared key array is read-only on both sides: the first
+    brand-new key installed afterwards into either store copies it, one
+    more word per slot, unless that key doubles the table anyway. The
+    store copied from pays this too, on its next new key after each
+    [copy] (a state-transfer donor does, for example). *)
 
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
-    [version] is not greater than the key's newest version. *)
+    [version] is not greater than the key's newest version, or if [key]
+    is empty ([[||]] marks a free slot of the table). *)
 
 val install_if_newer : t -> key -> version:int -> Value.t array option -> bool
 (** Redo install: like {!install} when [version] is above the key's
@@ -91,4 +110,6 @@ val fold_visible : t -> at:int -> init:'a -> f:('a -> key -> Value.t array -> 'a
 val gc : t -> keep_after:int -> int
 (** Drop versions that can no longer be seen by any snapshot [>
     keep_after]: for each key, keep all versions newer than [keep_after]
-    plus the newest one at or below it. Returns versions removed. *)
+    plus the newest one at or below it. Returns versions removed. It
+    reads every slot but writes back only the chains it shortens, so a
+    pass that drops nothing allocates and writes nothing. *)

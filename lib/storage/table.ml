@@ -1,6 +1,6 @@
 (* Index values resolve under the store's value equality, like keys do
-   in {!Mvcc.Key_tbl}: an [Int] and the integral [Float] of the same
-   value are one index entry. *)
+   under {!Mvcc.Key_hashed}: an [Int] and the integral [Float] of the
+   same value are one index entry. *)
 module Value_tbl = Hashtbl.Make (struct
   type t = Value.t
 

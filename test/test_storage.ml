@@ -968,6 +968,223 @@ let test_key_path_allocates_nothing () =
       ("Mvcc.read, miss", fun () -> Mvcc.read store absent ~at:1 <> None);
     ]
 
+(* The chain table's other pins: a copy allocates its slot array of
+   chains and a few words, a gc pass that drops nothing allocates
+   nothing, and the empty key is refused: an empty array is what marks
+   a free slot. *)
+let test_mvcc_table_allocation () =
+  let store = Mvcc.create () in
+  for i = 0 to 9_999 do
+    Mvcc.install store [| vi i |] ~version:1 (Some [| vi i |])
+  done;
+  Mvcc.install store [| vi 0 |] ~version:2 None;
+  let before = Gc.allocated_bytes () in
+  let copy = Sys.opaque_identity (Mvcc.copy store) in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  (* 10,000 keys at a load of at most 3/4 take 16,384 slots. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "copy allocates %.0f words: 16,385 for the chains, at most 64 more" words)
+    true
+    (words >= 16_385. && words <= 16_385. +. 64.);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    ignore (Sys.opaque_identity (Mvcc.gc copy ~keep_after:0))
+  done;
+  Alcotest.(check (float 0.)) "gc with nothing to drop" 0. (Gc.minor_words () -. before);
+  Alcotest.(check int) "gc then drops the one old version" 1 (Mvcc.gc copy ~keep_after:2);
+  Alcotest.check_raises "install of the empty key"
+    (Invalid_argument "Mvcc.install: empty key")
+    (fun () -> Mvcc.install store [||] ~version:3 None);
+  Alcotest.check_raises "install_if_newer of the empty key"
+    (Invalid_argument "Mvcc.install: empty key")
+    (fun () -> ignore (Mvcc.install_if_newer store [||] ~version:3 None));
+  Alcotest.(check (option int)) "the empty key reads as absent" None
+    (Mvcc.latest_version store [||]);
+  Alcotest.(check int) "no key was added" 10_000 (Mvcc.key_count store)
+
+(* TPC-C's order_line keys (w, d, o, ol) at 4 warehouses and 3,000
+   orders per district: 1.8M keys, each with a hash of its own. A
+   base-31 sum of the columns gives 92,430 distinct values (5.1%), since
+   (d, o) and (d + 1, o - 31) collide, and linear probing would turn
+   those collisions into long runs. *)
+let test_key_hash_spreads_order_lines () =
+  let n = 4 * 10 * 3000 * 15 in
+  let hashes = Array.make n 0 and i = ref 0 in
+  for w = 1 to 4 do
+    for d = 1 to 10 do
+      for o = 0 to 2999 do
+        for ol = 1 to 15 do
+          hashes.(!i) <- Mvcc.Key_hashed.hash [| vi w; vi d; vi o; vi ol |];
+          incr i
+        done
+      done
+    done
+  done;
+  Array.sort Int.compare hashes;
+  let distinct = ref 1 in
+  for i = 1 to n - 1 do
+    if hashes.(i) <> hashes.(i - 1) then incr distinct
+  done;
+  Alcotest.(check int) "distinct hashes" n !distinct
+
+(* Model test for the chain table: random operations on a store and on
+   the copies taken from it, each checked against a [Map] from key to
+   chain. Keys come from a 10 x 10 grid of pairs, each column spelled
+   as an [Int] or as the integral [Float] of the same value, so probe
+   runs form, the larger stores double from 16 slots to 128, and equal
+   keys come in both spellings. A copy shares its donor's key array, so
+   [Table_copy] installs a brand-new key on the donor and then another
+   on the copy, and checks both: each must first take a key array of its
+   own, or the other's key shows up in its ordered walk. Each walk goes
+   through a throwaway copy, so no store here builds an ordered
+   directory of its own (whose inserts would hide such a key; the
+   directory has oracle tests above), and each walk also leaves the
+   store sharing its keys. *)
+module Grid = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type grid_key = int * int * int  (* column a, column b, spelling: bit i set = column i a float *)
+
+type table_op =
+  | Table_install of int * grid_key * int option  (* store, key, payload ([None] deletes) *)
+  | Table_install_if_newer of int * grid_key * int * int option  (* versions below the top *)
+  | Table_read of int * grid_key * int  (* snapshot, percent of the top version *)
+  | Table_latest of int * grid_key
+  | Table_counts of int
+  | Table_gc of int * int  (* horizon, percent of the top version *)
+  | Table_copy of int * int * int  (* grid cells where the two new keys' searches start *)
+  | Table_ordered of int
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let store = int_range 0 7 in
+  let key = triple (int_range 0 9) (int_range 0 9) (int_range 0 3) in
+  let payload = option (int_range 0 99) in
+  frequency
+    [
+      (10, map3 (fun s k p -> Table_install (s, k, p)) store key payload);
+      ( 3,
+        map3
+          (fun s (k, back) p -> Table_install_if_newer (s, k, back, p))
+          store (pair key (int_range 0 3)) payload );
+      (4, map3 (fun s k pct -> Table_read (s, k, pct)) store key (int_range 0 100));
+      (1, map2 (fun s k -> Table_latest (s, k)) store key);
+      (1, map (fun s -> Table_counts s) store);
+      (1, map2 (fun s pct -> Table_gc (s, pct)) store (int_range 0 100));
+      (1, map3 (fun s a b -> Table_copy (s, a, b)) store (int_range 0 99) (int_range 0 99));
+      (1, map (fun s -> Table_ordered s) store);
+    ]
+
+let print_table_op =
+  let key (a, b, spell) =
+    let dot bit = if spell land bit = bit then ".0" else "" in
+    Printf.sprintf "(%d%s,%d%s)" a (dot 1) b (dot 2)
+  in
+  let payload = function Some p -> string_of_int p | None -> "del" in
+  function
+  | Table_install (s, k, p) -> Printf.sprintf "#%d install %s=%s" s (key k) (payload p)
+  | Table_install_if_newer (s, k, back, p) ->
+    Printf.sprintf "#%d install_if_newer %s=%s at top-%d" s (key k) (payload p) back
+  | Table_read (s, k, pct) -> Printf.sprintf "#%d read %s at %d%%" s (key k) pct
+  | Table_latest (s, k) -> Printf.sprintf "#%d latest %s" s (key k)
+  | Table_counts s -> Printf.sprintf "#%d counts" s
+  | Table_gc (s, pct) -> Printf.sprintf "#%d gc %d%%" s pct
+  | Table_copy (s, a, b) -> Printf.sprintf "#%d copy, new keys from cells %d and %d" s a b
+  | Table_ordered s -> Printf.sprintf "#%d ordered" s
+
+let prop_mvcc_table_matches_map =
+  let open QCheck in
+  Test.make ~name:"mvcc chain table and its copies agree with a map model" ~count:200
+    (make ~print:(Print.list print_table_op) ~shrink:Shrink.list
+       Gen.(list_size (int_range 0 300) table_op_gen))
+    (fun ops ->
+      let spelled (a, b, spell) =
+        let num bit x = if spell land bit = bit then Value.Float (float_of_int x) else vi x in
+        [| num 1 a; num 2 b |]
+      in
+      let as_int = function
+        | Value.Int x -> x
+        | Value.Float x -> int_of_float x
+        | v -> Alcotest.failf "unexpected key column %s" (Value.to_string v)
+      in
+      (* Each store beside its model: key to chain, newest version first. *)
+      let stores = ref [| (Mvcc.create (), ref Grid.empty) |] in
+      let store s = !stores.(s mod Array.length !stores) in
+      let top = ref 0 in
+      let chain model (a, b, _) = Option.value ~default:[] (Grid.find_opt (a, b) !model) in
+      let put model ((a, b, _) as k) version p =
+        model := Grid.add (a, b) ((version, p) :: chain model k) !model
+      in
+      let install (m, model) k p =
+        incr top;
+        Mvcc.install m (spelled k) ~version:!top (Option.map (fun p -> [| vi p |]) p);
+        put model k !top p
+      in
+      (* The first grid cell from [start] on whose key [model] lacks. *)
+      let fresh model start =
+        List.init 100 (fun i -> ((start + i) mod 100 / 10, (start + i) mod 10, i mod 4))
+        |> List.find_opt (fun k -> chain model k = [])
+      in
+      let versions model = Grid.fold (fun _ c n -> n + List.length c) !model 0 in
+      let ordered (m, model) =
+        let got = ref [] in
+        Mvcc.iter_keys_ordered (Mvcc.copy m) (fun k -> got := (as_int k.(0), as_int k.(1)) :: !got);
+        List.rev !got = List.map fst (Grid.bindings !model)
+      in
+      let rec trim keep_after = function
+        | (v, p) :: rest when v > keep_after -> (v, p) :: trim keep_after rest
+        | [] -> []
+        | newest :: _ -> [ newest ]
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Table_install (s, k, p) ->
+            install (store s) k p;
+            true
+          | Table_install_if_newer (s, k, back, p) ->
+            let m, model = store s in
+            let version = max 0 (!top - back) in
+            let expected =
+              match chain model k with (newest, _) :: _ -> newest < version | [] -> true
+            in
+            let got =
+              Mvcc.install_if_newer m (spelled k) ~version (Option.map (fun p -> [| vi p |]) p)
+            in
+            if expected then put model k version p;
+            got = expected
+          | Table_read (s, k, pct) ->
+            let m, model = store s in
+            let at = !top * pct / 100 in
+            let expected =
+              Option.join (Option.map snd (List.find_opt (fun (v, _) -> v <= at) (chain model k)))
+            in
+            Option.map (fun row -> as_int row.(0)) (Mvcc.read m (spelled k) ~at) = expected
+          | Table_latest (s, k) ->
+            let m, model = store s in
+            Mvcc.latest_version m (spelled k) = Option.map fst (List.nth_opt (chain model k) 0)
+          | Table_counts s ->
+            let m, model = store s in
+            Mvcc.key_count m = Grid.cardinal !model && Mvcc.version_count m = versions model
+          | Table_gc (s, pct) ->
+            let m, model = store s in
+            let keep_after = !top * pct / 100 in
+            let before = versions model in
+            model := Grid.map (trim keep_after) !model;
+            Mvcc.gc m ~keep_after = before - versions model
+          | Table_copy (s, from_donor, from_copy) ->
+            let ((m, model) as donor) = store s in
+            let copy = (Mvcc.copy m, ref !model) in
+            stores := Array.append !stores [| copy |];
+            Option.iter (fun k -> install donor k (Some 0)) (fresh model from_donor);
+            Option.iter (fun k -> install copy k (Some 1)) (fresh (snd copy) from_copy);
+            ordered donor && ordered copy
+          | Table_ordered s -> ordered (store s))
+        ops)
+
 (* The directory is walked in place, so a walk's callback may add
    versions to keys it visits but must not install a new key. *)
 let test_mvcc_walk_rejects_install () =
@@ -1342,6 +1559,8 @@ let suites =
         Alcotest.test_case "int and float keys share a chain" `Quick test_mvcc_int_float_keys;
         Alcotest.test_case "key path allocates nothing" `Quick test_key_path_allocates_nothing;
         Alcotest.test_case "walk rejects a new key" `Quick test_mvcc_walk_rejects_install;
+        Alcotest.test_case "copy and gc allocation, empty key" `Quick test_mvcc_table_allocation;
+        Alcotest.test_case "order_line keys hash apart" `Quick test_key_hash_spreads_order_lines;
       ]
       @ qsuite
           [
@@ -1349,6 +1568,7 @@ let suites =
             prop_mvcc_ordered_directory;
             prop_mvcc_directory_splits;
             prop_key_equal_agrees_with_compare;
+            prop_mvcc_table_matches_map;
           ] );
     ( "storage.writeset",
       [
