@@ -286,7 +286,6 @@ let intern_tests () =
   let pair name a b =
     Test.make ~name (Staged.stage (fun () -> ignore (Storage.Writeset.conflicts a b)))
   in
-  let probe_key = [| Storage.Value.Int 2 |] in
   Test.make_grouped ~name:"interning"
     [
       pair "conflict check, boxed tuples (4 vs 4)" (boxed 4 0) (boxed 4 5_000);
@@ -294,9 +293,6 @@ let intern_tests () =
       pair "conflict check, boxed tuples (4 vs 64)" (boxed 4 0) (boxed 64 10_000);
       pair "conflict check, interned ids (4 vs 64)" (interned 4 0)
         (interned 64 10_000);
-      Test.make ~name:"intern probe, existing key"
-        (Staged.stage (fun () ->
-             ignore (Storage.Intern.find intern ~table:"bench" ~key:probe_key)));
     ]
 
 (* A transaction's update statements as the replica runs them: after

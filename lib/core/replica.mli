@@ -153,6 +153,9 @@ val state_transfer : t -> Storage.Database.t -> unit
     ({!Storage.Database.copy}): its tables, every version chain and its
     [V_local]. The copy shares the peer's intern table, which is the
     group's, so cached conflict ids on in-flight writesets stay valid.
+    It also shares every table's slot arrays with the peer, so the
+    peer, like this replica, pays one array copy per table on its next
+    write to that table.
     Used for replicas whose outage outlived the certifier's pruned log.
     Only legal while crashed; follow with {!recover} for the residual
     log suffix. *)

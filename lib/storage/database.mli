@@ -20,11 +20,14 @@ val intern : t -> Intern.t
 val copy : t -> t
 (** An independent database with the same tables, contents, indexes and
     version ({!Table.copy}), sharing the original's intern table. Applying
-    writesets or {!gc} to one leaves the other unchanged. Costs O(keys +
-    index entries) and shares every row: a cluster builds its initial
-    database once and gives each further replica a copy, and state
-    transfer re-seeds a recovering replica with a copy of a live
-    peer's. *)
+    writesets or {!gc} to one leaves the other unchanged. Costs O(tables
+    + index entries), plus O(keys) for each table whose ordered directory
+    has been built ({!Mvcc.copy}), and shares every row and every
+    table's slot arrays. Each side pays one array copy per table on its
+    first write to that table, so a table neither side writes stays
+    shared. A cluster builds its initial database once and gives each
+    further replica a copy, and state transfer re-seeds a recovering
+    replica with a copy of a live peer's. *)
 
 val create_table : t -> Schema.t -> Table.t
 (** Raises [Invalid_argument] if a table with that name exists. *)

@@ -46,8 +46,3 @@ let id t ~table ~key =
     t.next <- id + 1;
     Key_tbl.add keys key id;
     id
-
-let find t ~table ~key =
-  match Stbl.find_opt t.tables table with
-  | None -> None
-  | Some keys -> Key_tbl.find_opt keys key

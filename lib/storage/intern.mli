@@ -22,6 +22,3 @@ val id : t -> table:string -> key:Value.t array -> int
 (** The id for [(table, key)], assigning the next dense id on first
     sight. Ids count up from 0, so they double as indexes into
     side arrays. *)
-
-val find : t -> table:string -> key:Value.t array -> int option
-(** Lookup without assignment. *)

@@ -66,7 +66,10 @@ end
 
 module Key_tbl = Hashtbl.Make (Key_hashed)
 
-type version = { version : int; row : Value.t array option }
+(* A key's versions, newest first: each one immutable block of three
+   fields, 4 words with its header. A free slot of the chain table holds
+   [Nil]. *)
+type chain = Nil | V of { version : int; row : Value.t array option; older : chain }
 
 (* The ordered key directory: every key of the store in ascending
    order, cut into chunks of at most [chunk_cap] keys, themselves held
@@ -209,17 +212,19 @@ let walk d ?lo ?hi f =
    [no_key], and a key, once in, never moves except when the table
    doubles, so the slot arrays need no tombstones. A key's chain is
    never empty ([gc] keeps at least one version), so a free slot is
-   also the one whose chain is [[]]. The load stays at or below 3/4,
-   so a probe always ends, on the key or on a free slot. [keys] may be
-   shared with the stores copied from or into this one (see [copy]):
-   while [keys_shared] holds, the array is read-only here, and the
-   first brand-new key copies it. *)
+   also the one whose chain is [Nil]. The load stays at or below 3/4,
+   so a probe always ends, on the key or on a free slot. Both arrays
+   may be shared with the stores copied from or into this one (see
+   [copy]): while [keys_shared] or [chains_shared] holds, that array is
+   read-only here, and the first write to it copies it. *)
 type t = {
   mutable keys : key array;
-  mutable chains : version list array;
+  mutable chains : chain array;
   mutable shift : int;  (* [Sys.int_size - bits] *)
   mutable count : int;  (* occupied slots *)
+  mutable superseded : int;  (* versions minus keys: what [gc] could drop *)
   mutable keys_shared : bool;
+  mutable chains_shared : bool;
   mutable dir : dir option;  (* [None] until the first ordered access *)
 }
 
@@ -229,10 +234,12 @@ let create () =
   let capacity = 1 lsl initial_bits in
   {
     keys = Array.make capacity no_key;
-    chains = Array.make capacity [];
+    chains = Array.make capacity Nil;
     shift = Sys.int_size - initial_bits;
     count = 0;
+    superseded = 0;
     keys_shared = false;
+    chains_shared = false;
     dir = None;
   }
 
@@ -257,7 +264,7 @@ let rec free_slot keys i mask =
 let grow t =
   let capacity = 2 * Array.length t.keys in
   let shift = t.shift - 1 in
-  let keys = Array.make capacity no_key and chains = Array.make capacity [] in
+  let keys = Array.make capacity no_key and chains = Array.make capacity Nil in
   Array.iteri
     (fun j key ->
       if key != no_key then begin
@@ -269,14 +276,23 @@ let grow t =
   t.keys <- keys;
   t.chains <- chains;
   t.shift <- shift;
-  t.keys_shared <- false
+  t.keys_shared <- false;
+  t.chains_shared <- false
 
-(* Keys, version records and rows are immutable, and so is each chain,
-   a list; [keys] is shared too, until either side adds a key. Only
-   [chains] and a built directory are copied, with no rehashing. *)
+(* Keys, versions and rows are immutable, and so is each chain; both
+   slot arrays are shared too, each until either side first writes to
+   it. Only a built directory is copied. *)
 let copy t =
   t.keys_shared <- true;
-  { t with chains = Array.copy t.chains; keys_shared = true; dir = Option.map copy_dir t.dir }
+  t.chains_shared <- true;
+  { t with dir = Option.map copy_dir t.dir }
+
+(* Make the chain array this store's own before a write-back. *)
+let own_chains t =
+  if t.chains_shared then begin
+    t.chains <- Array.copy t.chains;
+    t.chains_shared <- false
+  end
 
 (* Put a brand-new key in the free slot [i] that ended its probe. *)
 let add t i key chain =
@@ -290,6 +306,7 @@ let add t i key chain =
         t.keys <- Array.copy t.keys;
         t.keys_shared <- false
       end;
+      own_chains t;
       i
     end
   in
@@ -303,19 +320,21 @@ let install_if_newer t key ~version row =
      not be told from one. *)
   if Array.length key = 0 then invalid_arg "Mvcc.install: empty key";
   let i = slot t key in
-  match t.chains.(i) with
-  | { version = newest; _ } :: _ when newest >= version -> false
-  | [] ->
-    add t i key [ { version; row } ];
+  match Array.unsafe_get t.chains i with
+  | V { version = newest; _ } when newest >= version -> false
+  | Nil ->
+    add t i key (V { version; row; older = Nil });
     true
-  | versions ->
-    t.chains.(i) <- { version; row } :: versions;
+  | older ->
+    own_chains t;
+    Array.unsafe_set t.chains i (V { version; row; older });
+    t.superseded <- t.superseded + 1;
     true
 
 let latest_version t key =
   match Array.unsafe_get t.chains (slot t key) with
-  | [] -> None
-  | { version; _ } :: _ -> Some version
+  | Nil -> None
+  | V { version; _ } -> Some version
 
 let install t key ~version row =
   if not (install_if_newer t key ~version row) then
@@ -324,14 +343,14 @@ let install t key ~version row =
          (Option.get (latest_version t key)))
 
 let rec visible at = function
-  | [] -> None
-  | { version; row } :: rest -> if version <= at then row else visible at rest
+  | Nil -> None
+  | V { version; row; older } -> if version <= at then row else visible at older
 
 let read t key ~at = visible at (Array.unsafe_get t.chains (slot t key))
 
 let key_count t = t.count
 
-let version_count t = Array.fold_left (fun acc chain -> acc + List.length chain) 0 t.chains
+let version_count t = t.count + t.superseded
 
 let dir t =
   match t.dir with
@@ -357,22 +376,30 @@ let fold_visible t ~at ~init ~f =
    nothing older than that comes back physically unchanged, and
    otherwise only the kept prefix is copied. *)
 let rec trim keep_after = function
-  | ({ version; _ } as v) :: rest as versions when version > keep_after ->
-    let kept = trim keep_after rest in
-    if kept == rest then versions else v :: kept
-  | ([] | [ _ ]) as versions -> versions
-  | v :: _ -> [ v ]
+  | V ({ version; older; _ } as v) as chain when version > keep_after ->
+    let kept = trim keep_after older in
+    if kept == older then chain else V { v with older = kept }
+  | (Nil | V { older = Nil; _ }) as chain -> chain
+  | V { version; row; _ } -> V { version; row; older = Nil }
 
-(* Only a chain that [trim] shortens is written back. *)
+let rec length n = function Nil -> n | V { older; _ } -> length (n + 1) older
+
+(* A store with no superseded version has nothing to drop and is not
+   read at all; otherwise only a chain that [trim] shortens is written
+   back. *)
 let gc t ~keep_after =
-  let removed = ref 0 in
-  let chains = t.chains in
-  for i = 0 to Array.length chains - 1 do
-    let chain = Array.unsafe_get chains i in
-    let kept = trim keep_after chain in
-    if kept != chain then begin
-      removed := !removed + List.length chain - List.length kept;
-      Array.unsafe_set chains i kept
-    end
-  done;
-  !removed
+  if t.superseded = 0 then 0
+  else begin
+    let removed = ref 0 in
+    for i = 0 to Array.length t.chains - 1 do
+      let chain = Array.unsafe_get t.chains i in
+      let kept = trim keep_after chain in
+      if kept != chain then begin
+        removed := !removed + length 0 chain - length 0 kept;
+        own_chains t;
+        Array.unsafe_set t.chains i kept
+      end
+    done;
+    t.superseded <- t.superseded - !removed;
+    !removed
+  end

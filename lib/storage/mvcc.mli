@@ -6,8 +6,11 @@
     increasing version order per key (the replicated system guarantees
     this because commits apply in the certifier's total order).
 
-    Chains live in an open-addressed table: two parallel arrays of
-    [2^k] slots, one of keys and one of chains, filled to at most 3/4.
+    A chain is one immutable 4-word block per version (the version
+    number, the row and the next older version), so a version costs 4
+    words plus its row option. Chains live in an open-addressed table:
+    two parallel arrays of [2^k] slots, one of keys and one of chains,
+    filled to at most 3/4.
     A lookup ({!read}, {!latest_version}, an install) hashes the key
     once, starts at a home slot taken from the top bits of the hash
     times an odd constant, and compares keys slot by slot until it
@@ -44,16 +47,18 @@ val create : unit -> t
 val copy : t -> t
 (** An independent store with the same contents: installs and {!gc} on
     either side do not show in the other. Keys, chains and rows are
-    immutable and shared, and so is the table's array of keys. The copy
-    allocates one array of chains, a word per slot (between 4/3 and 8/3
-    words per key), and a copy of the ordered directory if one has been
-    built, in O(slots) with no rehashing.
+    immutable and shared, and so are both slot arrays, of keys and of
+    chains. The copy allocates a few words, plus a copy of the ordered
+    directory if one has been built.
 
-    The shared key array is read-only on both sides: the first
-    brand-new key installed afterwards into either store copies it, one
-    more word per slot, unless that key doubles the table anyway. The
-    store copied from pays this too, on its next new key after each
-    [copy] (a state-transfer donor does, for example). *)
+    A shared array is read-only on both sides, and each side copies it
+    before its first write to it, a word per slot (between 4/3 and 8/3
+    words per key), unless a brand-new key doubles the table anyway.
+    The first install, of any key, copies the chains; the first
+    brand-new key also copies the keys; a {!gc} copies the chains only
+    if it shortens one. A store that is never written after the copy
+    never pays. The store copied from pays too, on its next write
+    after each [copy] (a state-transfer donor does, for example). *)
 
 val install : t -> key -> version:int -> Value.t array option -> unit
 (** Prepend a version ([None] = delete). Raises [Invalid_argument] if
@@ -77,7 +82,7 @@ val key_count : t -> int
 (** Number of keys ever written (including currently-deleted ones). *)
 
 val version_count : t -> int
-(** Total stored versions across all keys. *)
+(** Total stored versions across all keys, in O(1). *)
 
 (** {2 Ordered access}
 
@@ -110,6 +115,10 @@ val fold_visible : t -> at:int -> init:'a -> f:('a -> key -> Value.t array -> 'a
 val gc : t -> keep_after:int -> int
 (** Drop versions that can no longer be seen by any snapshot [>
     keep_after]: for each key, keep all versions newer than [keep_after]
-    plus the newest one at or below it. Returns versions removed. It
-    reads every slot but writes back only the chains it shortens, so a
-    pass that drops nothing allocates and writes nothing. *)
+    plus the newest one at or below it. Returns versions removed. A
+    store in which every key has one version returns 0 in O(1);
+    otherwise it reads every slot but writes back only the chains it
+    shortens, each as a fresh copy of its kept prefix (4 words per kept
+    version above the horizon, plus one for the newest at or below it).
+    So a pass that drops nothing allocates and writes nothing, and the
+    arrays of a store it does not shorten stay shared. *)

@@ -8,11 +8,13 @@ type buffered = Bput of Value.t array | Bdelete
 
 (* One buffered record write. The table/key pair is kept for writeset
    extraction. The record's conflict id is resolved once, on the first
-   write, and kept here: lookups, early certification and the writeset
-   all reuse it, so nothing re-interns a key the buffer already holds. *)
+   write, and kept here: early certification and the writeset reuse it,
+   so nothing re-interns a key the buffer already holds. The key's hash
+   lets a read skip every cell of another key with one int compare. *)
 type wcell = {
   w_table : string;
   w_key : Mvcc.key;
+  w_hash : int;  (* [Mvcc.Key_hashed.hash w_key] *)
   w_cid : int;  (* conflict id under the database's intern table *)
   mutable w_op : buffered;
 }
@@ -65,28 +67,32 @@ let buffer t table key op =
   (match Util.Tables.Itbl.find t.writes kid with
   | cell -> cell.w_op <- op
   | exception Not_found ->
-    let cell = { w_table = table; w_key = key; w_cid = kid; w_op = op } in
+    let cell =
+      { w_table = table; w_key = key; w_hash = Mvcc.Key_hashed.hash key; w_cid = kid; w_op = op }
+    in
     Util.Tables.Itbl.add t.writes kid cell;
     t.write_order <- cell :: t.write_order);
   t.written <- t.written + 1
 
-(* The write buffer's view of one record, if any. Read-only-so-far
-   transactions (the common case) skip the probe entirely; otherwise a
-   key the group has never interned cannot have been written here. *)
-let local_find t ~table ~key =
-  match t.write_order with
-  | [] -> None
-  | _ -> (
-    match Intern.find (Database.intern t.db) ~table ~key with
-    | None -> None
-    | Some kid -> Util.Tables.Itbl.find_opt t.writes kid)
+let snapshot_read t table key = Table.read (Database.table t.db table) ~key ~at:t.snapshot
 
-(* Point read overlaying the write buffer on the snapshot. *)
+(* Point read overlaying the write buffer on the snapshot. The buffer
+   holds a handful of cells, so a read hashes its key once and scans
+   them in place, comparing table and key under the store's equality
+   only where the hashes match; it allocates nothing before the read
+   itself. An empty buffer (read-only so far, the common case) skips
+   straight to the snapshot. *)
+let rec overlay t table key hash = function
+  | [] -> snapshot_read t table key
+  | cell :: rest ->
+    if cell.w_hash = hash && String.equal cell.w_table table && Mvcc.Key_hashed.equal cell.w_key key
+    then match cell.w_op with Bput row -> Some row | Bdelete -> None
+    else overlay t table key hash rest
+
 let get_raw t ~table ~key =
-  match local_find t ~table ~key with
-  | Some { w_op = Bput row; _ } -> Some row
-  | Some { w_op = Bdelete; _ } -> None
-  | None -> Table.read (Database.table t.db table) ~key ~at:t.snapshot
+  match t.write_order with
+  | [] -> snapshot_read t table key
+  | cells -> overlay t table key (Mvcc.Key_hashed.hash key) cells
 
 let get t ~table ~key =
   let r = get_raw t ~table ~key in
