@@ -339,9 +339,9 @@ let early_cert_tests () =
   in
   Test.make_grouped ~name:"early certification" [ statements 10; statements 30 ]
 
-(* The flat Bytes encoding round-tripping a small row's fields, plus a
-   full runlog-record append into the flat sink (the chaos-soak hot
-   path). *)
+(* The flat Bytes encoding round-tripping a small row's fields, a full
+   runlog-record append into the flat sink (the chaos-soak hot path),
+   and the decode of a whole log. *)
 let codec_tests () =
   let open Bechamel in
   let w = Storage.Codec.Flat.writer ~capacity:256 () in
@@ -381,7 +381,16 @@ let codec_tests () =
            Check.Runlog.Sink.clear sink;
            Check.Runlog.Sink.add sink record))
   in
-  Test.make_grouped ~name:"codec" [ flat_roundtrip; sink_append ]
+  (* Decoding a soak-sized log, as each checker pass does first. *)
+  let n = 20_000 in
+  let log = Check.Runlog.Sink.create () in
+  List.iter (Check.Runlog.Sink.add log) (clean_log n);
+  let sink_decode =
+    Test.make
+      ~name:(Printf.sprintf "runlog sink decode (%d records)" n)
+      (Staged.stage (fun () -> ignore (Check.Runlog.Sink.records log)))
+  in
+  Test.make_grouped ~name:"codec" [ flat_roundtrip; sink_append; sink_decode ]
 
 (* Two checkers of the failover-open battery, on a clean log of about
    the size of a soak's: each costs O(n log n) here. *)

@@ -13,23 +13,6 @@ let seed_arg =
   let doc = "Simulation seed." in
   Arg.(value & opt int Core.Config.default.Core.Config.seed & info [ "seed" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Run up to $(docv) independent simulations in parallel (one OCaml domain \
-     each). Every run stays single-threaded and bit-deterministic; results and \
-     output come back in the same order as $(b,--jobs 1)."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* The flags every artifact command shares. *)
-type common = { quick : bool; seed : int; jobs : int }
-
-let common_term =
-  Term.(
-    const (fun quick seed jobs -> { quick; seed; jobs }) $ quick_arg $ seed_arg $ jobs_arg)
-
-let with_seed seed config = { config with Core.Config.seed }
-
 (* Range-checked converters: an out-of-range value is a usage error
    (exit 124) before anything is built or run. *)
 let checked conv ~ok ~expect =
@@ -47,6 +30,24 @@ let float_g = Arg.conv (Arg.conv_parser Arg.float, fun ppf -> Format.fprintf ppf
 let positive_int = checked Arg.int ~ok:(fun n -> n > 0) ~expect:"> 0"
 let positive_float = checked float_g ~ok:(fun x -> x > 0.0) ~expect:"> 0"
 let non_negative_float = checked float_g ~ok:(fun x -> x >= 0.0) ~expect:">= 0"
+
+let jobs_arg =
+  let doc =
+    "Run up to $(docv) independent simulations in parallel (one OCaml domain \
+     each, and no more domains than the runtime recommends). Every run stays \
+     single-threaded and bit-deterministic; results and output come back in \
+     the same order as $(b,--jobs 1)."
+  in
+  Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+(* The flags every artifact command shares. *)
+type common = { quick : bool; seed : int; jobs : int }
+
+let common_term =
+  Term.(
+    const (fun quick seed jobs -> { quick; seed; jobs }) $ quick_arg $ seed_arg $ jobs_arg)
+
+let with_seed seed config = { config with Core.Config.seed }
 
 let mode_conv =
   Arg.conv'

@@ -53,8 +53,11 @@ let pp_violation ppf v =
     v.second v.second.begin_time v.second.ack_time v.second.epoch v.second.lb_epoch
     v.reason
 
+(* A stable sort, so records that began together keep their log order. *)
 let by_begin records =
-  Array.of_list (List.sort (fun a b -> compare a.begin_time b.begin_time) records)
+  let arr = Array.of_list records in
+  Array.stable_sort (fun a b -> Float.compare a.begin_time b.begin_time) arr;
+  arr
 
 (* Which running maxima a precedence sweep keeps: one over every source
    ([Global]), one per session ([Session]), or one per written table,
@@ -494,20 +497,42 @@ let tier_monotone_reads records =
    until the checker battery runs, and the GC walks them on every major
    slice. The sink flattens records into one growing [Bytes] buffer as
    they are recorded and materializes [record] values only when a
-   checker asks. *)
+   checker asks.
+
+   Table names are few (the schema's) and repeat in every record, so
+   each is written as its id in a per-sink dictionary that [clear]
+   keeps. Decoding hands back the dictionary's own strings, and one
+   shared list per single-table set, so the records of a decoded log
+   own only their rendered keys. *)
 module Sink = struct
   module Flat = Storage.Codec.Flat
+  module Names = Hashtbl.Make (String)
 
   type t = {
     w : Flat.writer;
     mutable count : int;
+    ids : int Names.t;  (* table name -> id *)
+    mutable singles : string list array;
+        (* id -> the one-element list of its name; the first [Names.length ids] *)
   }
 
-  let create ?(capacity = 1 lsl 16) () = { w = Flat.writer ~capacity (); count = 0 }
+  let create ?(capacity = 1 lsl 16) () =
+    { w = Flat.writer ~capacity (); count = 0; ids = Names.create 16; singles = [||] }
 
   let clear t =
     Flat.clear t.w;
     t.count <- 0
+
+  let id t name =
+    match Names.find t.ids name with
+    | id -> id
+    | exception Not_found ->
+      let id = Names.length t.ids in
+      if id = Array.length t.singles then
+        t.singles <- Array.append t.singles (Array.make (max 8 id) []);
+      Names.add t.ids name id;
+      t.singles.(id) <- [ name ];
+      id
 
   (* Option and tier tags. *)
   let tag_none = 0
@@ -529,9 +554,18 @@ module Sink = struct
       Flat.u8 w tag_some;
       Flat.float w x
 
-  let put_strs w l =
-    Flat.int w (List.length l);
-    List.iter (Flat.str w) l
+  let rec put_names t = function
+    | [] -> ()
+    | name :: rest ->
+      Flat.int t.w (id t name);
+      put_names t rest
+
+  let rec put_keys t = function
+    | [] -> ()
+    | (table, key) :: rest ->
+      Flat.int t.w (id t table);
+      Flat.str t.w key;
+      put_keys t rest
 
   let add t r =
     let w = t.w in
@@ -551,14 +585,12 @@ module Sink = struct
       put_float_opt w ms
     | Causal -> Flat.u8 w tier_causal
     | Eventual -> Flat.u8 w tier_eventual);
-    put_strs w r.table_set;
-    put_strs w r.tables_written;
+    Flat.int w (List.length r.table_set);
+    put_names t r.table_set;
+    Flat.int w (List.length r.tables_written);
+    put_names t r.tables_written;
     Flat.int w (List.length r.write_keys);
-    List.iter
-      (fun (table, key) ->
-        Flat.str w table;
-        Flat.str w key)
-      r.write_keys;
+    put_keys t r.write_keys;
     put_int_opt w r.trace;
     t.count <- t.count + 1
 
@@ -572,9 +604,28 @@ module Sink = struct
     | 0 -> None
     | _ -> Some (Flat.read_float c)
 
-  let read_strs c = List.init (Flat.read_int c) (fun _ -> Flat.read_str c)
+  let read_id t c =
+    let id = Flat.read_int c in
+    if id < 0 || id >= Names.length t.ids then
+      raise (Storage.Codec.Corrupt (Printf.sprintf "runlog sink: table id %d unknown" id));
+    id
 
-  let read_record c =
+  let read_count c =
+    let n = Flat.read_int c in
+    if n < 0 then raise (Storage.Codec.Corrupt (Printf.sprintf "runlog sink: count %d" n));
+    n
+
+  let read_single t c = t.singles.(read_id t c)
+
+  let read_name t c = List.hd (read_single t c)
+
+  let read_names t c =
+    match read_count c with
+    | 0 -> []
+    | 1 -> read_single t c
+    | n -> List.init n (fun _ -> read_name t c)
+
+  let read_record t c =
     let tid = Flat.read_int c in
     let session = Flat.read_int c in
     let begin_time = Flat.read_float c in
@@ -593,11 +644,11 @@ module Sink = struct
       | 2 -> Causal
       | _ -> Eventual
     in
-    let table_set = read_strs c in
-    let tables_written = read_strs c in
+    let table_set = read_names t c in
+    let tables_written = read_names t c in
     let write_keys =
-      List.init (Flat.read_int c) (fun _ ->
-          let table = Flat.read_str c in
+      List.init (read_count c) (fun _ ->
+          let table = read_name t c in
           let key = Flat.read_str c in
           (table, key))
     in
@@ -620,7 +671,7 @@ module Sink = struct
 
   let records t =
     let c = Flat.cursor t.w in
-    List.init t.count (fun _ -> read_record c)
+    List.init t.count (fun _ -> read_record t c)
 end
 
 let digest records =

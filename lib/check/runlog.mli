@@ -150,8 +150,14 @@ val lb_floor_preservation : record list -> violation list
     transaction's record here during a measurement window; records are
     flattened into one growing byte buffer ({!Storage.Codec.Flat}) at
     append time, so a soak's worth of log costs the GC one large object
-    instead of hundreds of thousands of small ones. [records] decodes
-    them back, in append order. *)
+    instead of hundreds of thousands of small ones. Ints are zigzag
+    varints and floats their 8 bytes. Each table name (in [table_set],
+    [tables_written] and [write_keys]) is written as its id in a per-sink
+    dictionary, which the schema bounds and {!clear} keeps; rendered
+    keys are written inline. [records] decodes them back, in append
+    order: every table name is the dictionary's own string, and every
+    single-table list is one list shared by all records naming that
+    table, so a decoded record owns little beyond its rendered keys. *)
 module Sink : sig
   type t
 
@@ -159,6 +165,7 @@ module Sink : sig
   (** [capacity] is the initial buffer size in bytes (doubles on demand). *)
 
   val clear : t -> unit
+  (** Drop every record; the table dictionary stays. *)
 
   val add : t -> record -> unit
 

@@ -679,9 +679,6 @@ let stop_observatory t ts =
   Obs.Timeseries.flush ts;
   Metrics.set_observer t.metrics None
 
-let render_key key =
-  String.concat "," (List.map Storage.Value.to_string (Array.to_list key))
-
 (* The checker library mirrors the tier type rather than depending on
    this one; translate at the recording boundary. *)
 let runlog_tier = function
@@ -709,7 +706,8 @@ let record_commit t ~tid ~sid ~begin_time ~snapshot ~commit_version ~epoch ~lb_e
         tables_written = Storage.Writeset.tables ws;
         write_keys =
           List.map
-            (fun e -> (e.Storage.Writeset.ws_table, render_key e.Storage.Writeset.ws_key))
+            (fun e ->
+              (e.Storage.Writeset.ws_table, Storage.Mvcc.render_key e.Storage.Writeset.ws_key))
             entries;
         trace;
       }

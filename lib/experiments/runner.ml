@@ -1,3 +1,9 @@
+(* The domains [map_jobs] spawns beside the calling one: one per
+   further item at most, and no more than the runtime recommends, so a
+   large [--jobs] cannot ask for more domains than the runtime allows. *)
+let spawn_count ~jobs ~items ~recommended =
+  max 0 (min (jobs - 1) (min (items - 1) (recommended - 1)))
+
 (* [map_jobs ~jobs f items] = [List.map f items], computed by [jobs]
    domains. Each simulation is single-threaded and self-contained (its
    engine, RNG chain, and cluster state are all built inside [f]), so
@@ -22,7 +28,9 @@ let map_jobs ?(jobs = 1) f items =
       in
       loop ()
     in
-    let spawned = min (jobs - 1) (max 0 (n - 1)) in
+    let spawned =
+      spawn_count ~jobs ~items:n ~recommended:(Domain.recommended_domain_count ())
+    in
     let domains = List.init spawned (fun _ -> Domain.spawn worker) in
     Fun.protect
       ~finally:(fun () -> List.iter Domain.join domains)

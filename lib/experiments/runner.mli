@@ -12,7 +12,14 @@ val map_jobs : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     position. Each call to [f] must be self-contained (simulations are:
     engine, RNG, and cluster all live inside the run) — [f] runs off the
     main domain when [jobs > 1]. [jobs <= 1] (the default) is exactly
-    [List.map f items] on the calling domain. *)
+    [List.map f items] on the calling domain. It spawns
+    [spawn_count ~jobs ~items:(List.length items)
+    ~recommended:(Domain.recommended_domain_count ())] domains. *)
+
+val spawn_count : jobs:int -> items:int -> recommended:int -> int
+(** The domains {!map_jobs} spawns beside the calling one: [jobs - 1],
+    but at most [items - 1] and at most [recommended - 1], and never
+    below 0. *)
 
 type workload =
   | Micro of Workload.Microbench.params

@@ -65,14 +65,27 @@ module Flat = struct
     Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr (x land 0xff));
     w.len <- w.len + 1
 
-  let i64 w x =
+  (* An int is a zigzag varint: [x lsl 1] flipped by the sign, so small
+     magnitudes of either sign come out small, then 7 bits per byte, low
+     bits first, with the high bit set on every byte but the last. A
+     63-bit int takes 1 to 9 bytes. *)
+  let int w x =
+    ensure w 9;
+    let b = w.bytes in
+    let z = ref ((x lsl 1) lxor (x asr 62)) and i = ref w.len in
+    while !z lsr 7 <> 0 do
+      Bytes.unsafe_set b !i (Char.unsafe_chr (!z land 0x7f lor 0x80));
+      z := !z lsr 7;
+      incr i
+    done;
+    Bytes.unsafe_set b !i (Char.unsafe_chr !z);
+    w.len <- !i + 1
+
+  (* The conversion feeds the store directly, so no [Int64] is boxed. *)
+  let float w x =
     ensure w 8;
-    Bytes.set_int64_le w.bytes w.len x;
+    Bytes.set_int64_le w.bytes w.len (Int64.bits_of_float x);
     w.len <- w.len + 8
-
-  let int w x = i64 w (Int64.of_int x)
-
-  let float w x = i64 w (Int64.bits_of_float x)
 
   let str w s =
     let n = String.length s in
@@ -102,15 +115,24 @@ module Flat = struct
     c.pos <- c.pos + 1;
     b
 
-  let read_i64 c =
+  (* The ninth byte carries the top 7 of the 63 bits, so it must end
+     the varint. *)
+  let rec read_varint c z shift =
+    let b = read_u8 c in
+    let z = z lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then z
+    else if shift = 56 then corrupt "flat decode: varint longer than 9 bytes at offset %d" c.pos
+    else read_varint c z (shift + 7)
+
+  let read_int c =
+    let z = read_varint c 0 0 in
+    (z lsr 1) lxor -(z land 1)
+
+  let read_float c =
     check c 8;
-    let x = Bytes.get_int64_le c.data c.pos in
+    let x = Int64.float_of_bits (Bytes.get_int64_le c.data c.pos) in
     c.pos <- c.pos + 8;
     x
-
-  let read_int c = Int64.to_int (read_i64 c)
-
-  let read_float c = Int64.float_of_bits (read_i64 c)
 
   let read_str c =
     let n = read_int c in

@@ -2,8 +2,8 @@
     the run-log sink. *)
 
 exception Corrupt of string
-(** Raised by the {!Flat} cursor on a read past its limit or a
-    malformed length. *)
+(** Raised by the {!Flat} cursor on a read past its limit, a malformed
+    length or a varint longer than 9 bytes. *)
 
 val writeset_bytes : Writeset.t -> int
 (** The modelled wire size of a writeset, in bytes: every refresh,
@@ -24,9 +24,15 @@ module Flat : sig
   val clear : writer -> unit
 
   val u8 : writer -> int -> unit
+
   val int : writer -> int -> unit
+  (** A zigzag varint: 1 byte for [-64 .. 63], at most 9 for any int. *)
+
   val float : writer -> float -> unit
+  (** The 8 bytes of the IEEE bits, little-endian. *)
+
   val str : writer -> string -> unit
+  (** The length as an {!int}, then the bytes. *)
 
   type cursor
 

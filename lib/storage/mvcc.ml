@@ -64,6 +64,22 @@ module Key_hashed = struct
     !h land max_int
 end
 
+(* Rendered keys must agree with [Key_hashed.equal]: [Int x] equals the
+   integral [Float x], so that float renders as the int, and no other
+   float equals an int, so the rest render exactly. [%h] alone would
+   split the NaNs by sign, which [equal] does not. *)
+let render_value = function
+  | Value.Int x -> string_of_int x
+  | Value.Float x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 ->
+    string_of_int (int_of_float x)
+  | Value.Float x when Float.is_nan x -> "nan"
+  | Value.Float x -> Printf.sprintf "%h" x
+  | (Value.Text _ | Value.Null | Value.Bool _) as v -> Value.to_string v
+
+let render_key (k : key) =
+  if Array.length k = 1 then render_value k.(0)
+  else String.concat "," (Array.to_list (Array.map render_value k))
+
 module Key_tbl = Hashtbl.Make (Key_hashed)
 
 (* A key's versions, newest first: each one immutable block of three

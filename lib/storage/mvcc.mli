@@ -38,6 +38,14 @@ end
     allocate nothing. *)
 module Key_hashed : Hashtbl.HashedType with type t = key
 
+val render_key : key -> string
+(** The key as the run log writes it: its columns joined by [","].
+    Keys render alike exactly when {!Key_hashed.equal} holds (for [Int]
+    columns below 2{^53} in magnitude, where every int is a float), so
+    a checker may compare rendered keys as strings. An integral [Float]
+    renders as the [Int] it equals, any other float exactly ([%h]), and
+    every NaN as ["nan"]. *)
+
 module Key_tbl : Hashtbl.S with type key = key
 
 type t

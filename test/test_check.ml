@@ -413,6 +413,129 @@ let prop_strong_monotone_in_snapshot =
       let v lo = List.length (Runlog.strong_consistency (log lo)) in
       v (snap_lo + extra) <= v snap_lo)
 
+(* --- The flat run-log sink --- *)
+
+(* Random records over every tier and field shape: ints at the
+   extremes, NaN and infinite floats, empty and repeated strings, lists
+   of 0, 1 and many elements. *)
+let sink_record_gen =
+  let open QCheck.Gen in
+  let int = oneof [ return min_int; return max_int; return 0; int_range (-300) 300; int ] in
+  let flt = oneof [ return nan; return infinity; return neg_infinity; return (-0.0); float ] in
+  let str = oneof [ return ""; oneofl [ "t"; "warehouse" ]; string_size (int_range 0 12) ] in
+  let strs = list_size (oneof [ return 0; return 1; int_range 2 6 ]) str in
+  let tier =
+    oneof
+      [
+        return Runlog.Strong;
+        map2 (fun versions ms -> Runlog.Bounded { versions; ms }) (opt int) (opt flt);
+        return Runlog.Causal;
+        return Runlog.Eventual;
+      ]
+  in
+  let* tid = int and* session = int and* begin_time = flt and* ack_time = flt in
+  let* snapshot_version = int and* commit_version = opt int and* epoch = int in
+  let* lb_epoch = int and* tier = tier and* table_set = strs and* tables_written = strs in
+  let* write_keys = list_size (oneof [ return 0; return 1; int_range 2 6 ]) (pair str str) in
+  let+ trace = opt int in
+  {
+    Runlog.tid;
+    session;
+    begin_time;
+    ack_time;
+    snapshot_version;
+    commit_version;
+    epoch;
+    lb_epoch;
+    tier;
+    table_set;
+    tables_written;
+    write_keys;
+    trace;
+  }
+
+(* Two batches of records, added to one sink across a [clear]: the
+   sink gives back the second batch in order (under [compare], which
+   takes NaN as equal to itself) and its digest. *)
+let prop_sink_round_trip =
+  let batch = QCheck.Gen.list_size (QCheck.Gen.int_range 0 30) sink_record_gen in
+  QCheck.Test.make ~name:"runlog sink round-trips records across a clear" ~count:300
+    (QCheck.make (QCheck.Gen.pair batch batch))
+    (fun (before, after) ->
+      let sink = Runlog.Sink.create ~capacity:16 () in
+      List.iter (Runlog.Sink.add sink) before;
+      let first = Runlog.Sink.records sink in
+      Runlog.Sink.clear sink;
+      List.iter (Runlog.Sink.add sink) after;
+      let second = Runlog.Sink.records sink in
+      (compare first before = 0 || QCheck.Test.fail_report "before the clear")
+      && (compare second after = 0 || QCheck.Test.fail_report "after the clear")
+      && Runlog.digest second = Runlog.digest after)
+
+(* Decoded records share their table names: each name is the sink's
+   one string for it, and every single-table set one list, whichever
+   record and field it came from and across a [clear]. Fresh copies are
+   added, so sharing cannot come from the input. *)
+let test_sink_shares_tables () =
+  let sink = Runlog.Sink.create () in
+  let add tid =
+    let t = String.init 1 (fun _ -> 't') in
+    Runlog.Sink.add sink
+      (record tid ~table_set:[ t ] ~written:[ String.concat "" [ t ] ]
+         ~keys:[ (String.sub "tt" 0 1, string_of_int tid) ]
+         ~begin_:0.0 ~ack:1.0 ~snapshot:0 ~commit:(Some tid))
+  in
+  add 1;
+  Runlog.Sink.clear sink;
+  add 2;
+  add 3;
+  match Runlog.Sink.records sink with
+  | [ a; b ] ->
+    Alcotest.(check bool) "one table-set list" true (a.table_set == b.table_set);
+    Alcotest.(check bool) "written shares it" true (a.tables_written == b.table_set);
+    Alcotest.(check bool) "key table is the name" true
+      (fst (List.hd b.write_keys) == List.hd a.table_set)
+  | l -> Alcotest.failf "%d records" (List.length l)
+
+(* Every proper prefix of an encoding is refused: a cursor limited to
+   it raises [Corrupt] instead of reading past its end, whether the cut
+   falls inside a varint, a float or a string. *)
+let test_flat_truncated () =
+  let module Flat = Storage.Codec.Flat in
+  let w = Flat.writer () in
+  Flat.int w min_int;
+  Flat.int w 300;
+  Flat.float w nan;
+  Flat.str w "warehouse";
+  Flat.int w max_int;
+  let decode c =
+    ignore (Flat.read_int c);
+    ignore (Flat.read_int c);
+    ignore (Flat.read_float c);
+    ignore (Flat.read_str c);
+    Flat.read_int c
+  in
+  Alcotest.(check int) "whole buffer decodes" max_int (decode (Flat.cursor w));
+  (* min_int and max_int take 9 bytes each, 300 takes 2, the float 8
+     and the string 1 + 9. *)
+  let full = 38 in
+  let decodes limit =
+    match decode (Flat.cursor ~limit w) with
+    | _ -> true
+    | exception Storage.Codec.Corrupt _ -> false
+  in
+  Alcotest.(check bool) "the encoding is 38 bytes" true (decodes full);
+  for limit = 0 to full - 1 do
+    if decodes limit then Alcotest.failf "a cut at %d of %d decoded" limit full
+  done;
+  let long = Flat.writer () in
+  for _ = 1 to 10 do
+    Flat.u8 long 0xff
+  done;
+  match Flat.read_int (Flat.cursor long) with
+  | x -> Alcotest.failf "a 10-byte varint decoded to %d" x
+  | exception Storage.Codec.Corrupt _ -> ()
+
 (* --- Static SI serializability analysis --- *)
 
 let test_si_write_skew_flagged () =
@@ -513,8 +636,12 @@ let suites =
           test_runlog_monotone_across_weaker_tier;
         Alcotest.test_case "planted violations in a 20k-record log" `Quick
           test_planted_at_scale;
+        Alcotest.test_case "flat cursor refuses truncated buffers" `Quick test_flat_truncated;
+        Alcotest.test_case "decoded records share table names" `Quick test_sink_shares_tables;
       ]
-      @ qsuite [ prop_strong_monotone_in_snapshot; prop_sweeps_match_oracle ] );
+      @ qsuite
+          [ prop_strong_monotone_in_snapshot; prop_sweeps_match_oracle; prop_sink_round_trip ]
+    );
     ( "check.si_analysis",
       [
         Alcotest.test_case "write skew flagged" `Quick test_si_write_skew_flagged;

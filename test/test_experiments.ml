@@ -209,6 +209,21 @@ let test_map_jobs_order_and_results () =
         (Experiments.Runner.map_jobs ~jobs (fun i -> i * i) items))
     [ 1; 2; 4; 8 ]
 
+(* The pool size is pure arithmetic, so its ceiling is checked without
+   starting a domain: one per further item, one per recommended core
+   beyond the caller's, never negative. *)
+let test_spawn_count () =
+  let spawn jobs items recommended =
+    Experiments.Runner.spawn_count ~jobs ~items ~recommended
+  in
+  Alcotest.(check int) "serial" 0 (spawn 1 100 8);
+  Alcotest.(check int) "jobs bound" 3 (spawn 4 100 8);
+  Alcotest.(check int) "item bound" 2 (spawn 8 3 8);
+  Alcotest.(check int) "no items" 0 (spawn 8 0 8);
+  Alcotest.(check int) "recommended bound" 7 (spawn 1_000_000 1_000_000 8);
+  Alcotest.(check int) "single core" 0 (spawn 4 100 1);
+  Alcotest.(check int) "non-positive jobs" 0 (spawn (-5) 100 8)
+
 let test_parallel_chaos_matrix_identical () =
   (* The tentpole's contract: every soak is one self-contained
      simulation, so the domain pool may only change wall-clock — the
@@ -335,6 +350,8 @@ let suites =
         Alcotest.test_case "sparkline" `Quick test_sparkline;
         Alcotest.test_case "map_jobs order across pool sizes" `Quick
           test_map_jobs_order_and_results;
+        Alcotest.test_case "map_jobs spawns at most the recommended domains" `Quick
+          test_spawn_count;
         Alcotest.test_case "chaos matrix digests identical at -j 4" `Quick
           test_parallel_chaos_matrix_identical;
         Alcotest.test_case "point list identical at -j 2" `Quick

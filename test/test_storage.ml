@@ -973,6 +973,49 @@ let prop_key_equal_agrees_with_compare =
       && eq = Mvcc.Key_hashed.equal b a
       && ((not eq) || Mvcc.Key_hashed.hash a = Mvcc.Key_hashed.hash b))
 
+(* Run-log key rendering agrees with key equality. Ints stay below
+   2^53 in magnitude, where every int is exactly a float; the pool has
+   two ints that "%g" printed alike, both zeros and NaNs of both signs,
+   and texts that look like numbers or joined keys. *)
+let prop_render_key_agrees_with_equal =
+  let open QCheck in
+  let ints =
+    Gen.(
+      oneof
+        [
+          int_range (-3) 3;
+          int_range (1 - (1 lsl 53)) ((1 lsl 53) - 1);
+          oneofl [ 123456789; 123456790 ];
+        ])
+  in
+  let value =
+    Gen.(
+      oneof
+        [
+          return Value.Null;
+          map vi ints;
+          map (fun i -> Value.Float (float_of_int i)) ints;
+          map
+            (fun x -> Value.Float x)
+            (oneof
+               [ float; oneofl [ 0.5; -0.0; nan; -.nan; infinity; neg_infinity; 123456789.5 ] ]);
+          map vt (oneofl [ ""; "a"; "a,b"; "\"a\",\"b\""; "1"; "nan" ]);
+        ])
+  in
+  (* An equal key with its numbers swapped for their other forms. *)
+  let twin = function
+    | Value.Float x when Float.is_nan x || x = 0.0 -> Value.Float (-.x)
+    | v -> twin v
+  in
+  let key = Gen.array_size (Gen.int_range 1 3) value in
+  let print k = Format.asprintf "[%a]" (Format.pp_print_array ~pp_sep:Format.pp_print_space Value.pp) k in
+  Test.make ~name:"rendered keys are equal iff Key_hashed.equal" ~count:2000
+    (make
+       ~print:Print.(pair print print)
+       Gen.(oneof [ pair key key; map (fun k -> (k, Array.map twin k)) key ]))
+    (fun (a, b) ->
+      Mvcc.Key_hashed.equal a b = String.equal (Mvcc.render_key a) (Mvcc.render_key b))
+
 (* The key path runs once per statement and once per replica apply, so
    it must not allocate: no closure per comparison and no option per
    probe. *)
@@ -1683,6 +1726,7 @@ let suites =
             prop_mvcc_ordered_directory;
             prop_mvcc_directory_splits;
             prop_key_equal_agrees_with_compare;
+            prop_render_key_agrees_with_equal;
             prop_mvcc_table_matches_map;
           ] );
     ( "storage.writeset",
