@@ -4,7 +4,8 @@
    regressions are visible independently of the system experiments. The
    paper's tables and figures are `repro all'.
 
-   Set REPRO_QUICK=1 for smaller fixtures (the CI smoke configuration). *)
+   Set REPRO_QUICK=1 for smaller fixtures (the CI smoke configuration).
+   Exits 1 when any case gets no estimate. *)
 
 let quick =
   match Sys.getenv_opt "REPRO_QUICK" with
@@ -37,17 +38,6 @@ let bench_fixture () =
            Storage.Value.Text (Printf.sprintf "tag%d" (i mod 100));
          |]));
   db
-
-let writeset_of_size n =
-  Storage.Writeset.of_entries
-    (List.init n (fun i ->
-         {
-           Storage.Writeset.ws_table = "bench";
-           ws_key = [| Storage.Value.Int i |];
-           ws_op =
-             Storage.Writeset.Put
-               [| Storage.Value.Int i; Storage.Value.Int 0; Storage.Value.Text "t" |];
-         }))
 
 (* A strongly consistent run log of [n] transactions: every other one
    commits v(i+1) from snapshot i, and each reads every earlier commit. *)
@@ -150,11 +140,6 @@ let component_tests () =
              ~version:0 None;
            incr inserted))
   in
-  let small = writeset_of_size 4 and big = writeset_of_size 64 in
-  let ws_conflict =
-    Test.make ~name:"writeset conflict check (4 vs 64)"
-      (Staged.stage (fun () -> ignore (Storage.Writeset.conflicts small big)))
-  in
   let checker =
     let log = clean_log 200 in
     Test.make ~name:"strong-consistency check (200 txns)"
@@ -214,7 +199,7 @@ let component_tests () =
   Test.make_grouped ~name:"components"
     [
       mvcc_point_read; mvcc_range_after_insert; mvcc_random_insert; txn_update; index_select;
-      ws_conflict; checker; sim_events; sim_sleeps; sim_resource; sim_wakes;
+      checker; sim_events; sim_sleeps; sim_resource; sim_wakes;
     ]
 
 (* Certification conflict check, the key-index probe, with the
@@ -223,8 +208,8 @@ let component_tests () =
    certify_row_ms per writeset row), so this group measures host CPU
    per decision only. *)
 
-let ws_of ~first_key ~rows =
-  Storage.Writeset.of_entries
+let ws_of ~intern ~first_key ~rows =
+  Storage.Writeset.of_entries ~intern
     (List.init rows (fun i ->
          {
            Storage.Writeset.ws_table = "bench";
@@ -235,12 +220,14 @@ let ws_of ~first_key ~rows =
 (* A certification log holding [versions] committed disjoint writesets
    of [ws_rows] rows each, and its key index: disjoint keys with an
    up-to-date snapshot never conflict, so every decision commits and the
-   log covers (0, versions]. *)
+   log covers (0, versions]. Index and writesets share one intern
+   table, as a cluster's do. *)
 let certification_fixture ~versions ~ws_rows =
   let log = Core.Certification.Log.create () in
-  let index = Core.Certification.Index.create () in
+  let intern = Storage.Intern.create () in
+  let index = Core.Certification.Index.create ~intern () in
   for i = 0 to versions - 1 do
-    let ws = ws_of ~first_key:(i * ws_rows) ~rows:ws_rows in
+    let ws = ws_of ~intern ~first_key:(i * ws_rows) ~rows:ws_rows in
     match Core.Certification.decide ~record:true log index ~snapshot:i ws with
     | Some _ -> ()
     | None -> assert false
@@ -254,7 +241,11 @@ let certification_tests () =
   let index = certification_fixture ~versions ~ws_rows in
   (* Keys no committed writeset ever touched: the worst case for the
      index probe (every key misses). *)
-  let ws = ws_of ~first_key:(versions * ws_rows) ~rows:ws_rows in
+  let ws =
+    ws_of
+      ~intern:(Core.Certification.Index.intern index)
+      ~first_key:(versions * ws_rows) ~rows:ws_rows
+  in
   let check ~staleness =
     let snapshot = versions - staleness in
     Staged.stage (fun () ->
@@ -265,35 +256,6 @@ let certification_tests () =
        (fun staleness ->
          Test.make ~name:(Printf.sprintf "keyed, %d behind" staleness) (check ~staleness))
        [ 1; 100; 10_000 ])
-
-(* Conflict probing over interned dense ids vs boxed (table, key)
-   tuples — the two representations a writeset can carry depending on
-   whether it was built against the group's intern table. Disjoint key
-   ranges force the full scan (worst case for both). *)
-let intern_tests () =
-  let open Bechamel in
-  let entries n offset =
-    List.init n (fun i ->
-        {
-          Storage.Writeset.ws_table = "bench";
-          ws_key = [| Storage.Value.Int (offset + i) |];
-          ws_op = Storage.Writeset.Delete;
-        })
-  in
-  let intern = Storage.Intern.create () in
-  let boxed n offset = Storage.Writeset.of_entries (entries n offset) in
-  let interned n offset = Storage.Writeset.of_entries ~intern (entries n offset) in
-  let pair name a b =
-    Test.make ~name (Staged.stage (fun () -> ignore (Storage.Writeset.conflicts a b)))
-  in
-  Test.make_grouped ~name:"interning"
-    [
-      pair "conflict check, boxed tuples (4 vs 4)" (boxed 4 0) (boxed 4 5_000);
-      pair "conflict check, interned ids (4 vs 4)" (interned 4 0) (interned 4 5_000);
-      pair "conflict check, boxed tuples (4 vs 64)" (boxed 4 0) (boxed 64 10_000);
-      pair "conflict check, interned ids (4 vs 64)" (interned 4 0)
-        (interned 64 10_000);
-    ]
 
 (* A transaction's update statements as the replica runs them: after
    each statement, early certification probes the writes so far against
@@ -309,17 +271,18 @@ let early_cert_tests () =
     Core.Replica.create (Sim.Engine.create ()) Core.Config.default ~rng:(Util.Rng.create 1)
       ~id:0 db
   in
-  for v = 1 to 8 do
-    Core.Replica.receive_refresh replica ~version:v
-      ~ws:
-        (Storage.Writeset.of_entries ~intern:(Storage.Database.intern db)
-           (List.init 4 (fun i ->
-                {
-                  Storage.Writeset.ws_table = "bench";
-                  ws_key = [| Storage.Value.Int (9_000 + (4 * v) + i) |];
-                  ws_op = Storage.Writeset.Delete;
-                })))
-  done;
+  Core.Replica.receive_refresh_batch replica
+    (List.init 8 (fun k ->
+         let v = k + 1 in
+         ( None,
+           v,
+           Storage.Writeset.of_entries ~intern:(Storage.Database.intern db)
+             (List.init 4 (fun i ->
+                  {
+                    Storage.Writeset.ws_table = "bench";
+                    ws_key = [| Storage.Value.Int (9_000 + (4 * v) + i) |];
+                    ws_op = Storage.Writeset.Delete;
+                  })) )));
   let statements n =
     Test.make
       ~name:
@@ -443,6 +406,8 @@ let run_bechamel () =
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
     Analyze.all ols Toolkit.Instance.monotonic_clock results
   in
+  (* Cases Bechamel could not fit: a run that has any fails. *)
+  let missing = ref [] in
   let report title test =
     let results = analyze (benchmark test) in
     say "%s" (Experiments.Report.section title);
@@ -451,7 +416,9 @@ let run_bechamel () =
       (fun name result ->
         match Bechamel.Analyze.OLS.estimates result with
         | Some [ est ] -> rows := (name, Printf.sprintf "%12.0f ns/run" est) :: !rows
-        | Some _ | None -> rows := (name, "(no estimate)") :: !rows)
+        | Some _ | None ->
+          missing := name :: !missing;
+          rows := (name, "(no estimate)") :: !rows)
       results;
     List.iter
       (fun (name, cell) -> say "%-48s %s" name cell)
@@ -459,13 +426,17 @@ let run_bechamel () =
   in
   report "Component micro-benchmarks (Bechamel)" (component_tests ());
   report "Certification index micro-benchmarks (Bechamel)" (certification_tests ());
-  report "Interned vs boxed conflict keys (Bechamel)" (intern_tests ());
   report "Early certification per statement (Bechamel)" (early_cert_tests ());
   report "Flat codec and runlog sink (Bechamel)" (codec_tests ());
   report "Run-log checkers (Bechamel)" (checker_tests ());
-  report "Initial database: load vs copy (Bechamel)" (initial_database_tests ())
+  report "Initial database: load vs copy (Bechamel)" (initial_database_tests ());
+  List.sort compare !missing
 
 let () =
   say "Component micro-benchmarks — 'Strongly consistent replication for a bargain'";
   say "mode: %s (set REPRO_QUICK=1 for smaller fixtures)\n" (if quick then "quick" else "full");
-  timed "bechamel" run_bechamel
+  match timed "bechamel" run_bechamel with
+  | [] -> ()
+  | missing ->
+    Printf.eprintf "no estimate for: %s\n" (String.concat ", " missing);
+    exit 1

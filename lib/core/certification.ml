@@ -57,17 +57,13 @@ end
    the index holds the *highest* committing version. Commits update log
    and index together, so the check also catches intra-batch conflicts:
    the later arrival sees the earlier member's writeset and aborts, as
-   if the two had certified back to back. Writesets built by this group
-   carry their ids ([cids] returns the cached array); foreign ones are
-   resolved through the intern table on the way in. *)
+   if the two had certified back to back. Every writeset carries its
+   ids, built against the group's intern table ([cids] returns the
+   cached array). *)
 module Index = struct
   type t = { tbl : int Util.Tables.Itbl.t; intern : Storage.Intern.t }
 
-  let create ?intern () =
-    {
-      tbl = Util.Tables.Itbl.create 4096;
-      intern = (match intern with Some it -> it | None -> Storage.Intern.create ());
-    }
+  let create ~intern () = { tbl = Util.Tables.Itbl.create 4096; intern }
 
   let intern index = index.intern
 

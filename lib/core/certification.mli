@@ -45,9 +45,9 @@ end
 module Index : sig
   type t
 
-  val create : ?intern:Storage.Intern.t -> unit -> t
-  (** Default: a private intern table, through which foreign writesets
-      are resolved on the way in. *)
+  val create : intern:Storage.Intern.t -> unit -> t
+  (** An empty index over the ids of [intern], the group's table:
+      every writeset it sees must be built against it. *)
 
   val intern : t -> Storage.Intern.t
 

@@ -192,10 +192,7 @@ let subscribe t ~replica deliver =
   if not (Itbl.mem t.watermarks replica) then Itbl.replace t.watermarks replica 0
 
 let service_time t base =
-  let base =
-    if t.cfg.Config.service_jitter then base *. Util.Rng.exponential t.rng ~mean:1.0
-    else base
-  in
+  let base = base *. Util.Rng.exponential t.rng ~mean:1.0 in
   match t.faults with
   | None -> base
   | Some f -> base *. Sim.Faults.slowdown f ~node:(primary_net t)
@@ -684,7 +681,7 @@ let lease_loop t =
           t.nodes
       end)
 
-let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
+let create ?obs ?metrics ~intern engine cfg ~rng ~network ~mode =
   let t =
     {
       engine;
@@ -718,7 +715,7 @@ let create ?obs ?metrics ?intern engine cfg ~rng ~network ~mode =
       epoch = 0;
       epoch_base = 0;
       epoch_starts = [];
-      index = Index.create ?intern ();
+      index = Index.create ~intern ();
       watermarks = Itbl.create 16;
       last_heard = Itbl.create 16;
       evicted = Itbl.create 4;

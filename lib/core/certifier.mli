@@ -74,14 +74,12 @@ type decision =
           conflict check, so an expired transaction never commits. *)
 
 val create :
-  ?obs:Obs.Trace.t -> ?metrics:Metrics.t -> ?intern:Storage.Intern.t -> Sim.Engine.t ->
+  ?obs:Obs.Trace.t -> ?metrics:Metrics.t -> intern:Storage.Intern.t -> Sim.Engine.t ->
   Config.t -> rng:Util.Rng.t -> network:Sim.Network.t -> mode:Consistency.mode -> t
-(** [?intern] shares the replication group's conflict-key intern table
-    (see {!Storage.Intern}): the keyed certification index is keyed by
-    its dense ids, so writesets built against the same table certify
-    without allocating or hashing strings. Defaults to a private table —
-    foreign writesets are then resolved through it on arrival, which is
-    always correct, just slower.
+(** [intern] is the replication group's conflict-key intern table (see
+    {!Storage.Intern}): the keyed certification index is keyed by its
+    dense ids, so certification neither allocates nor hashes strings.
+    Every writeset the certifier is handed must be built against it.
 
     With [obs], every certification request emits a service span
     (component {!Obs.Span.Certifier}) carrying origin, snapshot, queue
@@ -144,8 +142,8 @@ val index_size : t -> int
 
 val intern : t -> Storage.Intern.t
 (** The conflict-key intern table the certification index is keyed by.
-    Writesets built with it ({!Storage.Writeset.of_entries} [?intern])
-    certify on the cached-id fast path. *)
+    Every writeset it certifies is built with it
+    ({!Storage.Writeset.of_entries} [~intern]). *)
 
 (** {2 Applied watermarks and log truncation} *)
 

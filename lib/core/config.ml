@@ -23,7 +23,6 @@ type t = {
   standby_ack_quorum : int;
   apply_parallelism : int;
   hiccup_interval_ms : float;
-  service_jitter : bool;
   early_certification : bool;
   routing : routing;
   max_retries : int;
@@ -78,7 +77,6 @@ let default =
     standby_ack_quorum = 0;
     apply_parallelism = 1;
     hiccup_interval_ms = 1_500.0;
-    service_jitter = true;
     early_certification = true;
     routing = Least_active;
     max_retries = 10;

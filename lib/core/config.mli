@@ -10,10 +10,10 @@ type routing =
 
 (** Cluster and cost-model parameters.
 
-    All times are milliseconds of virtual time. Service times are scaled
-    by an exponential(1) factor when [service_jitter] is set, giving
-    M/M/k-style queueing variance — the source of the "slowest replica"
-    effect that penalizes the eager configuration. *)
+    All times are milliseconds of virtual time. Every service time is
+    scaled by an exponential(1) factor, giving M/M/k-style queueing
+    variance — the source of the "slowest replica" effect that
+    penalizes the eager configuration. *)
 
 type t = {
   seed : int;
@@ -64,7 +64,7 @@ type t = {
           of concurrent apply lanes a replica's commit sequencer forks
           for a run of consecutive queued refresh writesets (at most
           [4 * apply_parallelism] of them). The run is partitioned by
-          conflict key ({!Storage.Writeset.keys}): writesets sharing a
+          conflict id ({!Storage.Writeset.cids}): writesets sharing a
           key stay in one lane and apply in version order; disjoint
           lanes apply concurrently on the replica CPUs. [V_local] is
           published only when the whole run is installed, so snapshot
@@ -79,7 +79,6 @@ type t = {
      round; lazy configurations mostly absorb these windows. *)
   hiccup_interval_ms : float;  (** mean time between windows; 0 disables *)
   (* behaviour *)
-  service_jitter : bool;
   early_certification : bool;
       (** check update statements against pending refresh writesets and
           abort on conflict before reaching the certifier (§IV, hidden

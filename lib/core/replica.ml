@@ -89,10 +89,7 @@ let hiccup_duration_ms = 150.0
 let hiccup_factor = 8.0
 
 let service_time t base =
-  let base =
-    if t.cfg.Config.service_jitter then base *. Util.Rng.exponential t.rng ~mean:1.0
-    else base
-  in
+  let base = base *. Util.Rng.exponential t.rng ~mean:1.0 in
   let base =
     if Sim.Engine.now t.engine < t.slow_until then base *. hiccup_factor
     else base
@@ -151,7 +148,7 @@ let dequeue t v ws =
    applies it as one group. A run of more than one writeset is
    partitioned into {e lanes} — connected components of the graph whose
    edges join writesets sharing a conflict key
-   ({!Storage.Writeset.keys}). Lanes are disjoint by construction, so
+   ({!Storage.Writeset.cids}). Lanes are disjoint by construction, so
    they install concurrently on the replica CPUs; within a lane, version
    order is preserved (the per-key MVCC chains require ascending
    installs). [V_local] is published only when the whole run is
@@ -490,9 +487,6 @@ let receive_refresh_batch ?(epoch = 0) t items =
 let cert_epoch t = t.cert_epoch
 
 let fenced_refreshes t = t.fenced_refreshes
-
-let receive_refresh ?trace ?epoch t ~version ~ws =
-  receive_refresh_batch ?epoch t [ (trace, version, ws) ]
 
 let set_on_commit t f = t.on_commit <- Some f
 

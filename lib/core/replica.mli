@@ -114,12 +114,6 @@ val receive_refresh_batch :
     conflict-partitioned lanes is governed by
     [Config.apply_parallelism]. *)
 
-val receive_refresh :
-  ?trace:int -> ?epoch:int -> t -> version:int -> ws:Storage.Writeset.t -> unit
-(** [receive_refresh_batch] of the singleton [(trace, version, ws)].
-    [trace] is the committing transaction's trace id, threaded into the
-    apply span. *)
-
 val cert_epoch : t -> int
 (** Highest certifier epoch seen on any refresh batch. *)
 

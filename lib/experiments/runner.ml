@@ -261,52 +261,46 @@ let update_types (p : point) =
 
 (* --- the checker catalog -------------------------------------------- *)
 
-(* Every run-log checker a [record_log] run is judged by. The control-
-   plane and read-tier contracts constrain only failover records and
-   records of their own class, so they are trivially empty elsewhere;
-   the mode-level guarantees are all computed too, so a weaker mode's
-   log shows what it does not promise. *)
-let checkers (mode : Core.Consistency.mode) =
-  [
-    ("first_committer_wins", Check.Runlog.first_committer_wins);
-    ("epoch_fencing", Check.Runlog.epoch_fencing);
-    ("election_safety", Check.Runlog.election_safety);
-    ("lb_floor_preservation", Check.Runlog.lb_floor_preservation);
-    ("tier_bounded_staleness", Check.Runlog.tier_bounded_staleness);
-    ("tier_causal_ryw", Check.Runlog.tier_causal_ryw);
-    ("tier_monotone_reads", Check.Runlog.tier_monotone_reads);
-    ("strong_consistency", Check.Runlog.strong_consistency);
-    ("fine_strong_consistency", Check.Runlog.fine_strong_consistency);
-    ("session_consistency", Check.Runlog.session_consistency);
-    ("monotone_session_snapshots", Check.Runlog.monotone_session_snapshots);
-  ]
-  @
-  match mode with
-  | Core.Consistency.Bounded k -> [ ("bounded_staleness", Check.Runlog.bounded_staleness ~k) ]
-  | Core.Consistency.Eager | Core.Consistency.Coarse | Core.Consistency.Fine
-  | Core.Consistency.Session ->
-    []
+(* Every run-log checker a [record_log] run is judged by, and whether
+   it gates the mode: first-committer-wins (no lost or double-committed
+   writes under GSI), epoch fencing, the control-plane and read-tier
+   contracts always, plus the guarantee the mode advertises. The
+   control-plane and read-tier contracts constrain only failover
+   records and records of their own class, so they are trivially empty
+   elsewhere; the mode-level guarantees are all computed too, so a
+   weaker mode's log shows what it does not promise. *)
+type checker = {
+  name : string;
+  gates : bool;
+  check : Check.Runlog.record list -> Check.Runlog.violation list;
+}
 
-(* The battery that gates a mode: first-committer-wins (no lost or
-   double-committed writes under GSI), epoch fencing, the control-plane
-   and read-tier contracts always, plus the guarantee the mode
-   advertises. *)
-let gating (mode : Core.Consistency.mode) =
+let checkers (mode : Core.Consistency.mode) =
+  let open Core.Consistency in
+  let c ?(gates = true) name check = { name; gates; check } in
+  let strong = (match mode with Eager | Coarse -> true | _ -> false)
+  and fine = (match mode with Fine -> true | _ -> false)
+  and session = (match mode with Session -> true | _ -> false) in
   [
-    "first_committer_wins";
-    "epoch_fencing";
-    "election_safety";
-    "lb_floor_preservation";
-    "tier_bounded_staleness";
-    "tier_causal_ryw";
-    "tier_monotone_reads";
+    c "first_committer_wins" Check.Runlog.first_committer_wins;
+    c "epoch_fencing" Check.Runlog.epoch_fencing;
+    c "election_safety" Check.Runlog.election_safety;
+    c "lb_floor_preservation" Check.Runlog.lb_floor_preservation;
+    c "tier_bounded_staleness" Check.Runlog.tier_bounded_staleness;
+    c "tier_causal_ryw" Check.Runlog.tier_causal_ryw;
+    c "tier_monotone_reads" Check.Runlog.tier_monotone_reads;
+    c "strong_consistency" ~gates:strong Check.Runlog.strong_consistency;
+    c "fine_strong_consistency" ~gates:fine Check.Runlog.fine_strong_consistency;
+    c "session_consistency" ~gates:session Check.Runlog.session_consistency;
+    c "monotone_session_snapshots" ~gates:session Check.Runlog.monotone_session_snapshots;
   ]
   @
   match mode with
-  | Core.Consistency.Eager | Core.Consistency.Coarse -> [ "strong_consistency" ]
-  | Core.Consistency.Fine -> [ "fine_strong_consistency" ]
-  | Core.Consistency.Session -> [ "session_consistency"; "monotone_session_snapshots" ]
-  | Core.Consistency.Bounded _ -> [ "bounded_staleness" ]
+  | Bounded k -> [ c "bounded_staleness" (Check.Runlog.bounded_staleness ~k) ]
+  | Eager | Coarse | Fine | Session -> []
+
+let gating mode =
+  List.filter_map (fun c -> if c.gates then Some c.name else None) (checkers mode)
 
 (* --- summaries ------------------------------------------------------ *)
 
@@ -429,12 +423,11 @@ let tier_rows metrics =
    gating checker go to stderr. *)
 let judge_log cluster (p : point) =
   let records = Core.Cluster.records cluster in
-  let gates = gating p.mode in
   let violations =
     List.map
-      (fun (name, check) ->
+      (fun { name; gates; check } ->
         let vs = check records in
-        if List.mem name gates then
+        if gates then
           List.iteri
             (fun i v ->
               if i < 3 then

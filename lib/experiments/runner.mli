@@ -124,19 +124,23 @@ val update_types : point -> int
 
 (** {2 The checker catalog} *)
 
-val checkers :
-  Core.Consistency.mode ->
-  (string * (Check.Runlog.record list -> Check.Runlog.violation list)) list
-(** Every run-log checker a [record_log] run computes, by name:
+type checker = {
+  name : string;
+  gates : bool;  (** a violation fails a run in this mode *)
+  check : Check.Runlog.record list -> Check.Runlog.violation list;
+}
+
+val checkers : Core.Consistency.mode -> checker list
+(** Every run-log checker a [record_log] run computes, in order:
     first-committer-wins, epoch fencing, election safety, LB floor
-    preservation, the three read-tier contracts, and every mode-level
-    guarantee (strong, fine strong, session, monotone session
-    snapshots; bounded staleness under [Bounded k] only). *)
+    preservation and the three read-tier contracts, which gate every
+    mode, then every mode-level guarantee (strong, fine strong,
+    session, monotone session snapshots; bounded staleness under
+    [Bounded k] only), each gating only the mode that advertises it. *)
 
 val gating : Core.Consistency.mode -> string list
-(** The names, in order, of the checkers that gate a run in this mode:
-    the seven mode-independent ones, then the guarantee the mode
-    advertises. *)
+(** The names, in catalog order, of the checkers that gate a run in
+    this mode. *)
 
 (** {2 Summaries} *)
 

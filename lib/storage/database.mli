@@ -59,7 +59,7 @@ val apply_unpublished : t -> Writeset.t -> version:int -> unit
     concurrently and out of version order, and the batch becomes visible
     atomically when the whole prefix is durable. Requires
     [version > version t]; same redo semantics as {!apply}. Writesets
-    sharing a conflict key ({!Writeset.keys}) must still be installed in
+    sharing a conflict id ({!Writeset.cids}) must still be installed in
     ascending version order relative to each other (the per-key MVCC
     chains grow newest-first). *)
 

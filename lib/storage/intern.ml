@@ -12,10 +12,9 @@
 
    One intern table serves one replication group: the cluster creates
    a single table and shares it across the certifier and every replica
-   database, so ids are comparable wherever a writeset travels.
-   Writesets remember their origin table (Writeset.origin) and their
-   cached ids are only trusted against that same table — foreign
-   writesets re-resolve through the local table (Writeset.cids). *)
+   database, so ids are comparable wherever a writeset travels. Every
+   writeset is built against its group's table and carries its ids;
+   Writeset.cids refuses a different table rather than mixing ids. *)
 
 module Stbl = Util.Tables.Stbl
 module Key_tbl = Mvcc.Key_tbl

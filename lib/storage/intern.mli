@@ -11,8 +11,8 @@
 
     One intern table serves one replication group: ids from different
     tables are not comparable. {!Writeset.t} records which table built
-    it, and {!Writeset.cids} re-resolves through the local table when
-    handed a foreign writeset. *)
+    it, and {!Writeset.cids} raises [Invalid_argument] when asked for
+    another. *)
 
 type t
 

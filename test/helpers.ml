@@ -21,3 +21,14 @@ let run_process engine body =
    transactions, spawned before, to finish and their refreshes to reach
    every replica. *)
 let settle engine = Sim.Engine.run engine ~until:(Sim.Engine.now engine +. 1_000.0)
+
+(* Whether two writesets write a common record, judged from their
+   entries under the store's own key equality rather than from conflict
+   ids: the oracle that id-based conflict probes are checked against. *)
+let write_common_record a b =
+  let same x y =
+    String.equal x.Storage.Writeset.ws_table y.Storage.Writeset.ws_table
+    && Storage.Mvcc.Key_hashed.equal x.ws_key y.ws_key
+  in
+  let theirs = Storage.Writeset.entries b in
+  List.exists (fun x -> List.exists (same x) theirs) (Storage.Writeset.entries a)

@@ -9,8 +9,11 @@
    partially applied group, and the consistency guarantees under
    batched configurations. *)
 
+(* The intern table of every certifier these tests create. *)
+let intern = Storage.Intern.create ()
+
 let ws_on table key =
-  Storage.Writeset.of_entries
+  Storage.Writeset.of_entries ~intern
     [
       {
         Storage.Writeset.ws_table = table;
@@ -27,7 +30,6 @@ let cert_config =
     replicas = 3;
     seed = 11;
     cert_batch = 4;
-    service_jitter = false;
     hiccup_interval_ms = 0.0;
     gc_interval_ms = 0.0;
   }
@@ -40,7 +42,8 @@ let with_certifier f =
       ~bandwidth_mbps:1000.0
   in
   let certifier =
-    Core.Certifier.create engine cert_config ~rng ~network ~mode:Core.Consistency.Coarse
+    Core.Certifier.create ~intern engine cert_config ~rng ~network
+      ~mode:Core.Consistency.Coarse
   in
   f engine certifier;
   Sim.Engine.run engine

@@ -12,8 +12,11 @@
 
 let params = { Workload.Microbench.tables = 4; rows = 100; update_types = 4 }
 
+(* The intern table of every certifier these tests create. *)
+let intern = Storage.Intern.create ()
+
 let ws_on table key =
-  Storage.Writeset.of_entries
+  Storage.Writeset.of_entries ~intern
     [
       {
         Storage.Writeset.ws_table = table;
@@ -28,7 +31,6 @@ let ha_config =
     replicas = 3;
     seed = 5;
     certifier_standbys = 2;
-    service_jitter = false;
     gc_interval_ms = 0.0;
     hiccup_interval_ms = 0.0;
   }
@@ -55,7 +57,7 @@ let with_group ?(config = ha_config) ?faults ?(mode = Core.Consistency.Coarse) f
     let fl = make engine in
     Sim.Network.set_faults network fl
   | None -> ());
-  let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
+  let certifier = Core.Certifier.create ~intern engine config ~rng ~network ~mode in
   Helpers.run_process engine (fun () -> f engine certifier network)
 
 let commit_or_fail c ~origin ~snapshot ~ws =
@@ -232,16 +234,17 @@ let test_deposed_primary_reconciles_and_refollows () =
 let test_deposed_batch_stays_out_of_index () =
   (* A primary deposed in the middle of a batch keeps deciding the rest
      of it on its own doomed log, but must not record those decisions in
-     the index the new primary rebuilt. Each row costs 200 ms of
-     certification, so the promotion lands while the batch [A; B] is
-     still being decided: A is decided before the crash, B after the
-     promotion. Both are fenced; B's key must stay certifiable. *)
+     the index the new primary rebuilt. Each row costs 2 s of
+     certification on average, so the promotion lands while the batch
+     [A; B] is still being decided: the primary is crashed once A is
+     decided, and the test checks that the promotion came before B's
+     decision. Both are fenced; B's key must stay certifiable. *)
   let config =
     {
       ha_config with
       Core.Config.cert_batch = 2;
       certify_base_ms = 0.0;
-      certify_row_ms = 200.0;
+      certify_row_ms = 2_000.0;
     }
   in
   with_group ~config (fun engine c _net ->
@@ -252,18 +255,23 @@ let test_deposed_batch_stays_out_of_index () =
             let d = Core.Certifier.certify c ~origin:0 ~snapshot ~ws:(ws_on "t" key) in
             decided := (name, d) :: !decided)
       in
-      (* C holds the CPU for its 200 ms; A and B queue behind it and are
-         drained as one batch at ~200 ms, decided at ~400 and ~600 ms. *)
+      (* C holds the CPU while it is certified; A and B queue behind it
+         and are drained as one batch. *)
       request "C" 100 ~at:0.0 ~snapshot:0;
       request "A" 1 ~at:1.0 ~snapshot:0;
       request "B" 2 ~at:1.0 ~snapshot:0;
-      Sim.Process.sleep engine 450.0;
+      while Core.Certifier.version c < 2 do
+        Sim.Process.sleep engine 1.0
+      done;
+      Alcotest.(check int) "crashed after A's decision, before B's" 2
+        (Core.Certifier.version c);
       Core.Certifier.crash c;
+      await_promotion engine c;
+      Alcotest.(check int) "promoted before B was decided" 2
+        (Core.Certifier.node_version c 0);
       while List.length !decided < 3 do
         Sim.Process.sleep engine 10.0
       done;
-      Alcotest.(check bool) "promoted before B was decided" true
-        (Core.Certifier.primary_index c <> 0);
       List.iter
         (fun name ->
           match List.assoc name !decided with
@@ -347,7 +355,7 @@ let test_replica_fences_stale_epoch_refresh () =
   let item v =
     ( None,
       v,
-      Storage.Writeset.of_entries
+      Storage.Writeset.of_entries ~intern:(Storage.Database.intern db)
         [
           {
             Storage.Writeset.ws_table = "t00";

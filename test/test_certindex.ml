@@ -25,8 +25,11 @@ let small_config =
 let group_config =
   Core.Config.hardened { small_config with Core.Config.certifier_standbys = 2 }
 
-let ws_at ?intern table key =
-  Storage.Writeset.of_entries ?intern
+(* The intern table of every certifier these tests create. *)
+let intern = Storage.Intern.create ()
+
+let ws_at ~intern table key =
+  Storage.Writeset.of_entries ~intern
     [
       {
         Storage.Writeset.ws_table = table;
@@ -35,7 +38,7 @@ let ws_at ?intern table key =
       };
     ]
 
-let ws_on table key = ws_at table (Storage.Value.Int key)
+let ws_on table key = ws_at ~intern table (Storage.Value.Int key)
 
 let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f =
   let engine = Sim.Engine.create () in
@@ -44,7 +47,7 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
     Sim.Network.create engine ~rng:(Util.Rng.split rng) ~base_ms:0.1 ~jitter_ms:0.0
       ~bandwidth_mbps:1000.0
   in
-  let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
+  let certifier = Core.Certifier.create ~intern engine config ~rng ~network ~mode in
   Helpers.run_process engine (fun () -> f engine certifier)
 
 (* Crash the primary and block until the failure detectors promoted a
@@ -124,7 +127,8 @@ let test_failover_rebuilds_index () =
 
 let logged_keys log =
   List.map
-    (fun (v, ws) -> (v, List.map (fun (_, key) -> key) (Storage.Writeset.keys ws)))
+    (fun (v, ws) ->
+      (v, List.map (fun e -> e.Storage.Writeset.ws_key) (Storage.Writeset.entries ws)))
     (Log.entries log ~after:(Log.base log) ~upto:(Log.head log))
 
 (* Replication appends are contiguity-checked: a push entry that is not
@@ -142,26 +146,22 @@ let test_append_contiguity () =
     = [ (1, [ [| Storage.Value.Int 1 |] ]); (2, [ [| Storage.Value.Int 2 |] ]) ])
 
 (* [[|Int 3|]] and [[|Float 3.0|]] are one row in the store, so two
-   concurrent writers of them conflict: whether or not the writesets
-   carry the group's ids, the second one aborts. *)
+   concurrent writers of them conflict: the second one aborts. *)
 let test_int_float_keys_conflict () =
-  List.iter
-    (fun interned ->
-      with_certifier (fun _engine c ->
-          let intern = if interned then Some (Core.Certifier.intern c) else None in
-          (match
-             Core.Certifier.certify c ~origin:0 ~snapshot:0
-               ~ws:(ws_at ?intern "t" (Storage.Value.Int 3))
-           with
-          | Core.Certifier.Commit _ -> ()
-          | _ -> Alcotest.fail "first writer aborted");
-          match
-            Core.Certifier.certify c ~origin:1 ~snapshot:0
-              ~ws:(ws_at ?intern "t" (Storage.Value.Float 3.0))
-          with
-          | Core.Certifier.Abort -> ()
-          | _ -> Alcotest.fail "concurrent float-key writer of the same row certified"))
-    [ true; false ]
+  with_certifier (fun _engine c ->
+      let intern = Core.Certifier.intern c in
+      (match
+         Core.Certifier.certify c ~origin:0 ~snapshot:0
+           ~ws:(ws_at ~intern "t" (Storage.Value.Int 3))
+       with
+      | Core.Certifier.Commit _ -> ()
+      | _ -> Alcotest.fail "first writer aborted");
+      match
+        Core.Certifier.certify c ~origin:1 ~snapshot:0
+          ~ws:(ws_at ~intern "t" (Storage.Value.Float 3.0))
+      with
+      | Core.Certifier.Abort -> ()
+      | _ -> Alcotest.fail "concurrent float-key writer of the same row certified")
 
 (* --- Keyed decisions against the Linear oracle ------------------------- *)
 
@@ -181,12 +181,13 @@ let pp_op = function
    [(base, head]]: [ws] at [snapshot] aborts iff the snapshot predates
    the pruned horizon, or some entry committed after it writes a key of
    [ws]; a commit gets version [head + 1]. The certifier decides the
-   same thing by probing its key index. *)
+   same thing by probing its key index; the scan compares the keys
+   themselves ({!Helpers.write_common_record}), never conflict ids. *)
 let linear_oracle ~base ~head ~entries ~snapshot ws =
   if
     snapshot < base
     || List.exists
-         (fun (v, ws') -> v > snapshot && Storage.Writeset.conflicts ws ws')
+         (fun (v, ws') -> v > snapshot && Helpers.write_common_record ws ws')
          entries
   then "A"
   else Printf.sprintf "C%d" (head + 1)
@@ -199,18 +200,12 @@ let note out op ~expected ~decided =
     out :=
       Printf.sprintf "MISMATCH(%s: oracle %s, index %s)" (pp_op op) expected decided :: !out
 
-let key_of ~interned ~intern key =
-  if interned then ws_at ~intern "t" key else ws_at "t" key
-
 (* Drive the certification core through the op stream, with no engine,
    and record every decision (with its assigned version) plus the
-   post-run log state. [~interned:true] builds each writeset against
-   the index's intern table, exercising the cached dense-id fast path;
-   [false] submits bare (foreign) writesets that the index must
-   re-resolve per probe. The two must be indistinguishable in every
-   decision. *)
-let run_core ?(interned = false) ops =
-  let log = Log.create () and index = Index.create () in
+   post-run log state. Index and writesets share [intern] (a fresh
+   table by default). *)
+let run_core ?(intern = Storage.Intern.create ()) ops =
+  let log = Log.create () and index = Index.create ~intern () in
   let out = ref [] in
   List.iter
     (fun op ->
@@ -218,7 +213,7 @@ let run_core ?(interned = false) ops =
       | Certify (key, staleness) ->
         let base = Log.base log and head = Log.head log in
         let snapshot = max 0 (head - staleness) in
-        let ws = key_of ~interned ~intern:(Index.intern index) key in
+        let ws = ws_at ~intern "t" key in
         let expected =
           linear_oracle ~base ~head
             ~entries:(Log.entries log ~after:base ~upto:head)
@@ -256,7 +251,7 @@ let run_group ops =
           | Certify (key, staleness) ->
             let base = Core.Certifier.log_base c and head = Core.Certifier.version c in
             let snapshot = max 0 (head - staleness) in
-            let ws = key_of ~interned:true ~intern:(Core.Certifier.intern c) key in
+            let ws = ws_at ~intern:(Core.Certifier.intern c) "t" key in
             let expected =
               linear_oracle ~base ~head
                 ~entries:(Core.Certifier.node_log c (Core.Certifier.primary_index c))
@@ -312,18 +307,23 @@ let prop_linear_equals_keyed =
   QCheck.Test.make ~count:60 ~name:"Linear and Keyed decide identically" ops_arb
     (fun ops -> agrees_with_oracle (run_core ops))
 
-(* The raw-speed pass differential: the interned dense-id index must be
-   a pure representation change. Both arms — interned and foreign
-   writesets — agree with the Linear oracle on every decision and
-   produce the identical decision/version stream across random
-   workloads, truncation, rebuilds and reconciliation. *)
+(* Conflict ids are a pure representation: no decision depends on which
+   ids the intern table hands out. A table that first interned the
+   stream's keys in reverse order, interleaved with another table's,
+   agrees with the Linear oracle on every decision and produces the
+   decision/version stream of a fresh table, across random workloads,
+   truncation, rebuilds and reconciliation. *)
 let prop_interned_is_representation_only =
   QCheck.Test.make ~count:60
-    ~name:"interned ids change no decision (vs Linear oracle and foreign keyed)" ops_arb
+    ~name:"interned ids change no decision (vs Linear oracle, any id order)" ops_arb
     (fun ops ->
-      let foreign = run_core ~interned:false ops in
-      let interned = run_core ~interned:true ops in
-      agrees_with_oracle foreign && agrees_with_oracle interned && interned = foreign)
+      let shuffled = Storage.Intern.create () in
+      for k = 15 downto 0 do
+        ignore (Storage.Intern.id shuffled ~table:"u" ~key:[| Storage.Value.Int k |]);
+        ignore (Storage.Intern.id shuffled ~table:"t" ~key:[| Storage.Value.Int k |])
+      done;
+      let fresh = run_core ops and reordered = run_core ~intern:shuffled ops in
+      agrees_with_oracle fresh && agrees_with_oracle reordered && reordered = fresh)
 
 let prop_group_matches_oracle =
   QCheck.Test.make ~count:20

@@ -631,8 +631,11 @@ let test_window_totals_rebase () =
 
 (* --- Certifier unit tests (driven directly, inside a process) --- *)
 
+(* The intern table of every certifier these tests create. *)
+let intern = Storage.Intern.create ()
+
 let ws_on table key =
-  Storage.Writeset.of_entries
+  Storage.Writeset.of_entries ~intern
     [
       {
         Storage.Writeset.ws_table = table;
@@ -648,7 +651,7 @@ let with_certifier ?(config = small_config) ?(mode = Core.Consistency.Coarse) f 
     Sim.Network.create engine ~rng:(Util.Rng.split rng) ~base_ms:0.1 ~jitter_ms:0.0
       ~bandwidth_mbps:1000.0
   in
-  let certifier = Core.Certifier.create engine config ~rng ~network ~mode in
+  let certifier = Core.Certifier.create ~intern engine config ~rng ~network ~mode in
   Sim.Process.spawn engine (fun () -> f certifier);
   Sim.Engine.run engine
 

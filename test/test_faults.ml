@@ -538,8 +538,11 @@ let test_abort_reason_breakdown () =
    never revisit; it must be settled at publication or the submitter
    blocks on its ivar forever. *)
 
+(* The intern table of every replica database these tests create. *)
+let intern = Storage.Intern.create ()
+
 let make_replica_db () =
-  let db = Storage.Database.create () in
+  let db = Storage.Database.create ~intern () in
   List.iter
     (fun s -> ignore (Storage.Database.create_table db s))
     (Workload.Microbench.schemas params);
@@ -547,7 +550,7 @@ let make_replica_db () =
   db
 
 let race_ws key =
-  Storage.Writeset.of_entries
+  Storage.Writeset.of_entries ~intern
     [
       {
         Storage.Writeset.ws_table = "t00";
@@ -566,28 +569,42 @@ let check_settled ~what = function
     | Some (Error _) -> Alcotest.failf "%s: raced commit reported an abort" what
     | None -> Alcotest.failf "%s: raced commit wedged (ivar never filled)" what)
 
-(* A started replica with deterministic service times and
-   [apply_parallelism = p]. *)
+(* A started replica with [apply_parallelism = p]. *)
 let race_replica engine ~p =
-  let cfg = { config with Core.Config.service_jitter = false; apply_parallelism = p } in
+  let cfg = { config with Core.Config.apply_parallelism = p } in
   let replica =
     Core.Replica.create engine cfg ~rng:(Util.Rng.create 3) ~id:0 (make_replica_db ())
   in
   Core.Replica.start replica;
   replica
 
+(* The refreshes of versions [vs] (on keys [vs]), as one batch. *)
+let deliver replica vs =
+  Core.Replica.receive_refresh_batch replica (List.map (fun v -> (None, v, race_ws v)) vs)
+
+(* Lets the sequencer dequeue what was delivered and start applying it,
+   then checks that the race window is open: all but [queued] refreshes
+   are dequeued, and none is installed or published yet. The apply
+   takes a drawn service time, never zero, so the window is still open
+   at this instant. *)
+let enter_apply_window engine replica ~queued ~what =
+  Sim.Process.sleep engine 0.0;
+  Alcotest.(check int) (what ^ ": dequeued") queued (Core.Replica.pending_refresh replica);
+  Alcotest.(check int) (what ^ ": nothing installed yet") 0
+    (Core.Replica.applied_refresh replica);
+  Alcotest.(check int) (what ^ ": nothing published yet") 0 (Core.Replica.v_local replica)
+
 let test_commit_local_races_single_apply () =
   let engine = Sim.Engine.create () in
   let replica = race_replica engine ~p:1 in
-  let ws = race_ws 1 in
   let ivar = ref None in
   Sim.Process.spawn engine (fun () ->
-      (* The repair resend delivers v1; the sequencer dequeues it at t=0
-         and spends ws_apply_base_ms + ws_apply_row_ms (0.12ms) applying. *)
-      Core.Replica.receive_refresh replica ~version:1 ~ws;
-      (* The decision leg lands strictly inside that window. *)
-      Sim.Process.sleep engine 0.05;
-      ivar := Some (Core.Replica.commit_local replica ~version:1 ~ws));
+      (* The repair resend delivers v1, and the sequencer starts
+         applying it. *)
+      deliver replica [ 1 ];
+      (* The decision leg lands inside the apply. *)
+      enter_apply_window engine replica ~queued:0 ~what:"p=1";
+      ivar := Some (Core.Replica.commit_local replica ~version:1 ~ws:(race_ws 1)));
   Sim.Engine.run engine;
   Alcotest.(check int) "v1 applied" 1 (Core.Replica.v_local replica);
   check_settled ~what:"p=1" !ivar
@@ -595,16 +612,13 @@ let test_commit_local_races_single_apply () =
 let test_commit_local_races_group_apply () =
   let engine = Sim.Engine.create () in
   let replica = race_replica engine ~p:2 in
-  let ws1 = race_ws 1 and ws2 = race_ws 2 in
   let ivar = ref None in
   Sim.Process.spawn engine (fun () ->
       (* Two disjoint writesets drain as one parallel apply group. *)
-      Core.Replica.receive_refresh replica ~version:1 ~ws:ws1;
-      Core.Replica.receive_refresh replica ~version:2 ~ws:ws2;
-      (* The decision leg for v2 lands while the group is in flight
-         (slots dequeued, nothing published yet). *)
-      Sim.Process.sleep engine 0.05;
-      ivar := Some (Core.Replica.commit_local replica ~version:2 ~ws:ws2));
+      deliver replica [ 1; 2 ];
+      (* The decision leg for v2 lands while the group is in flight. *)
+      enter_apply_window engine replica ~queued:0 ~what:"p=2";
+      ivar := Some (Core.Replica.commit_local replica ~version:2 ~ws:(race_ws 2)));
   Sim.Engine.run engine;
   Alcotest.(check int) "group published through v2" 2 (Core.Replica.v_local replica);
   check_settled ~what:"p=2" !ivar
@@ -613,7 +627,8 @@ let test_commit_local_races_group_apply () =
    whatever the lane count: nothing is installed, [V_local] does not
    move and no commit is acknowledged. Recovery replays the versions
    from the certifier log. At p = 2 the two disjoint writesets form one
-   parallel group; at p = 1 the crash lands inside v1's apply. *)
+   parallel group; at p = 1 the crash lands inside v1's apply, with v2
+   still queued. *)
 let test_crash_mid_apply_cancels_run () =
   List.iter
     (fun p ->
@@ -621,14 +636,12 @@ let test_crash_mid_apply_cancels_run () =
       let replica = race_replica engine ~p in
       let acked = ref [] in
       Core.Replica.set_on_commit replica (fun ~version -> acked := version :: !acked);
+      let what = Printf.sprintf "p=%d" p in
       Sim.Process.spawn engine (fun () ->
-          Core.Replica.receive_refresh replica ~version:1 ~ws:(race_ws 1);
-          Core.Replica.receive_refresh replica ~version:2 ~ws:(race_ws 2);
-          (* Inside the first apply (0.12 ms of CPU). *)
-          Sim.Process.sleep engine 0.05;
+          deliver replica [ 1; 2 ];
+          enter_apply_window engine replica ~queued:(2 - p) ~what;
           Core.Replica.crash replica);
       Sim.Engine.run engine;
-      let what = Printf.sprintf "p=%d" p in
       Alcotest.(check int) (what ^ ": nothing installed") 0
         (Core.Replica.applied_refresh replica);
       Alcotest.(check int) (what ^ ": nothing published") 0 (Core.Replica.v_local replica);
@@ -662,15 +675,12 @@ let test_pending_set_is_queued_refreshes () =
           ignore (write replica ~tid:1 1);
           (* v1 and v2 are disjoint: at p = 2 they are dequeued as one
              group, at p = 1 v2 waits behind v1. *)
-          Core.Replica.receive_refresh replica ~version:1 ~ws:(race_ws 1);
-          Core.Replica.receive_refresh replica ~version:2 ~ws:(race_ws 2);
+          deliver replica [ 1; 2 ];
           Alcotest.(check bool) (what "earlier writer of the key flagged") true
             (Core.Replica.abort_requested replica ~tid:1);
           Alcotest.(check bool) (what "queued refresh blocks its key") false
             (Core.Replica.early_certify replica (write replica ~tid:2 1));
-          Sim.Process.sleep engine 0.05;
-          Alcotest.(check int) (what "v1 not yet published") 0
-            (Core.Replica.v_local replica);
+          enter_apply_window engine replica ~queued:(2 - p) ~what:(what "v1");
           Alcotest.(check bool) (what "dequeued refresh no longer blocks") true
             (Core.Replica.early_certify replica (write replica ~tid:3 1));
           Alcotest.(check bool) (what "later writer not flagged") false

@@ -180,19 +180,32 @@ let test_mvcc_int_float_keys () =
 
 let entry table key op = { Writeset.ws_table = table; ws_key = [| vi key |]; ws_op = op }
 
+(* The intern table the writesets of these tests are built against:
+   [Database.apply] reads only the entries, so any table serves. *)
+let intern = Intern.create ()
+
+(* Two writesets conflict iff their conflict ids meet. *)
+let ids_meet a b =
+  let theirs = Writeset.cids b ~intern in
+  Array.exists (fun k -> Array.mem k theirs) (Writeset.cids a ~intern)
+
 let test_writeset_conflicts () =
-  let a = Writeset.of_entries [ entry "t" 1 (Writeset.Put [| vi 1 |]) ] in
-  let b = Writeset.of_entries [ entry "t" 1 Writeset.Delete ] in
-  let c = Writeset.of_entries [ entry "t" 2 (Writeset.Put [| vi 2 |]) ] in
-  let d = Writeset.of_entries [ entry "u" 1 (Writeset.Put [| vi 1 |]) ] in
-  Alcotest.(check bool) "same key conflicts" true (Writeset.conflicts a b);
-  Alcotest.(check bool) "different key ok" false (Writeset.conflicts a c);
-  Alcotest.(check bool) "different table ok" false (Writeset.conflicts a d);
-  Alcotest.(check bool) "empty never conflicts" false (Writeset.conflicts a Writeset.empty)
+  let a = Writeset.of_entries ~intern [ entry "t" 1 (Writeset.Put [| vi 1 |]) ] in
+  let b = Writeset.of_entries ~intern [ entry "t" 1 Writeset.Delete ] in
+  let c = Writeset.of_entries ~intern [ entry "t" 2 (Writeset.Put [| vi 2 |]) ] in
+  let d = Writeset.of_entries ~intern [ entry "u" 1 (Writeset.Put [| vi 1 |]) ] in
+  Alcotest.(check bool) "same key conflicts" true (ids_meet a b);
+  Alcotest.(check bool) "different key ok" false (ids_meet a c);
+  Alcotest.(check bool) "different table ok" false (ids_meet a d);
+  Alcotest.(check bool) "empty never conflicts" false
+    (ids_meet a (Writeset.of_entries ~intern []));
+  Alcotest.check_raises "ids of another table refused"
+    (Invalid_argument "Writeset.cids: writeset built against another intern table")
+    (fun () -> ignore (Writeset.cids a ~intern:(Intern.create ())))
 
 let test_writeset_supersede () =
   let ws =
-    Writeset.of_entries
+    Writeset.of_entries ~intern
       [
         entry "t" 1 (Writeset.Put [| vi 1 |]);
         entry "t" 1 (Writeset.Put [| vi 99 |]);
@@ -207,22 +220,26 @@ let test_writeset_supersede () =
 
 let test_writeset_keys () =
   let ws =
-    Writeset.of_entries
+    Writeset.of_entries ~intern
       [
         entry "t" 1 (Writeset.Put [| vi 1 |]);
         entry "u" 1 Writeset.Delete;
         entry "t" 2 (Writeset.Put [| vi 2 |]);
       ]
   in
-  let keys = Writeset.keys ws in
-  Alcotest.(check int) "one conflict key per entry" 3 (List.length keys);
-  List.iter
-    (fun k -> Alcotest.(check bool) "expected key present" true (List.mem k keys))
-    [ ("t", [| vi 1 |]); ("u", [| vi 1 |]); ("t", [| vi 2 |]) ]
+  let keys = List.map (fun e -> (e.Writeset.ws_table, e.ws_key)) (Writeset.entries ws) in
+  Alcotest.(check bool) "entries in first-write order" true
+    (keys = [ ("t", [| vi 1 |]); ("u", [| vi 1 |]); ("t", [| vi 2 |]) ]);
+  let cids = Writeset.cids ws ~intern in
+  Alcotest.(check (list int)) "one conflict id per entry, aligned"
+    (List.map (fun (table, key) -> Intern.id intern ~table ~key) keys)
+    (Array.to_list cids);
+  Alcotest.(check int) "ids distinct" 3
+    (List.length (List.sort_uniq compare (Array.to_list cids)))
 
 let test_writeset_tables () =
   let ws =
-    Writeset.of_entries
+    Writeset.of_entries ~intern
       [
         entry "b" 1 (Writeset.Put [| vi 1 |]);
         entry "a" 1 (Writeset.Put [| vi 1 |]);
@@ -234,22 +251,16 @@ let test_writeset_tables () =
 
 (* An [Int] key and the integral [Float] of the same value are one row
    in the store, so they must be one record to a writeset and one
-   conflict id too, on the interned and the foreign path alike. *)
+   conflict id too. *)
 let test_writeset_int_float_keys () =
   let at key = { Writeset.ws_table = "t"; ws_key = [| key |]; ws_op = Writeset.Delete } in
-  let int_ws = Writeset.of_entries [ at (vi 3) ]
-  and float_ws = Writeset.of_entries [ at (Value.Float 3.0) ] in
-  Alcotest.(check bool) "foreign conflicts" true (Writeset.conflicts int_ws float_ws);
-  Alcotest.(check bool) "mem" true
-    (Writeset.mem int_ws ~table:"t" ~key:[| Value.Float 3.0 |]);
   Alcotest.(check int) "one record" 1
-    (Writeset.cardinal (Writeset.of_entries [ at (vi 3); at (Value.Float 3.0) ]));
-  let intern = Intern.create () in
+    (Writeset.cardinal (Writeset.of_entries ~intern [ at (vi 3); at (Value.Float 3.0) ]));
   Alcotest.(check int) "one conflict id"
     (Intern.id intern ~table:"t" ~key:[| vi 3 |])
     (Intern.id intern ~table:"t" ~key:[| Value.Float 3.0 |]);
-  Alcotest.(check bool) "interned conflicts" true
-    (Writeset.conflicts
+  Alcotest.(check bool) "conflicts" true
+    (ids_meet
        (Writeset.of_entries ~intern [ at (vi 3) ])
        (Writeset.of_entries ~intern [ at (Value.Float 3.0) ]))
 
@@ -406,7 +417,7 @@ let test_txn_index_value_equality () =
   Alcotest.(check (list int)) "unindexed scan" [ 1 ] (ids "plain");
   Alcotest.(check (list int)) "index lookup agrees with the scan" [ 1 ] (ids "indexed");
   Database.apply db
-    (Writeset.of_entries
+    (Writeset.of_entries ~intern
        [
          {
            Writeset.ws_table = "indexed";
@@ -625,7 +636,7 @@ let test_query_join_tableset () =
 
 let test_database_apply_out_of_order_rejected () =
   let db = fresh_db () in
-  let ws = Writeset.of_entries [ entry "accounts" 1 Writeset.Delete ] in
+  let ws = Writeset.of_entries ~intern [ entry "accounts" 1 Writeset.Delete ] in
   Alcotest.(check bool) "non-sequential version rejected" true
     (try
        Database.apply db ws ~version:5;
@@ -641,7 +652,8 @@ let balance_of db key =
 let test_database_unpublished_invisible_until_publish () =
   let db = fresh_db () in
   let ws =
-    Writeset.of_entries [ entry "accounts" 1 (Writeset.Put [| vi 1; vt "alice"; vi 999 |]) ]
+    Writeset.of_entries ~intern
+      [ entry "accounts" 1 (Writeset.Put [| vi 1; vt "alice"; vi 999 |]) ]
   in
   Database.apply_unpublished db ws ~version:1;
   Alcotest.(check int) "version not advanced" 0 (Database.version db);
@@ -662,12 +674,13 @@ let test_database_replay_is_redo_idempotent () =
      version instead of tripping the MVCC stale-install check. *)
   let db = fresh_db () in
   let partial =
-    Writeset.of_entries [ entry "accounts" 1 (Writeset.Put [| vi 1; vt "alice"; vi 999 |]) ]
+    Writeset.of_entries ~intern
+      [ entry "accounts" 1 (Writeset.Put [| vi 1; vt "alice"; vi 999 |]) ]
   in
   Database.apply_unpublished db partial ~version:1;
   (* Crash before publish: the replayed writeset carries both rows. *)
   let full =
-    Writeset.of_entries
+    Writeset.of_entries ~intern
       [
         entry "accounts" 1 (Writeset.Put [| vi 1; vt "alice"; vi 999 |]);
         entry "accounts" 2 (Writeset.Put [| vi 2; vt "bob"; vi 777 |]);
@@ -691,7 +704,8 @@ let test_database_reapply_leaves_state () =
   let db = fresh_db () in
   let accounts = Database.table db "accounts" in
   let put owner =
-    Writeset.of_entries [ entry "accounts" 4 (Writeset.Put [| vi 4; vt owner; vi 1 |]) ]
+    Writeset.of_entries ~intern
+      [ entry "accounts" 4 (Writeset.Put [| vi 4; vt owner; vi 1 |]) ]
   in
   let state () =
     ( history accounts ~top:2,
@@ -1326,7 +1340,7 @@ let test_mvcc_walk_rejects_install () =
    it sets virtual time: this pins its value on a fixed writeset. *)
 let test_codec_writeset_wire_size () =
   let ws =
-    Writeset.of_entries
+    Writeset.of_entries ~intern
       [
         entry "t" 1 (Writeset.Put [| vi 1; vt "x" |]);
         entry "u" 2 Writeset.Delete;
@@ -1395,9 +1409,10 @@ let prop_txn_atomic_transfer =
    and the ids resolved at buffer time, equals [Writeset.of_entries]
    over the same writes; and the id-probing early-certification
    predicates (a buffer against pending refresh keys, a refresh against
-   a buffer) decide exactly as [Writeset.conflicts] does. Writes hit
-   overlapping keys in two tables; refresh writesets mix int and
-   integral-float keys, interned and foreign. *)
+   a buffer) decide exactly as comparing the writesets' keys under the
+   store's key equality does ({!Helpers.write_common_record}). Writes
+   hit overlapping keys in two tables; refresh writesets mix int and
+   integral-float keys. *)
 type txn_op =
   | Insert of string * int
   | Put_row of string * int
@@ -1423,15 +1438,12 @@ let print_txn_op = function
   | Update (t, k) -> Printf.sprintf "update %s %d" t k
   | Delete_key (t, k) -> Printf.sprintf "delete %s %d" t k
 
-(* A refresh writeset: (table, key, as an integral float?) triples, and
-   whether it is built against the group's intern table. *)
+(* A refresh writeset: (table, key, as an integral float?) triples. *)
 let refresh_gen =
-  QCheck.Gen.(
-    pair (list_size (int_range 0 4) (triple (oneofl txn_tables) (int_range 1 7) bool)) bool)
+  QCheck.Gen.(list_size (int_range 0 4) (triple (oneofl txn_tables) (int_range 1 7) bool))
 
-let print_refresh (keys, interned) =
-  Printf.sprintf "%s{%s}"
-    (if interned then "interned" else "foreign")
+let print_refresh keys =
+  Printf.sprintf "{%s}"
     (String.concat ","
        (List.map
           (fun (t, k, f) -> Printf.sprintf "%s:%d%s" t k (if f then ".0" else ""))
@@ -1439,7 +1451,8 @@ let print_refresh (keys, interned) =
 
 let prop_txn_writeset_matches_of_entries =
   let open QCheck in
-  Test.make ~name:"txn writeset and id probes agree with of_entries and conflicts" ~count:200
+  Test.make ~name:"txn writeset and id probes agree with of_entries and key equality"
+    ~count:200
     (make
        ~print:(fun (ops, refreshes) ->
          String.concat "; " (List.map print_txn_op ops)
@@ -1477,15 +1490,13 @@ let prop_txn_writeset_matches_of_entries =
         ops;
       let ws = Txn.writeset txn in
       let oracle = Writeset.of_entries ~intern (List.rev !written) in
-      let refresh_ws (keys, interned) =
-        let entries =
-          List.map
-            (fun (table, k, as_float) ->
-              let key = if as_float then Value.Float (float_of_int k) else vi k in
-              { Writeset.ws_table = table; ws_key = [| key |]; ws_op = Writeset.Delete })
-            keys
-        in
-        if interned then Writeset.of_entries ~intern entries else Writeset.of_entries entries
+      let refresh_ws keys =
+        Writeset.of_entries ~intern
+          (List.map
+             (fun (table, k, as_float) ->
+               let key = if as_float then Value.Float (float_of_int k) else vi k in
+               { Writeset.ws_table = table; ws_key = [| key |]; ws_op = Writeset.Delete })
+             keys)
       in
       let refreshes = List.map refresh_ws refreshes in
       let pending = Util.Tables.Itbl.create 16 in
@@ -1499,11 +1510,11 @@ let prop_txn_writeset_matches_of_entries =
       && Writeset.cids ws ~intern = Writeset.cids oracle ~intern
       && Writeset.cardinal ws = Writeset.cardinal oracle
       && Txn.exists_write_id txn (Util.Tables.Itbl.mem pending)
-         = List.exists (Writeset.conflicts ws) refreshes
+         = List.exists (Helpers.write_common_record ws) refreshes
       && List.for_all
            (fun r ->
              Array.exists (Txn.writes_id txn) (Writeset.cids r ~intern)
-             = ((not (Txn.is_read_only txn)) && Writeset.conflicts ws r))
+             = ((not (Txn.is_read_only txn)) && Helpers.write_common_record ws r))
            refreshes)
 
 (* --- Database.copy differential test ---
@@ -1590,7 +1601,7 @@ let copy_apply db = function
       in
       { Writeset.ws_table = (if w.composite then "pair" else "flat"); ws_key = key; ws_op = op }
     in
-    Database.apply db (Writeset.of_entries (List.map entry ws)) ~version
+    Database.apply db (Writeset.of_entries ~intern (List.map entry ws)) ~version
 
 (* Everything a reader can see of a database, at a few snapshots. *)
 let copy_observe db =
@@ -1672,7 +1683,8 @@ let test_database_copies_share_unwritten_tables () =
     true
     (shared - alone <= 8 * 40 * 64);
   let ws =
-    Writeset.of_entries (List.init 10 (fun i -> entry (name (4 * i)) 7 (Writeset.Put [| vi 7; vi 1 |])))
+    Writeset.of_entries ~intern
+      (List.init 10 (fun i -> entry (name (4 * i)) 7 (Writeset.Put [| vi 7; vi 1 |])))
   in
   List.iter (fun copy -> Database.apply copy ws ~version:1) copies;
   let written = words (db, copies) in
